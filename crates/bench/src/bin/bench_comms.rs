@@ -1,7 +1,7 @@
-//! Times the zero-serialization comms path against the JSON metering it
-//! replaced, gates every codec byte-exactly, and emits `BENCH_comms.json`.
+//! Gates every wire codec byte-exactly, races the fused decode-into-fold
+//! against the materializing decode, and emits `BENCH_comms.json`.
 //!
-//! Three sections:
+//! Two sections:
 //!
 //! * `codec` — decode gates, checked before anything is timed: EVFD
 //!   (full-precision weights) must round-trip **bitwise**; EVQ8 (8-bit
@@ -10,23 +10,18 @@
 //!   must re-encode identically and reconstruct the same update. The O(1)
 //!   `*_encoded_size` arithmetic must equal the real payload length — that
 //!   equality is what lets the round loop meter without serialising.
-//! * `metering` — races one federated round-schedule of traffic accounting
-//!   (broadcast to every client + one uplink per client, paper schedule)
-//!   through the legacy `MeteredChannel::record` (serialises the full
-//!   weight set to JSON per message) versus the new path (encode the
-//!   broadcast once per round, O(1) arithmetic per uplink). The new path is
-//!   asserted to perform **zero** JSON serialisations via the process-wide
-//!   `serde_json::serialization_count` counter.
-//! * `compression` — wire bytes per update for None / Quant8 / TopKDelta
-//!   on the paper's forecaster, with the Quant8 ratio gated at ≈8x.
+//!   Reported per mode as wire bytes per update on the paper's forecaster,
+//!   with the Quant8 ratio gated at ≈8x.
+//! * `fastpath` — fused `ingest_quantized` / `ingest_topk` against
+//!   decode-then-`ingest`, gated bitwise-identical, with throughput floors
+//!   in full runs, plus the zero-matrix-allocation warm codec round.
 //!
 //! Usage: `cargo run --release --bin bench_comms [output-path] [--smoke]`
 //!
 //! `--smoke` runs a tiny model with few repetitions and skips the JSON
-//! dump — the CI gate that the codecs and the counter stay honest.
+//! dump — the CI gate that the codecs and the fused fold stay honest.
 
 use evfad_core::federated::compression::{QuantizedUpdate, SparseDelta};
-use evfad_core::federated::transport::MeteredChannel;
 use evfad_core::federated::wire;
 use evfad_core::federated::{Aggregator, CodecScratch, LocalUpdate};
 use evfad_core::nn::forecaster_model;
@@ -165,97 +160,7 @@ fn gate_codecs(weights: &[Matrix], global: &[Matrix], k: usize, full: bool) -> V
 }
 
 // ---------------------------------------------------------------------------
-// Section 2: metering race.
-// ---------------------------------------------------------------------------
-
-/// The pre-PR-5 accounting: serialise every payload to JSON to learn its
-/// size — once per broadcast recipient, once per uplink.
-fn baseline_metering(weights: &[Matrix], clients: usize, rounds: usize) -> usize {
-    let channel = MeteredChannel::new();
-    for _ in 0..rounds {
-        for _ in 0..clients {
-            channel.record(weights); // broadcast copy
-        }
-        for _ in 0..clients {
-            channel.record_attempts(weights, 1); // uplink
-        }
-    }
-    channel.totals().bytes
-}
-
-/// The new path: encode the broadcast once per round (reusing one buffer),
-/// meter recipients by its length, and price uplinks by O(1) arithmetic.
-fn wire_metering(weights: &[Matrix], clients: usize, rounds: usize) -> usize {
-    let channel = MeteredChannel::new();
-    let mut buf = wire::BytesMut::new();
-    for _ in 0..rounds {
-        wire::encode_weights_into(&mut buf, weights);
-        let broadcast_len = buf.len();
-        for _ in 0..clients {
-            channel.record_bytes(broadcast_len);
-        }
-        let uplink = wire::encoded_size(weights);
-        for _ in 0..clients {
-            channel.record_attempts_bytes(uplink, 1);
-        }
-    }
-    channel.totals().bytes
-}
-
-struct MeteringResult {
-    json_ms: f64,
-    wire_ms: f64,
-    json_bytes: usize,
-    wire_bytes: usize,
-    json_serializations: u64,
-    wire_serializations: u64,
-}
-
-fn race_metering(weights: &[Matrix], clients: usize, rounds: usize, reps: usize) -> MeteringResult {
-    // Warm both paths, then take the serialisation census of one pass each.
-    let json_bytes = baseline_metering(weights, clients, rounds);
-    let wire_bytes = wire_metering(weights, clients, rounds);
-    let before = serde_json::serialization_count();
-    let _ = baseline_metering(weights, clients, rounds);
-    let json_serializations = serde_json::serialization_count() - before;
-    let before = serde_json::serialization_count();
-    let _ = wire_metering(weights, clients, rounds);
-    let wire_serializations = serde_json::serialization_count() - before;
-    assert_eq!(
-        wire_serializations, 0,
-        "the wire metering path serialised JSON — the zero-serialization claim regressed"
-    );
-    assert_eq!(
-        json_serializations,
-        (2 * clients * rounds) as u64,
-        "the legacy path must serialise once per message"
-    );
-    // Binary payloads are strictly smaller than their JSON renderings.
-    assert!(wire_bytes < json_bytes);
-
-    let mut json_ms = Vec::with_capacity(reps);
-    let mut wire_ms = Vec::with_capacity(reps);
-    for _ in 0..reps {
-        let start = Instant::now();
-        black_box(baseline_metering(weights, clients, rounds));
-        json_ms.push(start.elapsed().as_secs_f64() * 1e3);
-        let start = Instant::now();
-        black_box(wire_metering(weights, clients, rounds));
-        wire_ms.push(start.elapsed().as_secs_f64() * 1e3);
-    }
-
-    MeteringResult {
-        json_ms: median(json_ms),
-        wire_ms: median(wire_ms),
-        json_bytes,
-        wire_bytes,
-        json_serializations,
-        wire_serializations,
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Section 3: allocation-free compressed-uplink fast path (schema v2).
+// Section 2: allocation-free compressed-uplink fast path.
 // ---------------------------------------------------------------------------
 
 struct FastpathResult {
@@ -531,15 +436,15 @@ fn main() {
         .cloned()
         .unwrap_or_else(|| "BENCH_comms.json".to_string());
 
-    // Paper schedule: 3 zones, 5 federated rounds, LSTM(50) forecaster.
-    let (lstm_units, clients, rounds, k, reps) = if smoke {
-        (8, 3, 2, 32, 3)
+    // Paper federation: 3 zones, LSTM(50) forecaster.
+    let (lstm_units, clients, k, reps) = if smoke {
+        (8, 3, 32, 3)
     } else {
-        (50, 3, 5, 512, 21)
+        (50, 3, 512, 21)
     };
 
     println!(
-        "comms bench: {} (LSTM({lstm_units}), {clients} clients x {rounds} rounds, reps={reps})",
+        "comms bench: {} (LSTM({lstm_units}), {clients} clients, reps={reps})",
         if smoke { "smoke" } else { "full" }
     );
 
@@ -554,18 +459,6 @@ fn main() {
         );
     }
 
-    let metering = race_metering(&weights, clients, rounds, reps);
-    println!(
-        "metering          json {:.3} ms / {} B / {} serializations   wire {:.3} ms / {} B / {} serializations   speedup {:.1}x",
-        metering.json_ms,
-        metering.json_bytes,
-        metering.json_serializations,
-        metering.wire_ms,
-        metering.wire_bytes,
-        metering.wire_serializations,
-        metering.json_ms / metering.wire_ms,
-    );
-
     assert_warm_rounds_alloc_free(&weights, &global, k);
     println!("fastpath          warm codec rounds: 0 matrix allocations");
     let inner = if smoke { 2 } else { 8 };
@@ -578,7 +471,7 @@ fn main() {
     }
 
     if smoke {
-        println!("smoke ok: codecs byte-exact, metering path JSON-free, fused fold bitwise, warm rounds allocation-free");
+        println!("smoke ok: codecs byte-exact, fused fold bitwise, warm rounds allocation-free");
         return;
     }
 
@@ -629,22 +522,12 @@ fn main() {
         concat!(
             "{{\n",
             "  \"bench\": \"comms\",\n",
-            "  \"schema\": 2,\n",
+            "  \"schema\": 3,\n",
             "  \"host_cpus\": {},\n",
             "  \"reps\": {},\n",
             "  \"model\": \"forecaster LSTM({})\",\n",
-            "  \"schedule\": {{ \"clients\": {}, \"rounds\": {} }},\n",
+            "  \"clients\": {},\n",
             "  \"codec\": [\n{}\n  ],\n",
-            "  \"metering\": {{\n",
-            "    \"json_ms\": {:.4},\n",
-            "    \"wire_ms\": {:.4},\n",
-            "    \"speedup\": {:.1},\n",
-            "    \"json_bytes\": {},\n",
-            "    \"wire_bytes\": {},\n",
-            "    \"bytes_ratio\": {:.2},\n",
-            "    \"json_serializations\": {},\n",
-            "    \"wire_serializations\": {}\n",
-            "  }},\n",
             "  \"fastpath\": {{\n",
             "    \"warm_round_matrix_allocs\": 0,\n",
             "    \"modes\": [\n{}\n    ]\n",
@@ -655,16 +538,7 @@ fn main() {
         reps,
         lstm_units,
         clients,
-        rounds,
         codec_entries.join(",\n"),
-        metering.json_ms,
-        metering.wire_ms,
-        metering.json_ms / metering.wire_ms,
-        metering.json_bytes,
-        metering.wire_bytes,
-        metering.json_bytes as f64 / metering.wire_bytes as f64,
-        metering.json_serializations,
-        metering.wire_serializations,
         fastpath_entries.join(",\n"),
     );
     std::fs::write(&out_path, json).expect("write bench results");

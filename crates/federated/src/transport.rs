@@ -5,18 +5,15 @@
 //! [`MeteredChannel`] counts every payload, so experiments can report how
 //! many bytes a federation round costs versus shipping raw data.
 //!
-//! Since PR 5 the round loop meters **binary wire bytes** (see
-//! [`wire`](crate::wire)) through the O(1) [`MeteredChannel::record_bytes`]
-//! / [`MeteredChannel::record_attempts_bytes`] entry points — the broadcast
+//! The round loop meters **binary wire bytes** (see [`wire`](crate::wire))
+//! through the O(1) [`MeteredChannel::record_bytes`] /
+//! [`MeteredChannel::record_attempts_bytes`] entry points — the broadcast
 //! is encoded once per round and every uplink is measured by the exact
-//! byte length of the payload that crossed the channel, with zero JSON
-//! serialisation anywhere in the loop. The serialising
-//! [`MeteredChannel::record`] / [`MeteredChannel::record_attempts`] remain
-//! as the legacy JSON accounting that `bench_comms` races against.
+//! byte length of the payload that crossed the channel, so metering never
+//! serialises anything.
 
 use evfad_tensor::Matrix;
 use parking_lot::Mutex;
-use serde::Serialize;
 use std::sync::Arc;
 
 /// Byte counters for one direction of traffic.
@@ -84,27 +81,6 @@ impl MeteredChannel {
         t.retries += attempts - 1;
     }
 
-    /// Records one payload, measured by its serialised JSON size.
-    ///
-    /// Legacy path: serialises the entire payload just to count bytes.
-    /// The round loop no longer calls this — it meters wire bytes via
-    /// [`MeteredChannel::record_bytes`]; `bench_comms` keeps this method
-    /// honest as the baseline it races.
-    pub fn record<T: Serialize + ?Sized>(&self, payload: &T) {
-        let bytes = serde_json::to_vec(payload).map(|v| v.len()).unwrap_or(0);
-        self.record_bytes(bytes);
-    }
-
-    /// Records one payload sent `attempts` times, measured by its
-    /// serialised JSON size (legacy path; see [`MeteredChannel::record`]).
-    pub fn record_attempts<T: Serialize + ?Sized>(&self, payload: &T, attempts: usize) {
-        if attempts == 0 {
-            return;
-        }
-        let bytes = serde_json::to_vec(payload).map(|v| v.len()).unwrap_or(0);
-        self.record_attempts_bytes(bytes, attempts);
-    }
-
     /// Current counters.
     pub fn totals(&self) -> TrafficTotals {
         *self.totals.lock()
@@ -140,11 +116,11 @@ mod tests {
     #[test]
     fn counters_accumulate() {
         let ch = MeteredChannel::new();
-        ch.record(&vec![1.0, 2.0, 3.0]);
-        ch.record(&"hello");
+        ch.record_bytes(7);
+        ch.record_attempts_bytes(5, 2);
         let t = ch.totals();
-        assert_eq!(t.messages, 2);
-        assert!(t.bytes > 10);
+        assert_eq!(t.messages, 3);
+        assert_eq!(t.bytes, 17);
     }
 
     #[test]
@@ -159,21 +135,9 @@ mod tests {
     }
 
     #[test]
-    fn record_matches_json_size() {
-        // The legacy path must still measure the real serialised payload.
-        let payload = vec![1.5f64, -2.25, 1e300];
-        let ch = MeteredChannel::new();
-        ch.record(&payload);
-        assert_eq!(
-            ch.totals().bytes,
-            serde_json::to_vec(&payload).unwrap().len()
-        );
-    }
-
-    #[test]
     fn reset_zeroes() {
         let ch = MeteredChannel::new();
-        ch.record(&42u32);
+        ch.record_bytes(42);
         ch.reset();
         assert_eq!(ch.totals(), TrafficTotals::default());
     }
@@ -182,7 +146,7 @@ mod tests {
     fn clones_share_counters() {
         let ch = MeteredChannel::new();
         let clone = ch.clone();
-        clone.record(&1u8);
+        clone.record_bytes(1);
         assert_eq!(ch.totals().messages, 1);
     }
 
@@ -215,32 +179,10 @@ mod tests {
     }
 
     #[test]
-    fn record_attempts_meters_every_attempt() {
-        let ch = MeteredChannel::new();
-        ch.record(&[1.0f64; 4]);
-        let single = ch.totals();
-        ch.reset();
-        ch.record_attempts(&[1.0f64; 4], 3);
-        let tripled = ch.totals();
-        assert_eq!(tripled.messages, 3);
-        assert_eq!(tripled.bytes, 3 * single.bytes);
-        assert_eq!(tripled.retries, 2);
-    }
-
-    #[test]
     fn record_attempts_zero_is_a_no_op() {
         let ch = MeteredChannel::new();
-        ch.record_attempts(&42u8, 0);
         ch.record_attempts_bytes(64, 0);
         assert_eq!(ch.totals(), TrafficTotals::default());
-    }
-
-    #[test]
-    fn plain_record_never_counts_retries() {
-        let ch = MeteredChannel::new();
-        ch.record(&1u8);
-        ch.record_bytes(8);
-        assert_eq!(ch.totals().retries, 0);
     }
 
     #[test]

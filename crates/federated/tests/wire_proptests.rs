@@ -1,7 +1,7 @@
-//! Property-based tests for the binary wire formats (EVFD / EVQ8 / EVSK).
+//! Property-based and table-driven tests for the binary wire formats.
 //!
-//! Three invariants, over random shapes including degenerate `rows x 0`
-//! and `0 x cols` tensors:
+//! Property tests (EVFD / EVQ8 / EVSK), over random shapes including
+//! degenerate `rows x 0` and `0 x cols` tensors:
 //!
 //! 1. encode → decode is lossless (bitwise for EVFD/EVSK, and for EVQ8 the
 //!    decoded *struct* re-encodes to the identical payload);
@@ -9,6 +9,12 @@
 //!    — this is what makes metering-by-arithmetic exact;
 //! 3. malformed inputs (every truncation point, corrupted magic) return a
 //!    [`WireError`], never panic.
+//!
+//! Hostile-input table (`mod hostile`): every decoder and zero-copy view
+//! against every fixture record of its format — prefixes, byte flips,
+//! forced field values, appended bytes, structural corruption, and
+//! declared counts the received bytes did not pay for, at the codec and
+//! through a loopback `SocketServer`.
 
 use evfad_federated::compression::{QuantizedUpdate, SparseDelta};
 use evfad_federated::wire;
@@ -151,5 +157,713 @@ proptest! {
         let q = wire::encode_quantized(&QuantizedUpdate::quantize(&weights));
         prop_assert!(wire::decode_weights(&q).is_err());
         prop_assert!(wire::decode_sparse(&q).is_err());
+    }
+}
+
+mod hostile {
+    use evfad_federated::compression::{QuantizedUpdate, SparseDelta};
+    use evfad_federated::framing::{write_frame, FrameDecoder};
+    use evfad_federated::privacy::DpConfig;
+    use evfad_federated::socket::SocketServerConfig;
+    use evfad_federated::wire::{self, BytesMut, Message, WireError};
+    use evfad_federated::{
+        Aggregator, CompressionMode, Corruption, FaultEvent, FaultKind, FaultOutcome, FaultPlan,
+        FederatedConfig, FederatedError, RoundSelector, SocketServer,
+    };
+    use evfad_nn::forecaster_model;
+    use evfad_tensor::Matrix;
+    use std::io::Read;
+    use std::net::{SocketAddr, TcpStream};
+
+    /// Decodes a payload and re-encodes what came out, so one table can
+    /// hold decoders of different output types and check that an accepted
+    /// payload is exactly the bytes its content encodes to.
+    type Codec = fn(&[u8]) -> Result<Vec<u8>, WireError>;
+
+    struct Row {
+        name: &'static str,
+        format: &'static str,
+        codec: Codec,
+        fixtures: fn() -> Vec<Vec<u8>>,
+    }
+
+    const TABLE: [Row; 8] = [
+        Row {
+            name: "decode_weights",
+            format: "EVFD",
+            codec: |b| wire::decode_weights(b).map(|w| wire::encode_weights(&w).to_vec()),
+            fixtures: evfd_fixtures,
+        },
+        Row {
+            name: "decode_quantized",
+            format: "EVQ8",
+            codec: |b| wire::decode_quantized(b).map(|q| wire::encode_quantized(&q).to_vec()),
+            fixtures: evq8_fixtures,
+        },
+        Row {
+            name: "quantized_view",
+            format: "EVQ8",
+            codec: reencode_quantized_view,
+            fixtures: evq8_fixtures,
+        },
+        Row {
+            name: "decode_sparse",
+            format: "EVSK",
+            codec: |b| wire::decode_sparse(b).map(|d| wire::encode_sparse(&d).to_vec()),
+            fixtures: evsk_fixtures,
+        },
+        Row {
+            name: "sparse_view",
+            format: "EVSK",
+            codec: reencode_sparse_view,
+            fixtures: evsk_fixtures,
+        },
+        Row {
+            name: "decode_fault_log",
+            format: "EVFL",
+            codec: |b| wire::decode_fault_log(b).map(|l| wire::encode_fault_log(&l).to_vec()),
+            fixtures: evfl_fixtures,
+        },
+        Row {
+            name: "decode_config",
+            format: "EVCF",
+            codec: |b| wire::decode_config(b).map(|c| wire::encode_config(&c).to_vec()),
+            fixtures: evcf_fixtures,
+        },
+        Row {
+            name: "decode_message",
+            format: "EVMS",
+            codec: |b| {
+                wire::decode_message(b).map(|m| {
+                    let mut buf = BytesMut::new();
+                    wire::encode_message(&mut buf, &m);
+                    buf.to_vec()
+                })
+            },
+            fixtures: evms_fixtures,
+        },
+    ];
+
+    fn header(magic: &[u8; 4], count: u32) -> Vec<u8> {
+        let mut out = magic.to_vec();
+        out.extend(wire::VERSION.to_le_bytes());
+        out.extend(count.to_le_bytes());
+        out
+    }
+
+    /// An `EVQ8` encoder written against the documented layout, fed from
+    /// the view's accessors alone.
+    fn reencode_quantized_view(payload: &[u8]) -> Result<Vec<u8>, WireError> {
+        let view = wire::quantized_view(payload)?;
+        let mut out = header(&wire::QUANT_MAGIC, view.tensor_count() as u32);
+        for t in view.tensors() {
+            let (rows, cols) = t.shape();
+            out.extend((rows as u32).to_le_bytes());
+            out.extend((cols as u32).to_le_bytes());
+            out.extend(t.range().min.to_le_bytes());
+            out.extend(t.range().step.to_le_bytes());
+            out.extend((t.special_count() as u32).to_le_bytes());
+            out.extend(t.codes());
+            for (idx, value) in t.specials() {
+                out.extend((idx as u32).to_le_bytes());
+                out.extend(value.to_le_bytes());
+            }
+        }
+        Ok(out)
+    }
+
+    /// The `EVSK` twin of [`reencode_quantized_view`].
+    fn reencode_sparse_view(payload: &[u8]) -> Result<Vec<u8>, WireError> {
+        let view = wire::sparse_view(payload)?;
+        let mut out = header(&wire::SPARSE_MAGIC, view.tensor_count() as u32);
+        for t in view.tensors() {
+            let (rows, cols) = t.shape();
+            out.extend((rows as u32).to_le_bytes());
+            out.extend((cols as u32).to_le_bytes());
+            out.extend((t.nnz() as u32).to_le_bytes());
+            for (idx, value) in t.entries() {
+                out.extend(idx.to_le_bytes());
+                out.extend(value.to_le_bytes());
+            }
+        }
+        Ok(out)
+    }
+
+    fn weights() -> Vec<Matrix> {
+        vec![
+            Matrix::from_fn(3, 4, |i, j| (i as f64) - 0.37 * j as f64),
+            Matrix::zeros(0, 5),
+            Matrix::row_vector(&[1.0, -2.5, f64::MIN_POSITIVE, 1e300]),
+        ]
+    }
+
+    /// [`weights`] with two adjacent non-finite values in the first tensor
+    /// and one in the last: `EVQ8` specials, and `EVSK` entries top-k
+    /// always keeps.
+    fn poisoned_weights() -> Vec<Matrix> {
+        let mut w = weights();
+        w[0].as_mut_slice()[0] = f64::NAN;
+        w[0].as_mut_slice()[1] = f64::INFINITY;
+        w[2].as_mut_slice()[2] = f64::NEG_INFINITY;
+        w
+    }
+
+    fn evfd_fixtures() -> Vec<Vec<u8>> {
+        vec![
+            wire::encode_weights(&weights()).to_vec(),
+            wire::encode_weights(&[]).to_vec(),
+        ]
+    }
+
+    fn evq8_fixtures() -> Vec<Vec<u8>> {
+        vec![
+            wire::encode_quantized(&QuantizedUpdate::quantize(&poisoned_weights())).to_vec(),
+            wire::encode_quantized(&QuantizedUpdate::quantize(&weights())).to_vec(),
+        ]
+    }
+
+    fn evsk_fixtures() -> Vec<Vec<u8>> {
+        let base = weights();
+        vec![
+            wire::encode_sparse(&SparseDelta::top_k(&poisoned_weights(), &base, 3)).to_vec(),
+            wire::encode_sparse(&SparseDelta::top_k(&base, &base, 3)).to_vec(),
+        ]
+    }
+
+    fn fault_log() -> Vec<FaultEvent> {
+        let event = |round, client_id: &str, fault, outcome| FaultEvent {
+            round,
+            client_id: client_id.into(),
+            fault,
+            outcome,
+        };
+        vec![
+            event(0, "z102", FaultKind::DropOut, FaultOutcome::Dropped),
+            event(
+                1,
+                "z105",
+                FaultKind::Straggler {
+                    delay_seconds: 42.5,
+                },
+                FaultOutcome::TimedOut {
+                    delay_seconds: 42.5,
+                    timeout_seconds: 30.0,
+                },
+            ),
+            event(
+                1,
+                "z108",
+                FaultKind::Corrupt {
+                    corruption: Corruption::Scale { factor: -2.25 },
+                },
+                FaultOutcome::Corrupted,
+            ),
+            event(
+                2,
+                "",
+                FaultKind::Transient { failures: 2 },
+                FaultOutcome::Recovered {
+                    failed_attempts: 2,
+                    backoff_seconds: 3.0,
+                },
+            ),
+            event(
+                3,
+                "z114",
+                FaultKind::Corrupt {
+                    corruption: Corruption::SignFlip,
+                },
+                FaultOutcome::RetriesExhausted { failed_attempts: 3 },
+            ),
+            event(
+                4,
+                "z117",
+                FaultKind::Corrupt {
+                    corruption: Corruption::NanFlood,
+                },
+                FaultOutcome::Delayed { delay_seconds: 1.5 },
+            ),
+        ]
+    }
+
+    fn evfl_fixtures() -> Vec<Vec<u8>> {
+        vec![
+            wire::encode_fault_log(&fault_log()).to_vec(),
+            wire::encode_fault_log(&[]).to_vec(),
+        ]
+    }
+
+    fn full_config() -> FederatedConfig {
+        FederatedConfig {
+            rounds: 7,
+            epochs_per_round: 3,
+            batch_size: 16,
+            aggregator: Aggregator::TrimmedMean { trim: 2 },
+            parallel: false,
+            threads: 3,
+            dp: Some(DpConfig {
+                clip_norm: 1.5,
+                noise_multiplier: 0.25,
+            }),
+            proximal_mu: 0.01,
+            participation: 0.6,
+            sampling_seed: 42,
+            faults: Some(
+                FaultPlan::new(9)
+                    .with_rule("z102", RoundSelector::Only { round: 1 }, FaultKind::DropOut)
+                    .with_rule(
+                        "z105",
+                        RoundSelector::Every,
+                        FaultKind::Straggler { delay_seconds: 3.0 },
+                    )
+                    .with_rule(
+                        "z108",
+                        RoundSelector::From { round: 2 },
+                        FaultKind::Transient { failures: 2 },
+                    )
+                    .with_rule(
+                        "z103",
+                        RoundSelector::Probability { p: 0.5 },
+                        FaultKind::Corrupt {
+                            corruption: Corruption::Scale { factor: -4.0 },
+                        },
+                    )
+                    .with_timeout(30.0)
+                    .with_retry(5, 0.5)
+                    .with_min_participants(2),
+            ),
+            compression: CompressionMode::TopKDelta { k: 128 },
+        }
+    }
+
+    fn evcf_fixtures() -> Vec<Vec<u8>> {
+        vec![
+            wire::encode_config(&full_config()).to_vec(),
+            wire::encode_config(&FederatedConfig::default()).to_vec(),
+            wire::encode_config(&FederatedConfig {
+                aggregator: Aggregator::Krum { byzantine: 1 },
+                compression: CompressionMode::Quant8,
+                ..FederatedConfig::default()
+            })
+            .to_vec(),
+        ]
+    }
+
+    fn evms_fixtures() -> Vec<Vec<u8>> {
+        let global = wire::encode_weights(&weights());
+        let messages = [
+            Message::Hello {
+                client_id: "z105".into(),
+            },
+            Message::Welcome {
+                config: wire::encode_config(&FederatedConfig::default()),
+                init_global: global.clone(),
+            },
+            Message::Broadcast {
+                round: 2,
+                global: global.clone(),
+            },
+            Message::TrainRequest {
+                round: 0,
+                fault: None,
+            },
+            Message::TrainRequest {
+                round: 4,
+                fault: Some(FaultKind::Corrupt {
+                    corruption: Corruption::Scale { factor: -2.5 },
+                }),
+            },
+            Message::Update {
+                round: 3,
+                client_id: "z108".into(),
+                sample_count: 32,
+                train_loss: 0.0123,
+                payload: global.clone(),
+            },
+            Message::Ack { round: 3 },
+            Message::Done { global },
+            Message::Abort {
+                message: "round 1 starved".into(),
+            },
+        ];
+        let mut buf = BytesMut::new();
+        messages
+            .iter()
+            .map(|m| {
+                wire::encode_message(&mut buf, m);
+                buf.to_vec()
+            })
+            .collect()
+    }
+
+    fn rows_of(format: &'static str) -> impl Iterator<Item = &'static Row> {
+        TABLE.iter().filter(move |row| row.format == format)
+    }
+
+    /// Runs `check` over every (row, fixture of that row's format) pair.
+    fn for_each_case(mut check: impl FnMut(&str, Codec, &[u8])) {
+        for row in &TABLE {
+            for (i, blob) in (row.fixtures)().iter().enumerate() {
+                check(&format!("{} fixture {i}", row.name), row.codec, blob);
+            }
+        }
+    }
+
+    /// A mutated payload must decode to exactly the bytes it was, or fail
+    /// with a typed error whose `needed` (if truncated) makes progress.
+    fn assert_ok_or_typed(case: &str, codec: Codec, mutated: &[u8]) {
+        match codec(mutated) {
+            Ok(again) => assert_eq!(
+                again, mutated,
+                "{case}: accepted but re-encodes differently"
+            ),
+            Err(WireError::Truncated { needed }) => assert!(needed >= 1, "{case}: needed 0"),
+            Err(_) => {}
+        }
+    }
+
+    #[test]
+    fn fixtures_decode_and_reencode_byte_identically() {
+        for_each_case(|case, codec, blob| {
+            assert_eq!(codec(blob).as_deref(), Ok(blob), "{case}");
+        });
+    }
+
+    #[test]
+    fn every_prefix_is_truncated_and_needed_walks_to_exact_completion() {
+        for_each_case(|case, codec, blob| {
+            for cut in 0..blob.len() {
+                match codec(&blob[..cut]) {
+                    Err(WireError::Truncated { needed }) => assert!(
+                        needed >= 1 && cut + needed <= blob.len(),
+                        "{case}: cut {cut} needed {needed} of {}",
+                        blob.len()
+                    ),
+                    other => panic!("{case}: cut {cut} gave {other:?}"),
+                }
+            }
+            // Extending by exactly `needed` each time lands on the full
+            // record, never short of it and never past it.
+            let mut have = 0;
+            while let Err(WireError::Truncated { needed }) = codec(&blob[..have]) {
+                have += needed;
+            }
+            assert_eq!(have, blob.len(), "{case}: walk stopped early");
+        });
+    }
+
+    #[test]
+    fn every_single_byte_flip_is_ok_or_a_typed_error() {
+        for_each_case(|case, codec, blob| {
+            let mut mutated = blob.to_vec();
+            for at in 0..blob.len() {
+                for mask in [0x01, 0x80, 0xFF] {
+                    mutated[at] = blob[at] ^ mask;
+                    assert_ok_or_typed(&format!("{case} byte {at} ^ {mask:#x}"), codec, &mutated);
+                }
+                mutated[at] = blob[at];
+            }
+        });
+    }
+
+    /// Forces every 1-, 2- and 4-byte window of the record to `0`, `1` and
+    /// all-ones — a superset of "every length, count and tag field", found
+    /// without the test knowing any layout.
+    #[test]
+    fn every_field_forced_to_zero_one_or_max_is_ok_or_a_typed_error() {
+        for_each_case(|case, codec, blob| {
+            for width in [1usize, 2, 4] {
+                for at in 0..(blob.len() + 1).saturating_sub(width) {
+                    for value in [0u32, 1, u32::MAX] {
+                        let mut mutated = blob.to_vec();
+                        mutated[at..at + width].copy_from_slice(&value.to_le_bytes()[..width]);
+                        assert_ok_or_typed(
+                            &format!("{case} u{} at {at} = {value}", 8 * width),
+                            codec,
+                            &mutated,
+                        );
+                    }
+                }
+            }
+        });
+    }
+
+    #[test]
+    fn appended_bytes_are_trailing_bytes() {
+        for_each_case(|case, codec, blob| {
+            for extra in [1usize, 7] {
+                let mut padded = blob.to_vec();
+                padded.resize(blob.len() + extra, 0xA5);
+                assert_eq!(
+                    codec(&padded),
+                    Err(WireError::TrailingBytes { extra }),
+                    "{case}"
+                );
+            }
+            // A second copy of the record is surplus, not a next record.
+            let doubled = [blob, blob].concat();
+            assert_eq!(
+                codec(&doubled),
+                Err(WireError::TrailingBytes { extra: blob.len() }),
+                "{case}"
+            );
+        });
+    }
+
+    #[test]
+    fn another_formats_record_is_bad_magic() {
+        for row in &TABLE {
+            for other in &TABLE {
+                if other.format == row.format {
+                    continue;
+                }
+                for blob in (other.fixtures)() {
+                    assert_eq!(
+                        (row.codec)(&blob),
+                        Err(WireError::BadMagic),
+                        "{} fed a {} fixture",
+                        row.name,
+                        other.name
+                    );
+                }
+            }
+        }
+    }
+
+    /// Offset of the first tensor's first `(index, value)` entry in the
+    /// poisoned `EVQ8` / `EVSK` fixture (tensor 0 is 3×4 with entries at
+    /// flat indices 0 and 1).
+    const EVQ8_ENTRIES_AT: usize = 10 + 8 + 16 + 4 + 12;
+    const EVSK_ENTRIES_AT: usize = 10 + 8 + 4;
+
+    #[test]
+    fn structural_corruption_is_rejected_by_decoders_and_views_alike() {
+        let swap_entries = |blob: &mut [u8], at: usize| {
+            let (a, b) = blob[at..at + 24].split_at_mut(12);
+            a.swap_with_slice(b);
+        };
+        let put_u32 = |blob: &mut [u8], at: usize, v: u32| {
+            blob[at..at + 4].copy_from_slice(&v.to_le_bytes());
+        };
+        type Corrupt<'a> = &'a dyn Fn(&mut [u8]);
+        let rows: [(&str, Corrupt, &str); 8] = [
+            (
+                "EVQ8",
+                &|b| swap_entries(b, EVQ8_ENTRIES_AT),
+                "quantized special indices not strictly ascending",
+            ),
+            (
+                "EVQ8",
+                &|b| put_u32(b, EVQ8_ENTRIES_AT + 12, 0),
+                "quantized special indices not strictly ascending",
+            ),
+            (
+                "EVQ8",
+                &|b| put_u32(b, EVQ8_ENTRIES_AT, 12),
+                "quantized special index out of range",
+            ),
+            (
+                "EVQ8",
+                &|b| put_u32(b, EVQ8_ENTRIES_AT - 12 - 4, 13),
+                "quantized special count exceeds tensor elements",
+            ),
+            (
+                "EVSK",
+                &|b| swap_entries(b, EVSK_ENTRIES_AT),
+                "sparse indices not strictly ascending",
+            ),
+            (
+                "EVSK",
+                &|b| put_u32(b, EVSK_ENTRIES_AT + 12, 0),
+                "sparse indices not strictly ascending",
+            ),
+            (
+                "EVSK",
+                &|b| put_u32(b, EVSK_ENTRIES_AT, u32::MAX),
+                "sparse index out of range",
+            ),
+            (
+                "EVSK",
+                &|b| put_u32(b, EVSK_ENTRIES_AT - 4, 13),
+                "sparse nnz exceeds tensor elements",
+            ),
+        ];
+        for (format, corrupt, message) in rows {
+            for row in rows_of(format) {
+                let mut blob = (row.fixtures)().swap_remove(0);
+                corrupt(&mut blob);
+                assert_eq!(
+                    (row.codec)(&blob),
+                    Err(WireError::InvalidRecord(message)),
+                    "{}",
+                    row.name
+                );
+            }
+        }
+    }
+
+    /// The materializing decoders and the zero-copy views share one
+    /// parser, so on any input — valid, flipped or cut — they agree on the
+    /// verdict, error included.
+    #[test]
+    fn views_and_decoders_agree_on_every_mutation() {
+        for format in ["EVQ8", "EVSK"] {
+            let codecs: Vec<Codec> = rows_of(format).map(|row| row.codec).collect();
+            let [decoder, view] = codecs[..] else {
+                panic!("{format}: expected a decoder row and a view row");
+            };
+            for blob in rows_of(format).flat_map(|row| (row.fixtures)()) {
+                let mut mutated = blob.clone();
+                for at in 0..blob.len() {
+                    assert_eq!(decoder(&blob[..at]), view(&blob[..at]), "{format} cut {at}");
+                    for mask in [0x01, 0x80, 0xFF] {
+                        mutated[at] = blob[at] ^ mask;
+                        assert_eq!(
+                            decoder(&mutated),
+                            view(&mutated),
+                            "{format} byte {at} ^ {mask:#x}"
+                        );
+                    }
+                    mutated[at] = blob[at];
+                }
+            }
+        }
+    }
+
+    /// An `EVCF` record cut right after its fault plan's rule count, with
+    /// that count overwritten. Layout up to there: preamble 6, rounds /
+    /// epochs / batch 12, aggregator tag 1, parallel 1, threads 4, dp flag
+    /// 1, mu / participation 16, sampling seed 8, faults flag 1, plan seed
+    /// 8, rule count 4.
+    fn config_claiming_rules(count: u32) -> Vec<u8> {
+        const RULE_COUNT_AT: usize = 6 + 12 + 1 + 1 + 4 + 1 + 16 + 8 + 1 + 8;
+        let mut blob = wire::encode_config(&FederatedConfig {
+            faults: Some(FaultPlan::new(9)),
+            ..FederatedConfig::default()
+        })
+        .to_vec();
+        assert_eq!(
+            blob[RULE_COUNT_AT..RULE_COUNT_AT + 4],
+            [0; 4],
+            "layout moved"
+        );
+        blob.truncate(RULE_COUNT_AT);
+        blob.extend(count.to_le_bytes());
+        blob
+    }
+
+    /// A record header may claim any number of records; the decoder must
+    /// refuse before sizing anything by a count the received bytes cannot
+    /// hold. Run under a process that would die on a multi-gigabyte
+    /// `Vec::with_capacity`, a typed error coming back is the assertion.
+    #[test]
+    fn a_declared_count_the_bytes_did_not_pay_for_is_truncated_before_allocating() {
+        for count in [u32::MAX, 1 << 24] {
+            let cases = [
+                ("EVFD", header(&wire::MAGIC, count)),
+                ("EVQ8", header(&wire::QUANT_MAGIC, count)),
+                ("EVSK", header(&wire::SPARSE_MAGIC, count)),
+                ("EVFL", header(&wire::FAULT_MAGIC, count)),
+                ("EVCF", config_claiming_rules(count)),
+            ];
+            for (format, blob) in cases {
+                for row in rows_of(format) {
+                    let got = (row.codec)(&blob);
+                    assert!(
+                        matches!(got, Err(WireError::Truncated { needed }) if needed >= 1),
+                        "{} claiming {count} records gave {got:?}",
+                        row.name
+                    );
+                }
+            }
+        }
+    }
+
+    /// Blocks until the next `EVMS` message on `stream`.
+    fn recv(stream: &mut TcpStream, decoder: &mut FrameDecoder) -> Message {
+        let mut buf = [0u8; 4096];
+        loop {
+            if let Some(frame) = decoder.next_frame().expect("frame") {
+                return wire::decode_message(&frame).expect("message");
+            }
+            let n = stream.read(&mut buf).expect("read");
+            assert!(n > 0, "server hung up");
+            decoder.feed(&buf[..n]);
+        }
+    }
+
+    fn send(stream: &mut TcpStream, msg: &Message) {
+        let mut buf = BytesMut::new();
+        wire::encode_message(&mut buf, msg);
+        write_frame(stream, &buf).expect("write");
+    }
+
+    /// A client that handshakes honestly, waits to be asked to train, and
+    /// uploads `payload` as its update.
+    fn upload_hostile_update(addr: SocketAddr, payload: Vec<u8>) {
+        let mut control = TcpStream::connect(addr).expect("connect");
+        let mut decoder = FrameDecoder::new();
+        send(
+            &mut control,
+            &Message::Hello {
+                client_id: "z102".into(),
+            },
+        );
+        let round = loop {
+            if let Message::TrainRequest { round, .. } = recv(&mut control, &mut decoder) {
+                break round;
+            }
+        };
+        let mut upload = TcpStream::connect(addr).expect("connect");
+        send(
+            &mut upload,
+            &Message::Update {
+                round,
+                client_id: "z102".into(),
+                sample_count: 8,
+                train_loss: 0.5,
+                payload: payload.into(),
+            },
+        );
+        // Hold both connections open until the server has reacted.
+        let _ = control.read(&mut [0u8; 64]);
+    }
+
+    #[test]
+    fn a_hostile_update_over_a_socket_fails_the_run_not_the_process() {
+        let cases = [
+            (CompressionMode::None, wire::MAGIC),
+            (CompressionMode::Quant8, wire::QUANT_MAGIC),
+            (CompressionMode::TopKDelta { k: 4 }, wire::SPARSE_MAGIC),
+        ];
+        for (compression, magic) in cases {
+            for count in [u32::MAX, 1 << 24] {
+                let cfg = FederatedConfig {
+                    rounds: 1,
+                    epochs_per_round: 1,
+                    compression,
+                    ..FederatedConfig::default()
+                };
+                let mut server = SocketServer::bind(
+                    ("127.0.0.1", 0),
+                    forecaster_model(4, 3),
+                    SocketServerConfig::new(cfg, vec!["z102".to_string()]),
+                )
+                .expect("bind");
+                let addr = server.local_addr();
+                let payload = header(&magic, count);
+                let peer = std::thread::spawn(move || upload_hostile_update(addr, payload));
+                let outcome = server.run();
+                drop(server);
+                peer.join().expect("peer thread");
+                match outcome {
+                    Err(FederatedError::Transport { message }) => assert!(
+                        message.contains("uplink payload"),
+                        "{compression} x {count}: {message}"
+                    ),
+                    other => panic!("{compression} x {count}: run gave {other:?}"),
+                }
+            }
+        }
     }
 }
