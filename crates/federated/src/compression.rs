@@ -110,17 +110,13 @@ impl QuantizedTensor {
         *min = range.min;
         *step = range.step;
         codes.clear();
+        codes.resize(m.len(), 0);
         special_idx.clear();
         special_val.clear();
-        codes.extend(m.as_slice().iter().enumerate().map(|(i, &v)| {
-            if !v.is_finite() {
-                special_idx.push(i as u32);
-                special_val.push(v);
-                0
-            } else {
-                range.encode(v)
-            }
-        }));
+        range.encode_slice(m.as_slice(), codes, |i, v| {
+            special_idx.push(i as u32);
+            special_val.push(v);
+        });
     }
 
     /// The shared-range view of this tensor's header fields.
@@ -669,6 +665,67 @@ mod tests {
         // Warm re-encode of a same-shaped model keeps the buffers.
         for (t, &p) in scratch.tensors.iter().zip(&code_ptrs) {
             assert_eq!(t.codes.as_ptr(), p, "codes buffer was reallocated");
+        }
+    }
+
+    #[test]
+    fn quantize_into_bytes_equal_a_per_element_reference_on_the_lstm50_template() {
+        use evfad_nn::{Activation, Dense, Lstm, Sequential};
+        // What `quantize_into` did before the slice kernel: an in-order
+        // scalar fold, then `QuantRange::encode` element by element.
+        fn reference(m: &Matrix) -> QuantizedTensor {
+            let (mut min, mut max) = (f64::INFINITY, f64::NEG_INFINITY);
+            for &v in m.as_slice().iter().filter(|v| v.is_finite()) {
+                min = if v < min { v } else { min };
+                max = if v > max { v } else { max };
+            }
+            if min > max {
+                (min, max) = (0.0, 0.0);
+            }
+            let range = max - min;
+            let step = if range > 0.0 { range / 255.0 } else { 0.0 };
+            let mut t = QuantizedTensor {
+                rows: m.rows(),
+                cols: m.cols(),
+                min,
+                step,
+                ..QuantizedTensor::default()
+            };
+            for (i, &v) in m.as_slice().iter().enumerate() {
+                if v.is_finite() {
+                    t.codes.push(t.range().encode(v));
+                } else {
+                    t.codes.push(0);
+                    t.special_idx.push(i as u32);
+                    t.special_val.push(v);
+                }
+            }
+            t
+        }
+        // The paper's forecaster: LSTM(50) → Dense(10) → Dense(1).
+        let clean = Sequential::new(42)
+            .with(Lstm::new(1, 50, false))
+            .with(Dense::new(50, 10, Activation::Relu))
+            .with(Dense::new(10, 1, Activation::Linear))
+            .weights();
+        // The same update as a NaN-flood / sign-flip casualty would send it.
+        let mut poisoned = clean.clone();
+        for m in &mut poisoned {
+            let data = m.as_mut_slice();
+            let n = data.len();
+            data[0] = -0.0;
+            data[n / 2] = f64::NAN;
+            data[n - 1] = f64::NEG_INFINITY;
+        }
+        let mut scratch = QuantizedUpdate::default();
+        let mut buf = bytes::BytesMut::new();
+        for weights in [clean, poisoned] {
+            QuantizedUpdate::quantize_into(&weights, &mut scratch);
+            crate::wire::encode_quantized_into(&mut buf, &scratch);
+            let want = QuantizedUpdate {
+                tensors: weights.iter().map(reference).collect(),
+            };
+            assert_eq!(buf[..], crate::wire::encode_quantized(&want)[..]);
         }
     }
 

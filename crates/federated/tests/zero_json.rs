@@ -4,8 +4,9 @@
 //! PR 5 moved all metering onto the binary wire path (`record_bytes` plus
 //! O(1) size arithmetic), so nothing inside `FederatedSimulation::run`
 //! should ever touch `serde_json`. The vendored `serde_json` counts every
-//! `to_string`/`to_vec` process-wide; this test lives in its own
-//! integration-test binary so no parallel test can inflate the counter.
+//! `to_string`/`to_vec` process-wide; these tests live in their own
+//! integration-test binary and each holds [`counter`] for its whole body,
+//! so no parallel test can inflate the counter inside another's window.
 
 use evfad_federated::socket::SocketServerConfig;
 use evfad_federated::{
@@ -13,6 +14,16 @@ use evfad_federated::{
 };
 use evfad_nn::{forecaster_model, Sample};
 use evfad_tensor::Matrix;
+use std::sync::{Mutex, MutexGuard, PoisonError};
+
+/// Exclusive use of the process-wide serialisation counter. The harness
+/// runs `#[test]`s on parallel threads, and one test's sanity `to_string`
+/// landing between another's `before` and `after` reads as a regression.
+fn counter() -> MutexGuard<'static, ()> {
+    static COUNTER: Mutex<()> = Mutex::new(());
+    // A poisoned lock guards no data: the other test still gets its verdict.
+    COUNTER.lock().unwrap_or_else(PoisonError::into_inner)
+}
 
 fn samples(phase: f64) -> Vec<Sample> {
     (0..32)
@@ -53,6 +64,7 @@ fn run_mode(compression: CompressionMode) {
 
 #[test]
 fn socket_session_is_json_free_handshake_included() {
+    let _exclusive = counter();
     // The handshake used to ship `FederatedConfig` as JSON inside the
     // binary Welcome envelope; it is now the EVCF binary codec. The gate
     // covers the whole session — bind, Hello/Welcome handshake, rounds,
@@ -101,6 +113,7 @@ fn socket_session_is_json_free_handshake_included() {
 
 #[test]
 fn round_loop_is_json_free_in_every_compression_mode() {
+    let _exclusive = counter();
     for mode in [
         CompressionMode::None,
         CompressionMode::Quant8,

@@ -316,7 +316,8 @@ pub fn matmul_bias_act_into_blocked(
 /// range parameters are carried in `f32` because the lane accumulates in
 /// `f32`; `max_error` reports the f64 half-step bound of the underlying
 /// fold. Intended for *finite* inference weights — non-finite
-/// coefficients would already have poisoned training long before serving.
+/// coefficients would already have poisoned training long before serving;
+/// one that gets here packs as code 0, as on the wire.
 #[derive(Debug, Clone, PartialEq)]
 pub struct QuantizedPanel {
     k: usize,
@@ -347,10 +348,8 @@ impl QuantizedPanel {
         while j0 < n {
             let w = NR_Q8.min(n - j0);
             let dst = &mut codes[j0 * k..j0 * k + k * w];
-            for kk in 0..k {
-                for (jj, &v) in src[kk * n + j0..kk * n + j0 + w].iter().enumerate() {
-                    dst[kk * w + jj] = range.encode(v);
-                }
+            for (kk, seg) in dst.chunks_exact_mut(w).enumerate() {
+                range.encode_slice(&src[kk * n + j0..kk * n + j0 + w], seg, |_, _| {});
             }
             j0 += w;
         }
@@ -694,15 +693,26 @@ mod tests {
 
     #[test]
     fn quantized_panel_reuses_the_shared_fold() {
-        // The panel's range parameters must be exactly the shared fold's —
-        // same min, same step — so the codec and the inference lane can
-        // never disagree on the quantization grid.
-        let b = mat(4, 4, |i, j| (i * 4 + j) as f64 * 0.35 - 2.0);
+        // The panel's range parameters and codes must be exactly the shared
+        // fold's — same min, same step, same level per coefficient — so the
+        // codec and the inference lane can never disagree on the grid.
+        // 21 columns: one full NR_Q8 panel and a 5-wide tail.
+        let (k, n) = (4, NR_Q8 + 5);
+        let b = mat(k, n, |i, j| (i * n + j) as f64 * 0.35 - 2.0);
         let q = QuantizedPanel::quantize(b.view());
         let r = QuantRange::from_values(b.view().as_slice());
         assert_eq!(q.min, r.min as f32);
         assert_eq!(q.step, r.step as f32);
         assert_eq!(q.max_error(), r.max_error());
-        assert_eq!(q.byte_size(), 16);
+        assert_eq!(q.byte_size(), k * n);
+        for (j0, w) in [(0, NR_Q8), (NR_Q8, 5)] {
+            for kk in 0..k {
+                for jj in 0..w {
+                    let code = r.encode(b[(kk, j0 + jj)]);
+                    assert_eq!(q.codes[j0 * k + kk * w + jj], code, "({kk}, {})", j0 + jj);
+                    assert_eq!(q.codes_f32[j0 * k + kk * w + jj], f32::from(code));
+                }
+            }
+        }
     }
 }
