@@ -19,31 +19,27 @@
 //!   (`evfad_nn::infer::Precision::Int8`), and the bench gates assert its
 //!   end-to-end error bounds.
 //!
-//! # Why reassociation is the speedup
+//! # What reassociation still buys
 //!
-//! The exact kernel must produce each output element through one
-//! ascending-`k` add chain, so however it is vectorised over the output
-//! row, every pass has to write the partially-accumulated row back to
-//! memory and re-read the full `B` panel on the next pass: its `B`
-//! traffic is `k·n` elements *per row of `A`*. The blocked kernel here is
-//! a classic register-tiled micro-kernel instead — an `MR × NR` (4 × 8)
-//! output tile lives entirely in registers while the full `k` loop runs,
-//! which is only legal because reassociation lets each element's sum be
-//! produced in one pass. That buys three things the exact kernel cannot
-//! have: `MR` independent accumulator chains per output column (pipelined
-//! at FMA *throughput*, with no partial-row stores and reloads), explicit
-//! `mul_add` contraction (Rust never fuses `a*b + c` implicitly, so the
-//! bitwise kernels pay separate multiply and add issue slots — the fused
-//! form rounds differently and is therefore fenced in here), and `MR×`
-//! less `B` traffic, which takes the operand sweep off the
-//! cache-bandwidth ceiling for serving-sized GEMMs. The result differs from the exact
-//! chain only in association order, with the usual `O(k·eps·|a|·|b|)`
-//! bound. `B` is packed once per model snapshot into `NR`-wide
-//! column panels (the accelerator guides' shared-memory tiling pattern,
-//! on the L1 instead of an SRAM tile) so the inner loop reads one
-//! contiguous `NR`-vector per `k` step — legal here precisely because an
-//! inference snapshot packs its weights once and reuses them for millions
-//! of windows.
+//! The exact kernel produces each output element through one
+//! ascending-`k` chain of separately rounded multiplies and adds. Since
+//! the register tile of [`kernels`](crate::kernels) it keeps a 4 × 16
+//! output tile in registers across the whole `k` loop too — that much
+//! never needed reassociation, only a loop nest that finishes an element
+//! before leaving it. The blocked kernel here is the same classic
+//! `MR × NR` (4 × 8) micro-kernel with two things the exact path may not
+//! have: explicit `mul_add` contraction (Rust never fuses `a*b + c`
+//! implicitly, so the bitwise kernels pay separate multiply and add issue
+//! slots — the fused form rounds differently and is therefore fenced in
+//! here), and a `B` operand packed once per model snapshot into
+//! `NR`-wide column panels (the accelerator guides' shared-memory tiling
+//! pattern, on the L1 instead of an SRAM tile), so the inner loop reads
+//! one contiguous `NR`-vector per `k` step instead of a strided row —
+//! worth it precisely because an inference snapshot packs its weights
+//! once and reuses them for millions of windows. The result differs from
+//! the exact chain by one rounding per term instead of two — and, in the
+//! accumulating form, by adding the finished product to `out` rather than
+//! continuing `out`'s own chain — with the usual `O(k·eps·|a|·|b|)` bound.
 //!
 //! # The int8 lane
 //!

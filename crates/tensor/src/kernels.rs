@@ -28,15 +28,32 @@
 //! Note this is *not* the same as `out += x·W_x` computed separately and
 //! added afterwards (that would regroup the floating-point sums).
 //!
-//! # Why the unrolled loops stay bitwise
+//! # Why the register tile stays bitwise
 //!
-//! The streaming kernels process four (or eight) `k` steps per pass with a
-//! single left-associative chain per element,
-//! `(((o + a0·v0) + a1·v1) + a2·v2) + a3·v3`, which performs the same
-//! successive `+=` updates the reference loop would — same order, same
-//! grouping. The chain is only taken when every multiplier is nonzero;
-//! any exact `0.0` falls back to the reference skip loop, preserving the
-//! skip's observable effects (`-0.0` signs, `0·inf`, `0·NaN`). The dot
+//! [`matmul_acc_into`] and [`transpose_matmul_acc_into`] work on groups of
+//! four output rows. A group's tile — four rows by 16 columns, then 8, 4,
+//! 2 and 1 for what is left of the row — is loaded from `out` once, held
+//! in accumulators across the *whole* `k` range and stored once, and each
+//! vector of `b` is loaded once for the four rows instead of once per
+//! row. Every element is updated as `acc = acc + a·b` in ascending `k`,
+//! the multiply and the add rounded separately (Rust never contracts them
+//! into a fused multiply-add): the very chain of `+=` the reference loop
+//! performs on that element. Tiling changes which elements are in flight
+//! together and nothing about any one of them.
+//!
+//! The zero rule is decided per group, before its tile runs. A group of
+//! `a` holding no exact `0.0` has no term to skip and takes the tile. A
+//! group holding one — that group alone — streams row by row through the
+//! four-step chain `(((o + a0·v0) + a1·v1) + a2·v2) + a3·v3` (the same
+//! successive updates, taken only when all four multipliers are nonzero)
+//! and the reference skip loop, which keep the skip's observable effects
+//! (`-0.0` signs, `0·inf`, `0·NaN`). Skipping term by term inside the tile
+//! was measured and is the wrong trade (DESIGN.md §6c).
+//!
+//! [`transpose_matmul_acc_into`] stages the group's four columns of `a` as
+//! rows in a fixed stack buffer, 128 `k` steps at a time, and runs the
+//! same tile on them: staging is a copy, and a chunk boundary is a store
+//! and reload of the running sums through `out` — neither rounds. The dot
 //! kernels unroll across *output elements* instead: each accumulator is a
 //! complete, untouched scalar dot product.
 //!
@@ -192,55 +209,105 @@ pub fn matmul_acc_into(a: MatRef<'_>, b: MatRef<'_>, out: MatMut<'_>) {
         a.rows,
         b.cols
     );
-    let n = b.cols;
-    let flops = a.rows * a.cols * n;
+    let (k, n) = (a.cols, b.cols);
+    if k == 0 || n == 0 {
+        return; // nothing to add, and `chunks` of width zero panics
+    }
+    let flops = a.rows * k * n;
     crate::parallel::row_partitioned(flops, out.data, a.rows, n, |r0, r1, block| {
-        for (bi, i) in (r0..r1).enumerate() {
-            let out_row = &mut block[bi * n..(bi + 1) * n];
-            let lhs_row = a.row(i);
-            let mut k = 0;
-            // Eight k-steps per pass over the output row: the left-
-            // associative chain below performs, per element, exactly the
-            // eight successive `+= av * bv` updates of the reference loop,
-            // in ascending-k order — bitwise identical, with 8x less
-            // out-row traffic. Any exact zero falls back to the narrower
-            // passes (which themselves fall back to the skipping
-            // reference loop).
-            while k + 8 <= lhs_row.len() {
-                let av: [f64; 8] = lhs_row[k..k + 8].try_into().expect("length 8");
-                if av.iter().all(|&v| v != 0.0) {
-                    let (b0, b1, b2, b3) = (b.row(k), b.row(k + 1), b.row(k + 2), b.row(k + 3));
-                    let (b4, b5, b6, b7) = (b.row(k + 4), b.row(k + 5), b.row(k + 6), b.row(k + 7));
-                    let it = out_row
-                        .iter_mut()
-                        .zip(b0)
-                        .zip(b1)
-                        .zip(b2)
-                        .zip(b3)
-                        .zip(b4)
-                        .zip(b5)
-                        .zip(b6)
-                        .zip(b7);
-                    for ((((((((o, &v0), &v1), &v2), &v3), &v4), &v5), &v6), &v7) in it {
-                        *o = (((((((*o + av[0] * v0) + av[1] * v1) + av[2] * v2) + av[3] * v3)
-                            + av[4] * v4)
-                            + av[5] * v5)
-                            + av[6] * v6)
-                            + av[7] * v7;
-                    }
-                } else {
-                    acc_rows_x4(out_row, &lhs_row[k..k + 4], b, k);
-                    acc_rows_x4(out_row, &lhs_row[k + 4..k + 8], b, k + 4);
-                }
-                k += 8;
-            }
-            if k + 4 <= lhs_row.len() {
-                acc_rows_x4(out_row, &lhs_row[k..k + 4], b, k);
-                k += 4;
-            }
-            acc_rows(out_row, &lhs_row[k..], b, k);
+        let lhs = &a.data[r0 * k..r1 * k];
+        let groups = block.chunks_mut(TILE_ROWS * n);
+        for (out_g, lhs_g) in groups.zip(lhs.chunks(TILE_ROWS * k)) {
+            acc_group(lhs_g, k, b, 0, out_g);
         }
     });
+}
+
+/// Output rows held in registers by [`tile`]. With its widest 16 columns
+/// that is 8 AVX-512 (16 AVX2) accumulators plus four broadcasts and the
+/// `b` vectors — no spills; 4 x 32 spilled and ran a third slower.
+const TILE_ROWS: usize = 4;
+/// `k` steps of `a`'s columns staged as rows per pass of
+/// [`transpose_matmul_acc_into`] (4 KiB of stack).
+const K_CHUNK: usize = 128;
+
+/// `out (r x n) += lhs (r x kc) · b[k0..k0 + kc]` for `r <= TILE_ROWS`.
+///
+/// The zero rule is decided here, once per group: a full group with no
+/// exact `0.0` in `lhs` has no term to skip and takes the register tile;
+/// any other group streams row by row through the skipping kernels.
+fn acc_group(lhs: &[f64], kc: usize, b: MatRef<'_>, k0: usize, out: &mut [f64]) {
+    let n = b.cols;
+    // Counted, not `contains`: without the early exit the scan vectorises.
+    if lhs.len() == TILE_ROWS * kc && lhs.iter().filter(|&&v| v == 0.0).count() == 0 {
+        let rows: [&[f64]; TILE_ROWS] = std::array::from_fn(|r| &lhs[r * kc..(r + 1) * kc]);
+        let b_rows = &b.data[k0 * n..];
+        let j = tile::<4, 4>(rows, b_rows, n, 0, out);
+        let j = tile::<4, 2>(rows, b_rows, n, j, out);
+        let j = tile::<4, 1>(rows, b_rows, n, j, out);
+        let j = tile::<2, 1>(rows, b_rows, n, j, out);
+        tile::<1, 1>(rows, b_rows, n, j, out);
+    } else {
+        for (out_row, lhs_row) in out.chunks_exact_mut(n).zip(lhs.chunks_exact(kc)) {
+            let mut quads = lhs_row.chunks_exact(4);
+            let mut k = k0;
+            for lhs4 in &mut quads {
+                acc_rows_x4(out_row, lhs4, b, k);
+                k += 4;
+            }
+            acc_rows(out_row, quads.remainder(), b, k);
+        }
+    }
+}
+
+/// The register tile, swept over columns `j..` of `out` (row stride `n`)
+/// while a whole `L * V` wide tile fits; returns the first column left.
+///
+/// `TILE_ROWS x V` vectors of `L` lanes live in `acc` across the whole `k`
+/// range, and each `b` vector is loaded once for all four rows.
+#[inline(always)]
+fn tile<const L: usize, const V: usize>(
+    lhs: [&[f64]; TILE_ROWS],
+    b_rows: &[f64],
+    n: usize,
+    mut j: usize,
+    out: &mut [f64],
+) -> usize {
+    let w = L * V;
+    let [l0, l1, l2, l3] = lhs;
+    while j + w <= n {
+        let mut acc = [[[0.0; L]; V]; TILE_ROWS];
+        for (acc_row, out_row) in acc.iter_mut().zip(out.chunks_exact(n)) {
+            let acc_row = acc_row.as_flattened_mut();
+            acc_row.copy_from_slice(&out_row[j..j + w]);
+        }
+        for ((((b_row, &a0), &a1), &a2), &a3) in
+            b_rows.chunks_exact(n).zip(l0).zip(l1).zip(l2).zip(l3)
+        {
+            let (b_vecs, _) = b_row[j..j + w].as_chunks::<L>();
+            for (v, bv) in b_vecs.iter().enumerate() {
+                acc[0][v] = add_scaled(acc[0][v], a0, bv);
+                acc[1][v] = add_scaled(acc[1][v], a1, bv);
+                acc[2][v] = add_scaled(acc[2][v], a2, bv);
+                acc[3][v] = add_scaled(acc[3][v], a3, bv);
+            }
+        }
+        for (acc_row, out_row) in acc.iter().zip(out.chunks_exact_mut(n)) {
+            out_row[j..j + w].copy_from_slice(acc_row.as_flattened());
+        }
+        j += w;
+    }
+    j
+}
+
+/// `acc + a * b` per lane — a separate multiply and add, never `mul_add`.
+/// By-value lanes are what LLVM keeps in one vector register.
+#[inline(always)]
+fn add_scaled<const L: usize>(mut acc: [f64; L], a: f64, b: &[f64; L]) -> [f64; L] {
+    for (s, &v) in acc.iter_mut().zip(b) {
+        *s += a * v;
+    }
+    acc
 }
 
 /// Four ascending k-steps into one output row: the fused left-associative
@@ -442,52 +509,25 @@ pub fn transpose_matmul_acc_into(a: MatRef<'_>, b: MatRef<'_>, out: MatMut<'_>) 
         b.cols
     );
     let n = b.cols;
+    if a.rows == 0 || n == 0 {
+        return;
+    }
     let flops = a.rows * a.cols * n;
-    crate::parallel::row_partitioned(flops, out.data, a.cols, n, |r0, r1, block| {
-        // Loop order is out-row-outer (vs the reference's k-outer); every
-        // output element still accumulates its `a[k][r] * b[k][j]` terms in
-        // ascending-k order, and elements are independent, so the result is
-        // bitwise unchanged. Four k-steps fuse into one left-associative
-        // chain exactly as in `matmul_acc_into`.
-        for (bi, r) in (r0..r1).enumerate() {
-            let out_row = &mut block[bi * n..(bi + 1) * n];
-            let mut k = 0;
-            while k + 4 <= a.rows {
-                let (a0, a1, a2, a3) = (
-                    a.data[k * a.cols + r],
-                    a.data[(k + 1) * a.cols + r],
-                    a.data[(k + 2) * a.cols + r],
-                    a.data[(k + 3) * a.cols + r],
-                );
-                if a0 != 0.0 && a1 != 0.0 && a2 != 0.0 && a3 != 0.0 {
-                    let (b0, b1, b2, b3) = (b.row(k), b.row(k + 1), b.row(k + 2), b.row(k + 3));
-                    for ((((o, &v0), &v1), &v2), &v3) in
-                        out_row.iter_mut().zip(b0).zip(b1).zip(b2).zip(b3)
-                    {
-                        *o = (((*o + a0 * v0) + a1 * v1) + a2 * v2) + a3 * v3;
-                    }
-                } else {
-                    for (kk, &av) in [a0, a1, a2, a3].iter().enumerate() {
-                        if av == 0.0 {
-                            continue;
-                        }
-                        let rhs_row = b.row(k + kk);
-                        for (o, &bv) in out_row.iter_mut().zip(rhs_row.iter()) {
-                            *o += av * bv;
-                        }
+    crate::parallel::row_partitioned(flops, out.data, a.cols, n, |r0, _r1, block| {
+        // Out-row-group outer, k-chunk inner (the reference is k-outer):
+        // every element still takes its `a[k][r] * b[k][j]` terms in
+        // ascending k, and elements are independent.
+        let mut staged = [0.0; TILE_ROWS * K_CHUNK];
+        for (g, out_g) in block.chunks_mut(TILE_ROWS * n).enumerate() {
+            let (c0, w) = (r0 + g * TILE_ROWS, out_g.len() / n);
+            for k0 in (0..a.rows).step_by(K_CHUNK) {
+                let kc = K_CHUNK.min(a.rows - k0);
+                for (kk, a_row) in (k0..k0 + kc).map(|k| a.row(k)).enumerate() {
+                    for (r, &v) in a_row[c0..c0 + w].iter().enumerate() {
+                        staged[r * kc + kk] = v;
                     }
                 }
-                k += 4;
-            }
-            for kk in k..a.rows {
-                let av = a.data[kk * a.cols + r];
-                if av == 0.0 {
-                    continue;
-                }
-                let rhs_row = b.row(kk);
-                for (o, &bv) in out_row.iter_mut().zip(rhs_row.iter()) {
-                    *o += av * bv;
-                }
+                acc_group(&staged[..w * kc], kc, b, k0, out_g);
             }
         }
     });

@@ -38,9 +38,12 @@ static CONFIGURED_THREADS: AtomicUsize = AtomicUsize::new(0);
 
 /// Minimum estimated FLOPs before a kernel goes parallel.
 ///
-/// The default corresponds to a 64x64x64 GEMM — below that, enqueue and
-/// wake-up latency eats the gain.
-static SERIAL_FLOP_THRESHOLD: AtomicUsize = AtomicUsize::new(64 * 64 * 64);
+/// The default corresponds to a 128x128x128 GEMM. Waking a worker costs
+/// 15–20 µs, so on a 2-CPU host the pool first pays at about that size
+/// (128³: 102 µs serial, 89 µs on two threads) and below it loses: the
+/// paper's per-timestep gate GEMM (32x50x200) takes 15 µs serial and 32 µs
+/// split, which the earlier default of 64³ did to every recurrent step.
+static SERIAL_FLOP_THRESHOLD: AtomicUsize = AtomicUsize::new(128 * 128 * 128);
 
 /// Sets the thread count used by parallel kernels (`0` = one per CPU).
 ///

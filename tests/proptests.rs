@@ -171,6 +171,7 @@ proptest! {
         let zm_s = a.zip_map(&Matrix::from_fn(rows, inner, |i, j| mix(i, j, 5)), |x, y| x.mul_add(1.25, y));
 
         // Threshold 0 makes every dispatch eligible for the pool.
+        let before = parallel::serial_flop_threshold();
         parallel::set_serial_flop_threshold(0);
         parallel::set_threads(5);
         let mm_p = a.matmul(&b);
@@ -179,7 +180,7 @@ proptest! {
         let tr_p = a.transpose();
         let zm_p = a.zip_map(&Matrix::from_fn(rows, inner, |i, j| mix(i, j, 5)), |x, y| x.mul_add(1.25, y));
         parallel::set_threads(0);
-        parallel::set_serial_flop_threshold(64 * 64 * 64);
+        parallel::set_serial_flop_threshold(before);
 
         prop_assert_eq!(mm_s.as_slice(), mm_p.as_slice());
         prop_assert_eq!(tm_s.as_slice(), tm_p.as_slice());
@@ -200,11 +201,12 @@ proptest! {
         let b = Matrix::from_fn(7, cols, |i, j| ((i * 3 + j) as f64 * 0.11).sin());
         parallel::set_threads(1);
         let serial = a.matmul(&b);
+        let before = parallel::serial_flop_threshold();
         parallel::set_serial_flop_threshold(0);
         parallel::set_threads(7);
         let par = a.matmul(&b);
         parallel::set_threads(0);
-        parallel::set_serial_flop_threshold(64 * 64 * 64);
+        parallel::set_serial_flop_threshold(before);
         prop_assert_eq!(serial.as_slice(), par.as_slice());
     }
 }
