@@ -15,8 +15,8 @@
 //!    wildcard fault plans on both tiers.
 
 use evfad_federated::faults::{Corruption, FaultKind, FaultPlan, RoundSelector};
-use evfad_federated::scale::{ScaleConfig, ScaleEngine, ScaleRoundStats};
-use evfad_federated::{Aggregator, LocalUpdate, Scheduler};
+use evfad_federated::scale::{ScaleConfig, ScaleEngine, ScaleRoundStats, ScaleTrainer};
+use evfad_federated::{Aggregator, CompressionMode, LocalUpdate, Scheduler};
 use evfad_tensor::Matrix;
 use proptest::prelude::*;
 use std::time::Duration;
@@ -240,4 +240,257 @@ proptest! {
             }
         }
     }
+}
+
+// ---------------------------------------------------------------------
+// Stream identity: literals recorded at the commit before update
+// synthesis went lockstep (PR 15's parent). Every client's generator
+// stream and every coordinate's fold order must stay what they were, so
+// the final weights and every round stat must land on these bytes.
+// ---------------------------------------------------------------------
+
+/// Tensor lengths 65 / 7 / 16 / 1: a tile-plus-tail tensor, a tail-only
+/// tensor, an exact two-tile tensor and a single coefficient.
+fn golden_template() -> Vec<Matrix> {
+    let ramp = |rows: usize, cols: usize, step: f64| {
+        Matrix::from_vec(
+            rows,
+            cols,
+            (0..rows * cols).map(|i| step * i as f64 - 0.4).collect(),
+        )
+    };
+    vec![
+        ramp(5, 13, 0.013),
+        ramp(7, 1, 0.11),
+        ramp(2, 8, -0.05),
+        ramp(1, 1, 1.0),
+    ]
+}
+
+/// Drop-out, stragglers cut off by the round timeout (metered waste — the
+/// pre-pass synthesises these to size their compressed payload), a
+/// payload corruption and retried transients, all as wildcard rates.
+fn golden_plan(corruption: Corruption) -> FaultPlan {
+    FaultPlan::new(11)
+        .with_rule(
+            "*",
+            RoundSelector::Probability { p: 0.1 },
+            FaultKind::DropOut,
+        )
+        .with_rule(
+            "*",
+            RoundSelector::Probability { p: 0.08 },
+            FaultKind::Straggler { delay_seconds: 9.0 },
+        )
+        .with_rule(
+            "*",
+            RoundSelector::Probability { p: 0.01 },
+            FaultKind::Corrupt { corruption },
+        )
+        .with_rule(
+            "*",
+            RoundSelector::Probability { p: 0.05 },
+            FaultKind::Transient { failures: 1 },
+        )
+        .with_timeout(5.0)
+        .with_retry(2, 0.5)
+}
+
+struct Golden {
+    name: &'static str,
+    /// A non-zero `trained_fraction` runs over a real forecaster with a
+    /// [`ScaleTrainer`] installed, anything else over [`golden_template`].
+    config: ScaleConfig,
+    checksum: &'static str,
+    rounds: &'static str,
+}
+
+fn golden_cases() -> Vec<Golden> {
+    let base = |clients: usize, edges: usize, threads: usize| ScaleConfig {
+        clients,
+        rounds: 2,
+        edges,
+        threads,
+        seed: 42,
+        ..ScaleConfig::default()
+    };
+    let topk = CompressionMode::TopKDelta { k: 5 };
+    let trimmed = Aggregator::TrimmedMean { trim: 12 };
+    vec![
+        Golden {
+            name: "plain flat, 101 kept, verified",
+            config: ScaleConfig {
+                verify_streaming: true,
+                ..base(1_010, 1, 1)
+            },
+            checksum: "075713b75a4cc31f",
+            rounds: r#"[{"round":0,"sampled":101,"aggregated":101,"dropped":0,"wasted":0,"corrupted":0,"trained":0,"edges_kept":1,"edges_lost":0,"uplink_bytes":76154,"downlink_bytes":0,"peak_state_bytes":712},{"round":1,"sampled":101,"aggregated":101,"dropped":0,"wasted":0,"corrupted":0,"trained":0,"edges_kept":1,"edges_lost":0,"uplink_bytes":76154,"downlink_bytes":76154,"peak_state_bytes":712}]"#,
+        },
+        Golden {
+            // Round 2 damps by a third, the first factor that is not a
+            // power of two: a reassociated product shows here only.
+            name: "plain 4 edges, threads 2, 3 rounds",
+            config: ScaleConfig {
+                rounds: 3,
+                ..base(1_999, 4, 2)
+            },
+            checksum: "eacbd58e223f7129",
+            rounds: r#"[{"round":0,"sampled":200,"aggregated":200,"dropped":0,"wasted":0,"corrupted":0,"trained":0,"edges_kept":4,"edges_lost":0,"uplink_bytes":153816,"downlink_bytes":0,"peak_state_bytes":2136},{"round":1,"sampled":200,"aggregated":200,"dropped":0,"wasted":0,"corrupted":0,"trained":0,"edges_kept":4,"edges_lost":0,"uplink_bytes":153816,"downlink_bytes":150800,"peak_state_bytes":2136},{"round":2,"sampled":200,"aggregated":200,"dropped":0,"wasted":0,"corrupted":0,"trained":0,"edges_kept":4,"edges_lost":0,"uplink_bytes":153816,"downlink_bytes":150800,"peak_state_bytes":2136}]"#,
+        },
+        Golden {
+            name: "plain 4 edges, threads 4, verified",
+            config: ScaleConfig {
+                verify_streaming: true,
+                ..base(1_999, 4, 4)
+            },
+            checksum: "260a0953f7a02f0d",
+            rounds: r#"[{"round":0,"sampled":200,"aggregated":200,"dropped":0,"wasted":0,"corrupted":0,"trained":0,"edges_kept":4,"edges_lost":0,"uplink_bytes":153816,"downlink_bytes":0,"peak_state_bytes":3560},{"round":1,"sampled":200,"aggregated":200,"dropped":0,"wasted":0,"corrupted":0,"trained":0,"edges_kept":4,"edges_lost":0,"uplink_bytes":153816,"downlink_bytes":150800,"peak_state_bytes":3560}]"#,
+        },
+        Golden {
+            name: "quant8 flat, verified",
+            config: ScaleConfig {
+                compression: CompressionMode::Quant8,
+                verify_streaming: true,
+                ..base(1_010, 1, 1)
+            },
+            checksum: "6017f5be2b211930",
+            rounds: r#"[{"round":0,"sampled":101,"aggregated":101,"dropped":0,"wasted":0,"corrupted":0,"trained":0,"edges_kept":1,"edges_lost":0,"uplink_bytes":21311,"downlink_bytes":0,"peak_state_bytes":712},{"round":1,"sampled":101,"aggregated":101,"dropped":0,"wasted":0,"corrupted":0,"trained":0,"edges_kept":1,"edges_lost":0,"uplink_bytes":21311,"downlink_bytes":76154,"peak_state_bytes":712}]"#,
+        },
+        Golden {
+            name: "quant8 4 edges, threads 4",
+            config: ScaleConfig {
+                compression: CompressionMode::Quant8,
+                ..base(1_500, 4, 4)
+            },
+            checksum: "a6fb270c8d131338",
+            rounds: r#"[{"round":0,"sampled":150,"aggregated":150,"dropped":0,"wasted":0,"corrupted":0,"trained":0,"edges_kept":4,"edges_lost":0,"uplink_bytes":34666,"downlink_bytes":0,"peak_state_bytes":3560},{"round":1,"sampled":150,"aggregated":150,"dropped":0,"wasted":0,"corrupted":0,"trained":0,"edges_kept":4,"edges_lost":0,"uplink_bytes":34666,"downlink_bytes":113100,"peak_state_bytes":3560}]"#,
+        },
+        Golden {
+            name: "top-k flat, verified",
+            config: ScaleConfig {
+                compression: topk,
+                verify_streaming: true,
+                ..base(1_010, 1, 1)
+            },
+            checksum: "23c2631b197ef26a",
+            rounds: r#"[{"round":0,"sampled":101,"aggregated":101,"dropped":0,"wasted":0,"corrupted":0,"trained":0,"edges_kept":1,"edges_lost":0,"uplink_bytes":25250,"downlink_bytes":0,"peak_state_bytes":712},{"round":1,"sampled":101,"aggregated":101,"dropped":0,"wasted":0,"corrupted":0,"trained":0,"edges_kept":1,"edges_lost":0,"uplink_bytes":25250,"downlink_bytes":76154,"peak_state_bytes":712}]"#,
+        },
+        Golden {
+            name: "top-k 4 edges, threads 2",
+            config: ScaleConfig {
+                compression: topk,
+                ..base(1_999, 4, 2)
+            },
+            checksum: "c4d60ae9a4f86bfe",
+            rounds: r#"[{"round":0,"sampled":200,"aggregated":200,"dropped":0,"wasted":0,"corrupted":0,"trained":0,"edges_kept":4,"edges_lost":0,"uplink_bytes":53016,"downlink_bytes":0,"peak_state_bytes":2136},{"round":1,"sampled":200,"aggregated":200,"dropped":0,"wasted":0,"corrupted":0,"trained":0,"edges_kept":4,"edges_lost":0,"uplink_bytes":53016,"downlink_bytes":150800,"peak_state_bytes":2136}]"#,
+        },
+        Golden {
+            name: "chaos + NaN flood, trimmed mean, plain",
+            config: ScaleConfig {
+                aggregator: trimmed,
+                faults: Some(golden_plan(Corruption::NanFlood)),
+                verify_streaming: true,
+                ..base(2_000, 1, 1)
+            },
+            checksum: "e94f010351a84adb",
+            rounds: r#"[{"round":0,"sampled":200,"aggregated":165,"dropped":19,"wasted":16,"corrupted":2,"trained":0,"edges_kept":1,"edges_lost":0,"uplink_bytes":142506,"downlink_bytes":0,"peak_state_bytes":18156},{"round":1,"sampled":200,"aggregated":169,"dropped":22,"wasted":9,"corrupted":1,"trained":0,"edges_kept":1,"edges_lost":0,"uplink_bytes":143260,"downlink_bytes":150800,"peak_state_bytes":18156}]"#,
+        },
+        Golden {
+            name: "chaos + NaN flood, trimmed mean, quant8, threads 2",
+            config: ScaleConfig {
+                aggregator: trimmed,
+                compression: CompressionMode::Quant8,
+                faults: Some(golden_plan(Corruption::NanFlood)),
+                ..base(2_000, 1, 2)
+            },
+            checksum: "55f43242f61c59b7",
+            rounds: r#"[{"round":0,"sampled":200,"aggregated":165,"dropped":19,"wasted":16,"corrupted":2,"trained":0,"edges_kept":1,"edges_lost":0,"uplink_bytes":42015,"downlink_bytes":0,"peak_state_bytes":18156},{"round":1,"sampled":200,"aggregated":169,"dropped":22,"wasted":9,"corrupted":1,"trained":0,"edges_kept":1,"edges_lost":0,"uplink_bytes":41158,"downlink_bytes":150800,"peak_state_bytes":18156}]"#,
+        },
+        Golden {
+            name: "chaos + sign flip, fedavg, top-k, 4 edges, threads 4",
+            config: ScaleConfig {
+                compression: topk,
+                faults: Some(golden_plan(Corruption::SignFlip)),
+                ..base(2_000, 4, 4)
+            },
+            checksum: "620c55c5274696fb",
+            rounds: r#"[{"round":0,"sampled":200,"aggregated":165,"dropped":19,"wasted":16,"corrupted":2,"trained":0,"edges_kept":4,"edges_lost":0,"uplink_bytes":50266,"downlink_bytes":0,"peak_state_bytes":3560},{"round":1,"sampled":200,"aggregated":169,"dropped":22,"wasted":9,"corrupted":1,"trained":0,"edges_kept":4,"edges_lost":0,"uplink_bytes":50516,"downlink_bytes":150800,"peak_state_bytes":3560}]"#,
+        },
+        Golden {
+            name: "5% really trained, 4 edges, threads 2",
+            config: ScaleConfig {
+                participation: 0.25,
+                trained_fraction: 0.05,
+                ..base(600, 4, 2)
+            },
+            checksum: "0a566a251516c339",
+            rounds: r#"[{"round":0,"sampled":150,"aggregated":150,"dropped":0,"wasted":0,"corrupted":0,"trained":9,"edges_kept":4,"edges_lost":0,"uplink_bytes":202356,"downlink_bytes":0,"peak_state_bytes":3768},{"round":1,"sampled":150,"aggregated":150,"dropped":0,"wasted":0,"corrupted":0,"trained":5,"edges_kept":4,"edges_lost":0,"uplink_bytes":202356,"downlink_bytes":197100,"peak_state_bytes":3768}]"#,
+        },
+        Golden {
+            name: "5% really trained, quant8, flat, verified",
+            config: ScaleConfig {
+                participation: 0.25,
+                trained_fraction: 0.05,
+                compression: CompressionMode::Quant8,
+                verify_streaming: true,
+                ..base(600, 1, 1)
+            },
+            checksum: "84dda1027c81ec36",
+            rounds: r#"[{"round":0,"sampled":150,"aggregated":150,"dropped":0,"wasted":0,"corrupted":0,"trained":9,"edges_kept":1,"edges_lost":0,"uplink_bytes":50250,"downlink_bytes":0,"peak_state_bytes":1256},{"round":1,"sampled":150,"aggregated":150,"dropped":0,"wasted":0,"corrupted":0,"trained":5,"edges_kept":1,"edges_lost":0,"uplink_bytes":50250,"downlink_bytes":197100,"peak_state_bytes":1256}]"#,
+        },
+    ]
+}
+
+/// To re-record after a deliberate protocol change, blank a case's
+/// literals: the failure message prints what the run produced.
+#[test]
+fn update_streams_match_the_recorded_literals() {
+    let mut mismatches = Vec::new();
+    for case in golden_cases() {
+        let trains = case.config.trained_fraction > 0.0;
+        let engine = if trains {
+            let model = evfad_nn::forecaster_model(4, 7);
+            ScaleEngine::new(model.weights(), case.config)
+                .and_then(|e| e.with_trainer(ScaleTrainer::new(model, 6).with_samples(4)))
+        } else {
+            ScaleEngine::new(golden_template(), case.config)
+        };
+        let out = engine.expect("valid config").run().expect(case.name);
+        let rounds = serde_json::to_string(&out.rounds).expect("serialize");
+        if trains {
+            assert!(out.rounds.iter().all(|r| r.trained > 0), "{}", case.name);
+        }
+        if out.weights_checksum() != case.checksum || rounds != case.rounds {
+            mismatches.push(format!(
+                "{}\n  checksum: {:?}\n  rounds: {:?}",
+                case.name,
+                out.weights_checksum(),
+                rounds
+            ));
+        }
+    }
+    assert!(
+        mismatches.is_empty(),
+        "runs left the recorded streams:\n{}",
+        mismatches.join("\n")
+    );
+}
+
+/// Ten million clients, a ten-thousandth of them sampled: the engine
+/// derives specs where it needs them, so building it costs nothing that
+/// grows with the population (a stored spec table would be 320 MB here).
+#[test]
+fn ten_million_clients_build_and_run_a_round() {
+    let config = ScaleConfig {
+        clients: 10_000_000,
+        rounds: 1,
+        participation: 1e-4,
+        ..ScaleConfig::default()
+    };
+    let mut engine = ScaleEngine::new(tiny_template(), config).expect("valid config");
+    assert_eq!(engine.spec(9_999_999).id(), "c9999999");
+    let out = engine.run().expect("run");
+    assert_eq!(out.rounds[0].sampled, 1_000);
+    assert_eq!(out.rounds[0].aggregated, 1_000);
+    assert_eq!(out.peak_aggregation_bytes, 2 * out.model_bytes);
 }
