@@ -24,6 +24,9 @@ pub enum AnomalyError {
     },
     /// Autoencoder training failed (propagated from the nn substrate).
     Training(String),
+    /// A decision threshold is NaN: `score > NaN` is never true, so the
+    /// tenant would silently never be flagged.
+    NanThreshold,
 }
 
 impl fmt::Display for AnomalyError {
@@ -40,6 +43,7 @@ impl fmt::Display for AnomalyError {
                 )
             }
             AnomalyError::Training(msg) => write!(f, "autoencoder training failed: {msg}"),
+            AnomalyError::NanThreshold => write!(f, "decision threshold is NaN"),
         }
     }
 }
@@ -72,6 +76,7 @@ mod tests {
             .to_string()
             .contains('6'));
         assert!(AnomalyError::Training("x".into()).to_string().contains('x'));
+        assert!(AnomalyError::NanThreshold.to_string().contains("NaN"));
     }
 
     #[test]

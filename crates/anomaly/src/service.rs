@@ -142,10 +142,14 @@ impl ScoringService {
     /// # Errors
     ///
     /// [`AnomalyError::NotFitted`] if the filter has not been fitted;
+    /// [`AnomalyError::NanThreshold`] if its fitted threshold is NaN;
     /// [`AnomalyError::Training`] if the model cannot be frozen.
     pub fn from_filter(filter: &AnomalyFilter, precision: Precision) -> Result<Self, AnomalyError> {
         let model = filter.model().ok_or(AnomalyError::NotFitted)?;
         let default_threshold = filter.threshold().ok_or(AnomalyError::NotFitted)?;
+        if default_threshold.is_nan() {
+            return Err(AnomalyError::NanThreshold);
+        }
         let prototype = InferenceModel::freeze(model, precision)
             .map_err(|e| AnomalyError::Training(e.to_string()))?;
         Ok(Self {
@@ -172,11 +176,28 @@ impl ScoringService {
     /// Registers a tenant with the filter's fitted threshold. Returns the
     /// tenant id used by [`submit`](ScoringService::submit).
     pub fn add_tenant(&mut self, sanitize: bool) -> usize {
-        self.add_tenant_with(self.default_threshold, sanitize)
+        self.push_tenant(self.default_threshold, sanitize)
     }
 
-    /// Registers a tenant with its own decision threshold.
-    pub fn add_tenant_with(&mut self, threshold: f64, sanitize: bool) -> usize {
+    /// Registers a tenant with its own decision threshold. `+∞` is legal
+    /// ("never flag").
+    ///
+    /// # Errors
+    ///
+    /// [`AnomalyError::NanThreshold`] if `threshold` is NaN.
+    pub fn add_tenant_with(
+        &mut self,
+        threshold: f64,
+        sanitize: bool,
+    ) -> Result<usize, AnomalyError> {
+        if threshold.is_nan() {
+            return Err(AnomalyError::NanThreshold);
+        }
+        Ok(self.push_tenant(threshold, sanitize))
+    }
+
+    /// `threshold` is not NaN: `from_filter` and `add_tenant_with` checked.
+    fn push_tenant(&mut self, threshold: f64, sanitize: bool) -> usize {
         self.tenants.push(TenantState {
             buffer: Vec::new(),
             pending: VecDeque::new(),
@@ -571,8 +592,10 @@ mod tests {
     fn per_tenant_thresholds_are_respected() {
         let filter = fitted_filter();
         let mut service = ScoringService::from_filter(&filter, Precision::F64).expect("service");
-        let strict = service.add_tenant_with(0.0, false);
-        let lax = service.add_tenant_with(f64::INFINITY, false);
+        let strict = service.add_tenant_with(0.0, false).expect("finite");
+        let lax = service
+            .add_tenant_with(f64::INFINITY, false)
+            .expect("never flag");
         let history = sine(40, 1);
         service.seed_context(strict, &history);
         service.seed_context(lax, &history);
@@ -587,6 +610,31 @@ mod tests {
         };
         assert!(s.anomalous, "zero threshold must flag everything");
         assert!(!l.anomalous, "infinite threshold must flag nothing");
+    }
+
+    #[test]
+    fn nan_threshold_is_rejected() {
+        let filter = fitted_filter();
+        let mut service = ScoringService::from_filter(&filter, Precision::F64).expect("service");
+        assert_eq!(
+            service.add_tenant_with(f64::NAN, false),
+            Err(AnomalyError::NanThreshold)
+        );
+        assert_eq!(
+            service.tenant_count(),
+            0,
+            "a rejected tenant is not registered"
+        );
+        // The same hole one level up: a rule that fits to a NaN boundary
+        // must not become every `add_tenant`'s default.
+        let mut config = FilterConfig::fast(12);
+        config.threshold = crate::ThresholdRule::MeanStd { k: f64::NAN };
+        let mut unflaggable = AnomalyFilter::new(config);
+        unflaggable.fit(&sine(400, 0)).expect("fit");
+        assert!(matches!(
+            ScoringService::from_filter(&unflaggable, Precision::F64),
+            Err(AnomalyError::NanThreshold)
+        ));
     }
 
     #[test]

@@ -4,14 +4,57 @@
 //! `AnomalyFilter::score` now stages windows straight from a
 //! [`WindowedSeries`] view instead of materialising
 //! `windows::reconstruction` vectors, per-window `Matrix::column_vector`s,
-//! and a `Seq::from_samples` batch. These tests prove the staged batches are
-//! bitwise identical to the old marshal for arbitrary series, so the golden
-//! fixture (and every score downstream) is unaffected.
+//! and a `Seq::from_samples` batch. These tests prove the staged batches —
+//! and the per-point scores computed from them — are bitwise identical to
+//! the old marshal for arbitrary series, so the golden fixture (and every
+//! score downstream) is unaffected.
 
-use evfad_nn::{Seq, SeqBuf};
+use evfad_anomaly::{AnomalyFilter, FilterConfig};
+use evfad_nn::{Seq, SeqBuf, Sequential};
 use evfad_tensor::Matrix;
 use evfad_timeseries::windows::{self, WindowedSeries};
 use proptest::prelude::*;
+use std::sync::OnceLock;
+
+const SCORE_SEQ_LEN: usize = 6;
+
+/// One small fitted filter shared by every scoring case.
+fn fitted_filter() -> &'static AnomalyFilter {
+    static FILTER: OnceLock<AnomalyFilter> = OnceLock::new();
+    FILTER.get_or_init(|| {
+        let train: Vec<f64> = (0..120)
+            .map(|i| 0.5 + 0.3 * (i as f64 * std::f64::consts::TAU / 12.0).sin())
+            .collect();
+        let mut filter = AnomalyFilter::new(FilterConfig::fast(SCORE_SEQ_LEN));
+        filter.fit(&train).expect("fit");
+        filter
+    })
+}
+
+/// `AnomalyFilter::score` as it was before the windowed view: materialised
+/// reconstruction windows, one column-vector matrix per window, the
+/// allocating `predict`, then the min-over-estimates sweep.
+fn allocating_score(model: &mut Sequential, series: &[f64], seq_len: usize) -> Vec<f64> {
+    let wins = windows::reconstruction(series, seq_len);
+    let inputs: Vec<Matrix> = wins.iter().map(|w| Matrix::column_vector(w)).collect();
+    let recon = model.predict(&inputs);
+    let mut best = vec![f64::INFINITY; series.len()];
+    for (start, r) in recon.iter().enumerate() {
+        let last_idx = start + seq_len - 1;
+        let err_last = r[(seq_len - 1, 0)] - series[last_idx];
+        best[last_idx] = best[last_idx].min(err_last * err_last);
+        let err_first = r[(0, 0)] - series[start];
+        best[start] = best[start].min(err_first * err_first);
+    }
+    for (idx, b) in best.iter_mut().enumerate() {
+        if !b.is_finite() {
+            let start = idx.min(series.len() - seq_len);
+            let err = recon[start][(idx - start, 0)] - series[idx];
+            *b = err * err;
+        }
+    }
+    best
+}
 
 /// Stages windows `first..first + count` of `ws` time-major, the way
 /// `AnomalyFilter::recon_into` builds each chunk.
@@ -53,6 +96,23 @@ proptest! {
         prop_assert_eq!(buf.seq().len(), reference.len());
         for t in 0..seq_len {
             prop_assert_eq!(buf.seq().step(t).as_slice(), reference.step(t).as_slice());
+        }
+    }
+
+    /// End to end: every per-point score off the windowed view equals the
+    /// allocating path's, bitwise, for series shorter and longer than one
+    /// 256-window chunk.
+    #[test]
+    fn filter_score_matches_allocating_path(
+        series in prop::collection::vec(0.0f64..1.0, SCORE_SEQ_LEN..300),
+    ) {
+        let mut filter = fitted_filter().clone();
+        let mut model = filter.model().expect("fitted").clone();
+        let reference = allocating_score(&mut model, &series, SCORE_SEQ_LEN);
+        let scores = filter.score(&series).expect("score");
+        prop_assert_eq!(scores.len(), reference.len());
+        for (s, r) in scores.iter().zip(&reference) {
+            prop_assert_eq!(s.to_bits(), r.to_bits());
         }
     }
 

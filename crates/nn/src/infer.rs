@@ -5,47 +5,47 @@
 //! kernels' preferred layout, and push as many windows per GEMM as the
 //! admission queue can batch. An [`InferenceModel`] is that snapshot:
 //!
-//! - Every GEMM operand is pre-packed at freeze time
-//!   ([`PackedB`]), and every tensor is *also* quantized to int8 with the
-//!   shared EVQ8 fold ([`QuantizedPanel`]) so one snapshot carries both
-//!   numeric lanes. [`Precision`] picks the lane per snapshot.
-//! - [`InferenceModel::forward_batch_into`] runs **many windows per
-//!   GEMM**: the whole batch shares one input-projection product per
-//!   recurrent layer and one product per dense layer, instead of the
-//!   one-window-at-a-time cadence of the online path.
-//! - There is no dropout at inference (identity), so dropout layers are
-//!   dropped entirely at freeze time — the snapshot never pays their
-//!   sequence copies.
+//! - [`Precision`] picks the numeric lane at freeze time, and the snapshot
+//!   packs, quantizes and allocates scratch for **that lane only**: [`PackedB`]
+//!   operands and `f64` arenas, or [`QuantizedPanel`]s (the shared EVQ8
+//!   fold) and `f32` arenas. A per-worker clone copies nothing the worker
+//!   will not read.
+//! - [`InferenceModel::forward_batch_into`] runs **many windows per GEMM**:
+//!   the batch shares one input-projection product per recurrent layer and
+//!   one product per dense layer. Dropout, the identity at inference, is
+//!   dropped at freeze time.
+//! - Each layer kind has a single forward, generic over a private `Lane`
+//!   (element type, packed operand, two GEMM entry points, activations), so
+//!   both lanes run the same expression order — bias add, band-wise gate
+//!   activation, in-place cell state, `(f·c) + (i·g)` — and differ only in
+//!   what a `Lane` method does.
 //!
 //! # Exactness contract
 //!
-//! The `F64` lane routes through [`fastpath`]'s blocked kernels, which
-//! without the `fastmath` cargo feature delegate to the exact
-//! [`kernels`](evfad_tensor::kernels) — and every elementwise expression
-//! here replays the training-path forward (`stable_sigmoid` gate order,
-//! cell update association, bias broadcast) verbatim. Each output row of
-//! every kernel depends only on its own input row, so batching windows
-//! together cannot change any window's bits: **a default build's
-//! `forward_batch_into` is bitwise-identical to per-window
+//! The `F64` lane's GEMMs go through the blocked entry points of
+//! [`fastpath`], which without the `fastmath` cargo feature delegate to the
+//! exact [`kernels`](evfad_tensor::kernels); its activations are then the
+//! training path's own (`stable_sigmoid`, libm `tanh`), and each output row
+//! of every kernel depends only on its own input row. So **a default
+//! build's `forward_batch_into` is bitwise-identical to per-window
 //! [`Sequential::predict`]** (pinned by proptests and the tier-1 scoring
-//! gate). With `fastmath` enabled the same code reassociates GEMM sums
-//! for throughput and is *close*, not identical.
+//! gate). With `fastmath` the lane's
+//! `sigmoid`/`tanh` become the [`vmath`] polynomials and the GEMMs contract
+//! to FMA: *close* (~1e-15 per call), not identical.
 //!
 //! The `Int8` lane is always approximate: weights carry at most half a
-//! quantization step of error each (see
-//! [`quant`](evfad_tensor::quant)), activations and accumulation are
-//! `f32`. For the sigmoid/tanh-saturated stacks served here the
-//! end-to-end reconstruction deltas stay small; the serving bench
-//! measures and asserts the score-level bound (`BENCH_inference.json`).
+//! quantization step of error each (see [`quant`](evfad_tensor::quant)),
+//! activations and accumulation are `f32`. The serving bench measures and
+//! asserts the score-level bound (`BENCH_inference.json`).
 
-#[cfg(not(feature = "fastmath"))]
-use crate::activation::stable_sigmoid;
 use crate::activation::Activation;
 use crate::layer::Layer;
 use crate::model::Sequential;
 use crate::{NnError, NnResult};
 use evfad_tensor::fastpath::{self, PackedB, QuantizedPanel};
-use evfad_tensor::{kernels, vmath, MatMut, MatRef, Matrix};
+use evfad_tensor::{vmath, MatMut, MatRef, Matrix};
+use std::fmt::Debug;
+use std::ops::{Add, Mul, Sub};
 
 /// Numeric lane of a frozen snapshot.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -59,109 +59,264 @@ pub enum Precision {
     Int8,
 }
 
-/// `f32` twin of the training path's numerically stable sigmoid.
-#[inline]
-fn stable_sigmoid_f32(x: f32) -> f32 {
-    if x >= 0.0 {
-        1.0 / (1.0 + (-x).exp())
-    } else {
-        let e = x.exp();
-        e / (1.0 + e)
-    }
+/// What a numeric lane supplies to the layer forwards: its element type,
+/// its packed right-hand operand, and the kernels over them.
+trait Lane: Debug + Clone {
+    type Elem: Copy
+        + Default
+        + Debug
+        + Add<Output = Self::Elem>
+        + Sub<Output = Self::Elem>
+        + Mul<Output = Self::Elem>;
+    type Packed: Debug + Clone;
+
+    /// Packs a row-major `k × n` weight block.
+    fn pack(w: MatRef<'_>) -> Self::Packed;
+    /// `out = a · b`, `a` row-major `rows × k`.
+    fn matmul_into(a: &[Self::Elem], rows: usize, b: &Self::Packed, out: &mut [Self::Elem]);
+    /// `out += a · b`.
+    fn matmul_acc_into(a: &[Self::Elem], rows: usize, b: &Self::Packed, out: &mut [Self::Elem]);
+    /// In-place logistic sigmoid over a gate band.
+    fn sigmoid(xs: &mut [Self::Elem]);
+    /// In-place `tanh` over a gate band.
+    fn tanh(xs: &mut [Self::Elem]);
+    /// A dense layer's pointwise activation.
+    fn act(act: Activation, x: Self::Elem) -> Self::Elem;
+    fn from_f64(x: f64) -> Self::Elem;
+    fn to_f64(x: Self::Elem) -> f64;
 }
 
-#[inline]
-fn apply_act_f32(act: Activation, x: f32) -> f32 {
-    match act {
-        Activation::Linear => x,
-        Activation::Relu => x.max(0.0),
-        Activation::Sigmoid => stable_sigmoid_f32(x),
-        Activation::Tanh => vmath::tanh1_f32(x),
-    }
-}
-
-/// A dense layer frozen for serving: packed f64 weights plus the int8
-/// twin.
+/// The exact lane: f64 throughout, [`PackedB`] operands.
 #[derive(Debug, Clone)]
-struct DenseSnap {
-    i_dim: usize,
+struct F64;
+
+impl Lane for F64 {
+    type Elem = f64;
+    type Packed = PackedB;
+
+    fn pack(w: MatRef<'_>) -> PackedB {
+        PackedB::pack(w)
+    }
+
+    fn matmul_into(a: &[f64], rows: usize, b: &PackedB, out: &mut [f64]) {
+        let out = MatMut::new(rows, b.n(), out);
+        fastpath::matmul_into_blocked(MatRef::new(rows, b.k(), a), b, out);
+    }
+
+    fn matmul_acc_into(a: &[f64], rows: usize, b: &PackedB, out: &mut [f64]) {
+        let out = MatMut::new(rows, b.n(), out);
+        fastpath::matmul_acc_into_blocked(MatRef::new(rows, b.k(), a), b, out);
+    }
+
+    fn sigmoid(xs: &mut [f64]) {
+        #[cfg(feature = "fastmath")]
+        vmath::sigmoid_f64(xs);
+        #[cfg(not(feature = "fastmath"))]
+        xs.iter_mut()
+            .for_each(|v| *v = crate::activation::stable_sigmoid(*v));
+    }
+
+    fn tanh(xs: &mut [f64]) {
+        #[cfg(feature = "fastmath")]
+        vmath::tanh_f64(xs);
+        #[cfg(not(feature = "fastmath"))]
+        xs.iter_mut().for_each(|v| *v = v.tanh());
+    }
+
+    fn act(act: Activation, x: f64) -> f64 {
+        act.apply(x)
+    }
+
+    fn from_f64(x: f64) -> f64 {
+        x
+    }
+
+    fn to_f64(x: f64) -> f64 {
+        x
+    }
+}
+
+/// The int8 lane: [`QuantizedPanel`] weights, f32 activations and
+/// accumulation, polynomial gate activations.
+#[derive(Debug, Clone)]
+struct Q8;
+
+impl Lane for Q8 {
+    type Elem = f32;
+    type Packed = QuantizedPanel;
+
+    fn pack(w: MatRef<'_>) -> QuantizedPanel {
+        QuantizedPanel::quantize(w)
+    }
+
+    fn matmul_into(a: &[f32], rows: usize, b: &QuantizedPanel, out: &mut [f32]) {
+        fastpath::matmul_q8_into(a, rows, b, out);
+    }
+
+    fn matmul_acc_into(a: &[f32], rows: usize, b: &QuantizedPanel, out: &mut [f32]) {
+        fastpath::matmul_q8_acc_into(a, rows, b, out);
+    }
+
+    fn sigmoid(xs: &mut [f32]) {
+        vmath::sigmoid_f32(xs);
+    }
+
+    fn tanh(xs: &mut [f32]) {
+        vmath::tanh_f32(xs);
+    }
+
+    fn act(act: Activation, x: f32) -> f32 {
+        match act {
+            Activation::Linear => x,
+            Activation::Relu => x.max(0.0),
+            // `f32` twin of the training path's stable sigmoid.
+            Activation::Sigmoid if x >= 0.0 => 1.0 / (1.0 + (-x).exp()),
+            Activation::Sigmoid => {
+                let e = x.exp();
+                e / (1.0 + e)
+            }
+            Activation::Tanh => vmath::tanh1_f32(x),
+        }
+    }
+
+    fn from_f64(x: f64) -> f32 {
+        x as f32
+    }
+
+    fn to_f64(x: f32) -> f64 {
+        f64::from(x)
+    }
+}
+
+/// Resizes a scratch buffer to `len` zeros, keeping its capacity.
+fn zeroed<T: Copy + Default>(buf: &mut Vec<T>, len: usize) {
+    buf.clear();
+    buf.resize(len, T::default());
+}
+
+/// Adds a bias row to one row of pre-activations.
+fn add_bias<T: Copy + Add<Output = T>>(row: &mut [T], bias: &[T]) {
+    for (v, &b) in row.iter_mut().zip(bias) {
+        *v = *v + b;
+    }
+}
+
+/// Swaps the two outer axes of a `[outer][inner][feat]` buffer into
+/// `[inner][outer][feat]`, converting each element: sample-major windows
+/// into the time-major arena on the way in, the arena back to sample-major
+/// output on the way out.
+fn restage<S: Copy, D>(
+    src: &[S],
+    dst: &mut [D],
+    (outer, inner, feat): (usize, usize, usize),
+    conv: impl Fn(S) -> D,
+) {
+    for o in 0..outer {
+        for i in 0..inner {
+            let s = &src[(o * inner + i) * feat..][..feat];
+            let d = &mut dst[(i * outer + o) * feat..][..feat];
+            for (d, &s) in d.iter_mut().zip(s) {
+                *d = conv(s);
+            }
+        }
+    }
+}
+
+/// Converts a bias row to the lane's element type.
+fn bias_row<L: Lane>(b: &Matrix) -> Vec<L::Elem> {
+    b.as_slice().iter().map(|&v| L::from_f64(v)).collect()
+}
+
+/// Hands a recurrent layer's hidden states (blocks of `bh` behind the zero
+/// initial state) to the next layer: every step, or only the last.
+fn emit<T: Copy>(h: &[T], bh: usize, all_steps: bool, out: &mut Vec<T>) -> usize {
+    let steps = if all_steps { h.len() / bh - 1 } else { 1 };
+    out.clear();
+    out.extend_from_slice(&h[h.len() - steps * bh..]);
+    steps
+}
+
+/// A dense layer frozen for serving.
+#[derive(Debug, Clone)]
+struct DenseSnap<L: Lane> {
     o_dim: usize,
     act: Activation,
-    w: PackedB,
-    b: Matrix,
-    qw: QuantizedPanel,
-    qb: Vec<f32>,
+    w: L::Packed,
+    b: Vec<L::Elem>,
 }
 
-/// An LSTM layer frozen for serving. The combined training kernel
-/// `(I+H) × 4H` is split into its `W_x`/`W_h` halves so the batched input
-/// projection and the per-step recurrence each get a packed operand.
+/// One affine map of a recurrent layer, `x·W_x + h·W_h + b`: the training
+/// kernel `(I+H) × n` split into its halves so the batched input projection
+/// and the per-step recurrence each get a packed operand.
 #[derive(Debug, Clone)]
-struct LstmSnap {
-    i_dim: usize,
+struct Proj<L: Lane> {
+    wx: L::Packed,
+    wh: L::Packed,
+    b: Vec<L::Elem>,
+}
+
+impl<L: Lane> Proj<L> {
+    fn pack(w: &Matrix, b: &Matrix, i_dim: usize) -> Self {
+        Self {
+            wx: L::pack(w.rows_view(0..i_dim)),
+            wh: L::pack(w.rows_view(i_dim..w.rows())),
+            b: bias_row::<L>(b),
+        }
+    }
+}
+
+/// An LSTM layer frozen for serving.
+#[derive(Debug, Clone)]
+struct LstmSnap<L: Lane> {
     h_dim: usize,
     return_sequences: bool,
-    wx: PackedB,
-    wh: PackedB,
-    b: Matrix,
-    qwx: QuantizedPanel,
-    qwh: QuantizedPanel,
-    qb: Vec<f32>,
-    // Reused scratch (f64 lane / f32 lane).
-    pre: Vec<f64>,
-    c: Vec<f64>,
-    h: Vec<f64>,
-    pre32: Vec<f32>,
-    c32: Vec<f32>,
-    h32: Vec<f32>,
+    gates: Proj<L>,
 }
 
-/// A GRU layer frozen for serving (gate kernel split like the LSTM's,
-/// candidate kernel split the same way).
+/// A GRU layer frozen for serving.
 #[derive(Debug, Clone)]
-struct GruSnap {
-    i_dim: usize,
+struct GruSnap<L: Lane> {
     h_dim: usize,
     return_sequences: bool,
-    wgx: PackedB,
-    wgh: PackedB,
-    bg: Matrix,
-    wcx: PackedB,
-    wch: PackedB,
-    bc: Matrix,
-    qwgx: QuantizedPanel,
-    qwgh: QuantizedPanel,
-    qbg: Vec<f32>,
-    qwcx: QuantizedPanel,
-    qwch: QuantizedPanel,
-    qbc: Vec<f32>,
-    preg: Vec<f64>,
-    cand: Vec<f64>,
-    rh: Vec<f64>,
-    h: Vec<f64>,
-    preg32: Vec<f32>,
-    cand32: Vec<f32>,
-    rh32: Vec<f32>,
-    h32: Vec<f32>,
+    gates: Proj<L>,
+    cand: Proj<L>,
 }
 
 #[derive(Debug, Clone)]
-enum InferLayer {
-    Dense(Box<DenseSnap>),
-    Lstm(Box<LstmSnap>),
-    Gru(Box<GruSnap>),
+enum InferLayer<L: Lane> {
+    Dense(DenseSnap<L>),
+    Lstm(LstmSnap<L>),
+    Gru(GruSnap<L>),
     /// RepeatVector: broadcast a single collapsed step `n` times.
     Repeat(usize),
 }
 
+/// The layers of one lane plus its reused buffers: the ping-pong activation
+/// arenas, time-major `[t][row][feature]`, and the recurrent layers'
+/// working memory.
+#[derive(Debug, Clone)]
+struct Net<L: Lane> {
+    layers: Vec<InferLayer<L>>,
+    in_features: usize,
+    out_features: usize,
+    buf_a: Vec<L::Elem>,
+    buf_b: Vec<L::Elem>,
+    scratch: Vec<L::Elem>,
+}
+
+#[derive(Debug, Clone)]
+enum LaneNet {
+    F64(Net<F64>),
+    Int8(Net<Q8>),
+}
+
 /// A frozen, packed snapshot of a [`Sequential`] for batched scoring.
 ///
-/// Freeze once, serve forever: the snapshot holds no optimiser state, no
-/// training caches, and never mutates its weights — only its scratch
-/// buffers, which stay warm across calls (a shape-stable caller allocates
-/// nothing after the first batch). Cloning a snapshot gives an
-/// independent serving replica (the multi-tenant scoring front end clones
-/// one per worker thread).
+/// The snapshot holds no optimiser state or training caches and never
+/// mutates its weights — only its scratch buffers, which stay warm across
+/// calls (a shape-stable caller allocates nothing after the first batch).
+/// A clone is an independent serving replica (the multi-tenant scoring
+/// front end keeps one per worker thread).
 ///
 /// # Examples
 ///
@@ -186,173 +341,73 @@ enum InferLayer {
 /// ```
 #[derive(Debug, Clone)]
 pub struct InferenceModel {
-    layers: Vec<InferLayer>,
-    precision: Precision,
-    in_features: usize,
-    out_features: usize,
-    // Ping-pong activation arenas, time-major `[t][row][feature]`.
-    buf_a: Vec<f64>,
-    buf_b: Vec<f64>,
-    buf_a32: Vec<f32>,
-    buf_b32: Vec<f32>,
+    net: LaneNet,
 }
 
 impl InferenceModel {
-    /// Freezes a built model into a packed snapshot.
+    /// Freezes a built model into a packed snapshot of one lane.
     ///
     /// Dropout layers vanish (inference identity); dense, LSTM, GRU, and
-    /// repeat-vector layers are packed and quantized.
+    /// repeat-vector layers are packed (`F64`) or quantized (`Int8`).
     ///
     /// # Errors
     ///
     /// Returns [`NnError::InvalidConfig`] if the model has no layers that
     /// produce output (nothing to serve).
     pub fn freeze(model: &Sequential, precision: Precision) -> NnResult<Self> {
-        let mut layers = Vec::new();
-        let mut in_features = None;
-        let mut features = 0usize;
-        for layer in model.layers() {
-            match layer {
-                Layer::Dropout(_) => {}
-                Layer::Dense(d) => {
-                    let params = d.params();
-                    let (w, b) = (params[0], params[1]);
-                    in_features.get_or_insert(d.input_dim());
-                    features = d.output_dim();
-                    layers.push(InferLayer::Dense(Box::new(DenseSnap {
-                        i_dim: d.input_dim(),
-                        o_dim: d.output_dim(),
-                        act: d.activation(),
-                        w: PackedB::pack(w.view()),
-                        b: b.clone(),
-                        qw: QuantizedPanel::quantize(w.view()),
-                        qb: b.as_slice().iter().map(|&v| v as f32).collect(),
-                    })));
-                }
-                Layer::Lstm(l) => {
-                    let params = l.params();
-                    let (w, b) = (params[0], params[1]);
-                    let (i_dim, h_dim) = (l.input_dim(), l.hidden_dim());
-                    in_features.get_or_insert(i_dim);
-                    features = h_dim;
-                    let wx = w.rows_view(0..i_dim);
-                    let wh = w.rows_view(i_dim..i_dim + h_dim);
-                    layers.push(InferLayer::Lstm(Box::new(LstmSnap {
-                        i_dim,
-                        h_dim,
-                        return_sequences: l.return_sequences(),
-                        wx: PackedB::pack(wx),
-                        wh: PackedB::pack(wh),
-                        b: b.clone(),
-                        qwx: QuantizedPanel::quantize(wx),
-                        qwh: QuantizedPanel::quantize(wh),
-                        qb: b.as_slice().iter().map(|&v| v as f32).collect(),
-                        pre: Vec::new(),
-                        c: Vec::new(),
-                        h: Vec::new(),
-                        pre32: Vec::new(),
-                        c32: Vec::new(),
-                        h32: Vec::new(),
-                    })));
-                }
-                Layer::Gru(g) => {
-                    let params = g.params();
-                    let (wg, bg, wc, bc) = (params[0], params[1], params[2], params[3]);
-                    let (i_dim, h_dim) = (g.input_dim(), g.hidden_dim());
-                    in_features.get_or_insert(i_dim);
-                    features = h_dim;
-                    let wgx = wg.rows_view(0..i_dim);
-                    let wgh = wg.rows_view(i_dim..i_dim + h_dim);
-                    let wcx = wc.rows_view(0..i_dim);
-                    let wch = wc.rows_view(i_dim..i_dim + h_dim);
-                    layers.push(InferLayer::Gru(Box::new(GruSnap {
-                        i_dim,
-                        h_dim,
-                        return_sequences: g.return_sequences(),
-                        wgx: PackedB::pack(wgx),
-                        wgh: PackedB::pack(wgh),
-                        bg: bg.clone(),
-                        wcx: PackedB::pack(wcx),
-                        wch: PackedB::pack(wch),
-                        bc: bc.clone(),
-                        qwgx: QuantizedPanel::quantize(wgx),
-                        qwgh: QuantizedPanel::quantize(wgh),
-                        qbg: bg.as_slice().iter().map(|&v| v as f32).collect(),
-                        qwcx: QuantizedPanel::quantize(wcx),
-                        qwch: QuantizedPanel::quantize(wch),
-                        qbc: bc.as_slice().iter().map(|&v| v as f32).collect(),
-                        preg: Vec::new(),
-                        cand: Vec::new(),
-                        rh: Vec::new(),
-                        h: Vec::new(),
-                        preg32: Vec::new(),
-                        cand32: Vec::new(),
-                        rh32: Vec::new(),
-                        h32: Vec::new(),
-                    })));
-                }
-                Layer::RepeatVector(r) => {
-                    layers.push(InferLayer::Repeat(r.n()));
-                }
-            }
-        }
-        let in_features = in_features.ok_or_else(|| {
-            NnError::InvalidConfig("cannot freeze a model with no parameterised layers".into())
-        })?;
-        Ok(Self {
-            layers,
-            precision,
-            in_features,
-            out_features: features,
-            buf_a: Vec::new(),
-            buf_b: Vec::new(),
-            buf_a32: Vec::new(),
-            buf_b32: Vec::new(),
-        })
+        let net = match precision {
+            Precision::F64 => LaneNet::F64(Net::freeze(model)?),
+            Precision::Int8 => LaneNet::Int8(Net::freeze(model)?),
+        };
+        Ok(Self { net })
     }
 
     /// The numeric lane this snapshot serves with.
     pub fn precision(&self) -> Precision {
-        self.precision
+        match self.net {
+            LaneNet::F64(_) => Precision::F64,
+            LaneNet::Int8(_) => Precision::Int8,
+        }
     }
 
     /// Input feature width per timestep.
     pub fn input_features(&self) -> usize {
-        self.in_features
+        match &self.net {
+            LaneNet::F64(n) => n.in_features,
+            LaneNet::Int8(n) => n.in_features,
+        }
     }
 
     /// Output feature width per timestep.
     pub fn output_features(&self) -> usize {
-        self.out_features
+        match &self.net {
+            LaneNet::F64(n) => n.out_features,
+            LaneNet::Int8(n) => n.out_features,
+        }
     }
 
-    /// Total packed int8 weight bytes of the snapshot's quantized lane.
+    /// Total packed int8 weight bytes the snapshot holds: zero for an
+    /// `F64` snapshot, which quantizes nothing.
     pub fn quantized_bytes(&self) -> usize {
-        self.layers
-            .iter()
-            .map(|l| match l {
-                InferLayer::Dense(d) => d.qw.byte_size(),
-                InferLayer::Lstm(l) => l.qwx.byte_size() + l.qwh.byte_size(),
-                InferLayer::Gru(g) => {
-                    g.qwgx.byte_size()
-                        + g.qwgh.byte_size()
-                        + g.qwcx.byte_size()
-                        + g.qwch.byte_size()
-                }
-                InferLayer::Repeat(_) => 0,
-            })
-            .sum()
+        let LaneNet::Int8(net) = &self.net else {
+            return 0;
+        };
+        let proj = |p: &Proj<Q8>| p.wx.byte_size() + p.wh.byte_size();
+        let layer = |l: &InferLayer<Q8>| match l {
+            InferLayer::Dense(d) => d.w.byte_size(),
+            InferLayer::Lstm(l) => proj(&l.gates),
+            InferLayer::Gru(g) => proj(&g.gates) + proj(&g.cand),
+            InferLayer::Repeat(_) => 0,
+        };
+        net.layers.iter().map(layer).sum()
     }
 
-    /// Batched forward pass: `windows` holds `batch` samples,
-    /// sample-major (`batch × steps × features` with each sample's steps
-    /// contiguous), exactly the layout [`Sequential::predict_into`]
-    /// produces. Writes the outputs sample-major into `out`
-    /// (cleared first) and returns `(out_steps, out_features)` per sample.
-    ///
-    /// Every window of the batch shares each layer's GEMMs; per-row
-    /// independence of the kernels keeps each window's result identical
-    /// to a batch of one (bitwise on the default-build `F64` lane).
+    /// Batched forward pass: `windows` holds `batch` samples, sample-major
+    /// (`batch × steps × features`, each sample's steps contiguous) — the
+    /// layout [`Sequential::predict_into`] produces. Writes the outputs
+    /// sample-major into `out` (cleared first) and returns
+    /// `(out_steps, out_features)` per sample. Each window's result is
+    /// identical to a batch of one.
     ///
     /// # Panics
     ///
@@ -365,542 +420,227 @@ impl InferenceModel {
         out: &mut Vec<f64>,
     ) -> (usize, usize) {
         assert!(batch > 0, "forward_batch_into needs at least one window");
-        let stride = batch * self.in_features;
+        let feat = self.input_features();
         assert!(
-            !windows.is_empty() && windows.len().is_multiple_of(stride),
-            "window buffer of {} values is not a multiple of batch {} × features {}",
+            !windows.is_empty() && windows.len().is_multiple_of(batch * feat),
+            "window buffer of {} values is not a multiple of batch {batch} × features {feat}",
             windows.len(),
-            batch,
-            self.in_features
         );
-        let steps = windows.len() / stride;
-        match self.precision {
-            Precision::F64 => self.forward_f64(windows, steps, batch, out),
-            Precision::Int8 => self.forward_q8(windows, steps, batch, out),
+        match &mut self.net {
+            LaneNet::F64(n) => n.forward(windows, batch, out),
+            LaneNet::Int8(n) => n.forward(windows, batch, out),
         }
     }
+}
 
-    fn forward_f64(
-        &mut self,
-        windows: &[f64],
-        mut steps: usize,
-        batch: usize,
-        out: &mut Vec<f64>,
-    ) -> (usize, usize) {
-        let feat = self.in_features;
-        // Stage sample-major windows into the time-major arena.
-        let cur = &mut self.buf_a;
-        cur.clear();
-        cur.resize(steps * batch * feat, 0.0);
-        for r in 0..batch {
-            for t in 0..steps {
-                let src = r * steps * feat + t * feat;
-                let dst = (t * batch + r) * feat;
-                cur[dst..dst + feat].copy_from_slice(&windows[src..src + feat]);
-            }
+impl<L: Lane> Net<L> {
+    fn freeze(model: &Sequential) -> NnResult<Self> {
+        let mut layers = Vec::new();
+        let mut in_features = None;
+        let mut out_features = 0usize;
+        for layer in model.layers() {
+            let (i_dim, o_dim) = match layer {
+                Layer::Dropout(_) => continue,
+                Layer::RepeatVector(r) => {
+                    layers.push(InferLayer::Repeat(r.n()));
+                    continue;
+                }
+                Layer::Dense(d) => {
+                    let p = d.params();
+                    layers.push(InferLayer::Dense(DenseSnap {
+                        o_dim: d.output_dim(),
+                        act: d.activation(),
+                        w: L::pack(p[0].view()),
+                        b: bias_row::<L>(p[1]),
+                    }));
+                    (d.input_dim(), d.output_dim())
+                }
+                Layer::Lstm(l) => {
+                    let p = l.params();
+                    layers.push(InferLayer::Lstm(LstmSnap {
+                        h_dim: l.hidden_dim(),
+                        return_sequences: l.return_sequences(),
+                        gates: Proj::pack(p[0], p[1], l.input_dim()),
+                    }));
+                    (l.input_dim(), l.hidden_dim())
+                }
+                Layer::Gru(g) => {
+                    let p = g.params();
+                    layers.push(InferLayer::Gru(GruSnap {
+                        h_dim: g.hidden_dim(),
+                        return_sequences: g.return_sequences(),
+                        gates: Proj::pack(p[0], p[1], g.input_dim()),
+                        cand: Proj::pack(p[2], p[3], g.input_dim()),
+                    }));
+                    (g.input_dim(), g.hidden_dim())
+                }
+            };
+            in_features.get_or_insert(i_dim);
+            out_features = o_dim;
         }
-        let mut feat = feat;
+        let in_features = in_features.ok_or_else(|| {
+            NnError::InvalidConfig("cannot freeze a model with no parameterised layers".into())
+        })?;
+        Ok(Self {
+            layers,
+            in_features,
+            out_features,
+            buf_a: Vec::new(),
+            buf_b: Vec::new(),
+            scratch: Vec::new(),
+        })
+    }
+
+    fn forward(&mut self, windows: &[f64], batch: usize, out: &mut Vec<f64>) -> (usize, usize) {
+        let mut feat = self.in_features;
+        let mut steps = windows.len() / (batch * feat);
         let (mut cur, mut next) = (&mut self.buf_a, &mut self.buf_b);
-        for layer in &mut self.layers {
-            let out_steps = match layer {
-                InferLayer::Dense(d) => d.forward_f64(cur, steps, batch, next),
-                InferLayer::Lstm(l) => l.forward_f64(cur, steps, batch, next),
-                InferLayer::Gru(g) => g.forward_f64(cur, steps, batch, next),
+        zeroed(cur, windows.len());
+        restage(windows, cur, (batch, steps, feat), L::from_f64);
+        for layer in &self.layers {
+            (steps, feat) = match layer {
+                InferLayer::Dense(d) => {
+                    d.forward(cur, steps * batch, next);
+                    (steps, d.o_dim)
+                }
+                InferLayer::Lstm(l) => l.forward(cur, steps, batch, &mut self.scratch, next),
+                InferLayer::Gru(g) => g.forward(cur, steps, batch, &mut self.scratch, next),
                 InferLayer::Repeat(n) => {
                     assert_eq!(steps, 1, "RepeatVector input must be a single step");
                     next.clear();
                     for _ in 0..*n {
                         next.extend_from_slice(&cur[..batch * feat]);
                     }
-                    *n
+                    (*n, feat)
                 }
             };
-            feat = match layer {
-                InferLayer::Dense(d) => d.o_dim,
-                InferLayer::Lstm(l) => l.h_dim,
-                InferLayer::Gru(g) => g.h_dim,
-                InferLayer::Repeat(_) => feat,
-            };
-            steps = out_steps;
             std::mem::swap(&mut cur, &mut next);
         }
-        // De-stage: time-major arena back to sample-major output.
-        out.clear();
-        out.resize(batch * steps * feat, 0.0);
-        for r in 0..batch {
-            for t in 0..steps {
-                let src = (t * batch + r) * feat;
-                let dst = r * steps * feat + t * feat;
-                out[dst..dst + feat].copy_from_slice(&cur[src..src + feat]);
-            }
-        }
-        (steps, feat)
-    }
-
-    fn forward_q8(
-        &mut self,
-        windows: &[f64],
-        mut steps: usize,
-        batch: usize,
-        out: &mut Vec<f64>,
-    ) -> (usize, usize) {
-        let feat = self.in_features;
-        let cur = &mut self.buf_a32;
-        cur.clear();
-        cur.resize(steps * batch * feat, 0.0);
-        for r in 0..batch {
-            for t in 0..steps {
-                let src = r * steps * feat + t * feat;
-                let dst = (t * batch + r) * feat;
-                for f in 0..feat {
-                    cur[dst + f] = windows[src + f] as f32;
-                }
-            }
-        }
-        let mut feat = feat;
-        let (mut cur, mut next) = (&mut self.buf_a32, &mut self.buf_b32);
-        for layer in &mut self.layers {
-            let out_steps = match layer {
-                InferLayer::Dense(d) => d.forward_q8(cur, steps, batch, next),
-                InferLayer::Lstm(l) => l.forward_q8(cur, steps, batch, next),
-                InferLayer::Gru(g) => g.forward_q8(cur, steps, batch, next),
-                InferLayer::Repeat(n) => {
-                    assert_eq!(steps, 1, "RepeatVector input must be a single step");
-                    next.clear();
-                    for _ in 0..*n {
-                        next.extend_from_slice(&cur[..batch * feat]);
-                    }
-                    *n
-                }
-            };
-            feat = match layer {
-                InferLayer::Dense(d) => d.o_dim,
-                InferLayer::Lstm(l) => l.h_dim,
-                InferLayer::Gru(g) => g.h_dim,
-                InferLayer::Repeat(_) => feat,
-            };
-            steps = out_steps;
-            std::mem::swap(&mut cur, &mut next);
-        }
-        out.clear();
-        out.resize(batch * steps * feat, 0.0);
-        for r in 0..batch {
-            for t in 0..steps {
-                let src = (t * batch + r) * feat;
-                let dst = r * steps * feat + t * feat;
-                for f in 0..feat {
-                    out[dst + f] = cur[src + f] as f64;
-                }
-            }
-        }
+        zeroed(out, batch * steps * feat);
+        restage(cur, out, (steps, batch, feat), L::to_f64);
         (steps, feat)
     }
 }
 
-impl DenseSnap {
-    /// One fused GEMM for every timestep of every window in the batch —
-    /// replays the training dense layer's kernel sequence exactly on the
-    /// delegating (non-`fastmath`) build.
-    fn forward_f64(&self, input: &[f64], steps: usize, batch: usize, out: &mut Vec<f64>) -> usize {
-        let rows = steps * batch;
-        out.clear();
-        out.resize(rows * self.o_dim, 0.0);
-        let act = self.act;
-        fastpath::matmul_bias_act_into_blocked(
-            MatRef::new(rows, self.i_dim, input),
-            &self.w,
-            self.b.view(),
-            |x| act.apply(x),
-            MatMut::new(rows, self.o_dim, out),
-        );
-        steps
-    }
-
-    fn forward_q8(&self, input: &[f32], steps: usize, batch: usize, out: &mut Vec<f32>) -> usize {
-        let rows = steps * batch;
-        out.clear();
-        out.resize(rows * self.o_dim, 0.0);
-        let act = self.act;
-        fastpath::matmul_q8_bias_act_into(
-            input,
-            rows,
-            &self.qw,
-            &self.qb,
-            |x| apply_act_f32(act, x),
-            out,
-        );
-        steps
+impl<L: Lane> DenseSnap<L> {
+    /// One GEMM for every timestep of every window in the batch, then the
+    /// training dense layer's `act(x + b)` per element.
+    fn forward(&self, input: &[L::Elem], rows: usize, out: &mut Vec<L::Elem>) {
+        zeroed(out, rows * self.o_dim);
+        L::matmul_into(input, rows, &self.w, out);
+        for row in out.chunks_exact_mut(self.o_dim) {
+            for (v, &b) in row.iter_mut().zip(&self.b) {
+                *v = L::act(self.act, *v + b);
+            }
+        }
     }
 }
 
-impl LstmSnap {
+impl<L: Lane> LstmSnap<L> {
     /// Batched input projection + per-step recurrence, replaying the
-    /// training LSTM's fused forward expression-for-expression.
-    fn forward_f64(
-        &mut self,
-        input: &[f64],
+    /// training LSTM's fused forward expression for expression; returns the
+    /// output shape `(steps, features)`.
+    fn forward(
+        &self,
+        input: &[L::Elem],
         steps: usize,
         batch: usize,
-        out: &mut Vec<f64>,
-    ) -> usize {
-        let (i_dim, h_dim) = (self.i_dim, self.h_dim);
+        scratch: &mut Vec<L::Elem>,
+        out: &mut Vec<L::Elem>,
+    ) -> (usize, usize) {
+        let h_dim = self.h_dim;
         let (bh, b4h) = (batch * h_dim, batch * 4 * h_dim);
-        self.pre.clear();
-        self.pre.resize(steps * b4h, 0.0);
-        self.c.clear();
-        self.c.resize(steps * bh, 0.0);
-        self.h.clear();
-        self.h.resize(steps * bh, 0.0);
-        // Batched input projection for every timestep at once.
-        fastpath::matmul_into_blocked(
-            MatRef::new(steps * batch, i_dim, input),
-            &self.wx,
-            MatMut::new(steps * batch, 4 * h_dim, &mut self.pre),
-        );
-        let zeros = vec![0.0; bh];
+        // Gate pre-activations for every step, the cell state (updated in
+        // place), and the hidden states behind one zero block: step `t`
+        // reads block `t` as `h_{t-1}` and writes block `t + 1`.
+        zeroed(scratch, steps * b4h + bh + (steps + 1) * bh);
+        let (pre, rest) = scratch.split_at_mut(steps * b4h);
+        let (c, h) = rest.split_at_mut(bh);
+        L::matmul_into(input, steps * batch, &self.gates.wx, pre);
         for t in 0..steps {
-            let (h_done, h_rest) = self.h.split_at_mut(t * bh);
-            let h_prev = if t == 0 {
-                &zeros[..]
-            } else {
-                &h_done[(t - 1) * bh..]
-            };
-            let pre_t = &mut self.pre[t * b4h..(t + 1) * b4h];
-            fastpath::matmul_acc_into_blocked(
-                MatRef::new(batch, h_dim, h_prev),
-                &self.wh,
-                MatMut::new(batch, 4 * h_dim, pre_t),
-            );
-            kernels::add_row_broadcast_into(MatMut::new(batch, 4 * h_dim, pre_t), self.b.view());
-            let (c_done, c_rest) = self.c.split_at_mut(t * bh);
-            let c_prev = if t == 0 {
-                &zeros[..]
-            } else {
-                &c_done[(t - 1) * bh..]
-            };
-            let c_t = &mut c_rest[..bh];
-            let h_t = &mut h_rest[..bh];
-            #[cfg(not(feature = "fastmath"))]
-            for r in 0..batch {
-                let gates = &mut pre_t[r * 4 * h_dim..(r + 1) * 4 * h_dim];
-                let (gi, rest) = gates.split_at_mut(h_dim);
-                let (gf, rest) = rest.split_at_mut(h_dim);
-                let (gg, go) = rest.split_at_mut(h_dim);
-                let row = r * h_dim..(r + 1) * h_dim;
-                let it = gi
-                    .iter()
-                    .zip(gf.iter())
-                    .zip(gg.iter_mut())
-                    .zip(go.iter())
-                    .zip(&c_prev[row.clone()])
-                    .zip(&mut c_t[row.clone()])
-                    .zip(&mut h_t[row]);
-                for ((((((iv, fv), gv), ov), &cp), ct), ht) in it {
-                    let i_v = stable_sigmoid(*iv);
-                    let f_v = stable_sigmoid(*fv);
-                    let g_v = gv.tanh();
-                    let o_v = stable_sigmoid(*ov);
-                    let c_v = (f_v * cp) + (i_v * g_v);
-                    let tc = c_v.tanh();
-                    *ct = c_v;
-                    *ht = o_v * tc;
-                }
-            }
-            // Fastmath: activate whole gate bands with the vectorized
-            // polynomial kernels, then do the (branch-free) cell update as
-            // three slice passes. Same math, reordered and FMA-contracted.
-            #[cfg(feature = "fastmath")]
-            for r in 0..batch {
-                let gates = &mut pre_t[r * 4 * h_dim..(r + 1) * 4 * h_dim];
-                vmath::sigmoid_f64(&mut gates[..2 * h_dim]);
-                vmath::tanh_f64(&mut gates[2 * h_dim..3 * h_dim]);
-                vmath::sigmoid_f64(&mut gates[3 * h_dim..]);
+            let (h_prev, h_t) = h[t * bh..(t + 2) * bh].split_at_mut(bh);
+            let pre_t = &mut pre[t * b4h..(t + 1) * b4h];
+            L::matmul_acc_into(h_prev, batch, &self.gates.wh, pre_t);
+            let rows = pre_t
+                .chunks_exact_mut(4 * h_dim)
+                .zip(c.chunks_exact_mut(h_dim))
+                .zip(h_t.chunks_exact_mut(h_dim));
+            for ((gates, c), h) in rows {
+                add_bias(gates, &self.gates.b);
+                L::sigmoid(&mut gates[..2 * h_dim]);
+                L::tanh(&mut gates[2 * h_dim..3 * h_dim]);
+                L::sigmoid(&mut gates[3 * h_dim..]);
                 let (gi, rest) = gates.split_at(h_dim);
                 let (gf, rest) = rest.split_at(h_dim);
                 let (gg, go) = rest.split_at(h_dim);
-                let row = r * h_dim..(r + 1) * h_dim;
-                let cp = &c_prev[row.clone()];
-                let ct = &mut c_t[row.clone()];
-                let ht = &mut h_t[row];
-                for ((((c, &iv), &fv), &gv), &cpv) in ct.iter_mut().zip(gi).zip(gf).zip(gg).zip(cp)
-                {
-                    *c = fv.mul_add(cpv, iv * gv);
-                }
-                ht.copy_from_slice(ct);
-                vmath::tanh_f64(ht);
-                for (h, &ov) in ht.iter_mut().zip(go) {
-                    *h *= ov;
-                }
-            }
-        }
-        self.emit_f64(out, steps, bh)
-    }
-
-    fn emit_f64(&self, out: &mut Vec<f64>, steps: usize, bh: usize) -> usize {
-        out.clear();
-        if self.return_sequences {
-            out.extend_from_slice(&self.h);
-            steps
-        } else {
-            out.extend_from_slice(&self.h[(steps - 1) * bh..]);
-            1
-        }
-    }
-
-    fn forward_q8(
-        &mut self,
-        input: &[f32],
-        steps: usize,
-        batch: usize,
-        out: &mut Vec<f32>,
-    ) -> usize {
-        let (i_dim, h_dim) = (self.i_dim, self.h_dim);
-        let (bh, b4h) = (batch * h_dim, batch * 4 * h_dim);
-        self.pre32.clear();
-        self.pre32.resize(steps * b4h, 0.0);
-        self.c32.clear();
-        self.c32.resize(bh, 0.0);
-        self.h32.clear();
-        self.h32.resize(steps * bh, 0.0);
-        debug_assert_eq!(input.len(), steps * batch * i_dim);
-        fastpath::matmul_q8_into(input, steps * batch, &self.qwx, &mut self.pre32);
-        let zeros = vec![0.0f32; bh];
-        for t in 0..steps {
-            let (h_done, h_rest) = self.h32.split_at_mut(t * bh);
-            let h_prev = if t == 0 {
-                &zeros[..]
-            } else {
-                &h_done[(t - 1) * bh..]
-            };
-            let pre_t = &mut self.pre32[t * b4h..(t + 1) * b4h];
-            fastpath::matmul_q8_acc_into(h_prev, batch, &self.qwh, pre_t);
-            let h_t = &mut h_rest[..bh];
-            for r in 0..batch {
-                let gates = &mut pre_t[r * 4 * h_dim..(r + 1) * 4 * h_dim];
-                for (g, &b) in gates.iter_mut().zip(&self.qb) {
-                    *g += b;
-                }
-                vmath::sigmoid_f32(&mut gates[..2 * h_dim]);
-                vmath::tanh_f32(&mut gates[2 * h_dim..3 * h_dim]);
-                vmath::sigmoid_f32(&mut gates[3 * h_dim..]);
-                let (gi, rest) = gates.split_at(h_dim);
-                let (gf, rest) = rest.split_at(h_dim);
-                let (gg, go) = rest.split_at(h_dim);
-                let row = r * h_dim..(r + 1) * h_dim;
-                let cs = &mut self.c32[row.clone()];
-                for (((c, &iv), &fv), &gv) in cs.iter_mut().zip(gi).zip(gf).zip(gg) {
+                for (((c, &iv), &fv), &gv) in c.iter_mut().zip(gi).zip(gf).zip(gg) {
                     *c = (fv * *c) + (iv * gv);
                 }
-                let ht = &mut h_t[row];
-                ht.copy_from_slice(cs);
-                vmath::tanh_f32(ht);
-                for (h, &ov) in ht.iter_mut().zip(go) {
-                    *h *= ov;
+                h.copy_from_slice(c);
+                L::tanh(h);
+                for (h, &ov) in h.iter_mut().zip(go) {
+                    *h = *h * ov;
                 }
             }
         }
-        out.clear();
-        if self.return_sequences {
-            out.extend_from_slice(&self.h32);
-            steps
-        } else {
-            out.extend_from_slice(&self.h32[(steps - 1) * bh..]);
-            1
-        }
+        (emit(h, bh, self.return_sequences, out), h_dim)
     }
 }
 
-impl GruSnap {
+impl<L: Lane> GruSnap<L> {
     /// Batched projections + per-step recurrence, replaying the training
-    /// GRU forward expression-for-expression.
-    fn forward_f64(
-        &mut self,
-        input: &[f64],
+    /// GRU forward expression for expression.
+    fn forward(
+        &self,
+        input: &[L::Elem],
         steps: usize,
         batch: usize,
-        out: &mut Vec<f64>,
-    ) -> usize {
-        let (i_dim, h_dim) = (self.i_dim, self.h_dim);
+        scratch: &mut Vec<L::Elem>,
+        out: &mut Vec<L::Elem>,
+    ) -> (usize, usize) {
+        let h_dim = self.h_dim;
         let (bh, b2h) = (batch * h_dim, batch * 2 * h_dim);
-        self.preg.clear();
-        self.preg.resize(steps * b2h, 0.0);
-        self.cand.clear();
-        self.cand.resize(steps * bh, 0.0);
-        self.rh.clear();
-        self.rh.resize(bh, 0.0);
-        self.h.clear();
-        self.h.resize(steps * bh, 0.0);
-        let x_ref = MatRef::new(steps * batch, i_dim, input);
-        fastpath::matmul_into_blocked(
-            x_ref,
-            &self.wgx,
-            MatMut::new(steps * batch, 2 * h_dim, &mut self.preg),
-        );
-        fastpath::matmul_into_blocked(
-            x_ref,
-            &self.wcx,
-            MatMut::new(steps * batch, h_dim, &mut self.cand),
-        );
-        let zeros = vec![0.0; bh];
+        // Gate and candidate pre-activations for every step, `r ⊙ h_{t-1}`,
+        // and the hidden states laid out as in the LSTM.
+        zeroed(scratch, steps * (b2h + bh) + bh + (steps + 1) * bh);
+        let (preg, rest) = scratch.split_at_mut(steps * b2h);
+        let (cand, rest) = rest.split_at_mut(steps * bh);
+        let (rh, h) = rest.split_at_mut(bh);
+        L::matmul_into(input, steps * batch, &self.gates.wx, preg);
+        L::matmul_into(input, steps * batch, &self.cand.wx, cand);
+        let one = L::from_f64(1.0);
         for t in 0..steps {
-            let (h_done, h_rest) = self.h.split_at_mut(t * bh);
-            let h_prev = if t == 0 {
-                &zeros[..]
-            } else {
-                &h_done[(t - 1) * bh..]
-            };
-            let preg_t = &mut self.preg[t * b2h..(t + 1) * b2h];
-            fastpath::matmul_acc_into_blocked(
-                MatRef::new(batch, h_dim, h_prev),
-                &self.wgh,
-                MatMut::new(batch, 2 * h_dim, preg_t),
-            );
-            kernels::add_row_broadcast_into(MatMut::new(batch, 2 * h_dim, preg_t), self.bg.view());
-            #[cfg(not(feature = "fastmath"))]
-            for r in 0..batch {
-                let gates = &mut preg_t[r * 2 * h_dim..(r + 1) * 2 * h_dim];
-                for j in 0..h_dim {
-                    let idx = r * h_dim + j;
-                    let z_v = stable_sigmoid(gates[j]);
-                    let r_v = stable_sigmoid(gates[h_dim + j]);
-                    gates[j] = z_v;
-                    gates[h_dim + j] = r_v;
-                    self.rh[idx] = r_v * h_prev[idx];
-                }
-            }
-            #[cfg(feature = "fastmath")]
-            for r in 0..batch {
-                let gates = &mut preg_t[r * 2 * h_dim..(r + 1) * 2 * h_dim];
-                vmath::sigmoid_f64(gates);
-                let gr = &gates[h_dim..];
-                let row = r * h_dim..(r + 1) * h_dim;
-                for ((rh, &rv), &hp) in self.rh[row.clone()].iter_mut().zip(gr).zip(&h_prev[row]) {
+            let (h_prev, h_t) = h[t * bh..(t + 2) * bh].split_at_mut(bh);
+            let preg_t = &mut preg[t * b2h..(t + 1) * b2h];
+            L::matmul_acc_into(h_prev, batch, &self.gates.wh, preg_t);
+            let rows = preg_t
+                .chunks_exact_mut(2 * h_dim)
+                .zip(rh.chunks_exact_mut(h_dim))
+                .zip(h_prev.chunks_exact(h_dim));
+            for ((gates, rh), hp) in rows {
+                add_bias(gates, &self.gates.b);
+                L::sigmoid(gates);
+                for ((rh, &rv), &hp) in rh.iter_mut().zip(&gates[h_dim..]).zip(hp) {
                     *rh = rv * hp;
                 }
             }
-            let cand_t = &mut self.cand[t * bh..(t + 1) * bh];
-            fastpath::matmul_acc_into_blocked(
-                MatRef::new(batch, h_dim, &self.rh),
-                &self.wch,
-                MatMut::new(batch, h_dim, cand_t),
-            );
-            kernels::add_row_broadcast_into(MatMut::new(batch, h_dim, cand_t), self.bc.view());
-            let preg_t = &self.preg[t * b2h..(t + 1) * b2h];
-            let h_t = &mut h_rest[..bh];
-            #[cfg(not(feature = "fastmath"))]
-            for r in 0..batch {
-                let gates = &preg_t[r * 2 * h_dim..(r + 1) * 2 * h_dim];
-                let row = r * h_dim..(r + 1) * h_dim;
-                let it = gates[..h_dim]
-                    .iter()
-                    .zip(&mut cand_t[row.clone()])
-                    .zip(&h_prev[row.clone()])
-                    .zip(&mut h_t[row]);
-                for (((&z_v, ct), &hp), ht) in it {
-                    let ht_v = ct.tanh();
-                    *ct = ht_v;
-                    *ht = (hp * (1.0 - z_v)) + (ht_v * z_v);
-                }
-            }
-            #[cfg(feature = "fastmath")]
-            for r in 0..batch {
-                let gz = &preg_t[r * 2 * h_dim..r * 2 * h_dim + h_dim];
-                let row = r * h_dim..(r + 1) * h_dim;
-                let ct = &mut cand_t[row.clone()];
-                vmath::tanh_f64(ct);
-                let it = gz
-                    .iter()
-                    .zip(ct.iter())
-                    .zip(&h_prev[row.clone()])
-                    .zip(&mut h_t[row]);
+            let cand_t = &mut cand[t * bh..(t + 1) * bh];
+            L::matmul_acc_into(rh, batch, &self.cand.wh, cand_t);
+            let rows = preg_t
+                .chunks_exact(2 * h_dim)
+                .zip(cand_t.chunks_exact_mut(h_dim))
+                .zip(h_prev.chunks_exact(h_dim))
+                .zip(h_t.chunks_exact_mut(h_dim));
+            for (((gates, ct), hp), ht) in rows {
+                add_bias(ct, &self.cand.b);
+                L::tanh(ct);
+                let it = gates[..h_dim].iter().zip(ct.iter()).zip(hp).zip(ht);
                 for (((&z_v, &ht_v), &hp), ht) in it {
-                    *ht = (hp * (1.0 - z_v)) + (ht_v * z_v);
+                    *ht = (hp * (one - z_v)) + (ht_v * z_v);
                 }
             }
         }
-        out.clear();
-        if self.return_sequences {
-            out.extend_from_slice(&self.h);
-            steps
-        } else {
-            out.extend_from_slice(&self.h[(steps - 1) * bh..]);
-            1
-        }
-    }
-
-    fn forward_q8(
-        &mut self,
-        input: &[f32],
-        steps: usize,
-        batch: usize,
-        out: &mut Vec<f32>,
-    ) -> usize {
-        let (i_dim, h_dim) = (self.i_dim, self.h_dim);
-        let (bh, b2h) = (batch * h_dim, batch * 2 * h_dim);
-        self.preg32.clear();
-        self.preg32.resize(steps * b2h, 0.0);
-        self.cand32.clear();
-        self.cand32.resize(steps * bh, 0.0);
-        self.rh32.clear();
-        self.rh32.resize(bh, 0.0);
-        self.h32.clear();
-        self.h32.resize(steps * bh, 0.0);
-        debug_assert_eq!(input.len(), steps * batch * i_dim);
-        fastpath::matmul_q8_into(input, steps * batch, &self.qwgx, &mut self.preg32);
-        fastpath::matmul_q8_into(input, steps * batch, &self.qwcx, &mut self.cand32);
-        let zeros = vec![0.0f32; bh];
-        for t in 0..steps {
-            let (h_done, h_rest) = self.h32.split_at_mut(t * bh);
-            let h_prev = if t == 0 {
-                &zeros[..]
-            } else {
-                &h_done[(t - 1) * bh..]
-            };
-            let preg_t = &mut self.preg32[t * b2h..(t + 1) * b2h];
-            fastpath::matmul_q8_acc_into(h_prev, batch, &self.qwgh, preg_t);
-            for r in 0..batch {
-                let gates = &mut preg_t[r * 2 * h_dim..(r + 1) * 2 * h_dim];
-                for (g, &b) in gates.iter_mut().zip(&self.qbg) {
-                    *g += b;
-                }
-                vmath::sigmoid_f32(gates);
-                let gr = &gates[h_dim..];
-                let row = r * h_dim..(r + 1) * h_dim;
-                for ((rh, &rv), &hp) in self.rh32[row.clone()].iter_mut().zip(gr).zip(&h_prev[row])
-                {
-                    *rh = rv * hp;
-                }
-            }
-            let cand_t = &mut self.cand32[t * bh..(t + 1) * bh];
-            fastpath::matmul_q8_acc_into(&self.rh32, batch, &self.qwch, cand_t);
-            let preg_t = &self.preg32[t * b2h..(t + 1) * b2h];
-            let h_t = &mut h_rest[..bh];
-            for r in 0..batch {
-                let gz = &preg_t[r * 2 * h_dim..r * 2 * h_dim + h_dim];
-                let row = r * h_dim..(r + 1) * h_dim;
-                let ct = &mut cand_t[row.clone()];
-                for (c, &b) in ct.iter_mut().zip(&self.qbc) {
-                    *c += b;
-                }
-                vmath::tanh_f32(ct);
-                let it = gz
-                    .iter()
-                    .zip(ct.iter())
-                    .zip(&h_prev[row.clone()])
-                    .zip(&mut h_t[row]);
-                for (((&z_v, &ht_v), &hp), ht) in it {
-                    *ht = (hp * (1.0 - z_v)) + (ht_v * z_v);
-                }
-            }
-        }
-        out.clear();
-        if self.return_sequences {
-            out.extend_from_slice(&self.h32);
-            steps
-        } else {
-            out.extend_from_slice(&self.h32[(steps - 1) * bh..]);
-            1
-        }
+        (emit(h, bh, self.return_sequences, out), h_dim)
     }
 }
 
@@ -1012,21 +752,9 @@ mod tests {
     }
 
     #[test]
-    fn warm_forward_reallocates_nothing() {
-        let model = autoencoder();
-        let mut frozen = InferenceModel::freeze(&model, Precision::F64).unwrap();
-        let samples: Vec<Matrix> = (0..5).map(|s| window(s, 6)).collect();
-        let windows = flat(&samples);
-        let mut out = Vec::new();
-        for _ in 0..2 {
-            frozen.forward_batch_into(&windows, 5, &mut out);
-        }
-        let before = evfad_tensor::alloc_stats();
-        frozen.forward_batch_into(&windows, 5, &mut out);
-        let after = evfad_tensor::alloc_stats().since(&before);
-        assert_eq!(
-            after.matrices, 0,
-            "warm batched forward allocated: {after:?}"
-        );
+    fn f64_snapshot_holds_no_int8_lane() {
+        let frozen = InferenceModel::freeze(&autoencoder(), Precision::F64).unwrap();
+        assert_eq!(frozen.precision(), Precision::F64);
+        assert_eq!(frozen.quantized_bytes(), 0);
     }
 }

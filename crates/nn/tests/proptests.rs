@@ -165,6 +165,33 @@ proptest! {
             prop_assert_eq!(bin.seq().step(t).as_slice(), reference.step(t).as_slice());
         }
     }
+
+    /// `predict_into`'s flat buffer holds exactly the allocating marshal's
+    /// outputs, sample-major — below, at and across the 256-window eval
+    /// chunk. The oracle is the pre-arena `predict`: `from_samples`, boxed
+    /// forward outputs, `to_samples` clones.
+    #[test]
+    fn predict_into_matches_allocating_predict(
+        arch in 0usize..4,
+        seed in 0u64..100,
+        n_raw in 0usize..9,
+        data in prop::collection::vec(-1.0f64..1.0, 5 * 259),
+    ) {
+        let time = 5;
+        let n = if n_raw < 5 { n_raw + 1 } else { 250 + n_raw };
+        let mut model = stack(arch, 4, 2, time, seed);
+        let inputs = batch_of_windows(&data, n, time);
+        let mut reference = Vec::new();
+        for chunk in inputs.chunks(256) {
+            reference.extend(model.forward(&Seq::from_samples(chunk), false).to_samples());
+        }
+        let mut got = Vec::new();
+        let (t_out, f_out) = model.predict_into(&inputs, &mut got);
+        prop_assert_eq!(got.len(), n * t_out * f_out);
+        for (r, g) in reference.iter().zip(got.chunks_exact(t_out * f_out)) {
+            prop_assert_eq!(r.as_slice(), g);
+        }
+    }
 }
 
 /// Builds one of four serving-relevant layer stacks (dense-only,
@@ -271,5 +298,61 @@ proptest! {
                 e
             );
         }
+    }
+}
+
+/// FNV-1a over the output bit patterns.
+fn checksum(values: &[f64]) -> u64 {
+    values.iter().fold(0xcbf2_9ce4_8422_2325, |h, v| {
+        v.to_bits()
+            .to_le_bytes()
+            .iter()
+            .fold(h, |h, &b| (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3))
+    })
+}
+
+/// Both serving lanes against checksums recorded at the commit before the
+/// lane-generic forward replaced the per-lane copies: the LSTM autoencoder
+/// and a GRU → Dense(tanh) stack at batch 1, 5 and 32 (edge tile only, band
+/// plus edge, full bands of the GEMM micro-kernels). The f64 literals pin
+/// the default build only; `fastmath` swaps that lane's activations.
+#[test]
+fn frozen_lanes_reproduce_the_recorded_literals() {
+    const TIME: usize = 6;
+    let autoencoder = Sequential::new(7)
+        .with(Lstm::new(1, 8, true))
+        .with(Dropout::new(0.2))
+        .with(Lstm::new(8, 4, false))
+        .with(RepeatVector::new(TIME))
+        .with(Lstm::new(4, 8, true))
+        .with(Dense::new(8, 1, Activation::Linear));
+    let gru = Sequential::new(9)
+        .with(Gru::new(1, 6, true))
+        .with(Gru::new(6, 3, false))
+        .with(Dense::new(3, 2, Activation::Tanh));
+    #[rustfmt::skip]
+    let recorded: [(&Sequential, Precision, [u64; 3]); 4] = [
+        (&autoencoder, Precision::F64, [0x6476d4e8022c3c22, 0x3daa1c19c1ed7bc9, 0x7e61dd591d1d7131]),
+        (&autoencoder, Precision::Int8, [0xda799df9460c8ebe, 0xc42b8d3f727ac055, 0xdcf9337125610536]),
+        (&gru, Precision::F64, [0xf8970bcf285ba1d8, 0x2c5c672b4bcac73e, 0x2a64c6d7c6201f98]),
+        (&gru, Precision::Int8, [0xc7788828d37e67be, 0xadb3663eae96b1d9, 0x094b4ce3eeddd7dd]),
+    ];
+    for (model, precision, want) in recorded {
+        if precision == Precision::F64 && cfg!(feature = "fastmath") {
+            continue;
+        }
+        let mut frozen = InferenceModel::freeze(model, precision).expect("freeze");
+        let got = [1usize, 5, 32].map(|batch| {
+            let windows: Vec<f64> = (0..batch * TIME)
+                .map(|i| 0.5 + 0.4 * (i as f64 * 0.37).sin())
+                .collect();
+            let mut out = Vec::new();
+            frozen.forward_batch_into(&windows, batch, &mut out);
+            checksum(&out)
+        });
+        assert_eq!(
+            got, want,
+            "{precision:?} lane moved: got {got:#018x?}, recorded {want:#018x?}"
+        );
     }
 }

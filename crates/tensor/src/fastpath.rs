@@ -16,8 +16,9 @@
 //!   exactly that).
 //! - The int8 lane is *always* approximate and therefore never routed
 //!   implicitly: callers opt in per model snapshot
-//!   (`evfad_nn::infer::Precision::Int8`), and the bench gates assert its
-//!   end-to-end error bounds.
+//!   (`evfad_nn::infer::Precision::Int8`, which then packs
+//!   [`QuantizedPanel`]s only — an f64 snapshot holds [`PackedB`]s only),
+//!   and the bench gates assert its end-to-end error bounds.
 //!
 //! # What reassociation still buys
 //!
@@ -145,9 +146,10 @@ impl PackedB {
 /// closure on purpose: routing every element through an `FnMut(i, j, v)`
 /// costs the micro-kernel about 3× (measured on the serving shapes — the
 /// abstraction blocks the writeback from vectorizing and drags the
-/// surrounding tile code with it). Fused consumers run a separate
-/// `O(m·n)` pass over the output instead, which is noise next to the
-/// `O(m·k·n)` product.
+/// surrounding tile code with it). A consumer that wants bias and
+/// activation (`evfad_nn::infer`'s dense forward) runs its own `O(m·n)`
+/// pass over the output, which is noise next to the `O(m·k·n)` product —
+/// so there is no fused entry point here.
 #[cfg(feature = "fastmath")]
 #[inline]
 fn blocked_store<const ACC: bool>(a: MatRef<'_>, b: &PackedB, dst: &mut [f64]) {
@@ -253,54 +255,6 @@ pub fn matmul_acc_into_blocked(a: MatRef<'_>, b: &PackedB, out: MatMut<'_>) {
         assert_eq!(out.rows(), a.rows(), "blocked matmul output rows");
         assert_eq!(out.cols(), b.n, "blocked matmul output cols");
         blocked_store::<true>(a, b, out.as_mut_slice());
-    }
-}
-
-/// Fused `out = act(a · b + bias)`: one call produces the activated
-/// output — the blocked product lands first, then a single `O(m·n)` pass
-/// applies the row bias and activation in place (cheap next to the
-/// product, and it keeps the micro-kernel closure-free).
-///
-/// Without `fastmath` this replays the exact three-kernel sequence
-/// (`matmul_into`, `add_row_broadcast_into`, elementwise `act`) that the
-/// training-path dense layer runs — bitwise identical to it.
-pub fn matmul_bias_act_into_blocked(
-    a: MatRef<'_>,
-    b: &PackedB,
-    bias: MatRef<'_>,
-    act: impl Fn(f64) -> f64,
-    mut out: MatMut<'_>,
-) {
-    assert_eq!(bias.rows(), 1, "bias must be a row vector");
-    assert_eq!(bias.cols(), b.n, "bias width");
-    #[cfg(not(feature = "fastmath"))]
-    {
-        crate::kernels::matmul_into(
-            a,
-            b.orig_view(),
-            MatMut::new(out.rows(), out.cols(), out.as_mut_slice()),
-        );
-        crate::kernels::add_row_broadcast_into(
-            MatMut::new(a.rows(), b.n, out.as_mut_slice()),
-            bias,
-        );
-        for v in out.as_mut_slice() {
-            *v = act(*v);
-        }
-    }
-    #[cfg(feature = "fastmath")]
-    {
-        assert_eq!(out.rows(), a.rows(), "blocked matmul output rows");
-        assert_eq!(out.cols(), b.n, "blocked matmul output cols");
-        let n = b.n;
-        let bias = bias.as_slice();
-        let dst = out.as_mut_slice();
-        blocked_store::<false>(a, b, dst);
-        for row in dst.chunks_exact_mut(n) {
-            for (v, &bv) in row.iter_mut().zip(bias) {
-                *v = act(*v + bv);
-            }
-        }
     }
 }
 
@@ -502,26 +456,6 @@ pub fn matmul_q8_acc_into(a: &[f32], rows: usize, b: &QuantizedPanel, out: &mut 
     q8_store::<true>(a, rows, b, out);
 }
 
-/// Fused `out = act(a · dequant(b) + bias)`, f32 accumulate; `bias` has
-/// length `b.n()`.
-pub fn matmul_q8_bias_act_into(
-    a: &[f32],
-    rows: usize,
-    b: &QuantizedPanel,
-    bias: &[f32],
-    act: impl Fn(f32) -> f32,
-    out: &mut [f32],
-) {
-    assert_eq!(bias.len(), b.n, "int8 bias width");
-    let n = b.n;
-    q8_store::<false>(a, rows, b, out);
-    for row in out.chunks_exact_mut(n) {
-        for (v, &bv) in row.iter_mut().zip(bias) {
-            *v = act(*v + bv);
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -600,31 +534,6 @@ mod tests {
     }
 
     #[test]
-    fn fused_bias_act_matches_unfused_sequence() {
-        let a = mat(5, 11, |i, j| ((i * 7 + j) % 13) as f64 * 0.07 - 0.4);
-        let b = mat(11, 4, |i, j| ((i + 2 * j) % 9) as f64 * 0.06 - 0.2);
-        let bias = mat(1, 4, |_, j| j as f64 * 0.25 - 0.5);
-        let p = PackedB::pack(b.view());
-        let mut fused = vec![0.0; 5 * 4];
-        matmul_bias_act_into_blocked(
-            a.view(),
-            &p,
-            bias.view(),
-            |x| x.max(0.0),
-            MatMut::new(5, 4, &mut fused),
-        );
-        let mut manual = vec![0.0; 5 * 4];
-        matmul_into_blocked(a.view(), &p, MatMut::new(5, 4, &mut manual));
-        crate::kernels::add_row_broadcast_into(MatMut::new(5, 4, &mut manual), bias.view());
-        for v in &mut manual {
-            *v = v.max(0.0);
-        }
-        for (x, y) in fused.iter().zip(&manual) {
-            assert!((x - y).abs() < 1e-12);
-        }
-    }
-
-    #[test]
     fn int8_matmul_error_is_bounded_by_weight_quantization() {
         let a = mat(6, 40, |i, j| ((i * 17 + j * 5) % 21) as f64 * 0.04 - 0.4);
         let b = mat(40, 8, |i, j| ((i * 11 + j * 13) % 29) as f64 * 0.02 - 0.28);
@@ -669,7 +578,7 @@ mod tests {
     }
 
     #[test]
-    fn int8_acc_and_fused_variants_agree_with_plain() {
+    fn int8_acc_agrees_with_plain() {
         let a = mat(3, 10, |i, j| (i + j) as f64 * 0.09 - 0.3);
         let b = mat(10, 5, |i, j| (2 * i + j) as f64 * 0.03 - 0.2);
         let q = QuantizedPanel::quantize(b.view());
@@ -678,12 +587,8 @@ mod tests {
         matmul_q8_into(&a32, 3, &q, &mut plain);
         let mut acc = vec![0.5f32; 15];
         matmul_q8_acc_into(&a32, 3, &q, &mut acc);
-        let bias = vec![0.5f32; 5];
-        let mut fused = vec![0.0f32; 15];
-        matmul_q8_bias_act_into(&a32, 3, &q, &bias, |x| x, &mut fused);
-        for ((&p, &ac), &f) in plain.iter().zip(&acc).zip(&fused) {
+        for (&p, &ac) in plain.iter().zip(&acc) {
             assert!((ac - (p + 0.5)).abs() < 1e-5);
-            assert!((f - (p + 0.5)).abs() < 1e-5);
         }
     }
 

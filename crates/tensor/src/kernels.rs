@@ -48,7 +48,7 @@
 //! successive updates, taken only when all four multipliers are nonzero)
 //! and the reference skip loop, which keep the skip's observable effects
 //! (`-0.0` signs, `0·inf`, `0·NaN`). Skipping term by term inside the tile
-//! was measured and is the wrong trade (DESIGN.md §6c).
+//! was measured and is the wrong trade (DESIGN.md §6b, notes).
 //!
 //! [`transpose_matmul_acc_into`] stages the group's four columns of `a` as
 //! rows in a fixed stack buffer, 128 `k` steps at a time, and runs the

@@ -110,8 +110,9 @@ pub fn tanh_f32(xs: &mut [f32]) {
     }
 }
 
-/// Scalar f32 `tanh` (the slice kernel applied to one value) — for fused
-/// epilogues that cannot batch, where libm's `tanhf` would dominate.
+/// Scalar f32 `tanh` (the slice kernel applied to one value) — for
+/// per-element epilogues such as the int8 lane's dense activation, where
+/// libm's `tanhf` would dominate.
 #[inline]
 pub fn tanh1_f32(x: f32) -> f32 {
     let mut v = [x];
