@@ -27,10 +27,10 @@
 //! by per-worker snapshot clones on the deterministic
 //! [`parallel`](evfad_tensor::parallel) pool. Because every kernel row
 //! depends only on its own window, chunking — and therefore the thread
-//! count — cannot change any tenant's bits; with the default build's
-//! `F64` lane the service is **bitwise-identical** to running one
-//! `OnlineDetector` per tenant (pinned in tier-1 tests). The `Int8` lane
-//! trades that identity for throughput.
+//! count — cannot change any tenant's bits; with the `F64` lane the
+//! service is **bitwise-identical** to running one `OnlineDetector` per
+//! tenant (pinned in tier-1 tests). The `Int8` lane trades that identity
+//! for throughput.
 //!
 //! # Quarantine
 //!
@@ -449,12 +449,8 @@ mod tests {
             .collect();
         assert_eq!(scored.len(), expected.len());
         for (s, e) in scored.iter().zip(&expected) {
-            if cfg!(feature = "fastmath") {
-                assert!((s.score - e.score).abs() < 1e-9);
-            } else {
-                assert_eq!(s.score.to_bits(), e.score.to_bits());
-                assert_eq!(s.admitted.to_bits(), e.admitted.to_bits());
-            }
+            assert_eq!(s.score.to_bits(), e.score.to_bits());
+            assert_eq!(s.admitted.to_bits(), e.admitted.to_bits());
             assert_eq!(s.anomalous, e.anomalous);
         }
     }
@@ -496,11 +492,7 @@ mod tests {
                 let expected = reference.push_all(s);
                 assert_eq!(got[t].len(), expected.len(), "tenant {t}");
                 for (g, e) in got[t].iter().zip(&expected) {
-                    if cfg!(feature = "fastmath") {
-                        assert!((g.score - e.score).abs() < 1e-9);
-                    } else {
-                        assert_eq!(g.score.to_bits(), e.score.to_bits(), "tenant {t}");
-                    }
+                    assert_eq!(g.score.to_bits(), e.score.to_bits(), "tenant {t}");
                     assert_eq!(g.anomalous, e.anomalous, "tenant {t}");
                 }
             }

@@ -1,10 +1,8 @@
 //! Tier-1 exactness gate for the serving path.
 //!
 //! The frozen `InferenceModel`'s f64 lane must reproduce
-//! `AnomalyFilter::score` **bitwise** on a default (non-`fastmath`) build:
-//! same autoencoder, same windows, same squared-error arithmetic. Under
-//! `fastmath` the blocked kernels may reassociate GEMM sums, so the gate
-//! relaxes to a tight tolerance.
+//! `AnomalyFilter::score` **bitwise**: same autoencoder, same windows, same
+//! kernels and activations, same squared-error arithmetic.
 
 use evfad_anomaly::{AnomalyFilter, FilterConfig};
 use evfad_nn::infer::{InferenceModel, Precision};
@@ -45,18 +43,11 @@ fn frozen_f64_lane_matches_filter_score_bitwise() {
         let exact = scores[SEQ_LEN - 1];
         let err = recon[w * SEQ_LEN + (SEQ_LEN - 1)] - window[SEQ_LEN - 1];
         let served = err * err;
-        if cfg!(feature = "fastmath") {
-            assert!(
-                (served - exact).abs() < 1e-9,
-                "window {w}: fastmath drift {served} vs {exact}"
-            );
-        } else {
-            assert_eq!(
-                served.to_bits(),
-                exact.to_bits(),
-                "window {w}: serving path broke bitwise identity: {served} vs {exact}"
-            );
-        }
+        assert_eq!(
+            served.to_bits(),
+            exact.to_bits(),
+            "window {w}: serving path broke bitwise identity: {served} vs {exact}"
+        );
     }
 }
 

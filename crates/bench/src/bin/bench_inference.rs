@@ -15,20 +15,21 @@
 //! Accuracy is gated, not hoped for: every run measures the max absolute
 //! score delta and the decision-flip rate of each fast lane against the
 //! exact scores (threshold = the filter's fitted boundary on the paper
-//! generator's data) and asserts the documented bounds — on a default
-//! (non-`fastmath`) build the blocked-f64 lane must be **bitwise
-//! identical** (zero delta, zero flips); under `fastmath` it must stay
-//! within 1e-6 with at most 1 % flips; the int8 lane must stay within
-//! 0.05 with at most 2 % flips on either build.
+//! generator's data) and asserts the documented bounds — the blocked-f64
+//! lane must be **bitwise identical** (zero delta, zero flips); the int8
+//! lane must stay within 0.05 with at most 2 % flips.
 //!
 //! Usage: `cargo run --release --bin bench_inference [output-path] [--smoke]`
 //!
 //! `--smoke` runs a tiny model with few repetitions and skips the JSON
-//! dump — the CI gate for the exactness/accuracy contract above. The
-//! committed `BENCH_inference.json` is produced with `--features
-//! fastmath` (the serving build), whose full mode additionally gates the
-//! headline speedups: blocked-f64 ≥ 1.5×, int8 ≥ 2× windows/sec over
-//! scalar-exact, single-threaded, on the paper's LSTM(50) autoencoder.
+//! dump — the CI gate for the exactness/accuracy contract above. Full
+//! mode additionally gates the single-thread speedups over scalar-exact
+//! on the paper's LSTM(50) autoencoder: blocked-f64 ≥ 0.9× (no material
+//! regression), int8 ≥ 1.2× windows/sec. All three paths share one σ/tanh,
+//! so what the floors measure is batching — many windows per GEMM and per
+//! activation pass against one window at a time — and they sit under the
+//! lowest of the readings listed in EXPERIMENTS.md, which span 1.01–1.97×
+//! and 1.34–2.65× on a shared two-CPU host.
 
 use evfad_core::anomaly::{AnomalyFilter, FilterConfig};
 use evfad_core::data::{DatasetConfig, ShenzhenGenerator, Zone};
@@ -137,7 +138,6 @@ fn main() {
         .find(|a| !a.starts_with("--"))
         .cloned()
         .unwrap_or_else(|| "BENCH_inference.json".to_string());
-    let fastmath = cfg!(feature = "fastmath");
 
     // Paper generator data, scaled 0..1 as the paper's pipeline does.
     let (seq_len, units, train_len, eval_len, reps, thread_counts): (
@@ -168,7 +168,7 @@ fn main() {
         ..FilterConfig::paper(7)
     };
     println!(
-        "inference bench: {} (fastmath={fastmath}, seq_len={seq_len}, units={units:?}, reps={reps})",
+        "inference bench: {} (seq_len={seq_len}, units={units:?}, reps={reps})",
         if smoke { "smoke" } else { "full" }
     );
     let fit_start = Instant::now();
@@ -257,26 +257,13 @@ fn main() {
         );
     }
 
-    // Accuracy gates (every build, every mode).
+    // Accuracy gates (every mode).
     for r in rows.iter().filter(|r| r.mode == "blocked_f64") {
-        if fastmath {
-            assert!(
-                r.max_score_delta < 1e-6,
-                "blocked-f64 drifted past 1e-6 under fastmath: {:.3e}",
-                r.max_score_delta
-            );
-            assert!(
-                r.flip_rate <= 0.01,
-                "blocked-f64 flipped >1% of decisions: {:.4}",
-                r.flip_rate
-            );
-        } else {
-            assert_eq!(
-                r.max_score_delta, 0.0,
-                "default build must be bitwise-identical to the exact path"
-            );
-            assert_eq!(r.flip_rate, 0.0, "default build flipped a decision");
-        }
+        assert_eq!(
+            r.max_score_delta, 0.0,
+            "blocked-f64 must be bitwise-identical to the exact path"
+        );
+        assert_eq!(r.flip_rate, 0.0, "blocked-f64 flipped a decision");
     }
     for r in rows.iter().filter(|r| r.mode == "int8") {
         assert!(
@@ -292,19 +279,11 @@ fn main() {
     }
 
     if smoke {
-        println!(
-            "smoke ok: serving lanes within bounds ({})",
-            if fastmath {
-                "fastmath accuracy gates"
-            } else {
-                "bitwise f64 gate + int8 bound"
-            }
-        );
+        println!("smoke ok: serving lanes within bounds (bitwise f64 gate + int8 bound)");
         return;
     }
 
-    // Headline speedup gates on the single-thread rows (full runs only —
-    // the committed JSON is produced by a fastmath build).
+    // Headline speedup gates on the single-thread rows (full runs only).
     let wps = |mode: &str| {
         rows.iter()
             .find(|r| r.mode == mode && r.threads == 1)
@@ -312,13 +291,13 @@ fn main() {
             .windows_per_sec
     };
     assert!(
-        wps("blocked_f64") >= 1.5 * exact_wps,
-        "blocked-f64 speedup below 1.5x: {:.2}",
+        wps("blocked_f64") >= 0.9 * exact_wps,
+        "blocked-f64 materially slower than scalar-exact: {:.2}x",
         wps("blocked_f64") / exact_wps
     );
     assert!(
-        wps("int8") >= 2.0 * exact_wps,
-        "int8 speedup below 2x: {:.2}",
+        wps("int8") >= 1.2 * exact_wps,
+        "int8 speedup below 1.2x: {:.2}",
         wps("int8") / exact_wps
     );
 
@@ -352,7 +331,6 @@ fn main() {
         concat!(
             "{{\n",
             "  \"bench\": \"inference\",\n",
-            "  \"fastmath\": {},\n",
             "  \"host_cpus\": {},\n",
             "  \"reps\": {},\n",
             "  \"seq_len\": {},\n",
@@ -361,7 +339,6 @@ fn main() {
             "  \"threshold\": {:.6},\n",
             "  \"lanes\": [\n{}\n  ]\n}}\n"
         ),
-        fastmath,
         host_cpus,
         reps,
         seq_len,

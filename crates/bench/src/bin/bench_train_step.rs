@@ -24,10 +24,14 @@ use std::time::Instant;
 // Baseline: the original allocating per-step layer algorithms.
 // ---------------------------------------------------------------------------
 
+// Both route to the crate's own activations — the functions the fused
+// layers apply as slice passes — so gate values match bitwise.
 fn sigmoid(x: f64) -> f64 {
-    // Routes to the crate's numerically stable sigmoid — the same function
-    // the layers use, so gate values match bitwise.
     Activation::Sigmoid.apply(x)
+}
+
+fn tanh(x: f64) -> f64 {
+    Activation::Tanh.apply(x)
 }
 
 struct BaseStepCache {
@@ -86,11 +90,11 @@ impl BaseLstm {
             let pre = z.matmul(&self.w).add_row_broadcast(&self.b);
             let i = pre.slice_cols(0..h_dim).map(sigmoid);
             let f = pre.slice_cols(h_dim..2 * h_dim).map(sigmoid);
-            let g = pre.slice_cols(2 * h_dim..3 * h_dim).map(f64::tanh);
+            let g = pre.slice_cols(2 * h_dim..3 * h_dim).map(tanh);
             let o = pre.slice_cols(3 * h_dim..4 * h_dim).map(sigmoid);
             let c_prev = c.clone();
             c = f.hadamard(&c_prev).zip_map(&i.hadamard(&g), |a, b| a + b);
-            let tanh_c = c.map(f64::tanh);
+            let tanh_c = c.map(tanh);
             h = o.hadamard(&tanh_c);
             if training {
                 self.cache.push(BaseStepCache {

@@ -1,5 +1,6 @@
 //! Pointwise activation functions.
 
+use evfad_tensor::vmath;
 use serde::{Deserialize, Serialize};
 
 /// Pointwise activation applied by [`Dense`](crate::Dense) layers.
@@ -25,9 +26,10 @@ pub enum Activation {
     Linear,
     /// Rectified linear unit `max(0, x)`.
     Relu,
-    /// Logistic sigmoid `1 / (1 + e^{-x})` (numerically stable form).
+    /// Logistic sigmoid `1 / (1 + e^{-x})`: [`vmath::sigmoid1_f64`], the
+    /// function the recurrent gates use. Positive for every finite input.
     Sigmoid,
-    /// Hyperbolic tangent.
+    /// Hyperbolic tangent: [`vmath::tanh1_f64`].
     Tanh,
 }
 
@@ -37,8 +39,8 @@ impl Activation {
         match self {
             Activation::Linear => x,
             Activation::Relu => x.max(0.0),
-            Activation::Sigmoid => stable_sigmoid(x),
-            Activation::Tanh => x.tanh(),
+            Activation::Sigmoid => vmath::sigmoid1_f64(x),
+            Activation::Tanh => vmath::tanh1_f64(x),
         }
     }
 
@@ -71,17 +73,6 @@ impl Activation {
     }
 }
 
-/// Numerically stable sigmoid that avoids overflow for large `|x|`.
-pub(crate) fn stable_sigmoid(x: f64) -> f64 {
-    if x >= 0.0 {
-        let e = (-x).exp();
-        1.0 / (1.0 + e)
-    } else {
-        let e = x.exp();
-        e / (1.0 + e)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -89,8 +80,12 @@ mod tests {
     #[test]
     fn sigmoid_is_stable_at_extremes() {
         assert_eq!(Activation::Sigmoid.apply(1e4), 1.0);
-        assert_eq!(Activation::Sigmoid.apply(-1e4), 0.0);
-        assert!(Activation::Sigmoid.apply(-745.0).is_finite());
+        // The kernel clamps at ±40: the low side saturates at σ(−40), it
+        // does not reach 0.
+        for x in [-1e4, -745.0, f64::NEG_INFINITY] {
+            let y = Activation::Sigmoid.apply(x);
+            assert!(y > 0.0 && y < 1e-17, "σ({x}) = {y}");
+        }
     }
 
     #[test]

@@ -22,16 +22,14 @@
 //!
 //! # Exactness contract
 //!
-//! The `F64` lane's GEMMs go through the blocked entry points of
-//! [`fastpath`], which without the `fastmath` cargo feature delegate to the
-//! exact [`kernels`](evfad_tensor::kernels); its activations are then the
-//! training path's own (`stable_sigmoid`, libm `tanh`), and each output row
-//! of every kernel depends only on its own input row. So **a default
-//! build's `forward_batch_into` is bitwise-identical to per-window
-//! [`Sequential::predict`]** (pinned by proptests and the tier-1 scoring
-//! gate). With `fastmath` the lane's
-//! `sigmoid`/`tanh` become the [`vmath`] polynomials and the GEMMs contract
-//! to FMA: *close* (~1e-15 per call), not identical.
+//! The `F64` lane's GEMMs go through the entry points of [`fastpath`],
+//! which run the exact [`kernels`](evfad_tensor::kernels) over the frozen
+//! operand; its activations are the training path's own — the [`vmath`]
+//! slice kernels, whose result for an element does not depend on where in
+//! a slice it sits — and each output row of every kernel depends only on
+//! its own input row. So **`forward_batch_into` is bitwise-identical to
+//! per-window [`Sequential::predict`]** (pinned by proptests and the
+//! tier-1 scoring gate).
 //!
 //! The `Int8` lane is always approximate: weights carry at most half a
 //! quantization step of error each (see [`quant`](evfad_tensor::quant)),
@@ -51,7 +49,7 @@ use std::ops::{Add, Mul, Sub};
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum Precision {
     /// f64 activations and accumulation; bitwise-exact versus the
-    /// training-path forward when `fastmath` is disabled.
+    /// training-path forward.
     #[default]
     F64,
     /// int8 weights (shared EVQ8 fold) with f32 activations and f32
@@ -109,18 +107,11 @@ impl Lane for F64 {
     }
 
     fn sigmoid(xs: &mut [f64]) {
-        #[cfg(feature = "fastmath")]
         vmath::sigmoid_f64(xs);
-        #[cfg(not(feature = "fastmath"))]
-        xs.iter_mut()
-            .for_each(|v| *v = crate::activation::stable_sigmoid(*v));
     }
 
     fn tanh(xs: &mut [f64]) {
-        #[cfg(feature = "fastmath")]
         vmath::tanh_f64(xs);
-        #[cfg(not(feature = "fastmath"))]
-        xs.iter_mut().for_each(|v| *v = v.tanh());
     }
 
     fn act(act: Activation, x: f64) -> f64 {
@@ -169,12 +160,7 @@ impl Lane for Q8 {
         match act {
             Activation::Linear => x,
             Activation::Relu => x.max(0.0),
-            // `f32` twin of the training path's stable sigmoid.
-            Activation::Sigmoid if x >= 0.0 => 1.0 / (1.0 + (-x).exp()),
-            Activation::Sigmoid => {
-                let e = x.exp();
-                e / (1.0 + e)
-            }
+            Activation::Sigmoid => vmath::sigmoid1_f32(x),
             Activation::Tanh => vmath::tanh1_f32(x),
         }
     }
@@ -335,7 +321,7 @@ enum LaneNet {
 /// let (steps, feat) = frozen.forward_batch_into(&windows, 3, &mut out);
 /// assert_eq!((steps, feat), (1, 1));
 /// assert_eq!(out.len(), 3);
-/// // Bitwise-identical to the per-window exact path (default build).
+/// // Bitwise-identical to the per-window exact path.
 /// let exact = model.predict(&[Matrix::column_vector(&[0.1, 0.2, 0.3, 0.4])]);
 /// assert_eq!(out[0].to_bits(), exact[0][(0, 0)].to_bits());
 /// ```
@@ -681,11 +667,7 @@ mod tests {
         let exact_flat = flat(&exact);
         assert_eq!(out.len(), exact_flat.len());
         for (a, b) in out.iter().zip(&exact_flat) {
-            if cfg!(feature = "fastmath") {
-                assert!((a - b).abs() < 1e-9, "{a} vs {b}");
-            } else {
-                assert_eq!(a.to_bits(), b.to_bits(), "{a} vs {b}");
-            }
+            assert_eq!(a.to_bits(), b.to_bits(), "{a} vs {b}");
         }
     }
 
@@ -719,11 +701,7 @@ mod tests {
         let (steps, feat) = frozen.forward_batch_into(&flat(&samples), 4, &mut out);
         assert_eq!((steps, feat), (1, 2));
         for (a, b) in out.iter().zip(flat(&exact).iter()) {
-            if cfg!(feature = "fastmath") {
-                assert!((a - b).abs() < 1e-9);
-            } else {
-                assert_eq!(a.to_bits(), b.to_bits());
-            }
+            assert_eq!(a.to_bits(), b.to_bits());
         }
     }
 

@@ -3,14 +3,14 @@
 //! Like [`Lstm`](crate::Lstm), the hot path is fused and workspace-backed:
 //! both input projections (`x W_gx`, `x W_cx`) are batched over all
 //! timesteps, the combined kernels are addressed through zero-copy row
-//! views, and the per-step state lives in reusable arena slots. All
-//! floating-point expressions reproduce the original allocating
-//! implementation bitwise.
+//! views, and the per-step state lives in reusable arena slots. Sums and
+//! products keep the order of the original allocating implementation; σ
+//! runs as one [`vmath`] slice pass over a step's gate block and tanh as
+//! one over its candidate block.
 
-use crate::activation::stable_sigmoid;
 use crate::seq::Seq;
 use crate::workspace::Workspace;
-use evfad_tensor::{kernels, Initializer, MatMut, MatRef, Matrix};
+use evfad_tensor::{kernels, vmath, Initializer, MatMut, MatRef, Matrix};
 use rand::Rng;
 use serde::{Deserialize, Serialize};
 
@@ -280,16 +280,14 @@ impl Gru {
                 MatMut::new(batch, 2 * h_dim, preg_t),
                 self.b_gates.view(),
             );
+            vmath::sigmoid_f64(preg_t);
             let rh_t = &mut rh_all[t * bh..(t + 1) * bh];
             for r in 0..batch {
-                let gates = &mut preg_t[r * 2 * h_dim..(r + 1) * 2 * h_dim];
-                for j in 0..h_dim {
-                    let idx = r * h_dim + j;
-                    let z_v = stable_sigmoid(gates[j]);
-                    let r_v = stable_sigmoid(gates[h_dim + j]);
-                    gates[j] = z_v;
-                    gates[h_dim + j] = r_v;
-                    rh_t[idx] = r_v * h_prev[idx];
+                let r_gate = &preg_t[(r * 2 + 1) * h_dim..(r + 1) * 2 * h_dim];
+                let row = r * h_dim..(r + 1) * h_dim;
+                for ((rh, &r_v), &hp) in rh_t[row.clone()].iter_mut().zip(r_gate).zip(&h_prev[row])
+                {
+                    *rh = r_v * hp;
                 }
             }
             let cand_t = &mut cand_all[t * bh..(t + 1) * bh];
@@ -299,6 +297,7 @@ impl Gru {
                 MatMut::new(batch, h_dim, cand_t),
             );
             kernels::add_row_broadcast_into(MatMut::new(batch, h_dim, cand_t), self.b_cand.view());
+            vmath::tanh_f64(cand_t);
             let preg_t = &preg_all[t * b2h..(t + 1) * b2h];
             let h_t = &mut h_rest[..bh];
             for r in 0..batch {
@@ -306,12 +305,10 @@ impl Gru {
                 let row = r * h_dim..(r + 1) * h_dim;
                 let it = gates[..h_dim]
                     .iter()
-                    .zip(&mut cand_t[row.clone()])
+                    .zip(&cand_t[row.clone()])
                     .zip(&h_prev[row.clone()])
                     .zip(&mut h_t[row]);
-                for (((&z_v, ct), &hp), ht) in it {
-                    let ht_v = ct.tanh();
-                    *ct = ht_v;
+                for (((&z_v, &ht_v), &hp), ht) in it {
                     // h' = (1 - z)∘h_prev + z∘h~
                     *ht = (hp * (1.0 - z_v)) + (ht_v * z_v);
                 }

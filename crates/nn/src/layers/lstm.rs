@@ -5,14 +5,14 @@
 //! [`Workspace`] arena, the input projection for every timestep is batched
 //! into one `(T*B) x 4H` GEMM, and the combined kernel is addressed through
 //! zero-copy `W_x`/`W_h` row views instead of per-step `hstack`. Every
-//! floating-point expression reproduces the original allocating
-//! implementation bitwise (see DESIGN.md §6 for the summation-order
-//! argument), so the golden fixture is unaffected.
+//! sum and product keeps the order of the original allocating
+//! implementation (see DESIGN.md §6 for the summation-order argument); the
+//! gate nonlinearities are [`vmath`]'s slice kernels, the workspace's one
+//! definition of σ and tanh, applied band by band to the in-place gates.
 
-use crate::activation::stable_sigmoid;
 use crate::seq::Seq;
 use crate::workspace::Workspace;
-use evfad_tensor::{kernels, Initializer, MatMut, MatRef, Matrix};
+use evfad_tensor::{kernels, vmath, Initializer, MatMut, MatRef, Matrix};
 use rand::Rng;
 use serde::{Deserialize, Serialize};
 
@@ -273,7 +273,8 @@ impl Lstm {
                 MatMut::new(batch, 4 * h_dim, pre_t),
             );
             kernels::add_row_broadcast_into(MatMut::new(batch, 4 * h_dim, pre_t), self.b.view());
-            // Fused gate nonlinearities + cell/hidden update, single pass.
+            // Gate nonlinearities as slice passes over each row's in-place
+            // bands, then the cell update.
             let (c_done, c_rest) = c_all.split_at_mut(t * bh);
             let c_prev = if t == 0 {
                 &zeros[..]
@@ -281,36 +282,32 @@ impl Lstm {
                 &c_done[(t - 1) * bh..]
             };
             let c_t = &mut c_rest[..bh];
-            let tanh_t = &mut tanh_all[t * bh..(t + 1) * bh];
-            let h_t = &mut h_rest[..bh];
             for r in 0..batch {
                 let gates = &mut pre_t[r * 4 * h_dim..(r + 1) * 4 * h_dim];
-                let (gi, rest) = gates.split_at_mut(h_dim);
-                let (gf, rest) = rest.split_at_mut(h_dim);
-                let (gg, go) = rest.split_at_mut(h_dim);
+                vmath::sigmoid_f64(&mut gates[..2 * h_dim]);
+                vmath::tanh_f64(&mut gates[2 * h_dim..3 * h_dim]);
+                vmath::sigmoid_f64(&mut gates[3 * h_dim..]);
                 let row = r * h_dim..(r + 1) * h_dim;
-                let it = gi
+                let it = c_t[row.clone()]
                     .iter_mut()
-                    .zip(gf.iter_mut())
-                    .zip(gg.iter_mut())
-                    .zip(go.iter_mut())
-                    .zip(&c_prev[row.clone()])
-                    .zip(&mut c_t[row.clone()])
-                    .zip(&mut tanh_t[row.clone()])
-                    .zip(&mut h_t[row]);
-                for (((((((iv, fv), gv), ov), &cp), ct), tt), ht) in it {
-                    let i_v = stable_sigmoid(*iv);
-                    let f_v = stable_sigmoid(*fv);
-                    let g_v = gv.tanh();
-                    let o_v = stable_sigmoid(*ov);
-                    *iv = i_v;
-                    *fv = f_v;
-                    *gv = g_v;
-                    *ov = o_v;
-                    let c_v = (f_v * cp) + (i_v * g_v);
-                    let tc = c_v.tanh();
-                    *ct = c_v;
-                    *tt = tc;
+                    .zip(&c_prev[row])
+                    .zip(&gates[..h_dim])
+                    .zip(&gates[h_dim..2 * h_dim])
+                    .zip(&gates[2 * h_dim..3 * h_dim]);
+                for ((((ct, &cp), &i_v), &f_v), &g_v) in it {
+                    *ct = (f_v * cp) + (i_v * g_v);
+                }
+            }
+            // tanh(c) for the whole step, in the slot backward reads it
+            // from; then h = o ∘ tanh(c).
+            let tanh_t = &mut tanh_all[t * bh..(t + 1) * bh];
+            tanh_t.copy_from_slice(c_t);
+            vmath::tanh_f64(tanh_t);
+            let h_t = &mut h_rest[..bh];
+            for r in 0..batch {
+                let go = &pre_t[(r * 4 + 3) * h_dim..(r + 1) * 4 * h_dim];
+                let row = r * h_dim..(r + 1) * h_dim;
+                for ((ht, &o_v), &tc) in h_t[row.clone()].iter_mut().zip(go).zip(&tanh_t[row]) {
                     *ht = o_v * tc;
                 }
             }

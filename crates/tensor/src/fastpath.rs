@@ -1,46 +1,19 @@
-//! Throughput-grade inference kernels: blocked/packed GEMM and an int8 lane.
+//! Serving-side GEMM operands: the frozen f64 operand and the int8 lane.
 //!
 //! Everything in [`kernels`](crate::kernels) is bitwise-pinned: training,
 //! the golden fixture, and the federation all depend on one exact
-//! summation order. Inference has no such obligation — a served score only
-//! has to be *close enough*, and the serving tier would rather have the
-//! throughput. This module is the first compute path in the workspace that
-//! is allowed to reorder floating-point arithmetic, and it is fenced off
-//! two ways:
+//! summation order. A frozen inference snapshot multiplies by the same
+//! weights millions of times, so it holds them in a form made once:
 //!
-//! - The f64 blocked kernels only reassociate when the **`fastmath`**
-//!   cargo feature is enabled. With the feature off every entry point
-//!   delegates to the exact [`kernels`](crate::kernels) implementations,
-//!   bitwise — so a default build can route inference through this module
-//!   and still match the training-path numbers to the last bit (CI asserts
-//!   exactly that).
+//! - [`PackedB`] owns one row-major f64 operand, and
+//!   [`matmul_into_blocked`] / [`matmul_acc_into_blocked`] run the exact
+//!   register-tiled [`kernels`](crate::kernels) over it — the f64 serving
+//!   lane is the training arithmetic, bit for bit.
 //! - The int8 lane is *always* approximate and therefore never routed
 //!   implicitly: callers opt in per model snapshot
 //!   (`evfad_nn::infer::Precision::Int8`, which then packs
 //!   [`QuantizedPanel`]s only — an f64 snapshot holds [`PackedB`]s only),
 //!   and the bench gates assert its end-to-end error bounds.
-//!
-//! # What reassociation still buys
-//!
-//! The exact kernel produces each output element through one
-//! ascending-`k` chain of separately rounded multiplies and adds. Since
-//! the register tile of [`kernels`](crate::kernels) it keeps a 4 × 16
-//! output tile in registers across the whole `k` loop too — that much
-//! never needed reassociation, only a loop nest that finishes an element
-//! before leaving it. The blocked kernel here is the same classic
-//! `MR × NR` (4 × 8) micro-kernel with two things the exact path may not
-//! have: explicit `mul_add` contraction (Rust never fuses `a*b + c`
-//! implicitly, so the bitwise kernels pay separate multiply and add issue
-//! slots — the fused form rounds differently and is therefore fenced in
-//! here), and a `B` operand packed once per model snapshot into
-//! `NR`-wide column panels (the accelerator guides' shared-memory tiling
-//! pattern, on the L1 instead of an SRAM tile), so the inner loop reads
-//! one contiguous `NR`-vector per `k` step instead of a strided row —
-//! worth it precisely because an inference snapshot packs its weights
-//! once and reuses them for millions of windows. The result differs from
-//! the exact chain by one rounding per term instead of two — and, in the
-//! accumulating form, by adding the finished product to `out` rather than
-//! continuing `out`'s own chain — with the usual `O(k·eps·|a|·|b|)` bound.
 //!
 //! # The int8 lane
 //!
@@ -55,219 +28,83 @@
 //!           = min·(Σ_k a[i][k]) + step·(Σ_k a[i][k]·code[k][j])
 //! ```
 //!
-//! so the inner loop is a pure f32 dot against the *codes* over the same
-//! register-tiled panels (`NR = 16`: f32 lanes are twice as dense as
-//! f64's). The byte codes are additionally mirrored as f32 at pack time —
-//! integer-valued, still not dequantized — because a per-step `u8 → f32`
-//! widen in the inner loop defeats vectorisation; the one-byte form
-//! remains the storage/wire representation. The per-row input sum
-//! `Σ_k a[i][k]` is computed once and shared by every output column. Per-output error is
-//! bounded by `Σ_k |a[i][k]| · step/2` from quantization plus `f32`
-//! rounding — the serving tier's bench gate measures and asserts the
-//! end-to-end consequence of that bound.
+//! so the inner loop is a pure f32 dot against the *codes*, held in
+//! `NR_Q8`-wide column panels so the micro-kernel reads one contiguous
+//! vector per `k` step. The byte codes are additionally mirrored as f32 at
+//! pack time — integer-valued, still not dequantized — because a per-step
+//! `u8 → f32` widen in the inner loop defeats vectorisation; the one-byte
+//! form remains the storage/wire representation. The per-row input sum
+//! `Σ_k a[i][k]` is computed once and shared by every output column.
+//! Per-output error is bounded by `Σ_k |a[i][k]| · step/2` from
+//! quantization plus `f32` rounding — the serving tier's bench gate
+//! measures and asserts the end-to-end consequence of that bound.
 
 use crate::kernels::{MatMut, MatRef};
 use crate::quant::QuantRange;
 
 /// Rows of `A` per register tile (independent FMA chains per column).
 const MR: usize = 4;
-/// Panel width for f64 operands (one register tile of output columns).
-const NR: usize = 8;
-/// Panel width for int8 code operands (f32 lanes are twice as dense).
+/// Panel width for int8 code operands (one register tile of f32 lanes).
 const NR_Q8: usize = 16;
 
-/// A pre-packed right-hand GEMM operand: the original row-major tensor
-/// plus a register-tile panel copy.
-///
-/// The panel stores the operand as consecutive `NR`-wide column panels,
-/// each row-major `k × w` (`panel[j0·k + kk·w + jj]` is coefficient
-/// `(kk, j0 + jj)`), so the micro-kernel reads one contiguous `NR`-vector
-/// per `k` step. Packing happens once per model snapshot; both layouts
-/// are kept so that a build without `fastmath` can replay the exact
-/// row-major kernels bitwise while a `fastmath` build reads the panels.
-/// (For inference weights the duplication is a few hundred kilobytes —
-/// noise next to the activations of a single batch.)
+/// A frozen right-hand GEMM operand: an owned row-major `k × n` copy of the
+/// weights, made once per model snapshot. (The names `PackedB`, `pack` and
+/// `*_blocked` outlived the packed FMA tile they were coined for — the
+/// exact tile measured faster — because `bench_e2e`'s probes call them.)
 #[derive(Debug, Clone, PartialEq)]
 pub struct PackedB {
     k: usize,
     n: usize,
-    /// Row-major `k × n` original (exact-path operand).
     orig: Vec<f64>,
-    /// Register-tile panels (see struct docs for the layout).
-    #[cfg_attr(not(feature = "fastmath"), allow(dead_code))]
-    panel: Vec<f64>,
 }
 
 impl PackedB {
-    /// Packs a row-major `k × n` operand.
+    /// Copies a row-major `k × n` operand.
     pub fn pack(b: MatRef<'_>) -> Self {
-        let (k, n) = (b.rows(), b.cols());
-        let src = b.as_slice();
-        let mut panel = vec![0.0; k * n];
-        let mut j0 = 0;
-        while j0 < n {
-            let w = NR.min(n - j0);
-            let dst = &mut panel[j0 * k..j0 * k + k * w];
-            for kk in 0..k {
-                dst[kk * w..kk * w + w].copy_from_slice(&src[kk * n + j0..kk * n + j0 + w]);
-            }
-            j0 += w;
-        }
         Self {
-            k,
-            n,
-            orig: src.to_vec(),
-            panel,
+            k: b.rows(),
+            n: b.cols(),
+            orig: b.as_slice().to_vec(),
         }
     }
 
-    /// Contraction depth (rows of the original operand).
+    /// Contraction depth (rows of the operand).
     pub fn k(&self) -> usize {
         self.k
     }
 
-    /// Output width (columns of the original operand).
+    /// Output width (columns of the operand).
     pub fn n(&self) -> usize {
         self.n
     }
 
-    /// The exact row-major operand, for bitwise delegation.
+    /// The row-major operand.
     pub fn orig_view(&self) -> MatRef<'_> {
         MatRef::new(self.k, self.n, &self.orig)
     }
 }
 
-/// Blocked core: register-tiled `MR × NR` micro-kernel. Each output tile
-/// is accumulated entirely in registers across the full `k` loop — `MR`
-/// independent chains per column — then written straight into the
-/// row-major output, adding when `ACC`.
-///
-/// The store is a const-generic flag rather than a per-element epilogue
-/// closure on purpose: routing every element through an `FnMut(i, j, v)`
-/// costs the micro-kernel about 3× (measured on the serving shapes — the
-/// abstraction blocks the writeback from vectorizing and drags the
-/// surrounding tile code with it). A consumer that wants bias and
-/// activation (`evfad_nn::infer`'s dense forward) runs its own `O(m·n)`
-/// pass over the output, which is noise next to the `O(m·k·n)` product —
-/// so there is no fused entry point here.
-#[cfg(feature = "fastmath")]
-#[inline]
-fn blocked_store<const ACC: bool>(a: MatRef<'_>, b: &PackedB, dst: &mut [f64]) {
-    let (m, k) = (a.rows(), a.cols());
-    assert_eq!(k, b.k, "blocked matmul inner dimensions");
-    let n = b.n;
-    assert_eq!(dst.len(), m * n, "blocked matmul output shape");
-    let ad = a.as_slice();
-    let mut i0 = 0;
-    while i0 < m {
-        let mr = MR.min(m - i0);
-        let mut j0 = 0;
-        while j0 < n {
-            let w = NR.min(n - j0);
-            let panel = &b.panel[j0 * k..j0 * k + k * w];
-            if mr == MR && w == NR {
-                // Hot tile: four named accumulator rows (nesting them in
-                // one array spills to the stack), fixed-size inner loop,
-                // explicit FMA — 32 independent chains in flight.
-                let r0 = &ad[i0 * k..(i0 + 1) * k];
-                let r1 = &ad[(i0 + 1) * k..(i0 + 2) * k];
-                let r2 = &ad[(i0 + 2) * k..(i0 + 3) * k];
-                let r3 = &ad[(i0 + 3) * k..(i0 + 4) * k];
-                let mut a0 = [0.0f64; NR];
-                let mut a1 = [0.0f64; NR];
-                let mut a2 = [0.0f64; NR];
-                let mut a3 = [0.0f64; NR];
-                for ((((bw, &x0), &x1), &x2), &x3) in
-                    panel.chunks_exact(NR).zip(r0).zip(r1).zip(r2).zip(r3)
-                {
-                    for j in 0..NR {
-                        a0[j] = x0.mul_add(bw[j], a0[j]);
-                        a1[j] = x1.mul_add(bw[j], a1[j]);
-                        a2[j] = x2.mul_add(bw[j], a2[j]);
-                        a3[j] = x3.mul_add(bw[j], a3[j]);
-                    }
-                }
-                for (mm, am) in [&a0, &a1, &a2, &a3].into_iter().enumerate() {
-                    let o = (i0 + mm) * n + j0;
-                    for (s, &v) in dst[o..o + NR].iter_mut().zip(am) {
-                        if ACC {
-                            *s += v;
-                        } else {
-                            *s = v;
-                        }
-                    }
-                }
-            } else {
-                // Edge tile: same accumulation order, partial extents.
-                let mut acc = [[0.0f64; NR]; MR];
-                for kk in 0..k {
-                    let bw = &panel[kk * w..kk * w + w];
-                    for (mm, am) in acc.iter_mut().enumerate().take(mr) {
-                        let x = ad[(i0 + mm) * k + kk];
-                        for (s, &bv) in am.iter_mut().zip(bw) {
-                            *s = x.mul_add(bv, *s);
-                        }
-                    }
-                }
-                for (mm, am) in acc.iter().enumerate().take(mr) {
-                    let o = (i0 + mm) * n + j0;
-                    for (s, &v) in dst[o..o + w].iter_mut().zip(am.iter()) {
-                        if ACC {
-                            *s += v;
-                        } else {
-                            *s = v;
-                        }
-                    }
-                }
-            }
-            j0 += w;
-        }
-        i0 += mr;
-    }
-}
-
-/// `out = a · b`, blocked. Reassociates only under `fastmath`; otherwise
-/// delegates to the exact [`kernels::matmul_into`], bitwise.
+/// `out = a · b`: the exact [`kernels::matmul_into`](crate::kernels::matmul_into).
 pub fn matmul_into_blocked(a: MatRef<'_>, b: &PackedB, out: MatMut<'_>) {
-    #[cfg(not(feature = "fastmath"))]
-    {
-        crate::kernels::matmul_into(a, b.orig_view(), out);
-    }
-    #[cfg(feature = "fastmath")]
-    {
-        let mut out = out;
-        assert_eq!(out.rows(), a.rows(), "blocked matmul output rows");
-        assert_eq!(out.cols(), b.n, "blocked matmul output cols");
-        blocked_store::<false>(a, b, out.as_mut_slice());
-    }
+    crate::kernels::matmul_into(a, b.orig_view(), out);
 }
 
-/// `out += a · b`, blocked. Exact delegation rules as
-/// [`matmul_into_blocked`].
+/// `out += a · b`: the exact
+/// [`kernels::matmul_acc_into`](crate::kernels::matmul_acc_into).
 pub fn matmul_acc_into_blocked(a: MatRef<'_>, b: &PackedB, out: MatMut<'_>) {
-    #[cfg(not(feature = "fastmath"))]
-    {
-        crate::kernels::matmul_acc_into(a, b.orig_view(), out);
-    }
-    #[cfg(feature = "fastmath")]
-    {
-        let mut out = out;
-        assert_eq!(out.rows(), a.rows(), "blocked matmul output rows");
-        assert_eq!(out.cols(), b.n, "blocked matmul output cols");
-        blocked_store::<true>(a, b, out.as_mut_slice());
-    }
+    crate::kernels::matmul_acc_into(a, b.orig_view(), out);
 }
 
 /// A right-hand GEMM operand quantized to int8 with the shared EVQ8 range
 /// fold, packed into register-tile panels for the f32-accumulate kernels.
 ///
-/// Codes use the same panel layout as [`PackedB`] with width `NR_Q8`
-/// (16): `codes[j0·k + kk·w + jj]` is coefficient `(kk, j0 + jj)`. The
-/// range parameters are carried in `f32` because the lane accumulates in
-/// `f32`; `max_error` reports the f64 half-step bound of the underlying
-/// fold. Intended for *finite* inference weights — non-finite
-/// coefficients would already have poisoned training long before serving;
-/// one that gets here packs as code 0, as on the wire.
+/// Codes are stored as consecutive `NR_Q8`-wide (16) column panels, each
+/// row-major `k × w`: `codes[j0·k + kk·w + jj]` is coefficient
+/// `(kk, j0 + jj)`. The range parameters are carried in `f32` because the
+/// lane accumulates in `f32`; `max_error` reports the f64 half-step bound
+/// of the underlying fold. Intended for *finite* inference weights —
+/// non-finite coefficients would already have poisoned training long
+/// before serving; one that gets here packs as code 0, as on the wire.
 #[derive(Debug, Clone, PartialEq)]
 pub struct QuantizedPanel {
     k: usize,
@@ -358,13 +195,15 @@ fn row_sum_f32(a: &[f32]) -> f32 {
     (s0 + s1) + (s2 + s3)
 }
 
-/// Int8 GEMM core: the same `MR`-row register-tiled micro-kernel as the
-/// f64 path, `NR_Q8` columns wide, accumulating `Σ_k a·code` in f32 and
-/// applying the affine decomposition in the writeback, which stores
-/// straight into the row-major output (`a (rows × k) · dequant(b)`),
-/// adding when `ACC`. Weights are never materialised, and the store is a
-/// const flag rather than an emit closure for the same vectorization
-/// reason as [`blocked_store`].
+/// Int8 GEMM core: an `MR`-row register-tiled micro-kernel, `NR_Q8`
+/// columns wide, accumulating `Σ_k a·code` in f32 and applying the affine
+/// decomposition in the writeback, which stores straight into the
+/// row-major output (`a (rows × k) · dequant(b)`), adding when `ACC`.
+/// Weights are never materialised. The store is a const flag rather than a
+/// per-element `FnMut(i, j, v)` epilogue on purpose: the closure blocks the
+/// writeback from vectorizing and costs the micro-kernel about 3×
+/// (measured on the serving shapes). A consumer that wants bias and
+/// activation runs its own `O(m·n)` pass over the output.
 #[inline]
 fn q8_store<const ACC: bool>(a: &[f32], rows: usize, b: &QuantizedPanel, dst: &mut [f32]) {
     let k = b.k;
@@ -384,6 +223,9 @@ fn q8_store<const ACC: bool>(a: &[f32], rows: usize, b: &QuantizedPanel, dst: &m
             let w = NR_Q8.min(n - j0);
             let panel = &b.codes_f32[j0 * k..j0 * k + k * w];
             if mr == MR && w == NR_Q8 {
+                // Hot tile: four named accumulator rows (nesting them in
+                // one array spills to the stack), fixed-size inner loop,
+                // explicit FMA.
                 let r0 = &a[i0 * k..(i0 + 1) * k];
                 let r1 = &a[(i0 + 1) * k..(i0 + 2) * k];
                 let r2 = &a[(i0 + 2) * k..(i0 + 3) * k];
@@ -414,6 +256,7 @@ fn q8_store<const ACC: bool>(a: &[f32], rows: usize, b: &QuantizedPanel, dst: &m
                     }
                 }
             } else {
+                // Edge tile: same accumulation order, partial extents.
                 let mut acc = [[0.0f32; NR_Q8]; MR];
                 for kk in 0..k {
                     let cw = &panel[kk * w..kk * w + w];
@@ -445,8 +288,7 @@ fn q8_store<const ACC: bool>(a: &[f32], rows: usize, b: &QuantizedPanel, dst: &m
 /// `out = a · dequant(b)` with f32 accumulate; `a` is row-major
 /// `rows × b.k()`, `out` is row-major `rows × b.n()`.
 ///
-/// Always approximate (the int8 lane is opt-in by construction), so this
-/// is **not** gated on `fastmath`.
+/// Always approximate: the int8 lane is opt-in by construction.
 pub fn matmul_q8_into(a: &[f32], rows: usize, b: &QuantizedPanel, out: &mut [f32]) {
     q8_store::<false>(a, rows, b, out);
 }
@@ -466,71 +308,20 @@ mod tests {
     }
 
     #[test]
-    fn packed_panels_tile_the_operand() {
-        // 13 columns: one full NR-wide panel plus a 5-wide remainder.
-        let b = mat(3, 13, |i, j| (i * 13 + j) as f64);
-        let p = PackedB::pack(b.view());
-        assert_eq!((p.k(), p.n()), (3, 13));
-        let mut j0 = 0;
-        while j0 < 13 {
-            let w = NR.min(13 - j0);
-            for kk in 0..3 {
-                for jj in 0..w {
-                    assert_eq!(p.panel[j0 * 3 + kk * w + jj], b[(kk, j0 + jj)]);
-                }
-            }
-            j0 += w;
-        }
-        assert_eq!(p.orig_view().as_slice(), b.as_slice());
-    }
-
-    #[test]
-    fn blocked_matmul_matches_exact_within_reassociation_bound() {
+    fn blocked_entry_points_are_the_exact_kernels() {
         let a = mat(7, 53, |i, j| ((i * 31 + j * 7) % 19) as f64 * 0.05 - 0.4);
         let b = mat(53, 10, |i, j| ((i * 13 + j * 3) % 23) as f64 * 0.03 - 0.3);
         let p = PackedB::pack(b.view());
-        let mut exact = vec![0.0; 7 * 10];
+        assert_eq!((p.k(), p.n()), (53, 10));
+        assert_eq!(p.orig_view().as_slice(), b.as_slice());
+        let mut exact = vec![1.0; 7 * 10];
+        let mut served = exact.clone();
+        crate::kernels::matmul_acc_into(a.view(), b.view(), MatMut::new(7, 10, &mut exact));
+        matmul_acc_into_blocked(a.view(), &p, MatMut::new(7, 10, &mut served));
+        assert_eq!(exact, served);
         crate::kernels::matmul_into(a.view(), b.view(), MatMut::new(7, 10, &mut exact));
-        let mut fast = vec![0.0; 7 * 10];
-        matmul_into_blocked(a.view(), &p, MatMut::new(7, 10, &mut fast));
-        for (x, y) in exact.iter().zip(&fast) {
-            assert!((x - y).abs() < 1e-12, "{x} vs {y}");
-        }
-        // Without the feature the path must be *bitwise* the exact kernel.
-        #[cfg(not(feature = "fastmath"))]
-        for (x, y) in exact.iter().zip(&fast) {
-            assert_eq!(x.to_bits(), y.to_bits());
-        }
-    }
-
-    #[test]
-    fn blocked_matmul_covers_full_and_edge_tiles() {
-        // 9 × 19 output: two full 4-row bands plus a 1-row edge, two full
-        // 8-col panels plus a 3-col edge — every micro-kernel path runs.
-        let a = mat(9, 33, |i, j| ((i * 29 + j * 11) % 17) as f64 * 0.06 - 0.5);
-        let b = mat(33, 19, |i, j| ((i * 7 + j * 5) % 13) as f64 * 0.04 - 0.25);
-        let p = PackedB::pack(b.view());
-        let mut exact = vec![0.0; 9 * 19];
-        crate::kernels::matmul_into(a.view(), b.view(), MatMut::new(9, 19, &mut exact));
-        let mut fast = vec![0.0; 9 * 19];
-        matmul_into_blocked(a.view(), &p, MatMut::new(9, 19, &mut fast));
-        for (x, y) in exact.iter().zip(&fast) {
-            assert!((x - y).abs() < 1e-12, "{x} vs {y}");
-        }
-    }
-
-    #[test]
-    fn blocked_acc_accumulates() {
-        let a = mat(4, 9, |i, j| (i + j) as f64 * 0.1);
-        let b = mat(9, 6, |i, j| (i as f64 - j as f64) * 0.05);
-        let p = PackedB::pack(b.view());
-        let mut base = vec![1.0; 4 * 6];
-        matmul_acc_into_blocked(a.view(), &p, MatMut::new(4, 6, &mut base));
-        let mut plain = vec![0.0; 4 * 6];
-        matmul_into_blocked(a.view(), &p, MatMut::new(4, 6, &mut plain));
-        for (x, y) in base.iter().zip(&plain) {
-            assert!((x - (y + 1.0)).abs() < 1e-12);
-        }
+        matmul_into_blocked(a.view(), &p, MatMut::new(7, 10, &mut served));
+        assert_eq!(exact, served);
     }
 
     #[test]
