@@ -4,7 +4,7 @@ use crate::error::AnomalyError;
 use crate::mitigate::{merge_segments, MitigationStrategy};
 use crate::threshold::ThresholdRule;
 use evfad_nn::{
-    Activation, Adam, Dense, Dropout, Lstm, RepeatVector, Sample, SeqBuf, Sequential, TrainConfig,
+    Activation, Adam, Dense, Dropout, Lstm, RepeatVector, Sample, Seq, Sequential, TrainConfig,
     TrainHistory,
 };
 use evfad_tensor::Matrix;
@@ -116,6 +116,11 @@ impl Detection {
     }
 }
 
+/// Windows scored per forward pass. Any value gives the same scores (batch
+/// rows are independent); this one keeps the autoencoder's activations for
+/// a chunk at a few megabytes.
+const SCORE_CHUNK: usize = 256;
+
 /// The paper's `EVChargingAnomalyFilter`: an LSTM autoencoder trained on
 /// normal data, a percentile threshold on reconstruction error, and
 /// gap-tolerant interpolation-based mitigation.
@@ -131,11 +136,8 @@ pub struct AnomalyFilter {
     config: FilterConfig,
     model: Option<Sequential>,
     threshold: Option<f64>,
-    /// Reusable time-major staging batch for full (256-window) chunks.
-    win_buf: SeqBuf,
-    /// Reusable staging batch for the ragged tail chunk, kept separate so
-    /// warm scoring never reshapes as it alternates full chunks and tail.
-    win_buf_tail: SeqBuf,
+    /// Reusable time-major staging batch, reshaped in place per chunk.
+    win_buf: Seq,
     /// Reusable flat reconstruction buffer: window `w`'s reconstruction at
     /// in-window position `o` lives at `recon[w * seq_len + o]`.
     recon: Vec<f64>,
@@ -148,8 +150,7 @@ impl AnomalyFilter {
             config,
             model: None,
             threshold: None,
-            win_buf: SeqBuf::new(),
-            win_buf_tail: SeqBuf::new(),
+            win_buf: Seq::default(),
             recon: Vec::new(),
         }
     }
@@ -300,8 +301,8 @@ impl AnomalyFilter {
     /// ([`WindowedSeries::step`]), copied once into the reusable batch —
     /// bitwise identical to the historical `reconstruction` →
     /// per-window `Matrix` → `Seq::from_samples` marshalling, without the
-    /// triple materialisation. Chunked at 256 windows like
-    /// [`Sequential::predict`].
+    /// triple materialisation. Scored [`SCORE_CHUNK`] windows at a time,
+    /// which bounds the model's activation arena on a year-long series.
     fn recon_into(&mut self, series: &[f64], seq_len: usize) -> Result<usize, AnomalyError> {
         let ws = WindowedSeries::new(series, seq_len).ok_or(AnomalyError::SeriesTooShort {
             len: series.len(),
@@ -313,20 +314,15 @@ impl AnomalyFilter {
         let n_wins = ws.len();
         let mut first = 0usize;
         while first < n_wins {
-            let count = (n_wins - first).min(256);
-            let buf = if count == 256 {
-                &mut self.win_buf
-            } else {
-                &mut self.win_buf_tail
-            };
-            let batch = buf.ensure(seq_len, count, 1);
+            let count = (n_wins - first).min(SCORE_CHUNK);
+            self.win_buf.reshape(seq_len, count, 1);
             for t in 0..seq_len {
-                batch
+                self.win_buf
                     .step_data_mut(t)
                     .copy_from_slice(ws.step(t, first, count));
             }
             let model = self.model.as_mut().expect("checked above");
-            model.predict_seq_into(buf.seq(), &mut self.recon, first * seq_len);
+            model.predict_seq_into(&self.win_buf, &mut self.recon, first * seq_len);
             first += count;
         }
         Ok(n_wins)

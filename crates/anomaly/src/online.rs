@@ -124,7 +124,7 @@ impl OnlineDetector {
         // Score the window ending at this value. The window and score
         // buffers are reused across pushes, so a warm push makes zero
         // matrix allocations (the filter's staging batch and the model's
-        // eval arena are shape-stable at window length `seq_len`).
+        // arena keep the one-window shape they were first given).
         self.win_scratch.clear();
         self.win_scratch
             .extend_from_slice(&self.buffer[self.buffer.len() - (self.seq_len - 1)..]);

@@ -10,7 +10,7 @@
 //! score downstream) is unaffected.
 
 use evfad_anomaly::{AnomalyFilter, FilterConfig};
-use evfad_nn::{Seq, SeqBuf, Sequential};
+use evfad_nn::{Seq, Sequential};
 use evfad_tensor::Matrix;
 use evfad_timeseries::windows::{self, WindowedSeries};
 use proptest::prelude::*;
@@ -58,11 +58,10 @@ fn allocating_score(model: &mut Sequential, series: &[f64], seq_len: usize) -> V
 
 /// Stages windows `first..first + count` of `ws` time-major, the way
 /// `AnomalyFilter::recon_into` builds each chunk.
-fn stage_chunk(ws: &WindowedSeries<'_>, first: usize, count: usize, buf: &mut SeqBuf) {
-    let batch = buf.ensure(ws.seq_len(), count, 1);
+fn stage_chunk(ws: &WindowedSeries<'_>, first: usize, count: usize, buf: &mut Seq) {
+    buf.reshape(ws.seq_len(), count, 1);
     for t in 0..ws.seq_len() {
-        batch
-            .step_data_mut(t)
+        buf.step_data_mut(t)
             .copy_from_slice(ws.step(t, first, count));
     }
 }
@@ -91,12 +90,9 @@ proptest! {
             .collect();
         let reference = Seq::from_samples(&picked);
 
-        let mut buf = SeqBuf::new();
+        let mut buf = Seq::default();
         stage_chunk(&ws, first, count, &mut buf);
-        prop_assert_eq!(buf.seq().len(), reference.len());
-        for t in 0..seq_len {
-            prop_assert_eq!(buf.seq().step(t).as_slice(), reference.step(t).as_slice());
-        }
+        prop_assert_eq!(buf, reference);
     }
 
     /// End to end: every per-point score off the windowed view equals the
@@ -116,7 +112,7 @@ proptest! {
         }
     }
 
-    /// Chunked staging (the 256-window chunks `recon_into` uses) covers the
+    /// Chunked staging (as `recon_into` does, at any chunk size) covers the
     /// exact same values as one whole-series marshal.
     #[test]
     fn chunked_staging_covers_whole_series(
@@ -126,14 +122,14 @@ proptest! {
     ) {
         let ws = WindowedSeries::new(&series, seq_len).expect("long enough");
         let wins = windows::reconstruction(&series, seq_len);
-        let mut buf = SeqBuf::new();
+        let mut buf = Seq::default();
         let mut first = 0;
         while first < ws.len() {
             let count = chunk.min(ws.len() - first);
             stage_chunk(&ws, first, count, &mut buf);
             for (b, win) in wins[first..first + count].iter().enumerate() {
                 for (t, &v) in win.iter().enumerate() {
-                    prop_assert_eq!(buf.seq().step(t)[(b, 0)].to_bits(), v.to_bits());
+                    prop_assert_eq!(buf.step(t).as_slice()[b].to_bits(), v.to_bits());
                 }
             }
             first += count;

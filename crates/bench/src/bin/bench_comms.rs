@@ -21,6 +21,7 @@
 //! `--smoke` runs a tiny model with few repetitions and skips the JSON
 //! dump — the CI gate that the codecs and the fused fold stay honest.
 
+use evfad_bench::median;
 use evfad_core::federated::compression::{QuantizedUpdate, SparseDelta};
 use evfad_core::federated::wire;
 use evfad_core::federated::{Aggregator, CodecScratch, LocalUpdate};
@@ -28,11 +29,6 @@ use evfad_core::nn::forecaster_model;
 use evfad_core::tensor::{alloc_stats, Matrix};
 use std::hint::black_box;
 use std::time::{Duration, Instant};
-
-fn median(mut times: Vec<f64>) -> f64 {
-    times.sort_by(|a, b| a.partial_cmp(b).expect("finite timings"));
-    times[times.len() / 2]
-}
 
 /// Paper-shaped model weights, perturbed so no tensor is degenerate-range.
 fn model_weights(lstm_units: usize) -> Vec<Matrix> {

@@ -31,6 +31,7 @@
 //! lowest of the readings listed in EXPERIMENTS.md, which span 1.01–1.97×
 //! and 1.34–2.65× on a shared two-CPU host.
 
+use evfad_bench::median;
 use evfad_core::anomaly::{AnomalyFilter, FilterConfig};
 use evfad_core::data::{DatasetConfig, ShenzhenGenerator, Zone};
 use evfad_core::nn::infer::{InferenceModel, Precision};
@@ -95,11 +96,6 @@ fn score_batched(workers: &mut [Worker], values_last: &[f64], scores: &mut Vec<f
             row += 1;
         }
     }
-}
-
-fn median(mut times: Vec<f64>) -> f64 {
-    times.sort_by(|a, b| a.partial_cmp(b).expect("finite timings"));
-    times[times.len() / 2]
 }
 
 struct LaneRow {

@@ -1,49 +1,46 @@
 //! One-time epoch marshalling: time-major sample stacks consumed by gathers.
 
 use crate::model::Sample;
-use crate::seq::SeqBuf;
-use evfad_tensor::{kernels, MatMut, Matrix};
+use crate::seq::Seq;
+use evfad_tensor::{kernels, MatMut};
 
 /// A time-major stack of every training sample, built once per
 /// [`fit`](crate::Sequential::fit).
 ///
-/// `input_steps[t]` is an `n x features` matrix whose row `i` holds
-/// timestep `t` of sample `i` (likewise for targets). A shuffled
-/// mini-batch is then just an index slice consumed by
+/// The stack is a [`Seq`] whose batch axis is the whole training set: row
+/// `i` of step `t` holds timestep `t` of sample `i` (likewise for targets).
+/// A shuffled mini-batch is then just an index slice consumed by
 /// [`BatchPlan::gather_into`]: one
 /// [`gather_rows_into`](evfad_tensor::kernels::gather_rows_into) per step
-/// replaces the per-batch clone + [`Seq::from_samples`](crate::Seq)
-/// marshalling.
+/// replaces the per-batch clone + [`Seq::from_samples`] marshalling.
 ///
 /// # Bitwise contract
 ///
-/// `from_samples` builds step `t` as
-/// `from_fn(batch, feat, |b, f| batch_samples[b][(t, f)])`; the gather
-/// copies row `idx[b]` of the stack, whose row `i` is exactly sample `i`'s
-/// timestep `t`. Both are pure copies of the same values in the same
-/// positions, so the gathered batch is byte-identical to the clone +
-/// `from_samples` batch for every shuffle order.
+/// `from_samples` puts sample `b`'s timestep `t` in row `b` of step `t`;
+/// the gather copies row `idx[b]` of the stack's step `t`, which is sample
+/// `idx[b]`'s timestep `t`. Both are pure copies of the same values into
+/// the same positions, so the gathered batch is byte-identical to the
+/// clone + `from_samples` batch for every shuffle order.
 ///
 /// # Examples
 ///
 /// ```
-/// use evfad_nn::{BatchPlan, Sample, Seq, SeqBuf};
+/// use evfad_nn::{BatchPlan, Sample, Seq};
 /// use evfad_tensor::Matrix;
 ///
 /// let samples: Vec<Sample> = (0..4)
 ///     .map(|i| Sample::autoencoding(Matrix::column_vector(&[i as f64, -(i as f64)])))
 ///     .collect();
 /// let plan = BatchPlan::new(&samples);
-/// let (mut bin, mut btg) = (SeqBuf::new(), SeqBuf::new());
+/// let (mut bin, mut btg) = (Seq::default(), Seq::default());
 /// plan.gather_into(&[3, 1], &mut bin, &mut btg);
 /// let expect = Seq::from_samples(&[samples[3].input.clone(), samples[1].input.clone()]);
-/// assert_eq!(bin.seq(), &expect);
+/// assert_eq!(bin, expect);
 /// ```
 #[derive(Debug, Clone)]
 pub struct BatchPlan {
-    input_steps: Vec<Matrix>,
-    target_steps: Vec<Matrix>,
-    n: usize,
+    inputs: Seq,
+    targets: Seq,
 }
 
 impl BatchPlan {
@@ -54,59 +51,41 @@ impl BatchPlan {
     /// Panics if `samples` is empty, if any sample disagrees on input or
     /// target shape, or if either shape has zero timesteps.
     pub fn new(samples: &[Sample]) -> Self {
-        assert!(!samples.is_empty(), "BatchPlan requires samples");
-        let (ti, fi) = samples[0].input.shape();
-        let (tt, ft) = samples[0].target.shape();
-        assert!(ti > 0 && tt > 0, "samples need at least one timestep");
-        assert!(
-            samples
-                .iter()
-                .all(|s| s.input.shape() == (ti, fi) && s.target.shape() == (tt, ft)),
-            "all samples must share the same input/target shapes"
-        );
-        let n = samples.len();
-        let input_steps = (0..ti)
-            .map(|t| Matrix::from_fn(n, fi, |b, f| samples[b].input[(t, f)]))
-            .collect();
-        let target_steps = (0..tt)
-            .map(|t| Matrix::from_fn(n, ft, |b, f| samples[b].target[(t, f)]))
-            .collect();
-        Self {
-            input_steps,
-            target_steps,
-            n,
-        }
+        let (mut inputs, mut targets) = (Seq::default(), Seq::default());
+        inputs.load_samples(samples, |s| &s.input);
+        targets.load_samples(samples, |s| &s.target);
+        Self { inputs, targets }
     }
 
     /// Number of stacked samples.
     pub fn len(&self) -> usize {
-        self.n
+        self.inputs.batch_size()
     }
 
     /// Always `false`: construction rejects empty sample sets.
     pub fn is_empty(&self) -> bool {
-        self.n == 0
+        self.len() == 0
     }
 
     /// Gathers the samples listed in `idx` into time-major input/target
-    /// batches, reusing the buffers' storage on the warm path (zero matrix
-    /// allocations once the shapes have been seen).
+    /// batches, reshaping the two buffers in place (zero matrix
+    /// allocations once they have held a batch this large).
     ///
     /// # Panics
     ///
     /// Panics if `idx` is empty or contains an index `>= self.len()`.
-    pub fn gather_into(&self, idx: &[usize], input: &mut SeqBuf, target: &mut SeqBuf) {
-        let b = idx.len();
-        assert!(b > 0, "gather_into requires a non-empty batch");
-        let fi = self.input_steps[0].cols();
-        let seq = input.ensure(self.input_steps.len(), b, fi);
-        for (t, step) in self.input_steps.iter().enumerate() {
-            kernels::gather_rows_into(step.view(), idx, MatMut::new(b, fi, seq.step_data_mut(t)));
-        }
-        let ft = self.target_steps[0].cols();
-        let seq = target.ensure(self.target_steps.len(), b, ft);
-        for (t, step) in self.target_steps.iter().enumerate() {
-            kernels::gather_rows_into(step.view(), idx, MatMut::new(b, ft, seq.step_data_mut(t)));
+    pub fn gather_into(&self, idx: &[usize], input: &mut Seq, target: &mut Seq) {
+        assert!(!idx.is_empty(), "gather_into requires a non-empty batch");
+        for (stack, out) in [(&self.inputs, input), (&self.targets, target)] {
+            let (time, feat) = (stack.len(), stack.features());
+            out.reshape(time, idx.len(), feat);
+            for t in 0..time {
+                kernels::gather_rows_into(
+                    stack.step(t),
+                    idx,
+                    MatMut::new(idx.len(), feat, out.step_data_mut(t)),
+                );
+            }
         }
     }
 }
@@ -114,7 +93,7 @@ impl BatchPlan {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::seq::Seq;
+    use evfad_tensor::Matrix;
 
     fn samples(n: usize) -> Vec<Sample> {
         (0..n)
@@ -134,27 +113,27 @@ mod tests {
         let plan = BatchPlan::new(&train);
         assert_eq!(plan.len(), 7);
         let idx = [6usize, 2, 2, 0, 5];
-        let (mut bin, mut btg) = (SeqBuf::new(), SeqBuf::new());
+        let (mut bin, mut btg) = (Seq::default(), Seq::default());
         plan.gather_into(&idx, &mut bin, &mut btg);
         let inputs: Vec<Matrix> = idx.iter().map(|&i| train[i].input.clone()).collect();
         let targets: Vec<Matrix> = idx.iter().map(|&i| train[i].target.clone()).collect();
-        assert_eq!(bin.seq(), &Seq::from_samples(&inputs));
-        assert_eq!(btg.seq(), &Seq::from_samples(&targets));
+        assert_eq!(bin, Seq::from_samples(&inputs));
+        assert_eq!(btg, Seq::from_samples(&targets));
     }
 
     #[test]
     fn gather_reuses_buffers_across_batches() {
         let train = samples(6);
         let plan = BatchPlan::new(&train);
-        let (mut bin, mut btg) = (SeqBuf::new(), SeqBuf::new());
+        let (mut bin, mut btg) = (Seq::default(), Seq::default());
         plan.gather_into(&[0, 1, 2], &mut bin, &mut btg);
-        plan.gather_into(&[5, 4, 3], &mut bin, &mut btg);
-        let inputs: Vec<Matrix> = [5, 4, 3].iter().map(|&i| train[i].input.clone()).collect();
-        assert_eq!(bin.seq(), &Seq::from_samples(&inputs));
+        plan.gather_into(&[5, 4], &mut bin, &mut btg);
+        let inputs: Vec<Matrix> = [5, 4].iter().map(|&i| train[i].input.clone()).collect();
+        assert_eq!(bin, Seq::from_samples(&inputs));
     }
 
     #[test]
-    #[should_panic(expected = "same input/target shapes")]
+    #[should_panic(expected = "same time x features")]
     fn mismatched_samples_panic() {
         let mut s = samples(3);
         s[1].input = Matrix::zeros(2, 1);

@@ -1,4 +1,10 @@
 //! Enum dispatch over the concrete layer types.
+//!
+//! Every layer kind has exactly one `forward(input, training, out)` and one
+//! `backward(grad, dx)`: activations and input gradients land in
+//! caller-owned [`Seq`]s — [`Sequential`](crate::Sequential)'s arena in
+//! practice — that the layer reshapes in place, so training and inference
+//! are the same code and neither allocates once the buffers are warm.
 
 use crate::layers::{Dense, Dropout, Gru, Lstm, RepeatVector};
 use crate::seq::Seq;
@@ -35,48 +41,31 @@ pub enum Layer {
 }
 
 impl Layer {
-    /// Forward pass; caches are populated when `training` is `true`.
-    pub fn forward(&mut self, input: &Seq, training: bool) -> Seq {
+    /// Forward pass into `out`, which is reshaped to the layer's output
+    /// shape with its storage reused. Backward caches are populated when
+    /// `training` is `true`; an eval forward never disturbs them.
+    pub fn forward(&mut self, input: &Seq, training: bool, out: &mut Seq) {
         match self {
-            Layer::Dense(l) => l.forward(input, training),
-            Layer::Lstm(l) => l.forward(input, training),
-            Layer::Gru(l) => l.forward(input, training),
-            Layer::Dropout(l) => l.forward(input, training),
-            Layer::RepeatVector(l) => l.forward(input, training),
+            Layer::Dense(l) => l.forward(input, training, out),
+            Layer::Lstm(l) => l.forward(input, training, out),
+            Layer::Gru(l) => l.forward(input, training, out),
+            Layer::Dropout(l) => l.forward(input, training, out),
+            Layer::RepeatVector(l) => l.forward(input, training, out),
         }
     }
 
-    /// Eval-mode forward pass into a reusable buffer.
-    ///
-    /// Bitwise identical activations to `forward(input, false)`, but the
-    /// output lands in `out` (reusing its storage on the warm path) instead
-    /// of freshly allocated step matrices.
-    pub fn forward_into(&mut self, input: &Seq, out: &mut crate::seq::SeqBuf) {
+    /// Backward pass: accumulates parameter gradients and, when `dx` is
+    /// given, writes the gradient with respect to the layer input into it
+    /// (reshaped, storage reused). `None` skips the input-gradient product
+    /// — the first layer of a model has no consumer for it — and leaves
+    /// the parameter gradients identical.
+    pub fn backward(&mut self, grad: &Seq, dx: Option<&mut Seq>) {
         match self {
-            Layer::Dense(l) => l.forward_into(input, out),
-            Layer::Lstm(l) => l.forward_into(input, out),
-            Layer::Gru(l) => l.forward_into(input, out),
-            Layer::Dropout(l) => l.forward_into(input, out),
-            Layer::RepeatVector(l) => l.forward_into(input, out),
-        }
-    }
-
-    /// Backward pass; returns the gradient with respect to the layer input.
-    pub fn backward(&mut self, grad: &Seq) -> Seq {
-        self.backward_input(grad, true)
-            .expect("input gradient requested")
-    }
-
-    /// Backward pass that skips the input-gradient product when the caller
-    /// does not need it (e.g. the first layer of a model). Parameter
-    /// gradients are always accumulated identically.
-    pub fn backward_input(&mut self, grad: &Seq, need_input_grad: bool) -> Option<Seq> {
-        match self {
-            Layer::Dense(l) => l.backward_input(grad, need_input_grad),
-            Layer::Lstm(l) => l.backward_input(grad, need_input_grad),
-            Layer::Gru(l) => l.backward_input(grad, need_input_grad),
-            Layer::Dropout(l) => Some(l.backward(grad)),
-            Layer::RepeatVector(l) => Some(l.backward(grad)),
+            Layer::Dense(l) => l.backward(grad, dx),
+            Layer::Lstm(l) => l.backward(grad, dx),
+            Layer::Gru(l) => l.backward(grad, dx),
+            Layer::Dropout(l) => l.backward(grad, dx),
+            Layer::RepeatVector(l) => l.backward(grad, dx),
         }
     }
 
@@ -192,7 +181,8 @@ mod tests {
     #[test]
     fn forward_dispatches() {
         let mut d: Layer = Dense::new_seeded(2, 3, Activation::Linear, 0).into();
-        let y = d.forward(&Seq::single(Matrix::ones(1, 2)), false);
-        assert_eq!(y.step(0).shape(), (1, 3));
+        let mut y = Seq::default();
+        d.forward(&Seq::single(Matrix::ones(1, 2)), false, &mut y);
+        assert_eq!(y.shape(), (1, 1, 3));
     }
 }

@@ -1,10 +1,10 @@
 //! Fully connected (time-distributed) layer.
 //!
-//! The hot path is workspace-backed: the forward pass concatenates all
-//! timesteps into one `(T*B) x I` buffer and runs a single GEMM (rows are
-//! independent, so this is bitwise identical to the per-step products), and
-//! the activations are cached in reusable arena slots instead of cloned
-//! `Matrix` vectors.
+//! A [`Seq`] already is the `(T*B) x I` operand, so the forward pass is a
+//! single GEMM over all timesteps (rows are independent, so this is bitwise
+//! identical to the per-step products). Input and activations are cached in
+//! reusable workspace slots for the backward pass; the output and the input
+//! gradient land in caller-owned `Seq`s.
 
 use crate::activation::Activation;
 use crate::seq::Seq;
@@ -15,7 +15,7 @@ use serde::{Deserialize, Serialize};
 
 // Workspace slots; forward slots double as the backward cache, eval-mode
 // forwards shift to `EVAL_BASE`.
-const X_CAT: usize = 0; // (T*B) x I
+const X_CAT: usize = 0; // (T*B) x I (training forwards only)
 const Y_CAT: usize = 1; // (T*B) x O (post-activation)
 const DPRE: usize = 2; // B x O
 const TW: usize = 3; // I x O
@@ -37,8 +37,9 @@ const EVAL_BASE: usize = 8;
 ///
 /// let mut layer = Dense::new(3, 2, Activation::Relu);
 /// let x = Seq::single(Matrix::ones(4, 3));
-/// let y = layer.forward(&x, false);
-/// assert_eq!(y.step(0).shape(), (4, 2));
+/// let mut y = Seq::default();
+/// layer.forward(&x, false, &mut y);
+/// assert_eq!(y.shape(), (1, 4, 2));
 /// ```
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct Dense {
@@ -118,95 +119,53 @@ impl Dense {
         self.activation
     }
 
-    /// Forward pass. Caches activations when `training` is `true`.
-    pub fn forward(&mut self, input: &Seq, training: bool) -> Seq {
-        let (steps, batch) = self.forward_core(input, training);
+    /// Forward pass into `out` (reshaped to `T x B x O`, storage reused).
+    /// Caches input and activations for [`Dense::backward`] when `training`
+    /// is `true`; an eval forward works in its own slots and leaves a
+    /// pending training cache alone.
+    pub fn forward(&mut self, input: &Seq, training: bool, out: &mut Seq) {
         let base = if training { 0 } else { EVAL_BASE };
-        let (o_dim, bo) = (self.w.cols(), batch * self.w.cols());
-        // Re-take the activations the core just put back: same length, so
-        // the workspace hands the buffer back with contents intact.
-        let y_cat = self.ws.take(base + Y_CAT, steps * bo);
-        let out = Seq::from_steps(
-            (0..steps)
-                .map(|t| Matrix::from_vec(batch, o_dim, y_cat[t * bo..(t + 1) * bo].to_vec()))
-                .collect(),
-        );
-        self.ws.put(base + Y_CAT, y_cat);
-        out
-    }
-
-    /// Eval-mode forward that writes the output into a reusable buffer.
-    ///
-    /// Runs the exact fused forward ([`Dense::forward`] with
-    /// `training = false` — bitwise identical activations) but copies them
-    /// into `out` instead of materialising fresh step matrices, so a warm
-    /// caller allocates nothing.
-    pub fn forward_into(&mut self, input: &Seq, out: &mut crate::seq::SeqBuf) {
-        let (steps, batch) = self.forward_core(input, false);
-        let (o_dim, bo) = (self.w.cols(), batch * self.w.cols());
-        let y_cat = self.ws.take(EVAL_BASE + Y_CAT, steps * bo);
-        let seq = out.ensure(steps, batch, o_dim);
-        for t in 0..steps {
-            seq.step_data_mut(t)
-                .copy_from_slice(&y_cat[t * bo..(t + 1) * bo]);
-        }
-        self.ws.put(EVAL_BASE + Y_CAT, y_cat);
-    }
-
-    /// The fused forward computation: fills the workspace activation buffer
-    /// and caches backward state when `training`, leaving output
-    /// materialisation to the caller. Returns `(steps, batch)`.
-    fn forward_core(&mut self, input: &Seq, training: bool) -> (usize, usize) {
-        let base = if training { 0 } else { EVAL_BASE };
-        let steps = input.len();
-        let batch = input.batch_size();
+        let (steps, batch) = (input.len(), input.batch_size());
         let (i_dim, o_dim) = (self.w.rows(), self.w.cols());
-        let (bi, bo) = (batch * i_dim, batch * o_dim);
+        let rows = steps * batch;
 
-        let mut x_cat = self.ws.take(base + X_CAT, steps * bi);
-        let mut y_cat = self.ws.take(base + Y_CAT, steps * bo);
-        for (t, x_t) in input.iter().enumerate() {
-            x_cat[t * bi..(t + 1) * bi].copy_from_slice(x_t.as_slice());
-        }
+        let mut y_cat = self.ws.take(base + Y_CAT, rows * o_dim);
         // One GEMM for all timesteps: each output row only depends on its
         // own input row, so this matches the per-step products bitwise.
         kernels::matmul_into(
-            MatRef::new(steps * batch, i_dim, &x_cat),
+            input.view(),
             self.w.view(),
-            MatMut::new(steps * batch, o_dim, &mut y_cat),
+            MatMut::new(rows, o_dim, &mut y_cat),
         );
-        kernels::add_row_broadcast_into(
-            MatMut::new(steps * batch, o_dim, &mut y_cat),
-            self.b.view(),
-        );
+        kernels::add_row_broadcast_into(MatMut::new(rows, o_dim, &mut y_cat), self.b.view());
         let act = self.activation;
         for v in y_cat.iter_mut() {
             *v = act.apply(*v);
         }
-        self.ws.put(base + X_CAT, x_cat);
+        out.reshape(steps, batch, o_dim);
+        out.as_mut_slice().copy_from_slice(&y_cat);
         self.ws.put(base + Y_CAT, y_cat);
         if training {
+            // The input is the one thing backward reads that the caller,
+            // not this layer, owns: keep a copy.
+            let mut x_cat = self.ws.take(X_CAT, rows * i_dim);
+            x_cat.copy_from_slice(input.as_slice());
+            self.ws.put(X_CAT, x_cat);
             self.cached_steps = steps;
             self.cached_batch = batch;
         }
-        (steps, batch)
     }
 
-    /// Backward pass: accumulates kernel/bias gradients and returns the
-    /// gradient with respect to the input sequence.
+    /// Backward pass: accumulates kernel/bias gradients and, when `dx` is
+    /// given, writes the gradient with respect to the input sequence into
+    /// it. Passing `None` skips that product (the first layer of a model
+    /// discards it anyway); parameter gradients are identical either way.
     ///
     /// # Panics
     ///
     /// Panics if called without a preceding training-mode forward pass or
     /// with a gradient whose length differs from that pass.
-    pub fn backward(&mut self, grad: &Seq) -> Seq {
-        self.backward_input(grad, true)
-            .expect("input gradient requested")
-    }
-
-    /// [`Dense::backward`] with an optional input-gradient computation; see
-    /// [`Lstm::backward_input`](crate::Lstm::backward_input).
-    pub fn backward_input(&mut self, grad: &Seq, need_input_grad: bool) -> Option<Seq> {
+    pub fn backward(&mut self, grad: &Seq, mut dx: Option<&mut Seq>) {
         assert_eq!(
             grad.len(),
             self.cached_steps,
@@ -222,12 +181,14 @@ impl Dense {
         let mut dpre = self.ws.take(DPRE, bo);
         let mut tw = self.ws.take(TW, i_dim * o_dim);
         let mut bsum = self.ws.take(BSUM, o_dim);
+        if let Some(dx) = dx.as_deref_mut() {
+            dx.reshape(steps, batch, i_dim);
+        }
 
         let act = self.activation;
-        let mut input_grads = need_input_grad.then(|| Vec::with_capacity(steps));
-        for (t, g) in grad.iter().enumerate() {
+        for t in 0..steps {
             let y_t = &y_cat[t * bo..(t + 1) * bo];
-            for ((d, &gv), &yv) in dpre.iter_mut().zip(g.as_slice()).zip(y_t.iter()) {
+            for ((d, &gv), &yv) in dpre.iter_mut().zip(grad.step(t).as_slice()).zip(y_t) {
                 *d = gv * act.derivative_from_output(yv);
             }
             let dpre_ref = MatRef::new(batch, o_dim, &dpre);
@@ -249,10 +210,12 @@ impl Dense {
             for (gb, &v) in self.grad_b.as_mut_slice().iter_mut().zip(bsum.iter()) {
                 *gb += v;
             }
-            if let Some(grads) = input_grads.as_mut() {
-                let mut dx = Matrix::zeros(batch, i_dim);
-                kernels::matmul_transpose_into(dpre_ref, self.w.view(), dx.view_mut());
-                grads.push(dx);
+            if let Some(dx) = dx.as_deref_mut() {
+                kernels::matmul_transpose_into(
+                    dpre_ref,
+                    self.w.view(),
+                    MatMut::new(batch, i_dim, dx.step_data_mut(t)),
+                );
             }
         }
 
@@ -261,7 +224,6 @@ impl Dense {
         self.ws.put(DPRE, dpre);
         self.ws.put(TW, tw);
         self.ws.put(BSUM, bsum);
-        input_grads.map(Seq::from_steps)
     }
 
     /// Immutable access to `(kernel, bias)`.
@@ -303,6 +265,12 @@ impl Dense {
 mod tests {
     use super::*;
 
+    fn forward(l: &mut Dense, x: &Seq, training: bool) -> Seq {
+        let mut y = Seq::default();
+        l.forward(x, training, &mut y);
+        y
+    }
+
     fn simple_layer() -> Dense {
         let mut l = Dense::new_seeded(2, 2, Activation::Linear, 1);
         // Overwrite with known weights.
@@ -320,8 +288,8 @@ mod tests {
             *pg[1].0 = Matrix::row_vector(&[0.5, -0.5]);
         }
         let x = Seq::single(Matrix::from_rows(&[vec![1.0, 1.0]]));
-        let y = l.forward(&x, false);
-        assert_eq!(y.step(0), &Matrix::from_rows(&[vec![1.5, 1.5]]));
+        let y = forward(&mut l, &x, false);
+        assert_eq!(y, Seq::single(Matrix::from_rows(&[vec![1.5, 1.5]])));
     }
 
     #[test]
@@ -333,9 +301,9 @@ mod tests {
             *pg[1].0 = Matrix::zeros(1, 1);
         }
         let x = Seq::from_steps(vec![Matrix::filled(2, 1, 1.0), Matrix::filled(2, 1, 3.0)]);
-        let y = l.forward(&x, false);
-        assert_eq!(y.step(0)[(0, 0)], 2.0);
-        assert_eq!(y.step(1)[(1, 0)], 6.0);
+        let y = forward(&mut l, &x, false);
+        assert_eq!(y.step(0).as_slice(), &[2.0, 2.0]);
+        assert_eq!(y.step(1).as_slice(), &[6.0, 6.0]);
     }
 
     #[test]
@@ -347,18 +315,19 @@ mod tests {
             *pg[1].0 = Matrix::zeros(1, 1);
         }
         let x = Seq::single(Matrix::from_rows(&[vec![-5.0], vec![5.0]]));
-        let y = l.forward(&x, false);
-        assert_eq!(y.step(0)[(0, 0)], 0.0);
-        assert_eq!(y.step(0)[(1, 0)], 5.0);
+        let y = forward(&mut l, &x, false);
+        assert_eq!(y.as_slice(), &[0.0, 5.0]);
     }
 
     #[test]
     fn backward_accumulates_bias_gradient() {
         let mut l = Dense::new_seeded(2, 1, Activation::Linear, 5);
         let x = Seq::single(Matrix::from_rows(&[vec![1.0, 2.0], vec![3.0, 4.0]]));
-        let _ = l.forward(&x, true);
+        let _ = forward(&mut l, &x, true);
         let g = Seq::single(Matrix::from_rows(&[vec![1.0], vec![1.0]]));
-        let _ = l.backward(&g);
+        let mut dx = Seq::default();
+        l.backward(&g, Some(&mut dx));
+        assert_eq!(dx.shape(), (1, 2, 2));
         // dL/db = sum over batch of upstream grads = 2.
         let pg = l.params_and_grads_mut();
         assert_eq!(pg[1].1[(0, 0)], 2.0);
@@ -368,8 +337,8 @@ mod tests {
     fn zero_grads_resets() {
         let mut l = Dense::new_seeded(2, 1, Activation::Linear, 5);
         let x = Seq::single(Matrix::ones(1, 2));
-        let _ = l.forward(&x, true);
-        let _ = l.backward(&Seq::single(Matrix::ones(1, 1)));
+        let _ = forward(&mut l, &x, true);
+        l.backward(&Seq::single(Matrix::ones(1, 1)), None);
         l.zero_grads();
         let pg = l.params_and_grads_mut();
         assert_eq!(pg[0].1.sum(), 0.0);

@@ -1,7 +1,10 @@
 //! Inverted-dropout regularisation layer.
+//!
+//! The mask of the last training forward is one flat buffer, a factor per
+//! element in the [`Seq`]'s own order, reused from step to step; forward
+//! and backward are one multiply pass each over caller-owned `Seq`s.
 
 use crate::seq::Seq;
-use evfad_tensor::Matrix;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use serde::{Deserialize, Serialize};
@@ -19,11 +22,13 @@ use serde::{Deserialize, Serialize};
 ///
 /// let mut d = Dropout::new(0.5).with_seed(1);
 /// let x = Seq::single(Matrix::ones(1, 100));
+/// let mut y = Seq::default();
 /// // Inference: identity.
-/// assert_eq!(d.forward(&x, false), x);
+/// d.forward(&x, false, &mut y);
+/// assert_eq!(y, x);
 /// // Training: some elements dropped, survivors scaled to 2.0.
-/// let y = d.forward(&x, true);
-/// assert!(y.step(0).as_slice().iter().all(|&v| v == 0.0 || v == 2.0));
+/// d.forward(&x, true, &mut y);
+/// assert!(y.as_slice().iter().all(|&v| v == 0.0 || v == 2.0));
 /// ```
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct Dropout {
@@ -33,8 +38,10 @@ pub struct Dropout {
     eval_only: bool,
     #[serde(skip)]
     rng_state: Option<StdRng>,
+    /// The last training forward's mask, one factor per element in the
+    /// sequence's flat order; empty after an identity forward.
     #[serde(skip)]
-    masks: Vec<Matrix>,
+    mask: Vec<f64>,
 }
 
 impl Dropout {
@@ -50,7 +57,7 @@ impl Dropout {
             seed: 0,
             eval_only: false,
             rng_state: None,
-            masks: Vec::new(),
+            mask: Vec::new(),
         }
     }
 
@@ -82,113 +89,116 @@ impl Dropout {
         self.rate
     }
 
-    /// Forward pass. Identity at inference; samples fresh masks per call in
-    /// training mode.
-    pub fn forward(&mut self, input: &Seq, training: bool) -> Seq {
+    /// Forward pass into `out`. Identity at inference; samples a fresh mask
+    /// per call in training mode, drawing element by element in the
+    /// sequence's flat order (step-major, then row-major).
+    pub fn forward(&mut self, input: &Seq, training: bool, out: &mut Seq) {
+        // Drop the mask of an earlier training pass first: a backward call
+        // after an identity forward must also be the identity, not a replay
+        // of a stale mask (or a shape panic).
+        self.mask.clear();
+        out.copy_from(input);
         if !training || self.eval_only || self.rate == 0.0 {
-            // Clear any masks from an earlier training pass: a backward
-            // call after an identity forward must also be the identity,
-            // not a replay of stale masks (or a shape panic).
-            self.masks.clear();
-            return input.clone();
+            return;
         }
         let rate = self.rate;
         let keep_scale = 1.0 / (1.0 - rate);
         let rng = self
             .rng_state
             .get_or_insert_with(|| StdRng::seed_from_u64(self.seed));
-        self.masks.clear();
-        let mut steps = Vec::with_capacity(input.len());
-        for x in input.iter() {
-            let mask = Matrix::from_fn(x.rows(), x.cols(), |_, _| {
-                if rng.gen::<f64>() < rate {
-                    0.0
-                } else {
-                    keep_scale
-                }
-            });
-            steps.push(x.hadamard(&mask));
-            self.masks.push(mask);
-        }
-        Seq::from_steps(steps)
-    }
-
-    /// Eval-mode forward into a reusable buffer: the identity, copied.
-    ///
-    /// Clears any stale training masks (same contract as an inference
-    /// [`Dropout::forward`]) and copies the input into `out` step by step.
-    pub fn forward_into(&mut self, input: &Seq, out: &mut crate::seq::SeqBuf) {
-        self.masks.clear();
-        let seq = out.ensure(input.len(), input.batch_size(), input.features());
-        for (t, x_t) in input.iter().enumerate() {
-            seq.step_data_mut(t).copy_from_slice(x_t.as_slice());
+        for x in out.as_mut_slice() {
+            let m = if rng.gen::<f64>() < rate {
+                0.0
+            } else {
+                keep_scale
+            };
+            *x *= m;
+            self.mask.push(m);
         }
     }
 
-    /// Backward pass: applies the cached masks to the upstream gradient.
-    /// After an inference (or rate-0) forward pass there are no masks and
-    /// the gradient passes through unchanged — matching the identity
-    /// forward.
+    /// Backward pass: writes the upstream gradient times the cached mask
+    /// into `dx` (when given). After an inference (or rate-0) forward pass
+    /// there is no mask and the gradient passes through unchanged —
+    /// matching the identity forward.
     ///
     /// # Panics
     ///
-    /// Panics if the cached masks disagree with the gradient's length
+    /// Panics if the cached mask disagrees with the gradient's size
     /// (forward and backward saw different sequences).
-    pub fn backward(&mut self, grad: &Seq) -> Seq {
-        if self.masks.is_empty() {
-            return grad.clone();
+    pub fn backward(&mut self, grad: &Seq, dx: Option<&mut Seq>) {
+        let Some(dx) = dx else { return };
+        dx.copy_from(grad);
+        if self.mask.is_empty() {
+            return;
         }
-        assert_eq!(grad.len(), self.masks.len(), "dropout mask/grad mismatch");
-        let steps = grad
-            .iter()
-            .zip(self.masks.iter())
-            .map(|(g, m)| g.hadamard(m))
-            .collect();
-        Seq::from_steps(steps)
+        assert_eq!(
+            grad.element_count(),
+            self.mask.len(),
+            "dropout mask/grad mismatch"
+        );
+        for (g, m) in dx.as_mut_slice().iter_mut().zip(&self.mask) {
+            *g *= m;
+        }
     }
 
     /// Restores transient state dropped by serde.
     pub(crate) fn rebuild_transient(&mut self) {
         self.rng_state = None;
-        self.masks.clear();
+        self.mask.clear();
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use evfad_tensor::Matrix;
+
+    fn forward(d: &mut Dropout, x: &Seq, training: bool) -> Seq {
+        let mut y = Seq::default();
+        d.forward(x, training, &mut y);
+        y
+    }
+
+    fn backward(d: &mut Dropout, grad: &Seq) -> Seq {
+        let mut dx = Seq::default();
+        d.backward(grad, Some(&mut dx));
+        dx
+    }
 
     #[test]
     fn inference_is_identity() {
         let mut d = Dropout::new(0.9).with_seed(3);
         let x = Seq::single(Matrix::ones(3, 3));
-        assert_eq!(d.forward(&x, false), x);
+        assert_eq!(forward(&mut d, &x, false), x);
     }
 
     #[test]
     fn zero_rate_is_identity_even_training() {
         let mut d = Dropout::new(0.0);
         let x = Seq::single(Matrix::ones(3, 3));
-        assert_eq!(d.forward(&x, true), x);
+        assert_eq!(forward(&mut d, &x, true), x);
     }
 
     #[test]
     fn expected_value_preserved() {
         let mut d = Dropout::new(0.2).with_seed(7);
         let x = Seq::single(Matrix::ones(50, 50));
-        let y = d.forward(&x, true);
+        let y = forward(&mut d, &x, true);
         // E[y] = 1; with 2500 samples the mean should be close.
-        assert!((y.step(0).mean() - 1.0).abs() < 0.05);
+        let mean = y.as_slice().iter().sum::<f64>() / 2500.0;
+        assert!((mean - 1.0).abs() < 0.05);
     }
 
     #[test]
     fn backward_uses_same_mask() {
         let mut d = Dropout::new(0.5).with_seed(9);
-        let x = Seq::single(Matrix::ones(4, 4));
-        let y = d.forward(&x, true);
-        let g = d.backward(&Seq::single(Matrix::ones(4, 4)));
+        let x = Seq::from_steps(vec![Matrix::ones(4, 4); 3]);
+        let y = forward(&mut d, &x, true);
+        let g = backward(&mut d, &x);
         // Gradient is zero exactly where the output was zero.
-        for (yv, gv) in y.step(0).as_slice().iter().zip(g.step(0).as_slice()) {
+        assert_eq!(g.shape(), (3, 4, 4));
+        for (yv, gv) in y.as_slice().iter().zip(g.as_slice()) {
             assert_eq!(*yv == 0.0, *gv == 0.0);
         }
     }
@@ -197,8 +207,8 @@ mod tests {
     fn masks_differ_across_calls() {
         let mut d = Dropout::new(0.5).with_seed(11);
         let x = Seq::single(Matrix::ones(10, 10));
-        let y1 = d.forward(&x, true);
-        let y2 = d.forward(&x, true);
+        let y1 = forward(&mut d, &x, true);
+        let y2 = forward(&mut d, &x, true);
         assert_ne!(y1, y2, "fresh masks expected per training step");
     }
 
@@ -212,30 +222,30 @@ mod tests {
     fn backward_after_inference_forward_is_identity() {
         let mut d = Dropout::new(0.5).with_seed(3);
         let x = Seq::single(Matrix::ones(4, 4));
-        let _ = d.forward(&x, false);
+        let _ = forward(&mut d, &x, false);
         let g = Seq::single(Matrix::from_fn(4, 4, |r, c| (r * 4 + c) as f64));
-        assert_eq!(d.backward(&g), g);
+        assert_eq!(backward(&mut d, &g), g);
     }
 
     #[test]
     fn backward_after_zero_rate_forward_is_identity() {
         let mut d = Dropout::new(0.0);
         let x = Seq::single(Matrix::ones(2, 3));
-        let _ = d.forward(&x, true);
+        let _ = forward(&mut d, &x, true);
         let g = Seq::single(Matrix::ones(2, 3));
-        assert_eq!(d.backward(&g), g);
+        assert_eq!(backward(&mut d, &g), g);
     }
 
     #[test]
     fn inference_forward_clears_stale_training_masks() {
         let mut d = Dropout::new(0.5).with_seed(5);
         let train_x = Seq::single(Matrix::ones(3, 3));
-        let _ = d.forward(&train_x, true);
-        // Switch to eval on a *different* shape: the stale 3×3 masks must
+        let _ = forward(&mut d, &train_x, true);
+        // Switch to eval on a *different* shape: the stale 3×3 mask must
         // not be replayed onto (or panic against) the new gradient.
         let eval_x = Seq::single(Matrix::ones(2, 5));
-        let _ = d.forward(&eval_x, false);
+        let _ = forward(&mut d, &eval_x, false);
         let g = Seq::single(Matrix::ones(2, 5));
-        assert_eq!(d.backward(&g), g);
+        assert_eq!(backward(&mut d, &g), g);
     }
 }

@@ -1,9 +1,11 @@
 //! GRU layer with full backpropagation through time.
 //!
 //! Like [`Lstm`](crate::Lstm), the hot path is fused and workspace-backed:
-//! both input projections (`x W_gx`, `x W_cx`) are batched over all
-//! timesteps, the combined kernels are addressed through zero-copy row
-//! views, and the per-step state lives in reusable arena slots. Sums and
+//! both input projections (`x W_gx`, `x W_cx`) are one GEMM each over the
+//! input [`Seq`]'s own buffer, the combined kernels are addressed through
+//! zero-copy row views, the per-step state lives in reusable arena slots,
+//! and the output and the input gradient are written into caller-owned
+//! `Seq`s. Sums and
 //! products keep the order of the original allocating implementation; σ
 //! runs as one [`vmath`] slice pass over a step's gate block and tanh as
 //! one over its candidate block.
@@ -16,7 +18,7 @@ use serde::{Deserialize, Serialize};
 
 // Workspace slot layout; forward slots double as the BPTT cache and
 // eval-mode forwards shift to `EVAL_BASE`.
-const X_ALL: usize = 0; // (T*B) x I   inputs
+const X_ALL: usize = 0; // (T*B) x I   input copy (training forwards only)
 const PREG_ALL: usize = 1; // (T*B) x 2H  gate pre-activations, then [z|r]
 const CAND_ALL: usize = 2; // (T*B) x H   candidate pre, then tanh (h~)
 const RH_ALL: usize = 3; // (T*B) x H   r ∘ h_prev
@@ -56,8 +58,9 @@ const EVAL_BASE: usize = 24;
 ///
 /// let mut gru = Gru::new_seeded(1, 6, false, 3);
 /// let x = Seq::from_samples(&[Matrix::column_vector(&[0.1, -0.4, 0.2])]);
-/// let h = gru.forward(&x, false);
-/// assert_eq!(h.step(0).shape(), (1, 6));
+/// let mut h = Seq::default();
+/// gru.forward(&x, false, &mut h);
+/// assert_eq!(h.shape(), (1, 1, 6));
 /// ```
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct Gru {
@@ -162,66 +165,13 @@ impl Gru {
         self.return_sequences
     }
 
-    /// Forward pass.
+    /// Forward pass into `out`; shapes, caching and the eval slot range are
+    /// as for [`Lstm::forward`](crate::Lstm::forward).
     ///
     /// # Panics
     ///
     /// Panics if the input feature width differs from `input_dim`.
-    pub fn forward(&mut self, input: &Seq, training: bool) -> Seq {
-        let (steps, batch) = self.forward_core(input, training);
-        let base = if training { 0 } else { EVAL_BASE };
-        let (h_dim, bh) = (self.hidden_dim, batch * self.hidden_dim);
-        // Re-take the hidden trajectory the core just put back: same length,
-        // so the workspace hands the buffer back with contents intact.
-        let h_all = self.ws.take(base + H_ALL, steps * bh);
-        let out = if self.return_sequences {
-            Seq::from_steps(
-                (0..steps)
-                    .map(|t| Matrix::from_vec(batch, h_dim, h_all[t * bh..(t + 1) * bh].to_vec()))
-                    .collect(),
-            )
-        } else {
-            Seq::single(Matrix::from_vec(
-                batch,
-                h_dim,
-                h_all[(steps - 1) * bh..].to_vec(),
-            ))
-        };
-        self.ws.put(base + H_ALL, h_all);
-        out
-    }
-
-    /// Eval-mode forward that writes the output into a reusable buffer.
-    ///
-    /// Runs the exact fused forward ([`Gru::forward`] with
-    /// `training = false` — bitwise identical activations) but copies the
-    /// hidden trajectory into `out` instead of materialising fresh step
-    /// matrices, so a warm caller allocates nothing.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the input feature width differs from `input_dim`.
-    pub fn forward_into(&mut self, input: &Seq, out: &mut crate::seq::SeqBuf) {
-        let (steps, batch) = self.forward_core(input, false);
-        let (h_dim, bh) = (self.hidden_dim, batch * self.hidden_dim);
-        let h_all = self.ws.take(EVAL_BASE + H_ALL, steps * bh);
-        let (o_steps, first) = if self.return_sequences {
-            (steps, 0)
-        } else {
-            (1, steps - 1)
-        };
-        let seq = out.ensure(o_steps, batch, h_dim);
-        for t in 0..o_steps {
-            seq.step_data_mut(t)
-                .copy_from_slice(&h_all[(first + t) * bh..(first + t + 1) * bh]);
-        }
-        self.ws.put(EVAL_BASE + H_ALL, h_all);
-    }
-
-    /// The fused forward computation: fills the workspace trajectories and
-    /// caches BPTT state when `training`, leaving output materialisation to
-    /// the caller. Returns `(steps, batch)`.
-    fn forward_core(&mut self, input: &Seq, training: bool) -> (usize, usize) {
+    pub fn forward(&mut self, input: &Seq, training: bool, out: &mut Seq) {
         assert_eq!(
             input.features(),
             self.input_dim,
@@ -235,7 +185,6 @@ impl Gru {
         let (i_dim, h_dim) = (self.input_dim, self.hidden_dim);
         let (bi, bh, b2h) = (batch * i_dim, batch * h_dim, batch * 2 * h_dim);
 
-        let mut x_all = self.ws.take(base + X_ALL, steps * bi);
         let mut preg_all = self.ws.take(base + PREG_ALL, steps * b2h);
         let mut cand_all = self.ws.take(base + CAND_ALL, steps * bh);
         let mut rh_all = self.ws.take(base + RH_ALL, steps * bh);
@@ -243,20 +192,16 @@ impl Gru {
         let mut zeros = self.ws.take(base + ZEROS, bh);
         zeros.fill(0.0);
 
-        for (t, x_t) in input.iter().enumerate() {
-            x_all[t * bi..(t + 1) * bi].copy_from_slice(x_t.as_slice());
-        }
         // Batched input projections for both kernels (the x-columns of the
         // combined products accumulate first, so this is bitwise identical
         // to the per-step `[x|h] @ W` / `[x|r∘h] @ W` forms).
-        let x_ref = MatRef::new(steps * batch, i_dim, &x_all);
         kernels::matmul_into(
-            x_ref,
+            input.view(),
             self.w_gates.rows_view(0..i_dim),
             MatMut::new(steps * batch, 2 * h_dim, &mut preg_all),
         );
         kernels::matmul_into(
-            x_ref,
+            input.view(),
             self.w_cand.rows_view(0..i_dim),
             MatMut::new(steps * batch, h_dim, &mut cand_all),
         );
@@ -315,33 +260,32 @@ impl Gru {
             }
         }
 
-        self.ws.put(base + X_ALL, x_all);
+        let first = if self.return_sequences { 0 } else { steps - 1 };
+        out.reshape(steps - first, batch, h_dim);
+        out.as_mut_slice().copy_from_slice(&h_all[first * bh..]);
+
         self.ws.put(base + PREG_ALL, preg_all);
         self.ws.put(base + CAND_ALL, cand_all);
         self.ws.put(base + RH_ALL, rh_all);
         self.ws.put(base + H_ALL, h_all);
         self.ws.put(base + ZEROS, zeros);
         if training {
+            // As in `Lstm::forward`: the input copy BPTT reads.
+            let mut x_all = self.ws.take(X_ALL, steps * bi);
+            x_all.copy_from_slice(input.as_slice());
+            self.ws.put(X_ALL, x_all);
             self.cached_steps = steps;
             self.cached_batch = batch;
         }
-        (steps, batch)
     }
 
     /// Backward pass through time; see [`Lstm::backward`](crate::Lstm::backward)
-    /// for the gradient-shape contract.
+    /// for the gradient-shape contract and the optional input gradient.
     ///
     /// # Panics
     ///
     /// Panics if called without a preceding training-mode forward pass.
-    pub fn backward(&mut self, grad: &Seq) -> Seq {
-        self.backward_input(grad, true)
-            .expect("input gradient requested")
-    }
-
-    /// [`Gru::backward`] with an optional input-gradient computation; see
-    /// [`Lstm::backward_input`](crate::Lstm::backward_input).
-    pub fn backward_input(&mut self, grad: &Seq, need_input_grad: bool) -> Option<Seq> {
+    pub fn backward(&mut self, grad: &Seq, mut dx: Option<&mut Seq>) {
         let steps = self.cached_steps;
         assert!(steps > 0, "backward requires a training forward pass");
         if self.return_sequences {
@@ -377,15 +321,15 @@ impl Gru {
         let w_gh = self.w_gates.rows_view(i_dim..i_dim + h_dim);
         let w_cx = self.w_cand.rows_view(0..i_dim);
         let w_ch = self.w_cand.rows_view(i_dim..i_dim + h_dim);
-        let mut input_grads = need_input_grad.then(|| Vec::with_capacity(steps));
+        if let Some(dx) = dx.as_deref_mut() {
+            dx.reshape(steps, batch, i_dim);
+        }
 
         for t in (0..steps).rev() {
-            if self.return_sequences {
-                for (d, &g) in dh.iter_mut().zip(grad.step(t).as_slice()) {
-                    *d += g;
-                }
-            } else if t == steps - 1 {
-                for (d, &g) in dh.iter_mut().zip(grad.step(0).as_slice()) {
+            // `grad` covers the last `grad.len()` steps (all of them, or
+            // only the final one).
+            if let Some(g_t) = (t + grad.len()).checked_sub(steps) {
+                for (d, &g) in dh.iter_mut().zip(grad.step(g_t).as_slice()) {
                     *d += g;
                 }
             }
@@ -495,19 +439,18 @@ impl Gru {
             {
                 *g += v;
             }
-            if let Some(grads) = input_grads.as_mut() {
-                // input_grads[t] = dx_c + dx_g, summed in that order.
-                let mut dx = Matrix::zeros(batch, i_dim);
-                kernels::matmul_transpose_into(dpre_c_ref, w_cx, dx.view_mut());
+            if let Some(dx) = dx.as_deref_mut() {
+                // dx_t = dx_c + dx_g, summed in that order.
+                let dx_t = dx.step_data_mut(t);
+                kernels::matmul_transpose_into(dpre_c_ref, w_cx, MatMut::new(batch, i_dim, dx_t));
                 kernels::matmul_transpose_into(
                     dpre_g_ref,
                     w_gx,
                     MatMut::new(batch, i_dim, &mut dxg),
                 );
-                for (o, &v) in dx.as_mut_slice().iter_mut().zip(dxg.iter()) {
+                for (o, &v) in dx_t.iter_mut().zip(dxg.iter()) {
                     *o += v;
                 }
-                grads.push(dx);
             }
             // dh_prev += dpre_g @ W_gh^T (full dots, then added).
             kernels::matmul_transpose_acc_into(
@@ -536,11 +479,6 @@ impl Gru {
         self.ws.put(BSUM_C, bsum_c);
         self.ws.put(DRH, drh);
         self.ws.put(DXG, dxg);
-
-        input_grads.map(|mut grads| {
-            grads.reverse();
-            Seq::from_steps(grads)
-        })
     }
 
     /// Immutable access to the parameter tensors
@@ -588,6 +526,12 @@ impl Gru {
 mod tests {
     use super::*;
 
+    fn forward(g: &mut Gru, x: &Seq, training: bool) -> Seq {
+        let mut y = Seq::default();
+        g.forward(x, training, &mut y);
+        y
+    }
+
     #[test]
     fn output_shapes() {
         let x = Seq::from_samples(&[
@@ -595,11 +539,9 @@ mod tests {
             Matrix::column_vector(&[0.4, 0.5, 0.6]),
         ]);
         let mut last = Gru::new_seeded(1, 4, false, 1);
-        assert_eq!(last.forward(&x, false).len(), 1);
+        assert_eq!(forward(&mut last, &x, false).shape(), (1, 2, 4));
         let mut all = Gru::new_seeded(1, 4, true, 1);
-        let y = all.forward(&x, false);
-        assert_eq!(y.len(), 3);
-        assert_eq!(y.step(2).shape(), (2, 4));
+        assert_eq!(forward(&mut all, &x, false).shape(), (3, 2, 4));
     }
 
     #[test]
@@ -608,8 +550,8 @@ mod tests {
         let mut a = Gru::new_seeded(1, 4, false, 9);
         let mut b = Gru::new_seeded(1, 4, true, 9);
         assert_eq!(
-            a.forward(&x, false).step(0),
-            b.forward(&x, false).last_step()
+            forward(&mut a, &x, false).step(0).as_slice(),
+            forward(&mut b, &x, false).step(2).as_slice()
         );
     }
 
@@ -618,12 +560,12 @@ mod tests {
         let s1 = Matrix::column_vector(&[0.2, 0.4, -0.3]);
         let s2 = Matrix::column_vector(&[-0.6, 0.1, 0.9]);
         let mut g = Gru::new_seeded(1, 4, false, 5);
-        let joint = g.forward(&Seq::from_samples(&[s1.clone(), s2.clone()]), false);
-        let solo1 = g.forward(&Seq::from_samples(&[s1]), false);
-        let solo2 = g.forward(&Seq::from_samples(&[s2]), false);
-        for j in 0..4 {
-            assert!((joint.step(0)[(0, j)] - solo1.step(0)[(0, j)]).abs() < 1e-12);
-            assert!((joint.step(0)[(1, j)] - solo2.step(0)[(0, j)]).abs() < 1e-12);
+        let joint = forward(&mut g, &Seq::from_samples(&[s1.clone(), s2.clone()]), false);
+        let solo1 = forward(&mut g, &Seq::from_samples(&[s1]), false);
+        let solo2 = forward(&mut g, &Seq::from_samples(&[s2]), false);
+        let solo = solo1.as_slice().iter().chain(solo2.as_slice());
+        for (j, s) in joint.as_slice().iter().zip(solo) {
+            assert!((j - s).abs() < 1e-12);
         }
     }
 
@@ -632,9 +574,8 @@ mod tests {
         // h is a convex combination of tanh values: |h| < 1 always.
         let x = Seq::from_samples(&[Matrix::column_vector(&[50.0, -50.0, 50.0, -50.0])]);
         let mut g = Gru::new_seeded(1, 6, true, 7);
-        for step in g.forward(&x, false).iter() {
-            assert!(step.max_abs() <= 1.0);
-        }
+        let y = forward(&mut g, &x, false);
+        assert!(y.as_slice().iter().all(|h| h.abs() <= 1.0));
     }
 
     #[test]
@@ -645,16 +586,16 @@ mod tests {
         ]);
         let mut with_eval = Gru::new_seeded(1, 4, false, 6);
         let mut plain = Gru::new_seeded(1, 4, false, 6);
-        let _ = with_eval.forward(&x, true);
-        let _ = plain.forward(&x, true);
+        let _ = forward(&mut with_eval, &x, true);
+        let _ = forward(&mut plain, &x, true);
         let other = Seq::from_samples(&[Matrix::column_vector(&[0.9, -0.9])]);
-        let _ = with_eval.forward(&other, false);
+        let _ = forward(&mut with_eval, &other, false);
         let g = Seq::single(Matrix::ones(2, 4));
-        let dx1 = with_eval.backward(&g);
-        let dx2 = plain.backward(&g);
-        for t in 0..dx1.len() {
-            assert_eq!(dx1.step(t).as_slice(), dx2.step(t).as_slice());
-        }
+        let (mut dx1, mut dx2) = (Seq::default(), Seq::default());
+        with_eval.backward(&g, Some(&mut dx1));
+        plain.backward(&g, Some(&mut dx2));
+        assert_eq!(dx1.shape(), (3, 2, 1));
+        assert_eq!(dx1, dx2);
     }
 
     #[test]
@@ -678,6 +619,6 @@ mod tests {
     #[should_panic(expected = "input features")]
     fn wrong_width_panics() {
         let mut g = Gru::new_seeded(2, 3, false, 1);
-        let _ = g.forward(&Seq::single(Matrix::ones(1, 5)), false);
+        let _ = forward(&mut g, &Seq::single(Matrix::ones(1, 5)), false);
     }
 }

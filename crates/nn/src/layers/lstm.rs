@@ -2,9 +2,11 @@
 //!
 //! The hot path is fused and allocation-free: all per-timestep state
 //! (pre-activations, gates, cell/hidden trajectories) lives in a reusable
-//! [`Workspace`] arena, the input projection for every timestep is batched
-//! into one `(T*B) x 4H` GEMM, and the combined kernel is addressed through
-//! zero-copy `W_x`/`W_h` row views instead of per-step `hstack`. Every
+//! [`Workspace`] arena, the input projection for every timestep is one
+//! `(T*B) x 4H` GEMM over the input [`Seq`]'s own buffer, the combined
+//! kernel is addressed through zero-copy `W_x`/`W_h` row views instead of
+//! per-step `hstack`, and the output and the input gradient are written
+//! into caller-owned `Seq`s. Every
 //! sum and product keeps the order of the original allocating
 //! implementation (see DESIGN.md §6 for the summation-order argument); the
 //! gate nonlinearities are [`vmath`]'s slice kernels, the workspace's one
@@ -19,7 +21,7 @@ use serde::{Deserialize, Serialize};
 // Workspace slot layout. Forward slots double as the BPTT cache; eval-mode
 // forwards use the same layout at `EVAL_BASE` so they never clobber a
 // pending training cache.
-const X_ALL: usize = 0; // (T*B) x I   input steps, contiguous
+const X_ALL: usize = 0; // (T*B) x I   input copy (training forwards only)
 const PRE_ALL: usize = 1; // (T*B) x 4H  pre-activations, then gates in place
 const C_ALL: usize = 2; // (T*B) x H   cell states
 const TANH_ALL: usize = 3; // (T*B) x H   tanh(c)
@@ -62,9 +64,9 @@ const EVAL_BASE: usize = 16;
 ///
 /// let mut lstm = Lstm::new_seeded(1, 8, false, 42);
 /// let x = Seq::from_samples(&[Matrix::column_vector(&[0.1, 0.2, 0.3])]);
-/// let h = lstm.forward(&x, false);
-/// assert_eq!(h.len(), 1);
-/// assert_eq!(h.step(0).shape(), (1, 8));
+/// let mut h = Seq::default();
+/// lstm.forward(&x, false, &mut h);
+/// assert_eq!(h.shape(), (1, 1, 8));
 /// ```
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct Lstm {
@@ -163,66 +165,14 @@ impl Lstm {
         self.return_sequences
     }
 
-    /// Forward pass over a batched sequence.
+    /// Forward pass over a batched sequence into `out` (reshaped to
+    /// `T x B x H`, or `1 x B x H` without `return_sequences`; storage
+    /// reused). Caches the BPTT state when `training`.
     ///
     /// # Panics
     ///
     /// Panics if the input feature width differs from `input_dim`.
-    pub fn forward(&mut self, input: &Seq, training: bool) -> Seq {
-        let (steps, batch) = self.forward_core(input, training);
-        let base = if training { 0 } else { EVAL_BASE };
-        let (h_dim, bh) = (self.hidden_dim, batch * self.hidden_dim);
-        // Re-take the hidden trajectory the core just put back: same length,
-        // so the workspace hands the buffer back with contents intact.
-        let h_all = self.ws.take(base + H_ALL, steps * bh);
-        let out = if self.return_sequences {
-            Seq::from_steps(
-                (0..steps)
-                    .map(|t| Matrix::from_vec(batch, h_dim, h_all[t * bh..(t + 1) * bh].to_vec()))
-                    .collect(),
-            )
-        } else {
-            Seq::single(Matrix::from_vec(
-                batch,
-                h_dim,
-                h_all[(steps - 1) * bh..].to_vec(),
-            ))
-        };
-        self.ws.put(base + H_ALL, h_all);
-        out
-    }
-
-    /// Eval-mode forward that writes the output into a reusable buffer.
-    ///
-    /// Runs the exact fused forward ([`Lstm::forward`] with
-    /// `training = false` — bitwise identical activations) but copies the
-    /// hidden trajectory into `out` instead of materialising fresh step
-    /// matrices, so a warm caller allocates nothing.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the input feature width differs from `input_dim`.
-    pub fn forward_into(&mut self, input: &Seq, out: &mut crate::seq::SeqBuf) {
-        let (steps, batch) = self.forward_core(input, false);
-        let (h_dim, bh) = (self.hidden_dim, batch * self.hidden_dim);
-        let h_all = self.ws.take(EVAL_BASE + H_ALL, steps * bh);
-        let (o_steps, first) = if self.return_sequences {
-            (steps, 0)
-        } else {
-            (1, steps - 1)
-        };
-        let seq = out.ensure(o_steps, batch, h_dim);
-        for t in 0..o_steps {
-            seq.step_data_mut(t)
-                .copy_from_slice(&h_all[(first + t) * bh..(first + t + 1) * bh]);
-        }
-        self.ws.put(EVAL_BASE + H_ALL, h_all);
-    }
-
-    /// The fused forward computation: fills the workspace trajectories and
-    /// caches BPTT state when `training`, leaving output materialisation to
-    /// the caller. Returns `(steps, batch)`.
-    fn forward_core(&mut self, input: &Seq, training: bool) -> (usize, usize) {
+    pub fn forward(&mut self, input: &Seq, training: bool, out: &mut Seq) {
         assert_eq!(
             input.features(),
             self.input_dim,
@@ -238,7 +188,6 @@ impl Lstm {
         let (i_dim, h_dim) = (self.input_dim, self.hidden_dim);
         let (bi, bh, b4h) = (batch * i_dim, batch * h_dim, batch * 4 * h_dim);
 
-        let mut x_all = self.ws.take(base + X_ALL, steps * bi);
         let mut pre_all = self.ws.take(base + PRE_ALL, steps * b4h);
         let mut c_all = self.ws.take(base + C_ALL, steps * bh);
         let mut tanh_all = self.ws.take(base + TANH_ALL, steps * bh);
@@ -246,14 +195,11 @@ impl Lstm {
         let mut zeros = self.ws.take(base + ZEROS, bh);
         zeros.fill(0.0);
 
-        for (t, x_t) in input.iter().enumerate() {
-            x_all[t * bi..(t + 1) * bi].copy_from_slice(x_t.as_slice());
-        }
         // Batched input projection: accumulating the x-columns first and the
         // h-columns second reproduces the `[x|h] @ W` summation order, so
         // this is bitwise identical to the per-step concatenated product.
         kernels::matmul_into(
-            MatRef::new(steps * batch, i_dim, &x_all),
+            input.view(),
             self.w.rows_view(0..i_dim),
             MatMut::new(steps * batch, 4 * h_dim, &mut pre_all),
         );
@@ -313,40 +259,39 @@ impl Lstm {
             }
         }
 
-        self.ws.put(base + X_ALL, x_all);
+        let first = if self.return_sequences { 0 } else { steps - 1 };
+        out.reshape(steps - first, batch, h_dim);
+        out.as_mut_slice().copy_from_slice(&h_all[first * bh..]);
+
         self.ws.put(base + PRE_ALL, pre_all);
         self.ws.put(base + C_ALL, c_all);
         self.ws.put(base + TANH_ALL, tanh_all);
         self.ws.put(base + H_ALL, h_all);
         self.ws.put(base + ZEROS, zeros);
         if training {
+            // The input is the one thing BPTT reads that the caller, not
+            // this layer, owns: keep a copy.
+            let mut x_all = self.ws.take(X_ALL, steps * bi);
+            x_all.copy_from_slice(input.as_slice());
+            self.ws.put(X_ALL, x_all);
             self.cached_steps = steps;
             self.cached_batch = batch;
         }
-        (steps, batch)
     }
 
     /// Backward pass through time.
     ///
     /// `grad` must match the forward output shape: one step per input step
     /// when `return_sequences`, otherwise a single step (gradient of the
-    /// final hidden state). Returns the gradient with respect to the input
-    /// sequence and accumulates kernel/bias gradients.
+    /// final hidden state). Accumulates kernel/bias gradients and, when
+    /// `dx` is given, writes the gradient with respect to the input
+    /// sequence into it; `None` skips the `dpre @ W_x^T` product per step
+    /// (the first layer of a model discards that gradient anyway).
     ///
     /// # Panics
     ///
     /// Panics if called without a preceding training-mode forward pass.
-    pub fn backward(&mut self, grad: &Seq) -> Seq {
-        self.backward_input(grad, true)
-            .expect("input gradient requested")
-    }
-
-    /// [`Lstm::backward`] with an optional input-gradient computation.
-    ///
-    /// Passing `need_input_grad = false` skips the `dpre @ W_x^T` product
-    /// per step (the first layer of a model discards that gradient anyway)
-    /// and returns `None`. Parameter gradients are always accumulated.
-    pub fn backward_input(&mut self, grad: &Seq, need_input_grad: bool) -> Option<Seq> {
+    pub fn backward(&mut self, grad: &Seq, mut dx: Option<&mut Seq>) {
         let steps = self.cached_steps;
         assert!(steps > 0, "backward requires a training forward pass");
         if self.return_sequences {
@@ -384,15 +329,15 @@ impl Lstm {
         kernels::transpose_into(w_h, MatMut::new(4 * h_dim, h_dim, &mut wht));
         let wxt_ref = MatRef::new(4 * h_dim, i_dim, &wxt);
         let wht_ref = MatRef::new(4 * h_dim, h_dim, &wht);
-        let mut input_grads = need_input_grad.then(|| Vec::with_capacity(steps));
+        if let Some(dx) = dx.as_deref_mut() {
+            dx.reshape(steps, batch, i_dim);
+        }
 
         for t in (0..steps).rev() {
-            if self.return_sequences {
-                for (d, &g) in dh.iter_mut().zip(grad.step(t).as_slice()) {
-                    *d += g;
-                }
-            } else if t == steps - 1 {
-                for (d, &g) in dh.iter_mut().zip(grad.step(0).as_slice()) {
+            // `grad` covers the last `grad.len()` steps (all of them, or
+            // only the final one).
+            if let Some(g_t) = (t + grad.len()).checked_sub(steps) {
+                for (d, &g) in dh.iter_mut().zip(grad.step(g_t).as_slice()) {
                     *d += g;
                 }
             }
@@ -483,10 +428,9 @@ impl Lstm {
                 *g += v;
             }
             // Through z = [x | h_prev]: column blocks of dpre @ W^T.
-            if let Some(grads) = input_grads.as_mut() {
-                let mut dx = Matrix::zeros(batch, i_dim);
-                kernels::matmul_into(dpre_ref, wxt_ref, dx.view_mut());
-                grads.push(dx);
+            if let Some(dx) = dx.as_deref_mut() {
+                let dx_t = MatMut::new(batch, i_dim, dx.step_data_mut(t));
+                kernels::matmul_into(dpre_ref, wxt_ref, dx_t);
             }
             kernels::matmul_into(dpre_ref, wht_ref, MatMut::new(batch, h_dim, &mut dh));
         }
@@ -505,11 +449,6 @@ impl Lstm {
         self.ws.put(BSUM, bsum);
         self.ws.put(WXT, wxt);
         self.ws.put(WHT, wht);
-
-        input_grads.map(|mut grads| {
-            grads.reverse();
-            Seq::from_steps(grads)
-        })
     }
 
     /// Immutable access to `(kernel, bias)`.
@@ -551,6 +490,18 @@ impl Lstm {
 mod tests {
     use super::*;
 
+    fn forward(l: &mut Lstm, x: &Seq, training: bool) -> Seq {
+        let mut y = Seq::default();
+        l.forward(x, training, &mut y);
+        y
+    }
+
+    fn backward(l: &mut Lstm, grad: &Seq) -> Seq {
+        let mut dx = Seq::default();
+        l.backward(grad, Some(&mut dx));
+        dx
+    }
+
     #[test]
     fn output_shapes_respect_return_sequences() {
         let x = Seq::from_samples(&[
@@ -558,14 +509,9 @@ mod tests {
             Matrix::column_vector(&[0.5, 0.6, 0.7, 0.8]),
         ]);
         let mut last_only = Lstm::new_seeded(1, 5, false, 1);
-        let y = last_only.forward(&x, false);
-        assert_eq!(y.len(), 1);
-        assert_eq!(y.step(0).shape(), (2, 5));
-
+        assert_eq!(forward(&mut last_only, &x, false).shape(), (1, 2, 5));
         let mut all = Lstm::new_seeded(1, 5, true, 1);
-        let y = all.forward(&x, false);
-        assert_eq!(y.len(), 4);
-        assert_eq!(y.step(3).shape(), (2, 5));
+        assert_eq!(forward(&mut all, &x, false).shape(), (4, 2, 5));
     }
 
     #[test]
@@ -573,18 +519,36 @@ mod tests {
         let x = Seq::from_samples(&[Matrix::column_vector(&[0.3, -0.1, 0.7])]);
         let mut a = Lstm::new_seeded(1, 4, false, 9);
         let mut b = Lstm::new_seeded(1, 4, true, 9);
-        let ya = a.forward(&x, false);
-        let yb = b.forward(&x, false);
-        assert_eq!(ya.step(0), yb.last_step());
+        let ya = forward(&mut a, &x, false);
+        let yb = forward(&mut b, &x, false);
+        assert_eq!(ya.step(0).as_slice(), yb.step(2).as_slice());
     }
 
     #[test]
     fn hidden_state_resets_between_calls() {
         let x = Seq::from_samples(&[Matrix::column_vector(&[0.5, 0.5])]);
         let mut l = Lstm::new_seeded(1, 3, false, 2);
-        let y1 = l.forward(&x, false);
-        let y2 = l.forward(&x, false);
-        assert_eq!(y1.step(0), y2.step(0));
+        let y1 = forward(&mut l, &x, false);
+        let y2 = forward(&mut l, &x, false);
+        assert_eq!(y1, y2);
+    }
+
+    #[test]
+    fn output_buffer_is_reshaped_across_calls() {
+        // One `out` serves a long batch, a short one and the long one again.
+        let long = Seq::from_samples(&[
+            Matrix::column_vector(&[0.1, 0.2, 0.3, 0.4]),
+            Matrix::column_vector(&[0.5, 0.6, 0.7, 0.8]),
+        ]);
+        let short = Seq::from_samples(&[Matrix::column_vector(&[0.9, -0.9])]);
+        let mut l = Lstm::new_seeded(1, 3, true, 2);
+        let mut out = Seq::default();
+        l.forward(&long, false, &mut out);
+        let first = out.clone();
+        l.forward(&short, false, &mut out);
+        assert_eq!(out, forward(&mut l, &short, false));
+        l.forward(&long, false, &mut out);
+        assert_eq!(out, first);
     }
 
     #[test]
@@ -604,10 +568,8 @@ mod tests {
         // |h| <= |o| * |tanh(c)| < 1 for bounded inputs over few steps.
         let x = Seq::from_samples(&[Matrix::column_vector(&[10.0, -10.0, 10.0])]);
         let mut l = Lstm::new_seeded(1, 6, true, 7);
-        let y = l.forward(&x, false);
-        for step in y.iter() {
-            assert!(step.max_abs() < 3.0, "hidden state out of expected range");
-        }
+        let y = forward(&mut l, &x, false);
+        assert!(y.as_slice().iter().all(|h| h.abs() < 3.0));
     }
 
     #[test]
@@ -616,12 +578,12 @@ mod tests {
         let s1 = Matrix::column_vector(&[0.2, 0.4, -0.3]);
         let s2 = Matrix::column_vector(&[-0.6, 0.1, 0.9]);
         let mut l = Lstm::new_seeded(1, 4, false, 5);
-        let joint = l.forward(&Seq::from_samples(&[s1.clone(), s2.clone()]), false);
-        let solo1 = l.forward(&Seq::from_samples(&[s1]), false);
-        let solo2 = l.forward(&Seq::from_samples(&[s2]), false);
-        for j in 0..4 {
-            assert!((joint.step(0)[(0, j)] - solo1.step(0)[(0, j)]).abs() < 1e-12);
-            assert!((joint.step(0)[(1, j)] - solo2.step(0)[(0, j)]).abs() < 1e-12);
+        let joint = forward(&mut l, &Seq::from_samples(&[s1.clone(), s2.clone()]), false);
+        let solo1 = forward(&mut l, &Seq::from_samples(&[s1]), false);
+        let solo2 = forward(&mut l, &Seq::from_samples(&[s2]), false);
+        let solo = solo1.as_slice().iter().chain(solo2.as_slice());
+        for (j, s) in joint.as_slice().iter().zip(solo) {
+            assert!((j - s).abs() < 1e-12);
         }
     }
 
@@ -632,13 +594,10 @@ mod tests {
             Matrix::column_vector(&[0.4, 0.5, 0.6]),
         ]);
         let mut l = Lstm::new_seeded(1, 4, false, 6);
-        let y = l.forward(&x, true);
-        let g = Seq::single(Matrix::ones(2, 4));
-        let dx = l.backward(&g);
-        assert_eq!(dx.len(), 3);
-        assert_eq!(dx.step(0).shape(), (2, 1));
+        let _ = forward(&mut l, &x, true);
+        let dx = backward(&mut l, &Seq::single(Matrix::ones(2, 4)));
+        assert_eq!(dx.shape(), (3, 2, 1));
         assert!(dx.is_finite());
-        let _ = y;
     }
 
     #[test]
@@ -649,18 +608,14 @@ mod tests {
         ]);
         let mut with_eval = Lstm::new_seeded(1, 4, false, 6);
         let mut plain = Lstm::new_seeded(1, 4, false, 6);
-        let _ = with_eval.forward(&x, true);
-        let _ = plain.forward(&x, true);
+        let _ = forward(&mut with_eval, &x, true);
+        let _ = forward(&mut plain, &x, true);
         // An eval forward (e.g. a validation pass) between forward and
         // backward must not disturb the training cache.
         let other = Seq::from_samples(&[Matrix::column_vector(&[0.9, -0.9, 0.9, -0.9])]);
-        let _ = with_eval.forward(&other, false);
+        let _ = forward(&mut with_eval, &other, false);
         let g = Seq::single(Matrix::ones(2, 4));
-        let dx1 = with_eval.backward(&g);
-        let dx2 = plain.backward(&g);
-        for t in 0..dx1.len() {
-            assert_eq!(dx1.step(t).as_slice(), dx2.step(t).as_slice());
-        }
+        assert_eq!(backward(&mut with_eval, &g), backward(&mut plain, &g));
     }
 
     #[test]
@@ -672,10 +627,10 @@ mod tests {
         let g = Seq::single(Matrix::ones(2, 4));
         let mut a = Lstm::new_seeded(1, 4, false, 6);
         let mut b = Lstm::new_seeded(1, 4, false, 6);
-        let _ = a.forward(&x, true);
-        let _ = b.forward(&x, true);
-        let _ = a.backward(&g);
-        assert!(b.backward_input(&g, false).is_none());
+        let _ = forward(&mut a, &x, true);
+        let _ = forward(&mut b, &x, true);
+        let _ = backward(&mut a, &g);
+        b.backward(&g, None);
         let ga: Vec<f64> = a.params_and_grads_mut()[0].1.as_slice().to_vec();
         let gb: Vec<f64> = b.params_and_grads_mut()[0].1.as_slice().to_vec();
         assert_eq!(ga, gb);
@@ -697,6 +652,6 @@ mod tests {
     fn wrong_feature_width_panics() {
         let mut l = Lstm::new_seeded(2, 3, false, 1);
         let x = Seq::single(Matrix::ones(1, 5));
-        let _ = l.forward(&x, false);
+        let _ = forward(&mut l, &x, false);
     }
 }

@@ -1,7 +1,6 @@
 //! Keras-style `RepeatVector` layer.
 
 use crate::seq::Seq;
-use evfad_tensor::Matrix;
 use serde::{Deserialize, Serialize};
 
 /// Repeats a single-step batch `n` times along the time axis.
@@ -18,9 +17,10 @@ use serde::{Deserialize, Serialize};
 ///
 /// let mut r = RepeatVector::new(3);
 /// let x = Seq::single(Matrix::ones(2, 4));
-/// let y = r.forward(&x, false);
-/// assert_eq!(y.len(), 3);
-/// assert_eq!(y.step(2), x.step(0));
+/// let mut y = Seq::default();
+/// r.forward(&x, false, &mut y);
+/// assert_eq!(y.shape(), (3, 2, 4));
+/// assert_eq!(y.step(2).as_slice(), x.step(0).as_slice());
 /// ```
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct RepeatVector {
@@ -43,77 +43,77 @@ impl RepeatVector {
         self.n
     }
 
-    /// Forward pass.
+    /// Forward pass into `out`: `n` copies of the input step.
     ///
     /// # Panics
     ///
     /// Panics if the input has more than one timestep.
-    pub fn forward(&mut self, input: &Seq, _training: bool) -> Seq {
+    pub fn forward(&mut self, input: &Seq, _training: bool, out: &mut Seq) {
         assert_eq!(
             input.len(),
             1,
             "RepeatVector expects a single-step input (got {} steps)",
             input.len()
         );
-        Seq::from_steps(vec![input.step(0).clone(); self.n])
-    }
-
-    /// Eval-mode forward into a reusable buffer: the repeated step is
-    /// copied into `out` instead of cloned `n` times.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the input has more than one timestep.
-    pub fn forward_into(&mut self, input: &Seq, out: &mut crate::seq::SeqBuf) {
-        assert_eq!(
-            input.len(),
-            1,
-            "RepeatVector expects a single-step input (got {} steps)",
-            input.len()
-        );
-        let src = input.step(0);
-        let seq = out.ensure(self.n, src.rows(), src.cols());
+        out.reshape(self.n, input.batch_size(), input.features());
         for t in 0..self.n {
-            seq.step_data_mut(t).copy_from_slice(src.as_slice());
+            out.step_data_mut(t).copy_from_slice(input.as_slice());
         }
     }
 
-    /// Backward pass: sums the per-step gradients back into one step.
-    pub fn backward(&mut self, grad: &Seq) -> Seq {
-        let mut acc = Matrix::zeros(grad.step(0).rows(), grad.step(0).cols());
+    /// Backward pass: sums the per-step gradients back into one step of
+    /// `dx` (when given), starting from `+0.0` and adding in time order.
+    pub fn backward(&mut self, grad: &Seq, dx: Option<&mut Seq>) {
+        let Some(dx) = dx else { return };
+        dx.reshape(1, grad.batch_size(), grad.features());
+        dx.as_mut_slice().fill(0.0);
         for g in grad.iter() {
-            acc += g;
+            for (acc, &v) in dx.as_mut_slice().iter_mut().zip(g.as_slice()) {
+                *acc += v;
+            }
         }
-        Seq::single(acc)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use evfad_tensor::Matrix;
 
     #[test]
     fn repeats_content() {
         let mut r = RepeatVector::new(4);
         let x = Seq::single(Matrix::from_rows(&[vec![1.0, 2.0]]));
-        let y = r.forward(&x, true);
-        assert_eq!(y.len(), 4);
+        let mut y = Seq::default();
+        r.forward(&x, true, &mut y);
+        assert_eq!(y.shape(), (4, 1, 2));
         for t in 0..4 {
-            assert_eq!(y.step(t), x.step(0));
+            assert_eq!(y.step(t).as_slice(), x.as_slice());
         }
     }
 
     #[test]
     fn backward_sums() {
         let mut r = RepeatVector::new(3);
-        let _ = r.forward(&Seq::single(Matrix::zeros(1, 2)), true);
         let g = Seq::from_steps(vec![
             Matrix::from_rows(&[vec![1.0, 2.0]]),
             Matrix::from_rows(&[vec![3.0, 4.0]]),
-            Matrix::from_rows(&[vec![5.0, 6.0]]),
+            Matrix::from_rows(&[vec![5.0, -0.0]]),
         ]);
-        let dx = r.backward(&g);
-        assert_eq!(dx.step(0), &Matrix::from_rows(&[vec![9.0, 12.0]]));
+        // A reused, differently shaped buffer: the sum must not see it.
+        let mut dx = Seq::single(Matrix::filled(4, 4, 9.0));
+        r.backward(&g, Some(&mut dx));
+        assert_eq!(dx, Seq::single(Matrix::from_rows(&[vec![9.0, 6.0]])));
+    }
+
+    #[test]
+    fn backward_starts_from_positive_zero() {
+        // +0.0 + -0.0 is +0.0: the sum's start, not the first step's sign.
+        let mut r = RepeatVector::new(2);
+        let g = Seq::from_steps(vec![Matrix::filled(1, 1, -0.0); 2]);
+        let mut dx = Seq::default();
+        r.backward(&g, Some(&mut dx));
+        assert_eq!(dx.as_slice()[0].to_bits(), 0.0f64.to_bits());
     }
 
     #[test]
@@ -121,7 +121,7 @@ mod tests {
     fn multi_step_input_panics() {
         let mut r = RepeatVector::new(2);
         let x = Seq::from_steps(vec![Matrix::zeros(1, 1), Matrix::zeros(1, 1)]);
-        let _ = r.forward(&x, false);
+        r.forward(&x, false, &mut Seq::default());
     }
 
     #[test]

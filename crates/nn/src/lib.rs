@@ -71,5 +71,5 @@ pub use model::{
     autoencoder_model, forecaster_model, EpochStats, Sample, Sequential, TrainConfig, TrainHistory,
 };
 pub use optimizer::{Adam, Optimizer, Sgd};
-pub use seq::{Seq, SeqBuf};
+pub use seq::Seq;
 pub use workspace::Workspace;

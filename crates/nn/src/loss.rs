@@ -17,8 +17,10 @@ use serde::{Deserialize, Serialize};
 ///
 /// let pred = Seq::single(Matrix::from_rows(&[vec![1.0], vec![3.0]]));
 /// let target = Seq::single(Matrix::from_rows(&[vec![0.0], vec![1.0]]));
-/// let (value, _grad) = Loss::Mse.evaluate(&pred, &target);
+/// let mut grad = Seq::default();
+/// let value = Loss::Mse.evaluate(&pred, &target, &mut grad);
 /// assert!((value - 2.5).abs() < 1e-12); // (1 + 4) / 2
+/// assert_eq!(grad.as_slice(), &[1.0, 2.0]); // 2 (p - t) / n
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize, Default)]
 pub enum Loss {
@@ -30,51 +32,65 @@ pub enum Loss {
 }
 
 impl Loss {
-    /// Returns `(loss value, gradient w.r.t. predictions)`.
+    /// Returns the loss value and writes its gradient with respect to the
+    /// predictions into `grad` (reshaped to match, storage reused).
+    ///
+    /// The value is a two-level sum — per-step partial sums, then across
+    /// steps — where [`Loss::value`] keeps one running sum; the two agree
+    /// to rounding, not bitwise, and training reads only this one.
     ///
     /// # Panics
     ///
-    /// Panics if `pred` and `target` have different shapes.
-    pub fn evaluate(self, pred: &Seq, target: &Seq) -> (f64, Seq) {
-        assert_eq!(pred.len(), target.len(), "loss sequence length mismatch");
+    /// Panics if `pred` and `target` differ in any of time, batch or
+    /// feature width.
+    pub fn evaluate(self, pred: &Seq, target: &Seq, grad: &mut Seq) -> f64 {
+        assert_eq!(pred.shape(), target.shape(), "loss shape mismatch");
         let n = pred.element_count() as f64;
+        let (time, batch, features) = pred.shape();
+        grad.reshape(time, batch, features);
+        let diffs = grad.as_mut_slice().iter_mut();
+        for ((d, p), t) in diffs.zip(pred.as_slice()).zip(target.as_slice()) {
+            *d = p - t;
+        }
+        let per_step = |f: fn(&f64) -> f64| {
+            grad.iter()
+                .map(|step| step.as_slice().iter().map(f).sum::<f64>())
+                .sum::<f64>()
+                / n
+        };
         match self {
             Loss::Mse => {
-                let diff = pred.zip_map(target, |p, t| p - t);
-                let value = diff
-                    .iter()
-                    .map(|m| m.as_slice().iter().map(|d| d * d).sum::<f64>())
-                    .sum::<f64>()
-                    / n;
-                let grad = diff.map(move |d| 2.0 * d / n);
-                (value, grad)
+                let value = per_step(|d| d * d);
+                grad.as_mut_slice()
+                    .iter_mut()
+                    .for_each(|d| *d = 2.0 * *d / n);
+                value
             }
             Loss::Mae => {
-                let diff = pred.zip_map(target, |p, t| p - t);
-                let value = diff
-                    .iter()
-                    .map(|m| m.as_slice().iter().map(|d| d.abs()).sum::<f64>())
-                    .sum::<f64>()
-                    / n;
-                let grad = diff.map(move |d| d.signum() / n);
-                (value, grad)
+                let value = per_step(|d| d.abs());
+                grad.as_mut_slice()
+                    .iter_mut()
+                    .for_each(|d| *d = d.signum() / n);
+                value
             }
         }
     }
 
-    /// Loss value only (no gradient allocation).
+    /// Loss value only: one running sum over every element, no gradient.
+    ///
+    /// # Panics
+    ///
+    /// As [`Loss::evaluate`].
     pub fn value(self, pred: &Seq, target: &Seq) -> f64 {
-        assert_eq!(pred.len(), target.len(), "loss sequence length mismatch");
+        assert_eq!(pred.shape(), target.shape(), "loss shape mismatch");
         let n = pred.element_count() as f64;
         let mut acc = 0.0;
-        for (p, t) in pred.iter().zip(target.iter()) {
-            for (pv, tv) in p.as_slice().iter().zip(t.as_slice()) {
-                let d = pv - tv;
-                acc += match self {
-                    Loss::Mse => d * d,
-                    Loss::Mae => d.abs(),
-                };
-            }
+        for (pv, tv) in pred.as_slice().iter().zip(target.as_slice()) {
+            let d = pv - tv;
+            acc += match self {
+                Loss::Mse => d * d,
+                Loss::Mae => d.abs(),
+            };
         }
         acc / n
     }
@@ -96,36 +112,37 @@ mod tests {
     #[test]
     fn mse_zero_at_perfect_prediction() {
         let p = Seq::single(Matrix::ones(2, 2));
-        let (v, g) = Loss::Mse.evaluate(&p, &p.clone());
-        assert_eq!(v, 0.0);
-        assert_eq!(g.step(0).sum(), 0.0);
+        let mut g = Seq::default();
+        assert_eq!(Loss::Mse.evaluate(&p, &p.clone(), &mut g), 0.0);
+        assert_eq!(g, Seq::single(Matrix::zeros(2, 2)));
     }
 
     #[test]
     fn mse_gradient_matches_finite_difference() {
         let p = Seq::single(Matrix::from_rows(&[vec![1.0, -2.0], vec![0.5, 3.0]]));
         let t = Seq::single(Matrix::from_rows(&[vec![0.0, 1.0], vec![-1.0, 2.0]]));
-        let (_, g) = Loss::Mse.evaluate(&p, &t);
+        // A reused gradient buffer of another shape is reshaped, not read.
+        let mut g = Seq::single(Matrix::filled(3, 1, 7.0));
+        Loss::Mse.evaluate(&p, &t, &mut g);
+        assert_eq!(g.shape(), p.shape());
         let eps = 1e-6;
-        for i in 0..2 {
-            for j in 0..2 {
-                let mut plus = p.step(0).clone();
-                plus[(i, j)] += eps;
-                let mut minus = p.step(0).clone();
-                minus[(i, j)] -= eps;
-                let num = (Loss::Mse.value(&Seq::single(plus), &t)
-                    - Loss::Mse.value(&Seq::single(minus), &t))
-                    / (2.0 * eps);
-                assert!((num - g.step(0)[(i, j)]).abs() < 1e-6);
-            }
+        for i in 0..4 {
+            let (mut plus, mut minus) = (p.clone(), p.clone());
+            plus.as_mut_slice()[i] += eps;
+            minus.as_mut_slice()[i] -= eps;
+            let num = (Loss::Mse.value(&plus, &t) - Loss::Mse.value(&minus, &t)) / (2.0 * eps);
+            assert!((num - g.as_slice()[i]).abs() < 1e-6);
         }
     }
 
     #[test]
-    fn mae_value_known() {
+    fn mae_value_and_gradient_known() {
         let p = Seq::single(Matrix::from_rows(&[vec![1.0, -1.0]]));
         let t = Seq::single(Matrix::from_rows(&[vec![0.0, 1.0]]));
         assert!((Loss::Mae.value(&p, &t) - 1.5).abs() < 1e-12);
+        let mut g = Seq::default();
+        assert!((Loss::Mae.evaluate(&p, &t, &mut g) - 1.5).abs() < 1e-12);
+        assert_eq!(g.as_slice(), &[0.5, -0.5]);
     }
 
     #[test]
@@ -141,9 +158,29 @@ mod tests {
         let p = Seq::single(Matrix::from_rows(&[vec![0.3, 0.7], vec![1.1, -0.2]]));
         let t = Seq::single(Matrix::from_rows(&[vec![0.1, 0.2], vec![0.9, 0.1]]));
         for loss in [Loss::Mse, Loss::Mae] {
-            let (v, _) = loss.evaluate(&p, &t);
+            let v = loss.evaluate(&p, &t, &mut Seq::default());
             assert!((v - loss.value(&p, &t)).abs() < 1e-12);
         }
+    }
+
+    /// Checking the step count alone would zip the flat buffers, truncate
+    /// the wider target and return 5.
+    #[test]
+    #[should_panic(expected = "loss shape mismatch")]
+    fn value_rejects_a_wider_target() {
+        let p = Seq::single(Matrix::from_rows(&[vec![1.0], vec![3.0]]));
+        let t = Seq::single(Matrix::from_rows(&[vec![0.0, 9.0], vec![1.0, 9.0]]));
+        let _ = Loss::Mse.value(&p, &t);
+    }
+
+    /// Same element count, different batch x feature split: on flat
+    /// buffers only the shape check stands between this and a wrong loss.
+    #[test]
+    #[should_panic(expected = "loss shape mismatch")]
+    fn evaluate_rejects_a_shape_mismatch_of_equal_length() {
+        let p = Seq::single(Matrix::from_rows(&[vec![1.0], vec![3.0]]));
+        let t = Seq::single(Matrix::from_rows(&[vec![0.0, 1.0]]));
+        let _ = Loss::Mse.evaluate(&p, &t, &mut Seq::default());
     }
 
     #[test]

@@ -1,4 +1,12 @@
 //! Layer container and training loop.
+//!
+//! A [`Sequential`] owns one activation arena — a reusable [`Seq`] per layer
+//! — and two ping-pong gradient buffers. `train_batch`, `evaluate`,
+//! `predict`, `predict_into` and `predict_seq_into` all run through them:
+//! each layer reshapes its slot in place, so a warm call allocates no
+//! matrix whatever the batch size, and alternating a full inference chunk
+//! with a ragged tail (or a train batch with a validation pass) costs
+//! nothing. Inference is chunked only to bound the arena on a long series.
 
 use crate::batch::BatchPlan;
 use crate::error::{NnError, NnResult};
@@ -6,7 +14,7 @@ use crate::layer::Layer;
 use crate::layers::{Dense, Dropout, Lstm};
 use crate::loss::Loss;
 use crate::optimizer::Optimizer;
-use crate::seq::{Seq, SeqBuf};
+use crate::seq::Seq;
 use evfad_tensor::{kernels, MatMut, Matrix};
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
@@ -130,33 +138,26 @@ pub struct Sequential {
     optimizer: Optimizer,
     seed: u64,
     layers_added: u64,
-    /// Persistent staging + per-layer output buffers for full
-    /// (`EVAL_CHUNK`-sized) inference batches.
+    /// The activation arena: layer `i` writes its output into `acts[i]`.
     #[serde(skip)]
-    eval_full: EvalBufs,
-    /// Same, for the ragged tail chunk. Keeping the two shapes in separate
-    /// buffers means warm `predict`/`evaluate` calls never reshape (and so
-    /// never reallocate) as they alternate between full chunks and the
-    /// tail.
+    acts: Vec<Seq>,
+    /// Ping-pong input-gradient buffers for the backward chain.
     #[serde(skip)]
-    eval_tail: EvalBufs,
+    grads: [Seq; 2],
+    /// The loss gradient's buffer, reused by every `train_batch`.
+    #[serde(skip)]
+    loss_grad: Seq,
+    /// Staged input / target batches for `predict*` and `evaluate`.
+    #[serde(skip)]
+    staged: [Seq; 2],
     /// Row-index scratch for scattering batched outputs into flat buffers.
     #[serde(skip)]
     scatter_idx: Vec<usize>,
 }
 
-/// Chunk size for staged inference batches.
+/// Samples per staged inference batch: bounds the arena at
+/// `EVAL_CHUNK x T x widest layer` however long the series.
 const EVAL_CHUNK: usize = 256;
-
-/// One shape's worth of persistent inference buffers: the staged input
-/// batch, the staged target batch (evaluation only), and one output buffer
-/// per layer for the eval forward chain.
-#[derive(Debug, Clone, Default)]
-struct EvalBufs {
-    arena: Vec<SeqBuf>,
-    input: SeqBuf,
-    target: SeqBuf,
-}
 
 impl Sequential {
     /// Creates an empty model whose layers will be re-initialised
@@ -167,8 +168,10 @@ impl Sequential {
             optimizer: Optimizer::default(),
             seed,
             layers_added: 0,
-            eval_full: EvalBufs::default(),
-            eval_tail: EvalBufs::default(),
+            acts: Vec::new(),
+            grads: Default::default(),
+            loss_grad: Seq::default(),
+            staged: Default::default(),
             scatter_idx: Vec::new(),
         }
     }
@@ -230,27 +233,29 @@ impl Sequential {
             .sum()
     }
 
-    /// Forward pass through every layer.
-    pub fn forward(&mut self, input: &Seq, training: bool) -> Seq {
-        let mut layers = self.layers.iter_mut();
-        let mut x = match layers.next() {
-            Some(first) => first.forward(input, training),
-            None => return input.clone(),
-        };
-        for layer in layers {
-            x = layer.forward(&x, training);
+    /// Forward pass through every layer; returns a borrow of the last
+    /// layer's slot in the activation arena (of `input` itself for an
+    /// empty model).
+    pub fn forward<'a>(&'a mut self, input: &'a Seq, training: bool) -> &'a Seq {
+        self.acts.resize_with(self.layers.len(), Seq::default);
+        for (i, layer) in self.layers.iter_mut().enumerate() {
+            let (done, rest) = self.acts.split_at_mut(i);
+            layer.forward(done.last().unwrap_or(input), training, &mut rest[0]);
         }
-        x
+        self.acts.last().unwrap_or(input)
     }
 
     /// Backward pass through every layer (reverse order), accumulating
-    /// parameter gradients. The first layer skips its input-gradient
-    /// product — nothing consumes it.
+    /// parameter gradients. Input gradients alternate between the two
+    /// gradient buffers; the first layer skips its input-gradient product —
+    /// nothing consumes it.
     pub fn backward(&mut self, grad: &Seq) {
-        let mut g: Option<Seq> = None;
+        let [mut upstream, mut dx] = self.grads.each_mut();
+        let last = self.layers.len().saturating_sub(1);
         for (i, layer) in self.layers.iter_mut().enumerate().rev() {
-            let upstream = g.as_ref().unwrap_or(grad);
-            g = layer.backward_input(upstream, i > 0);
+            let from_above = if i == last { grad } else { &*upstream };
+            layer.backward(from_above, (i > 0).then_some(&mut *dx));
+            std::mem::swap(&mut upstream, &mut dx);
         }
     }
 
@@ -261,88 +266,19 @@ impl Sequential {
         }
     }
 
-    /// Eval-mode forward chain over the persistent arena: layer `i` reads
-    /// its input from `arena[i - 1]` (or `input`) and writes into
-    /// `arena[i]`, so a warm call allocates no step matrices. Associated
-    /// function (not a method) so callers can borrow other `self` fields —
-    /// e.g. the staging buffers — alongside the arena.
-    ///
-    /// Bitwise identical to `forward(input, false)`: each layer's
-    /// `forward_into` runs the exact same fused computation and only
-    /// changes where the output lands.
-    fn forward_eval<'a>(
-        layers: &'a mut [Layer],
-        arena: &'a mut Vec<SeqBuf>,
-        input: &'a Seq,
-    ) -> &'a Seq {
-        if layers.is_empty() {
-            return input;
-        }
-        if arena.len() != layers.len() {
-            arena.resize_with(layers.len(), SeqBuf::new);
-        }
-        for (i, layer) in layers.iter_mut().enumerate() {
-            let (done, rest) = arena.split_at_mut(i);
-            let x: &Seq = if i == 0 { input } else { done[i - 1].seq() };
-            layer.forward_into(x, &mut rest[0]);
-        }
-        arena[layers.len() - 1].seq()
-    }
-
-    /// Eval forward + sample-major flat write: the batched output lands in
-    /// `out[offset..]` as `out[offset + (b * T + t) * F + f]`, growing
-    /// `out` if needed. Returns `(out_time, out_features)`.
-    fn eval_into_vec(
-        layers: &mut [Layer],
-        arena: &mut Vec<SeqBuf>,
-        idx: &mut Vec<usize>,
-        input: &Seq,
-        out: &mut Vec<f64>,
-        offset: usize,
-    ) -> (usize, usize) {
-        let res = Self::forward_eval(layers, arena, input);
-        let (t_out, batch, f_out) = (res.len(), res.batch_size(), res.features());
-        let need = offset + batch * t_out * f_out;
-        if out.len() < need {
-            out.resize(need, 0.0);
-        }
-        let dst = &mut out[offset..need];
-        // Each time step scatters its rows to the per-sample positions:
-        // viewing `dst` as a (batch * T) x F matrix, sample b's step t is
-        // row b * T + t.
-        for t in 0..t_out {
-            idx.clear();
-            idx.extend((0..batch).map(|b| b * t_out + t));
-            kernels::scatter_rows_into(
-                res.step(t).view(),
-                idx,
-                MatMut::new(batch * t_out, f_out, dst),
-            );
-        }
-        (t_out, f_out)
-    }
-
     /// Runs inference on a set of samples, returning one output matrix
-    /// (`target_time x target_features`) per sample. Samples are processed
-    /// in batches of 256, staged and evaluated through persistent buffers
-    /// (bitwise identical outputs to the allocating path; only the
-    /// returned matrices are freshly allocated).
+    /// (`target_time x target_features`) per sample. Samples are staged and
+    /// evaluated in chunks through the arena; only the returned matrices
+    /// are freshly allocated.
     pub fn predict(&mut self, inputs: &[Matrix]) -> Vec<Matrix> {
+        // The staged batches leave `self` while a forward borrows it.
+        let mut staged = std::mem::take(&mut self.staged[0]);
         let mut outputs = Vec::with_capacity(inputs.len());
         for chunk in inputs.chunks(EVAL_CHUNK) {
-            let (time, feat) = chunk[0].shape();
-            let bufs = if chunk.len() == EVAL_CHUNK {
-                &mut self.eval_full
-            } else {
-                &mut self.eval_tail
-            };
-            let batch = bufs.input.ensure(time, chunk.len(), feat);
-            for (b, sample) in chunk.iter().enumerate() {
-                batch.load_sample(b, sample);
-            }
-            let out = Self::forward_eval(&mut self.layers, &mut bufs.arena, bufs.input.seq());
-            outputs.extend(out.to_samples());
+            staged.load_samples(chunk, |m| m);
+            outputs.extend(self.forward(&staged, false).to_samples());
         }
+        self.staged[0] = staged;
         outputs
     }
 
@@ -359,29 +295,15 @@ impl Sequential {
     /// Panics if `inputs` is empty or the samples disagree on shape.
     pub fn predict_into(&mut self, inputs: &[Matrix], out: &mut Vec<f64>) -> (usize, usize) {
         assert!(!inputs.is_empty(), "predict_into requires inputs");
+        let mut staged = std::mem::take(&mut self.staged[0]);
         let mut shape = (0usize, 0usize);
         let mut written = 0usize;
         for chunk in inputs.chunks(EVAL_CHUNK) {
-            let (time, feat) = chunk[0].shape();
-            let bufs = if chunk.len() == EVAL_CHUNK {
-                &mut self.eval_full
-            } else {
-                &mut self.eval_tail
-            };
-            let batch = bufs.input.ensure(time, chunk.len(), feat);
-            for (b, sample) in chunk.iter().enumerate() {
-                batch.load_sample(b, sample);
-            }
-            shape = Self::eval_into_vec(
-                &mut self.layers,
-                &mut bufs.arena,
-                &mut self.scatter_idx,
-                bufs.input.seq(),
-                out,
-                written,
-            );
+            staged.load_samples(chunk, |m| m);
+            shape = self.predict_seq_into(&staged, out, written);
             written += chunk.len() * shape.0 * shape.1;
         }
+        self.staged[0] = staged;
         out.truncate(written);
         shape
     }
@@ -392,64 +314,54 @@ impl Sequential {
     /// Returns `(out_time, out_features)`.
     ///
     /// This is the streaming entry point for callers that marshal their
-    /// own batches into a [`SeqBuf`] (e.g. windowed anomaly scoring) and
-    /// want reconstructions in a flat reusable buffer.
+    /// own batches into a [`Seq`] (e.g. windowed anomaly scoring) and want
+    /// reconstructions in a flat reusable buffer. The caller picks the
+    /// batch size; the arena follows it.
     pub fn predict_seq_into(
         &mut self,
         input: &Seq,
         out: &mut Vec<f64>,
         offset: usize,
     ) -> (usize, usize) {
-        // Route by batch size the same way the chunked entries do, so a
-        // caller alternating full chunks with a ragged tail keeps both
-        // arenas warm.
-        let arena = if input.batch_size() == EVAL_CHUNK {
-            &mut self.eval_full.arena
-        } else {
-            &mut self.eval_tail.arena
-        };
-        Self::eval_into_vec(
-            &mut self.layers,
-            arena,
-            &mut self.scatter_idx,
-            input,
-            out,
-            offset,
-        )
+        let mut idx = std::mem::take(&mut self.scatter_idx);
+        let res = self.forward(input, false);
+        let (t_out, batch, f_out) = res.shape();
+        let need = offset + batch * t_out * f_out;
+        if out.len() < need {
+            out.resize(need, 0.0);
+        }
+        let dst = &mut out[offset..need];
+        // Each time step scatters its rows to the per-sample positions:
+        // viewing `dst` as a (batch * T) x F matrix, sample b's step t is
+        // row b * T + t.
+        for t in 0..t_out {
+            idx.clear();
+            idx.extend((0..batch).map(|b| b * t_out + t));
+            kernels::scatter_rows_into(res.step(t), &idx, MatMut::new(batch * t_out, f_out, dst));
+        }
+        self.scatter_idx = idx;
+        (t_out, f_out)
     }
 
-    /// Mean loss of the model on `samples` (inference mode).
+    /// Mean loss of the model on `samples` (inference mode), staged and
+    /// evaluated in chunks through the arena like [`Sequential::predict`].
     ///
-    /// Inputs and targets are staged into persistent batch buffers (no
-    /// per-chunk clones) and the loss is computed from views; the values
-    /// are bitwise identical to the old clone + `from_samples` path.
+    /// # Panics
+    ///
+    /// Panics if the model's output shape differs from the targets'.
     pub fn evaluate(&mut self, samples: &[Sample], loss: Loss) -> f64 {
         if samples.is_empty() {
             return 0.0;
         }
+        let [mut input, mut target] = std::mem::take(&mut self.staged);
         let mut total = 0.0;
-        let mut count = 0usize;
         for chunk in samples.chunks(EVAL_CHUNK) {
-            let (ti, fi) = chunk[0].input.shape();
-            let bufs = if chunk.len() == EVAL_CHUNK {
-                &mut self.eval_full
-            } else {
-                &mut self.eval_tail
-            };
-            let batch = bufs.input.ensure(ti, chunk.len(), fi);
-            for (b, s) in chunk.iter().enumerate() {
-                batch.load_sample(b, &s.input);
-            }
-            let (tt, ft) = chunk[0].target.shape();
-            let tgt = bufs.target.ensure(tt, chunk.len(), ft);
-            for (b, s) in chunk.iter().enumerate() {
-                tgt.load_sample(b, &s.target);
-            }
-            let pred = Self::forward_eval(&mut self.layers, &mut bufs.arena, bufs.input.seq());
-            total += loss.value(pred, bufs.target.seq()) * chunk.len() as f64;
-            count += chunk.len();
+            input.load_samples(chunk, |s| &s.input);
+            target.load_samples(chunk, |s| &s.target);
+            total += loss.value(self.forward(&input, false), &target) * chunk.len() as f64;
         }
-        total / count as f64
+        self.staged = [input, target];
+        total / samples.len() as f64
     }
 
     /// Runs one mini-batch gradient step — forward, loss, backward,
@@ -464,9 +376,10 @@ impl Sequential {
         loss: Loss,
         clip_norm: Option<f64>,
     ) -> f64 {
-        let pred = self.forward(input, true);
-        let (loss_value, grad) = loss.evaluate(&pred, target);
+        let mut grad = std::mem::take(&mut self.loss_grad);
+        let loss_value = loss.evaluate(self.forward(input, true), target, &mut grad);
         self.backward(&grad);
+        self.loss_grad = grad;
         if let Some(max_norm) = clip_norm {
             self.clip_gradients(max_norm);
         }
@@ -531,11 +444,9 @@ impl Sequential {
         let mut order: Vec<usize> = (0..train.len()).collect();
         let mut shuffle_rng = StdRng::seed_from_u64(self.seed ^ 0xD1B5_4A32_D192_ED03);
         // Stack the training set time-major once; every batch of every
-        // epoch is then a row gather. Full batches and the ragged tail
-        // (if any) keep separate buffers so warm epochs never reshape.
+        // epoch is then a row gather into the same two buffers.
         let plan = BatchPlan::new(train);
-        let (mut batch_in, mut batch_tgt) = (SeqBuf::new(), SeqBuf::new());
-        let (mut tail_in, mut tail_tgt) = (SeqBuf::new(), SeqBuf::new());
+        let (mut batch_in, mut batch_tgt) = (Seq::default(), Seq::default());
 
         for epoch in 0..cfg.epochs {
             if cfg.shuffle {
@@ -544,13 +455,8 @@ impl Sequential {
             let mut epoch_loss = 0.0;
             let mut batches = 0usize;
             for batch_idx in order.chunks(cfg.batch_size) {
-                let (bin, btg) = if batch_idx.len() == cfg.batch_size {
-                    (&mut batch_in, &mut batch_tgt)
-                } else {
-                    (&mut tail_in, &mut tail_tgt)
-                };
-                plan.gather_into(batch_idx, bin, btg);
-                let loss_value = self.train_batch(bin.seq(), btg.seq(), cfg.loss, cfg.clip_norm);
+                plan.gather_into(batch_idx, &mut batch_in, &mut batch_tgt);
+                let loss_value = self.train_batch(&batch_in, &batch_tgt, cfg.loss, cfg.clip_norm);
                 if !loss_value.is_finite() {
                     return Err(NnError::NonFiniteLoss { epoch });
                 }
@@ -859,9 +765,9 @@ mod tests {
             Matrix::column_vector(&[0.3, 0.4]),
         ];
         let preds = model.predict(&inputs);
-        let batch = model.forward(&Seq::from_samples(&inputs), false);
-        assert_eq!(preds[0][(0, 0)], batch.step(0)[(0, 0)]);
-        assert_eq!(preds[1][(0, 0)], batch.step(0)[(1, 0)]);
+        let x = Seq::from_samples(&inputs);
+        let batch = model.forward(&x, false);
+        assert_eq!(batch.as_slice(), &[preds[0][(0, 0)], preds[1][(0, 0)]]);
     }
 
     #[test]
@@ -871,9 +777,7 @@ mod tests {
         assert_eq!(f.scalar_param_count(), 51 * 200 + 200 + 510 + 11);
         let mut ae = autoencoder_model(4, 0);
         let x = Seq::from_samples(&[Matrix::column_vector(&[0.1, 0.2, 0.3, 0.4])]);
-        let y = ae.forward(&x, false);
-        assert_eq!(y.len(), 4);
-        assert_eq!(y.step(0).shape(), (1, 1));
+        assert_eq!(ae.forward(&x, false).shape(), (4, 1, 1));
     }
 
     #[test]

@@ -11,7 +11,7 @@
 //! activation, carried through 24 recurrent steps).
 
 use evfad_nn::{Gru, Lstm, Seq};
-use evfad_tensor::Matrix;
+use evfad_tensor::{MatRef, Matrix};
 
 const STEPS: usize = 24;
 const BATCH: usize = 32;
@@ -41,6 +41,11 @@ fn input(features: usize) -> Seq {
     Seq::from_samples(&samples)
 }
 
+/// Batch row `b` of one step.
+fn row(step: MatRef<'_>, b: usize) -> &[f64] {
+    &step.as_slice()[b * step.cols()..(b + 1) * step.cols()]
+}
+
 /// Holds the layer's output (all steps, or the last) to the oracle's hidden
 /// trajectory.
 fn assert_close(name: &str, got: &Seq, want: &[Vec<Vec<f64>>], return_sequences: bool) {
@@ -48,9 +53,9 @@ fn assert_close(name: &str, got: &Seq, want: &[Vec<Vec<f64>>], return_sequences:
     assert_eq!(got.len(), STEPS - first, "{name}: output steps");
     let mut worst = 0.0f64;
     for (t, step) in got.iter().enumerate() {
-        for (b, row) in want[first + t].iter().enumerate() {
-            for (j, &w) in row.iter().enumerate() {
-                worst = worst.max((step[(b, j)] - w).abs());
+        for (b, want_row) in want[first + t].iter().enumerate() {
+            for (&g, &w) in row(step, b).iter().zip(want_row) {
+                worst = worst.max((g - w).abs());
             }
         }
     }
@@ -66,7 +71,7 @@ fn naive_lstm(w: &Matrix, bias: &Matrix, x: &Seq, h_dim: usize) -> Vec<Vec<Vec<f
     for x_t in x.iter() {
         let h_prev = h.clone();
         for b in 0..BATCH {
-            let pre = |j: usize| affine(w, bias, x_t.row(b), &h_prev[b], j);
+            let pre = |j: usize| affine(w, bias, row(x_t, b), &h_prev[b], j);
             for j in 0..h_dim {
                 let i = sigmoid(pre(j));
                 let f = sigmoid(pre(h_dim + j));
@@ -91,7 +96,7 @@ fn naive_gru(params: &[&Matrix], x: &Seq, h_dim: usize) -> Vec<Vec<Vec<f64>>> {
     let mut trajectory = Vec::new();
     for x_t in x.iter() {
         for (b, h_b) in h.iter_mut().enumerate() {
-            let x_b = x_t.row(b);
+            let x_b = row(x_t, b);
             let gate = |j: usize| sigmoid(affine(w_gates, b_gates, x_b, h_b, j));
             let rh: Vec<f64> = (0..h_dim).map(|j| gate(h_dim + j) * h_b[j]).collect();
             let next: Vec<f64> = (0..h_dim)
@@ -113,7 +118,8 @@ fn lstm_forward_agrees_with_a_naive_libm_forward_on_the_paper_shapes() {
     for (i_dim, h_dim, return_sequences) in [(1, 50, true), (50, 25, false)] {
         let mut lstm = Lstm::new_seeded(i_dim, h_dim, return_sequences, 42);
         let x = input(i_dim);
-        let got = lstm.forward(&x, false);
+        let (mut got, mut trained) = (Seq::default(), Seq::default());
+        lstm.forward(&x, false, &mut got);
         let [w, bias] = lstm.params()[..] else {
             panic!("an LSTM has two parameter tensors");
         };
@@ -125,8 +131,8 @@ fn lstm_forward_agrees_with_a_naive_libm_forward_on_the_paper_shapes() {
             return_sequences,
         );
         // The training-mode forward is the same computation.
-        let trained = lstm.forward(&x, true);
-        assert_eq!(trained.to_samples(), got.to_samples());
+        lstm.forward(&x, true, &mut trained);
+        assert_eq!(trained, got);
     }
 }
 
@@ -135,7 +141,8 @@ fn gru_forward_agrees_with_a_naive_libm_forward_on_the_paper_shapes() {
     for (i_dim, h_dim, return_sequences) in [(1, 50, true), (50, 25, false)] {
         let mut gru = Gru::new_seeded(i_dim, h_dim, return_sequences, 42);
         let x = input(i_dim);
-        let got = gru.forward(&x, false);
+        let (mut got, mut trained) = (Seq::default(), Seq::default());
+        gru.forward(&x, false, &mut got);
         let want = naive_gru(&gru.params(), &x, h_dim);
         assert_close(
             &format!("gru {i_dim}→{h_dim}"),
@@ -143,7 +150,7 @@ fn gru_forward_agrees_with_a_naive_libm_forward_on_the_paper_shapes() {
             &want,
             return_sequences,
         );
-        let trained = gru.forward(&x, true);
-        assert_eq!(trained.to_samples(), got.to_samples());
+        gru.forward(&x, true, &mut trained);
+        assert_eq!(trained, got);
     }
 }

@@ -41,10 +41,10 @@ proptest! {
     #[test]
     fn lstm_output_bounded(x in prop::collection::vec(-100.0f64..100.0, 1..12)) {
         let mut lstm = Lstm::new_seeded(1, 8, true, 1);
-        let y = lstm.forward(&Seq::from_samples(&[Matrix::column_vector(&x)]), false);
-        for step in y.iter() {
-            prop_assert!(step.max_abs() <= 1.0 + 1e-12);
-        }
+        let mut y = Seq::default();
+        lstm.forward(&Seq::from_samples(&[Matrix::column_vector(&x)]), false, &mut y);
+        prop_assert_eq!(y.shape(), (x.len(), 1, 8));
+        prop_assert!(y.as_slice().iter().all(|h| h.abs() <= 1.0 + 1e-12));
     }
 
     /// Batch evaluation equals per-sample evaluation (no cross-batch leakage).
@@ -101,7 +101,7 @@ proptest! {
 // replaces — this is what keeps `fit` deterministic across the refactor.
 // ---------------------------------------------------------------------------
 
-use evfad_nn::{BatchPlan, Sample, SeqBuf};
+use evfad_nn::{BatchPlan, Sample};
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(32))]
@@ -127,15 +127,10 @@ proptest! {
         let ref_tgt = Seq::from_samples(&picked_tgt);
         // New path: gather the same indices through the prebuilt plan.
         let plan = BatchPlan::new(&samples);
-        let (mut bin, mut btg) = (SeqBuf::new(), SeqBuf::new());
+        let (mut bin, mut btg) = (Seq::default(), Seq::default());
         plan.gather_into(&idx, &mut bin, &mut btg);
-        prop_assert_eq!(bin.seq().len(), ref_in.len());
-        for t in 0..ref_in.len() {
-            prop_assert_eq!(bin.seq().step(t).as_slice(), ref_in.step(t).as_slice());
-        }
-        for t in 0..ref_tgt.len() {
-            prop_assert_eq!(btg.seq().step(t).as_slice(), ref_tgt.step(t).as_slice());
-        }
+        prop_assert_eq!(bin, ref_in);
+        prop_assert_eq!(btg, ref_tgt);
     }
 
     /// Gathering through a reused buffer pair after a differently-shaped
@@ -156,20 +151,17 @@ proptest! {
             })
             .collect();
         let plan = BatchPlan::new(&samples);
-        let (mut bin, mut btg) = (SeqBuf::new(), SeqBuf::new());
+        let (mut bin, mut btg) = (Seq::default(), Seq::default());
         plan.gather_into(&first, &mut bin, &mut btg);
         plan.gather_into(&second, &mut bin, &mut btg);
         let picked: Vec<Matrix> = second.iter().map(|&i| samples[i].input.clone()).collect();
-        let reference = Seq::from_samples(&picked);
-        for t in 0..reference.len() {
-            prop_assert_eq!(bin.seq().step(t).as_slice(), reference.step(t).as_slice());
-        }
+        prop_assert_eq!(bin, Seq::from_samples(&picked));
     }
 
     /// `predict_into`'s flat buffer holds exactly the allocating marshal's
     /// outputs, sample-major — below, at and across the 256-window eval
-    /// chunk. The oracle is the pre-arena `predict`: `from_samples`, boxed
-    /// forward outputs, `to_samples` clones.
+    /// chunk. The oracle marshals each chunk itself: `from_samples`, one
+    /// `forward`, `to_samples` clones.
     #[test]
     fn predict_into_matches_allocating_predict(
         arch in 0usize..4,
