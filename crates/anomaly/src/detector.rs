@@ -367,8 +367,11 @@ impl AnomalyFilter {
                 est.push(sq_first);
             }
         }
-        // Window starts cover 0..=n-seq_len, so every index is a `start` or
-        // a `last_idx`; guard against any future change anyway.
+        // Starts cover `0..=n - seq_len` and last positions `seq_len - 1..n`:
+        // a series shorter than `2 * seq_len - 2` leaves the indices between
+        // them unscored — for a single window, which is what
+        // `OnlineDetector::push` scores, all but its two ends. Those take
+        // the last window's reconstruction at their offset.
         for (idx, b) in best.iter_mut().enumerate() {
             if !b.is_finite() {
                 let start = idx.min(series.len() - seq_len);
@@ -576,5 +579,28 @@ mod tests {
         let scores = f.score(&series).expect("score");
         assert_eq!(scores.len(), 77);
         assert!(scores.iter().all(|s| s.is_finite() && *s >= 0.0));
+    }
+
+    #[test]
+    fn short_series_score_their_middle_from_the_last_window() {
+        let mut f = fitted_filter(300);
+        let seq_len = f.config().seq_len;
+        let mut model = f.model().expect("fitted").clone();
+        for n in [seq_len, seq_len + 3] {
+            let series: Vec<f64> = sine(n).iter().map(|v| v * 1.1).collect();
+            let scores = f.score(&series).expect("score");
+            assert_eq!(scores.len(), n);
+            assert!(scores.iter().all(|s| s.is_finite()));
+            let windows: Vec<Matrix> = series.windows(seq_len).map(Matrix::column_vector).collect();
+            let recon = model.predict(&windows);
+            // Neither a window start nor a window's last position.
+            let gap = n - seq_len + 1..seq_len - 1;
+            assert_eq!(gap.len(), 2 * seq_len - 2 - n);
+            let last = n - seq_len;
+            for idx in gap {
+                let err = recon[last][(idx - last, 0)] - series[idx];
+                assert_eq!(scores[idx], err * err, "n = {n}, index {idx}");
+            }
+        }
     }
 }

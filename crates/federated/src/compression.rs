@@ -571,7 +571,7 @@ mod tests {
     fn base_and_update() -> (Vec<Matrix>, Vec<Matrix>) {
         let base = vec![
             Matrix::from_fn(4, 5, |i, j| (i as f64) * 0.3 - (j as f64) * 0.1),
-            Matrix::row_vector(&[1.0, -2.0, 0.25]),
+            Matrix::from_vec(1, 3, vec![1.0, -2.0, 0.25]),
         ];
         let mut update = base.clone();
         // Perturb a scattered handful of coordinates with distinct
@@ -647,11 +647,11 @@ mod tests {
     fn quantize_into_matches_quantize_and_reuses_buffers() {
         let first = vec![
             Matrix::from_fn(6, 7, |i, j| (i as f64) * 0.3 - (j as f64) * 0.11),
-            Matrix::row_vector(&[1.0, f64::NAN, -2.0, f64::INFINITY]),
+            Matrix::from_vec(1, 4, vec![1.0, f64::NAN, -2.0, f64::INFINITY]),
         ];
         let second = vec![
             Matrix::from_fn(6, 7, |i, j| (j as f64) * 0.2 - (i as f64) * 0.07),
-            Matrix::row_vector(&[f64::NEG_INFINITY, 0.5, 0.25, -1.0]),
+            Matrix::from_vec(1, 4, vec![f64::NEG_INFINITY, 0.5, 0.25, -1.0]),
         ];
         // NaN specials defeat derived equality; the wire encoding stores
         // raw f64 bits, so byte equality is the stronger check anyway.

@@ -100,11 +100,11 @@ impl FaultGate {
         }
     }
 
-    /// The Keep/Waste decision [`FaultGate::dispose`] will make for
-    /// `fault`, without touching an update or recording an event. Pure —
-    /// lets a pre-pass size streaming aggregators (expected update counts,
-    /// sample totals) before any payload exists. `dispose` must agree with
-    /// this for every fault kind (pinned by a test below).
+    /// The Keep/Waste decision for `fault`, without touching an update or
+    /// recording an event. Pure — lets a pre-pass size streaming
+    /// aggregators (expected update counts, sample totals) before any
+    /// payload exists. [`FaultGate::dispose`] returns this and adds only the
+    /// side effects, so the timeout and retry-budget comparisons live here.
     pub(crate) fn decide(&self, fault: Option<FaultKind>) -> Disposition {
         match fault {
             None | Some(FaultKind::Corrupt { .. }) => Disposition::Keep { attempts: 1 },
@@ -128,8 +128,9 @@ impl FaultGate {
     }
 
     /// Applies `fault` to a trained update — in place for corruption and
-    /// simulated delay — records the event, and decides whether the server
-    /// aggregates or discards it. `timeout_wait_seconds` accumulates the
+    /// simulated delay — records the event, and returns
+    /// [`FaultGate::decide`]'s verdict on whether the server aggregates or
+    /// discards it. `timeout_wait_seconds` accumulates the
     /// server-side wait for stragglers cut off by the round timeout.
     ///
     /// `apply_payload_faults` controls whether payload-visible mutations
@@ -149,68 +150,60 @@ impl FaultGate {
         timeout_wait_seconds: &mut f64,
         apply_payload_faults: bool,
     ) -> Disposition {
-        let fault = match fault {
-            None => return Disposition::Keep { attempts: 1 },
-            Some(FaultKind::DropOut) => unreachable!("drop-outs filtered before training"),
-            Some(f) => f,
+        let disposition = self.decide(fault);
+        let Some(fault) = fault else {
+            return disposition;
         };
-        let event = |outcome: FaultOutcome| FaultEvent {
+        let outcome = match (fault, disposition) {
+            (FaultKind::DropOut, _) => unreachable!("drop-outs filtered before training"),
+            (FaultKind::Straggler { delay_seconds }, Disposition::Waste { .. }) => {
+                let timeout = self
+                    .round_timeout
+                    .expect("only a round timeout cuts a straggler");
+                *timeout_wait_seconds = timeout_wait_seconds.max(timeout);
+                // The late update still arrives eventually and still
+                // costs bandwidth; it is just ignored.
+                FaultOutcome::TimedOut {
+                    delay_seconds,
+                    timeout_seconds: timeout,
+                }
+            }
+            (FaultKind::Straggler { delay_seconds }, Disposition::Keep { .. }) => {
+                update.simulated_extra_seconds += delay_seconds;
+                FaultOutcome::Delayed { delay_seconds }
+            }
+            (FaultKind::Corrupt { corruption }, _) => {
+                if apply_payload_faults {
+                    corruption.apply(&mut update.weights);
+                }
+                FaultOutcome::Corrupted
+            }
+            (FaultKind::Transient { failures }, Disposition::Keep { .. }) => {
+                let backoff = self
+                    .injector
+                    .as_ref()
+                    .expect("transient fault implies a plan")
+                    .plan()
+                    .backoff_total_seconds(failures);
+                update.simulated_extra_seconds += backoff;
+                FaultOutcome::Recovered {
+                    failed_attempts: failures,
+                    backoff_seconds: backoff,
+                }
+            }
+            (FaultKind::Transient { .. }, Disposition::Waste { attempts }) => {
+                FaultOutcome::RetriesExhausted {
+                    failed_attempts: attempts,
+                }
+            }
+        };
+        events.push(FaultEvent {
             round,
             client_id: update.client_id.clone(),
             fault,
             outcome,
-        };
-        match fault {
-            FaultKind::DropOut => unreachable!(),
-            FaultKind::Straggler { delay_seconds } => match self.round_timeout {
-                Some(timeout) if delay_seconds > timeout => {
-                    *timeout_wait_seconds = timeout_wait_seconds.max(timeout);
-                    events.push(event(FaultOutcome::TimedOut {
-                        delay_seconds,
-                        timeout_seconds: timeout,
-                    }));
-                    // The late update still arrives eventually and still
-                    // costs bandwidth; it is just ignored.
-                    Disposition::Waste { attempts: 1 }
-                }
-                _ => {
-                    update.simulated_extra_seconds += delay_seconds;
-                    events.push(event(FaultOutcome::Delayed { delay_seconds }));
-                    Disposition::Keep { attempts: 1 }
-                }
-            },
-            FaultKind::Corrupt { corruption } => {
-                if apply_payload_faults {
-                    corruption.apply(&mut update.weights);
-                }
-                events.push(event(FaultOutcome::Corrupted));
-                Disposition::Keep { attempts: 1 }
-            }
-            FaultKind::Transient { failures } => {
-                if failures <= self.retry_budget {
-                    let backoff = self
-                        .injector
-                        .as_ref()
-                        .expect("transient fault implies a plan")
-                        .plan()
-                        .backoff_total_seconds(failures);
-                    update.simulated_extra_seconds += backoff;
-                    events.push(event(FaultOutcome::Recovered {
-                        failed_attempts: failures,
-                        backoff_seconds: backoff,
-                    }));
-                    Disposition::Keep {
-                        attempts: failures + 1,
-                    }
-                } else {
-                    let attempts = self.retry_budget + 1;
-                    events.push(event(FaultOutcome::RetriesExhausted {
-                        failed_attempts: attempts,
-                    }));
-                    Disposition::Waste { attempts }
-                }
-            }
-        }
+        });
+        disposition
     }
 }
 

@@ -141,7 +141,12 @@ impl SocketTransport {
                     let tx = tx.clone();
                     let writers = Arc::clone(&writers);
                     let handle = std::thread::spawn(move || run_reader(stream, id, &tx, &writers));
-                    reader_handles.lock().push(handle);
+                    // Every upload attempt is a fresh connection: keep the
+                    // handles of live readers only, or the list grows with
+                    // rounds x clients x attempts for the server's lifetime.
+                    let mut handles = reader_handles.lock();
+                    handles.retain(|h| !h.is_finished());
+                    handles.push(handle);
                 }
             })
         };
@@ -949,6 +954,22 @@ mod tests {
             }
             other => panic!("unexpected {other:?}"),
         }
+    }
+
+    #[test]
+    fn finished_readers_are_reaped_as_connections_come_and_go() {
+        let transport = loopback();
+        for _ in 0..64 {
+            drop(TcpStream::connect(transport.local_addr()).expect("connect"));
+            match transport.recv(Duration::from_secs(5)).expect("event") {
+                TransportEvent::Disconnected(_) => {}
+                other => panic!("unexpected {other:?}"),
+            }
+        }
+        // A reader exits right after its `Disconnected`, and each accept
+        // reaps the finished ones: only the last few can still be listed.
+        let live = transport.reader_handles.lock().len();
+        assert!(live < 16, "{live} reader handles after 64 hang-ups");
     }
 
     #[test]

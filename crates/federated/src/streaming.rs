@@ -151,42 +151,11 @@ impl Aggregator {
     }
 }
 
-/// Shape guard shared by the streaming rules: the first update pins the
-/// reference shapes; every later one must match, with the same error text
-/// as the batch path.
+/// Shape guard shared by the streaming rules, dense and fused alike: the
+/// first update pins the reference shapes; every later one must match,
+/// with the same error text as the batch path. `shapes` comes from the
+/// update's matrices or from a validated wire-payload view.
 fn check_shapes(
-    reference: &mut Vec<(usize, usize)>,
-    update: &LocalUpdate,
-) -> Result<(), FederatedError> {
-    if reference.is_empty() {
-        *reference = update.weights.iter().map(Matrix::shape).collect();
-        if reference.is_empty() {
-            return Err(FederatedError::Aggregation(format!(
-                "client {} sent an empty weight set",
-                update.client_id
-            )));
-        }
-        return Ok(());
-    }
-    let same = update.weights.len() == reference.len()
-        && update
-            .weights
-            .iter()
-            .zip(reference.iter())
-            .all(|(m, &s)| m.shape() == s);
-    if !same {
-        return Err(FederatedError::Aggregation(format!(
-            "client {} has mismatched weight shapes",
-            update.client_id
-        )));
-    }
-    Ok(())
-}
-
-/// [`check_shapes`] for the fused wire-payload paths: same pinning rule,
-/// same error texts, shapes drawn from a validated payload view instead of
-/// materialised matrices.
-fn check_view_shapes(
     reference: &mut Vec<(usize, usize)>,
     client_id: &str,
     shapes: impl Iterator<Item = (usize, usize)>,
@@ -200,13 +169,7 @@ fn check_view_shapes(
         }
         return Ok(());
     }
-    let mut n = 0usize;
-    let mut same = true;
-    for shape in shapes {
-        same = same && reference.get(n) == Some(&shape);
-        n += 1;
-    }
-    if !same || n != reference.len() {
+    if !shapes.eq(reference.iter().copied()) {
         return Err(FederatedError::Aggregation(format!(
             "client {client_id} has mismatched weight shapes"
         )));
@@ -285,7 +248,11 @@ impl StreamingFedAvg {
 impl StreamingAggregator for StreamingFedAvg {
     fn ingest(&mut self, update: &LocalUpdate) -> Result<(), FederatedError> {
         self.check_capacity()?;
-        check_shapes(&mut self.shapes, update)?;
+        check_shapes(
+            &mut self.shapes,
+            &update.client_id,
+            update.weights.iter().map(Matrix::shape),
+        )?;
         self.ensure_acc();
         // Exactly the batch fold: degenerate all-zero-sample federations
         // fall back to uniform weighting.
@@ -305,7 +272,7 @@ impl StreamingAggregator for StreamingFedAvg {
     ) -> Result<(), FederatedError> {
         self.check_capacity()?;
         let view = wire::quantized_view(payload).map_err(|e| bad_payload(client_id, "EVQ8", e))?;
-        check_view_shapes(
+        check_shapes(
             &mut self.shapes,
             client_id,
             view.tensors().map(|t| t.shape()),
@@ -347,7 +314,7 @@ impl StreamingAggregator for StreamingFedAvg {
     ) -> Result<(), FederatedError> {
         self.check_capacity()?;
         let view = wire::sparse_view(payload).map_err(|e| bad_payload(client_id, "EVSK", e))?;
-        check_view_shapes(
+        check_shapes(
             &mut self.shapes,
             client_id,
             view.tensors().map(|t| t.shape()),
@@ -495,7 +462,11 @@ impl StreamingTrimmedMean {
 impl StreamingAggregator for StreamingTrimmedMean {
     fn ingest(&mut self, update: &LocalUpdate) -> Result<(), FederatedError> {
         self.check_capacity()?;
-        check_shapes(&mut self.shapes, update)?;
+        check_shapes(
+            &mut self.shapes,
+            &update.client_id,
+            update.weights.iter().map(Matrix::shape),
+        )?;
         self.ensure_state();
         let mut c = 0;
         for m in &update.weights {
@@ -517,7 +488,7 @@ impl StreamingAggregator for StreamingTrimmedMean {
         let _ = sample_count; // trimmed mean is unweighted
         self.check_capacity()?;
         let view = wire::quantized_view(payload).map_err(|e| bad_payload(client_id, "EVQ8", e))?;
-        check_view_shapes(
+        check_shapes(
             &mut self.shapes,
             client_id,
             view.tensors().map(|t| t.shape()),
@@ -544,7 +515,7 @@ impl StreamingAggregator for StreamingTrimmedMean {
         let _ = sample_count; // trimmed mean is unweighted
         self.check_capacity()?;
         let view = wire::sparse_view(payload).map_err(|e| bad_payload(client_id, "EVSK", e))?;
-        check_view_shapes(
+        check_shapes(
             &mut self.shapes,
             client_id,
             view.tensors().map(|t| t.shape()),

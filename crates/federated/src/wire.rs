@@ -1454,7 +1454,7 @@ mod tests {
     fn sample_weights() -> Vec<Matrix> {
         vec![
             Matrix::from_fn(5, 7, |i, j| (i as f64) - 0.37 * j as f64),
-            Matrix::row_vector(&[1.0, -2.5, f64::MIN_POSITIVE, 1e300]),
+            Matrix::from_vec(1, 4, vec![1.0, -2.5, f64::MIN_POSITIVE, 1e300]),
         ]
     }
 

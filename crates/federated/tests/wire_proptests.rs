@@ -293,7 +293,7 @@ mod hostile {
         vec![
             Matrix::from_fn(3, 4, |i, j| (i as f64) - 0.37 * j as f64),
             Matrix::zeros(0, 5),
-            Matrix::row_vector(&[1.0, -2.5, f64::MIN_POSITIVE, 1e300]),
+            Matrix::from_vec(1, 4, vec![1.0, -2.5, f64::MIN_POSITIVE, 1e300]),
         ]
     }
 

@@ -285,7 +285,7 @@ mod tests {
         {
             let mut pg = l.params_and_grads_mut();
             *pg[0].0 = Matrix::from_rows(&[vec![1.0, 0.0], vec![0.0, 2.0]]);
-            *pg[1].0 = Matrix::row_vector(&[0.5, -0.5]);
+            *pg[1].0 = Matrix::from_vec(1, 2, vec![0.5, -0.5]);
         }
         let x = Seq::single(Matrix::from_rows(&[vec![1.0, 1.0]]));
         let y = forward(&mut l, &x, false);

@@ -67,7 +67,7 @@ proptest! {
     /// MSE is non-negative and zero iff prediction equals target.
     #[test]
     fn mse_nonnegative(p in prop::collection::vec(-10.0f64..10.0, 1..20)) {
-        let pred = Seq::single(Matrix::row_vector(&p));
+        let pred = Seq::single(Matrix::from_vec(1, p.len(), p.clone()));
         let target = Seq::single(Matrix::zeros(1, p.len()));
         let v = Loss::Mse.value(&pred, &target);
         prop_assert!(v >= 0.0);
@@ -77,7 +77,7 @@ proptest! {
     /// MAE <= sqrt(MSE)·const relationship: mean |e| <= sqrt(mean e^2).
     #[test]
     fn mae_bounded_by_rmse(p in prop::collection::vec(-10.0f64..10.0, 1..20)) {
-        let pred = Seq::single(Matrix::row_vector(&p));
+        let pred = Seq::single(Matrix::from_vec(1, p.len(), p.clone()));
         let target = Seq::single(Matrix::zeros(1, p.len()));
         let mae = Loss::Mae.value(&pred, &target);
         let rmse = Loss::Mse.value(&pred, &target).sqrt();

@@ -1,17 +1,19 @@
 //! Always-on matrix-allocation accounting.
 //!
 //! Every [`Matrix`](crate::Matrix) construction that obtains a fresh backing
-//! buffer (constructors, `clone`, and the allocating combinators such as
-//! `map`/`zip_map`) bumps a pair of process-wide atomic counters. The
-//! counters are monotonic; callers measure a region of interest by taking a
-//! snapshot before and after and diffing (see [`AllocStats::since`]).
+//! buffer (constructors, `clone`, and the combinators that return a new
+//! matrix, such as `map`/`zip_map`) bumps a pair of process-wide atomic
+//! counters. The counters are monotonic; callers measure a region of
+//! interest by taking a snapshot before and after and diffing (see
+//! [`AllocStats::since`]).
 //!
-//! The counters exist so the test-suite and the `bench_train_step` binary
-//! can *enforce* allocation behaviour — e.g. that a warm-workspace LSTM
-//! train step performs O(1) matrix allocations in the sequence length —
-//! rather than merely hoping the hot path stays allocation-free. Relaxed
-//! atomics keep the overhead to a couple of nanoseconds per construction,
-//! negligible next to the buffer zeroing itself.
+//! The counters exist so the test suite can *enforce* allocation behaviour
+//! — a warm train step, inference chunk or scoring push allocates no matrix
+//! at all (`crates/nn/tests/alloc_regression.rs`) — and so the end-to-end
+//! benchmark can report it (`tensor.matrix_allocs`), rather than merely
+//! hoping the hot path stays allocation-free. Relaxed atomics keep the
+//! overhead to a couple of nanoseconds per construction, negligible next
+//! to the buffer zeroing itself.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 

@@ -8,11 +8,9 @@ use std::fmt;
 /// # Examples
 ///
 /// ```
-/// use evfad_tensor::{Matrix, ShapeError};
+/// use evfad_tensor::ShapeError;
 ///
-/// let a = Matrix::zeros(2, 3);
-/// let b = Matrix::zeros(4, 5);
-/// let err: ShapeError = a.checked_matmul(&b).unwrap_err();
+/// let err = ShapeError::new("solve", (2, 3), (4, 5));
 /// assert!(err.to_string().contains("2x3"));
 /// ```
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -55,9 +53,6 @@ impl fmt::Display for ShapeError {
 }
 
 impl Error for ShapeError {}
-
-/// Result alias for fallible tensor operations.
-pub type TensorResult<T> = Result<T, ShapeError>;
 
 #[cfg(test)]
 mod tests {

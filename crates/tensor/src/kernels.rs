@@ -1,18 +1,24 @@
 //! In-place and accumulating dense kernels over borrowed buffers.
 //!
-//! The allocating [`Matrix`](crate::Matrix) operations are convenient but
-//! force one fresh buffer per call; a recurrent training step strings dozens
-//! of them together per timestep. This module provides the same inner loops
-//! over *caller-owned* storage: lightweight [`MatRef`]/[`MatMut`] views plus
-//! a family of `*_into` (overwrite) and `*_acc_into` (accumulate) kernels.
+//! This module is the workspace's matrix algebra: every layer's forward and
+//! backward and the serving lanes' exact path run here, over *caller-owned*
+//! storage — lightweight [`MatRef`]/[`MatMut`] views plus a family of
+//! `*_into` (overwrite) and `*_acc_into` (accumulate) kernels, so a
+//! recurrent training step allocates nothing.
 //!
 //! # Bitwise contract
 //!
-//! Every kernel here reuses the exact inner loop of its allocating
-//! counterpart — same iteration order, same `a == 0.0` skip in the
-//! `matmul`/`transpose_matmul` accumulation, same per-element expression —
-//! and dispatches through [`crate::parallel::row_partitioned`], so results
-//! are bitwise identical to the `Matrix` methods for every thread count.
+//! A kernel's result is fixed element by element: which terms an output
+//! element takes, in which order, and the `a == 0.0` skip in the
+//! `matmul`/`transpose_matmul` accumulation. The plain serial loops of
+//! [`Matrix`](crate::Matrix) (`matmul`, `transpose_matmul`,
+//! `matmul_transpose`, `transpose`, `add_row_broadcast`) are the oracle:
+//! they write those chains out with no tiling, unrolling or threads, and
+//! the test suites hold every kernel to them bit for bit. The three GEMM
+//! families split their output rows across [`crate::parallel`]'s worker
+//! pool when the product is large enough; no element's chain depends on
+//! which block it fell into, so the bits are the same for every thread
+//! count.
 //!
 //! The accumulating forms continue the running sum *element by element* in
 //! ascending `k` order. That gives the splitting identity the recurrent
@@ -155,28 +161,12 @@ impl<'a> MatMut<'a> {
         );
         Self { rows, cols, data }
     }
-
-    /// Number of rows.
-    pub fn rows(&self) -> usize {
-        self.rows
-    }
-
-    /// Number of columns.
-    pub fn cols(&self) -> usize {
-        self.cols
-    }
-
-    /// Flat mutable row-major contents.
-    pub fn as_mut_slice(&mut self) -> &mut [f64] {
-        self.data
-    }
 }
 
 /// `out = a · b`, overwriting `out`.
 ///
-/// Bitwise identical to [`Matrix::matmul`](crate::Matrix::matmul) into a
-/// fresh buffer: the output is zeroed, then accumulated with the same
-/// i-k-j loop (including the `a == 0.0` skip) for every thread count.
+/// The output is zeroed, then accumulated by [`matmul_acc_into`]; held
+/// bitwise to the reference loop [`Matrix::matmul`](crate::Matrix::matmul).
 ///
 /// # Panics
 ///
@@ -342,9 +332,9 @@ fn acc_rows(out_row: &mut [f64], lhs: &[f64], b: MatRef<'_>, k0: usize) {
 
 /// `out = a · bᵀ`, overwriting `out` (no transpose is materialised).
 ///
-/// Bitwise identical to
-/// [`Matrix::matmul_transpose`](crate::Matrix::matmul_transpose): each
-/// output element is one full dot product, assigned once.
+/// Each output element is one full dot product in ascending `k`, assigned
+/// once; held bitwise to the reference loop
+/// [`Matrix::matmul_transpose`](crate::Matrix::matmul_transpose).
 ///
 /// # Panics
 ///
@@ -471,9 +461,9 @@ fn dot_tail(lhs_row: &[f64], b: MatRef<'_>, out: &mut [f64], j0: usize, accumula
 
 /// `out = aᵀ · b`, overwriting `out` (no transpose is materialised).
 ///
-/// Bitwise identical to
-/// [`Matrix::transpose_matmul`](crate::Matrix::transpose_matmul) into a
-/// fresh buffer.
+/// The output is zeroed, then accumulated by [`transpose_matmul_acc_into`];
+/// held bitwise to the reference loop
+/// [`Matrix::transpose_matmul`](crate::Matrix::transpose_matmul).
 ///
 /// # Panics
 ///
@@ -533,54 +523,9 @@ pub fn transpose_matmul_acc_into(a: MatRef<'_>, b: MatRef<'_>, out: MatMut<'_>) 
     });
 }
 
-/// `out[e] = f(a[e], b[e])` elementwise over equally-shaped views.
-///
-/// Bitwise identical to [`Matrix::zip_map`](crate::Matrix::zip_map) into a
-/// fresh buffer.
-///
-/// # Panics
-///
-/// Panics on any shape mismatch.
-pub fn zip_map_into(
-    a: MatRef<'_>,
-    b: MatRef<'_>,
-    out: MatMut<'_>,
-    f: impl Fn(f64, f64) -> f64 + Sync,
-) {
-    assert_eq!(
-        (a.rows, a.cols),
-        (b.rows, b.cols),
-        "zip_map_into shape mismatch"
-    );
-    assert_eq!(
-        (a.rows, a.cols),
-        (out.rows, out.cols),
-        "zip_map_into output shape mismatch"
-    );
-    let len = out.data.len();
-    crate::parallel::row_partitioned(len, out.data, len, 1, |r0, r1, block| {
-        let lhs = &a.data[r0..r1];
-        let rhs = &b.data[r0..r1];
-        for (o, (&x, &y)) in block.iter_mut().zip(lhs.iter().zip(rhs.iter())) {
-            *o = f(x, y);
-        }
-    });
-}
-
-/// Elementwise (Hadamard) product into `out`.
-///
-/// # Panics
-///
-/// Panics on any shape mismatch.
-pub fn hadamard_into(a: MatRef<'_>, b: MatRef<'_>, out: MatMut<'_>) {
-    zip_map_into(a, b, out, |x, y| x * y);
-}
-
-/// Adds a `1 x cols` row vector to every row of `out`, in place.
-///
-/// Bitwise identical to
-/// [`Matrix::add_row_broadcast`](crate::Matrix::add_row_broadcast) (which
-/// clones and then performs the same per-row `+=`).
+/// Adds a `1 x cols` row vector to every row of `out`, in place: one `+=`
+/// per element (the reference is
+/// [`Matrix::add_row_broadcast`](crate::Matrix::add_row_broadcast)).
 ///
 /// # Panics
 ///
@@ -623,9 +568,8 @@ pub fn transpose_into(a: MatRef<'_>, out: MatMut<'_>) {
 /// `out[i] = src[rows[i]]` row-wise: gathers the listed rows of `src`
 /// into `out` in order.
 ///
-/// Pure data movement (each output row is one `copy_from_slice` from the
-/// source row), so the result is trivially bitwise identical to building
-/// the same matrix with any allocating equivalent — e.g.
+/// Pure data movement: each output row is one `copy_from_slice` from the
+/// source row, i.e.
 /// `Matrix::from_fn(rows.len(), src.cols(), |i, j| src[(rows[i], j)])`.
 /// This is the marshalling primitive behind `BatchPlan`: a shuffled epoch
 /// becomes an index permutation consumed here instead of per-sample
@@ -669,38 +613,6 @@ pub fn scatter_rows_into(src: MatRef<'_>, rows: &[usize], out: MatMut<'_>) {
             out.rows
         );
         out.data[r * out.cols..(r + 1) * out.cols].copy_from_slice(src.row(i));
-    }
-}
-
-/// `out[i] = src[start + i * stride]` for `i in 0..out.len()`.
-///
-/// The strided step builder for windowed time series: a time-major step of
-/// a stride-1 window batch is the contiguous slice `src[t..t + n]`, which
-/// this copies with one `copy_from_slice`; other strides fall back to an
-/// elementwise loop. Pure data movement, bitwise identical to the
-/// equivalent `iter().step_by(stride)` collect.
-///
-/// # Panics
-///
-/// Panics if `stride == 0`, or if the last element read
-/// (`start + (out.len() - 1) * stride`) is out of bounds for `src`.
-pub fn gather_strided_into(src: &[f64], start: usize, stride: usize, out: &mut [f64]) {
-    assert!(stride > 0, "gather_strided: stride must be nonzero");
-    if out.is_empty() {
-        return;
-    }
-    let last = start + (out.len() - 1) * stride;
-    assert!(
-        last < src.len(),
-        "gather_strided: last index {last} out of bounds ({})",
-        src.len()
-    );
-    if stride == 1 {
-        out.copy_from_slice(&src[start..start + out.len()]);
-    } else {
-        for (i, o) in out.iter_mut().enumerate() {
-            *o = src[start + i * stride];
-        }
     }
 }
 
@@ -818,14 +730,9 @@ mod tests {
     }
 
     #[test]
-    fn hadamard_and_broadcast_match_matrix_forms() {
+    fn add_row_broadcast_into_matches_the_matrix_form() {
         let a = m(3, 4, 1.0);
-        let b = m(3, 4, 0.3);
-        let mut out = vec![0.0; 12];
-        hadamard_into(a.view(), b.view(), MatMut::new(3, 4, &mut out));
-        assert_eq!(out, a.hadamard(&b).as_slice());
-
-        let bias = Matrix::row_vector(&[0.5, -1.0, 2.0, 0.25]);
+        let bias = Matrix::from_vec(1, 4, vec![0.5, -1.0, 2.0, 0.25]);
         let mut buf = a.as_slice().to_vec();
         add_row_broadcast_into(MatMut::new(3, 4, &mut buf), bias.view());
         assert_eq!(buf, a.add_row_broadcast(&bias).as_slice());
@@ -877,19 +784,6 @@ mod tests {
         assert_eq!(&out[6..8], &[9.0, 9.0]);
         assert_eq!(&out[0..2], src.row(1));
         assert_eq!(&out[4..6], src.row(2));
-    }
-
-    #[test]
-    fn gather_strided_matches_step_by() {
-        let src: Vec<f64> = (0..20).map(|i| (i as f64).cos()).collect();
-        for stride in [1usize, 2, 3] {
-            let mut out = vec![f64::NAN; 5];
-            gather_strided_into(&src, 2, stride, &mut out);
-            let expect: Vec<f64> = src[2..].iter().step_by(stride).take(5).copied().collect();
-            assert_eq!(out, expect);
-        }
-        let mut empty: Vec<f64> = Vec::new();
-        gather_strided_into(&src, 0, 1, &mut empty);
     }
 
     #[test]

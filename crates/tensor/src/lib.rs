@@ -2,14 +2,16 @@
 //!
 //! The paper's stack is built on NumPy; this crate provides the equivalent
 //! primitives needed by the neural-network substrate ([`evfad-nn`]) and the
-//! anomaly-detection pipeline: a row-major [`Matrix`] of `f64` with
-//! cache-aware multiplication, elementwise combinators, weight
-//! initialisers, and the descriptive statistics (percentiles, moments) used
-//! by the reconstruction-error thresholding rule.
+//! anomaly-detection pipeline: a row-major [`Matrix`] of `f64`, the
+//! in-place [`kernels`] every layer multiplies with, weight initialisers,
+//! and the descriptive statistics (percentiles, moments) used by the
+//! reconstruction-error thresholding rule.
 //!
-//! Large kernels execute on a deterministic worker pool (see [`parallel`]):
-//! outputs are partitioned into disjoint row blocks, so results are bitwise
-//! identical to serial execution for every thread count.
+//! The algebra exists once, in [`kernels`]; `Matrix`'s own products are the
+//! plain serial loops the kernels are tested against. Large GEMMs execute
+//! on a deterministic worker pool (see [`parallel`]): outputs are
+//! partitioned into disjoint row blocks, so results are bitwise identical
+//! to serial execution for every thread count.
 //!
 //! # Examples
 //!
@@ -25,7 +27,7 @@
 //! [`evfad-nn`]: https://example.com/evfad
 
 // `deny` rather than `forbid`: the one audited exception is the lifetime
-// erasure in `parallel::run_scoped`, which hands stack-borrowing jobs to the
+// erasure in `parallel::run_jobs`, which hands stack-borrowing jobs to the
 // persistent worker pool and joins them before returning.
 #![deny(unsafe_code)]
 #![warn(missing_docs)]
@@ -43,7 +45,7 @@ pub mod stats;
 pub mod vmath;
 
 pub use alloc::{alloc_stats, AllocStats};
-pub use error::{ShapeError, TensorResult};
+pub use error::ShapeError;
 pub use init::{glorot_limit, Initializer};
 pub use kernels::{MatMut, MatRef};
 pub use matrix::Matrix;

@@ -1,14 +1,15 @@
 //! Deterministic parallel execution for the dense kernels.
 //!
-//! The hot kernels in [`crate::Matrix`] (`matmul`, `matmul_transpose`,
-//! `transpose_matmul`, `transpose`, and the `zip_map`-style elementwise
-//! family) partition their **output** into disjoint, contiguous row blocks
-//! and hand each block to a lazily-initialised process-wide worker pool.
-//! Every block runs the *same inner loop in the same order* as the serial
-//! kernel, and no two blocks share an output element, so the result is
-//! **bitwise identical** to the serial computation for every thread count —
+//! The three GEMM families of [`crate::kernels`] (`matmul`,
+//! `matmul_transpose` and `transpose_matmul`, each `_into` and `_acc_into`)
+//! partition their **output** into disjoint, contiguous row blocks and hand
+//! each block to a lazily-initialised process-wide worker pool. Every block
+//! runs the *same inner loop in the same order* as the serial kernel, and
+//! no two blocks share an output element, so the result is **bitwise
+//! identical** to the serial computation for every thread count —
 //! floating-point summation order never changes, only who computes which
-//! rows.
+//! rows. Nothing else in the crate dispatches here: the `Matrix` reference
+//! loops the kernels are tested against are serial by construction.
 //!
 //! Small operations stay serial: a dispatch only goes parallel when its
 //! estimated FLOP count reaches [`serial_flop_threshold`] (tunable via
@@ -221,18 +222,19 @@ pub(crate) fn row_partitioned<K>(
     let base = out_rows / blocks;
     let extra = out_rows % blocks;
 
-    let mut tasks: Vec<(usize, usize, &mut [f64])> = Vec::with_capacity(blocks);
+    let kernel = &kernel;
+    let mut jobs: Vec<Box<dyn FnOnce() + Send + '_>> = Vec::with_capacity(blocks);
     let mut rest = out;
     let mut row = 0;
     for b in 0..blocks {
         let height = base + usize::from(b < extra);
         let (chunk, tail) = rest.split_at_mut(height * out_cols);
-        tasks.push((row, row + height, chunk));
+        jobs.push(Box::new(move || kernel(row, row + height, chunk)));
         row += height;
         rest = tail;
     }
 
-    run_scoped(tasks, &kernel);
+    run_jobs(jobs);
 }
 
 /// Runs `task(i, &mut slots[i])` for every slot, distributing contiguous
@@ -293,23 +295,6 @@ where
         rest = tail;
     }
 
-    run_jobs(jobs);
-}
-
-/// Executes one kernel invocation per task across the pool plus the calling
-/// thread, returning once every task has finished.
-fn run_scoped<K>(tasks: Vec<(usize, usize, &mut [f64])>, kernel: &K)
-where
-    K: Fn(usize, usize, &mut [f64]) + Sync,
-{
-    let jobs: Vec<Box<dyn FnOnce() + Send + '_>> = tasks
-        .into_iter()
-        .map(|(row_start, row_end, chunk)| {
-            let job: Box<dyn FnOnce() + Send + '_> =
-                Box::new(move || kernel(row_start, row_end, chunk));
-            job
-        })
-        .collect();
     run_jobs(jobs);
 }
 

@@ -5,6 +5,7 @@ use evfad_core::attack::{DdosConfig, DdosInjector};
 use evfad_core::data::{DatasetConfig, ShenzhenGenerator, Zone};
 use evfad_core::federated::{Aggregator, FederatedConfig, FederatedSimulation, LocalUpdate};
 use evfad_core::nn::{forecaster_model, Sample};
+use evfad_core::tensor::kernels::{self, MatMut};
 use evfad_core::tensor::{parallel, Matrix};
 use evfad_core::timeseries::MinMaxScaler;
 use proptest::prelude::*;
@@ -145,9 +146,10 @@ proptest! {
         }
     }
 
-    /// The parallel compute layer is bitwise deterministic: every kernel
-    /// produces the same bits whether it runs serial or split across the
-    /// worker pool, for arbitrary shapes (including 1×n and n×1).
+    /// The parallel compute layer is bitwise deterministic: every pooled
+    /// GEMM kernel produces the bits of the serial `Matrix` reference loop
+    /// when split across the worker pool, for arbitrary shapes (including
+    /// 1×n and n×1).
     #[test]
     fn parallel_kernels_bitwise_equal_serial(
         rows in 1usize..48,
@@ -162,31 +164,32 @@ proptest! {
         let b = Matrix::from_fn(inner, cols, |i, j| mix(i, j, 2));
         let c = Matrix::from_fn(rows, cols, |i, j| mix(i, j, 3));
         let d = Matrix::from_fn(cols, inner, |i, j| mix(i, j, 4));
-
-        parallel::set_threads(1);
-        let mm_s = a.matmul(&b);
-        let tm_s = a.transpose_matmul(&c);
-        let mt_s = a.matmul_transpose(&d);
-        let tr_s = a.transpose();
-        let zm_s = a.zip_map(&Matrix::from_fn(rows, inner, |i, j| mix(i, j, 5)), |x, y| x.mul_add(1.25, y));
+        let e = Matrix::from_fn(rows, inner, |i, j| mix(i, j, 5));
 
         // Threshold 0 makes every dispatch eligible for the pool.
         let before = parallel::serial_flop_threshold();
         parallel::set_serial_flop_threshold(0);
         parallel::set_threads(5);
-        let mm_p = a.matmul(&b);
-        let tm_p = a.transpose_matmul(&c);
-        let mt_p = a.matmul_transpose(&d);
-        let tr_p = a.transpose();
-        let zm_p = a.zip_map(&Matrix::from_fn(rows, inner, |i, j| mix(i, j, 5)), |x, y| x.mul_add(1.25, y));
+        let mut mm_p = vec![f64::NAN; rows * cols];
+        kernels::matmul_into(a.view(), b.view(), MatMut::new(rows, cols, &mut mm_p));
+        let mut tm_p = vec![f64::NAN; inner * cols];
+        kernels::transpose_matmul_into(a.view(), c.view(), MatMut::new(inner, cols, &mut tm_p));
+        let mut mt_p = vec![f64::NAN; rows * cols];
+        kernels::matmul_transpose_into(a.view(), d.view(), MatMut::new(rows, cols, &mut mt_p));
         parallel::set_threads(0);
         parallel::set_serial_flop_threshold(before);
 
-        prop_assert_eq!(mm_s.as_slice(), mm_p.as_slice());
-        prop_assert_eq!(tm_s.as_slice(), tm_p.as_slice());
-        prop_assert_eq!(mt_s.as_slice(), mt_p.as_slice());
-        prop_assert_eq!(tr_s.as_slice(), tr_p.as_slice());
-        prop_assert_eq!(zm_s.as_slice(), zm_p.as_slice());
+        prop_assert_eq!(a.matmul(&b).into_vec(), mm_p);
+        prop_assert_eq!(a.transpose_matmul(&c).into_vec(), tm_p);
+        prop_assert_eq!(a.matmul_transpose(&d).into_vec(), mt_p);
+        // `transpose_into` and `zip_map` have no dispatch: plain checks.
+        let mut tr = vec![f64::NAN; rows * inner];
+        kernels::transpose_into(a.view(), MatMut::new(inner, rows, &mut tr));
+        prop_assert_eq!(a.transpose().into_vec(), tr);
+        let zm = a.zip_map(&e, |x, y| x.mul_add(1.25, y));
+        for ((z, x), y) in zm.as_slice().iter().zip(a.as_slice()).zip(e.as_slice()) {
+            prop_assert_eq!(z.to_bits(), x.mul_add(1.25, *y).to_bits());
+        }
     }
 
     /// Tall/thin extremes: row counts far above the thread count and
@@ -199,15 +202,14 @@ proptest! {
     ) {
         let a = Matrix::from_fn(rows, 7, |i, j| ((seed.wrapping_add((i * 7 + j) as u64)) as f64 * 0.37).cos());
         let b = Matrix::from_fn(7, cols, |i, j| ((i * 3 + j) as f64 * 0.11).sin());
-        parallel::set_threads(1);
-        let serial = a.matmul(&b);
         let before = parallel::serial_flop_threshold();
         parallel::set_serial_flop_threshold(0);
         parallel::set_threads(7);
-        let par = a.matmul(&b);
+        let mut par = vec![f64::NAN; rows * cols];
+        kernels::matmul_into(a.view(), b.view(), MatMut::new(rows, cols, &mut par));
         parallel::set_threads(0);
         parallel::set_serial_flop_threshold(before);
-        prop_assert_eq!(serial.as_slice(), par.as_slice());
+        prop_assert_eq!(a.matmul(&b).into_vec(), par);
     }
 }
 
