@@ -117,9 +117,11 @@ impl Detection {
 }
 
 /// Windows scored per forward pass. Any value gives the same scores (batch
-/// rows are independent); this one keeps the autoencoder's activations for
-/// a chunk at a few megabytes.
-const SCORE_CHUNK: usize = 256;
+/// rows are independent); this one keeps the widest `(T·B) x 4H`
+/// pre-activation block of the paper's autoencoder at L2 size (2.4 MB) and
+/// a filter's scoring arena small enough for the study to score two
+/// clients side by side.
+const SCORE_CHUNK: usize = 64;
 
 /// The paper's `EVChargingAnomalyFilter`: an LSTM autoencoder trained on
 /// normal data, a percentile threshold on reconstruction error, and

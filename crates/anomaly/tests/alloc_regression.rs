@@ -37,7 +37,7 @@ fn warm_score_allocs(filter: &mut AnomalyFilter, n: usize) -> AllocStats {
 
 /// Warm scoring stages windows straight off the series into reused buffers,
 /// so its matrix-allocation count must not grow with the series length.
-/// All lengths here span multiple 256-window chunks, so the count includes
+/// All lengths here span multiple 64-window chunks, so the count includes
 /// the full-chunk/tail staging cadence the production path really runs.
 #[test]
 fn warm_score_matrix_allocs_are_o1_in_series_length() {

@@ -32,12 +32,14 @@ fn fitted_filter() -> &'static AnomalyFilter {
 }
 
 /// `AnomalyFilter::score` as it was before the windowed view: materialised
-/// reconstruction windows, one column-vector matrix per window, the
-/// allocating `predict`, then the min-over-estimates sweep.
+/// reconstruction windows, one column-vector matrix per window, every
+/// window through one un-chunked forward, then the min-over-estimates sweep.
 fn allocating_score(model: &mut Sequential, series: &[f64], seq_len: usize) -> Vec<f64> {
     let wins = windows::reconstruction(series, seq_len);
     let inputs: Vec<Matrix> = wins.iter().map(|w| Matrix::column_vector(w)).collect();
-    let recon = model.predict(&inputs);
+    let recon = model
+        .forward(&Seq::from_samples(&inputs), false)
+        .to_samples();
     let mut best = vec![f64::INFINITY; series.len()];
     for (start, r) in recon.iter().enumerate() {
         let last_idx = start + seq_len - 1;
@@ -96,19 +98,23 @@ proptest! {
     }
 
     /// End to end: every per-point score off the windowed view equals the
-    /// allocating path's, bitwise, for series shorter and longer than one
-    /// 256-window chunk.
+    /// allocating path's, bitwise, for window counts below, at and across
+    /// the 64-window scoring chunk, out to several chunks with a ragged
+    /// tail: the chunk size is not in the bits.
     #[test]
     fn filter_score_matches_allocating_path(
-        series in prop::collection::vec(0.0f64..1.0, SCORE_SEQ_LEN..300),
+        series in prop::collection::vec(0.0f64..1.0, SCORE_SEQ_LEN - 1 + 258),
     ) {
         let mut filter = fitted_filter().clone();
         let mut model = filter.model().expect("fitted").clone();
-        let reference = allocating_score(&mut model, &series, SCORE_SEQ_LEN);
-        let scores = filter.score(&series).expect("score");
-        prop_assert_eq!(scores.len(), reference.len());
-        for (s, r) in scores.iter().zip(&reference) {
-            prop_assert_eq!(s.to_bits(), r.to_bits());
+        for n_windows in [1usize, 2, 63, 64, 65, 129, 255, 256, 258] {
+            let series = &series[..SCORE_SEQ_LEN - 1 + n_windows];
+            let reference = allocating_score(&mut model, series, SCORE_SEQ_LEN);
+            let scores = filter.score(series).expect("score");
+            prop_assert_eq!(scores.len(), reference.len());
+            for (s, r) in scores.iter().zip(&reference) {
+                prop_assert_eq!(s.to_bits(), r.to_bits());
+            }
         }
     }
 

@@ -5,6 +5,7 @@
 
 use evfad_bench::BenchOpts;
 use evfad_core::forecast::run_study;
+use evfad_core::tensor::parallel;
 
 fn main() {
     let opts = BenchOpts::from_env();
@@ -16,6 +17,12 @@ fn main() {
             .cloned()
     };
     println!("{}", opts.banner("Full study"));
+    // An archived output says how it was produced: the study runs its
+    // detector fits and its trainings as pool jobs, this many at once.
+    let threads = parallel::threads();
+    println!(
+        "threads: {threads} (jobs run {threads} at a time; Time (s) columns are per-job wall clock)"
+    );
     let report = match run_study(&opts.study_config()) {
         Ok(r) => r,
         Err(e) => {

@@ -28,7 +28,9 @@ pub struct FederatedConfig {
     /// Train clients on parallel threads (the distributed-hardware model;
     /// disable for deterministic single-thread profiling).
     pub parallel: bool,
-    /// Intra-op thread count for the tensor kernels (`0` = one per CPU).
+    /// Thread count for the tensor worker pool, installed process-wide at
+    /// the start of `run()`; `0` = inherit the process-wide setting (one
+    /// per CPU unless changed).
     ///
     /// Composes with [`FederatedConfig::parallel`]: client threads share
     /// the process-wide tensor worker pool, so total CPU use stays bounded
@@ -392,7 +394,11 @@ impl FederatedSimulation {
             return Err(FederatedError::NoClients);
         }
         self.config.validate(self.clients.len())?;
-        evfad_tensor::parallel::set_threads(self.config.threads);
+        // `0` inherits: storing it would undo a caller's `set_threads(1)`
+        // for the rest of the process.
+        if self.config.threads != 0 {
+            evfad_tensor::parallel::set_threads(self.config.threads);
+        }
         self.channel.reset();
         let global = self.template.weights();
         let mut pool = InProcessPool {

@@ -2,7 +2,7 @@
 
 use crate::error::ForecastError;
 use crate::pipeline::PreparedClient;
-use crate::scenario::{build_all, Architecture, ClientScenarios, Scenario};
+use crate::scenario::{build_all, fan_out, Architecture, ClientScenarios, Scenario};
 use evfad_anomaly::{DetectionReport, FilterConfig};
 use evfad_attack::DdosConfig;
 use evfad_data::{DatasetConfig, ShenzhenGenerator};
@@ -73,7 +73,9 @@ pub struct StudyConfig {
     pub aggregator: Aggregator,
     /// Federated read-out mode.
     pub read_out: ReadOut,
-    /// Train clients on parallel threads.
+    /// Train each federation's clients on parallel threads within a round
+    /// (`FederatedConfig::parallel`). The study runs its detector fits and
+    /// its trainings side by side on the worker pool either way.
     pub parallel: bool,
     /// Master seed.
     pub seed: u64,
@@ -120,10 +122,13 @@ impl StudyConfig {
             train_fraction: 0.8,
             aggregator: Aggregator::FedAvg,
             read_out: ReadOut::Local,
-            // Thread-parallel clients only pay off on multi-core hosts; the
-            // reported federated time is the simulated distributed time
-            // (slowest client per round) either way, and serial execution
-            // keeps per-client durations uncontaminated by core contention.
+            // Selects per-round client threads inside each federation and
+            // nothing else; the study's own fan-out does not consult it.
+            // The reported federated time is the simulated distributed time
+            // (slowest client per round) either way. What keeps per-client
+            // durations clean is that at most one job runs per pool thread
+            // and the pool has one thread per CPU; client threads on top of
+            // that would oversubscribe the cores.
             parallel: false,
             seed,
         }
@@ -361,9 +366,16 @@ fn run_centralized_scenario(
 
 /// Runs the complete four-scenario study (the whole of the paper's §III).
 ///
+/// The independent fits — each client's detector, then the three
+/// federations and the centralized baseline — run as jobs on the tensor
+/// worker pool, `parallel::threads()` at a time (in order on the calling
+/// thread when that is one). The report does not depend on it: every field
+/// but the wall-clock `train_seconds` is the same for every thread count.
+///
 /// # Errors
 ///
-/// Propagates any preparation, filtering, or training failure.
+/// Propagates the preparation, filtering, or training failure a serial run
+/// would have met first.
 pub fn run_study(cfg: &StudyConfig) -> Result<StudyReport, ForecastError> {
     let clients = ShenzhenGenerator::new(cfg.dataset.clone()).generate_all();
     let scens = build_all(&clients, &cfg.attack, &cfg.filter, cfg.seed)?;
@@ -381,26 +393,52 @@ pub fn run_study(cfg: &StudyConfig) -> Result<StudyReport, ForecastError> {
             acc.merged(d.report)
         });
 
-    let mut scenarios = Vec::new();
-    let mut fig2 = Fig2Data::default();
-
-    for scenario in [Scenario::Clean, Scenario::Attacked, Scenario::Filtered] {
-        let prepared = prepare_scenario_clients(&scens, scenario, cfg)?;
-        let (result, predictions) = run_federated_scenario(&prepared, scenario, cfg)?;
-        // Fig. 2 tracks Client 1 (zone 102).
-        match scenario {
-            Scenario::Clean => {
-                fig2.indices = prepared[0].test_indices.clone();
-                fig2.actual = prepared[0].test_actual_raw.clone();
-                fig2.clean_pred = predictions[0].clone();
+    // The four trainings share nothing but their inputs, so each is one
+    // job on the worker pool. Their results — and the first error, each
+    // job's preparation failure ahead of its training failure — are
+    // gathered in the order a serial study produced them.
+    let conditions = [Scenario::Clean, Scenario::Attacked, Scenario::Filtered];
+    let prepared = conditions.map(|scenario| prepare_scenario_clients(&scens, scenario, cfg));
+    // (index into `conditions`, architecture)
+    let trainings = [
+        (0, Architecture::Federated),
+        (1, Architecture::Federated),
+        (2, Architecture::Federated),
+        (2, Architecture::Centralized),
+    ];
+    let trained = fan_out(trainings.len(), |job| {
+        let (condition, architecture) = trainings[job];
+        let scenario = conditions[condition];
+        let prepared = prepared[condition].as_ref().map_err(Clone::clone)?;
+        match architecture {
+            Architecture::Federated => run_federated_scenario(prepared, scenario, cfg),
+            Architecture::Centralized => {
+                run_centralized_scenario(prepared, scenario, cfg).map(|r| (r, Vec::new()))
             }
-            Scenario::Attacked => fig2.attacked_pred = predictions[0].clone(),
-            Scenario::Filtered => fig2.filtered_pred = predictions[0].clone(),
+        }
+    })
+    .into_iter()
+    .collect::<Result<Vec<_>, _>>()?;
+
+    // Fig. 2 tracks Client 1 (zone 102) through the federated runs.
+    let [clean, _, _] = prepared;
+    let clean_client1 = clean?.swap_remove(0);
+    let mut fig2 = Fig2Data {
+        indices: clean_client1.test_indices,
+        actual: clean_client1.test_actual_raw,
+        ..Fig2Data::default()
+    };
+    let mut scenarios = Vec::with_capacity(trainings.len());
+    for (result, mut predictions) in trained {
+        if result.architecture == Architecture::Federated {
+            let client1 = predictions.swap_remove(0);
+            match result.scenario {
+                Scenario::Clean => fig2.clean_pred = client1,
+                Scenario::Attacked => fig2.attacked_pred = client1,
+                Scenario::Filtered => fig2.filtered_pred = client1,
+            }
         }
         scenarios.push(result);
-        if scenario == Scenario::Filtered {
-            scenarios.push(run_centralized_scenario(&prepared, scenario, cfg)?);
-        }
     }
 
     Ok(StudyReport {

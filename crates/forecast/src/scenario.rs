@@ -4,6 +4,7 @@ use crate::error::ForecastError;
 use evfad_anomaly::{AnomalyFilter, DetectionReport, FilterConfig};
 use evfad_attack::{AttackOutcome, DdosConfig, DdosInjector};
 use evfad_data::ClientData;
+use evfad_tensor::parallel;
 use evfad_timeseries::MinMaxScaler;
 use serde::{Deserialize, Serialize};
 
@@ -137,12 +138,32 @@ impl ClientScenarios {
     }
 }
 
+/// Runs `job(0..count)` as independent jobs on the worker pool —
+/// `parallel::threads()` at a time, on the calling thread alone when that
+/// is one — and returns their results in index order.
+pub(crate) fn fan_out<T, F>(count: usize, job: F) -> Vec<T>
+where
+    T: Send,
+    F: Fn(usize) -> T + Sync,
+{
+    let mut slots: Vec<Option<T>> = (0..count).map(|_| None).collect();
+    parallel::distribute(&mut slots, parallel::threads(), |i, slot| {
+        *slot = Some(job(i));
+    });
+    slots
+        .into_iter()
+        .map(|slot| slot.expect("distribute visits every slot"))
+        .collect()
+}
+
 /// Convenience: builds [`ClientScenarios`] for every client with derived
-/// per-client seeds.
+/// per-client seeds. Each client's detector is fitted on that client's
+/// data alone, so the clients are built as independent jobs on the worker
+/// pool; the result does not depend on how many run at once.
 ///
 /// # Errors
 ///
-/// Propagates the first client failure.
+/// Propagates the failure of the lowest-index client that failed.
 pub fn build_all(
     clients: &[ClientData],
     attack: &DdosConfig,
@@ -150,15 +171,13 @@ pub fn build_all(
     seed: u64,
 ) -> Result<Vec<ClientScenarios>, ForecastError> {
     let injector = DdosInjector::new(attack.clone());
-    clients
-        .iter()
-        .enumerate()
-        .map(|(i, c)| {
-            let mut cfg = filter_config.clone();
-            cfg.seed = seed.wrapping_add(1000 + i as u64);
-            ClientScenarios::build(c, &injector, cfg, seed.wrapping_add(i as u64))
-        })
-        .collect()
+    fan_out(clients.len(), |i| {
+        let mut cfg = filter_config.clone();
+        cfg.seed = seed.wrapping_add(1000 + i as u64);
+        ClientScenarios::build(&clients[i], &injector, cfg, seed.wrapping_add(i as u64))
+    })
+    .into_iter()
+    .collect()
 }
 
 #[cfg(test)]

@@ -100,7 +100,7 @@ fn warm_predict_allocs(n: usize) -> AllocStats {
 /// A warm `predict_into` stages inputs into a reusable `Seq`, runs the
 /// layers through the model's arena, and scatters straight into the
 /// caller's flat buffer — so its matrix-allocation count must not grow with
-/// the number of sequences scored (within one 256-sequence chunk).
+/// the number of sequences scored (within one 64-sequence chunk).
 #[test]
 fn warm_predict_into_matrix_allocs_are_o1_in_batch_size() {
     let _guard = GUARD.lock().unwrap();
@@ -148,10 +148,11 @@ fn predict_into_allocates_5x_fewer_matrices_than_predict() {
     );
 }
 
-/// One arena serves every batch size: a warm `evaluate` + `predict_into`
-/// over a full 256-sample chunk followed by a ragged tail reshapes the
-/// staged batches and every layer's slot in place and allocates no matrix
-/// at all — as does going back and forth between that and a train step.
+/// One arena serves every batch size: a warm `evaluate` (a full 256-sample
+/// chunk, then a ragged tail of 37) + `predict_into` (four full 64-input
+/// chunks, then the same tail) reshapes the staged batches and every
+/// layer's slot in place and allocates no matrix at all — as does going
+/// back and forth between that and a train step.
 #[test]
 fn alternating_full_chunk_and_ragged_tail_allocates_nothing_once_warm() {
     let _guard = GUARD.lock().unwrap();

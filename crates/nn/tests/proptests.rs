@@ -158,30 +158,28 @@ proptest! {
         prop_assert_eq!(bin, Seq::from_samples(&picked));
     }
 
-    /// `predict_into`'s flat buffer holds exactly the allocating marshal's
-    /// outputs, sample-major — below, at and across the 256-window eval
-    /// chunk. The oracle marshals each chunk itself: `from_samples`, one
-    /// `forward`, `to_samples` clones.
+    /// `predict_into`'s flat buffer and `predict`'s matrices hold exactly
+    /// what one un-chunked forward over all the inputs gives, sample-major —
+    /// below, at and across the 64-input predict chunk, out to several
+    /// chunks with a ragged tail: the chunk size is not in the bits.
     #[test]
     fn predict_into_matches_allocating_predict(
         arch in 0usize..4,
         seed in 0u64..100,
-        n_raw in 0usize..9,
-        data in prop::collection::vec(-1.0f64..1.0, 5 * 259),
+        data in prop::collection::vec(-1.0f64..1.0, 5 * 258),
     ) {
         let time = 5;
-        let n = if n_raw < 5 { n_raw + 1 } else { 250 + n_raw };
         let mut model = stack(arch, 4, 2, time, seed);
-        let inputs = batch_of_windows(&data, n, time);
-        let mut reference = Vec::new();
-        for chunk in inputs.chunks(256) {
-            reference.extend(model.forward(&Seq::from_samples(chunk), false).to_samples());
-        }
-        let mut got = Vec::new();
-        let (t_out, f_out) = model.predict_into(&inputs, &mut got);
-        prop_assert_eq!(got.len(), n * t_out * f_out);
-        for (r, g) in reference.iter().zip(got.chunks_exact(t_out * f_out)) {
-            prop_assert_eq!(r.as_slice(), g);
+        for n in [1usize, 2, 5, 63, 64, 65, 129, 255, 256, 258] {
+            let inputs = batch_of_windows(&data, n, time);
+            let reference = model.forward(&Seq::from_samples(&inputs), false).to_samples();
+            let mut got = Vec::new();
+            let (t_out, f_out) = model.predict_into(&inputs, &mut got);
+            prop_assert_eq!(got.len(), n * t_out * f_out);
+            for (r, g) in reference.iter().zip(got.chunks_exact(t_out * f_out)) {
+                prop_assert_eq!(r.as_slice(), g);
+            }
+            prop_assert_eq!(model.predict(&inputs), reference);
         }
     }
 }

@@ -18,20 +18,22 @@
 //! least two.
 //!
 //! The pool itself is plain `std` — a shared injector queue drained by
-//! long-lived workers, plus the calling thread, which participates in the
-//! work instead of blocking idle. Worker threads are started on first
-//! parallel dispatch and live for the rest of the process.
+//! long-lived workers, plus the calling thread, which works through the
+//! jobs of its own dispatch instead of blocking idle. Worker threads are
+//! started on first parallel dispatch and live for the rest of the process.
 //!
 //! Beyond the row-partitioned kernels, [`distribute`] exposes the same
-//! pool for *heterogeneous* work units (e.g. the federated scale engine's
-//! edge-shard folds): disjoint slots, contiguous chunks, each chunk
-//! processed strictly in index order. On a machine with fewer CPUs than
-//! requested chunks the calling thread simply drains the queue itself —
-//! oversubscription is deterministic by construction, never a fallback.
+//! pool for *heterogeneous* work units (the federated scale engine's
+//! edge-shard folds, the study's detector fits and trainings): disjoint
+//! slots, contiguous chunks, each chunk processed strictly in index order.
+//! On a machine with fewer CPUs than requested chunks the calling thread
+//! simply drains its chunks itself — oversubscription is deterministic by
+//! construction, never a fallback.
 
+use std::any::Any;
 use std::collections::VecDeque;
-use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex, OnceLock};
 
 /// Requested thread count; `0` means "one per available CPU".
@@ -88,19 +90,27 @@ fn available_cpus() -> usize {
 
 type Job = Box<dyn FnOnce() + Send + 'static>;
 
+/// The shared queue: every job tagged with the latch of the dispatch that
+/// pushed it, so a dispatcher can tell its own jobs from a stranger's.
 struct Injector {
-    queue: Mutex<VecDeque<Job>>,
+    queue: Mutex<VecDeque<(Arc<Latch>, Job)>>,
     ready: Condvar,
 }
 
 impl Injector {
-    fn push(&self, job: Job) {
-        self.queue.lock().expect("injector lock").push_back(job);
+    fn push(&self, dispatch: &Arc<Latch>, job: Job) {
+        self.queue
+            .lock()
+            .expect("injector lock")
+            .push_back((Arc::clone(dispatch), job));
         self.ready.notify_one();
     }
 
-    fn try_pop(&self) -> Option<Job> {
-        self.queue.lock().expect("injector lock").pop_front()
+    /// The oldest queued job of `dispatch`, if any is still unclaimed.
+    fn try_pop_of(&self, dispatch: &Arc<Latch>) -> Option<Job> {
+        let mut queue = self.queue.lock().expect("injector lock");
+        let at = queue.iter().position(|(d, _)| Arc::ptr_eq(d, dispatch))?;
+        queue.remove(at).map(|(_, job)| job)
     }
 }
 
@@ -138,7 +148,7 @@ fn worker_loop(injector: &Injector) {
     loop {
         let mut queue = injector.queue.lock().expect("injector lock");
         loop {
-            if let Some(job) = queue.pop_front() {
+            if let Some((_, job)) = queue.pop_front() {
                 drop(queue);
                 job();
                 break;
@@ -148,11 +158,11 @@ fn worker_loop(injector: &Injector) {
     }
 }
 
-/// Completion latch for one dispatch: counts outstanding blocks and records
-/// whether any of them panicked.
+/// Completion latch for one dispatch: counts outstanding jobs and keeps the
+/// panic payload of the lowest-index job that panicked.
 struct Latch {
     remaining: AtomicUsize,
-    poisoned: AtomicBool,
+    panic: Mutex<Option<(usize, Box<dyn Any + Send>)>>,
     done: Mutex<bool>,
     all_done: Condvar,
 }
@@ -161,15 +171,18 @@ impl Latch {
     fn new(count: usize) -> Self {
         Latch {
             remaining: AtomicUsize::new(count),
-            poisoned: AtomicBool::new(false),
+            panic: Mutex::new(None),
             done: Mutex::new(false),
             all_done: Condvar::new(),
         }
     }
 
-    fn complete_one(&self, panicked: bool) {
-        if panicked {
-            self.poisoned.store(true, Ordering::Relaxed);
+    fn complete_one(&self, index: usize, outcome: std::thread::Result<()>) {
+        if let Err(payload) = outcome {
+            let mut first = self.panic.lock().expect("latch panic lock");
+            if first.as_ref().is_none_or(|(i, _)| index < *i) {
+                *first = Some((index, payload));
+            }
         }
         if self.remaining.fetch_sub(1, Ordering::AcqRel) == 1 {
             *self.done.lock().expect("latch lock") = true;
@@ -257,6 +270,14 @@ pub(crate) fn row_partitioned<K>(
 /// - **Oversubscription is fine.** `max_tasks` may exceed the CPU count;
 ///   excess chunks queue and are drained by whichever thread (including
 ///   the caller) frees up first. Results are unaffected.
+/// - **Tasks do not run inside one another.** A task that dispatches in
+///   turn (a pooled kernel, a nested `distribute`) helps only with the
+///   jobs of that inner dispatch while it waits, never with another slot
+///   of this one — so a task that times itself measures its own work, and
+///   at most one task is live per pool thread.
+/// - **Panics keep their message.** Every chunk runs to its end or its
+///   first panic; the caller then unwinds with the payload of the
+///   lowest-index chunk that panicked.
 ///
 /// `max_tasks < 2` or fewer than two slots short-circuits to a serial
 /// in-place loop with no pool interaction.
@@ -298,25 +319,31 @@ where
     run_jobs(jobs);
 }
 
-/// Pushes every job onto the pool's injector queue, drains the queue from
-/// the calling thread too, and returns once all jobs have completed.
+/// Pushes every job onto the pool's injector queue, works through them
+/// from the calling thread too, and returns once all have completed.
 ///
-/// Panics from jobs are caught in the workers and re-raised here, so a
-/// task bug fails the caller rather than killing a pool thread. Nested
-/// dispatches (a job that itself calls [`row_partitioned`] or
-/// [`distribute`]) are safe: a waiting thread only blocks on its latch
-/// after the queue is empty, so every queued job is always claimed by
-/// some thread that is still making progress.
+/// The calling thread helps with the jobs of *this* dispatch only; idle
+/// workers take any. A job may run for seconds (a detector fit, a whole
+/// federation) and time itself: were a nested kernel dispatch inside it to
+/// drain the shared queue, it would pop another such job and run it inside
+/// the first one's clock.
+///
+/// A panicking job fails the caller rather than killing a pool thread: the
+/// payload of the lowest-index one is re-raised here once every job has
+/// finished. Nested dispatches (a job that itself calls
+/// [`row_partitioned`] or [`distribute`]) are safe: a thread only blocks on
+/// its latch once none of its own jobs is left in the queue, so every
+/// queued job is claimed — by an idle worker or, at the latest, by the
+/// thread that pushed it — and that thread is still making progress.
 #[allow(unsafe_code)]
 fn run_jobs(jobs: Vec<Box<dyn FnOnce() + Send + '_>>) {
     let latch = Arc::new(Latch::new(jobs.len()));
     let pool = pool();
 
-    for job in jobs {
-        let latch = Arc::clone(&latch);
+    for (index, job) in jobs.into_iter().enumerate() {
+        let done = Arc::clone(&latch);
         let job: Box<dyn FnOnce() + Send + '_> = Box::new(move || {
-            let outcome = catch_unwind(AssertUnwindSafe(job));
-            latch.complete_one(outcome.is_err());
+            done.complete_one(index, catch_unwind(AssertUnwindSafe(job)));
         });
         // SAFETY: the job borrows the caller's stack (the kernel/task
         // closure and the output slots), but `run_jobs` does not return
@@ -328,18 +355,17 @@ fn run_jobs(jobs: Vec<Box<dyn FnOnce() + Send + '_>>) {
                 job,
             )
         };
-        pool.injector.push(job);
+        pool.injector.push(&latch, job);
     }
 
-    // Work-conserving wait: drain the queue (our jobs or a concurrent
-    // caller's) instead of blocking while the pool is busy.
-    while let Some(job) = pool.injector.try_pop() {
+    while let Some(job) = pool.injector.try_pop_of(&latch) {
         job();
     }
     latch.wait();
 
-    if latch.poisoned.load(Ordering::Relaxed) {
-        panic!("a parallel task panicked");
+    let first_panic = latch.panic.lock().expect("latch panic lock").take();
+    if let Some((_, payload)) = first_panic {
+        resume_unwind(payload);
     }
 }
 
@@ -487,6 +513,90 @@ mod tests {
             });
         });
         assert!(result.is_err(), "task panic must reach the caller");
+    }
+
+    #[test]
+    #[should_panic(expected = "slot 5 is the first to fail")]
+    fn the_lowest_index_panic_keeps_its_message() {
+        let _guard = config_guard();
+        // 16 slots at 4 tasks: chunks of four, so slots 5 and 14 panic in
+        // different jobs and whichever finishes first must not win.
+        let mut slots = vec![0usize; 16];
+        distribute(&mut slots, 4, |i, _slot| match i {
+            5 => panic!("slot 5 is the first to fail"),
+            14 => panic!("slot 14 fails too"),
+            _ => {}
+        });
+    }
+
+    /// A task that dispatches in turn must not pick up another slot's task
+    /// while it waits: with second-long tasks that time themselves (the
+    /// study's trainings) the inner one would run on the outer one's clock.
+    #[test]
+    fn tasks_never_run_inside_one_another() {
+        use crate::kernels::{self, MatMut, MatRef};
+        use std::cell::Cell;
+
+        thread_local! {
+            static LIVE_TASKS: Cell<usize> = const { Cell::new(0) };
+        }
+        fn as_a_task<R>(body: impl FnOnce() -> R) -> R {
+            LIVE_TASKS.with(|live| {
+                live.set(live.get() + 1);
+                assert!(live.get() <= 1, "a task started inside a running one");
+            });
+            let result = body();
+            LIVE_TASKS.with(|live| live.set(live.get() - 1));
+            result
+        }
+        const N: usize = 48;
+        fn products(slot: usize) -> Vec<f64> {
+            let a: Vec<f64> = (0..N * N).map(|i| ((i + slot) % 17) as f64 - 8.0).collect();
+            let mut b = a.clone();
+            let mut out = vec![0.0; N * N];
+            for _ in 0..8 {
+                kernels::matmul_into(
+                    MatRef::new(N, N, &a),
+                    MatRef::new(N, N, &b),
+                    MatMut::new(N, N, &mut out),
+                );
+                for (b, o) in b.iter_mut().zip(&out) {
+                    *b = o % 7.0;
+                }
+            }
+            out
+        }
+
+        let _guard = config_guard();
+        let threshold = serial_flop_threshold();
+        set_serial_flop_threshold(0);
+        set_threads(4);
+        // More tasks than the pool has threads, so some are still queued
+        // when the first running one dispatches its first product.
+        let tasks = 2 * available_cpus().max(2);
+        // A task's kernels dispatch from the task's own thread, or — the
+        // federation's per-round client threads — from one it spawned.
+        for from_spawned_thread in [false, true] {
+            let run = |max_tasks: usize| {
+                let mut slots: Vec<Vec<f64>> = vec![Vec::new(); tasks];
+                distribute(&mut slots, max_tasks, |i, slot| {
+                    *slot = as_a_task(|| {
+                        if from_spawned_thread {
+                            std::thread::scope(|s| {
+                                let client = s.spawn(|| as_a_task(|| products(i)));
+                                client.join().expect("client thread")
+                            })
+                        } else {
+                            products(i)
+                        }
+                    });
+                });
+                slots
+            };
+            assert_eq!(run(tasks), run(1), "spawned: {from_spawned_thread}");
+        }
+        set_threads(0);
+        set_serial_flop_threshold(threshold);
     }
 
     #[test]
