@@ -68,9 +68,6 @@ impl Args {
                     args.compression = match v.as_str() {
                         "none" => CompressionMode::None,
                         "quant8" => CompressionMode::Quant8,
-                        topk if topk.starts_with("topk:") => CompressionMode::TopKDelta {
-                            k: parse_num(&topk["topk:".len()..])?,
-                        },
                         other => return Err(format!("unknown compression {other:?}")),
                     };
                 }
@@ -96,7 +93,7 @@ Usage: evfad-server --clients z102,z105,z108 [options]
   --model-seed N          model init seed; must match the clients (default 3)
   --sampling-seed N       participant sampling seed (default 0)
   --participation F       per-round participation fraction (default 1.0)
-  --compression MODE      none | quant8 | topk:K (default none)";
+  --compression MODE      none | quant8 (default none)";
 
 fn parse_num<T: std::str::FromStr>(s: &str) -> Result<T, String>
 where

@@ -1,13 +1,13 @@
-//! Update compression: 8-bit quantization and sparse top-k deltas.
+//! Update compression: 8-bit quantization.
 //!
 //! The paper's privacy/communication story is "only model parameters were
 //! exchanged". This module cuts that exchange further — ~8x via 8-bit
 //! uniform quantization against each tensor's own min/max range (the
-//! standard communication-efficient-FL baseline), or more via sparse
-//! top-k deltas against the round's broadcast global — with measured,
-//! bounded round-trip error. [`CompressionMode`] selects the uplink
-//! encoding in [`FederatedConfig`](crate::FederatedConfig); the binary
-//! wire records live in [`wire`](crate::wire) (`EVQ8` / `EVSK`).
+//! standard communication-efficient-FL baseline) — with measured, bounded
+//! round-trip error. [`CompressionMode`] selects the uplink encoding in
+//! [`FederatedConfig`](crate::FederatedConfig); the binary wire record
+//! lives in [`wire`](crate::wire) (`EVQ8`). Either encoding is a function
+//! of the update alone: nothing here reads the broadcast global.
 //!
 //! # Non-finite values
 //!
@@ -38,13 +38,6 @@ pub enum CompressionMode {
     /// 8-bit uniform quantization per tensor (`EVQ8`), ~8x smaller with
     /// round-trip error bounded by half a quantization step.
     Quant8,
-    /// Sparse top-k delta against the round's broadcast global (`EVSK`):
-    /// only the `k` largest-magnitude per-tensor coordinate changes are
-    /// transmitted; the server reconstructs `global + delta`.
-    TopKDelta {
-        /// Coordinates kept per tensor (≥ 1).
-        k: usize,
-    },
 }
 
 impl std::fmt::Display for CompressionMode {
@@ -52,7 +45,6 @@ impl std::fmt::Display for CompressionMode {
         match self {
             CompressionMode::None => write!(f, "none"),
             CompressionMode::Quant8 => write!(f, "quant8"),
-            CompressionMode::TopKDelta { k } => write!(f, "topk{k}"),
         }
     }
 }
@@ -248,201 +240,31 @@ impl QuantizedUpdate {
     }
 }
 
-/// One tensor's sparse delta: the changed coordinates only.
-#[derive(Debug, Clone, Default, PartialEq)]
-pub struct SparseTensor {
-    pub(crate) rows: usize,
-    pub(crate) cols: usize,
-    /// Flat (row-major) indices of transmitted coordinates, strictly
-    /// increasing.
-    pub(crate) indices: Vec<u32>,
-    /// Delta values, aligned with `indices`.
-    pub(crate) values: Vec<f64>,
-}
-
-impl SparseTensor {
-    /// Per-tensor `EVSK` record size in bytes.
-    pub fn byte_size(&self) -> usize {
-        4 + 4 + 4 + 12 * self.indices.len()
-    }
-}
-
-/// A whole model update as sparse top-k deltas against a base (the round's
-/// broadcast global weights).
-///
-/// Selection is deterministic: per tensor, the `k` largest-|delta|
-/// coordinates win, ties broken by lower flat index; exact-zero deltas are
-/// never transmitted (reconstruction is unchanged without them). A NaN or
-/// ±∞ delta counts as infinitely large — corruption is the *most* important
-/// thing to transmit faithfully, so poisoned coordinates always make the
-/// cut and reach the aggregator unmodified.
-#[derive(Debug, Clone, Default, PartialEq)]
-pub struct SparseDelta {
-    pub(crate) tensors: Vec<SparseTensor>,
-}
-
-impl SparseDelta {
-    /// Builds the top-`k`-per-tensor delta `update - base`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `update` and `base` differ in tensor count or shapes —
-    /// the simulation guarantees both come from the same architecture.
-    pub fn top_k(update: &[Matrix], base: &[Matrix], k: usize) -> Self {
-        let mut out = Self::default();
-        let mut picked = Vec::new();
-        Self::top_k_into(update, base, k, &mut picked, &mut out);
-        out
-    }
-
-    /// Builds the top-`k` delta into `out`, reusing its index/value buffers
-    /// and the caller's `picked` selection scratch — identical output to
-    /// [`SparseDelta::top_k`] (which delegates here; the selection sorts
-    /// are unstable but the comparators are total orders over distinct
-    /// indices, so the result is the same), with zero allocations once the
-    /// buffers have seen the model's density.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `update` and `base` differ in tensor count or shapes.
-    pub fn top_k_into(
-        update: &[Matrix],
-        base: &[Matrix],
-        k: usize,
-        picked: &mut Vec<(u32, f64)>,
-        out: &mut Self,
-    ) {
-        assert_eq!(update.len(), base.len(), "sparse delta tensor count");
-        out.tensors.resize_with(update.len(), Default::default);
-        for ((u, b), t) in update.iter().zip(base).zip(&mut out.tensors) {
-            assert_eq!(u.shape(), b.shape(), "sparse delta tensor shape");
-            picked.clear();
-            picked.extend(
-                u.as_slice()
-                    .iter()
-                    .zip(b.as_slice())
-                    .enumerate()
-                    .filter_map(|(i, (&uv, &bv))| {
-                        let d = uv - bv;
-                        // `d != 0.0` keeps NaN (NaN != 0.0) and ±∞.
-                        if d != 0.0 {
-                            Some((i as u32, d))
-                        } else {
-                            None
-                        }
-                    }),
-            );
-            if picked.len() > k {
-                let magnitude = |d: f64| if d.is_nan() { f64::INFINITY } else { d.abs() };
-                picked.sort_unstable_by(|a, b| {
-                    magnitude(b.1)
-                        .partial_cmp(&magnitude(a.1))
-                        .expect("magnitudes are never NaN")
-                        .then(a.0.cmp(&b.0))
-                });
-                picked.truncate(k);
-                picked.sort_unstable_by_key(|&(i, _)| i);
-            }
-            t.rows = u.rows();
-            t.cols = u.cols();
-            t.indices.clear();
-            t.values.clear();
-            t.indices.extend(picked.iter().map(|&(i, _)| i));
-            t.values.extend(picked.iter().map(|&(_, v)| v));
-        }
-    }
-
-    /// Reconstructs `base + delta`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `base` does not match the recorded shapes.
-    pub fn apply(&self, base: &[Matrix]) -> Vec<Matrix> {
-        let mut out = Vec::with_capacity(base.len());
-        self.apply_into(base, &mut out);
-        out
-    }
-
-    /// Reconstructs `base + delta` into `out`, reusing its matrices —
-    /// identical output to [`SparseDelta::apply`] (which delegates here),
-    /// but a warm caller whose `out` already holds the model's shapes pays
-    /// a memcpy per tensor instead of a full base clone per update.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `base` does not match the recorded shapes.
-    pub fn apply_into(&self, base: &[Matrix], out: &mut Vec<Matrix>) {
-        assert_eq!(self.tensors.len(), base.len(), "sparse apply tensor count");
-        out.truncate(self.tensors.len());
-        for (i, (t, b)) in self.tensors.iter().zip(base).enumerate() {
-            assert_eq!((t.rows, t.cols), b.shape(), "sparse apply tensor shape");
-            match out.get_mut(i) {
-                Some(m) if m.shape() == b.shape() => {
-                    m.as_mut_slice().copy_from_slice(b.as_slice());
-                }
-                Some(m) => *m = b.clone(),
-                None => out.push(b.clone()),
-            }
-            let data = out[i].as_mut_slice();
-            for (&idx, &v) in t.indices.iter().zip(&t.values) {
-                data[idx as usize] += v;
-            }
-        }
-    }
-
-    /// Total transmitted coordinates across all tensors.
-    pub fn nnz(&self) -> usize {
-        self.tensors.iter().map(|t| t.indices.len()).sum()
-    }
-
-    /// Total payload bytes (sum of per-tensor records, excluding the
-    /// 10-byte blob header of [`wire::encode_sparse`]).
-    ///
-    /// [`wire::encode_sparse`]: crate::wire::encode_sparse
-    pub fn byte_size(&self) -> usize {
-        self.tensors.iter().map(SparseTensor::byte_size).sum()
-    }
-}
-
 /// Caller-owned scratch for the allocation-free encode path.
 ///
-/// Holds the reusable compressed representations the `*_into` codec entry
+/// Holds the reusable quantized representation the `*_into` codec entry
 /// points fill. One `CodecScratch` lives per round loop, socket client, or
 /// scale-engine worker; after the first (cold) round every re-encode
 /// reuses the buffers, so warm-round encoding performs zero codec
-/// allocations — the comms bench gate pins this.
+/// allocations (`tests/workspace_reuse.rs` pins this).
 #[derive(Debug, Clone, Default)]
 pub struct CodecScratch {
     /// Reused quantized representation (per-tensor code + special buffers).
     pub quant: QuantizedUpdate,
-    /// Reused sparse top-k representation (per-tensor index/value buffers).
-    pub sparse: SparseDelta,
-    /// Reused top-k selection buffer.
-    pub picked: Vec<(u32, f64)>,
 }
 
 impl CodecScratch {
     /// Encodes `weights` under `mode` into the scratch representation and
-    /// returns the exact wire payload byte length (`encode_quantized` /
-    /// `encode_sparse` produce exactly this many bytes — pinned by the
-    /// wire tests). `global` is the delta base for
-    /// [`CompressionMode::TopKDelta`]; [`CompressionMode::None`] is pure
-    /// shape arithmetic and leaves the scratch untouched.
-    pub fn encoded_len(
-        &mut self,
-        mode: CompressionMode,
-        weights: &[Matrix],
-        global: &[Matrix],
-    ) -> usize {
+    /// returns the exact wire payload byte length (`encode_quantized`
+    /// produces exactly this many bytes — pinned by the wire tests).
+    /// [`CompressionMode::None`] is pure shape arithmetic and leaves the
+    /// scratch untouched.
+    pub fn encoded_len(&mut self, mode: CompressionMode, weights: &[Matrix]) -> usize {
         match mode {
             CompressionMode::None => crate::wire::encoded_size(weights),
             CompressionMode::Quant8 => {
                 QuantizedUpdate::quantize_into(weights, &mut self.quant);
                 crate::wire::quantized_encoded_size(&self.quant)
-            }
-            CompressionMode::TopKDelta { k } => {
-                SparseDelta::top_k_into(weights, global, k, &mut self.picked, &mut self.sparse);
-                crate::wire::sparse_encoded_size(&self.sparse)
             }
         }
     }
@@ -452,11 +274,10 @@ impl CodecScratch {
     /// reusing the existing matrix buffers. A no-op for
     /// [`CompressionMode::None`]: the `EVFD` round-trip is bitwise-exact,
     /// so the raw weights *are* the decoded payload.
-    pub fn decode_into(&self, mode: CompressionMode, global: &[Matrix], weights: &mut Vec<Matrix>) {
+    pub fn decode_into(&self, mode: CompressionMode, weights: &mut Vec<Matrix>) {
         match mode {
             CompressionMode::None => {}
             CompressionMode::Quant8 => self.quant.dequantize_into(weights),
-            CompressionMode::TopKDelta { .. } => self.sparse.apply_into(global, weights),
         }
     }
 }
@@ -568,81 +389,6 @@ mod tests {
         assert_eq!(q, back);
     }
 
-    fn base_and_update() -> (Vec<Matrix>, Vec<Matrix>) {
-        let base = vec![
-            Matrix::from_fn(4, 5, |i, j| (i as f64) * 0.3 - (j as f64) * 0.1),
-            Matrix::from_vec(1, 3, vec![1.0, -2.0, 0.25]),
-        ];
-        let mut update = base.clone();
-        // Perturb a scattered handful of coordinates with distinct
-        // magnitudes so top-k selection is unambiguous.
-        update[0].as_mut_slice()[3] += 0.9;
-        update[0].as_mut_slice()[7] -= 0.5;
-        update[0].as_mut_slice()[12] += 0.1;
-        update[1].as_mut_slice()[1] += 2.0;
-        (base, update)
-    }
-
-    #[test]
-    fn top_k_keeps_the_largest_deltas() {
-        let (base, update) = base_and_update();
-        let d = SparseDelta::top_k(&update, &base, 2);
-        // Tensor 0 has 3 changed coordinates; only the 2 largest survive.
-        assert_eq!(d.tensors[0].indices, vec![3, 7]);
-        assert_eq!(d.tensors[1].indices, vec![1]);
-        assert_eq!(d.nnz(), 3);
-    }
-
-    #[test]
-    fn apply_reconstructs_base_plus_delta() {
-        let (base, update) = base_and_update();
-        let d = SparseDelta::top_k(&update, &base, 16);
-        // k large enough: every change transmitted, reconstruction exact.
-        let back = d.apply(&base);
-        for (a, b) in back.iter().zip(&update) {
-            for (x, y) in a.as_slice().iter().zip(b.as_slice()) {
-                assert_eq!(x.to_bits(), y.to_bits());
-            }
-        }
-    }
-
-    #[test]
-    fn unchanged_coordinates_cost_nothing() {
-        let base = vec![Matrix::from_fn(10, 10, |i, j| (i + j) as f64)];
-        let d = SparseDelta::top_k(&base, &base, 50);
-        assert_eq!(d.nnz(), 0);
-        assert_eq!(d.apply(&base), base);
-    }
-
-    #[test]
-    fn nan_deltas_always_make_the_cut() {
-        let base = vec![Matrix::from_fn(3, 3, |i, j| (i * 3 + j) as f64)];
-        let mut update = base.clone();
-        for v in update[0].as_mut_slice().iter_mut() {
-            *v += 100.0;
-        }
-        update[0].as_mut_slice()[4] = f64::NAN;
-        let d = SparseDelta::top_k(&update, &base, 1);
-        assert_eq!(d.tensors[0].indices, vec![4]);
-        let back = d.apply(&base);
-        assert!(back[0].as_slice()[4].is_nan());
-    }
-
-    #[test]
-    fn top_k_selection_is_deterministic_under_ties() {
-        let base = vec![Matrix::zeros(1, 6)];
-        let mut update = base.clone();
-        for v in update[0].as_mut_slice().iter_mut() {
-            *v = 1.0; // all deltas tie
-        }
-        let d = SparseDelta::top_k(&update, &base, 3);
-        assert_eq!(
-            d.tensors[0].indices,
-            vec![0, 1, 2],
-            "lowest indices win ties"
-        );
-    }
-
     #[test]
     fn quantize_into_matches_quantize_and_reuses_buffers() {
         let first = vec![
@@ -708,6 +454,12 @@ mod tests {
             .with(Dense::new(50, 10, Activation::Relu))
             .with(Dense::new(10, 1, Activation::Linear))
             .weights();
+        // Shape arithmetic on the paper's model: the ≈8× Quant8 buys.
+        assert_eq!(crate::wire::encoded_size(&clean), 87_426);
+        assert_eq!(
+            crate::wire::quantized_encoded_size(&QuantizedUpdate::quantize(&clean)),
+            11_099
+        );
         // The same update as a NaN-flood / sign-flip casualty would send it.
         let mut poisoned = clean.clone();
         for m in &mut poisoned {
@@ -730,60 +482,8 @@ mod tests {
     }
 
     #[test]
-    fn top_k_into_matches_top_k_and_reuses_buffers() {
-        let (base, update) = base_and_update();
-        let mut picked = Vec::new();
-        let mut scratch = SparseDelta::default();
-        for k in [1, 2, 3, 16] {
-            SparseDelta::top_k_into(&update, &base, k, &mut picked, &mut scratch);
-            assert_eq!(scratch, SparseDelta::top_k(&update, &base, k), "k = {k}");
-        }
-        // NaN floods and exact ties go through the same unstable sorts.
-        let tie_base = vec![Matrix::zeros(1, 6)];
-        let mut tie_update = tie_base.clone();
-        for v in tie_update[0].as_mut_slice().iter_mut() {
-            *v = 1.0;
-        }
-        tie_update[0].as_mut_slice()[4] = f64::NAN;
-        SparseDelta::top_k_into(&tie_update, &tie_base, 3, &mut picked, &mut scratch);
-        let fresh = SparseDelta::top_k(&tie_update, &tie_base, 3);
-        assert_eq!(scratch.tensors[0].indices, fresh.tensors[0].indices);
-        assert_eq!(
-            scratch.tensors[0]
-                .values
-                .iter()
-                .map(|v| v.to_bits())
-                .collect::<Vec<_>>(),
-            fresh.tensors[0]
-                .values
-                .iter()
-                .map(|v| v.to_bits())
-                .collect::<Vec<_>>(),
-        );
-    }
-
-    #[test]
-    fn apply_into_matches_apply_without_fresh_clones() {
-        let (base, update) = base_and_update();
-        let d = SparseDelta::top_k(&update, &base, 16);
-        let mut out = Vec::new();
-        d.apply_into(&base, &mut out);
-        assert_eq!(out, d.apply(&base));
-        // Warm reuse: same shapes, zero matrix allocations.
-        let before = evfad_tensor::alloc_stats();
-        d.apply_into(&base, &mut out);
-        let delta = evfad_tensor::alloc_stats().since(&before);
-        assert_eq!(delta.matrices, 0, "warm apply_into allocated");
-        assert_eq!(out, d.apply(&base));
-    }
-
-    #[test]
     fn compression_mode_serde_round_trips_and_defaults() {
-        for mode in [
-            CompressionMode::None,
-            CompressionMode::Quant8,
-            CompressionMode::TopKDelta { k: 32 },
-        ] {
+        for mode in [CompressionMode::None, CompressionMode::Quant8] {
             let json = serde_json::to_string(&mode).unwrap();
             let back: CompressionMode = serde_json::from_str(&json).unwrap();
             assert_eq!(mode, back);

@@ -217,7 +217,6 @@ pub(crate) fn run_rounds<P: RoundPool>(
         let uplink = server::meter_uplinks(
             channel,
             config.compression,
-            &global,
             &mut kept,
             &kept_attempts,
             &kept_wire,

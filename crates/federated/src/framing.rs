@@ -10,7 +10,7 @@
 //! ```
 //!
 //! where `payload` is one encoded [`wire`](crate::wire) record (in
-//! practice an EVMS envelope, which itself carries EVFD/EVQ8/EVSK blobs).
+//! practice an EVMS envelope, which itself carries EVFD/EVQ8 blobs).
 //! The length prefix is transport overhead and is *not* metered — the
 //! traffic accounting in [`transport`](crate::transport) counts payload
 //! bytes only, which is what keeps socket-path byte counts identical to

@@ -114,8 +114,7 @@ pub struct ScaleConfig {
     /// encoded for real (per-worker [`CodecScratch`], zero-alloc when
     /// warm), metered at its exact wire byte length, and folded into the
     /// edge accumulator **straight from the encoded payload** via the
-    /// fused [`crate::streaming::StreamingAggregator::ingest_quantized`] /
-    /// [`ingest_topk`](crate::streaming::StreamingAggregator::ingest_topk)
+    /// fused [`crate::streaming::StreamingAggregator::ingest_quantized`]
     /// path — no per-update `Vec<Matrix>` is ever materialised. The
     /// broadcast downlink and the edge→root hop stay full precision
     /// (partials are already one-model-per-edge; compressing them would
@@ -220,14 +219,6 @@ impl ScaleConfig {
                 "trained_fraction",
                 format!("must be in [0, 1], got {}", self.trained_fraction),
             ));
-        }
-        if let CompressionMode::TopKDelta { k } = self.compression {
-            if k == 0 {
-                return Err(bad(
-                    "compression.k",
-                    "TopKDelta must keep at least 1 coordinate per tensor".to_string(),
-                ));
-            }
         }
         if let Some(plan) = &self.faults {
             plan.validate()?;
@@ -787,10 +778,10 @@ impl ScaleEngine {
             let disposed = gate.dispose(round, fault, update, &mut events, &mut timeout_wait, true);
             debug_assert!(matches!(disposed, Disposition::Keep { .. }));
             events.clear();
-            // Uplink encode + fused edge fold. The lossy modes build the
-            // real compressed payload (post-fault, so corruption crosses
-            // the wire exactly as the protocol ships it) and stream it
-            // into the accumulator without materialising a decode.
+            // Uplink encode + fused edge fold. Quant8 builds the real
+            // compressed payload (post-fault, so corruption crosses the
+            // wire exactly as the protocol ships it) and streams it into
+            // the accumulator without materialising a decode.
             let ingested = match mode {
                 CompressionMode::None => {
                     fold.kept_payload_bytes.push(raw_len);
@@ -804,18 +795,6 @@ impl ScaleEngine {
                     wire::encode_quantized_into(&mut payload, &scratch.quant);
                     fold.kept_payload_bytes.push(payload.len());
                     agg.ingest_quantized(&update.client_id, update.sample_count, &payload)
-                }
-                CompressionMode::TopKDelta { k } => {
-                    crate::compression::SparseDelta::top_k_into(
-                        &update.weights,
-                        global,
-                        k,
-                        &mut scratch.picked,
-                        &mut scratch.sparse,
-                    );
-                    wire::encode_sparse_into(&mut payload, &scratch.sparse);
-                    fold.kept_payload_bytes.push(payload.len());
-                    agg.ingest_topk(&update.client_id, update.sample_count, global, &payload)
                 }
             };
             if let Err(e) = ingested {
@@ -832,7 +811,7 @@ impl ScaleEngine {
             if verify {
                 // The batch reference must see what the aggregator saw:
                 // the server-side decode of the encoded payload.
-                scratch.decode_into(mode, global, &mut update.weights);
+                scratch.decode_into(mode, &mut update.weights);
                 fold.batch_reference.push(update.clone());
             }
         }
@@ -941,7 +920,7 @@ impl ScaleEngine {
                             mode => {
                                 let member = [(ci, fault, attempts)];
                                 self.synth_group(round, &global, &member, &mut waste_update);
-                                waste_scratch.encoded_len(mode, &waste_update[0].weights, &global)
+                                waste_scratch.encoded_len(mode, &waste_update[0].weights)
                             }
                         };
                         self.channel.record_attempts_bytes(len, attempts);
@@ -1830,20 +1809,18 @@ mod tests {
         // verify_streaming under compression checks the fused streamed
         // fold against the batch aggregate over the server-side decodes
         // of the same payloads — bitwise for flat FedAvg.
-        for compression in [CompressionMode::Quant8, CompressionMode::TopKDelta { k: 5 }] {
-            let mut e = ScaleEngine::new(
-                template(),
-                ScaleConfig {
-                    compression,
-                    verify_streaming: true,
-                    rounds: 2,
-                    ..cfg(400, 1)
-                },
-            )
-            .expect("engine");
-            e.run()
-                .expect("fused fold must match the batch over decoded payloads bitwise");
-        }
+        let mut e = ScaleEngine::new(
+            template(),
+            ScaleConfig {
+                compression: CompressionMode::Quant8,
+                verify_streaming: true,
+                rounds: 2,
+                ..cfg(400, 1)
+            },
+        )
+        .expect("engine");
+        e.run()
+            .expect("fused fold must match the batch over decoded payloads bitwise");
     }
 
     #[test]
@@ -1873,20 +1850,6 @@ mod tests {
             .map(|r| r.uplink_bytes + r.downlink_bytes)
             .sum();
         assert_eq!(accounted, out.traffic.bytes);
-    }
-
-    #[test]
-    fn topk_k_zero_is_rejected() {
-        let err = ScaleConfig {
-            compression: CompressionMode::TopKDelta { k: 0 },
-            ..ScaleConfig::default()
-        }
-        .validate()
-        .unwrap_err();
-        match err {
-            FederatedError::InvalidConfig { field, .. } => assert_eq!(field, "compression.k"),
-            other => panic!("expected InvalidConfig, got {other}"),
-        }
     }
 
     #[test]

@@ -244,11 +244,9 @@ impl UplinkStats {
 /// excluded from the metered bytes on both paths; the digest counts
 /// protocol payload, which is what `wire::encoded_size` arithmetic
 /// predicts.
-#[allow(clippy::too_many_arguments)] // one call site; three of these are parallel slices
 pub(crate) fn meter_uplinks(
     channel: &MeteredChannel,
     mode: CompressionMode,
-    global: &[Matrix],
     kept: &mut [LocalUpdate],
     kept_attempts: &[usize],
     kept_wire: &[Option<usize>],
@@ -261,8 +259,8 @@ pub(crate) fn meter_uplinks(
         let payload_bytes = match wire_len {
             Some(len) => *len,
             None => {
-                let len = scratch.encoded_len(mode, &update.weights, global);
-                scratch.decode_into(mode, global, &mut update.weights);
+                let len = scratch.encoded_len(mode, &update.weights);
+                scratch.decode_into(mode, &mut update.weights);
                 len
             }
         };
@@ -272,7 +270,7 @@ pub(crate) fn meter_uplinks(
     for (update, attempts, wire_len) in wasted {
         let payload_bytes = match wire_len {
             Some(len) => *len,
-            None => scratch.encoded_len(mode, &update.weights, global),
+            None => scratch.encoded_len(mode, &update.weights),
         };
         channel.record_attempts_bytes(payload_bytes, *attempts);
         stats.bytes += payload_bytes * attempts;

@@ -42,7 +42,7 @@
 //! loop then reproduces the simulated attempt count on the wire.
 
 use crate::client::{FedClient, LocalUpdate};
-use crate::compression::{CodecScratch, CompressionMode, QuantizedUpdate, SparseDelta};
+use crate::compression::{CodecScratch, CompressionMode, QuantizedUpdate};
 use crate::engine::{self, PoolUpdate, RoundPool};
 use crate::error::FederatedError;
 use crate::faults::FaultKind;
@@ -320,16 +320,15 @@ impl MessageStream {
 }
 
 /// Encodes one uplink payload exactly as the in-process path meters it:
-/// the same encoder, over the same (post-fault) weights, against the
-/// same global — so the byte length on the wire equals the byte length
-/// the simulation's arithmetic predicts. The compressed representation
-/// is built in the caller's [`CodecScratch`], so a client that uploads
-/// every round re-fills the same buffers instead of materializing a
-/// fresh `QuantizedUpdate`/`SparseDelta` per round.
+/// the same encoder over the same (post-fault) weights — so the byte
+/// length on the wire equals the byte length the simulation's arithmetic
+/// predicts. The compressed representation is built in the caller's
+/// [`CodecScratch`], so a client that uploads every round re-fills the
+/// same buffers instead of materializing a fresh `QuantizedUpdate` per
+/// round.
 fn encode_uplink_payload(
     mode: CompressionMode,
     weights: &[Matrix],
-    global: &[Matrix],
     scratch: &mut CodecScratch,
 ) -> Bytes {
     match mode {
@@ -338,25 +337,39 @@ fn encode_uplink_payload(
             QuantizedUpdate::quantize_into(weights, &mut scratch.quant);
             wire::encode_quantized(&scratch.quant)
         }
-        CompressionMode::TopKDelta { k } => {
-            SparseDelta::top_k_into(weights, global, k, &mut scratch.picked, &mut scratch.sparse);
-            wire::encode_sparse(&scratch.sparse)
-        }
     }
 }
 
-/// Server-side decode of an uplink payload into weight matrices.
+/// Server-side decode of an uplink payload into weight matrices. The
+/// payload's bytes depend on the update alone; `global` is here only so a
+/// well-formed update of another architecture is refused like a malformed
+/// one instead of reaching the aggregator.
 fn decode_uplink_payload(
     mode: CompressionMode,
     payload: &[u8],
     global: &[Matrix],
 ) -> Result<Vec<Matrix>, FederatedError> {
-    let decoded = match mode {
+    let weights = match mode {
         CompressionMode::None => wire::decode_weights(payload),
         CompressionMode::Quant8 => wire::decode_quantized(payload).map(|q| q.dequantize()),
-        CompressionMode::TopKDelta { .. } => wire::decode_sparse(payload).map(|d| d.apply(global)),
-    };
-    decoded.map_err(|e| transport_err("uplink payload", e))
+    }
+    .map_err(|e| transport_err("uplink payload", e))?;
+    if !weights
+        .iter()
+        .map(Matrix::shape)
+        .eq(global.iter().map(Matrix::shape))
+    {
+        let shapes = |w: &[Matrix]| w.iter().map(Matrix::shape).collect::<Vec<_>>();
+        return Err(transport_err(
+            "uplink payload",
+            format!(
+                "has tensor shapes {:?}, the model expects {:?}",
+                shapes(&weights),
+                shapes(global)
+            ),
+        ));
+    }
+    Ok(weights)
 }
 
 /// Knobs for a [`SocketServer`] beyond the shared [`FederatedConfig`].
@@ -812,8 +825,8 @@ impl SocketClient {
             .set_weights(&init_global)
             .map_err(|e| transport_err("welcome", e))?;
         let mut client = FedClient::new(client_id.clone(), model, samples);
-        // The client's copy of the global model — the base for top-k
-        // delta encoding, kept in sync by every broadcast.
+        // The client's copy of the global model — the FedProx anchor, kept
+        // in sync by every broadcast.
         let mut global = init_global;
         let train_cfg = TrainConfig {
             epochs: config.epochs_per_round,
@@ -855,12 +868,8 @@ impl SocketClient {
                         }
                         _ => {}
                     }
-                    let payload = encode_uplink_payload(
-                        config.compression,
-                        &weights,
-                        &global,
-                        &mut codec_scratch,
-                    );
+                    let payload =
+                        encode_uplink_payload(config.compression, &weights, &mut codec_scratch);
                     let msg = Message::Update {
                         round,
                         client_id: client_id.clone(),

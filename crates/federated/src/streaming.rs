@@ -78,32 +78,6 @@ pub trait StreamingAggregator: Send {
         payload: &[u8],
     ) -> Result<(), FederatedError>;
 
-    /// Folds one `EVSK`-encoded sparse delta straight out of its wire
-    /// payload against `base` (the round's broadcast global) — bitwise
-    /// identical to `decode_sparse(payload).apply(base)` followed by
-    /// [`ingest`], with the same up-front validation contract as
-    /// [`ingest_quantized`].
-    ///
-    /// [`ingest`]: StreamingAggregator::ingest
-    /// [`ingest_quantized`]: StreamingAggregator::ingest_quantized
-    ///
-    /// # Errors
-    ///
-    /// [`FederatedError::Aggregation`] on a malformed payload, mismatched
-    /// shapes, or more updates than declared.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `base` does not match the payload's recorded shapes, with
-    /// the same messages as [`crate::compression::SparseDelta::apply`].
-    fn ingest_topk(
-        &mut self,
-        client_id: &str,
-        sample_count: usize,
-        base: &[Matrix],
-        payload: &[u8],
-    ) -> Result<(), FederatedError>;
-
     /// Updates ingested so far.
     fn ingested(&self) -> usize;
 
@@ -179,10 +153,8 @@ fn check_shapes(
 
 /// Maps a wire-validation failure on the fused path into the aggregation
 /// error domain, naming the offending client.
-fn bad_payload(client_id: &str, codec: &str, err: wire::WireError) -> FederatedError {
-    FederatedError::Aggregation(format!(
-        "client {client_id}: malformed {codec} payload: {err}"
-    ))
+fn bad_payload(client_id: &str, err: wire::WireError) -> FederatedError {
+    FederatedError::Aggregation(format!("client {client_id}: malformed EVQ8 payload: {err}"))
 }
 
 /// Streaming sample-weighted Federated Averaging — bitwise identical to
@@ -271,7 +243,7 @@ impl StreamingAggregator for StreamingFedAvg {
         payload: &[u8],
     ) -> Result<(), FederatedError> {
         self.check_capacity()?;
-        let view = wire::quantized_view(payload).map_err(|e| bad_payload(client_id, "EVQ8", e))?;
+        let view = wire::quantized_view(payload).map_err(|e| bad_payload(client_id, e))?;
         check_shapes(
             &mut self.shapes,
             client_id,
@@ -299,50 +271,6 @@ impl StreamingAggregator for StreamingFedAvg {
             }
             for (slot, &c) in slots[start..].iter_mut().zip(&codes[start..]) {
                 *slot += w * range.decode(c);
-            }
-        }
-        self.seen += 1;
-        Ok(())
-    }
-
-    fn ingest_topk(
-        &mut self,
-        client_id: &str,
-        sample_count: usize,
-        base: &[Matrix],
-        payload: &[u8],
-    ) -> Result<(), FederatedError> {
-        self.check_capacity()?;
-        let view = wire::sparse_view(payload).map_err(|e| bad_payload(client_id, "EVSK", e))?;
-        check_shapes(
-            &mut self.shapes,
-            client_id,
-            view.tensors().map(|t| t.shape()),
-        )?;
-        assert_eq!(view.tensor_count(), base.len(), "sparse apply tensor count");
-        self.ensure_acc();
-        let w = self.weight(sample_count);
-        for ((acc, b), t) in self.acc.iter_mut().zip(base).zip(view.tensors()) {
-            assert_eq!(t.shape(), b.shape(), "sparse apply tensor shape");
-            // The reconstructed coordinate is `base + delta` where
-            // transmitted and the base bits verbatim elsewhere — exactly
-            // what `SparseDelta::apply` materialises. The ascending
-            // entries split the tensor into dense base runs folded as
-            // vectorisable slice loops, with the sparse corrections folded
-            // point-wise between them.
-            let slots = acc.as_mut_slice();
-            let bs = b.as_slice();
-            let mut start = 0usize;
-            for (idx, v) in t.entries() {
-                let idx = idx as usize;
-                for (slot, &bv) in slots[start..idx].iter_mut().zip(&bs[start..idx]) {
-                    *slot += w * bv;
-                }
-                slots[idx] += w * (bs[idx] + v);
-                start = idx + 1;
-            }
-            for (slot, &bv) in slots[start..].iter_mut().zip(&bs[start..]) {
-                *slot += w * bv;
             }
         }
         self.seen += 1;
@@ -487,7 +415,7 @@ impl StreamingAggregator for StreamingTrimmedMean {
     ) -> Result<(), FederatedError> {
         let _ = sample_count; // trimmed mean is unweighted
         self.check_capacity()?;
-        let view = wire::quantized_view(payload).map_err(|e| bad_payload(client_id, "EVQ8", e))?;
+        let view = wire::quantized_view(payload).map_err(|e| bad_payload(client_id, e))?;
         check_shapes(
             &mut self.shapes,
             client_id,
@@ -498,44 +426,6 @@ impl StreamingAggregator for StreamingTrimmedMean {
         for t in view.tensors() {
             for v in t.values() {
                 self.fold_value(c, v);
-                c += 1;
-            }
-        }
-        self.seen += 1;
-        Ok(())
-    }
-
-    fn ingest_topk(
-        &mut self,
-        client_id: &str,
-        sample_count: usize,
-        base: &[Matrix],
-        payload: &[u8],
-    ) -> Result<(), FederatedError> {
-        let _ = sample_count; // trimmed mean is unweighted
-        self.check_capacity()?;
-        let view = wire::sparse_view(payload).map_err(|e| bad_payload(client_id, "EVSK", e))?;
-        check_shapes(
-            &mut self.shapes,
-            client_id,
-            view.tensors().map(|t| t.shape()),
-        )?;
-        assert_eq!(view.tensor_count(), base.len(), "sparse apply tensor count");
-        self.ensure_state();
-        let mut c = 0;
-        for (b, t) in base.iter().zip(view.tensors()) {
-            assert_eq!(t.shape(), b.shape(), "sparse apply tensor shape");
-            let mut entries = t.entries();
-            let mut next = entries.next();
-            for (i, &bv) in b.as_slice().iter().enumerate() {
-                let x = match next {
-                    Some((idx, v)) if idx as usize == i => {
-                        next = entries.next();
-                        bv + v
-                    }
-                    _ => bv,
-                };
-                self.fold_value(c, x);
                 c += 1;
             }
         }
@@ -880,41 +770,6 @@ mod tests {
     }
 
     #[test]
-    fn fused_topk_ingest_is_bitwise_identical_to_apply_then_ingest() {
-        use crate::compression::SparseDelta;
-        let base = update("base", &[0.5, -1.0, 2.0], 0).weights;
-        let ups = [
-            update("a", &[0.6, -1.0, 2.5], 100),
-            // Tie-heavy: equal-magnitude deltas exercise the deterministic
-            // tie-break through the merge walk.
-            update("b", &[1.5, -2.0, 3.0], 17),
-            update("c", &[f64::NAN, -1.0, 2.0], 311),
-        ];
-        let total: f64 = ups.iter().map(|u| u.sample_count as f64).sum();
-        for rule in [Aggregator::FedAvg, Aggregator::TrimmedMean { trim: 1 }] {
-            for k in [1, 2, 8] {
-                let mut materialized = rule.streaming(total, ups.len()).unwrap();
-                let mut fused = rule.streaming(total, ups.len()).unwrap();
-                for u in &ups {
-                    let d = SparseDelta::top_k(&u.weights, &base, k);
-                    let blob = wire::encode_sparse(&d);
-                    let mut lossy = u.clone();
-                    lossy.weights = wire::decode_sparse(&blob).unwrap().apply(&base);
-                    materialized.ingest(&lossy).unwrap();
-                    fused
-                        .ingest_topk(&u.client_id, u.sample_count, &base, &blob)
-                        .unwrap();
-                }
-                assert_bitwise_eq(
-                    &materialized.finish().unwrap(),
-                    &fused.finish().unwrap(),
-                    &format!("{} k={k}", rule.name()),
-                );
-            }
-        }
-    }
-
-    #[test]
     fn corrupt_payload_errors_before_touching_accumulator_state() {
         use crate::compression::QuantizedUpdate;
         let a = update("a", &[1.0, 2.0, 3.0], 10);
@@ -929,10 +784,9 @@ mod tests {
             agg.ingest_quantized("b", 20, truncated),
             Err(FederatedError::Aggregation(_))
         ));
-        // Wrong codec: an EVSK payload on the quantized path is rejected.
-        let d = crate::compression::SparseDelta::top_k(&b.weights, &a.weights, 2);
+        // Wrong codec: an EVFD payload on the quantized path is rejected.
         assert!(agg
-            .ingest_quantized("b", 20, &wire::encode_sparse(&d))
+            .ingest_quantized("b", 20, &wire::encode_weights(&b.weights))
             .is_err());
         assert_eq!(agg.ingested(), 1, "failed ingests must not count");
         // A clean retry lands exactly where an unfailed stream would.

@@ -1,12 +1,12 @@
 //! Binary wire format for weight exchange — what actually crosses the
 //! channel, simulated or TCP.
 //!
-//! Six little-endian records, each opened by a four-byte magic and a
-//! `u16` version: full-precision weights (`EVFD`), 8-bit-quantized
-//! updates (`EVQ8`) and sparse top-k deltas (`EVSK`, see
-//! [`compression`](crate::compression)), the fault log (`EVFL`), the run
-//! configuration with its embedded fault plan (`EVCF`), and the socket
-//! envelope (`EVMS`) that carries the others verbatim. The weight formats
+//! Five little-endian records, each opened by a four-byte magic and a
+//! `u16` version: full-precision weights (`EVFD`) and 8-bit-quantized
+//! updates (`EVQ8`, see [`compression`](crate::compression)), the fault
+//! log (`EVFL`), the run configuration with its embedded fault plan
+//! (`EVCF`), and the socket envelope (`EVMS`) that carries the others
+//! verbatim. The weight formats
 //! have exact O(1) size functions, so metering never serialises. Together
 //! they complete the communication story of the paper's §II-C2 ("only
 //! model parameters were exchanged").
@@ -21,19 +21,16 @@
 //! payload is unrepresentable, so every decoder is total: a typed
 //! [`WireError`], never a panic.
 //!
-//! Each record has one parser. `EVQ8` and `EVSK` are validated only by
-//! their walkers, which back both the zero-copy views the fused
-//! decode-into-fold consumes ([`quantized_view`], [`sparse_view`]) and the
-//! materializing [`decode_quantized`] / [`decode_sparse`], which copy a
-//! validated walk out into owned structs. Only the socket server's
-//! per-upload decode and the tests that use
-//! [`QuantizedUpdate::dequantize`] / [`SparseDelta::apply`] as the oracle
-//! for the fused fold materialize.
+//! Each record has one parser. `EVQ8` is validated only by its walker,
+//! which backs both the zero-copy view the fused decode-into-fold consumes
+//! ([`quantized_view`]) and the materializing [`decode_quantized`], which
+//! copies a validated walk out into owned structs. Only the socket
+//! server's per-upload decode and the tests that use
+//! [`QuantizedUpdate::dequantize`] as the oracle for the fused fold
+//! materialize.
 
 use crate::aggregate::Aggregator;
-use crate::compression::{
-    CompressionMode, QuantizedTensor, QuantizedUpdate, SparseDelta, SparseTensor,
-};
+use crate::compression::{CompressionMode, QuantizedTensor, QuantizedUpdate};
 use crate::faults::{
     Corruption, FaultEvent, FaultKind, FaultOutcome, FaultPlan, FaultRule, RoundSelector,
 };
@@ -51,9 +48,6 @@ pub const MAGIC: [u8; 4] = *b"EVFD";
 
 /// Format magic for 8-bit-quantized update payloads (`"EVQ8"`).
 pub const QUANT_MAGIC: [u8; 4] = *b"EVQ8";
-
-/// Format magic for sparse top-k delta payloads (`"EVSK"`).
-pub const SPARSE_MAGIC: [u8; 4] = *b"EVSK";
 
 /// Format magic for fault-log payloads (`"EVFL"`).
 pub const FAULT_MAGIC: [u8; 4] = *b"EVFL";
@@ -270,24 +264,22 @@ impl<'a> Reader<'a> {
     }
 
     /// A region of `count` `(index: u32, value: f64)` entries whose
-    /// indices are `< elements` and strictly ascending — the layout `EVQ8`
-    /// specials and `EVSK` entries share.
-    fn entries(
-        &mut self,
-        count: usize,
-        elements: usize,
-        out_of_range: &'static str,
-        not_ascending: &'static str,
-    ) -> Result<&'a [[u8; 12]], WireError> {
+    /// indices are `< elements` and strictly ascending — the layout of the
+    /// `EVQ8` specials.
+    fn entries(&mut self, count: usize, elements: usize) -> Result<&'a [[u8; 12]], WireError> {
         let (region, _) = self.bytes(count.saturating_mul(12))?.as_chunks::<12>();
         let mut floor = 0usize;
         for rec in region {
             let idx = entry(rec).0 as usize;
             if idx >= elements {
-                return Err(WireError::InvalidRecord(out_of_range));
+                return Err(WireError::InvalidRecord(
+                    "quantized special index out of range",
+                ));
             }
             if idx < floor {
-                return Err(WireError::InvalidRecord(not_ascending));
+                return Err(WireError::InvalidRecord(
+                    "quantized special indices not strictly ascending",
+                ));
             }
             floor = idx + 1;
         }
@@ -452,76 +444,6 @@ pub fn decode_quantized(payload: &[u8]) -> Result<QuantizedUpdate, WireError> {
     }
     walker.reader.finish()?;
     Ok(QuantizedUpdate { tensors })
-}
-
-/// Encodes a sparse top-k delta into the `EVSK` binary wire format: the
-/// common header, then per tensor `rows, cols, nnz: u32,
-/// entries: (index: u32, value: f64)…`.
-///
-/// # Examples
-///
-/// ```
-/// use evfad_federated::compression::SparseDelta;
-/// use evfad_federated::wire;
-/// use evfad_tensor::Matrix;
-///
-/// let base = vec![Matrix::zeros(2, 3)];
-/// let update = vec![Matrix::from_fn(2, 3, |i, j| (i + j) as f64)];
-/// let d = SparseDelta::top_k(&update, &base, 4);
-/// let blob = wire::encode_sparse(&d);
-/// assert_eq!(wire::decode_sparse(&blob)?, d);
-/// # Ok::<(), evfad_federated::wire::WireError>(())
-/// ```
-pub fn encode_sparse(delta: &SparseDelta) -> Bytes {
-    let mut buf = BytesMut::with_capacity(sparse_encoded_size(delta));
-    encode_sparse_into(&mut buf, delta);
-    buf.freeze()
-}
-
-/// Encodes a sparse delta into `buf`, clearing it first but keeping its
-/// allocation (see [`encode_quantized_into`]).
-pub fn encode_sparse_into(buf: &mut BytesMut, delta: &SparseDelta) {
-    buf.clear();
-    buf.put_slice(&SPARSE_MAGIC);
-    buf.put_u16_le(VERSION);
-    buf.put_u32_le(delta.tensors.len() as u32);
-    for t in &delta.tensors {
-        buf.put_u32_le(t.rows as u32);
-        buf.put_u32_le(t.cols as u32);
-        buf.put_u32_le(t.indices.len() as u32);
-        for (&i, &v) in t.indices.iter().zip(&t.values) {
-            buf.put_u32_le(i);
-            buf.put_f64_le(v);
-        }
-    }
-}
-
-/// Size in bytes [`encode_sparse`] will produce — O(1) per tensor.
-pub fn sparse_encoded_size(delta: &SparseDelta) -> usize {
-    10 + delta.byte_size()
-}
-
-/// Decodes a payload produced by [`encode_sparse`] into an owned delta:
-/// one validating walk (the same one behind [`sparse_view`]), copied out
-/// tensor by tensor.
-///
-/// # Errors
-///
-/// Returns [`WireError`] on a malformed or truncated payload.
-pub fn decode_sparse(payload: &[u8]) -> Result<SparseDelta, WireError> {
-    let mut walker = SparseWalker::open(payload)?;
-    let mut tensors = Vec::with_capacity(walker.remaining);
-    while let Some(t) = walker.next_tensor()? {
-        let (indices, values) = t.entries().unzip();
-        tensors.push(SparseTensor {
-            rows: t.rows,
-            cols: t.cols,
-            indices,
-            values,
-        });
-    }
-    walker.reader.finish()?;
-    Ok(SparseDelta { tensors })
 }
 
 /// Validates an `EVQ8` payload structurally and returns a zero-copy view
@@ -719,117 +641,7 @@ impl<'a> QuantWalker<'a> {
             cols,
             range,
             codes: r.bytes(elements)?,
-            specials: r.entries(
-                special_count,
-                elements,
-                "quantized special index out of range",
-                "quantized special indices not strictly ascending",
-            )?,
-        }))
-    }
-}
-
-/// Validates an `EVSK` payload structurally and returns a zero-copy view
-/// over it — the sparse twin of [`quantized_view`], with the same
-/// contract: every structural check runs up front, and the view then
-/// iterates `(flat index, delta)` entries infallibly without
-/// materializing a [`SparseDelta`].
-///
-/// # Errors
-///
-/// Returns [`WireError`] on a malformed or truncated payload.
-pub fn sparse_view(payload: &[u8]) -> Result<SparsePayloadView<'_>, WireError> {
-    let start = SparseWalker::open(payload)?;
-    let mut walker = start;
-    while walker.next_tensor()?.is_some() {}
-    walker.reader.finish()?;
-    Ok(SparsePayloadView { start })
-}
-
-/// A structurally validated `EVSK` payload; see [`sparse_view`].
-#[derive(Debug, Clone, Copy)]
-pub struct SparsePayloadView<'a> {
-    start: SparseWalker<'a>,
-}
-
-impl<'a> SparsePayloadView<'a> {
-    /// Number of tensors in the payload.
-    pub fn tensor_count(&self) -> usize {
-        self.start.remaining
-    }
-
-    /// Iterates over the tensors. Infallible: the payload was fully
-    /// validated by [`sparse_view`].
-    pub fn tensors(&self) -> impl Iterator<Item = SparseTensorView<'a>> + '_ {
-        let mut walker = self.start;
-        std::iter::from_fn(move || walker.next_tensor().expect("pre-validated payload"))
-    }
-}
-
-/// One tensor of a validated `EVSK` payload: shape plus the raw
-/// `(index, value)` entry region.
-#[derive(Debug, Clone, Copy)]
-pub struct SparseTensorView<'a> {
-    rows: usize,
-    cols: usize,
-    entries: &'a [[u8; 12]],
-}
-
-impl<'a> SparseTensorView<'a> {
-    /// `(rows, cols)` of the tensor.
-    pub fn shape(&self) -> (usize, usize) {
-        (self.rows, self.cols)
-    }
-
-    /// Number of transmitted entries.
-    pub fn nnz(&self) -> usize {
-        self.entries.len()
-    }
-
-    /// Iterates the `(flat index, delta value)` entries in strictly
-    /// ascending index order.
-    pub fn entries(&self) -> impl ExactSizeIterator<Item = (u32, f64)> + 'a {
-        self.entries.iter().map(entry)
-    }
-}
-
-/// The one `EVSK` parser; see [`QuantWalker`].
-#[derive(Debug, Clone, Copy)]
-struct SparseWalker<'a> {
-    reader: Reader<'a>,
-    remaining: usize,
-}
-
-impl<'a> SparseWalker<'a> {
-    fn open(payload: &'a [u8]) -> Result<Self, WireError> {
-        let mut reader = Reader::new(payload);
-        reader.header(SPARSE_MAGIC)?;
-        let remaining = reader.seq(12)?;
-        Ok(Self { reader, remaining })
-    }
-
-    fn next_tensor(&mut self) -> Result<Option<SparseTensorView<'a>>, WireError> {
-        if self.remaining == 0 {
-            return Ok(None);
-        }
-        self.remaining -= 1;
-        let r = &mut self.reader;
-        let (rows, cols, elements) = r.shape()?;
-        let nnz = r.u32()? as usize;
-        if nnz > elements {
-            return Err(WireError::InvalidRecord(
-                "sparse nnz exceeds tensor elements",
-            ));
-        }
-        Ok(Some(SparseTensorView {
-            rows,
-            cols,
-            entries: r.entries(
-                nnz,
-                elements,
-                "sparse index out of range",
-                "sparse indices not strictly ascending",
-            )?,
+            specials: r.entries(special_count, elements)?,
         }))
     }
 }
@@ -1040,10 +852,10 @@ const TAG_SEL_EVERY: u8 = 0;
 const TAG_SEL_ONLY: u8 = 1;
 const TAG_SEL_FROM: u8 = 2;
 const TAG_SEL_PROBABILITY: u8 = 3;
-// Compression-mode discriminants (EVCF).
+// Compression-mode discriminants (EVCF). 2 was `TopKDelta { k: u32 }`,
+// retired in PR 21 and never to be reassigned.
 const TAG_COMP_NONE: u8 = 0;
 const TAG_COMP_QUANT8: u8 = 1;
-const TAG_COMP_TOP_K: u8 = 2;
 
 /// Encodes a [`FederatedConfig`] as a self-describing `EVCF` binary
 /// record — the socket handshake's `Welcome.config` blob, so the whole
@@ -1101,10 +913,6 @@ pub fn encode_config(config: &FederatedConfig) -> Bytes {
     match config.compression {
         CompressionMode::None => buf.put_u8(TAG_COMP_NONE),
         CompressionMode::Quant8 => buf.put_u8(TAG_COMP_QUANT8),
-        CompressionMode::TopKDelta { k } => {
-            buf.put_u8(TAG_COMP_TOP_K);
-            buf.put_u32_le(k as u32);
-        }
     }
     buf.freeze()
 }
@@ -1155,9 +963,6 @@ pub fn decode_config(payload: &[u8]) -> Result<FederatedConfig, WireError> {
         compression: match r.u8()? {
             TAG_COMP_NONE => CompressionMode::None,
             TAG_COMP_QUANT8 => CompressionMode::Quant8,
-            TAG_COMP_TOP_K => CompressionMode::TopKDelta {
-                k: r.u32()? as usize,
-            },
             tag => return Err(WireError::UnknownTag(tag)),
         },
     };
@@ -1249,8 +1054,7 @@ const TAG_DONE: u8 = 6;
 const TAG_ABORT: u8 = 7;
 
 /// One message of the socket protocol (`EVMS` envelope). The heavy fields
-/// (`global`, `payload`) carry already-encoded `EVFD`/`EVQ8`/`EVSK`
-/// records verbatim, so the envelope adds framing without re-encoding —
+/// (`global`, `payload`) carry already-encoded `EVFD`/`EVQ8` records verbatim, so the envelope adds framing without re-encoding —
 /// what the server meters is exactly `payload.len()`.
 ///
 /// The round trip is driven by [`encode_message`]/[`decode_message`]; see
@@ -1300,7 +1104,7 @@ pub enum Message {
         sample_count: u64,
         /// Final local training loss.
         train_loss: f64,
-        /// The encoded update: `EVFD`, `EVQ8`, or `EVSK` per the run's
+        /// The encoded update: `EVFD` or `EVQ8` per the run's
         /// [`crate::CompressionMode`].
         payload: Bytes,
     },
@@ -1534,11 +1338,6 @@ mod tests {
         assert_needed_walk(&encode_weights(&[]), decode_weights);
         let q = QuantizedUpdate::quantize(&sample_weights());
         assert_needed_walk(&encode_quantized(&q), decode_quantized);
-        let base = sample_weights();
-        let mut update = base.clone();
-        update[0].as_mut_slice()[5] += 1.5;
-        let d = SparseDelta::top_k(&update, &base, 8);
-        assert_needed_walk(&encode_sparse(&d), decode_sparse);
         assert_needed_walk(&encode_fault_log(&sample_fault_log()), decode_fault_log);
     }
 
@@ -1775,30 +1574,13 @@ mod tests {
     }
 
     #[test]
-    fn sparse_round_trips_and_size_matches() {
-        let base = sample_weights();
-        let mut update = base.clone();
-        update[0].as_mut_slice()[5] += 1.5;
-        update[1].as_mut_slice()[0] -= 0.25;
-        let d = SparseDelta::top_k(&update, &base, 8);
-        let blob = encode_sparse(&d);
-        assert_eq!(blob.len(), sparse_encoded_size(&d));
-        let back = decode_sparse(&blob).unwrap();
-        assert_eq!(back, d);
-        assert_eq!(&encode_sparse(&back)[..], &blob[..]);
-    }
-
-    #[test]
     fn compressed_formats_reject_each_others_magic() {
         let q = QuantizedUpdate::quantize(&sample_weights());
         let qblob = encode_quantized(&q);
-        assert_eq!(decode_sparse(&qblob), Err(WireError::BadMagic));
         assert_eq!(decode_weights(&qblob), Err(WireError::BadMagic));
-        let base = sample_weights();
-        let d = SparseDelta::top_k(&base, &base, 4);
-        let sblob = encode_sparse(&d);
-        assert_eq!(decode_quantized(&sblob), Err(WireError::BadMagic));
-        assert_eq!(decode_fault_log(&sblob), Err(WireError::BadMagic));
+        assert_eq!(decode_fault_log(&qblob), Err(WireError::BadMagic));
+        let wblob = encode_weights(&sample_weights());
+        assert_eq!(decode_quantized(&wblob), Err(WireError::BadMagic));
     }
 
     #[test]
@@ -1951,27 +1733,6 @@ mod tests {
     }
 
     #[test]
-    fn sparse_view_yields_exactly_the_decoded_entries() {
-        let base = sample_weights();
-        let mut update = sample_weights();
-        update[0].as_mut_slice()[5] += 2.0;
-        update[0].as_mut_slice()[11] = f64::NAN;
-        update[1].as_mut_slice()[0] -= 0.5;
-        let d = SparseDelta::top_k(&update, &base, 4);
-        let blob = encode_sparse(&d);
-        let view = sparse_view(&blob).unwrap();
-        assert_eq!(view.tensor_count(), d.tensors.len());
-        for (t, dt) in view.tensors().zip(&d.tensors) {
-            assert_eq!(t.shape(), (dt.rows, dt.cols));
-            assert_eq!(t.nnz(), dt.indices.len());
-            for ((idx, val), (&di, &dv)) in t.entries().zip(dt.indices.iter().zip(&dt.values)) {
-                assert_eq!(idx, di);
-                assert_eq!(val.to_bits(), dv.to_bits());
-            }
-        }
-    }
-
-    #[test]
     fn config_round_trips_through_the_binary_codec() {
         let mut cfg = FederatedConfig {
             rounds: 7,
@@ -1988,7 +1749,7 @@ mod tests {
             participation: 0.6,
             sampling_seed: 42,
             faults: None,
-            compression: CompressionMode::TopKDelta { k: 128 },
+            compression: CompressionMode::None,
         };
         assert_eq!(decode_config(&encode_config(&cfg)).unwrap(), cfg);
 

@@ -1,17 +1,16 @@
 //! Property-based gate for the fused decode-into-fold path.
 //!
-//! `ingest_quantized` / `ingest_topk` fold coefficients straight out of
-//! the encoded `EVQ8` / `EVSK` payload into the streaming accumulator.
-//! The contract is **bitwise identity** with the materializing path —
-//! decode the payload, reconstruct the `Vec<Matrix>`, call `ingest` — for
-//! every payload the codecs can produce: random values, tie-heavy values
-//! (exercising top-k's deterministic tie-breaks and shared quantization
-//! codes), and NaN/±∞ floods (specials carried verbatim; results compared
-//! as raw bits because `NaN != NaN`). When a rule rejects an input (e.g.
-//! trimmed mean's non-finite containment budget), both paths must reject
-//! it with the same error.
+//! `ingest_quantized` folds coefficients straight out of the encoded
+//! `EVQ8` payload into the streaming accumulator. The contract is
+//! **bitwise identity** with the materializing path — decode the payload,
+//! reconstruct the `Vec<Matrix>`, call `ingest` — for every payload the
+//! codec can produce: random values, tie-heavy values (exercising shared
+//! quantization codes), and NaN/±∞ floods (specials carried verbatim;
+//! results compared as raw bits because `NaN != NaN`). When a rule rejects
+//! an input (e.g. trimmed mean's non-finite containment budget), both
+//! paths must reject it with the same error.
 
-use evfad_federated::compression::{QuantizedUpdate, SparseDelta};
+use evfad_federated::compression::QuantizedUpdate;
 use evfad_federated::{wire, Aggregator, FederatedError, LocalUpdate};
 use evfad_tensor::Matrix;
 use proptest::prelude::*;
@@ -33,8 +32,7 @@ fn clients_strategy(
 }
 
 /// Values drawn from a coarse grid: quantization collapses them onto
-/// shared codes and top-k sees many equal-magnitude deltas, so the
-/// deterministic tie-break (lower flat index wins) is on the hot path.
+/// shared codes.
 fn tie_heavy() -> impl Strategy<Value = f64> {
     (0usize..7).prop_map(|i| [-2.0, -1.0, -0.5, 0.0, 0.5, 1.0, 2.0][i])
 }
@@ -126,34 +124,6 @@ fn check_quantized(
     Ok(())
 }
 
-/// Top-k: same contract against `decode_sparse(payload).apply(base)`.
-fn check_topk(
-    shapes: &[(usize, usize)],
-    base_pool: &[f64],
-    clients: &[(Vec<f64>, usize)],
-    k: usize,
-) -> Result<(), TestCaseError> {
-    let base = build_weights(shapes, base_pool);
-    let total: f64 = clients.iter().map(|(_, sc)| *sc as f64).sum();
-    for rule in rules(clients.len()) {
-        let mut fused = rule.streaming(total, clients.len()).expect("streams");
-        let mut reference = rule.streaming(total, clients.len()).expect("streams");
-        for (i, (pool, sc)) in clients.iter().enumerate() {
-            let weights = build_weights(shapes, pool);
-            let payload = wire::encode_sparse(&SparseDelta::top_k(&weights, &base, k));
-            let decoded = wire::decode_sparse(&payload)
-                .expect("valid payload")
-                .apply(&base);
-            fused
-                .ingest_topk(&format!("c{i}"), *sc, &base, &payload)
-                .expect("fused ingest");
-            reference.ingest(&update(i, decoded, *sc)).expect("ingest");
-        }
-        assert_same_finish(fused.finish(), reference.finish())?;
-    }
-    Ok(())
-}
-
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
@@ -179,35 +149,5 @@ proptest! {
         clients in clients_strategy(nan_flood()),
     ) {
         check_quantized(&shapes, &clients)?;
-    }
-
-    #[test]
-    fn fused_topk_matches_materializing_random(
-        shapes in shapes_strategy(),
-        base in prop::collection::vec(-1e6f64..1e6, POOL),
-        clients in clients_strategy(-1e6f64..1e6),
-        k in 1usize..20,
-    ) {
-        check_topk(&shapes, &base, &clients, k)?;
-    }
-
-    #[test]
-    fn fused_topk_matches_materializing_tie_heavy(
-        shapes in shapes_strategy(),
-        base in prop::collection::vec(tie_heavy(), POOL),
-        clients in clients_strategy(tie_heavy()),
-        k in 1usize..20,
-    ) {
-        check_topk(&shapes, &base, &clients, k)?;
-    }
-
-    #[test]
-    fn fused_topk_matches_materializing_nan_flood(
-        shapes in shapes_strategy(),
-        base in prop::collection::vec(-1e3f64..1e3, POOL),
-        clients in clients_strategy(nan_flood()),
-        k in 1usize..20,
-    ) {
-        check_topk(&shapes, &base, &clients, k)?;
     }
 }

@@ -269,8 +269,8 @@ fn golden_template() -> Vec<Matrix> {
 
 /// Drop-out, stragglers cut off by the round timeout (metered waste — the
 /// pre-pass synthesises these to size their compressed payload), a
-/// payload corruption and retried transients, all as wildcard rates.
-fn golden_plan(corruption: Corruption) -> FaultPlan {
+/// NaN flood and retried transients, all as wildcard rates.
+fn golden_plan() -> FaultPlan {
     FaultPlan::new(11)
         .with_rule(
             "*",
@@ -285,7 +285,9 @@ fn golden_plan(corruption: Corruption) -> FaultPlan {
         .with_rule(
             "*",
             RoundSelector::Probability { p: 0.01 },
-            FaultKind::Corrupt { corruption },
+            FaultKind::Corrupt {
+                corruption: Corruption::NanFlood,
+            },
         )
         .with_rule(
             "*",
@@ -314,7 +316,6 @@ fn golden_cases() -> Vec<Golden> {
         seed: 42,
         ..ScaleConfig::default()
     };
-    let topk = CompressionMode::TopKDelta { k: 5 };
     let trimmed = Aggregator::TrimmedMean { trim: 12 };
     vec![
         Golden {
@@ -366,29 +367,10 @@ fn golden_cases() -> Vec<Golden> {
             rounds: r#"[{"round":0,"sampled":150,"aggregated":150,"dropped":0,"wasted":0,"corrupted":0,"trained":0,"edges_kept":4,"edges_lost":0,"uplink_bytes":34666,"downlink_bytes":0,"peak_state_bytes":3560},{"round":1,"sampled":150,"aggregated":150,"dropped":0,"wasted":0,"corrupted":0,"trained":0,"edges_kept":4,"edges_lost":0,"uplink_bytes":34666,"downlink_bytes":113100,"peak_state_bytes":3560}]"#,
         },
         Golden {
-            name: "top-k flat, verified",
-            config: ScaleConfig {
-                compression: topk,
-                verify_streaming: true,
-                ..base(1_010, 1, 1)
-            },
-            checksum: "23c2631b197ef26a",
-            rounds: r#"[{"round":0,"sampled":101,"aggregated":101,"dropped":0,"wasted":0,"corrupted":0,"trained":0,"edges_kept":1,"edges_lost":0,"uplink_bytes":25250,"downlink_bytes":0,"peak_state_bytes":712},{"round":1,"sampled":101,"aggregated":101,"dropped":0,"wasted":0,"corrupted":0,"trained":0,"edges_kept":1,"edges_lost":0,"uplink_bytes":25250,"downlink_bytes":76154,"peak_state_bytes":712}]"#,
-        },
-        Golden {
-            name: "top-k 4 edges, threads 2",
-            config: ScaleConfig {
-                compression: topk,
-                ..base(1_999, 4, 2)
-            },
-            checksum: "c4d60ae9a4f86bfe",
-            rounds: r#"[{"round":0,"sampled":200,"aggregated":200,"dropped":0,"wasted":0,"corrupted":0,"trained":0,"edges_kept":4,"edges_lost":0,"uplink_bytes":53016,"downlink_bytes":0,"peak_state_bytes":2136},{"round":1,"sampled":200,"aggregated":200,"dropped":0,"wasted":0,"corrupted":0,"trained":0,"edges_kept":4,"edges_lost":0,"uplink_bytes":53016,"downlink_bytes":150800,"peak_state_bytes":2136}]"#,
-        },
-        Golden {
             name: "chaos + NaN flood, trimmed mean, plain",
             config: ScaleConfig {
                 aggregator: trimmed,
-                faults: Some(golden_plan(Corruption::NanFlood)),
+                faults: Some(golden_plan()),
                 verify_streaming: true,
                 ..base(2_000, 1, 1)
             },
@@ -400,21 +382,11 @@ fn golden_cases() -> Vec<Golden> {
             config: ScaleConfig {
                 aggregator: trimmed,
                 compression: CompressionMode::Quant8,
-                faults: Some(golden_plan(Corruption::NanFlood)),
+                faults: Some(golden_plan()),
                 ..base(2_000, 1, 2)
             },
             checksum: "55f43242f61c59b7",
             rounds: r#"[{"round":0,"sampled":200,"aggregated":165,"dropped":19,"wasted":16,"corrupted":2,"trained":0,"edges_kept":1,"edges_lost":0,"uplink_bytes":42015,"downlink_bytes":0,"peak_state_bytes":18156},{"round":1,"sampled":200,"aggregated":169,"dropped":22,"wasted":9,"corrupted":1,"trained":0,"edges_kept":1,"edges_lost":0,"uplink_bytes":41158,"downlink_bytes":150800,"peak_state_bytes":18156}]"#,
-        },
-        Golden {
-            name: "chaos + sign flip, fedavg, top-k, 4 edges, threads 4",
-            config: ScaleConfig {
-                compression: topk,
-                faults: Some(golden_plan(Corruption::SignFlip)),
-                ..base(2_000, 4, 4)
-            },
-            checksum: "620c55c5274696fb",
-            rounds: r#"[{"round":0,"sampled":200,"aggregated":165,"dropped":19,"wasted":16,"corrupted":2,"trained":0,"edges_kept":4,"edges_lost":0,"uplink_bytes":50266,"downlink_bytes":0,"peak_state_bytes":3560},{"round":1,"sampled":200,"aggregated":169,"dropped":22,"wasted":9,"corrupted":1,"trained":0,"edges_kept":4,"edges_lost":0,"uplink_bytes":50516,"downlink_bytes":150800,"peak_state_bytes":3560}]"#,
         },
         Golden {
             name: "5% really trained, 4 edges, threads 2",

@@ -1,9 +1,9 @@
 //! Property-based and table-driven tests for the binary wire formats.
 //!
-//! Property tests (EVFD / EVQ8 / EVSK), over random shapes including
+//! Property tests (EVFD / EVQ8), over random shapes including
 //! degenerate `rows x 0` and `0 x cols` tensors:
 //!
-//! 1. encode → decode is lossless (bitwise for EVFD/EVSK, and for EVQ8 the
+//! 1. encode → decode is lossless (bitwise for EVFD, and for EVQ8 the
 //!    decoded *struct* re-encodes to the identical payload);
 //! 2. the O(1) `*_encoded_size` arithmetic equals the actual payload length
 //!    — this is what makes metering-by-arithmetic exact;
@@ -16,7 +16,7 @@
 //! declared counts the received bytes did not pay for, at the codec and
 //! through a loopback `SocketServer`.
 
-use evfad_federated::compression::{QuantizedUpdate, SparseDelta};
+use evfad_federated::compression::QuantizedUpdate;
 use evfad_federated::wire;
 use evfad_tensor::Matrix;
 use proptest::prelude::*;
@@ -101,67 +101,19 @@ proptest! {
         prop_assert!(wire::decode_quantized(&bad).is_err());
     }
 
-    /// EVSK: a top-k delta round-trips bitwise (re-encode identity) and
-    /// applying the decoded delta reconstructs exactly what applying the
-    /// original does.
-    #[test]
-    fn evsk_round_trip_and_size(
-        base in weights_strategy(),
-        noise in prop::collection::vec(-1.0f64..1.0, 4 * 36),
-        k in 1usize..20,
-    ) {
-        // Same shapes as `base`, perturbed values.
-        let mut cursor = noise.iter();
-        let update: Vec<Matrix> = base
-            .iter()
-            .map(|m| {
-                let vals: Vec<f64> = m.as_slice().iter().map(|v| v + cursor.next().copied().unwrap_or(0.25)).collect();
-                Matrix::from_vec(m.rows(), m.cols(), vals)
-            })
-            .collect();
-        let delta = SparseDelta::top_k(&update, &base, k);
-        let payload = wire::encode_sparse(&delta);
-        prop_assert_eq!(payload.len(), wire::sparse_encoded_size(&delta));
-        let decoded = wire::decode_sparse(&payload).expect("round trip");
-        prop_assert_eq!(wire::encode_sparse(&decoded), payload);
-        prop_assert_eq!(decoded.apply(&base), delta.apply(&base));
-    }
-
-    /// EVSK: truncations and bad magic are errors, never panics.
-    #[test]
-    fn evsk_rejects_malformed(base in weights_strategy(), k in 1usize..8) {
-        let update: Vec<Matrix> = base
-            .iter()
-            .map(|m| {
-                let vals: Vec<f64> = m.as_slice().iter().map(|v| v + 0.5).collect();
-                Matrix::from_vec(m.rows(), m.cols(), vals)
-            })
-            .collect();
-        let delta = SparseDelta::top_k(&update, &base, k);
-        let payload = wire::encode_sparse(&delta).to_vec();
-        for cut in 0..payload.len() {
-            prop_assert!(wire::decode_sparse(&payload[..cut]).is_err(), "cut {}", cut);
-        }
-        let mut bad = payload.clone();
-        bad[1] ^= 0xFF;
-        prop_assert!(wire::decode_sparse(&bad).is_err());
-    }
-
     /// Cross-format confusion: feeding one format's payload to another
     /// format's decoder is a clean error.
     #[test]
     fn magic_bytes_keep_formats_apart(weights in weights_strategy()) {
         let evfd = wire::encode_weights(&weights);
         prop_assert!(wire::decode_quantized(&evfd).is_err());
-        prop_assert!(wire::decode_sparse(&evfd).is_err());
         let q = wire::encode_quantized(&QuantizedUpdate::quantize(&weights));
         prop_assert!(wire::decode_weights(&q).is_err());
-        prop_assert!(wire::decode_sparse(&q).is_err());
     }
 }
 
 mod hostile {
-    use evfad_federated::compression::{QuantizedUpdate, SparseDelta};
+    use evfad_federated::compression::QuantizedUpdate;
     use evfad_federated::framing::{write_frame, FrameDecoder};
     use evfad_federated::privacy::DpConfig;
     use evfad_federated::socket::SocketServerConfig;
@@ -187,7 +139,7 @@ mod hostile {
         fixtures: fn() -> Vec<Vec<u8>>,
     }
 
-    const TABLE: [Row; 8] = [
+    const TABLE: [Row; 6] = [
         Row {
             name: "decode_weights",
             format: "EVFD",
@@ -205,18 +157,6 @@ mod hostile {
             format: "EVQ8",
             codec: reencode_quantized_view,
             fixtures: evq8_fixtures,
-        },
-        Row {
-            name: "decode_sparse",
-            format: "EVSK",
-            codec: |b| wire::decode_sparse(b).map(|d| wire::encode_sparse(&d).to_vec()),
-            fixtures: evsk_fixtures,
-        },
-        Row {
-            name: "sparse_view",
-            format: "EVSK",
-            codec: reencode_sparse_view,
-            fixtures: evsk_fixtures,
         },
         Row {
             name: "decode_fault_log",
@@ -272,23 +212,6 @@ mod hostile {
         Ok(out)
     }
 
-    /// The `EVSK` twin of [`reencode_quantized_view`].
-    fn reencode_sparse_view(payload: &[u8]) -> Result<Vec<u8>, WireError> {
-        let view = wire::sparse_view(payload)?;
-        let mut out = header(&wire::SPARSE_MAGIC, view.tensor_count() as u32);
-        for t in view.tensors() {
-            let (rows, cols) = t.shape();
-            out.extend((rows as u32).to_le_bytes());
-            out.extend((cols as u32).to_le_bytes());
-            out.extend((t.nnz() as u32).to_le_bytes());
-            for (idx, value) in t.entries() {
-                out.extend(idx.to_le_bytes());
-                out.extend(value.to_le_bytes());
-            }
-        }
-        Ok(out)
-    }
-
     fn weights() -> Vec<Matrix> {
         vec![
             Matrix::from_fn(3, 4, |i, j| (i as f64) - 0.37 * j as f64),
@@ -298,8 +221,7 @@ mod hostile {
     }
 
     /// [`weights`] with two adjacent non-finite values in the first tensor
-    /// and one in the last: `EVQ8` specials, and `EVSK` entries top-k
-    /// always keeps.
+    /// and one in the last: `EVQ8` specials.
     fn poisoned_weights() -> Vec<Matrix> {
         let mut w = weights();
         w[0].as_mut_slice()[0] = f64::NAN;
@@ -319,14 +241,6 @@ mod hostile {
         vec![
             wire::encode_quantized(&QuantizedUpdate::quantize(&poisoned_weights())).to_vec(),
             wire::encode_quantized(&QuantizedUpdate::quantize(&weights())).to_vec(),
-        ]
-    }
-
-    fn evsk_fixtures() -> Vec<Vec<u8>> {
-        let base = weights();
-        vec![
-            wire::encode_sparse(&SparseDelta::top_k(&poisoned_weights(), &base, 3)).to_vec(),
-            wire::encode_sparse(&SparseDelta::top_k(&base, &base, 3)).to_vec(),
         ]
     }
 
@@ -432,7 +346,7 @@ mod hostile {
                     .with_retry(5, 0.5)
                     .with_min_participants(2),
             ),
-            compression: CompressionMode::TopKDelta { k: 128 },
+            compression: CompressionMode::None,
         }
     }
 
@@ -631,10 +545,9 @@ mod hostile {
     }
 
     /// Offset of the first tensor's first `(index, value)` entry in the
-    /// poisoned `EVQ8` / `EVSK` fixture (tensor 0 is 3×4 with entries at
-    /// flat indices 0 and 1).
+    /// poisoned `EVQ8` fixture (tensor 0 is 3×4 with entries at flat
+    /// indices 0 and 1).
     const EVQ8_ENTRIES_AT: usize = 10 + 8 + 16 + 4 + 12;
-    const EVSK_ENTRIES_AT: usize = 10 + 8 + 4;
 
     #[test]
     fn structural_corruption_is_rejected_by_decoders_and_views_alike() {
@@ -646,7 +559,7 @@ mod hostile {
             blob[at..at + 4].copy_from_slice(&v.to_le_bytes());
         };
         type Corrupt<'a> = &'a dyn Fn(&mut [u8]);
-        let rows: [(&str, Corrupt, &str); 8] = [
+        let rows: [(&str, Corrupt, &str); 4] = [
             (
                 "EVQ8",
                 &|b| swap_entries(b, EVQ8_ENTRIES_AT),
@@ -666,26 +579,6 @@ mod hostile {
                 "EVQ8",
                 &|b| put_u32(b, EVQ8_ENTRIES_AT - 12 - 4, 13),
                 "quantized special count exceeds tensor elements",
-            ),
-            (
-                "EVSK",
-                &|b| swap_entries(b, EVSK_ENTRIES_AT),
-                "sparse indices not strictly ascending",
-            ),
-            (
-                "EVSK",
-                &|b| put_u32(b, EVSK_ENTRIES_AT + 12, 0),
-                "sparse indices not strictly ascending",
-            ),
-            (
-                "EVSK",
-                &|b| put_u32(b, EVSK_ENTRIES_AT, u32::MAX),
-                "sparse index out of range",
-            ),
-            (
-                "EVSK",
-                &|b| put_u32(b, EVSK_ENTRIES_AT - 4, 13),
-                "sparse nnz exceeds tensor elements",
             ),
         ];
         for (format, corrupt, message) in rows {
@@ -707,25 +600,19 @@ mod hostile {
     /// verdict, error included.
     #[test]
     fn views_and_decoders_agree_on_every_mutation() {
-        for format in ["EVQ8", "EVSK"] {
-            let codecs: Vec<Codec> = rows_of(format).map(|row| row.codec).collect();
-            let [decoder, view] = codecs[..] else {
-                panic!("{format}: expected a decoder row and a view row");
-            };
-            for blob in rows_of(format).flat_map(|row| (row.fixtures)()) {
-                let mut mutated = blob.clone();
-                for at in 0..blob.len() {
-                    assert_eq!(decoder(&blob[..at]), view(&blob[..at]), "{format} cut {at}");
-                    for mask in [0x01, 0x80, 0xFF] {
-                        mutated[at] = blob[at] ^ mask;
-                        assert_eq!(
-                            decoder(&mutated),
-                            view(&mutated),
-                            "{format} byte {at} ^ {mask:#x}"
-                        );
-                    }
-                    mutated[at] = blob[at];
+        let codecs: Vec<Codec> = rows_of("EVQ8").map(|row| row.codec).collect();
+        let [decoder, view] = codecs[..] else {
+            panic!("EVQ8: expected a decoder row and a view row");
+        };
+        for blob in evq8_fixtures() {
+            let mut mutated = blob.clone();
+            for at in 0..blob.len() {
+                assert_eq!(decoder(&blob[..at]), view(&blob[..at]), "cut {at}");
+                for mask in [0x01, 0x80, 0xFF] {
+                    mutated[at] = blob[at] ^ mask;
+                    assert_eq!(decoder(&mutated), view(&mutated), "byte {at} ^ {mask:#x}");
                 }
+                mutated[at] = blob[at];
             }
         }
     }
@@ -762,7 +649,6 @@ mod hostile {
             let cases = [
                 ("EVFD", header(&wire::MAGIC, count)),
                 ("EVQ8", header(&wire::QUANT_MAGIC, count)),
-                ("EVSK", header(&wire::SPARSE_MAGIC, count)),
                 ("EVFL", header(&wire::FAULT_MAGIC, count)),
                 ("EVCF", config_claiming_rules(count)),
             ];
@@ -831,13 +717,32 @@ mod hostile {
 
     #[test]
     fn a_hostile_update_over_a_socket_fails_the_run_not_the_process() {
+        // Per mode: two headers claiming records they do not carry, then a
+        // well-formed update of another architecture.
+        let foreign = forecaster_model(5, 3).weights();
         let cases = [
-            (CompressionMode::None, wire::MAGIC),
-            (CompressionMode::Quant8, wire::QUANT_MAGIC),
-            (CompressionMode::TopKDelta { k: 4 }, wire::SPARSE_MAGIC),
+            (
+                CompressionMode::None,
+                wire::MAGIC,
+                wire::encode_weights(&foreign),
+            ),
+            (
+                CompressionMode::Quant8,
+                wire::QUANT_MAGIC,
+                wire::encode_quantized(&QuantizedUpdate::quantize(&foreign)),
+            ),
         ];
-        for (compression, magic) in cases {
-            for count in [u32::MAX, 1 << 24] {
+        for (compression, magic, foreign) in cases {
+            let payloads = [
+                (header(&magic, u32::MAX), "uplink payload"),
+                (header(&magic, 1 << 24), "uplink payload"),
+                (
+                    foreign.to_vec(),
+                    "has tensor shapes [(6, 20), (1, 20), (5, 10), (1, 10), (10, 1), (1, 1)], \
+                     the model expects [(5, 16), (1, 16), (4, 10), (1, 10), (10, 1), (1, 1)]",
+                ),
+            ];
+            for (i, (payload, expected)) in payloads.into_iter().enumerate() {
                 let cfg = FederatedConfig {
                     rounds: 1,
                     epochs_per_round: 1,
@@ -851,17 +756,16 @@ mod hostile {
                 )
                 .expect("bind");
                 let addr = server.local_addr();
-                let payload = header(&magic, count);
                 let peer = std::thread::spawn(move || upload_hostile_update(addr, payload));
                 let outcome = server.run();
                 drop(server);
                 peer.join().expect("peer thread");
                 match outcome {
                     Err(FederatedError::Transport { message }) => assert!(
-                        message.contains("uplink payload"),
-                        "{compression} x {count}: {message}"
+                        message.starts_with("uplink payload") && message.contains(expected),
+                        "{compression} payload {i}: {message}"
                     ),
-                    other => panic!("{compression} x {count}: run gave {other:?}"),
+                    other => panic!("{compression} payload {i}: run gave {other:?}"),
                 }
             }
         }

@@ -5,11 +5,14 @@
 //! parameter tensors. After a warm-up round, later rounds on same-shaped
 //! batches must not allocate more matrices than the warm round did — the
 //! T- and batch-proportional buffers all live in the reused workspaces.
+//! The same holds for the uplink codec: once a `CodecScratch`, the payload
+//! buffer and the decode target have seen the model, a Quant8 encode →
+//! decode round allocates no matrix at all.
 //!
 //! Reads the process-global counters from `evfad_tensor::alloc_stats()`, so
 //! this lives in its own integration-test binary.
 
-use evfad_federated::FedClient;
+use evfad_federated::{wire, CodecScratch, CompressionMode, FedClient};
 use evfad_nn::{forecaster_model, Sample, TrainConfig};
 use evfad_tensor::{alloc_stats, Matrix};
 
@@ -56,5 +59,29 @@ fn later_rounds_allocate_no_more_than_the_first_warm_round() {
     assert_eq!(
         per_round[1], per_round[2],
         "warm federated rounds drifted in allocations: {per_round:?}"
+    );
+
+    // Second phase, same test: the counters are process-wide, so a
+    // parallel `#[test]` would be counted here. The paper's LSTM(50)
+    // through warm codec rounds.
+    let weights = forecaster_model(50, 42).weights();
+    let mut scratch = CodecScratch::default();
+    let mut payload = wire::BytesMut::new();
+    let mut decoded = weights.clone();
+    let mut codec_round = || {
+        let len = scratch.encoded_len(CompressionMode::Quant8, &weights);
+        wire::encode_quantized_into(&mut payload, &scratch.quant);
+        assert_eq!(payload.len(), len);
+        scratch.decode_into(CompressionMode::Quant8, &mut decoded);
+    };
+    codec_round();
+    let before = alloc_stats();
+    for _ in 0..3 {
+        codec_round();
+    }
+    assert_eq!(
+        alloc_stats().since(&before).matrices,
+        0,
+        "warm codec rounds allocated matrix buffers"
     );
 }

@@ -189,7 +189,7 @@ fn weight_level_attack() -> Result<(), Box<dyn std::error::Error>> {
 /// Uplink-compression ablation: the same federation run under each
 /// [`CompressionMode`], reporting wire traffic per round against the final
 /// forecast quality. Quantization buys ~8x on the uplink for a negligible
-/// accuracy cost; top-k trades accuracy for bandwidth more aggressively.
+/// accuracy cost.
 fn comms_ablation() -> Result<(), Box<dyn std::error::Error>> {
     println!("\n== Comms ablation: uplink compression vs forecast quality ==\n");
     let prepared: Vec<PreparedClient> = ShenzhenGenerator::new(DatasetConfig::small(480, 42))
@@ -201,11 +201,7 @@ fn comms_ablation() -> Result<(), Box<dyn std::error::Error>> {
         "{:<12} {:>14} {:>14} {:>8} {:>10}",
         "mode", "uplink B/round", "downlink B/rnd", "ratio", "final MAE"
     );
-    for mode in [
-        CompressionMode::None,
-        CompressionMode::Quant8,
-        CompressionMode::TopKDelta { k: 16 },
-    ] {
+    for mode in [CompressionMode::None, CompressionMode::Quant8] {
         let cfg = FederatedConfig {
             rounds: 3,
             epochs_per_round: 2,

@@ -81,3 +81,19 @@ fn weights_survive_json_exactly() {
     let back: Vec<Matrix> = serde_json::from_str(&json).expect("de");
     assert_eq!(weights, back);
 }
+
+#[test]
+fn a_retired_compression_tag_is_refused() {
+    use evfad_core::federated::wire::{self, WireError};
+    use evfad_core::federated::{CompressionMode, FederatedConfig};
+    // The compression tag is an `EVCF` record's last byte; 2 was
+    // `TopKDelta { k }` and stays unassigned.
+    let mut blob = wire::encode_config(&FederatedConfig {
+        compression: CompressionMode::Quant8,
+        ..FederatedConfig::default()
+    })
+    .to_vec();
+    *blob.last_mut().expect("non-empty record") = 2;
+    assert_eq!(wire::decode_config(&blob), Err(WireError::UnknownTag(2)));
+    assert!(serde_json::from_str::<CompressionMode>(r#"{"TopKDelta":{"k":8}}"#).is_err());
+}

@@ -157,23 +157,6 @@ fn loopback_digest_identity_holds_under_quant8() {
     );
 }
 
-/// Digest identity holds for sparse top-k delta uplinks, where the
-/// client diffs against its own copy of the global model: the copies
-/// stay in lock-step with the server's, so the reconstruction matches.
-#[test]
-fn loopback_digest_identity_holds_under_topk_delta() {
-    let config = FederatedConfig {
-        compression: CompressionMode::TopKDelta { k: 8 },
-        ..loopback_config(2)
-    };
-    let (socket_outcome, _) = run_loopback(config.clone(), &ROSTER);
-    let sim_outcome = run_in_process(config, &ROSTER);
-    assert_eq!(
-        serde_json::to_string(&socket_outcome.digest()).unwrap(),
-        serde_json::to_string(&sim_outcome.digest()).unwrap()
-    );
-}
-
 /// Partial participation samples identically over sockets: the
 /// scheduler draws from registration order on both paths, so the same
 /// subset trains each round and idle clients simply hold for the next
