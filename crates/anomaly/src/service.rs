@@ -23,14 +23,16 @@
 //!
 //! # Determinism and exactness
 //!
-//! Worker parallelism splits the batch into contiguous row chunks served
-//! by per-worker snapshot clones on the deterministic
-//! [`parallel`](evfad_tensor::parallel) pool. Because every kernel row
-//! depends only on its own window, chunking — and therefore the thread
-//! count — cannot change any tenant's bits; with the `F64` lane the
-//! service is **bitwise-identical** to running one `OnlineDetector` per
-//! tenant (pinned in tier-1 tests). The `Int8` lane trades that identity
-//! for throughput.
+//! A flush splits each round's batch into contiguous row chunks served by
+//! per-worker snapshot clones on the deterministic
+//! [`parallel`](evfad_tensor::parallel) pool — as many chunks as the
+//! process-wide [`parallel::threads`]; at width 1 it is a plain loop on
+//! the caller. Because every kernel row depends only on its own window,
+//! chunking — and therefore the thread count — cannot change any tenant's
+//! bits; with the `F64` lane the service is **bitwise-identical** to
+//! running one `OnlineDetector` per tenant (pinned in tier-1 tests and, at
+//! pool widths 1/2/3/8, in `tests/service_width.rs`). The `Int8` lane
+//! trades that identity for throughput.
 //!
 //! # Quarantine
 //!
@@ -39,7 +41,8 @@
 //! [`TenantVerdict::Quarantined`] *before* batch assembly, every later
 //! reading from that tenant is rejected the same way, and the shared
 //! batch never sees the poison — the other tenants' scores are
-//! unaffected down to the bit.
+//! unaffected down to the bit. Once the station is repaired,
+//! [`release`](ScoringService::release) lets the tenant warm up again.
 
 use crate::detector::AnomalyFilter;
 use crate::error::AnomalyError;
@@ -121,7 +124,6 @@ struct Worker {
 pub struct ScoringService {
     prototype: InferenceModel,
     workers: Vec<Worker>,
-    threads: usize,
     seq_len: usize,
     default_threshold: f64,
     tenants: Vec<TenantState>,
@@ -136,8 +138,8 @@ pub struct ScoringService {
 impl ScoringService {
     /// Builds a service from a fitted filter: freezes the autoencoder at
     /// the requested precision and adopts the filter's threshold and
-    /// window length as tenant defaults. Starts single-threaded — see
-    /// [`ScoringService::set_threads`].
+    /// window length as tenant defaults. A flush runs at the process-wide
+    /// pool width, [`parallel::threads`].
     ///
     /// # Errors
     ///
@@ -155,7 +157,6 @@ impl ScoringService {
         Ok(Self {
             prototype,
             workers: Vec::new(),
-            threads: 1,
             seq_len: filter.config().seq_len,
             default_threshold,
             tenants: Vec::new(),
@@ -164,13 +165,6 @@ impl ScoringService {
             batch_values: Vec::new(),
             batch_slots: Vec::new(),
         })
-    }
-
-    /// Sets the worker count used to serve each flushed batch (clamped to
-    /// at least 1). Thread count never changes any tenant's decisions —
-    /// it only splits the batch into contiguous per-worker chunks.
-    pub fn set_threads(&mut self, n: usize) {
-        self.threads = n.max(1);
     }
 
     /// Registers a tenant with the filter's fitted threshold. Returns the
@@ -216,6 +210,19 @@ impl ScoringService {
     /// Whether a tenant has been quarantined by a non-finite reading.
     pub fn is_quarantined(&self, tenant: usize) -> bool {
         self.tenants[tenant].quarantined
+    }
+
+    /// Lets a repaired tenant back in: drops its pending readings, empties
+    /// its context buffer and clears the quarantine flag, so the tenant
+    /// warms up again through [`seed_context`](ScoringService::seed_context)
+    /// or `seq_len - 1` [`TenantVerdict::Warmup`] readings. Returns whether
+    /// the tenant was quarantined.
+    pub fn release(&mut self, tenant: usize) -> bool {
+        let t = &mut self.tenants[tenant];
+        self.pending_total -= t.pending.len();
+        t.pending.clear();
+        t.buffer.clear();
+        std::mem::take(&mut t.quarantined)
     }
 
     /// Context points currently buffered for a tenant.
@@ -265,8 +272,10 @@ impl ScoringService {
     }
 
     /// Like [`flush`](ScoringService::flush), writing into a caller-owned
-    /// buffer (cleared first). A warm, shape-stable caller allocates
-    /// nothing.
+    /// buffer (cleared first). A warm, shape-stable caller allocates no
+    /// matrix or arena (`infer_heap.rs` and `alloc_regression.rs` pin that
+    /// half) and, at width 1, nothing at all; at width ≥ 2 each round's
+    /// dispatch boxes its jobs and a latch.
     pub fn flush_into(&mut self, out: &mut Vec<TenantDecision>) {
         out.clear();
         while self.pending_total > 0 {
@@ -329,7 +338,7 @@ impl ScoringService {
         // Contiguous balanced row chunks, one per worker — the same split
         // `parallel::distribute` itself uses, so worker `w` serves rows
         // `[starts[w], starts[w+1])`.
-        let chunks = self.threads.min(rows);
+        let chunks = parallel::threads().min(rows);
         while self.workers.len() < chunks {
             self.workers.push(Worker {
                 model: self.prototype.clone(),
@@ -456,50 +465,6 @@ mod tests {
     }
 
     #[test]
-    fn batched_tenants_match_independent_detectors_any_thread_count() {
-        let filter = fitted_filter();
-        for threads in [1usize, 3] {
-            let mut service =
-                ScoringService::from_filter(&filter, Precision::F64).expect("service");
-            service.set_threads(threads);
-            let n_tenants = 5usize;
-            let mut serieses = Vec::new();
-            for t in 0..n_tenants {
-                let id = service.add_tenant(false);
-                assert_eq!(id, t);
-                let mut s = sine(40, t * 7);
-                if t == 2 {
-                    s[25] += 3.0;
-                }
-                serieses.push(s);
-            }
-            // Interleave all tenants' readings, flushing after each step so
-            // every round batches one window per tenant.
-            let mut got: Vec<Vec<OnlineDecision>> = vec![Vec::new(); n_tenants];
-            for step in 0..40 {
-                for (t, s) in serieses.iter().enumerate() {
-                    service.submit(t, s[step]);
-                }
-                for d in service.flush() {
-                    if let TenantVerdict::Scored(s) = d.verdict {
-                        got[d.tenant].push(s);
-                    }
-                }
-            }
-            for (t, s) in serieses.iter().enumerate() {
-                let mut reference =
-                    OnlineDetector::from_fitted(filter.clone(), false).expect("reference");
-                let expected = reference.push_all(s);
-                assert_eq!(got[t].len(), expected.len(), "tenant {t}");
-                for (g, e) in got[t].iter().zip(&expected) {
-                    assert_eq!(g.score.to_bits(), e.score.to_bits(), "tenant {t}");
-                    assert_eq!(g.anomalous, e.anomalous, "tenant {t}");
-                }
-            }
-        }
-    }
-
-    #[test]
     fn decisions_come_back_in_round_then_tenant_order() {
         let filter = fitted_filter();
         let mut service = ScoringService::from_filter(&filter, Precision::F64).expect("service");
@@ -556,6 +521,69 @@ mod tests {
         }
         assert!(service.is_quarantined(broken));
         assert!(!service.is_quarantined(healthy));
+    }
+
+    #[test]
+    fn a_released_tenant_scores_like_a_new_one() {
+        fn scored_bits(d: &TenantDecision) -> (u64, u64, bool) {
+            match d.verdict {
+                TenantVerdict::Scored(s) => (s.score.to_bits(), s.admitted.to_bits(), s.anomalous),
+                other => panic!("tenant {} was not scored: {other:?}", d.tenant),
+            }
+        }
+        let filter = fitted_filter();
+        let mut service = ScoringService::from_filter(&filter, Precision::F64).expect("service");
+        let healthy = service.add_tenant(false);
+        let broken = service.add_tenant(true);
+        // Reference: the healthy tenant alone, no neighbour.
+        let mut solo = ScoringService::from_filter(&filter, Precision::F64).expect("service");
+        let solo_id = solo.add_tenant(false);
+        let history = sine(40, 1);
+        service.seed_context(healthy, &history);
+        service.seed_context(broken, &history);
+        solo.seed_context(solo_id, &history);
+        // One reading for the healthy tenant beside whatever its neighbours
+        // queued: its bits are the solo service's.
+        let mut flush_beside_solo = |service: &mut ScoringService, v: f64| {
+            service.submit(healthy, v);
+            solo.submit(solo_id, v);
+            let decisions = service.flush();
+            assert_eq!(
+                scored_bits(&decisions[healthy]),
+                scored_bits(&solo.flush()[0]),
+                "a neighbour changed the healthy tenant's bits"
+            );
+            decisions
+        };
+
+        service.submit(broken, f64::NAN);
+        let decisions = flush_beside_solo(&mut service, 0.55);
+        assert_eq!(decisions[broken].verdict, TenantVerdict::Quarantined);
+        service.submit(broken, 0.5);
+        service.submit(broken, 0.6);
+        assert!(service.release(broken));
+        assert_eq!(service.pending(), 0, "its queue went with it");
+        assert_eq!(service.context_len(broken), 0);
+        assert!(!service.is_quarantined(broken));
+        assert!(!service.release(broken), "released once");
+
+        // Repaired and re-seeded, it is a tenant added now and seeded the
+        // same way.
+        let repair = sine(30, 5);
+        service.seed_context(broken, &repair);
+        let fresh = service.add_tenant(true);
+        service.seed_context(fresh, &repair);
+        let mut series = sine(20, 35);
+        series[8] += 3.0;
+        for &v in &series {
+            service.submit(broken, v);
+            service.submit(fresh, v);
+            let decisions = flush_beside_solo(&mut service, v);
+            assert_eq!(
+                scored_bits(&decisions[broken]),
+                scored_bits(&decisions[fresh])
+            );
+        }
     }
 
     #[test]

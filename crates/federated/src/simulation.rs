@@ -10,7 +10,7 @@ use crate::faults::{FaultEvent, FaultKind, FaultPlan};
 use crate::privacy::DpConfig;
 use crate::transport::MeteredChannel;
 use evfad_nn::{Sample, Sequential, TrainConfig};
-use evfad_tensor::Matrix;
+use evfad_tensor::{parallel, Matrix};
 use serde::{Deserialize, Serialize};
 use std::time::Duration;
 
@@ -25,17 +25,18 @@ pub struct FederatedConfig {
     pub batch_size: usize,
     /// Aggregation rule (paper: FedAvg).
     pub aggregator: Aggregator,
-    /// Train clients on parallel threads (the distributed-hardware model;
-    /// disable for deterministic single-thread profiling).
+    /// Train a round's clients as jobs on the tensor worker pool, at most
+    /// `parallel::threads()` at a time (the distributed-hardware model;
+    /// disable to train them one after another on the calling thread).
     pub parallel: bool,
     /// Thread count for the tensor worker pool, installed process-wide at
     /// the start of `run()`; `0` = inherit the process-wide setting (one
     /// per CPU unless changed).
     ///
-    /// Composes with [`FederatedConfig::parallel`]: client threads share
-    /// the process-wide tensor worker pool, so total CPU use stays bounded
-    /// regardless of the client count. Results are bitwise identical for
-    /// every setting — see `evfad_tensor::parallel`.
+    /// Composes with [`FederatedConfig::parallel`]: client fits are jobs
+    /// on the same pool their kernels dispatch to, so concurrency never
+    /// exceeds this width regardless of the client count. Results are
+    /// bitwise identical for every setting — see `evfad_tensor::parallel`.
     pub threads: usize,
     /// Optional client-side differential privacy.
     pub dp: Option<DpConfig>,
@@ -389,7 +390,7 @@ impl FederatedSimulation {
         // `0` inherits: storing it would undo a caller's `set_threads(1)`
         // for the rest of the process.
         if self.config.threads != 0 {
-            evfad_tensor::parallel::set_threads(self.config.threads);
+            parallel::set_threads(self.config.threads);
         }
         self.channel.reset();
         let global = self.template.weights();
@@ -422,7 +423,7 @@ impl FederatedSimulation {
     }
 }
 
-/// The in-process [`RoundPool`]: trains [`FedClient`]s on local threads.
+/// The in-process [`RoundPool`]: trains [`FedClient`]s as pool jobs.
 /// Faults are left to the engine's gate (`faults_in_transit` = false) —
 /// exactly the behaviour the round loop had before the extraction.
 struct InProcessPool<'a> {
@@ -483,19 +484,18 @@ impl RoundPool for InProcessPool<'_> {
             }
         };
         let updates: Result<Vec<LocalUpdate>, FederatedError> = if self.parallel {
-            let results: Vec<Result<LocalUpdate, FederatedError>> =
-                crossbeam::thread::scope(|scope| {
-                    let handles: Vec<_> = selected
-                        .into_iter()
-                        .map(|client| scope.spawn(move |_| train_one(client)))
-                        .collect();
-                    handles
-                        .into_iter()
-                        .map(|h| h.join().expect("client thread panicked"))
-                        .collect()
-                })
-                .expect("crossbeam scope");
-            results.into_iter().collect()
+            // One pool job per chunk of clients; every selected client
+            // trains, and collecting in `active` order returns the
+            // lowest-index client's error, as the serial arm would.
+            let mut slots: Vec<(&mut FedClient, Option<_>)> =
+                selected.into_iter().map(|client| (client, None)).collect();
+            parallel::distribute(&mut slots, parallel::threads(), |_, (client, result)| {
+                *result = Some(train_one(client));
+            });
+            slots
+                .into_iter()
+                .map(|(_, result)| result.expect("distribute visits every slot"))
+                .collect()
         } else {
             selected.into_iter().map(train_one).collect()
         };
@@ -562,6 +562,22 @@ mod tests {
         let out_a = a.run().expect("serial");
         let out_b = b.run().expect("parallel");
         assert_eq!(out_a.global_weights, out_b.global_weights);
+        assert_eq!(out_a.digest(), out_b.digest());
+
+        // Two clients with nothing to fit on: both arms name the first,
+        // whichever pool job finishes first.
+        let failing = |parallel: bool| {
+            let mut sim = small_sim(parallel);
+            sim.add_client("z109", Vec::new());
+            sim.add_client("z110", Vec::new());
+            sim.run().expect_err("an empty client cannot fit")
+        };
+        let serial = failing(false);
+        assert!(
+            matches!(&serial, FederatedError::ClientTraining { client, .. } if client == "z109"),
+            "{serial:?}"
+        );
+        assert_eq!(serial, failing(true));
     }
 
     #[test]

@@ -122,13 +122,15 @@ impl StudyConfig {
             train_fraction: 0.8,
             aggregator: Aggregator::FedAvg,
             read_out: ReadOut::Local,
-            // Selects per-round client threads inside each federation and
-            // nothing else; the study's own fan-out does not consult it.
-            // The reported federated time is the simulated distributed time
-            // (slowest client per round) either way. What keeps per-client
-            // durations clean is that at most one job runs per pool thread
-            // and the pool has one thread per CPU; client threads on top of
-            // that would oversubscribe the cores.
+            // Selects whether each federation trains a round's clients as
+            // pool jobs or one after another, and nothing else; the study's
+            // own fan-out does not consult it. The reported federated time
+            // is the simulated distributed time (slowest client per round)
+            // either way, and at most one job runs per pool thread either
+            // way. Off because on two CPUs it buys nothing that can be
+            // resolved: five alternating `paper_run` pairs read 3.79–4.19 s
+            // with it set against 3.72–5.54 s (EXPERIMENTS.md). With nine or
+            // more cores it shortens the critical path; decide it there.
             parallel: false,
             seed,
         }

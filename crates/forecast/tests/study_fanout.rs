@@ -1,5 +1,6 @@
-//! The study's two fan-outs — one job per client detector, then one per
-//! training — produce the serial study: every row below renders the same
+//! The study's fan-outs — one job per client detector, then one per
+//! training, and under `parallel: true` one per client inside each
+//! federation — produce the serial study: every row below renders the same
 //! text under `parallel::set_threads(1)` (the loop on the calling thread)
 //! and `set_threads(4)` (four pool jobs, oversubscribed on a two-CPU
 //! runner).
@@ -14,9 +15,15 @@ use evfad_forecast::scenario::build_all;
 use evfad_forecast::{run_study, Scale, StudyConfig};
 use evfad_tensor::parallel;
 
-/// The report with wall-clock removed, as JSON.
-fn small_study() -> String {
-    let mut report = run_study(&StudyConfig::at_scale(Scale::Small, 42)).expect("study");
+/// The report with wall-clock removed, as JSON. With `parallel` each
+/// federation's clients are pool jobs too, dispatched from inside the
+/// study's training jobs.
+fn study(parallel: bool) -> String {
+    let config = StudyConfig {
+        parallel,
+        ..StudyConfig::at_scale(Scale::Small, 42)
+    };
+    let mut report = run_study(&config).expect("study");
     for scenario in &mut report.scenarios {
         assert!(scenario.train_seconds > 0.0, "a training timed itself");
         scenario.train_seconds = 0.0;
@@ -49,8 +56,9 @@ fn two_short_clients() -> String {
 #[test]
 fn one_thread_and_four_give_the_same_study() {
     type Row = (&'static str, fn() -> String);
-    let rows: [Row; 3] = [
-        ("run_study at Scale::Small", small_study),
+    let rows: [Row; 4] = [
+        ("run_study at Scale::Small", || study(false)),
+        ("run_study at Scale::Small, parallel: true", || study(true)),
         ("build_all over three clients", three_clients),
         ("build_all over two too-short clients", two_short_clients),
     ];

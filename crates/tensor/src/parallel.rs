@@ -531,22 +531,39 @@ mod tests {
 
     /// A task that dispatches in turn must not pick up another slot's task
     /// while it waits: with second-long tasks that time themselves (the
-    /// study's trainings) the inner one would run on the outer one's clock.
+    /// study's trainings, a federation's client fits) the inner one would
+    /// run on the outer one's clock.
     #[test]
     fn tasks_never_run_inside_one_another() {
         use crate::kernels::{self, MatMut, MatRef};
         use std::cell::Cell;
 
         thread_local! {
-            static LIVE_TASKS: Cell<usize> = const { Cell::new(0) };
+            /// The outer task live on this thread, and whether a sub-task is.
+            static OUTER: Cell<Option<usize>> = const { Cell::new(None) };
+            static IN_SUB_TASK: Cell<bool> = const { Cell::new(false) };
         }
-        fn as_a_task<R>(body: impl FnOnce() -> R) -> R {
-            LIVE_TASKS.with(|live| {
-                live.set(live.get() + 1);
-                assert!(live.get() <= 1, "a task started inside a running one");
-            });
+        fn as_a_task<R>(index: usize, body: impl FnOnce() -> R) -> R {
+            let before = OUTER.with(|outer| outer.replace(Some(index)));
+            assert_eq!(before, None, "task {index} started inside a running one");
             let result = body();
-            LIVE_TASKS.with(|live| live.set(live.get() - 1));
+            OUTER.with(|outer| outer.set(None));
+            result
+        }
+        /// A sub-task of `parent` runs on its parent's thread or on an idle
+        /// one, never on the clock of another task or of a sibling.
+        fn as_a_sub_task<R>(parent: usize, body: impl FnOnce() -> R) -> R {
+            let host = OUTER.with(Cell::get);
+            assert!(
+                host.is_none() || host == Some(parent),
+                "a sub-task of {parent} started inside task {host:?}"
+            );
+            assert!(
+                !IN_SUB_TASK.with(|sub| sub.replace(true)),
+                "a sub-task of {parent} started inside a running sub-task"
+            );
+            let result = body();
+            IN_SUB_TASK.with(|sub| sub.set(false));
             result
         }
         const N: usize = 48;
@@ -574,26 +591,27 @@ mod tests {
         // More tasks than the pool has threads, so some are still queued
         // when the first running one dispatches its first product.
         let tasks = 2 * available_cpus().max(2);
-        // A task's kernels dispatch from the task's own thread, or — the
-        // federation's per-round client threads — from one it spawned.
-        for from_spawned_thread in [false, true] {
+        // A task's kernels dispatch from the task itself, or — a study
+        // training whose federation fans its three clients out — from the
+        // sub-tasks of a `distribute` of its own.
+        for nested in [false, true] {
             let run = |max_tasks: usize| {
                 let mut slots: Vec<Vec<f64>> = vec![Vec::new(); tasks];
                 distribute(&mut slots, max_tasks, |i, slot| {
-                    *slot = as_a_task(|| {
-                        if from_spawned_thread {
-                            std::thread::scope(|s| {
-                                let client = s.spawn(|| as_a_task(|| products(i)));
-                                client.join().expect("client thread")
-                            })
-                        } else {
-                            products(i)
+                    *slot = as_a_task(i, || {
+                        if !nested {
+                            return products(i);
                         }
+                        let mut clients: [Vec<f64>; 3] = Default::default();
+                        distribute(&mut clients, max_tasks, |c, client| {
+                            *client = as_a_sub_task(i, || products(3 * i + c));
+                        });
+                        clients.concat()
                     });
                 });
                 slots
             };
-            assert_eq!(run(tasks), run(1), "spawned: {from_spawned_thread}");
+            assert_eq!(run(tasks), run(1), "nested: {nested}");
         }
         set_threads(0);
         set_serial_flop_threshold(threshold);
