@@ -2,8 +2,7 @@
 //!
 //! Every table/figure binary accepts `--scale small|mid|paper` (default
 //! `small`) and `--seed <u64>` (default 42), so the paper's experiments can
-//! be regenerated at CI speed or at full fidelity. The micro-suites share
-//! [`median`].
+//! be regenerated at CI speed or at full fidelity.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -93,25 +92,9 @@ impl BenchOpts {
     }
 }
 
-/// Median of a set of timings (the upper median for an even count).
-///
-/// # Panics
-///
-/// Panics if `times` is empty or holds a NaN.
-pub fn median(mut times: Vec<f64>) -> f64 {
-    times.sort_by(|a, b| a.partial_cmp(b).expect("finite timings"));
-    times[times.len() / 2]
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn median_is_the_middle_or_upper_middle_timing() {
-        assert_eq!(median(vec![3.0, 1.0, 2.0]), 2.0);
-        assert_eq!(median(vec![4.0, 1.0, 3.0, 2.0]), 3.0);
-    }
 
     fn parse(v: &[&str]) -> BenchOpts {
         BenchOpts::parse(v.iter().map(|s| s.to_string()))

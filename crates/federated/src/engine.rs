@@ -15,7 +15,7 @@
 //!
 //! The large-population path ([`crate::scale`]) deliberately does *not*
 //! implement [`RoundPool`]: it replaces per-client training with
-//! synthesis plus a sampled real-training subset, folds shards on the
+//! synthesis, folds shards on the
 //! [`evfad_tensor::parallel`] pool in waves, and keeps counters instead
 //! of per-client vectors — the O(clients) stats this loop builds are
 //! exactly what it exists to avoid. The two paths share the scheduler,

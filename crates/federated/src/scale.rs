@@ -8,10 +8,7 @@
 //! by replacing full clients with [`ClientSpec`]s: a zone profile drawn
 //! from the data generator ([`evfad_data::ZoneProfile`]), a sample count,
 //! and a seed, from which each round's update is synthesised
-//! deterministically around the current global model. A configurable
-//! sampled subset ([`ScaleConfig::trained_fraction`]) runs *real* tiny
-//! local training instead ([`ScaleTrainer`]), so scale runs exercise the
-//! fused train-step kernels rather than pure synthesis.
+//! deterministically around the current global model.
 //!
 //! # Topology, parallelism, and memory
 //!
@@ -43,8 +40,8 @@
 //! independent of the population. The batch path would materialise every
 //! kept update: O(clients × model). Both numbers are reported per run
 //! ([`ScaleOutcome::peak_aggregation_bytes`] vs
-//! [`ScaleOutcome::materialized_equivalent_bytes`]) and gated by
-//! `bench_scale`; [`ScaleConfig::verify_streaming`] additionally asserts
+//! [`ScaleOutcome::materialized_equivalent_bytes`]);
+//! [`ScaleConfig::verify_streaming`] additionally asserts
 //! in-run that no accumulator grows after its first ingest. Beside its
 //! accumulator (the only state those two numbers count) an active fold
 //! holds eight reused update buffers, which its kept clients are
@@ -70,10 +67,7 @@ use crate::transport::{MeteredChannel, TrafficTotals};
 use crate::wire;
 use bytes::BytesMut;
 use evfad_data::{Zone, ZoneProfile};
-use evfad_nn::{Sample, Sequential, TrainConfig};
 use evfad_tensor::{parallel, Matrix};
-use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
 use serde::{Deserialize, Serialize};
 use std::fmt::Write as _;
 use std::time::{Duration, Instant};
@@ -99,17 +93,11 @@ pub struct ScaleConfig {
     /// the [`evfad_tensor::parallel`] worker pool. `1` = serial, `0` =
     /// inherit the process-wide pool width (see
     /// [`ScaleConfig::effective_threads`]). Results are bitwise identical
-    /// for every setting; [`Default`] is `1` (serial), so configs predating
-    /// the fan-out reproduce bit-for-bit and host-independently.
+    /// for every setting, so the two defaults differ in speed only:
+    /// [`ScaleConfig::default`] is `1` (serial, host-independent), a
+    /// serialized config without the field reads as `0` (inherit).
     #[serde(default)]
     pub threads: usize,
-    /// Fraction of *kept* clients per round that run real local training
-    /// through the engine's [`ScaleTrainer`] instead of synthesising
-    /// their update, in `[0, 1]`. Selection is a pure Bernoulli draw per
-    /// `(seed, round, client)`. Requires [`ScaleEngine::with_trainer`]
-    /// when non-zero.
-    #[serde(default)]
-    pub trained_fraction: f64,
     /// Client→edge uplink compression. Each kept client's update is
     /// encoded for real (per-worker [`CodecScratch`], zero-alloc when
     /// warm), metered at its exact wire byte length, and folded into the
@@ -151,7 +139,6 @@ impl Default for ScaleConfig {
             aggregator: Aggregator::FedAvg,
             seed: 0,
             threads: 1,
-            trained_fraction: 0.0,
             compression: CompressionMode::None,
             faults: None,
             edge_faults: None,
@@ -213,12 +200,6 @@ impl ScaleConfig {
                     ),
                 ));
             }
-        }
-        if !(self.trained_fraction >= 0.0 && self.trained_fraction <= 1.0) {
-            return Err(bad(
-                "trained_fraction",
-                format!("must be in [0, 1], got {}", self.trained_fraction),
-            ));
         }
         if let Some(plan) = &self.faults {
             plan.validate()?;
@@ -311,10 +292,6 @@ pub struct ScaleRoundStats {
     /// Updates corrupted in flight (and still aggregated — robustness is
     /// the aggregator's job).
     pub corrupted: usize,
-    /// Kept clients that ran real local training this round (the
-    /// [`ScaleConfig::trained_fraction`] subset; the rest synthesised).
-    #[serde(default)]
-    pub trained: usize,
     /// Edge partials the root aggregated.
     pub edges_kept: usize,
     /// Shards lost on the edge→root hop (edge drop-out/timeout).
@@ -341,9 +318,8 @@ pub struct ScaleOutcome {
     pub global_weights: Vec<Matrix>,
     /// Bytes/messages exchanged across both tiers.
     pub traffic: TrafficTotals,
-    /// Peak live streaming-aggregation state across the run — the number
-    /// `bench_scale` reports. O(model · workers), independent of the
-    /// population.
+    /// Peak live streaming-aggregation state across the run.
+    /// O(model · workers), independent of the population.
     pub peak_aggregation_bytes: usize,
     /// What the batch path would have held at its worst round:
     /// `max_round(kept clients) × model bytes`. The streaming win is the
@@ -379,104 +355,6 @@ enum EdgeForward {
     },
 }
 
-/// Real local training for the [`ScaleConfig::trained_fraction`] subset:
-/// a pristine model template plus a tiny, deterministic per-client
-/// forecasting task (a zone-shaped daily wave with per-client phase and
-/// zone-scaled noise). A selected client clones the template fresh each
-/// round — optimizer state (Adam moments) lives on the [`Sequential`], so
-/// sharing one instance across clients would make results depend on
-/// training order.
-///
-/// The dataset is deliberately small (default 8 windows, 1 epoch): the
-/// point is to run the *real* fused train-step kernels inside the scale
-/// path, not to converge a model per client.
-#[derive(Debug, Clone)]
-pub struct ScaleTrainer {
-    /// Architecture template; its weights are replaced by each round's
-    /// global model before training.
-    model: Sequential,
-    /// Input window length (the model consumes `lookback x 1` sequences).
-    lookback: usize,
-    /// Synthetic windows per client per round.
-    samples_per_client: usize,
-    /// The (tiny) local schedule.
-    train: TrainConfig,
-}
-
-impl ScaleTrainer {
-    /// A trainer over `model`, consuming `lookback x 1` input windows.
-    /// Defaults to 8 windows and a single epoch per client per round.
-    pub fn new(model: Sequential, lookback: usize) -> Self {
-        Self {
-            model,
-            lookback: lookback.max(1),
-            samples_per_client: 8,
-            train: TrainConfig {
-                epochs: 1,
-                batch_size: 8,
-                shuffle: false,
-                ..TrainConfig::default()
-            },
-        }
-    }
-
-    /// Overrides the per-client synthetic dataset size.
-    pub fn with_samples(mut self, samples: usize) -> Self {
-        self.samples_per_client = samples.max(1);
-        self
-    }
-
-    /// Trains one client for one round: fresh model clone, global weights
-    /// in, a deterministic `(seed, round, index)`-keyed dataset, one tiny
-    /// fit. Pure — no engine state is touched, so folds can call this
-    /// from any worker thread.
-    fn train_update(
-        &self,
-        spec: &ClientSpec,
-        round: usize,
-        seed: u64,
-        global: &[Matrix],
-    ) -> Result<LocalUpdate, FederatedError> {
-        let mut model = self.model.clone();
-        model
-            .set_weights(global)
-            .map_err(|e| FederatedError::Aggregation(format!("scale trainer: {e}")))?;
-        let key = fnv1a(&[0xda7a, round as u64, spec.index as u64]);
-        let mut rng = StdRng::seed_from_u64(seed ^ key);
-        let n = self.samples_per_client;
-        let phase = (spec.index % 24) as f64;
-        let noise = spec.amplitude.min(0.25);
-        let series: Vec<f64> = (0..self.lookback + n)
-            .map(|t| {
-                let hour = (t as f64 + phase) % 24.0;
-                let daily = (std::f64::consts::TAU * hour / 24.0).sin();
-                0.5 + 0.35 * daily + noise * (rng.gen::<f64>() - 0.5)
-            })
-            .collect();
-        let samples: Vec<Sample> = (0..n)
-            .map(|i| {
-                Sample::new(
-                    Matrix::column_vector(&series[i..i + self.lookback]),
-                    Matrix::from_vec(1, 1, vec![series[i + self.lookback]]),
-                )
-            })
-            .collect();
-        let history = model
-            .fit(&samples, &self.train)
-            .map_err(|e| FederatedError::Aggregation(format!("scale trainer: {e}")))?;
-        Ok(LocalUpdate {
-            client_id: spec.id(),
-            weights: model.weights(),
-            // Keep the spec's FedAvg weight: the pre-pass sized the
-            // accumulators from it before training ran.
-            sample_count: spec.sample_count,
-            train_loss: history.final_train_loss().unwrap_or(f64::NAN),
-            duration: Duration::ZERO,
-            simulated_extra_seconds: 0.0,
-        })
-    }
-}
-
 /// What one edge-shard fold returns from the parallel fan-out: everything
 /// the join needs, nothing that aliases the engine.
 struct EdgeFold {
@@ -490,8 +368,6 @@ struct EdgeFold {
     /// ingest — the in-run half of the O(model · workers) bound, checked
     /// under [`ScaleConfig::verify_streaming`].
     state_stable: bool,
-    /// Kept clients that ran real local training in this shard.
-    trained: usize,
     /// Exact uplink payload bytes per kept update, in shard order — the
     /// real encoded length under [`ScaleConfig::compression`] (equal to
     /// the full-precision size when uncompressed). A pure function of the
@@ -585,7 +461,6 @@ pub struct ScaleEngine {
     config: ScaleConfig,
     template: Vec<Matrix>,
     channel: MeteredChannel,
-    trainer: Option<ScaleTrainer>,
 }
 
 impl ScaleEngine {
@@ -606,27 +481,7 @@ impl ScaleEngine {
             config,
             template,
             channel: MeteredChannel::new(),
-            trainer: None,
         })
-    }
-
-    /// Installs the real-training path for the
-    /// [`ScaleConfig::trained_fraction`] subset.
-    ///
-    /// # Errors
-    ///
-    /// [`FederatedError::Aggregation`] when the trainer's model cannot
-    /// take the engine's template weights (shape mismatch) — caught here
-    /// rather than mid-run on a worker thread.
-    pub fn with_trainer(mut self, trainer: ScaleTrainer) -> Result<Self, FederatedError> {
-        let mut probe = trainer.model.clone();
-        probe.set_weights(&self.template).map_err(|e| {
-            FederatedError::Aggregation(format!(
-                "scale trainer model does not fit the engine template: {e}"
-            ))
-        })?;
-        self.trainer = Some(trainer);
-        Ok(self)
     }
 
     /// Client `index`'s spec, derived from the config seed (one FNV hash).
@@ -649,7 +504,7 @@ impl ScaleEngine {
     /// zone-scaled noise that damps as rounds progress, every client's drawn
     /// from its own `(seed, round, index)` generator, all stepping in
     /// lockstep — deterministic, thread-free. Every field and coefficient is
-    /// overwritten: a corrupted or trained update the last group left is gone.
+    /// overwritten: a corrupted update the last group left is gone.
     fn synth_group(&self, round: usize, global: &[Matrix], plan: &[Kept], out: &mut [LocalUpdate]) {
         debug_assert!(!plan.is_empty() && plan.len() == out.len() && plan.len() <= LANES);
         let damp = 1.0 / (1.0 + round as f64);
@@ -696,25 +551,13 @@ impl ScaleEngine {
         }
     }
 
-    /// Pure per-`(seed, round, client)` Bernoulli draw selecting the
-    /// real-training subset among kept clients. Independent of fault
-    /// decisions and of every other client — thread-free by construction.
-    fn trains_this_round(&self, index: usize, round: usize) -> bool {
-        if self.trainer.is_none() || self.config.trained_fraction <= 0.0 {
-            return false;
-        }
-        let key = fnv1a(&[0xf17ed, round as u64, index as u64]);
-        let mut rng = StdRng::seed_from_u64(self.config.seed ^ key);
-        rng.gen::<f64>() < self.config.trained_fraction
-    }
-
     /// Streams one shard's kept updates through a fresh accumulator and
     /// returns the shard aggregate plus the join's bookkeeping. Shared by
     /// the flat path (where the result *is* the next global) and the
     /// hierarchical path (where it becomes an edge partial).
     ///
     /// This is the unit of parallel work: it takes `&self` only, touches
-    /// no channel or round state, and synthesises/trains, disposes, and
+    /// no channel or round state, and synthesises, disposes, and
     /// ingests in shard order — so a fold's output is a pure function of
     /// its inputs and identical on every thread. `plan` entries are the
     /// pure pre-pass decisions; `dispose` re-derives them identically
@@ -742,7 +585,6 @@ impl ScaleEngine {
             partial: Ok(Vec::new()),
             peak_state: 0,
             state_stable: true,
-            trained: 0,
             kept_payload_bytes: Vec::with_capacity(plan.len()),
             batch_reference: Vec::new(),
         };
@@ -758,23 +600,12 @@ impl ScaleEngine {
         // synthesised in one pass, then disposed, encoded and ingested one
         // by one in plan order.
         let mut group = vec![blank_update(global); plan.len().min(LANES)];
-        for (i, &(ci, fault, _attempts)) in plan.iter().enumerate() {
+        for (i, &(_, fault, _attempts)) in plan.iter().enumerate() {
             if i % LANES == 0 {
                 let members = &plan[i..plan.len().min(i + LANES)];
                 self.synth_group(round, global, members, &mut group[..members.len()]);
             }
             let update = &mut group[i % LANES];
-            if self.trains_this_round(ci, round) {
-                fold.trained += 1;
-                let trainer = self.trainer.as_ref().expect("trains_this_round gated");
-                match trainer.train_update(&self.spec(ci), round, self.config.seed, global) {
-                    Ok(trained) => *update = trained,
-                    Err(e) => {
-                        fold.partial = Err(e);
-                        return fold;
-                    }
-                }
-            }
             let disposed = gate.dispose(round, fault, update, &mut events, &mut timeout_wait, true);
             debug_assert!(matches!(disposed, Disposition::Keep { .. }));
             events.clear();
@@ -831,16 +662,6 @@ impl ScaleEngine {
     ///   budget) or a failed [`ScaleConfig::verify_streaming`] check.
     pub fn run(&mut self) -> Result<ScaleOutcome, FederatedError> {
         self.config.validate()?;
-        if self.config.trained_fraction > 0.0 && self.trainer.is_none() {
-            return Err(FederatedError::InvalidConfig {
-                field: "trained_fraction".to_string(),
-                message: format!(
-                    "{} of kept clients should train for real, but no trainer is \
-                     installed (ScaleEngine::with_trainer)",
-                    self.config.trained_fraction
-                ),
-            });
-        }
         self.channel.reset();
         let start = Instant::now();
         let cfg = self.config.clone();
@@ -912,8 +733,7 @@ impl ScaleEngine {
                         // at their real encoded length. A wasted client
                         // never reaches a fold, so its payload is the
                         // synthesised update (waste dispositions never
-                        // mutate the payload, and the real-training draw
-                        // applies to kept clients only).
+                        // mutate the payload).
                         wasted += 1;
                         let len = match cfg.compression {
                             CompressionMode::None => update_bytes,
@@ -1002,7 +822,6 @@ impl ScaleEngine {
             let mut aggregated = 0usize;
             let mut edges_kept = 0usize;
             let mut edges_lost = 0usize;
-            let mut trained = 0usize;
             let mut round_peak_edge = 0usize;
             let mut batch_reference: Vec<LocalUpdate> = Vec::new();
             let mut flat_global: Option<Vec<Matrix>> = None;
@@ -1043,7 +862,6 @@ impl ScaleEngine {
                         self.channel.record_attempts_bytes(len, attempts);
                         uplink_bytes += len * attempts;
                     }
-                    trained += fold.trained;
                     round_peak_edge = round_peak_edge.max(fold.peak_state);
                     if verify && !fold.state_stable {
                         return Err(FederatedError::Aggregation(format!(
@@ -1136,7 +954,6 @@ impl ScaleEngine {
                 dropped,
                 wasted,
                 corrupted,
-                trained,
                 edges_kept,
                 edges_lost,
                 uplink_bytes,
@@ -1194,6 +1011,8 @@ fn check_against_batch(
 mod tests {
     use super::*;
     use crate::faults::{Corruption, RoundSelector};
+    use rand::rngs::StdRng;
+    use rand::{Rng, SeedableRng};
 
     fn template() -> Vec<Matrix> {
         vec![
@@ -1393,11 +1212,11 @@ mod tests {
                         }
                     }
                     // What a fold leaves behind for the next group: a
-                    // corrupted payload in one slot, a trained client's
-                    // update (and a straggler's delay) in another.
+                    // corrupted payload in one slot, every field stale
+                    // (a straggler's delay among them) in another.
                     Corruption::NanFlood.apply(&mut out[0].weights);
                     out[size - 1] = LocalUpdate {
-                        client_id: "trained".to_string(),
+                        client_id: "stale".to_string(),
                         weights: global
                             .iter()
                             .map(|g| Matrix::filled(1, g.len(), 9.0))
@@ -1648,79 +1467,6 @@ mod tests {
     }
 
     #[test]
-    fn real_training_runs_in_the_loop_and_stays_deterministic() {
-        let model = evfad_nn::forecaster_model(4, 7);
-        let weights = model.weights();
-        let mk = |threads: usize, trained_fraction: f64| {
-            let c = ScaleConfig {
-                clients: 300,
-                rounds: 2,
-                edges: 4,
-                threads,
-                trained_fraction,
-                ..ScaleConfig::default()
-            };
-            ScaleEngine::new(weights.clone(), c)
-                .expect("engine")
-                .with_trainer(ScaleTrainer::new(model.clone(), 6).with_samples(4))
-                .expect("trainer fits the template")
-        };
-        let a = mk(1, 0.2).run().expect("run");
-        let b = mk(1, 0.2).run().expect("run");
-        assert_eq!(a.weights_checksum(), b.weights_checksum());
-        assert!(a.rounds.iter().all(|r| r.trained > 0));
-        assert!(a.rounds.iter().all(|r| r.trained < r.aggregated));
-        assert!(a.global_weights.iter().all(Matrix::is_finite));
-        // The parallel fan-out trains the same clients with the same
-        // data: bitwise-identical global.
-        let par = mk(4, 0.2).run().expect("run");
-        assert_eq!(par.weights_checksum(), a.weights_checksum());
-        assert_eq!(
-            stats_without_peak(&par.rounds),
-            stats_without_peak(&a.rounds)
-        );
-        // And the trained subset genuinely moves the model relative to
-        // pure synthesis.
-        let synth_only = mk(1, 0.0).run().expect("run");
-        assert!(synth_only.rounds.iter().all(|r| r.trained == 0));
-        assert_ne!(synth_only.weights_checksum(), a.weights_checksum());
-    }
-
-    #[test]
-    fn trained_fraction_without_trainer_is_rejected() {
-        let mut e = ScaleEngine::new(
-            template(),
-            ScaleConfig {
-                trained_fraction: 0.5,
-                ..cfg(100, 2)
-            },
-        )
-        .expect("engine");
-        match e.run().unwrap_err() {
-            FederatedError::InvalidConfig { field, .. } => assert_eq!(field, "trained_fraction"),
-            other => panic!("expected InvalidConfig, got {other}"),
-        }
-    }
-
-    #[test]
-    fn trained_fraction_out_of_range_is_rejected() {
-        for bad_value in [-0.1, 1.5, f64::NAN, f64::INFINITY] {
-            let err = ScaleConfig {
-                trained_fraction: bad_value,
-                ..ScaleConfig::default()
-            }
-            .validate()
-            .unwrap_err();
-            match err {
-                FederatedError::InvalidConfig { field, .. } => {
-                    assert_eq!(field, "trained_fraction", "value {bad_value}");
-                }
-                other => panic!("expected InvalidConfig for {bad_value}, got {other}"),
-            }
-        }
-    }
-
-    #[test]
     fn edges_over_clients_message_is_exact() {
         let err = ScaleConfig {
             clients: 100,
@@ -1865,5 +1611,17 @@ mod tests {
         let json = serde_json::to_string(&cfg).expect("serialize");
         let back: ScaleConfig = serde_json::from_str(&json).expect("deserialize");
         assert_eq!(cfg, back);
+        // Only the undefaulted fields: the rest read as their type's
+        // default, which for `threads` is 0 (inherit), not `default()`'s 1.
+        let bare: ScaleConfig = serde_json::from_str(
+            r#"{"clients":10000,"rounds":5,"participation":0.1,"edges":16,
+                "aggregator":"FedAvg","seed":0}"#,
+        )
+        .expect("bare");
+        let expected = ScaleConfig {
+            threads: 0,
+            ..ScaleConfig::default()
+        };
+        assert_eq!(bare, expected);
     }
 }

@@ -1097,10 +1097,13 @@ mod tests {
         let json = serde_json::to_string(&cfg).expect("serialize");
         let back: FederatedConfig = serde_json::from_str(&json).expect("deserialize");
         assert_eq!(cfg, back);
-        // Old configs without the field still parse.
-        let legacy: FederatedConfig =
-            serde_json::from_str(&serde_json::to_string(&FederatedConfig::default()).unwrap())
-                .expect("legacy");
-        assert_eq!(legacy.faults, None);
+        // A config written before `faults` and `compression` existed.
+        let legacy: FederatedConfig = serde_json::from_str(
+            r#"{"rounds":5,"epochs_per_round":10,"batch_size":32,"aggregator":"FedAvg",
+                "parallel":true,"threads":0,"dp":null,"proximal_mu":0.0,
+                "participation":1.0,"sampling_seed":0}"#,
+        )
+        .expect("legacy");
+        assert_eq!(legacy, FederatedConfig::default());
     }
 }

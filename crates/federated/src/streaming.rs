@@ -81,8 +81,8 @@ pub trait StreamingAggregator: Send {
     /// Updates ingested so far.
     fn ingested(&self) -> usize;
 
-    /// Approximate bytes of live aggregation state — the quantity
-    /// `bench_scale` reports as peak aggregation memory.
+    /// Approximate bytes of live aggregation state — what the scale
+    /// engine sums into `ScaleOutcome::peak_aggregation_bytes`.
     ///
     /// Contract: state is allocated lazily on the first `ingest` and its
     /// size is **constant from then on** — it may never grow with the

@@ -15,7 +15,7 @@
 //!    wildcard fault plans on both tiers.
 
 use evfad_federated::faults::{Corruption, FaultKind, FaultPlan, RoundSelector};
-use evfad_federated::scale::{ScaleConfig, ScaleEngine, ScaleRoundStats, ScaleTrainer};
+use evfad_federated::scale::{ScaleConfig, ScaleEngine, ScaleRoundStats};
 use evfad_federated::{Aggregator, CompressionMode, LocalUpdate, Scheduler};
 use evfad_tensor::Matrix;
 use proptest::prelude::*;
@@ -300,8 +300,6 @@ fn golden_plan() -> FaultPlan {
 
 struct Golden {
     name: &'static str,
-    /// A non-zero `trained_fraction` runs over a real forecaster with a
-    /// [`ScaleTrainer`] installed, anything else over [`golden_template`].
     config: ScaleConfig,
     checksum: &'static str,
     rounds: &'static str,
@@ -388,51 +386,24 @@ fn golden_cases() -> Vec<Golden> {
             checksum: "55f43242f61c59b7",
             rounds: r#"[{"round":0,"sampled":200,"aggregated":165,"dropped":19,"wasted":16,"corrupted":2,"trained":0,"edges_kept":1,"edges_lost":0,"uplink_bytes":42015,"downlink_bytes":0,"peak_state_bytes":18156},{"round":1,"sampled":200,"aggregated":169,"dropped":22,"wasted":9,"corrupted":1,"trained":0,"edges_kept":1,"edges_lost":0,"uplink_bytes":41158,"downlink_bytes":150800,"peak_state_bytes":18156}]"#,
         },
-        Golden {
-            name: "5% really trained, 4 edges, threads 2",
-            config: ScaleConfig {
-                participation: 0.25,
-                trained_fraction: 0.05,
-                ..base(600, 4, 2)
-            },
-            checksum: "0a566a251516c339",
-            rounds: r#"[{"round":0,"sampled":150,"aggregated":150,"dropped":0,"wasted":0,"corrupted":0,"trained":9,"edges_kept":4,"edges_lost":0,"uplink_bytes":202356,"downlink_bytes":0,"peak_state_bytes":3768},{"round":1,"sampled":150,"aggregated":150,"dropped":0,"wasted":0,"corrupted":0,"trained":5,"edges_kept":4,"edges_lost":0,"uplink_bytes":202356,"downlink_bytes":197100,"peak_state_bytes":3768}]"#,
-        },
-        Golden {
-            name: "5% really trained, quant8, flat, verified",
-            config: ScaleConfig {
-                participation: 0.25,
-                trained_fraction: 0.05,
-                compression: CompressionMode::Quant8,
-                verify_streaming: true,
-                ..base(600, 1, 1)
-            },
-            checksum: "84dda1027c81ec36",
-            rounds: r#"[{"round":0,"sampled":150,"aggregated":150,"dropped":0,"wasted":0,"corrupted":0,"trained":9,"edges_kept":1,"edges_lost":0,"uplink_bytes":50250,"downlink_bytes":0,"peak_state_bytes":1256},{"round":1,"sampled":150,"aggregated":150,"dropped":0,"wasted":0,"corrupted":0,"trained":5,"edges_kept":1,"edges_lost":0,"uplink_bytes":50250,"downlink_bytes":197100,"peak_state_bytes":1256}]"#,
-        },
     ]
 }
 
 /// To re-record after a deliberate protocol change, blank a case's
 /// literals: the failure message prints what the run produced.
+///
+/// Rounds are compared parsed, not as text: the literals carry a
+/// `"trained":0` counter the stats no longer have, and an unknown key is
+/// ignored.
 #[test]
 fn update_streams_match_the_recorded_literals() {
+    let parsed = |json: &str| serde_json::from_str::<Vec<ScaleRoundStats>>(json).ok();
     let mut mismatches = Vec::new();
     for case in golden_cases() {
-        let trains = case.config.trained_fraction > 0.0;
-        let engine = if trains {
-            let model = evfad_nn::forecaster_model(4, 7);
-            ScaleEngine::new(model.weights(), case.config)
-                .and_then(|e| e.with_trainer(ScaleTrainer::new(model, 6).with_samples(4)))
-        } else {
-            ScaleEngine::new(golden_template(), case.config)
-        };
-        let out = engine.expect("valid config").run().expect(case.name);
+        let mut engine = ScaleEngine::new(golden_template(), case.config).expect("valid config");
+        let out = engine.run().expect(case.name);
         let rounds = serde_json::to_string(&out.rounds).expect("serialize");
-        if trains {
-            assert!(out.rounds.iter().all(|r| r.trained > 0), "{}", case.name);
-        }
-        if out.weights_checksum() != case.checksum || rounds != case.rounds {
+        if out.weights_checksum() != case.checksum || parsed(&rounds) != parsed(case.rounds) {
             mismatches.push(format!(
                 "{}\n  checksum: {:?}\n  rounds: {:?}",
                 case.name,

@@ -33,8 +33,9 @@
 //!
 //! The `Int8` lane is always approximate: weights carry at most half a
 //! quantization step of error each (see [`quant`](evfad_tensor::quant)),
-//! activations and accumulation are `f32`. The serving bench measures and
-//! asserts the score-level bound (`BENCH_inference.json`).
+//! activations and accumulation are `f32`. The score-level bound (delta
+//! under 0.05, at most 2 % of decisions flipped) is asserted by
+//! `crates/anomaly/tests/inference_parity.rs`.
 
 use crate::activation::Activation;
 use crate::layer::Layer;
