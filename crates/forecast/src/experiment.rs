@@ -2,14 +2,15 @@
 
 use crate::error::ForecastError;
 use crate::pipeline::PreparedClient;
-use crate::scenario::{build_all, fan_out, Architecture, ClientScenarios, Scenario};
+use crate::scenario::{client_seeds, fan_out, Architecture, Detected, Gate, Injected, Scenario};
 use evfad_anomaly::{DetectionReport, FilterConfig};
-use evfad_attack::DdosConfig;
-use evfad_data::{DatasetConfig, ShenzhenGenerator};
+use evfad_attack::{DdosConfig, DdosInjector};
+use evfad_data::{ClientData, DatasetConfig, ShenzhenGenerator};
 use evfad_federated::{Aggregator, FederatedConfig, FederatedSimulation};
 use evfad_nn::{Activation, Adam, Dense, Lstm, Sequential, TrainConfig};
 use serde::{Deserialize, Serialize};
 use std::fmt::Write as _;
+use std::sync::OnceLock;
 use std::time::Instant;
 
 /// Preset sizes for the study.
@@ -127,10 +128,11 @@ impl StudyConfig {
             // own fan-out does not consult it. The reported federated time
             // is the simulated distributed time (slowest client per round)
             // either way, and at most one job runs per pool thread either
-            // way. Off because on two CPUs it buys nothing that can be
-            // resolved: five alternating `paper_run` pairs read 3.79–4.19 s
-            // with it set against 3.72–5.54 s (EXPERIMENTS.md). With nine or
-            // more cores it shortens the critical path; decide it there.
+            // way. Off because on two CPUs the study's own fan-out already
+            // keeps both cores busy to within 0.1 s of the end: four
+            // alternating `paper_run` pairs read 3.21 s with it set against
+            // 3.23 s without (EXPERIMENTS.md). With more cores than study
+            // jobs it shortens the critical path; decide it there.
             parallel: false,
             seed,
         }
@@ -241,20 +243,14 @@ pub fn build_forecaster(units: usize, learning_rate: f64, seed: u64) -> Sequenti
         .with_optimizer(Adam::new(learning_rate))
 }
 
-fn prepare_scenario_clients(
-    scens: &[ClientScenarios],
-    scenario: Scenario,
+fn prepare_clients<'a>(
+    clients: impl IntoIterator<Item = (&'a str, &'a [f64])>,
     cfg: &StudyConfig,
 ) -> Result<Vec<PreparedClient>, ForecastError> {
-    scens
-        .iter()
-        .map(|s| {
-            PreparedClient::prepare(
-                s.label.clone(),
-                s.series(scenario),
-                cfg.seq_len,
-                cfg.train_fraction,
-            )
+    clients
+        .into_iter()
+        .map(|(label, series)| {
+            PreparedClient::prepare(label, series, cfg.seq_len, cfg.train_fraction)
         })
         .collect()
 }
@@ -366,27 +362,114 @@ fn run_centralized_scenario(
     })
 }
 
-/// Runs the complete four-scenario study (the whole of the paper's §III).
+/// The study's trainings, in the order a serial study ran them.
+const TRAININGS: [(Scenario, Architecture); 4] = [
+    (Scenario::Clean, Architecture::Federated),
+    (Scenario::Attacked, Architecture::Federated),
+    (Scenario::Filtered, Architecture::Federated),
+    (Scenario::Filtered, Architecture::Centralized),
+];
+
+/// Runs the complete four-scenario study (the whole of the paper's §III)
+/// on the generated `cfg.dataset`; see [`run_study_on`].
 ///
-/// The independent fits — each client's detector, then the three
-/// federations and the centralized baseline — run as jobs on the tensor
-/// worker pool, `parallel::threads()` at a time (in order on the calling
-/// thread when that is one). The report does not depend on it: every field
-/// but the wall-clock `train_seconds` is the same for every thread count.
+/// # Errors
+///
+/// As [`run_study_on`].
+pub fn run_study(cfg: &StudyConfig) -> Result<StudyReport, ForecastError> {
+    run_study_on(
+        &ShenzhenGenerator::new(cfg.dataset.clone()).generate_all(),
+        cfg,
+    )
+}
+
+/// Runs the complete four-scenario study on the given clients.
+///
+/// The attacks are injected first, once per client. Then the study is one
+/// fan-out on the tensor worker pool, `parallel::threads()` jobs at a time
+/// (in order on the calling thread when that is one), claimed in this
+/// order: one detector per client (fit, detect, mitigate — three jobs for
+/// the paper's zones), the clean and attacked federations, which need no
+/// detector, and the filtered federation and the centralized baseline,
+/// which need every one. Those last two wait for the detectors before they
+/// prepare their data and before their `train_seconds` clock starts. They
+/// are claimed after every detector, so what they wait on is running, and
+/// a detector lets them go however it ends — on an error, which is then
+/// the study's, or on a panic, which reaches the caller.
+///
+/// The report does not depend on the schedule: every field but the
+/// wall-clock `train_seconds` is the same for every thread count.
 ///
 /// # Errors
 ///
 /// Propagates the preparation, filtering, or training failure a serial run
-/// would have met first.
-pub fn run_study(cfg: &StudyConfig) -> Result<StudyReport, ForecastError> {
-    let clients = ShenzhenGenerator::new(cfg.dataset.clone()).generate_all();
-    let scens = build_all(&clients, &cfg.attack, &cfg.filter, cfg.seed)?;
-
-    let detection: Vec<ClientDetection> = scens
+/// would have met first: detectors in client order, then each training's
+/// preparation failure ahead of its training failure, in the order above.
+pub fn run_study_on(
+    clients: &[ClientData],
+    cfg: &StudyConfig,
+) -> Result<StudyReport, ForecastError> {
+    let injector = DdosInjector::new(cfg.attack.clone());
+    let (filters, injected): (Vec<FilterConfig>, Vec<Injected>) = clients
         .iter()
-        .map(|s| ClientDetection {
-            zone: s.label.clone(),
-            report: s.detection,
+        .enumerate()
+        .map(|(i, client)| {
+            let (filter, attack_seed) = client_seeds(&cfg.filter, cfg.seed, i);
+            (filter, Injected::new(client, &injector, attack_seed))
+        })
+        .unzip();
+    let clean = prepare_clients(injected.iter().map(|c| (&c.label[..], &c.clean[..])), cfg);
+    let attacked = prepare_clients(
+        injected.iter().map(|c| (&c.label[..], &c.attacked[..])),
+        cfg,
+    );
+
+    // Jobs `0..n` are the detectors, then one job per `TRAININGS` entry.
+    let n = clients.len();
+    let detectors = Gate::new(n);
+    let detected: Vec<OnceLock<Detected>> = (0..n).map(|_| OnceLock::new()).collect();
+    let filtered = OnceLock::new();
+    let jobs = fan_out(n + TRAININGS.len(), |job| {
+        if job < n {
+            let _leave = detectors.leave_on_drop();
+            let _ = detected[job].set(injected[job].detect(filters[job].clone())?);
+            return Ok(None);
+        }
+        let (scenario, architecture) = TRAININGS[job - n];
+        let prepared = match scenario {
+            Scenario::Clean => &clean,
+            Scenario::Attacked => &attacked,
+            Scenario::Filtered => filtered.get_or_init(|| {
+                detectors.wait();
+                // A missing series means that detector failed, and its own
+                // job, earlier in the order, reports why.
+                let series: Option<Vec<_>> = injected
+                    .iter()
+                    .zip(&detected)
+                    .map(|(c, d)| Some((c.label.as_str(), &d.get()?.filtered[..])))
+                    .collect();
+                series.map_or_else(
+                    || Err(ForecastError::Anomaly("a detector failed".into())),
+                    |series| prepare_clients(series, cfg),
+                )
+            }),
+        };
+        let prepared = prepared.as_ref().map_err(Clone::clone)?;
+        match architecture {
+            Architecture::Federated => run_federated_scenario(prepared, scenario, cfg).map(Some),
+            Architecture::Centralized => {
+                run_centralized_scenario(prepared, scenario, cfg).map(|r| Some((r, Vec::new())))
+            }
+        }
+    });
+    let trained = jobs.into_iter().collect::<Result<Vec<_>, _>>()?;
+
+    let detection: Vec<ClientDetection> = injected
+        .iter()
+        .zip(detected)
+        .map(|(c, d)| ClientDetection {
+            zone: c.label.clone(),
+            report: d.into_inner().expect("every detector succeeded").detection,
         })
         .collect();
     let overall_detection = detection
@@ -395,43 +478,15 @@ pub fn run_study(cfg: &StudyConfig) -> Result<StudyReport, ForecastError> {
             acc.merged(d.report)
         });
 
-    // The four trainings share nothing but their inputs, so each is one
-    // job on the worker pool. Their results — and the first error, each
-    // job's preparation failure ahead of its training failure — are
-    // gathered in the order a serial study produced them.
-    let conditions = [Scenario::Clean, Scenario::Attacked, Scenario::Filtered];
-    let prepared = conditions.map(|scenario| prepare_scenario_clients(&scens, scenario, cfg));
-    // (index into `conditions`, architecture)
-    let trainings = [
-        (0, Architecture::Federated),
-        (1, Architecture::Federated),
-        (2, Architecture::Federated),
-        (2, Architecture::Centralized),
-    ];
-    let trained = fan_out(trainings.len(), |job| {
-        let (condition, architecture) = trainings[job];
-        let scenario = conditions[condition];
-        let prepared = prepared[condition].as_ref().map_err(Clone::clone)?;
-        match architecture {
-            Architecture::Federated => run_federated_scenario(prepared, scenario, cfg),
-            Architecture::Centralized => {
-                run_centralized_scenario(prepared, scenario, cfg).map(|r| (r, Vec::new()))
-            }
-        }
-    })
-    .into_iter()
-    .collect::<Result<Vec<_>, _>>()?;
-
     // Fig. 2 tracks Client 1 (zone 102) through the federated runs.
-    let [clean, _, _] = prepared;
     let clean_client1 = clean?.swap_remove(0);
     let mut fig2 = Fig2Data {
         indices: clean_client1.test_indices,
         actual: clean_client1.test_actual_raw,
         ..Fig2Data::default()
     };
-    let mut scenarios = Vec::with_capacity(trainings.len());
-    for (result, mut predictions) in trained {
+    let mut scenarios = Vec::with_capacity(TRAININGS.len());
+    for (result, mut predictions) in trained.into_iter().flatten() {
         if result.architecture == Architecture::Federated {
             let client1 = predictions.swap_remove(0);
             match result.scenario {

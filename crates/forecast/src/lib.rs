@@ -35,6 +35,7 @@ pub mod scenario;
 
 pub use error::ForecastError;
 pub use experiment::{
-    run_study, ClientMetrics, HeadlineNumbers, Scale, ScenarioResult, StudyConfig, StudyReport,
+    run_study, run_study_on, ClientMetrics, HeadlineNumbers, Scale, ScenarioResult, StudyConfig,
+    StudyReport,
 };
 pub use scenario::{Architecture, Scenario};
