@@ -55,7 +55,7 @@ pub use evfad_attack as attack;
 /// LSTM-autoencoder anomaly detection and mitigation.
 pub use evfad_anomaly as anomaly;
 
-/// Federated learning stack (FedAvg, robust aggregation, DP).
+/// Federated learning stack (FedAvg, robust aggregation, wire and sockets).
 pub use evfad_federated as federated;
 
 /// Forecasting models and the paper's experiment runner.

@@ -134,65 +134,6 @@ impl FedClient {
     pub fn evaluate(&mut self, samples: &[Sample], loss: Loss) -> f64 {
         self.model.evaluate(samples, loss)
     }
-
-    /// Pulls the local weights toward `global` by factor `mu` in `[0, 1]`:
-    /// `w ← (1 - mu)·w + mu·g`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `global` does not match the model's parameter shapes.
-    pub fn apply_proximal(&mut self, global: &[Matrix], mu: f64) {
-        let mut pulled = self.model.weights();
-        assert_eq!(pulled.len(), global.len(), "proximal weight count mismatch");
-        for (w, g) in pulled.iter_mut().zip(global) {
-            *w = w.zip_map(g, |wv, gv| (1.0 - mu) * wv + mu * gv);
-        }
-        self.model
-            .set_weights(&pulled)
-            .expect("shapes validated by zip_map");
-    }
-
-    /// FedProx-style local training: between epochs the local weights are
-    /// pulled toward the round's global weights, limiting client drift on
-    /// heterogeneous data (Li et al., MLSys 2020). With `mu = 0` this is
-    /// exactly [`FedClient::train_local`] run epoch-by-epoch.
-    ///
-    /// # Errors
-    ///
-    /// Same conditions as [`FedClient::train_local`].
-    pub fn train_local_proximal(
-        &mut self,
-        cfg: &TrainConfig,
-        global: &[Matrix],
-        mu: f64,
-    ) -> Result<LocalUpdate, FederatedError> {
-        let start = Instant::now();
-        let per_epoch = TrainConfig {
-            epochs: 1,
-            ..cfg.clone()
-        };
-        let mut train_loss = f64::NAN;
-        for _ in 0..cfg.epochs {
-            let history = self.model.fit(&self.samples, &per_epoch).map_err(|e| {
-                FederatedError::ClientTraining {
-                    client: self.id.clone(),
-                    message: e.to_string(),
-                }
-            })?;
-            train_loss = history.final_train_loss().unwrap_or(f64::NAN);
-            if mu > 0.0 {
-                self.apply_proximal(global, mu);
-            }
-        }
-        Ok(LocalUpdate {
-            client_id: self.id.clone(),
-            weights: self.model.weights(),
-            sample_count: self.samples.len(),
-            train_loss,
-            duration: start.elapsed(),
-            simulated_extra_seconds: 0.0,
-        })
-    }
 }
 
 #[cfg(test)]
@@ -262,96 +203,5 @@ mod tests {
         c.train_local(&cfg).expect("train");
         let after = c.evaluate(&data, Loss::Mse);
         assert!(after < before, "before={before} after={after}");
-    }
-}
-
-#[cfg(test)]
-mod proximal_tests {
-    use super::*;
-    use evfad_nn::forecaster_model;
-
-    fn samples(n: usize) -> Vec<Sample> {
-        (0..n)
-            .map(|i| {
-                let xs: Vec<f64> = (0..4).map(|t| ((i + t) as f64 * 0.7).sin()).collect();
-                Sample::new(
-                    Matrix::column_vector(&xs),
-                    Matrix::from_vec(1, 1, vec![((i + 4) as f64 * 0.7).sin()]),
-                )
-            })
-            .collect()
-    }
-
-    #[test]
-    fn proximal_pull_interpolates_weights() {
-        let global = forecaster_model(3, 50).weights();
-        let mut c = FedClient::new("c", forecaster_model(3, 1), samples(8));
-        let before = c.model().weights();
-        c.apply_proximal(&global, 0.5);
-        let after = c.model().weights();
-        for ((b, g), a) in before.iter().zip(&global).zip(&after) {
-            for ((bv, gv), av) in b.as_slice().iter().zip(g.as_slice()).zip(a.as_slice()) {
-                assert!((av - 0.5 * (bv + gv)).abs() < 1e-12);
-            }
-        }
-    }
-
-    #[test]
-    fn proximal_mu_one_snaps_to_global() {
-        let global = forecaster_model(3, 50).weights();
-        let mut c = FedClient::new("c", forecaster_model(3, 1), samples(8));
-        c.apply_proximal(&global, 1.0);
-        assert_eq!(c.model().weights(), global);
-    }
-
-    #[test]
-    fn train_local_proximal_with_zero_mu_matches_epochwise_training() {
-        let cfg = TrainConfig {
-            epochs: 2,
-            batch_size: 4,
-            ..TrainConfig::default()
-        };
-        let global = forecaster_model(3, 9).weights();
-        let mut a = FedClient::new("a", forecaster_model(3, 9), samples(8));
-        let ua = a.train_local_proximal(&cfg, &global, 0.0).expect("train");
-        // Same client trained epoch-by-epoch manually.
-        let mut b = FedClient::new("b", forecaster_model(3, 9), samples(8));
-        let per_epoch = TrainConfig {
-            epochs: 1,
-            ..cfg.clone()
-        };
-        b.train_local(&per_epoch).expect("e1");
-        let ub = b.train_local(&per_epoch).expect("e2");
-        for (x, y) in ua.weights.iter().zip(&ub.weights) {
-            for (p, q) in x.as_slice().iter().zip(y.as_slice()) {
-                assert!((p - q).abs() < 1e-12);
-            }
-        }
-    }
-
-    #[test]
-    fn proximal_training_limits_drift_from_global() {
-        let cfg = TrainConfig {
-            epochs: 4,
-            batch_size: 4,
-            ..TrainConfig::default()
-        };
-        let global = forecaster_model(3, 9).weights();
-        let drift = |w: &[Matrix]| -> f64 {
-            w.iter()
-                .zip(&global)
-                .map(|(a, b)| (a - b).frobenius_norm())
-                .sum()
-        };
-        let mut free = FedClient::new("free", forecaster_model(3, 9), samples(16));
-        free.receive_global(&global).unwrap();
-        let u_free = free.train_local_proximal(&cfg, &global, 0.0).unwrap();
-        let mut prox = FedClient::new("prox", forecaster_model(3, 9), samples(16));
-        prox.receive_global(&global).unwrap();
-        let u_prox = prox.train_local_proximal(&cfg, &global, 0.5).unwrap();
-        assert!(
-            drift(&u_prox.weights) < drift(&u_free.weights),
-            "proximal training should stay closer to the global model"
-        );
     }
 }

@@ -191,25 +191,9 @@ pub(crate) fn run_rounds<P: RoundPool>(
                 Disposition::Waste { attempts } => wasted.push((update, attempts, wire_len)),
             }
         }
-        // Optional client-side DP before anything leaves the client —
-        // including uploads the server will end up discarding. (The
-        // socket path rejects DP configs up front: noise must be added
-        // before the bytes cross a real wire, which a live client does
-        // not do yet.)
-        if let Some(dp) = config.dp {
-            for (i, u) in kept
-                .iter_mut()
-                .chain(wasted.iter_mut().map(|(u, _, _)| u))
-                .enumerate()
-            {
-                u.weights =
-                    crate::privacy::privatize(&u.weights, &global, dp, (round * 1000 + i) as u64);
-            }
-        }
         // Uplink: encode each surviving update per the configured
         // compression mode, meter the exact wire byte length of the
-        // payload that crossed the channel (after privatisation, so DP
-        // noise is part of the measured bytes), and hand the server the
+        // payload that crossed the channel, and hand the server the
         // *decoded* payload — metering, faults, and aggregation all see
         // the same bytes. On the socket path the payload already crossed
         // a real wire: its decoded weights and actual byte length ride in

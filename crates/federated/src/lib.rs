@@ -1,4 +1,4 @@
-//! Federated learning stack: clients, server, aggregation, privacy.
+//! Federated learning stack: clients, server, aggregation, transport.
 //!
 //! Implements the paper's federated LSTM training loop (§II-C2): identical
 //! local models trained independently on local datasets, coordinated by
@@ -6,7 +6,7 @@
 //! client. Per the paper's hyper-parameters the default schedule is
 //! `FEDERATED_ROUNDS = 5` rounds of `EPOCHS_PER_ROUND = 10` local epochs.
 //!
-//! Beyond the paper, the crate provides the robustness/privacy machinery a
+//! Beyond the paper, the crate provides the robustness machinery a
 //! production deployment would need (and which the benches ablate):
 //!
 //! * [`Aggregator`] — FedAvg plus Byzantine-robust rules (coordinate-wise
@@ -15,7 +15,6 @@
 //! * [`faults`] — seeded, bit-reproducible fault injection (drop-out,
 //!   stragglers with a server-side round timeout, update corruption,
 //!   transient failures with retry/backoff) driven by a [`FaultPlan`];
-//! * [`privacy`] — clipped Gaussian noise on client updates;
 //! * [`transport`] — update-size and retry accounting for the
 //!   communication story;
 //! * parallel client training on threads (the mechanism behind the paper's
@@ -60,7 +59,6 @@ mod engine;
 mod error;
 pub mod faults;
 pub mod framing;
-pub mod privacy;
 pub mod scale;
 pub mod scheduler;
 mod server;

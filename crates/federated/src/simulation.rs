@@ -7,7 +7,6 @@ use crate::compression::CompressionMode;
 use crate::engine::{self, PoolUpdate, RoundPool};
 use crate::error::FederatedError;
 use crate::faults::{FaultEvent, FaultKind, FaultPlan};
-use crate::privacy::DpConfig;
 use crate::transport::MeteredChannel;
 use evfad_nn::{Sample, Sequential, TrainConfig};
 use evfad_tensor::{parallel, Matrix};
@@ -38,11 +37,6 @@ pub struct FederatedConfig {
     /// exceeds this width regardless of the client count. Results are
     /// bitwise identical for every setting — see `evfad_tensor::parallel`.
     pub threads: usize,
-    /// Optional client-side differential privacy.
-    pub dp: Option<DpConfig>,
-    /// FedProx proximal pull in `[0, 1]` applied between local epochs
-    /// (`0.0` = plain FedAvg, the paper's setting).
-    pub proximal_mu: f64,
     /// Fraction of clients participating per round in `(0, 1]`. At least
     /// one client always participates. Models node downtime — the paper's
     /// §III-F resilience claim.
@@ -74,9 +68,9 @@ impl FederatedConfig {
     ///
     /// [`FederatedError::InvalidConfig`] naming the offending field when a
     /// knob is out of range: zero `rounds`/`epochs_per_round`/`batch_size`,
-    /// `participation` outside `(0, 1]` (NaN included), a non-finite or
-    /// out-of-range `proximal_mu`, or an invalid [`FaultPlan`] (including a
-    /// `min_participants` larger than the client count).
+    /// `participation` outside `(0, 1]` (NaN included), or an invalid
+    /// [`FaultPlan`] (including a `min_participants` larger than the client
+    /// count).
     pub fn validate(&self, client_count: usize) -> Result<(), FederatedError> {
         let bad = |field: &str, message: String| FederatedError::InvalidConfig {
             field: field.to_string(),
@@ -95,12 +89,6 @@ impl FederatedConfig {
             return Err(bad(
                 "participation",
                 format!("must be in (0, 1], got {}", self.participation),
-            ));
-        }
-        if !self.proximal_mu.is_finite() || !(0.0..=1.0).contains(&self.proximal_mu) {
-            return Err(bad(
-                "proximal_mu",
-                format!("must be in [0, 1], got {}", self.proximal_mu),
             ));
         }
         if let Some(plan) = &self.faults {
@@ -128,8 +116,6 @@ impl Default for FederatedConfig {
             aggregator: Aggregator::FedAvg,
             parallel: true,
             threads: 0,
-            dp: None,
-            proximal_mu: 0.0,
             participation: 1.0,
             sampling_seed: 0,
             faults: None,
@@ -397,7 +383,6 @@ impl FederatedSimulation {
         let mut pool = InProcessPool {
             clients: &mut self.clients,
             parallel: self.config.parallel,
-            proximal_mu: self.config.proximal_mu,
             train_cfg: TrainConfig {
                 epochs: self.config.epochs_per_round,
                 batch_size: self.config.batch_size,
@@ -429,7 +414,6 @@ impl FederatedSimulation {
 struct InProcessPool<'a> {
     clients: &'a mut [FedClient],
     parallel: bool,
-    proximal_mu: f64,
     train_cfg: TrainConfig,
 }
 
@@ -454,9 +438,8 @@ impl RoundPool for InProcessPool<'_> {
         _round: usize,
         active: &[usize],
         _active_faults: &[Option<FaultKind>],
-        global: &[Matrix],
+        _global: &[Matrix],
     ) -> Result<Vec<PoolUpdate>, FederatedError> {
-        let mu = self.proximal_mu;
         let cfg = &self.train_cfg;
         // `active` comes out of the sampler sorted, so the selection is a
         // single merge-walk over the client list — no per-round hash set,
@@ -476,13 +459,6 @@ impl RoundPool for InProcessPool<'_> {
                 }
             })
             .collect();
-        let train_one = |client: &mut FedClient| -> Result<LocalUpdate, FederatedError> {
-            if mu > 0.0 {
-                client.train_local_proximal(cfg, global, mu)
-            } else {
-                client.train_local(cfg)
-            }
-        };
         let updates: Result<Vec<LocalUpdate>, FederatedError> = if self.parallel {
             // One pool job per chunk of clients; every selected client
             // trains, and collecting in `active` order returns the
@@ -490,14 +466,17 @@ impl RoundPool for InProcessPool<'_> {
             let mut slots: Vec<(&mut FedClient, Option<_>)> =
                 selected.into_iter().map(|client| (client, None)).collect();
             parallel::distribute(&mut slots, parallel::threads(), |_, (client, result)| {
-                *result = Some(train_one(client));
+                *result = Some(client.train_local(cfg));
             });
             slots
                 .into_iter()
                 .map(|(_, result)| result.expect("distribute visits every slot"))
                 .collect()
         } else {
-            selected.into_iter().map(train_one).collect()
+            selected
+                .into_iter()
+                .map(|client| client.train_local(cfg))
+                .collect()
         };
         Ok(updates?.into_iter().map(PoolUpdate::local).collect())
     }
@@ -587,37 +566,6 @@ mod tests {
         // Round 0: 3 updates. Round 1: 3 broadcasts + 3 updates.
         assert_eq!(out.traffic.messages, 9);
         assert!(out.traffic.bytes > 0);
-    }
-
-    #[test]
-    fn dp_and_clean_runs_meter_the_same_message_count() {
-        let mut clean = small_sim(false);
-        let clean_out = clean.run().expect("clean run");
-        let mut noisy = small_sim(false);
-        noisy.config.dp = Some(crate::privacy::DpConfig::moderate());
-        let noisy_out = noisy.run().expect("dp run");
-        // DP perturbs payload *contents*, never the protocol: both runs
-        // exchange the same number of messages, and both meters measure
-        // the payload that actually crossed the channel.
-        assert_eq!(clean_out.traffic.messages, noisy_out.traffic.messages);
-        assert!(clean_out.traffic.bytes > 0);
-        assert!(noisy_out.traffic.bytes > 0);
-    }
-
-    #[test]
-    fn metered_bytes_cover_the_privatized_payload() {
-        // With DP on, the bytes recorded for an update must be the wire
-        // size of the *noised* weights. On the binary wire that size is a
-        // pure function of the shapes, so the meter must land exactly on
-        // one full-precision payload per client.
-        let mut noisy = small_sim(false);
-        noisy.config.rounds = 1;
-        noisy.config.dp = Some(crate::privacy::DpConfig::moderate());
-        let out = noisy.run().expect("dp run");
-        // Round 0 sends exactly one update per client and no broadcasts.
-        assert_eq!(out.traffic.messages, 3);
-        let per_update = crate::transport::update_size_bytes(&noisy.clients()[0].model().weights());
-        assert_eq!(out.traffic.bytes, 3 * per_update);
     }
 
     #[test]
@@ -788,16 +736,6 @@ mod tests {
     }
 
     #[test]
-    fn dp_noise_perturbs_global() {
-        let mut clean = small_sim(false);
-        let clean_out = clean.run().expect("run");
-        let mut noisy = small_sim(false);
-        noisy.config.dp = Some(crate::privacy::DpConfig::moderate());
-        let noisy_out = noisy.run().expect("run");
-        assert_ne!(clean_out.global_weights, noisy_out.global_weights);
-    }
-
-    #[test]
     fn partial_participation_trains_a_subset() {
         let mut sim = small_sim(false);
         sim.config.participation = 0.34; // 1 of 3 clients per round
@@ -817,17 +755,6 @@ mod tests {
         for r in &out.rounds {
             assert_eq!(r.participants.len(), 3);
         }
-    }
-
-    #[test]
-    fn proximal_mu_changes_but_does_not_break_training() {
-        let mut plain = small_sim(false);
-        let plain_out = plain.run().expect("plain");
-        let mut prox = small_sim(false);
-        prox.config.proximal_mu = 0.3;
-        let prox_out = prox.run().expect("prox");
-        assert_ne!(plain_out.global_weights, prox_out.global_weights);
-        assert!(prox_out.global_weights.iter().all(Matrix::is_finite));
     }
 
     #[test]
@@ -876,16 +803,6 @@ mod tests {
                 other => panic!("expected InvalidConfig for {field}, got {other}"),
             }
         }
-    }
-
-    #[test]
-    fn bad_proximal_mu_is_rejected() {
-        let mut sim = small_sim(false);
-        sim.config.proximal_mu = f64::INFINITY;
-        assert!(matches!(
-            sim.run().unwrap_err(),
-            FederatedError::InvalidConfig { field, .. } if field == "proximal_mu"
-        ));
     }
 
     #[test]

@@ -2,7 +2,8 @@
 //! channel, simulated or TCP.
 //!
 //! Five little-endian records, each opened by a four-byte magic and a
-//! `u16` version: full-precision weights (`EVFD`) and 8-bit-quantized
+//! `u16` version ([`VERSION`]; `EVCF` has its own, [`CONFIG_VERSION`]):
+//! full-precision weights (`EVFD`) and 8-bit-quantized
 //! updates (`EVQ8`, see [`compression`](crate::compression)), the fault
 //! log (`EVFL`), the run configuration with its embedded fault plan
 //! (`EVCF`), and the socket envelope (`EVMS`) that carries the others
@@ -34,7 +35,6 @@ use crate::compression::{CompressionMode, QuantizedTensor, QuantizedUpdate};
 use crate::faults::{
     Corruption, FaultEvent, FaultKind, FaultOutcome, FaultPlan, FaultRule, RoundSelector,
 };
-use crate::privacy::DpConfig;
 use crate::simulation::FederatedConfig;
 use bytes::BufMut;
 use bytes::Bytes;
@@ -52,7 +52,8 @@ pub const QUANT_MAGIC: [u8; 4] = *b"EVQ8";
 /// Format magic for fault-log payloads (`"EVFL"`).
 pub const FAULT_MAGIC: [u8; 4] = *b"EVFL";
 
-/// Current format version.
+/// Current format version of every record but `EVCF` (see
+/// [`CONFIG_VERSION`]).
 pub const VERSION: u16 = 1;
 
 /// Error produced when decoding a weight payload.
@@ -229,13 +230,13 @@ impl<'a> Reader<'a> {
     }
 
     /// The `magic | version: u16` preamble every record opens with.
-    fn header(&mut self, magic: [u8; 4]) -> Result<(), WireError> {
+    fn header(&mut self, magic: [u8; 4], version: u16) -> Result<(), WireError> {
         if self.array::<4>()? != magic {
             return Err(WireError::BadMagic);
         }
         match self.u16()? {
-            VERSION => Ok(()),
-            version => Err(WireError::BadVersion(version)),
+            v if v == version => Ok(()),
+            v => Err(WireError::BadVersion(v)),
         }
     }
 
@@ -351,7 +352,7 @@ pub fn encode_weights_into(buf: &mut BytesMut, weights: &[Matrix]) {
 /// Returns [`WireError`] on a malformed or truncated payload.
 pub fn decode_weights(payload: &[u8]) -> Result<Vec<Matrix>, WireError> {
     let mut r = Reader::new(payload);
-    r.header(MAGIC)?;
+    r.header(MAGIC, VERSION)?;
     let count = r.seq(8)?;
     let mut out = Vec::with_capacity(count);
     for _ in 0..count {
@@ -614,7 +615,7 @@ struct QuantWalker<'a> {
 impl<'a> QuantWalker<'a> {
     fn open(payload: &'a [u8]) -> Result<Self, WireError> {
         let mut reader = Reader::new(payload);
-        reader.header(QUANT_MAGIC)?;
+        reader.header(QUANT_MAGIC, VERSION)?;
         let remaining = reader.seq(28)?;
         Ok(Self { reader, remaining })
     }
@@ -751,7 +752,7 @@ pub fn encode_fault_log(events: &[FaultEvent]) -> Bytes {
 /// payload.
 pub fn decode_fault_log(payload: &[u8]) -> Result<Vec<FaultEvent>, WireError> {
     let mut r = Reader::new(payload);
-    r.header(FAULT_MAGIC)?;
+    r.header(FAULT_MAGIC, VERSION)?;
     let count = r.seq(8)?;
     if count > MAX_FAULT_EVENTS {
         return Err(WireError::InvalidRecord(
@@ -842,6 +843,14 @@ fn decode_fault_kind(r: &mut Reader<'_>) -> Result<FaultKind, WireError> {
 /// Format magic for the binary run-configuration record (`"EVCF"`).
 const CONFIG_MAGIC: [u8; 4] = *b"EVCF";
 
+/// `EVCF`'s own version. A retired field leaves the record by a bump of
+/// this number alone, so a peer speaking the old layout gets
+/// [`WireError::BadVersion`] instead of a misparse. The shared [`VERSION`]
+/// cannot move: `weights_checksum` hashes the `EVFD` header, so bumping it
+/// would change every digest. Version 1 carried a DP flag with two `f64`s
+/// and a FedProx `f64` after `threads`.
+pub const CONFIG_VERSION: u16 = 2;
+
 // Aggregator discriminants (EVCF).
 const TAG_AGG_FED_AVG: u8 = 0;
 const TAG_AGG_MEDIAN: u8 = 1;
@@ -874,7 +883,7 @@ const TAG_COMP_QUANT8: u8 = 1;
 pub fn encode_config(config: &FederatedConfig) -> Bytes {
     let mut buf = BytesMut::with_capacity(128);
     buf.put_slice(&CONFIG_MAGIC);
-    buf.put_u16_le(VERSION);
+    buf.put_u16_le(CONFIG_VERSION);
     buf.put_u32_le(config.rounds as u32);
     buf.put_u32_le(config.epochs_per_round as u32);
     buf.put_u32_le(config.batch_size as u32);
@@ -892,15 +901,6 @@ pub fn encode_config(config: &FederatedConfig) -> Bytes {
     }
     buf.put_u8(u8::from(config.parallel));
     buf.put_u32_le(config.threads as u32);
-    match config.dp {
-        None => buf.put_u8(0),
-        Some(dp) => {
-            buf.put_u8(1);
-            buf.put_f64_le(dp.clip_norm);
-            buf.put_f64_le(dp.noise_multiplier);
-        }
-    }
-    buf.put_f64_le(config.proximal_mu);
     buf.put_f64_le(config.participation);
     buf.put_u64_le(config.sampling_seed);
     match &config.faults {
@@ -925,7 +925,7 @@ pub fn encode_config(config: &FederatedConfig) -> Bytes {
 /// Returns [`WireError`] on a malformed or truncated payload.
 pub fn decode_config(payload: &[u8]) -> Result<FederatedConfig, WireError> {
     let mut r = Reader::new(payload);
-    r.header(CONFIG_MAGIC)?;
+    r.header(CONFIG_MAGIC, CONFIG_VERSION)?;
     // Struct fields evaluate in the order written, which is wire order.
     let config = FederatedConfig {
         rounds: r.u32()? as usize,
@@ -944,15 +944,6 @@ pub fn decode_config(payload: &[u8]) -> Result<FederatedConfig, WireError> {
         },
         parallel: r.flag()?,
         threads: r.u32()? as usize,
-        dp: if r.flag()? {
-            Some(DpConfig {
-                clip_norm: r.f64()?,
-                noise_multiplier: r.f64()?,
-            })
-        } else {
-            None
-        },
-        proximal_mu: r.f64()?,
         participation: r.f64()?,
         sampling_seed: r.u64()?,
         faults: if r.flag()? {
@@ -1211,7 +1202,7 @@ pub fn encode_message(buf: &mut BytesMut, msg: &Message) {
 /// additional bytes required, so a streamed caller can keep reading.
 pub fn decode_message(payload: &[u8]) -> Result<Message, WireError> {
     let mut r = Reader::new(payload);
-    r.header(MESSAGE_MAGIC)?;
+    r.header(MESSAGE_MAGIC, VERSION)?;
     let msg = match r.u8()? {
         TAG_HELLO => Message::Hello {
             client_id: r.short_str()?,
@@ -1741,11 +1732,6 @@ mod tests {
             aggregator: Aggregator::TrimmedMean { trim: 2 },
             parallel: false,
             threads: 3,
-            dp: Some(DpConfig {
-                clip_norm: 1.5,
-                noise_multiplier: 0.25,
-            }),
-            proximal_mu: 0.01,
             participation: 0.6,
             sampling_seed: 42,
             faults: None,

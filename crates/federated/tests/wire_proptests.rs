@@ -115,7 +115,6 @@ proptest! {
 mod hostile {
     use evfad_federated::compression::QuantizedUpdate;
     use evfad_federated::framing::{write_frame, FrameDecoder};
-    use evfad_federated::privacy::DpConfig;
     use evfad_federated::socket::SocketServerConfig;
     use evfad_federated::wire::{self, BytesMut, Message, WireError};
     use evfad_federated::{
@@ -315,11 +314,6 @@ mod hostile {
             aggregator: Aggregator::TrimmedMean { trim: 2 },
             parallel: false,
             threads: 3,
-            dp: Some(DpConfig {
-                clip_norm: 1.5,
-                noise_multiplier: 0.25,
-            }),
-            proximal_mu: 0.01,
             participation: 0.6,
             sampling_seed: 42,
             faults: Some(
@@ -619,11 +613,11 @@ mod hostile {
 
     /// An `EVCF` record cut right after its fault plan's rule count, with
     /// that count overwritten. Layout up to there: preamble 6, rounds /
-    /// epochs / batch 12, aggregator tag 1, parallel 1, threads 4, dp flag
-    /// 1, mu / participation 16, sampling seed 8, faults flag 1, plan seed
-    /// 8, rule count 4.
+    /// epochs / batch 12, aggregator tag 1, parallel 1, threads 4,
+    /// participation 8, sampling seed 8, faults flag 1, plan seed 8, rule
+    /// count 4.
     fn config_claiming_rules(count: u32) -> Vec<u8> {
-        const RULE_COUNT_AT: usize = 6 + 12 + 1 + 1 + 4 + 1 + 16 + 8 + 1 + 8;
+        const RULE_COUNT_AT: usize = 6 + 12 + 1 + 1 + 4 + 8 + 8 + 1 + 8;
         let mut blob = wire::encode_config(&FederatedConfig {
             faults: Some(FaultPlan::new(9)),
             ..FederatedConfig::default()
@@ -637,6 +631,37 @@ mod hostile {
         blob.truncate(RULE_COUNT_AT);
         blob.extend(count.to_le_bytes());
         blob
+    }
+
+    /// `FederatedConfig::default()` as version 1 of `EVCF` encoded it, by
+    /// hand: a DP flag (off) and FedProx's μ (0.0) sat between `threads`
+    /// and `participation`.
+    #[rustfmt::skip]
+    const EVCF_V1_DEFAULT: [u8; 51] = [
+        b'E', b'V', b'C', b'F', 1, 0,         // preamble, version 1
+        5, 0, 0, 0, 10, 0, 0, 0, 32, 0, 0, 0, // rounds / epochs / batch
+        0, 1, 0, 0, 0, 0,                     // FedAvg, parallel, threads 0
+        0, 0, 0, 0, 0, 0, 0, 0, 0,            // dp flag, mu
+        0, 0, 0, 0, 0, 0, 0xF0, 0x3F,         // participation 1.0
+        0, 0, 0, 0, 0, 0, 0, 0, 0, 0,         // sampling seed, faults, compression
+    ];
+
+    /// A peer still speaking version 1 is refused by its version, never
+    /// misparsed: `EVCF` retired the DP and FedProx fields by moving to
+    /// version 2 alone, while every other record stays at `wire::VERSION`.
+    #[test]
+    fn a_version_1_config_is_bad_version() {
+        assert_eq!(
+            wire::decode_config(&EVCF_V1_DEFAULT),
+            Err(WireError::BadVersion(1))
+        );
+        // The literal is today's record with the old version and the 1 + 8
+        // retired bytes put back after `threads`.
+        let mut current = wire::encode_config(&FederatedConfig::default()).to_vec();
+        current[4..6].copy_from_slice(&1u16.to_le_bytes());
+        current.splice(24..24, [0; 9]);
+        assert_eq!(current, EVCF_V1_DEFAULT);
+        assert_eq!(wire::VERSION, 1);
     }
 
     /// A record header may claim any number of records; the decoder must

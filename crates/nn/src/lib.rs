@@ -12,7 +12,7 @@
 //! * [`Sequential`] — a layer container with a Keras-style
 //!   [`fit`](Sequential::fit) loop (mini-batches, shuffling, validation
 //!   split, early stopping with best-weight restoration);
-//! * [`Adam`] / [`Sgd`] optimisers and [`Loss`] functions (MSE / MAE);
+//! * the [`Adam`] optimiser and [`Loss`] functions (MSE / MAE);
 //! * weight export/import ([`Sequential::weights`] /
 //!   [`Sequential::set_weights`]) — the federated-averaging interface.
 //!
@@ -70,6 +70,6 @@ pub use loss::Loss;
 pub use model::{
     autoencoder_model, forecaster_model, EpochStats, Sample, Sequential, TrainConfig, TrainHistory,
 };
-pub use optimizer::{Adam, Optimizer, Sgd};
+pub use optimizer::Adam;
 pub use seq::Seq;
 pub use workspace::Workspace;

@@ -13,7 +13,7 @@ use crate::error::{NnError, NnResult};
 use crate::layer::Layer;
 use crate::layers::{Dense, Dropout, Lstm};
 use crate::loss::Loss;
-use crate::optimizer::Optimizer;
+use crate::optimizer::Adam;
 use crate::seq::Seq;
 use evfad_tensor::{kernels, MatMut, Matrix};
 use rand::rngs::StdRng;
@@ -114,8 +114,8 @@ impl TrainHistory {
 
 /// A Keras-style sequential stack of [`Layer`]s.
 ///
-/// The model owns its [`Optimizer`] (default: Adam with the paper's
-/// `LEARNING_RATE = 0.001`) and a master seed that deterministically
+/// The model owns its [`Adam`] optimiser (learning rate by default the
+/// paper's `LEARNING_RATE = 0.001`) and a master seed that deterministically
 /// initialises every layer added through [`Sequential::with`].
 ///
 /// # Examples
@@ -135,7 +135,7 @@ impl TrainHistory {
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct Sequential {
     layers: Vec<Layer>,
-    optimizer: Optimizer,
+    optimizer: Adam,
     seed: u64,
     layers_added: u64,
     /// The activation arena: layer `i` writes its output into `acts[i]`.
@@ -174,7 +174,7 @@ impl Sequential {
     pub fn new(seed: u64) -> Self {
         Self {
             layers: Vec::new(),
-            optimizer: Optimizer::default(),
+            optimizer: Adam::default(),
             seed,
             layers_added: 0,
             acts: Vec::new(),
@@ -213,8 +213,8 @@ impl Sequential {
     }
 
     /// Replaces the optimiser (builder style).
-    pub fn with_optimizer(mut self, optimizer: impl Into<Optimizer>) -> Self {
-        self.optimizer = optimizer.into();
+    pub fn with_optimizer(mut self, optimizer: Adam) -> Self {
+        self.optimizer = optimizer;
         self
     }
 
@@ -680,7 +680,7 @@ mod tests {
     #[test]
     fn fit_reduces_loss_on_learnable_signal() {
         let samples = toy_samples(64);
-        let mut model = tiny_model(1).with_optimizer(crate::Adam::new(0.01));
+        let mut model = tiny_model(1).with_optimizer(Adam::new(0.01));
         let cfg = TrainConfig {
             epochs: 40,
             batch_size: 16,

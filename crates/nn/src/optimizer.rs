@@ -1,104 +1,15 @@
-//! Gradient-descent optimisers.
+//! The gradient-descent optimiser: Adam, the paper's.
 
 use evfad_tensor::Matrix;
 use serde::{Deserialize, Serialize};
 
-/// Optimiser state and update rule.
+/// Adam optimiser (Kingma & Ba, 2015) with bias-corrected first/second
+/// moments — the paper's optimiser with `LEARNING_RATE = 0.001`.
 ///
 /// Parameters are addressed positionally: the caller passes the same ordered
 /// `(param, grad)` list on every step (as produced by
-/// [`Sequential::params_and_grads_mut`](crate::Sequential)); optimiser state
+/// [`Sequential::params_and_grads_mut`](crate::Sequential)); moment state
 /// is kept per position.
-#[derive(Debug, Clone, Serialize, Deserialize)]
-pub enum Optimizer {
-    /// Plain stochastic gradient descent.
-    Sgd(Sgd),
-    /// Adam (Kingma & Ba, 2015) — the paper's optimiser with
-    /// `LEARNING_RATE = 0.001`.
-    Adam(Adam),
-}
-
-impl Optimizer {
-    /// Applies one update step to every `(param, grad)` pair, consuming the
-    /// accumulated gradients (the caller zeroes them afterwards).
-    pub fn step(&mut self, params_and_grads: &mut [(&mut Matrix, &mut Matrix)]) {
-        match self {
-            Optimizer::Sgd(o) => o.step(params_and_grads),
-            Optimizer::Adam(o) => o.step(params_and_grads),
-        }
-    }
-
-    /// The configured learning rate.
-    pub fn learning_rate(&self) -> f64 {
-        match self {
-            Optimizer::Sgd(o) => o.learning_rate,
-            Optimizer::Adam(o) => o.learning_rate,
-        }
-    }
-
-    /// Resets any accumulated moment state (used when a federated client
-    /// receives fresh global weights and should not reuse stale momenta).
-    pub fn reset_state(&mut self) {
-        match self {
-            Optimizer::Sgd(_) => {}
-            Optimizer::Adam(o) => o.reset_state(),
-        }
-    }
-}
-
-impl From<Sgd> for Optimizer {
-    fn from(o: Sgd) -> Self {
-        Optimizer::Sgd(o)
-    }
-}
-
-impl From<Adam> for Optimizer {
-    fn from(o: Adam) -> Self {
-        Optimizer::Adam(o)
-    }
-}
-
-impl Default for Optimizer {
-    fn default() -> Self {
-        Optimizer::Adam(Adam::new(0.001))
-    }
-}
-
-/// Plain SGD: `w -= lr * g`.
-///
-/// # Examples
-///
-/// ```
-/// use evfad_nn::Sgd;
-/// use evfad_tensor::Matrix;
-///
-/// let mut opt = Sgd::new(0.1);
-/// let mut w = Matrix::ones(1, 1);
-/// let mut g = Matrix::filled(1, 1, 2.0);
-/// opt.step(&mut [(&mut w, &mut g)]);
-/// assert!((w[(0, 0)] - 0.8).abs() < 1e-12);
-/// ```
-#[derive(Debug, Clone, Serialize, Deserialize)]
-pub struct Sgd {
-    /// Step size.
-    pub learning_rate: f64,
-}
-
-impl Sgd {
-    /// Creates an SGD optimiser with the given learning rate.
-    pub fn new(learning_rate: f64) -> Self {
-        Self { learning_rate }
-    }
-
-    /// Applies `w -= lr * g` to each pair.
-    pub fn step(&mut self, params_and_grads: &mut [(&mut Matrix, &mut Matrix)]) {
-        for (w, g) in params_and_grads.iter_mut() {
-            w.axpy(-self.learning_rate, g);
-        }
-    }
-}
-
-/// Adam optimiser with bias-corrected first/second moments.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct Adam {
     /// Step size (paper: `0.001`).
@@ -175,11 +86,17 @@ impl Adam {
     }
 }
 
+impl Default for Adam {
+    fn default() -> Self {
+        Adam::new(0.001)
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    fn quadratic_descent(opt: &mut Optimizer, start: f64, iters: usize) -> f64 {
+    fn quadratic_descent(opt: &mut Adam, start: f64, iters: usize) -> f64 {
         // Minimise f(w) = (w - 3)^2; grad = 2(w - 3).
         let mut w = Matrix::filled(1, 1, start);
         for _ in 0..iters {
@@ -190,15 +107,8 @@ mod tests {
     }
 
     #[test]
-    fn sgd_converges_on_quadratic() {
-        let mut opt: Optimizer = Sgd::new(0.1).into();
-        let w = quadratic_descent(&mut opt, 0.0, 100);
-        assert!((w - 3.0).abs() < 1e-6);
-    }
-
-    #[test]
     fn adam_converges_on_quadratic() {
-        let mut opt: Optimizer = Adam::new(0.05).into();
+        let mut opt = Adam::new(0.05);
         let w = quadratic_descent(&mut opt, 0.0, 2000);
         assert!((w - 3.0).abs() < 1e-3, "w = {w}");
     }
@@ -238,8 +148,8 @@ mod tests {
 
     #[test]
     fn default_optimizer_is_paper_adam() {
-        let opt = Optimizer::default();
-        assert!((opt.learning_rate() - 0.001).abs() < 1e-12);
+        let opt = Adam::default();
+        assert!((opt.learning_rate - 0.001).abs() < 1e-12);
     }
 
     /// Deterministic pseudo-gradient stream (no RNG: reproducible bitwise).
@@ -284,35 +194,5 @@ mod tests {
 
     fn beta1_pow(beta: f64, t: usize) -> f64 {
         beta.powi(t as i32)
-    }
-
-    /// `Sgd::step` goes through `Matrix::axpy` (`w += (-lr) * g`); pin it
-    /// against the same expression evaluated through fresh allocations.
-    #[test]
-    fn sgd_trajectory_matches_allocating_reference_bitwise() {
-        let lr = 0.05;
-        let mut opt = Sgd::new(lr);
-        let mut w = Matrix::from_fn(3, 5, |r, c| ((r * 5 + c) as f64).cos());
-        let mut w_ref = w.clone();
-        for step in 1..=50 {
-            let mut g = fake_grad(step, 3, 5);
-            opt.step(&mut [(&mut w, &mut g)]);
-            w_ref = w_ref.zip_map(&g, |wv, gv| wv + (-lr) * gv);
-            for (a, b) in w.as_slice().iter().zip(w_ref.as_slice()) {
-                assert_eq!(a.to_bits(), b.to_bits(), "diverged at step {step}");
-            }
-        }
-    }
-
-    #[test]
-    fn sgd_multi_param_update() {
-        let mut opt = Sgd::new(1.0);
-        let mut w1 = Matrix::ones(1, 2);
-        let mut g1 = Matrix::filled(1, 2, 0.5);
-        let mut w2 = Matrix::zeros(2, 1);
-        let mut g2 = Matrix::filled(2, 1, -1.0);
-        opt.step(&mut [(&mut w1, &mut g1), (&mut w2, &mut g2)]);
-        assert_eq!(w1, Matrix::filled(1, 2, 0.5));
-        assert_eq!(w2, Matrix::filled(2, 1, 1.0));
     }
 }

@@ -3,8 +3,7 @@
 //! The paper's threat model attacks the *data* plane; the natural
 //! escalation is an adversary that compromises a *client* and submits a
 //! poisoned weight update. This example shows plain FedAvg absorbing the
-//! poison while coordinate-wise median and Krum shrug it off, and
-//! demonstrates the differential-privacy knob on client updates.
+//! poison while coordinate-wise median and Krum shrug it off.
 //!
 //! Run with:
 //!
@@ -13,12 +12,10 @@
 //! ```
 
 use evfad_core::data::{DatasetConfig, ShenzhenGenerator};
-use evfad_core::federated::privacy::{privatize, DpConfig};
 use evfad_core::federated::{Aggregator, LocalUpdate};
 use evfad_core::forecast::experiment::build_forecaster;
 use evfad_core::forecast::pipeline::PreparedClient;
 use evfad_core::nn::TrainConfig;
-use evfad_core::tensor::Matrix;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     let clients = ShenzhenGenerator::new(DatasetConfig::small(960, 5)).generate_all();
@@ -85,23 +82,6 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
                 "poisoned"
             }
         );
-    }
-
-    // Differential privacy: how much noise costs in weight distortion.
-    let global: Vec<Matrix> = updates[0].weights.clone();
-    println!("\nDP noise on one client update (clip = 1.0):");
-    for mult in [0.0, 0.05, 0.2, 1.0] {
-        let dp = DpConfig {
-            clip_norm: 1.0,
-            noise_multiplier: mult,
-        };
-        let noised = privatize(&updates[1].weights, &global, dp, 9);
-        let distortion: f64 = noised
-            .iter()
-            .zip(&updates[1].weights)
-            .map(|(a, b)| (a - b).frobenius_norm())
-            .sum();
-        println!("  noise_multiplier={mult:<5} weight distortion (L2) = {distortion:.4}");
     }
     Ok(())
 }

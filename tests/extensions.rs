@@ -1,5 +1,5 @@
 //! Integration tests for the extension subsystems: online detection, wire
-//! format + compression interplay, analysis tools on generated data, and
+//! format + compression interplay, the generator's daily structure, and
 //! episode-level metrics on real injections.
 
 use evfad_core::anomaly::{EpisodeReport, FilterConfig, OnlineDetector};
@@ -8,26 +8,40 @@ use evfad_core::data::{DatasetConfig, ShenzhenGenerator, Zone};
 use evfad_core::federated::compression::QuantizedUpdate;
 use evfad_core::federated::wire;
 use evfad_core::forecast::experiment::build_forecaster;
-use evfad_core::timeseries::analysis::{autocorrelation, decompose};
 use evfad_core::timeseries::MinMaxScaler;
+
+/// Sample autocorrelation of `v` at `lag`.
+fn autocorrelation(v: &[f64], lag: usize) -> f64 {
+    let m = v.iter().sum::<f64>() / v.len() as f64;
+    let cov: f64 = (lag..v.len()).map(|t| (v[t] - m) * (v[t - lag] - m)).sum();
+    cov / v.iter().map(|x| (x - m).powi(2)).sum::<f64>()
+}
+
+/// Share of the variance of `v` explained by its hour-of-day means.
+fn hour_of_day_share(v: &[f64]) -> f64 {
+    let m = v.iter().sum::<f64>() / v.len() as f64;
+    let mut hours = [(0.0, 0.0); 24];
+    for (t, x) in v.iter().enumerate() {
+        hours[t % 24].0 += x;
+        hours[t % 24].1 += 1.0;
+    }
+    let between: f64 = hours.iter().map(|(s, n)| n * (s / n - m).powi(2)).sum();
+    between / v.iter().map(|x| (x - m).powi(2)).sum::<f64>()
+}
 
 #[test]
 fn generated_zones_have_daily_structure() {
     let data = ShenzhenGenerator::new(DatasetConfig::small(24 * 45, 11)).generate_all();
     for client in &data {
-        let acf = autocorrelation(&client.demand, 26).expect("acf");
+        let (zone, acf24) = (client.zone.label(), autocorrelation(&client.demand, 24));
         assert!(
-            acf[24] > 0.4,
-            "zone {} lacks daily autocorrelation: {}",
-            client.zone.label(),
-            acf[24]
+            acf24 > 0.4,
+            "zone {zone} lacks daily autocorrelation: {acf24}"
         );
-        let d = decompose(&client.demand, 24).expect("decompose");
+        let share = hour_of_day_share(&client.demand);
         assert!(
-            d.seasonal_strength() > 0.2,
-            "zone {} seasonal strength {}",
-            client.zone.label(),
-            d.seasonal_strength()
+            share > 0.2,
+            "zone {zone} hour-of-day variance share {share}"
         );
     }
 }
