@@ -501,6 +501,14 @@ impl<'a> QuantizedPayloadView<'a> {
     /// Iterates over the tensors. Infallible: the payload was fully
     /// validated by [`quantized_view`].
     pub fn tensors(&self) -> impl Iterator<Item = QuantizedTensorView<'a>> + '_ {
+        // Unreachable `Err`: `start` is a copy of the walker `quantized_view`
+        // already drove to `Ok(None)` over these same immutable bytes, and
+        // `next_tensor` reads nothing else, so this walk repeats that one
+        // step for step. `wire_proptests::hostile` backs it: the
+        // `quantized_view` row re-encodes only through this iterator, and
+        // `views_and_decoders_agree_on_every_mutation` and
+        // `every_field_forced_to_zero_one_or_max_is_ok_or_a_typed_error`
+        // feed it every cut, flip and forced field without a panic.
         let mut walker = self.start;
         std::iter::from_fn(move || walker.next_tensor().expect("pre-validated payload"))
     }

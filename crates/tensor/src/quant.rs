@@ -28,9 +28,10 @@
 //! passes — [`QuantRange::from_values`] (lane-parallel fold) and
 //! [`QuantRange::encode_slice`] (block-wise encode) — written so the
 //! compiler vectorises them, and **bitwise-equal** to the per-element
-//! definition [`QuantRange::encode`]: same exact divide, same
-//! half-away-from-zero rounding, same clamp
-//! (`tests/quant_kernel_proptests.rs` pins this).
+//! definition [`QuantRange::encode`] (`tests/quant_kernel_proptests.rs`
+//! pins this). Each 64-value block is coded in one branch-free pass that
+//! multiplies by `1 / step`; a block with a NaN, ±∞ or a quotient within
+//! 2^-30 of a rounding tie, and the ragged tail, take the exact divide.
 
 /// Quantization range of one tensor: the minimum finite value and the
 /// uniform step between the 256 levels.
@@ -116,31 +117,41 @@ impl QuantRange {
         mut on_special: impl FnMut(usize, f64),
     ) {
         assert_eq!(values.len(), codes.len(), "one code per value");
-        let Self { min, step } = *self;
-        if step == 0.0 {
-            // Constant fold: every code is 0, only the specials need a look.
-            codes.fill(0);
-            for (i, &v) in values.iter().enumerate().filter(|(_, v)| !v.is_finite()) {
-                on_special(i, v);
+        // Only a normal `inv` stands in for the divide: a subnormal one has
+        // lost bits; 0, ±∞ (a zero step) and NaN carry no quotient.
+        let inv = 1.0 / self.step;
+        let fast = inv.is_normal();
+        let (blocks, tail) = values.as_chunks::<BLOCK>();
+        let (out_blocks, out_tail) = codes.as_chunks_mut::<BLOCK>();
+        for (b, (vals, out)) in blocks.iter().zip(out_blocks).enumerate() {
+            if !(fast && encode_fast(vals, out, self.min, inv)) {
+                self.encode_exact(vals, out, b * BLOCK, &mut on_special);
             }
-            return;
         }
-        let blocks = values.chunks(BLOCK).zip(codes.chunks_mut(BLOCK));
-        for (b, (vals, out)) in blocks.enumerate() {
-            if vals.iter().fold(true, |all, v| all & v.is_finite()) {
-                // Straight-line: subtract, divide, round, clamp, narrow.
-                for (c, &v) in out.iter_mut().zip(vals) {
-                    *c = level(((v - min) / step).round());
-                }
-                continue;
+        self.encode_exact(tail, out_tail, blocks.len() * BLOCK, &mut on_special);
+    }
+
+    /// The definition over a run of `values` starting at flat index `base`
+    /// (exact divide, or all 0 under a zero step), then code 0 and one
+    /// `on_special` call per NaN / ±∞, ascending.
+    fn encode_exact(
+        &self,
+        values: &[f64],
+        codes: &mut [u8],
+        base: usize,
+        on_special: &mut impl FnMut(usize, f64),
+    ) {
+        if self.step == 0.0 {
+            codes.fill(0);
+        } else {
+            for (c, &v) in codes.iter_mut().zip(values) {
+                *c = level(((v - self.min) / self.step).round());
             }
-            for (i, (c, &v)) in out.iter_mut().zip(vals).enumerate() {
-                if v.is_finite() {
-                    *c = self.encode(v);
-                } else {
-                    *c = 0;
-                    on_special(b * BLOCK + i, v);
-                }
+        }
+        for (i, (c, &v)) in codes.iter_mut().zip(values).enumerate() {
+            if !v.is_finite() {
+                *c = 0;
+                on_special(base + i, v);
             }
         }
     }
@@ -177,8 +188,31 @@ impl QuantRange {
 const LANES: usize = 32;
 
 /// Values per [`QuantRange::encode_slice`] block: long enough to amortise
-/// the all-finite test, short enough that one NaN costs 64 scalar encodes.
+/// the fallback test, short enough that one NaN costs 64 exact encodes.
 const BLOCK: usize = 64;
+
+/// 2^52, which rounds an `f64` in `[0, 255]` to an integer (ties to even).
+const ROUND: f64 = 4_503_599_627_370_496.0;
+
+/// One full block coded with a normal `inv = 1 / step` for the divide;
+/// false, leaving codes the caller must overwrite, when the block holds a
+/// NaN or ±∞, or a quotient within 2^-30 of a tie between two codes.
+///
+/// Otherwise every code is the divide's: from the same `v - min`, the
+/// product is within `3·2^-53·|q|` of the divide's quotient, far below
+/// 2^-30 on `[0, 256)`, and the two roundings differ only at ties.
+#[inline(always)]
+fn encode_fast(vals: &[f64; BLOCK], out: &mut [u8; BLOCK], min: f64, inv: f64) -> bool {
+    const TIE_MARGIN: f64 = 0.5 - 1.0 / (1u64 << 30) as f64;
+    let mut refused = false;
+    for (c, &v) in out.iter_mut().zip(vals) {
+        let q = clamp_code((v - min) * inv);
+        let shifted = q + ROUND;
+        refused |= !v.is_finite() | ((q - (shifted - ROUND)).abs() > TIE_MARGIN);
+        *c = shifted.to_bits() as u8;
+    }
+    !refused
+}
 
 /// One step of the finite min/max fold. `a < lo ? a : lo` is the vector-min
 /// instruction as is; `f64::min` would add a NaN fix-up `a` never needs.
@@ -199,9 +233,17 @@ fn fold_finite(lo: &mut f64, hi: &mut f64, v: f64) {
 /// leaves it, exactly, in the low mantissa byte.
 #[inline(always)]
 fn level(q: f64) -> u8 {
+    (clamp_code(q) + ROUND).to_bits() as u8
+}
+
+#[inline(always)]
+fn clamp_code(q: f64) -> f64 {
     let q = if q > 0.0 { q } else { 0.0 };
-    let q = if q < 255.0 { q } else { 255.0 };
-    (q + 4_503_599_627_370_496.0).to_bits() as u8
+    if q < 255.0 {
+        q
+    } else {
+        255.0
+    }
 }
 
 #[cfg(test)]
@@ -284,6 +326,41 @@ mod tests {
         let r = QuantRange::from_values(&values);
         for &v in &values {
             assert!((r.decode(r.encode(v)) - v).abs() <= r.max_error() + 1e-12);
+        }
+    }
+
+    /// Range [0, 1]: this value's quotient is the 16.5 tie itself under the
+    /// divide (code 17, half away from zero) and one ulp below it under
+    /// `1 / step` (code 16). A full block of it must reach the fallback,
+    /// with and without a NaN beside it.
+    #[test]
+    fn a_reciprocal_tie_is_recoded_by_the_exact_divide() {
+        let v = 0.06470588235294117;
+        let r = QuantRange::from_values(&[0.0, 1.0]);
+        assert_eq!(r.encode(v), 17);
+        let reciprocal = level((v * (1.0 / r.step)).round());
+        assert_eq!(reciprocal, 16, "not a counterexample");
+        for nan_at in [None, Some(5)] {
+            let mut values = vec![v; BLOCK + 3];
+            values[0] = 0.0;
+            values[1] = 1.0;
+            if let Some(i) = nan_at {
+                values[i] = f64::NAN;
+            }
+            assert_eq!(QuantRange::from_values(&values), r);
+            let mut codes = vec![0xAA; values.len()];
+            let mut specials = Vec::new();
+            r.encode_slice(&values, &mut codes, |i, _| specials.push(i));
+            let want: Vec<u8> = (0..values.len())
+                .map(|i| match i {
+                    0 => 0,
+                    1 => 255,
+                    _ if nan_at == Some(i) => 0,
+                    _ => 17,
+                })
+                .collect();
+            assert_eq!(codes, want, "NaN at {nan_at:?}");
+            assert_eq!(specials, Vec::from_iter(nan_at));
         }
     }
 
