@@ -29,10 +29,12 @@
 //! process-wide [`parallel::threads`]; at width 1 it is a plain loop on
 //! the caller. Because every kernel row depends only on its own window,
 //! chunking — and therefore the thread count — cannot change any tenant's
-//! bits; with the `F64` lane the service is **bitwise-identical** to
-//! running one `OnlineDetector` per tenant (pinned in tier-1 tests and, at
-//! pool widths 1/2/3/8, in `tests/service_width.rs`). The `Int8` lane
-//! trades that identity for throughput.
+//! bits. An `F64` snapshot serves through the layers' own eval forward —
+//! the one [`AnomalyFilter::score`](crate::AnomalyFilter::score) and the
+//! study run — so the service is **bitwise-identical** to running one
+//! `OnlineDetector` per tenant (pinned in tier-1 tests and, at pool widths
+//! 1/2/3/8, in `tests/service_width.rs`). The `Int8` lane trades that
+//! identity for throughput.
 //!
 //! # Quarantine
 //!

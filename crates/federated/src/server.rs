@@ -37,44 +37,40 @@ pub(crate) enum Disposition {
 
 /// Deterministic fault admission and disposition for one run.
 ///
-/// Wraps the optional [`FaultPlan`] + [`FaultInjector`] pair and owns the
-/// plan-level knobs (`min_participants`, round timeout, retry budget) so
-/// round loops never re-derive them. All decisions are pure functions of
-/// `(plan seed, round, client id)` — identical across thread counts and
-/// across the simulation/scale engines. The scale engine's parallel edge
-/// fan-out shares one gate by `&` across worker threads, so the gate must
-/// stay `Sync`: no interior mutability, no cached per-call state (the
-/// `gate_is_sync_for_the_parallel_fan_out` test pins this at compile
-/// time).
+/// Wraps a [`FaultInjector`] over the run's [`FaultPlan`] — a plan with no
+/// rules when the run has none, so no fault ever fires — and reads the
+/// plan-level knobs (`min_participants`, round timeout, retry budget,
+/// backoff) from it, so round loops never re-derive them. All decisions
+/// are pure functions of `(plan seed, round, client id)` — identical across
+/// thread counts and across the simulation/scale engines. The scale
+/// engine's parallel edge fan-out shares one gate by `&` across worker
+/// threads, so the gate must stay `Sync`: no interior mutability, no cached
+/// per-call state (the `gate_is_sync_for_the_parallel_fan_out` test pins
+/// this at compile time).
 #[derive(Debug)]
 pub(crate) struct FaultGate {
-    injector: Option<FaultInjector>,
+    injector: FaultInjector,
     /// Fewest aggregated updates a round may proceed with.
     pub(crate) min_participants: usize,
-    round_timeout: Option<f64>,
-    retry_budget: usize,
+    /// The plan's round timeout in simulated seconds; `+∞` when it waits
+    /// forever, which no delay exceeds.
+    round_timeout: f64,
 }
 
 impl FaultGate {
     pub(crate) fn new(plan: Option<FaultPlan>) -> Self {
-        let (min_participants, round_timeout, retry_budget) = match &plan {
-            Some(p) => (p.min_participants, p.round_timeout_seconds, p.retry_budget),
-            None => (1, None, 0),
-        };
+        let plan = plan.unwrap_or_default();
         Self {
-            injector: plan.map(FaultInjector::new),
-            min_participants,
-            round_timeout,
-            retry_budget,
+            min_participants: plan.min_participants,
+            round_timeout: plan.round_timeout_seconds.unwrap_or(f64::INFINITY),
+            injector: FaultInjector::new(plan),
         }
     }
 
     /// The fault (if any) the plan injects for `client_id` in `round`.
     /// Pure: safe to call from a pre-pass and again from the round loop.
     pub(crate) fn fault_for(&self, round: usize, client_id: &str) -> Option<FaultKind> {
-        self.injector
-            .as_ref()
-            .and_then(|inj| inj.fault_for(round, client_id))
+        self.injector.fault_for(round, client_id)
     }
 
     /// Pre-training admission: `None` when the client drops out this round
@@ -108,19 +104,23 @@ impl FaultGate {
     pub(crate) fn decide(&self, fault: Option<FaultKind>) -> Disposition {
         match fault {
             None | Some(FaultKind::Corrupt { .. }) => Disposition::Keep { attempts: 1 },
+            // `FaultGate::admit` answers `None` for a drop-out, so the
+            // client never trains and its fault never gets here
+            // (`gate_records_drop_outs_at_admission`).
             Some(FaultKind::DropOut) => unreachable!("drop-outs filtered at admission"),
-            Some(FaultKind::Straggler { delay_seconds }) => match self.round_timeout {
-                Some(timeout) if delay_seconds > timeout => Disposition::Waste { attempts: 1 },
-                _ => Disposition::Keep { attempts: 1 },
-            },
+            Some(FaultKind::Straggler { delay_seconds }) if delay_seconds > self.round_timeout => {
+                Disposition::Waste { attempts: 1 }
+            }
+            Some(FaultKind::Straggler { .. }) => Disposition::Keep { attempts: 1 },
             Some(FaultKind::Transient { failures }) => {
-                if failures <= self.retry_budget {
+                let budget = self.injector.plan().retry_budget;
+                if failures <= budget {
                     Disposition::Keep {
                         attempts: failures + 1,
                     }
                 } else {
                     Disposition::Waste {
-                        attempts: self.retry_budget + 1,
+                        attempts: budget + 1,
                     }
                 }
             }
@@ -155,11 +155,13 @@ impl FaultGate {
             return disposition;
         };
         let outcome = match (fault, disposition) {
+            // Admission answered `None` for a drop-out, so the client never
+            // trained and has no update to dispose of
+            // (`gate_records_drop_outs_at_admission`).
             (FaultKind::DropOut, _) => unreachable!("drop-outs filtered before training"),
             (FaultKind::Straggler { delay_seconds }, Disposition::Waste { .. }) => {
-                let timeout = self
-                    .round_timeout
-                    .expect("only a round timeout cuts a straggler");
+                // Wasted only past a finite timeout: `decide` compared.
+                let timeout = self.round_timeout;
                 *timeout_wait_seconds = timeout_wait_seconds.max(timeout);
                 // The late update still arrives eventually and still
                 // costs bandwidth; it is just ignored.
@@ -179,12 +181,7 @@ impl FaultGate {
                 FaultOutcome::Corrupted
             }
             (FaultKind::Transient { failures }, Disposition::Keep { .. }) => {
-                let backoff = self
-                    .injector
-                    .as_ref()
-                    .expect("transient fault implies a plan")
-                    .plan()
-                    .backoff_total_seconds(failures);
+                let backoff = self.injector.plan().backoff_total_seconds(failures);
                 update.simulated_extra_seconds += backoff;
                 FaultOutcome::Recovered {
                     failed_attempts: failures,

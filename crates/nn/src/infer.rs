@@ -1,35 +1,34 @@
-//! Frozen, packed inference snapshots of a [`Sequential`] model.
+//! Frozen inference snapshots of a [`Sequential`] model.
 //!
-//! Training mutates a model in place and must stay bitwise-pinned; serving
-//! wants the opposite trade — freeze the weights once, pack them for the
-//! kernels' preferred layout, and push as many windows per GEMM as the
-//! admission queue can batch. An [`InferenceModel`] is that snapshot:
+//! Training mutates a model in place; serving wants a copy that stays put
+//! while the source keeps training, and that pushes as many windows per
+//! GEMM as the admission queue can batch. An [`InferenceModel`] is that
+//! snapshot, and [`Precision`] picks at freeze time what it holds:
 //!
-//! - [`Precision`] picks the numeric lane at freeze time, and the snapshot
-//!   packs, quantizes and allocates scratch for **that lane only**: [`PackedB`]
-//!   operands and `f64` arenas, or [`QuantizedPanel`]s (the shared EVQ8
-//!   fold) and `f32` arenas. A per-worker clone copies nothing the worker
-//!   will not read.
-//! - [`InferenceModel::forward_batch_into`] runs **many windows per GEMM**:
-//!   the batch shares one input-projection product per recurrent layer and
-//!   one product per dense layer. Dropout, the identity at inference, is
-//!   dropped at freeze time.
-//! - Each layer kind has a single forward, generic over a private `Lane`
-//!   (element type, packed operand, two GEMM entry points, activations), so
-//!   both lanes run the same expression order — bias add, band-wise gate
-//!   activation, in-place cell state, `(f·c) + (i·g)` — and differ only in
-//!   what a `Lane` method does.
+//! - `F64`: a serving replica of the model — every layer's parameters, an
+//!   empty eval arena, and none of the gradients, workspaces, optimiser
+//!   moments or dropout layers a trained model carries — run through the
+//!   layers' own eval forward, [`Sequential::predict_seq_into`]. There is
+//!   no second f64 forward: serving runs the code that trains the model
+//!   and scores the study.
+//! - `Int8`: [`QuantizedPanel`]s (the shared EVQ8 fold) and `f32` arenas for
+//!   the layer kinds the scoring service serves — dense, LSTM and
+//!   repeat-vector; dropout, the identity at inference, is dropped, and a
+//!   GRU is refused at freeze time.
+//!
+//! [`InferenceModel::forward_batch_into`] takes windows sample-major on
+//! either lane, stages them time-major, and runs **many windows per GEMM**:
+//! one input-projection product per recurrent layer and one product per
+//! dense layer for the whole batch. A per-worker clone copies nothing the
+//! worker will not read.
 //!
 //! # Exactness contract
 //!
-//! The `F64` lane's GEMMs go through the entry points of [`fastpath`],
-//! which run the exact [`kernels`](evfad_tensor::kernels) over the frozen
-//! operand; its activations are the training path's own — the [`vmath`]
-//! slice kernels, whose result for an element does not depend on where in
-//! a slice it sits — and each output row of every kernel depends only on
-//! its own input row. So **`forward_batch_into` is bitwise-identical to
-//! per-window [`Sequential::predict`]** (pinned by proptests and the
-//! tier-1 scoring gate).
+//! An `F64` snapshot *is* the eval forward, and each output row of every
+//! kernel depends only on its own input row, so **`forward_batch_into` is
+//! bitwise-identical to per-window [`Sequential::predict`]**. Those bits are
+//! pinned by `recorded_steps`, the golden fixture and the frozen-lanes
+//! literals in `tests/proptests.rs`.
 //!
 //! The `Int8` lane is always approximate: weights carry at most half a
 //! quantization step of error each (see [`quant`](evfad_tensor::quant)),
@@ -40,139 +39,21 @@
 use crate::activation::Activation;
 use crate::layer::Layer;
 use crate::model::Sequential;
+use crate::seq::Seq;
 use crate::{NnError, NnResult};
-use evfad_tensor::fastpath::{self, PackedB, QuantizedPanel};
-use evfad_tensor::{vmath, MatMut, MatRef, Matrix};
-use std::fmt::Debug;
-use std::ops::{Add, Mul, Sub};
+use evfad_tensor::fastpath::{self, QuantizedPanel};
+use evfad_tensor::{vmath, Matrix};
 
 /// Numeric lane of a frozen snapshot.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum Precision {
-    /// f64 activations and accumulation; bitwise-exact versus the
-    /// training-path forward.
+    /// f64 activations and accumulation: the layers' own eval forward,
+    /// bitwise.
     #[default]
     F64,
     /// int8 weights (shared EVQ8 fold) with f32 activations and f32
     /// accumulation; always approximate, always opt-in.
     Int8,
-}
-
-/// What a numeric lane supplies to the layer forwards: its element type,
-/// its packed right-hand operand, and the kernels over them.
-trait Lane: Debug + Clone {
-    type Elem: Copy
-        + Default
-        + Debug
-        + Add<Output = Self::Elem>
-        + Sub<Output = Self::Elem>
-        + Mul<Output = Self::Elem>;
-    type Packed: Debug + Clone;
-
-    /// Packs a row-major `k × n` weight block.
-    fn pack(w: MatRef<'_>) -> Self::Packed;
-    /// `out = a · b`, `a` row-major `rows × k`.
-    fn matmul_into(a: &[Self::Elem], rows: usize, b: &Self::Packed, out: &mut [Self::Elem]);
-    /// `out += a · b`.
-    fn matmul_acc_into(a: &[Self::Elem], rows: usize, b: &Self::Packed, out: &mut [Self::Elem]);
-    /// In-place logistic sigmoid over a gate band.
-    fn sigmoid(xs: &mut [Self::Elem]);
-    /// In-place `tanh` over a gate band.
-    fn tanh(xs: &mut [Self::Elem]);
-    /// A dense layer's pointwise activation.
-    fn act(act: Activation, x: Self::Elem) -> Self::Elem;
-    fn from_f64(x: f64) -> Self::Elem;
-    fn to_f64(x: Self::Elem) -> f64;
-}
-
-/// The exact lane: f64 throughout, [`PackedB`] operands.
-#[derive(Debug, Clone)]
-struct F64;
-
-impl Lane for F64 {
-    type Elem = f64;
-    type Packed = PackedB;
-
-    fn pack(w: MatRef<'_>) -> PackedB {
-        PackedB::pack(w)
-    }
-
-    fn matmul_into(a: &[f64], rows: usize, b: &PackedB, out: &mut [f64]) {
-        let out = MatMut::new(rows, b.n(), out);
-        fastpath::matmul_into_blocked(MatRef::new(rows, b.k(), a), b, out);
-    }
-
-    fn matmul_acc_into(a: &[f64], rows: usize, b: &PackedB, out: &mut [f64]) {
-        let out = MatMut::new(rows, b.n(), out);
-        fastpath::matmul_acc_into_blocked(MatRef::new(rows, b.k(), a), b, out);
-    }
-
-    fn sigmoid(xs: &mut [f64]) {
-        vmath::sigmoid_f64(xs);
-    }
-
-    fn tanh(xs: &mut [f64]) {
-        vmath::tanh_f64(xs);
-    }
-
-    fn act(act: Activation, x: f64) -> f64 {
-        act.apply(x)
-    }
-
-    fn from_f64(x: f64) -> f64 {
-        x
-    }
-
-    fn to_f64(x: f64) -> f64 {
-        x
-    }
-}
-
-/// The int8 lane: [`QuantizedPanel`] weights, f32 activations and
-/// accumulation, polynomial gate activations.
-#[derive(Debug, Clone)]
-struct Q8;
-
-impl Lane for Q8 {
-    type Elem = f32;
-    type Packed = QuantizedPanel;
-
-    fn pack(w: MatRef<'_>) -> QuantizedPanel {
-        QuantizedPanel::quantize(w)
-    }
-
-    fn matmul_into(a: &[f32], rows: usize, b: &QuantizedPanel, out: &mut [f32]) {
-        fastpath::matmul_q8_into(a, rows, b, out);
-    }
-
-    fn matmul_acc_into(a: &[f32], rows: usize, b: &QuantizedPanel, out: &mut [f32]) {
-        fastpath::matmul_q8_acc_into(a, rows, b, out);
-    }
-
-    fn sigmoid(xs: &mut [f32]) {
-        vmath::sigmoid_f32(xs);
-    }
-
-    fn tanh(xs: &mut [f32]) {
-        vmath::tanh_f32(xs);
-    }
-
-    fn act(act: Activation, x: f32) -> f32 {
-        match act {
-            Activation::Linear => x,
-            Activation::Relu => x.max(0.0),
-            Activation::Sigmoid => vmath::sigmoid1_f32(x),
-            Activation::Tanh => vmath::tanh1_f32(x),
-        }
-    }
-
-    fn from_f64(x: f64) -> f32 {
-        x as f32
-    }
-
-    fn to_f64(x: f32) -> f64 {
-        f64::from(x)
-    }
 }
 
 /// Resizes a scratch buffer to `len` zeros, keeping its capacity.
@@ -181,17 +62,10 @@ fn zeroed<T: Copy + Default>(buf: &mut Vec<T>, len: usize) {
     buf.resize(len, T::default());
 }
 
-/// Adds a bias row to one row of pre-activations.
-fn add_bias<T: Copy + Add<Output = T>>(row: &mut [T], bias: &[T]) {
-    for (v, &b) in row.iter_mut().zip(bias) {
-        *v = *v + b;
-    }
-}
-
 /// Swaps the two outer axes of a `[outer][inner][feat]` buffer into
 /// `[inner][outer][feat]`, converting each element: sample-major windows
-/// into the time-major arena on the way in, the arena back to sample-major
-/// output on the way out.
+/// into a time-major batch on the way in, a time-major arena back to
+/// sample-major output on the way out.
 fn restage<S: Copy, D>(
     src: &[S],
     dst: &mut [D],
@@ -209,101 +83,79 @@ fn restage<S: Copy, D>(
     }
 }
 
-/// Converts a bias row to the lane's element type.
-fn bias_row<L: Lane>(b: &Matrix) -> Vec<L::Elem> {
-    b.as_slice().iter().map(|&v| L::from_f64(v)).collect()
+/// A bias row in f32.
+fn bias_row(b: &Matrix) -> Vec<f32> {
+    b.as_slice().iter().map(|&v| v as f32).collect()
 }
 
-/// Hands a recurrent layer's hidden states (blocks of `bh` behind the zero
-/// initial state) to the next layer: every step, or only the last.
-fn emit<T: Copy>(h: &[T], bh: usize, all_steps: bool, out: &mut Vec<T>) -> usize {
-    let steps = if all_steps { h.len() / bh - 1 } else { 1 };
-    out.clear();
-    out.extend_from_slice(&h[h.len() - steps * bh..]);
-    steps
-}
-
-/// A dense layer frozen for serving.
-#[derive(Debug, Clone)]
-struct DenseSnap<L: Lane> {
-    o_dim: usize,
-    act: Activation,
-    w: L::Packed,
-    b: Vec<L::Elem>,
-}
-
-/// One affine map of a recurrent layer, `x·W_x + h·W_h + b`: the training
-/// kernel `(I+H) × n` split into its halves so the batched input projection
-/// and the per-step recurrence each get a packed operand.
-#[derive(Debug, Clone)]
-struct Proj<L: Lane> {
-    wx: L::Packed,
-    wh: L::Packed,
-    b: Vec<L::Elem>,
-}
-
-impl<L: Lane> Proj<L> {
-    fn pack(w: &Matrix, b: &Matrix, i_dim: usize) -> Self {
-        Self {
-            wx: L::pack(w.rows_view(0..i_dim)),
-            wh: L::pack(w.rows_view(i_dim..w.rows())),
-            b: bias_row::<L>(b),
-        }
+/// A dense layer's pointwise activation in f32.
+fn act_f32(act: Activation, x: f32) -> f32 {
+    match act {
+        Activation::Linear => x,
+        Activation::Relu => x.max(0.0),
+        Activation::Sigmoid => vmath::sigmoid1_f32(x),
+        Activation::Tanh => vmath::tanh1_f32(x),
     }
 }
 
-/// An LSTM layer frozen for serving.
+/// A dense layer quantized for serving.
 #[derive(Debug, Clone)]
-struct LstmSnap<L: Lane> {
-    h_dim: usize,
-    return_sequences: bool,
-    gates: Proj<L>,
+struct DenseSnap {
+    o_dim: usize,
+    act: Activation,
+    w: QuantizedPanel,
+    b: Vec<f32>,
 }
 
-/// A GRU layer frozen for serving.
+/// An LSTM layer quantized for serving: the training kernel `(I+H) × 4H`
+/// split into its `W_x` and `W_h` halves, so the batched input projection
+/// and the per-step recurrence each get a panel.
 #[derive(Debug, Clone)]
-struct GruSnap<L: Lane> {
+struct LstmSnap {
     h_dim: usize,
     return_sequences: bool,
-    gates: Proj<L>,
-    cand: Proj<L>,
+    wx: QuantizedPanel,
+    wh: QuantizedPanel,
+    b: Vec<f32>,
 }
 
 #[derive(Debug, Clone)]
-enum InferLayer<L: Lane> {
-    Dense(DenseSnap<L>),
-    Lstm(LstmSnap<L>),
-    Gru(GruSnap<L>),
+enum InferLayer {
+    Dense(DenseSnap),
+    Lstm(LstmSnap),
     /// RepeatVector: broadcast a single collapsed step `n` times.
     Repeat(usize),
 }
 
-/// The layers of one lane plus its reused buffers: the ping-pong activation
-/// arenas, time-major `[t][row][feature]`, and the recurrent layers'
-/// working memory.
+/// The int8 layers plus their reused buffers: the ping-pong activation
+/// arenas, time-major `[t][row][feature]`, and the LSTMs' working memory.
 #[derive(Debug, Clone)]
-struct Net<L: Lane> {
-    layers: Vec<InferLayer<L>>,
-    in_features: usize,
-    out_features: usize,
-    buf_a: Vec<L::Elem>,
-    buf_b: Vec<L::Elem>,
-    scratch: Vec<L::Elem>,
+struct Net {
+    layers: Vec<InferLayer>,
+    buf_a: Vec<f32>,
+    buf_b: Vec<f32>,
+    scratch: Vec<f32>,
 }
 
+/// What a snapshot holds: one lane's state only.
 #[derive(Debug, Clone)]
-enum LaneNet {
-    F64(Net<F64>),
-    Int8(Net<Q8>),
+enum Snapshot {
+    /// The serving replica and the time-major batch its forward reads.
+    F64 {
+        model: Box<Sequential>,
+        input: Seq,
+    },
+    Int8(Net),
 }
 
-/// A frozen, packed snapshot of a [`Sequential`] for batched scoring.
+/// A frozen snapshot of a [`Sequential`] for batched scoring.
 ///
-/// The snapshot holds no optimiser state or training caches and never
-/// mutates its weights — only its scratch buffers, which stay warm across
-/// calls (a shape-stable caller allocates nothing after the first batch).
-/// A clone is an independent serving replica (the multi-tenant scoring
-/// front end keeps one per worker thread).
+/// The snapshot holds no optimiser state or gradients and never mutates
+/// its weights — only its arenas, which stay warm across calls (a
+/// shape-stable caller allocates nothing after the first batch). Training,
+/// `set_weights` or anything else done to the source model afterwards does
+/// not reach it. A clone is an independent serving replica (the
+/// multi-tenant scoring front end keeps one per worker thread).
 ///
 /// # Examples
 ///
@@ -328,62 +180,81 @@ enum LaneNet {
 /// ```
 #[derive(Debug, Clone)]
 pub struct InferenceModel {
-    net: LaneNet,
+    in_features: usize,
+    out_features: usize,
+    snapshot: Snapshot,
 }
 
 impl InferenceModel {
-    /// Freezes a built model into a packed snapshot of one lane.
+    /// Freezes a built model into a snapshot at one precision.
     ///
-    /// Dropout layers vanish (inference identity); dense, LSTM, GRU, and
-    /// repeat-vector layers are packed (`F64`) or quantized (`Int8`).
+    /// Dropout layers vanish (inference identity). `F64` keeps a replica of
+    /// every other layer; `Int8` quantizes dense and LSTM layers and keeps
+    /// repeat-vector ones.
     ///
     /// # Errors
     ///
     /// Returns [`NnError::InvalidConfig`] if the model has no layers that
-    /// produce output (nothing to serve).
+    /// produce output (nothing to serve), or, at `Int8`, if it has a layer
+    /// the int8 lane does not serve (a GRU), naming that layer.
     pub fn freeze(model: &Sequential, precision: Precision) -> NnResult<Self> {
-        let net = match precision {
-            Precision::F64 => LaneNet::F64(Net::freeze(model)?),
-            Precision::Int8 => LaneNet::Int8(Net::freeze(model)?),
+        let dims: Vec<(usize, usize)> = model
+            .layers()
+            .iter()
+            .filter_map(|layer| match layer {
+                Layer::Dense(d) => Some((d.input_dim(), d.output_dim())),
+                Layer::Lstm(l) => Some((l.input_dim(), l.hidden_dim())),
+                Layer::Gru(g) => Some((g.input_dim(), g.hidden_dim())),
+                Layer::Dropout(_) | Layer::RepeatVector(_) => None,
+            })
+            .collect();
+        let (Some(&(in_features, _)), Some(&(_, out_features))) = (dims.first(), dims.last())
+        else {
+            return Err(NnError::InvalidConfig(
+                "cannot freeze a model with no parameterised layers".into(),
+            ));
         };
-        Ok(Self { net })
+        let snapshot = match precision {
+            Precision::F64 => Snapshot::F64 {
+                model: Box::new(model.serving_replica()),
+                input: Seq::default(),
+            },
+            Precision::Int8 => Snapshot::Int8(Net::freeze(model)?),
+        };
+        Ok(Self {
+            in_features,
+            out_features,
+            snapshot,
+        })
     }
 
     /// The numeric lane this snapshot serves with.
     pub fn precision(&self) -> Precision {
-        match self.net {
-            LaneNet::F64(_) => Precision::F64,
-            LaneNet::Int8(_) => Precision::Int8,
+        match self.snapshot {
+            Snapshot::F64 { .. } => Precision::F64,
+            Snapshot::Int8(_) => Precision::Int8,
         }
     }
 
     /// Input feature width per timestep.
     pub fn input_features(&self) -> usize {
-        match &self.net {
-            LaneNet::F64(n) => n.in_features,
-            LaneNet::Int8(n) => n.in_features,
-        }
+        self.in_features
     }
 
     /// Output feature width per timestep.
     pub fn output_features(&self) -> usize {
-        match &self.net {
-            LaneNet::F64(n) => n.out_features,
-            LaneNet::Int8(n) => n.out_features,
-        }
+        self.out_features
     }
 
     /// Total packed int8 weight bytes the snapshot holds: zero for an
     /// `F64` snapshot, which quantizes nothing.
     pub fn quantized_bytes(&self) -> usize {
-        let LaneNet::Int8(net) = &self.net else {
+        let Snapshot::Int8(net) = &self.snapshot else {
             return 0;
         };
-        let proj = |p: &Proj<Q8>| p.wx.byte_size() + p.wh.byte_size();
-        let layer = |l: &InferLayer<Q8>| match l {
+        let layer = |l: &InferLayer| match l {
             InferLayer::Dense(d) => d.w.byte_size(),
-            InferLayer::Lstm(l) => proj(&l.gates),
-            InferLayer::Gru(g) => proj(&g.gates) + proj(&g.cand),
+            InferLayer::Lstm(l) => l.wx.byte_size() + l.wh.byte_size(),
             InferLayer::Repeat(_) => 0,
         };
         net.layers.iter().map(layer).sum()
@@ -407,83 +278,78 @@ impl InferenceModel {
         out: &mut Vec<f64>,
     ) -> (usize, usize) {
         assert!(batch > 0, "forward_batch_into needs at least one window");
-        let feat = self.input_features();
+        let feat = self.in_features;
         assert!(
             !windows.is_empty() && windows.len().is_multiple_of(batch * feat),
             "window buffer of {} values is not a multiple of batch {batch} × features {feat}",
             windows.len(),
         );
-        match &mut self.net {
-            LaneNet::F64(n) => n.forward(windows, batch, out),
-            LaneNet::Int8(n) => n.forward(windows, batch, out),
+        let shape = (batch, windows.len() / (batch * feat), feat);
+        match &mut self.snapshot {
+            Snapshot::F64 { model, input } => {
+                input.reshape(shape.1, batch, feat);
+                restage(windows, input.as_mut_slice(), shape, |v| v);
+                out.clear();
+                model.predict_seq_into(input, out, 0)
+            }
+            Snapshot::Int8(net) => net.forward(windows, shape, out),
         }
     }
 }
 
-impl<L: Lane> Net<L> {
+impl Net {
     fn freeze(model: &Sequential) -> NnResult<Self> {
         let mut layers = Vec::new();
-        let mut in_features = None;
-        let mut out_features = 0usize;
-        for layer in model.layers() {
-            let (i_dim, o_dim) = match layer {
+        for (i, layer) in model.layers().iter().enumerate() {
+            layers.push(match layer {
                 Layer::Dropout(_) => continue,
-                Layer::RepeatVector(r) => {
-                    layers.push(InferLayer::Repeat(r.n()));
-                    continue;
-                }
+                Layer::RepeatVector(r) => InferLayer::Repeat(r.n()),
                 Layer::Dense(d) => {
                     let p = d.params();
-                    layers.push(InferLayer::Dense(DenseSnap {
+                    InferLayer::Dense(DenseSnap {
                         o_dim: d.output_dim(),
                         act: d.activation(),
-                        w: L::pack(p[0].view()),
-                        b: bias_row::<L>(p[1]),
-                    }));
-                    (d.input_dim(), d.output_dim())
+                        w: QuantizedPanel::quantize(p[0].view()),
+                        b: bias_row(p[1]),
+                    })
                 }
                 Layer::Lstm(l) => {
-                    let p = l.params();
-                    layers.push(InferLayer::Lstm(LstmSnap {
+                    let (p, i_dim) = (l.params(), l.input_dim());
+                    InferLayer::Lstm(LstmSnap {
                         h_dim: l.hidden_dim(),
                         return_sequences: l.return_sequences(),
-                        gates: Proj::pack(p[0], p[1], l.input_dim()),
-                    }));
-                    (l.input_dim(), l.hidden_dim())
+                        wx: QuantizedPanel::quantize(p[0].rows_view(0..i_dim)),
+                        wh: QuantizedPanel::quantize(p[0].rows_view(i_dim..p[0].rows())),
+                        b: bias_row(p[1]),
+                    })
                 }
-                Layer::Gru(g) => {
-                    let p = g.params();
-                    layers.push(InferLayer::Gru(GruSnap {
-                        h_dim: g.hidden_dim(),
-                        return_sequences: g.return_sequences(),
-                        gates: Proj::pack(p[0], p[1], g.input_dim()),
-                        cand: Proj::pack(p[2], p[3], g.input_dim()),
-                    }));
-                    (g.input_dim(), g.hidden_dim())
+                Layer::Gru(_) => {
+                    return Err(NnError::InvalidConfig(format!(
+                        "the Int8 lane serves dense, lstm and repeat_vector layers; \
+                         layer {i} is a {}",
+                        layer.kind()
+                    )))
                 }
-            };
-            in_features.get_or_insert(i_dim);
-            out_features = o_dim;
+            });
         }
-        let in_features = in_features.ok_or_else(|| {
-            NnError::InvalidConfig("cannot freeze a model with no parameterised layers".into())
-        })?;
         Ok(Self {
             layers,
-            in_features,
-            out_features,
             buf_a: Vec::new(),
             buf_b: Vec::new(),
             scratch: Vec::new(),
         })
     }
 
-    fn forward(&mut self, windows: &[f64], batch: usize, out: &mut Vec<f64>) -> (usize, usize) {
-        let mut feat = self.in_features;
-        let mut steps = windows.len() / (batch * feat);
+    /// `windows` is `batch × steps × feat`, sample-major.
+    fn forward(
+        &mut self,
+        windows: &[f64],
+        (batch, mut steps, mut feat): (usize, usize, usize),
+        out: &mut Vec<f64>,
+    ) -> (usize, usize) {
         let (mut cur, mut next) = (&mut self.buf_a, &mut self.buf_b);
         zeroed(cur, windows.len());
-        restage(windows, cur, (batch, steps, feat), L::from_f64);
+        restage(windows, cur, (batch, steps, feat), |v| v as f32);
         for layer in &self.layers {
             (steps, feat) = match layer {
                 InferLayer::Dense(d) => {
@@ -491,7 +357,6 @@ impl<L: Lane> Net<L> {
                     (steps, d.o_dim)
                 }
                 InferLayer::Lstm(l) => l.forward(cur, steps, batch, &mut self.scratch, next),
-                InferLayer::Gru(g) => g.forward(cur, steps, batch, &mut self.scratch, next),
                 InferLayer::Repeat(n) => {
                     assert_eq!(steps, 1, "RepeatVector input must be a single step");
                     next.clear();
@@ -504,36 +369,37 @@ impl<L: Lane> Net<L> {
             std::mem::swap(&mut cur, &mut next);
         }
         zeroed(out, batch * steps * feat);
-        restage(cur, out, (steps, batch, feat), L::to_f64);
+        restage(cur, out, (steps, batch, feat), f64::from);
         (steps, feat)
     }
 }
 
-impl<L: Lane> DenseSnap<L> {
+impl DenseSnap {
     /// One GEMM for every timestep of every window in the batch, then the
     /// training dense layer's `act(x + b)` per element.
-    fn forward(&self, input: &[L::Elem], rows: usize, out: &mut Vec<L::Elem>) {
+    fn forward(&self, input: &[f32], rows: usize, out: &mut Vec<f32>) {
         zeroed(out, rows * self.o_dim);
-        L::matmul_into(input, rows, &self.w, out);
+        fastpath::matmul_q8_into(input, rows, &self.w, out);
         for row in out.chunks_exact_mut(self.o_dim) {
             for (v, &b) in row.iter_mut().zip(&self.b) {
-                *v = L::act(self.act, *v + b);
+                *v = act_f32(self.act, *v + b);
             }
         }
     }
 }
 
-impl<L: Lane> LstmSnap<L> {
-    /// Batched input projection + per-step recurrence, replaying the
-    /// training LSTM's fused forward expression for expression; returns the
-    /// output shape `(steps, features)`.
+impl LstmSnap {
+    /// Batched input projection + per-step recurrence in the training
+    /// LSTM's expression order — bias add, band-wise gate activation,
+    /// in-place cell state, `(f·c) + (i·g)`; returns the output shape
+    /// `(steps, features)`.
     fn forward(
         &self,
-        input: &[L::Elem],
+        input: &[f32],
         steps: usize,
         batch: usize,
-        scratch: &mut Vec<L::Elem>,
-        out: &mut Vec<L::Elem>,
+        scratch: &mut Vec<f32>,
+        out: &mut Vec<f32>,
     ) -> (usize, usize) {
         let h_dim = self.h_dim;
         let (bh, b4h) = (batch * h_dim, batch * 4 * h_dim);
@@ -543,20 +409,22 @@ impl<L: Lane> LstmSnap<L> {
         zeroed(scratch, steps * b4h + bh + (steps + 1) * bh);
         let (pre, rest) = scratch.split_at_mut(steps * b4h);
         let (c, h) = rest.split_at_mut(bh);
-        L::matmul_into(input, steps * batch, &self.gates.wx, pre);
+        fastpath::matmul_q8_into(input, steps * batch, &self.wx, pre);
         for t in 0..steps {
             let (h_prev, h_t) = h[t * bh..(t + 2) * bh].split_at_mut(bh);
             let pre_t = &mut pre[t * b4h..(t + 1) * b4h];
-            L::matmul_acc_into(h_prev, batch, &self.gates.wh, pre_t);
+            fastpath::matmul_q8_acc_into(h_prev, batch, &self.wh, pre_t);
             let rows = pre_t
                 .chunks_exact_mut(4 * h_dim)
                 .zip(c.chunks_exact_mut(h_dim))
                 .zip(h_t.chunks_exact_mut(h_dim));
             for ((gates, c), h) in rows {
-                add_bias(gates, &self.gates.b);
-                L::sigmoid(&mut gates[..2 * h_dim]);
-                L::tanh(&mut gates[2 * h_dim..3 * h_dim]);
-                L::sigmoid(&mut gates[3 * h_dim..]);
+                for (v, &b) in gates.iter_mut().zip(&self.b) {
+                    *v += b;
+                }
+                vmath::sigmoid_f32(&mut gates[..2 * h_dim]);
+                vmath::tanh_f32(&mut gates[2 * h_dim..3 * h_dim]);
+                vmath::sigmoid_f32(&mut gates[3 * h_dim..]);
                 let (gi, rest) = gates.split_at(h_dim);
                 let (gf, rest) = rest.split_at(h_dim);
                 let (gg, go) = rest.split_at(h_dim);
@@ -564,70 +432,17 @@ impl<L: Lane> LstmSnap<L> {
                     *c = (fv * *c) + (iv * gv);
                 }
                 h.copy_from_slice(c);
-                L::tanh(h);
+                vmath::tanh_f32(h);
                 for (h, &ov) in h.iter_mut().zip(go) {
-                    *h = *h * ov;
+                    *h *= ov;
                 }
             }
         }
-        (emit(h, bh, self.return_sequences, out), h_dim)
-    }
-}
-
-impl<L: Lane> GruSnap<L> {
-    /// Batched projections + per-step recurrence, replaying the training
-    /// GRU forward expression for expression.
-    fn forward(
-        &self,
-        input: &[L::Elem],
-        steps: usize,
-        batch: usize,
-        scratch: &mut Vec<L::Elem>,
-        out: &mut Vec<L::Elem>,
-    ) -> (usize, usize) {
-        let h_dim = self.h_dim;
-        let (bh, b2h) = (batch * h_dim, batch * 2 * h_dim);
-        // Gate and candidate pre-activations for every step, `r ⊙ h_{t-1}`,
-        // and the hidden states laid out as in the LSTM.
-        zeroed(scratch, steps * (b2h + bh) + bh + (steps + 1) * bh);
-        let (preg, rest) = scratch.split_at_mut(steps * b2h);
-        let (cand, rest) = rest.split_at_mut(steps * bh);
-        let (rh, h) = rest.split_at_mut(bh);
-        L::matmul_into(input, steps * batch, &self.gates.wx, preg);
-        L::matmul_into(input, steps * batch, &self.cand.wx, cand);
-        let one = L::from_f64(1.0);
-        for t in 0..steps {
-            let (h_prev, h_t) = h[t * bh..(t + 2) * bh].split_at_mut(bh);
-            let preg_t = &mut preg[t * b2h..(t + 1) * b2h];
-            L::matmul_acc_into(h_prev, batch, &self.gates.wh, preg_t);
-            let rows = preg_t
-                .chunks_exact_mut(2 * h_dim)
-                .zip(rh.chunks_exact_mut(h_dim))
-                .zip(h_prev.chunks_exact(h_dim));
-            for ((gates, rh), hp) in rows {
-                add_bias(gates, &self.gates.b);
-                L::sigmoid(gates);
-                for ((rh, &rv), &hp) in rh.iter_mut().zip(&gates[h_dim..]).zip(hp) {
-                    *rh = rv * hp;
-                }
-            }
-            let cand_t = &mut cand[t * bh..(t + 1) * bh];
-            L::matmul_acc_into(rh, batch, &self.cand.wh, cand_t);
-            let rows = preg_t
-                .chunks_exact(2 * h_dim)
-                .zip(cand_t.chunks_exact_mut(h_dim))
-                .zip(h_prev.chunks_exact(h_dim))
-                .zip(h_t.chunks_exact_mut(h_dim));
-            for (((gates, ct), hp), ht) in rows {
-                add_bias(ct, &self.cand.b);
-                L::tanh(ct);
-                let it = gates[..h_dim].iter().zip(ct.iter()).zip(hp).zip(ht);
-                for (((&z_v, &ht_v), &hp), ht) in it {
-                    *ht = (hp * (one - z_v)) + (ht_v * z_v);
-                }
-            }
-        }
-        (emit(h, bh, self.return_sequences, out), h_dim)
+        // Hand the next layer every step's hidden state, or only the last.
+        let emitted = if self.return_sequences { steps } else { 1 };
+        out.clear();
+        out.extend_from_slice(&h[h.len() - emitted * bh..]);
+        (emitted, h_dim)
     }
 }
 
@@ -722,6 +537,21 @@ mod tests {
                 "int8 drifted too far from exact: {a} vs {b}"
             );
         }
+    }
+
+    #[test]
+    fn int8_refuses_a_gru_and_names_it() {
+        let model = Sequential::new(9)
+            .with(Dropout::new(0.1))
+            .with(Gru::new(1, 6, false))
+            .with(Dense::new(6, 1, Activation::Linear));
+        match InferenceModel::freeze(&model, Precision::Int8) {
+            Err(NnError::InvalidConfig(msg)) => {
+                assert!(msg.contains("layer 1 is a gru"), "{msg}")
+            }
+            other => panic!("a GRU must not freeze at Int8: {other:?}"),
+        }
+        assert!(InferenceModel::freeze(&model, Precision::F64).is_ok());
     }
 
     #[test]

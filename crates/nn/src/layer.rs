@@ -115,6 +115,19 @@ impl Layer {
         }
     }
 
+    /// The layer as a serving replica holds it: parameters and shape, no
+    /// gradients or workspace; `None` for dropout, the identity at
+    /// inference.
+    pub(crate) fn serving_copy(&self) -> Option<Layer> {
+        Some(match self {
+            Layer::Dense(l) => Layer::Dense(l.serving_copy()),
+            Layer::Lstm(l) => Layer::Lstm(l.serving_copy()),
+            Layer::Gru(l) => Layer::Gru(l.serving_copy()),
+            Layer::Dropout(_) => return None,
+            Layer::RepeatVector(l) => Layer::RepeatVector(l.clone()),
+        })
+    }
+
     /// Restores transient state (gradients, caches) after deserialisation.
     pub(crate) fn rebuild_transient(&mut self) {
         match self {

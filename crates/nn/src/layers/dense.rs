@@ -259,6 +259,21 @@ impl Dense {
         self.cached_steps = 0;
         self.cached_batch = 0;
     }
+
+    /// The parameters without the gradients or the workspace: what an
+    /// eval forward reads, and nothing a trained layer merely carries.
+    pub(crate) fn serving_copy(&self) -> Self {
+        Self {
+            w: self.w.clone(),
+            b: self.b.clone(),
+            grad_w: Matrix::default(),
+            grad_b: Matrix::default(),
+            ws: Workspace::new(),
+            cached_steps: 0,
+            cached_batch: 0,
+            ..*self
+        }
+    }
 }
 
 #[cfg(test)]

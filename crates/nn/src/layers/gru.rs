@@ -520,6 +520,25 @@ impl Gru {
         self.cached_steps = 0;
         self.cached_batch = 0;
     }
+
+    /// The parameters without the gradients or the workspace: what an
+    /// eval forward reads, and nothing a trained layer merely carries.
+    pub(crate) fn serving_copy(&self) -> Self {
+        Self {
+            w_gates: self.w_gates.clone(),
+            b_gates: self.b_gates.clone(),
+            w_cand: self.w_cand.clone(),
+            b_cand: self.b_cand.clone(),
+            grad_w_gates: Matrix::default(),
+            grad_b_gates: Matrix::default(),
+            grad_w_cand: Matrix::default(),
+            grad_b_cand: Matrix::default(),
+            ws: Workspace::new(),
+            cached_steps: 0,
+            cached_batch: 0,
+            ..*self
+        }
+    }
 }
 
 #[cfg(test)]

@@ -2,11 +2,15 @@
 //!
 //! The hot path is fused and allocation-free: all per-timestep state
 //! (pre-activations, gates, cell/hidden trajectories) lives in a reusable
-//! [`Workspace`] arena, the input projection for every timestep is one
+//! [`Workspace`] arena, the input projection of a training forward is one
 //! `(T*B) x 4H` GEMM over the input [`Seq`]'s own buffer, the combined
 //! kernel is addressed through zero-copy `W_x`/`W_h` row views instead of
 //! per-step `hstack`, and the output and the input gradient are written
-//! into caller-owned `Seq`s. Every
+//! into caller-owned `Seq`s. An eval forward runs the same loop but keeps
+//! only what the next step reads — two steps of cell and hidden state, the
+//! input projected a register tile of rows at a time — so its workspace
+//! does not grow with `T`; kernel rows are independent, so its bits are
+//! the same. Every
 //! sum and product keeps the order of the original allocating
 //! implementation (see DESIGN.md §6 for the summation-order argument); the
 //! gate nonlinearities are [`vmath`]'s slice kernels, the workspace's one
@@ -19,8 +23,8 @@ use rand::Rng;
 use serde::{Deserialize, Serialize};
 
 // Workspace slot layout. Forward slots double as the BPTT cache; eval-mode
-// forwards use the same layout at `EVAL_BASE` so they never clobber a
-// pending training cache.
+// forwards use the same layout at `EVAL_BASE`, a few steps deep instead of
+// `T`, so they never clobber a pending training cache.
 const X_ALL: usize = 0; // (T*B) x I   input copy (training forwards only)
 const PRE_ALL: usize = 1; // (T*B) x 4H  pre-activations, then gates in place
 const C_ALL: usize = 2; // (T*B) x H   cell states
@@ -180,39 +184,54 @@ impl Lstm {
             self.input_dim,
             input.features()
         );
-        // Eval forwards run the same fused path in a disjoint slot range so
-        // an in-flight training cache survives them.
-        let base = if training { 0 } else { EVAL_BASE };
         let steps = input.len();
         let batch = input.batch_size();
         let (i_dim, h_dim) = (self.input_dim, self.hidden_dim);
         let (bi, bh, b4h) = (batch * i_dim, batch * h_dim, batch * 4 * h_dim);
+        // The input is projected `group` steps per GEMM into block
+        // `t % group` of the pre-activations; cell, tanh(c) and hidden state
+        // of step `t` live in block `t % blocks`. A training forward keeps
+        // every step for BPTT: one GEMM, `T` blocks. An eval forward keeps
+        // the step it writes and the one it reads, and projects just enough
+        // steps for a full register tile of rows; it works in a disjoint
+        // slot range, so an in-flight training cache survives it.
+        let (base, blocks, group) = if training {
+            (0, steps, steps)
+        } else {
+            let tile_steps = kernels::TILE_ROWS.div_ceil(batch.max(1));
+            (EVAL_BASE, 2, tile_steps.min(steps))
+        };
 
-        let mut pre_all = self.ws.take(base + PRE_ALL, steps * b4h);
-        let mut c_all = self.ws.take(base + C_ALL, steps * bh);
-        let mut tanh_all = self.ws.take(base + TANH_ALL, steps * bh);
-        let mut h_all = self.ws.take(base + H_ALL, steps * bh);
+        let mut pre_all = self.ws.take(base + PRE_ALL, group * b4h);
+        let mut c_all = self.ws.take(base + C_ALL, blocks * bh);
+        let mut tanh_all = self.ws.take(base + TANH_ALL, blocks * bh);
+        let mut h_all = self.ws.take(base + H_ALL, blocks * bh);
         let mut zeros = self.ws.take(base + ZEROS, bh);
         zeros.fill(0.0);
 
-        // Batched input projection: accumulating the x-columns first and the
+        // Input projection: accumulating the x-columns first and the
         // h-columns second reproduces the `[x|h] @ W` summation order, so
-        // this is bitwise identical to the per-step concatenated product.
-        kernels::matmul_into(
-            input.view(),
-            self.w.rows_view(0..i_dim),
-            MatMut::new(steps * batch, 4 * h_dim, &mut pre_all),
-        );
+        // this is bitwise identical to the per-step concatenated product,
+        // and each output row depends on its own input row only, so the
+        // group size is not in the bits.
+        let w_x = self.w.rows_view(0..i_dim);
         let w_h = self.w.rows_view(i_dim..i_dim + h_dim);
+        let first = if self.return_sequences { 0 } else { steps - 1 };
+        out.reshape(steps - first, batch, h_dim);
 
         for t in 0..steps {
-            let (h_done, h_rest) = h_all.split_at_mut(t * bh);
-            let h_prev = if t == 0 {
-                &zeros[..]
-            } else {
-                &h_done[(t - 1) * bh..]
-            };
-            let pre_t = &mut pre_all[t * b4h..(t + 1) * b4h];
+            if t % group == 0 {
+                let rows = group.min(steps - t) * batch;
+                let x = &input.as_slice()[t * bi..][..rows * i_dim];
+                let pre = &mut pre_all[..rows * 4 * h_dim];
+                kernels::matmul_into(
+                    MatRef::new(rows, i_dim, x),
+                    w_x,
+                    MatMut::new(rows, 4 * h_dim, pre),
+                );
+            }
+            let pre_t = &mut pre_all[(t % group) * b4h..][..b4h];
+            let (h_prev, h_t) = step_blocks(&mut h_all, &zeros, t, blocks);
             kernels::matmul_acc_into(
                 MatRef::new(batch, h_dim, h_prev),
                 w_h,
@@ -221,13 +240,7 @@ impl Lstm {
             kernels::add_row_broadcast_into(MatMut::new(batch, 4 * h_dim, pre_t), self.b.view());
             // Gate nonlinearities as slice passes over each row's in-place
             // bands, then the cell update.
-            let (c_done, c_rest) = c_all.split_at_mut(t * bh);
-            let c_prev = if t == 0 {
-                &zeros[..]
-            } else {
-                &c_done[(t - 1) * bh..]
-            };
-            let c_t = &mut c_rest[..bh];
+            let (c_prev, c_t) = step_blocks(&mut c_all, &zeros, t, blocks);
             for r in 0..batch {
                 let gates = &mut pre_t[r * 4 * h_dim..(r + 1) * 4 * h_dim];
                 vmath::sigmoid_f64(&mut gates[..2 * h_dim]);
@@ -246,10 +259,9 @@ impl Lstm {
             }
             // tanh(c) for the whole step, in the slot backward reads it
             // from; then h = o ∘ tanh(c).
-            let tanh_t = &mut tanh_all[t * bh..(t + 1) * bh];
+            let tanh_t = &mut tanh_all[(t % blocks) * bh..][..bh];
             tanh_t.copy_from_slice(c_t);
             vmath::tanh_f64(tanh_t);
-            let h_t = &mut h_rest[..bh];
             for r in 0..batch {
                 let go = &pre_t[(r * 4 + 3) * h_dim..(r + 1) * 4 * h_dim];
                 let row = r * h_dim..(r + 1) * h_dim;
@@ -257,11 +269,10 @@ impl Lstm {
                     *ht = o_v * tc;
                 }
             }
+            if t >= first {
+                out.step_data_mut(t - first).copy_from_slice(h_t);
+            }
         }
-
-        let first = if self.return_sequences { 0 } else { steps - 1 };
-        out.reshape(steps - first, batch, h_dim);
-        out.as_mut_slice().copy_from_slice(&h_all[first * bh..]);
 
         self.ws.put(base + PRE_ALL, pre_all);
         self.ws.put(base + C_ALL, c_all);
@@ -483,6 +494,44 @@ impl Lstm {
         self.zero_grads();
         self.cached_steps = 0;
         self.cached_batch = 0;
+    }
+
+    /// The parameters without the gradients or the workspace: what an
+    /// eval forward reads, and nothing a trained layer merely carries.
+    pub(crate) fn serving_copy(&self) -> Self {
+        Self {
+            w: self.w.clone(),
+            b: self.b.clone(),
+            grad_w: Matrix::default(),
+            grad_b: Matrix::default(),
+            ws: Workspace::new(),
+            cached_steps: 0,
+            cached_batch: 0,
+            ..*self
+        }
+    }
+}
+
+/// Step `t`'s two blocks of a slot holding `blocks` steps of `zeros.len()`
+/// values each, step `t` in block `t % blocks`: the block it reads (step
+/// `t - 1`'s, or `zeros` at `t == 0`) and the block it writes.
+fn step_blocks<'a>(
+    buf: &'a mut [f64],
+    zeros: &'a [f64],
+    t: usize,
+    blocks: usize,
+) -> (&'a [f64], &'a mut [f64]) {
+    let len = zeros.len();
+    let cur = t % blocks;
+    if t == 0 {
+        return (zeros, &mut buf[..len]);
+    }
+    let prev = (t - 1) % blocks;
+    let (lo, hi) = buf.split_at_mut(prev.max(cur) * len);
+    if prev < cur {
+        (&lo[prev * len..(prev + 1) * len], &mut hi[..len])
+    } else {
+        (&hi[..len], &mut lo[cur * len..(cur + 1) * len])
     }
 }
 

@@ -585,6 +585,19 @@ impl Sequential {
         out
     }
 
+    /// A replica for serving: the layers' parameters without their
+    /// gradients or workspaces, dropout left out (the identity at
+    /// inference), a fresh optimiser and an empty arena. Its eval forward
+    /// has this model's bits, and nothing done to either afterwards
+    /// reaches the other.
+    pub(crate) fn serving_replica(&self) -> Sequential {
+        Sequential {
+            layers: self.layers.iter().filter_map(Layer::serving_copy).collect(),
+            layers_added: self.layers_added,
+            ..Sequential::new(self.seed)
+        }
+    }
+
     pub(crate) fn layers_mut_internal(&mut self) -> impl Iterator<Item = &mut Layer> {
         self.layers.iter_mut()
     }

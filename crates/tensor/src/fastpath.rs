@@ -1,19 +1,21 @@
-//! Serving-side GEMM operands: the frozen f64 operand and the int8 lane.
+//! Serving-side GEMM operands: the int8 lane, and a frozen f64 operand
+//! that only the benchmark probes still call.
 //!
 //! Everything in [`kernels`](crate::kernels) is bitwise-pinned: training,
 //! the golden fixture, and the federation all depend on one exact
-//! summation order. A frozen inference snapshot multiplies by the same
-//! weights millions of times, so it holds them in a form made once:
+//! summation order. The f64 serving snapshot runs the layers' own eval
+//! forward over those kernels, so nothing here is on its path:
 //!
 //! - [`PackedB`] owns one row-major f64 operand, and
-//!   [`matmul_into_blocked`] / [`matmul_acc_into_blocked`] run the exact
-//!   register-tiled [`kernels`](crate::kernels) over it — the f64 serving
-//!   lane is the training arithmetic, bit for bit.
+//!   [`matmul_into_blocked`] runs the exact
+//!   [`kernels::matmul_into`](crate::kernels::matmul_into) over it. They
+//!   have no product caller; `bench_e2e`'s `tensor.fastpath_gflops` probe
+//!   is the last one, and they go when it does.
 //! - The int8 lane is *always* approximate and therefore never routed
 //!   implicitly: callers opt in per model snapshot
 //!   (`evfad_nn::infer::Precision::Int8`, which then packs
-//!   [`QuantizedPanel`]s only — an f64 snapshot holds [`PackedB`]s only),
-//!   and the bench gates assert its end-to-end error bounds.
+//!   [`QuantizedPanel`]s), and the bench gates assert its end-to-end error
+//!   bounds.
 //!
 //! # The int8 lane
 //!
@@ -47,10 +49,10 @@ const MR: usize = 4;
 /// Panel width for int8 code operands (one register tile of f32 lanes).
 const NR_Q8: usize = 16;
 
-/// A frozen right-hand GEMM operand: an owned row-major `k × n` copy of the
-/// weights, made once per model snapshot. (The names `PackedB`, `pack` and
-/// `*_blocked` outlived the packed FMA tile they were coined for — the
-/// exact tile measured faster — because `bench_e2e`'s probes call them.)
+/// A frozen right-hand GEMM operand: an owned row-major `k × n` copy.
+/// (The names `PackedB`, `pack` and `*_blocked` outlived the packed FMA
+/// tile they were coined for — the exact tile measured faster — because
+/// `bench_e2e`'s probes call them; no product code does.)
 #[derive(Debug, Clone, PartialEq)]
 pub struct PackedB {
     k: usize,
@@ -87,12 +89,6 @@ impl PackedB {
 /// `out = a · b`: the exact [`kernels::matmul_into`](crate::kernels::matmul_into).
 pub fn matmul_into_blocked(a: MatRef<'_>, b: &PackedB, out: MatMut<'_>) {
     crate::kernels::matmul_into(a, b.orig_view(), out);
-}
-
-/// `out += a · b`: the exact
-/// [`kernels::matmul_acc_into`](crate::kernels::matmul_acc_into).
-pub fn matmul_acc_into_blocked(a: MatRef<'_>, b: &PackedB, out: MatMut<'_>) {
-    crate::kernels::matmul_acc_into(a, b.orig_view(), out);
 }
 
 /// A right-hand GEMM operand quantized to int8 with the shared EVQ8 range
@@ -316,9 +312,6 @@ mod tests {
         assert_eq!(p.orig_view().as_slice(), b.as_slice());
         let mut exact = vec![1.0; 7 * 10];
         let mut served = exact.clone();
-        crate::kernels::matmul_acc_into(a.view(), b.view(), MatMut::new(7, 10, &mut exact));
-        matmul_acc_into_blocked(a.view(), &p, MatMut::new(7, 10, &mut served));
-        assert_eq!(exact, served);
         crate::kernels::matmul_into(a.view(), b.view(), MatMut::new(7, 10, &mut exact));
         matmul_into_blocked(a.view(), &p, MatMut::new(7, 10, &mut served));
         assert_eq!(exact, served);

@@ -215,8 +215,10 @@ pub fn matmul_acc_into(a: MatRef<'_>, b: MatRef<'_>, out: MatMut<'_>) {
 
 /// Output rows held in registers by [`tile`]. With its widest 16 columns
 /// that is 8 AVX-512 (16 AVX2) accumulators plus four broadcasts and the
-/// `b` vectors — no spills; 4 x 32 spilled and ran a third slower.
-const TILE_ROWS: usize = 4;
+/// `b` vectors — no spills; 4 x 32 spilled and ran a third slower. A GEMM
+/// with fewer rows streams them one by one, so a caller that can batch
+/// rows gives the tile at least this many.
+pub const TILE_ROWS: usize = 4;
 /// `k` steps of `a`'s columns staged as rows per pass of
 /// [`transpose_matmul_acc_into`] (4 KiB of stack).
 const K_CHUNK: usize = 128;
