@@ -1,38 +1,372 @@
-//! The shared federated round loop, factored out of
-//! [`FederatedSimulation`](crate::FederatedSimulation) so the in-process
-//! and socket paths execute the *same* code for everything the digest
-//! observes: participant sampling, fault admission and disposition,
-//! metering, the `min_participants` floor, aggregation, and round stats.
+//! The federated round protocol, written once for every driver.
 //!
-//! A [`RoundPool`] abstracts the one thing that differs — where the
-//! trained updates come from. The in-process pool trains
-//! [`FedClient`](crate::FedClient)s on local threads; the socket pool
-//! (see [`socket`](crate::socket)) requests training over TCP and decodes
-//! the uplinks it receives. Because every protocol decision lives here,
-//! digest byte-identity between the two paths is a property of the code
-//! shape, not a coincidence to re-verify per feature — the loopback
-//! integration suite pins it anyway.
+//! [`run_rounds`] (the in-process
+//! [`FederatedSimulation`](crate::FederatedSimulation) and the TCP
+//! [`SocketServer`](crate::SocketServer)) and
+//! [`ScaleEngine::run`](crate::scale::ScaleEngine::run) call the same three
+//! pieces each round:
 //!
-//! The large-population path ([`crate::scale`]) deliberately does *not*
-//! implement [`RoundPool`]: it replaces per-client training with
-//! synthesis, folds shards on the
-//! [`evfad_tensor::parallel`] pool in waves, and keeps counters instead
-//! of per-client vectors — the O(clients) stats this loop builds are
-//! exactly what it exists to avoid. The two paths share the scheduler,
-//! fault gate, metering, and streaming rules instead.
+//! 1. [`admit`]: each sampled client, in sample order and before anyone
+//!    trains, asks the [`FaultGate`]. A drop-out is counted (and logged);
+//!    everyone else is admitted with the server's Keep/Waste verdict and
+//!    routed to a [`Share`], whose update count and sample total size an
+//!    accumulator before any payload exists.
+//! 2. [`Fold::ingest`], per update in admission order: dispose of its fault,
+//!    meter the payload at its exact wire length (encoding it here unless it
+//!    crossed a real wire), and fold a kept update into its [`Accumulator`].
+//! 3. [`Tally`]: the counters a fold keeps, which both [`RoundStats`] and
+//!    [`ScaleRoundStats`](crate::scale::ScaleRoundStats) are built from.
+//!
+//! Only the source of updates differs. A [`RoundPool`] trains (in-process)
+//! or collects (TCP) its admitted clients' updates; a socket client reports
+//! its sample count with its update, so `run_rounds` sizes the accumulator
+//! from the kept updates — FedAvg streams, bitwise the batch fold, and the
+//! robust rules collect for their batch rule. The scale engine synthesises
+//! its updates shard by shard, streams FedAvg and TrimmedMean and logs
+//! nothing per client; its edge→root hop is one more admission and fold,
+//! over the shard partials, under the edge plan's gate. Because every
+//! protocol decision lives here, the socket digest is the in-process
+//! digest by construction; the loopback suite pins it anyway.
 
+use crate::aggregate::Aggregator;
 use crate::client::LocalUpdate;
-use crate::compression::CodecScratch;
+use crate::compression::{CodecScratch, CompressionMode, QuantizedUpdate};
 use crate::error::FederatedError;
-use crate::faults::{FaultEvent, FaultKind};
+use crate::faults::{FaultEvent, FaultKind, FaultOutcome};
 use crate::scheduler::Scheduler;
-use crate::server::{self, Disposition, FaultGate};
+use crate::server::{Disposition, FaultGate};
 use crate::simulation::{FederatedConfig, FederatedOutcome, RoundStats};
+use crate::streaming::StreamingAggregator;
 use crate::transport::MeteredChannel;
 use crate::wire;
 use bytes::BytesMut;
 use evfad_tensor::Matrix;
 use std::time::Instant;
+
+/// A client admitted to a round: its index in the update source, the fault
+/// it acts out after training, and the server's verdict on its update.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct Admitted {
+    pub(crate) index: usize,
+    pub(crate) fault: Option<FaultKind>,
+    pub(crate) disposition: Disposition,
+}
+
+impl Admitted {
+    /// Whether the server aggregates this client's update.
+    pub(crate) fn keeps(&self) -> bool {
+        matches!(self.disposition, Disposition::Keep { .. })
+    }
+}
+
+/// One accumulator's part of a round's admission.
+#[derive(Debug, Clone, Default)]
+pub(crate) struct Share {
+    /// Admitted clients in sample order, kept and wasted alike: both upload.
+    pub(crate) members: Vec<Admitted>,
+    /// Members the server keeps: the accumulator's expected update count.
+    pub(crate) kept: usize,
+    /// Their routed sample counts, summed as f64 in member order — the
+    /// total the batch FedAvg computes.
+    pub(crate) samples: f64,
+}
+
+/// A round's admission: one [`Share`] per accumulator, and the drop-outs.
+#[derive(Debug)]
+pub(crate) struct Admission {
+    pub(crate) shares: Vec<Share>,
+    pub(crate) dropped: usize,
+}
+
+impl Admission {
+    /// Updates the round will aggregate, over every share.
+    pub(crate) fn kept(&self) -> usize {
+        self.shares.iter().map(|share| share.kept).sum()
+    }
+}
+
+/// The admission pre-pass over `sampled`, serially and in order, before any
+/// client trains: fault decisions never depend on thread scheduling or
+/// network arrival order. `route` writes a client's id into the buffer it
+/// is given and returns the share its update folds into and the sample
+/// count that share's FedAvg weighs it by. Drop-outs are logged into `log`
+/// when one is given.
+pub(crate) fn admit(
+    gate: &FaultGate,
+    round: usize,
+    sampled: impl IntoIterator<Item = usize>,
+    shares: usize,
+    mut route: impl FnMut(usize, &mut String) -> (usize, usize),
+    mut log: Option<&mut Vec<FaultEvent>>,
+) -> Admission {
+    let mut admission = Admission {
+        shares: vec![Share::default(); shares],
+        dropped: 0,
+    };
+    let mut id = String::new();
+    for index in sampled {
+        id.clear();
+        let (share, samples) = route(index, &mut id);
+        let Some((fault, disposition)) = gate.admit(round, &id) else {
+            admission.dropped += 1;
+            if let Some(log) = log.as_deref_mut() {
+                log.push(FaultEvent {
+                    round,
+                    client_id: id.clone(),
+                    fault: FaultKind::DropOut,
+                    outcome: FaultOutcome::Dropped,
+                });
+            }
+            continue;
+        };
+        let share = &mut admission.shares[share];
+        let admitted = Admitted {
+            index,
+            fault,
+            disposition,
+        };
+        if admitted.keeps() {
+            share.kept += 1;
+            share.samples += samples as f64;
+        }
+        share.members.push(admitted);
+    }
+    admission
+}
+
+/// Where a fold's kept updates go: a streaming rule, the updates
+/// themselves, or both.
+pub(crate) struct Accumulator {
+    rule: Aggregator,
+    stream: Option<Box<dyn StreamingAggregator>>,
+    collect: bool,
+    /// The kept updates, as the server decoded them, when collecting: the
+    /// batch rule's input when nothing streams, otherwise a reference the
+    /// scale engine's `verify_streaming` checks the stream against.
+    pub(crate) kept: Vec<LocalUpdate>,
+    /// Largest streaming state seen after an ingest.
+    pub(crate) peak_state: usize,
+    /// Whether the streaming state kept the size of its first ingest — the
+    /// O(model · workers) bound the scale engine reports rests on it.
+    pub(crate) state_stable: bool,
+}
+
+impl Accumulator {
+    /// An accumulator for `expected` kept updates whose sample counts sum
+    /// to `samples`. `streams` says whether the rule streams here: FedAvg
+    /// streams bit for bit, trimmed mean up to reassociation, median and
+    /// Krum not at all. A rule that does not stream collects the kept
+    /// updates for its batch rule, as does an accumulator asked to keep a
+    /// `reference`.
+    pub(crate) fn new(
+        rule: Aggregator,
+        expected: usize,
+        samples: f64,
+        streams: bool,
+        reference: bool,
+    ) -> Self {
+        let stream = streams.then(|| rule.streaming(samples, expected)).flatten();
+        Self {
+            rule,
+            collect: reference || stream.is_none(),
+            stream,
+            kept: Vec::new(),
+            peak_state: 0,
+            state_stable: true,
+        }
+    }
+
+    /// Folds one kept update. `quantized` carries the `EVQ8` payload the
+    /// fold just encoded and the scratch it encoded from: a stream folds the
+    /// payload itself (bitwise decode-then-ingest), a collector keeps the
+    /// decode.
+    fn ingest(
+        &mut self,
+        update: &mut LocalUpdate,
+        quantized: Option<(&[u8], &CodecScratch)>,
+    ) -> Result<(), FederatedError> {
+        if let Some(stream) = &mut self.stream {
+            match quantized {
+                Some((payload, _)) => {
+                    stream.ingest_quantized(&update.client_id, update.sample_count, payload)?
+                }
+                None => stream.ingest(update)?,
+            }
+            let state = stream.state_bytes();
+            if self.peak_state != 0 && state != self.peak_state {
+                self.state_stable = false;
+            }
+            self.peak_state = self.peak_state.max(state);
+        }
+        if self.collect {
+            if let Some((_, scratch)) = quantized {
+                scratch.decode_into(CompressionMode::Quant8, &mut update.weights);
+            }
+            self.kept.push(update.clone());
+        }
+        Ok(())
+    }
+
+    /// The aggregate of everything folded.
+    pub(crate) fn finish(self) -> Result<Vec<Matrix>, FederatedError> {
+        match self.stream {
+            Some(stream) => stream.finish(),
+            None => self.rule.aggregate(&self.kept),
+        }
+    }
+}
+
+/// The counters a fold keeps; [`RoundStats`] and `ScaleRoundStats` are
+/// built from them.
+#[derive(Debug, Clone, Copy, Default)]
+pub(crate) struct Tally {
+    /// Updates aggregated.
+    pub(crate) kept: usize,
+    /// Updates that crossed the channel but were discarded.
+    pub(crate) wasted: usize,
+    /// Updates corrupted in flight (and aggregated as transmitted).
+    pub(crate) corrupted: usize,
+    /// Wire bytes that crossed the channel, retries included.
+    pub(crate) bytes: usize,
+    /// Full-precision bytes the same payloads would have cost.
+    pub(crate) raw_bytes: usize,
+    /// Simulated server wait for updates the round timeout cut off.
+    pub(crate) timeout_wait_seconds: f64,
+}
+
+impl Tally {
+    /// Adds another fold's counters to these.
+    pub(crate) fn absorb(&mut self, other: &Tally) {
+        self.kept += other.kept;
+        self.wasted += other.wasted;
+        self.corrupted += other.corrupted;
+        self.bytes += other.bytes;
+        self.raw_bytes += other.raw_bytes;
+        self.timeout_wait_seconds = self.timeout_wait_seconds.max(other.timeout_wait_seconds);
+    }
+
+    /// Full-precision bytes over actual bytes (1.0 when nothing crossed).
+    fn compression_ratio(&self) -> f64 {
+        if self.bytes == 0 {
+            1.0
+        } else {
+            self.raw_bytes as f64 / self.bytes as f64
+        }
+    }
+}
+
+/// The per-update half of the protocol, over one accumulator.
+pub(crate) struct Fold<'a> {
+    gate: &'a FaultGate,
+    channel: &'a MeteredChannel,
+    mode: CompressionMode,
+    /// `false` when the client already corrupted its own payload before
+    /// encoding (the socket path): sign flip is not idempotent.
+    apply_payload_faults: bool,
+    scratch: CodecScratch,
+    payload: BytesMut,
+    pub(crate) acc: Accumulator,
+    pub(crate) tally: Tally,
+}
+
+impl<'a> Fold<'a> {
+    pub(crate) fn new(
+        gate: &'a FaultGate,
+        channel: &'a MeteredChannel,
+        mode: CompressionMode,
+        apply_payload_faults: bool,
+        acc: Accumulator,
+    ) -> Self {
+        Self {
+            gate,
+            channel,
+            mode,
+            apply_payload_faults,
+            scratch: CodecScratch::default(),
+            payload: BytesMut::new(),
+            acc,
+            tally: Tally::default(),
+        }
+    }
+
+    /// Disposes of one update under its admitted fault, meters what crossed
+    /// the channel, and folds the update if the server keeps it; returns
+    /// whether it did. `wire_len` is the length of a payload that already
+    /// crossed a real wire, whose weights are the server's decode of it —
+    /// re-quantizing them would move the grid. Otherwise the update is
+    /// encoded here under the round's compression, so metering and
+    /// aggregation see the same bytes. Frame and envelope overhead is not
+    /// metered on either path. `log` receives the fault event and, for a
+    /// kept update, its per-client stats.
+    pub(crate) fn ingest(
+        &mut self,
+        update: &mut LocalUpdate,
+        fault: Option<FaultKind>,
+        wire_len: Option<usize>,
+        log: Option<&mut RoundStats>,
+    ) -> Result<bool, FederatedError> {
+        let (disposition, outcome) = self.gate.dispose(fault, update, self.apply_payload_faults);
+        let keep = matches!(disposition, Disposition::Keep { .. });
+        match outcome {
+            Some(FaultOutcome::TimedOut {
+                timeout_seconds, ..
+            }) => {
+                self.tally.timeout_wait_seconds =
+                    self.tally.timeout_wait_seconds.max(timeout_seconds)
+            }
+            Some(FaultOutcome::Corrupted) => self.tally.corrupted += 1,
+            _ => {}
+        }
+        if let Some(log) = log {
+            if let (Some(fault), Some(outcome)) = (fault, outcome) {
+                log.faults.push(FaultEvent {
+                    round: log.round,
+                    client_id: update.client_id.clone(),
+                    fault,
+                    outcome,
+                });
+            }
+            if keep {
+                log.participants.push(update.client_id.clone());
+                log.client_losses.push(update.train_loss);
+                log.client_seconds.push(update.duration.as_secs_f64());
+                log.client_extra_seconds
+                    .push(update.simulated_extra_seconds);
+            }
+        }
+        let encoded = wire_len.is_none() && self.mode == CompressionMode::Quant8;
+        let len = match wire_len {
+            Some(len) => len,
+            None if encoded => {
+                QuantizedUpdate::quantize_into(&update.weights, &mut self.scratch.quant);
+                wire::encode_quantized_into(&mut self.payload, &self.scratch.quant);
+                self.payload.len()
+            }
+            None => wire::encoded_size(&update.weights),
+        };
+        let attempts = disposition.attempts();
+        self.channel.record_attempts_bytes(len, attempts);
+        self.tally.bytes += len * attempts;
+        self.tally.raw_bytes += wire::encoded_size(&update.weights) * attempts;
+        if !keep {
+            self.tally.wasted += 1;
+            return Ok(false);
+        }
+        let quantized = encoded.then(|| (&self.payload[..], &self.scratch));
+        self.acc.ingest(update, quantized)?;
+        self.tally.kept += 1;
+        Ok(true)
+    }
+}
+
+/// Meters one broadcast of `len` bytes to each of `receivers`; returns the
+/// round's downlink bytes.
+pub(crate) fn meter_broadcast(channel: &MeteredChannel, len: usize, receivers: usize) -> usize {
+    for _ in 0..receivers {
+        channel.record_bytes(len);
+    }
+    len * receivers
+}
 
 /// One trained update as delivered by a [`RoundPool`].
 pub(crate) struct PoolUpdate {
@@ -40,23 +374,12 @@ pub(crate) struct PoolUpdate {
     /// server-side decode of the received payload.
     pub(crate) update: LocalUpdate,
     /// Exact uplink payload bytes this update cost on a real wire
-    /// (`None` on the in-process path, where metering encodes locally).
+    /// (`None` in-process, where the fold encodes it).
     pub(crate) wire_len: Option<usize>,
 }
 
-impl PoolUpdate {
-    /// An in-process update: no wire crossed, metering will encode.
-    pub(crate) fn local(update: LocalUpdate) -> Self {
-        Self {
-            update,
-            wire_len: None,
-        }
-    }
-}
-
 /// Source of trained updates for [`run_rounds`] — the only part of the
-/// round loop that differs between the in-process simulation and the TCP
-/// transport.
+/// in-process and TCP rounds that differs.
 pub(crate) trait RoundPool {
     /// Number of registered clients (constant over the run).
     fn client_count(&self) -> usize;
@@ -65,47 +388,38 @@ pub(crate) trait RoundPool {
     fn client_id(&self, ci: usize) -> &str;
 
     /// Delivers the new global model to every client. `encoded` is the
-    /// EVFD broadcast payload; the engine has already metered it once per
-    /// client. Called after each aggregation (i.e. at the top of rounds
-    /// `1..`), never before round 0 — clients start from the shared
-    /// initialisation.
+    /// EVFD broadcast payload, already metered once per client. Called at
+    /// the top of rounds `1..`, never before round 0 — clients start from
+    /// the shared initialisation.
     fn broadcast(&mut self, global: &[Matrix], encoded: &[u8]) -> Result<(), FederatedError>;
 
-    /// Trains the `active` clients for one round and returns their
-    /// updates **in `active` order** — the engine's fault disposition
-    /// walks them positionally against `active_faults`. `active_faults`
-    /// carries the admitted fault per client (a live pool forwards it so
-    /// clients can act faults out; the in-process pool ignores it and
-    /// lets the gate simulate them).
+    /// Trains (or collects) the `admitted` clients' updates for one round
+    /// and returns them **in `admitted` order**, wasted ones included: they
+    /// upload too. A live pool forwards each admitted fault so its client
+    /// can act it out; the in-process pool leaves them to the fold.
     fn round_updates(
         &mut self,
         round: usize,
-        active: &[usize],
-        active_faults: &[Option<FaultKind>],
+        admitted: &[Admitted],
         global: &[Matrix],
     ) -> Result<Vec<PoolUpdate>, FederatedError>;
 
     /// Whether payload-visible faults (corruption) already happened in
-    /// transit — i.e. the clients applied them before encoding, so the
-    /// gate must not apply them again. `false` for in-process pools.
+    /// transit — the clients applied them before encoding, so the fold
+    /// must not apply them again. `false` for in-process pools.
     fn faults_in_transit(&self) -> bool {
         false
     }
 
     /// Called once after the last round with the final global weights
     /// (e.g. to send `Done` over the wire). Default: nothing.
-    fn finish(&mut self, global: &[Matrix]) -> Result<(), FederatedError> {
-        let _ = global;
+    fn finish(&mut self, _global: &[Matrix]) -> Result<(), FederatedError> {
         Ok(())
     }
 }
 
-/// Runs the full federated schedule over `pool`.
-///
-/// This is the loop previously inlined in `FederatedSimulation::run`,
-/// verbatim in its decision structure: the golden digest fixture pins
-/// that the extraction changed nothing. The caller has already validated
-/// `config` and reset `channel`.
+/// Runs the full federated schedule over `pool`. The caller has already
+/// validated `config` and reset `channel`.
 pub(crate) fn run_rounds<P: RoundPool>(
     pool: &mut P,
     config: &FederatedConfig,
@@ -115,122 +429,61 @@ pub(crate) fn run_rounds<P: RoundPool>(
     let start = Instant::now();
     let gate = FaultGate::new(config.faults.clone());
     let scheduler = Scheduler::new(config.participation, config.sampling_seed);
-    let mut rounds = Vec::with_capacity(config.rounds);
     let apply_payload_faults = !pool.faults_in_transit();
-
-    // The broadcast is encoded once per round into this reusable buffer;
-    // every client is metered by the same byte length. No JSON
-    // serialisation happens anywhere in the round loop.
-    let mut broadcast_buf = BytesMut::new();
-    // One codec scratch for the whole run: after the first round every
-    // uplink encode/decode reuses its buffers instead of allocating.
-    let mut codec_scratch = CodecScratch::default();
+    let mut rounds = Vec::with_capacity(config.rounds);
+    // The broadcast is encoded once per round into this reused buffer and
+    // every client is metered by its length.
+    let mut broadcast = BytesMut::new();
 
     for round in 0..config.rounds {
         let round_start = Instant::now();
-        // Broadcast: after round 0 every client starts from the global
-        // model (round 0 starts from the shared initialisation).
-        let mut downlink_bytes = 0usize;
+        let mut downlink_bytes = 0;
         if round > 0 {
-            wire::encode_weights_into(&mut broadcast_buf, &global);
-            let broadcast_len = broadcast_buf.len();
-            for _ in 0..pool.client_count() {
-                channel.record_bytes(broadcast_len);
-            }
-            pool.broadcast(&global, &broadcast_buf)?;
-            downlink_bytes = broadcast_len * pool.client_count();
+            wire::encode_weights_into(&mut broadcast, &global);
+            downlink_bytes = meter_broadcast(channel, broadcast.len(), pool.client_count());
+            pool.broadcast(&global, &broadcast)?;
         }
-        // Sample this round's participants (all of them at the paper's
-        // participation = 1.0).
-        let participants = scheduler.sample(round, pool.client_count());
-        // Consult the fault plan serially, in client order, *before*
-        // training: fault decisions must never depend on thread
-        // scheduling (or network arrival order). Dropped-out clients
-        // never even train.
-        let mut faults: Vec<FaultEvent> = Vec::new();
-        let mut active: Vec<usize> = Vec::new();
-        let mut active_faults: Vec<Option<FaultKind>> = Vec::new();
-        for &ci in &participants {
-            if let Some(fault) = gate.admit(round, pool.client_id(ci), &mut faults) {
-                active.push(ci);
-                active_faults.push(fault);
-            }
-        }
-        // Local training (parallel threads in-process; remote clients
-        // over TCP on the socket path).
-        let updates = pool.round_updates(round, &active, &active_faults, &global)?;
-        debug_assert_eq!(updates.len(), active.len(), "pool must fill the round");
-        // Apply the fault model to each trained update, still in client
-        // order.
-        let mut kept: Vec<LocalUpdate> = Vec::new();
-        let mut kept_attempts: Vec<usize> = Vec::new();
-        let mut kept_wire: Vec<Option<usize>> = Vec::new();
-        // Updates that crossed the channel but never reached aggregation
-        // (timed-out stragglers; exhausted retries), with the number of
-        // send attempts to meter.
-        let mut wasted: Vec<(LocalUpdate, usize, Option<usize>)> = Vec::new();
-        let mut timeout_wait_seconds = 0.0_f64;
-        for (pooled, fault) in updates.into_iter().zip(active_faults) {
-            let PoolUpdate {
-                mut update,
-                wire_len,
-            } = pooled;
-            match gate.dispose(
-                round,
-                fault,
-                &mut update,
-                &mut faults,
-                &mut timeout_wait_seconds,
-                apply_payload_faults,
-            ) {
-                Disposition::Keep { attempts } => {
-                    kept.push(update);
-                    kept_attempts.push(attempts);
-                    kept_wire.push(wire_len);
-                }
-                Disposition::Waste { attempts } => wasted.push((update, attempts, wire_len)),
-            }
-        }
-        // Uplink: encode each surviving update per the configured
-        // compression mode, meter the exact wire byte length of the
-        // payload that crossed the channel, and hand the server the
-        // *decoded* payload — metering, faults, and aggregation all see
-        // the same bytes. On the socket path the payload already crossed
-        // a real wire: its decoded weights and actual byte length ride in
-        // unchanged.
-        let uplink = server::meter_uplinks(
+        let mut stats = RoundStats {
+            round,
+            downlink_bytes,
+            ..RoundStats::default()
+        };
+        let sampled = scheduler.sample(round, pool.client_count());
+        // Sample counts come with the updates here, so none is routed.
+        let route = |ci: usize, id: &mut String| {
+            id.push_str(pool.client_id(ci));
+            (0, 0)
+        };
+        let admission = admit(&gate, round, sampled, 1, route, Some(&mut stats.faults));
+        let share = &admission.shares[0];
+        let updates = pool.round_updates(round, &share.members, &global)?;
+        debug_assert_eq!(updates.len(), share.members.len());
+        gate.require(round, share.kept)?;
+        let samples: f64 = updates
+            .iter()
+            .zip(&share.members)
+            .filter(|(_, admitted)| admitted.keeps())
+            .map(|(pooled, _)| pooled.update.sample_count as f64)
+            .sum();
+        let streams = config.aggregator == Aggregator::FedAvg;
+        let acc = Accumulator::new(config.aggregator, share.kept, samples, streams, false);
+        let mut fold = Fold::new(
+            &gate,
             channel,
             config.compression,
-            &mut kept,
-            &kept_attempts,
-            &kept_wire,
-            &wasted,
-            &mut codec_scratch,
+            apply_payload_faults,
+            acc,
         );
-        let uplink_bytes = uplink.bytes;
-        let compression_ratio = uplink.compression_ratio();
-        // Graceful degradation: proceed iff enough updates survived.
-        if kept.len() < gate.min_participants {
-            return Err(FederatedError::InsufficientParticipants {
-                round,
-                survivors: kept.len(),
-                required: gate.min_participants,
-            });
+        for (mut pooled, admitted) in updates.into_iter().zip(&share.members) {
+            let (update, wire_len) = (&mut pooled.update, pooled.wire_len);
+            fold.ingest(update, admitted.fault, wire_len, Some(&mut stats))?;
         }
-        global = server::aggregate_round(config.aggregator, &kept)?;
-        rounds.push(RoundStats {
-            round,
-            participants: kept.iter().map(|u| u.client_id.clone()).collect(),
-            client_losses: kept.iter().map(|u| u.train_loss).collect(),
-            client_seconds: kept.iter().map(|u| u.duration.as_secs_f64()).collect(),
-            client_extra_seconds: kept.iter().map(|u| u.simulated_extra_seconds).collect(),
-            timeout_wait_seconds,
-            faults,
-            uplink_bytes,
-            downlink_bytes,
-            compression_ratio,
-            duration: round_start.elapsed(),
-        });
+        global = fold.acc.finish()?;
+        stats.uplink_bytes = fold.tally.bytes;
+        stats.compression_ratio = fold.tally.compression_ratio();
+        stats.timeout_wait_seconds = fold.tally.timeout_wait_seconds;
+        stats.duration = round_start.elapsed();
+        rounds.push(stats);
     }
 
     pool.finish(&global)?;
@@ -241,4 +494,78 @@ pub(crate) fn run_rounds<P: RoundPool>(
         total_duration: start.elapsed(),
         traffic: channel.totals(),
     })
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use std::time::Duration;
+
+    fn update(id: &str, count: usize, v: f64) -> LocalUpdate {
+        LocalUpdate {
+            client_id: id.to_string(),
+            weights: vec![Matrix::from_vec(1, 3, vec![v, v * 2.0, v * -0.5])],
+            sample_count: count,
+            train_loss: 0.1,
+            duration: Duration::ZERO,
+            simulated_extra_seconds: 0.0,
+        }
+    }
+
+    fn fold_all(
+        mut acc: Accumulator,
+        updates: &[LocalUpdate],
+    ) -> Result<Vec<Matrix>, FederatedError> {
+        for u in updates {
+            acc.ingest(&mut u.clone(), None)?;
+        }
+        acc.finish()
+    }
+
+    #[test]
+    fn exact_accumulator_streams_fedavg_bitwise_with_the_batch_rule() {
+        let kept = vec![
+            update("a", 31, 0.1234567),
+            update("b", 7, -2.25),
+            update("c", 113, 9.75e-3),
+        ];
+        let total: f64 = kept.iter().map(|u| u.sample_count as f64).sum();
+        let acc = Accumulator::new(Aggregator::FedAvg, kept.len(), total, true, false);
+        assert!(acc.stream.is_some() && !acc.collect);
+        let via_fold = fold_all(acc, &kept).expect("streaming route");
+        let via_batch = Aggregator::FedAvg.aggregate(&kept).expect("batch");
+        assert_eq!(via_fold, via_batch, "must match to the bit");
+    }
+
+    #[test]
+    fn exact_accumulator_collects_the_robust_rules_for_their_batch_rule() {
+        let kept = vec![
+            update("a", 1, 1.0),
+            update("b", 1, 2.0),
+            update("c", 1, 3.0),
+            update("d", 1, 4.0),
+        ];
+        for agg in [
+            Aggregator::Median,
+            Aggregator::TrimmedMean { trim: 1 },
+            Aggregator::Krum { byzantine: 1 },
+        ] {
+            let acc = Accumulator::new(agg, kept.len(), 4.0, false, false);
+            assert!(acc.stream.is_none() && acc.collect);
+            let via_fold = fold_all(acc, &kept).expect("batch route");
+            let via_batch = agg.aggregate(&kept).expect("batch");
+            assert_eq!(via_fold, via_batch);
+        }
+    }
+
+    #[test]
+    fn an_accumulator_that_folded_nothing_is_no_clients() {
+        for acc in [
+            Accumulator::new(Aggregator::FedAvg, 0, 0.0, true, false),
+            Accumulator::new(Aggregator::Median, 0, 0.0, true, false),
+            Accumulator::new(Aggregator::TrimmedMean { trim: 0 }, 0, 0.0, true, true),
+        ] {
+            assert!(matches!(acc.finish(), Err(FederatedError::NoClients)));
+        }
+    }
 }

@@ -1,71 +1,45 @@
-//! Hierarchical large-population federation: 10k–1M lightweight clients,
-//! parallel edge-tier streaming aggregation, O(model · workers) server
-//! memory.
+//! Hierarchical large-population federation: 10k–1M synthetic clients,
+//! edge-tier streaming aggregation, O(model · workers) server memory.
 //!
-//! The in-process [`crate::FederatedSimulation`] trains real models and
-//! tops out at a few hundred clients. This engine scales the *protocol* —
-//! scheduling, faults, traffic, aggregation — to paper-style populations
-//! by replacing full clients with [`ClientSpec`]s: a zone profile drawn
-//! from the data generator ([`evfad_data::ZoneProfile`]), a sample count,
-//! and a seed, from which each round's update is synthesised
-//! deterministically around the current global model.
+//! This engine runs the round protocol of [`engine`](crate::engine) — the
+//! admission, fold and tally the in-process [`crate::FederatedSimulation`]
+//! runs — over paper-style populations, with synthesis in place of
+//! training: a [`ClientSpec`] (a zone profile of the data generator, a
+//! sample count, a seed) yields each round's update deterministically
+//! around the current global. What scale adds:
 //!
-//! # Topology, parallelism, and memory
+//! * **Shards.** Admission routes each sampled client to one of `edges`
+//!   contiguous shards, each an accumulator sized up front.
+//! * **Waves.** Shard folds fan out over the [`evfad_tensor::parallel`]
+//!   pool, [`ScaleConfig::threads`] at a time. A fold synthesises its
+//!   members [`LANES`] at a time into reused buffers, and each update is
+//!   disposed, metered and folded (Quant8 straight from its payload) before
+//!   the next group overwrites it: nothing per client outlives its update.
+//! * **The edge hop.** With `edges > 1` each shard's aggregate is a partial:
+//!   one more admission and fold, over the shards with a partial, under the
+//!   edge plan's gate (ids `"edge-{e}"`, its `min_participants` the root's
+//!   floor), uncompressed. The root folds each wave's partials in edge
+//!   order, so a run is **bitwise identical at every thread count**. With
+//!   `edges: 1` the shard's aggregate is the next global.
 //!
-//! Clients are partitioned into `edges` contiguous shards. Each round:
-//!
-//! 1. the [`Scheduler`] samples a C-fraction of the population;
-//! 2. a pure fault pre-pass ([`crate::faults`] decisions are functions of
-//!    `(seed, round, client)`) fixes every shard's surviving update count
-//!    and sample total, sizing the streaming accumulators up front;
-//! 3. each edge streams its shard through a
-//!    [`crate::streaming::StreamingAggregator`] and forwards **one**
-//!    partial update to the root — the edge→root hop runs through the
-//!    same fault model, keyed by ids `"edge-0"`, `"edge-1"`, …;
-//! 4. the root streams the edge partials into the next global model.
-//!
-//! Shard folds are mutually independent, so step 3 fans out across the
-//! deterministic [`evfad_tensor::parallel`] worker pool in *waves* of
-//! [`ScaleConfig::threads`] shards: each wave folds up to `threads`
-//! shards concurrently (one task per shard), then the root ingests the
-//! wave's partials in **strict edge-index order** before the next wave
-//! starts. Only the root fold is order-sensitive, and its order never
-//! depends on scheduling, so the result is **bitwise identical to the
-//! serial run at every thread count** — the same guarantee the tensor
-//! kernels pin.
-//!
-//! Live aggregation state is one root accumulator plus at most
-//! `min(threads, edges)` concurrent edge accumulators (a finished fold's
-//! partial replaces its accumulator, same footprint): O(model · workers),
-//! independent of the population. The batch path would materialise every
-//! kept update: O(clients × model). Both numbers are reported per run
-//! ([`ScaleOutcome::peak_aggregation_bytes`] vs
-//! [`ScaleOutcome::materialized_equivalent_bytes`]);
-//! [`ScaleConfig::verify_streaming`] additionally asserts
-//! in-run that no accumulator grows after its first ingest. Beside its
-//! accumulator (the only state those two numbers count) an active fold
-//! holds eight reused update buffers, which its kept clients are
-//! synthesised into eight at a time; [`ClientSpec`]s are derived where
-//! needed, never stored, so nothing the engine keeps grows with `clients`.
-//!
-//! With `edges: 1` and FedAvg the hierarchy degenerates to the flat
-//! streaming fold, which is bitwise-identical to the batch rule
-//! ([`ScaleConfig::verify_streaming`] asserts this inline). With more
-//! edges, FedAvg remains exact up to floating-point reassociation: each
-//! partial is the sample-weighted mean of its shard and the root weighs
-//! partials by shard sample totals, so the composition is the overall
-//! weighted mean.
+//! Live state is the root accumulator plus at most `min(threads, edges)`
+//! shard accumulators — O(model · workers), against the batch path's
+//! O(clients × model) ([`ScaleOutcome::peak_aggregation_bytes`],
+//! [`ScaleOutcome::materialized_equivalent_bytes`]).
+//! [`ScaleConfig::verify_streaming`] checks in-run that no accumulator grows
+//! after its first ingest, and each round against the batch rule: bitwise
+//! for flat FedAvg, ≤ 1e-9 relative with edges.
 
 use crate::aggregate::Aggregator;
 use crate::client::LocalUpdate;
-use crate::compression::{CodecScratch, CompressionMode};
+use crate::compression::CompressionMode;
+use crate::engine::{self, Accumulator, Admitted, Fold, Share, Tally};
 use crate::error::FederatedError;
-use crate::faults::{fnv1a, FaultEvent, FaultKind, FaultPlan};
+use crate::faults::{fnv1a, FaultPlan};
 use crate::scheduler::Scheduler;
-use crate::server::{Disposition, FaultGate};
+use crate::server::FaultGate;
 use crate::transport::{MeteredChannel, TrafficTotals};
 use crate::wire;
-use bytes::BytesMut;
 use evfad_data::{Zone, ZoneProfile};
 use evfad_tensor::{parallel, Matrix};
 use serde::{Deserialize, Serialize};
@@ -98,16 +72,10 @@ pub struct ScaleConfig {
     /// serialized config without the field reads as `0` (inherit).
     #[serde(default)]
     pub threads: usize,
-    /// Client→edge uplink compression. Each kept client's update is
-    /// encoded for real (per-worker [`CodecScratch`], zero-alloc when
-    /// warm), metered at its exact wire byte length, and folded into the
-    /// edge accumulator **straight from the encoded payload** via the
-    /// fused [`crate::streaming::StreamingAggregator::ingest_quantized`]
-    /// path — no per-update `Vec<Matrix>` is ever materialised. The
-    /// broadcast downlink and the edge→root hop stay full precision
-    /// (partials are already one-model-per-edge; compressing them would
-    /// compound quantisation error at the root). Results are identical at
-    /// every thread count, like everything else in this engine.
+    /// Client→edge uplink compression: each update is encoded for real,
+    /// metered at its wire length and folded straight from the payload
+    /// ([`crate::streaming::StreamingAggregator::ingest_quantized`]). The
+    /// downlink and the edge→root hop stay full precision.
     #[serde(default)]
     pub compression: CompressionMode,
     /// Client-tier fault plan. Wildcard (`"*"`) probability rules express
@@ -115,16 +83,14 @@ pub struct ScaleConfig {
     #[serde(default)]
     pub faults: Option<FaultPlan>,
     /// Edge-tier fault plan, consulted with client ids `"edge-{e}"` on the
-    /// edge→root forward: a dropped edge loses its whole shard for the
-    /// round; a timed-out edge partial is metered but discarded.
+    /// edge→root hop: a dropped edge loses its whole shard for the round; a
+    /// timed-out edge partial is metered but discarded.
     #[serde(default)]
     pub edge_faults: Option<FaultPlan>,
-    /// Also materialise every kept update and check the hierarchy against
-    /// the batch aggregate each round: bitwise for flat FedAvg, ≤1e-9
-    /// relative otherwise. Costs the O(clients × model) memory the
-    /// streaming path avoids — a correctness gate, not a production mode.
-    /// Ignored when an edge-tier fault plan is set (lost shards make the
-    /// flat batch reference incomparable).
+    /// Also keep every kept update and check each round against the batch
+    /// aggregate: bitwise for flat FedAvg, ≤1e-9 relative otherwise. A
+    /// correctness gate at O(clients × model) memory; ignored under an
+    /// edge-tier fault plan (lost shards make the reference incomparable).
     #[serde(default)]
     pub verify_streaming: bool,
 }
@@ -201,10 +167,7 @@ impl ScaleConfig {
                 ));
             }
         }
-        if let Some(plan) = &self.faults {
-            plan.validate()?;
-        }
-        if let Some(plan) = &self.edge_faults {
+        for plan in self.faults.iter().chain(&self.edge_faults) {
             plan.validate()?;
         }
         Ok(())
@@ -339,47 +302,6 @@ impl ScaleOutcome {
     }
 }
 
-/// How a shard's partial fares on the edge→root hop.
-enum EdgeForward {
-    /// Shard had no kept clients this round — nothing to forward.
-    Empty,
-    /// Edge dropped out: the partial never leaves, the shard is lost.
-    Dropped,
-    /// Partial crossed the channel `attempts` times but the root discards
-    /// it (edge straggler past the timeout, exhausted retries).
-    Waste { attempts: usize },
-    /// Partial reaches the root (possibly corrupted/delayed in flight).
-    Keep {
-        fault: Option<FaultKind>,
-        attempts: usize,
-    },
-}
-
-/// What one edge-shard fold returns from the parallel fan-out: everything
-/// the join needs, nothing that aliases the engine.
-struct EdgeFold {
-    /// The shard aggregate (pending the edge→root forward decision), or
-    /// the first error the fold hit. Errors surface at the join in
-    /// edge-index order, exactly where a serial run would report them.
-    partial: Result<Vec<Matrix>, FederatedError>,
-    /// Largest live accumulator state during this fold.
-    peak_state: usize,
-    /// Whether the accumulator held a constant size after its first
-    /// ingest — the in-run half of the O(model · workers) bound, checked
-    /// under [`ScaleConfig::verify_streaming`].
-    state_stable: bool,
-    /// Exact uplink payload bytes per kept update, in shard order — the
-    /// real encoded length under [`ScaleConfig::compression`] (equal to
-    /// the full-precision size when uncompressed). A pure function of the
-    /// update, so the join's metering is thread-invariant.
-    kept_payload_bytes: Vec<usize>,
-    /// Kept updates, materialised only under `verify_streaming`.
-    batch_reference: Vec<LocalUpdate>,
-}
-
-/// One kept client's pre-pass decision: index, fault to apply, upload attempts.
-type Kept = (usize, Option<FaultKind>, usize);
-
 /// Clients [`ScaleEngine::synth_group`] synthesises per vector step. At 100k
 /// clients 4 lanes measured 167 ms a round, 8 lanes 131 ms, 16 no better.
 const LANES: usize = 8;
@@ -424,18 +346,6 @@ impl LaneRng {
             s3[l] = s3[l].rotate_left(45);
             (r >> 11) as f64 * (1.0 / (1u64 << 53) as f64)
         })
-    }
-}
-
-/// A synthesis buffer shaped like `global`; [`ScaleEngine::synth_group`] fills it.
-fn blank_update(global: &[Matrix]) -> LocalUpdate {
-    LocalUpdate {
-        client_id: String::new(),
-        weights: global.to_vec(),
-        sample_count: 0,
-        train_loss: 0.0,
-        duration: Duration::ZERO,
-        simulated_extra_seconds: 0.0,
     }
 }
 
@@ -494,25 +404,26 @@ impl ScaleEngine {
         &self.config
     }
 
-    /// The edge shard client `index` belongs to: contiguous, balanced.
-    fn edge_of(&self, index: usize) -> usize {
-        index * self.config.edges / self.config.clients
-    }
-
-    /// Synthesises the round updates of `plan`'s (at most [`LANES`]) clients
-    /// into `out`, one reused buffer each: the current global model plus
+    /// Synthesises the round updates of `members` (at most [`LANES`]) into
+    /// `out`, one reused buffer each: the current global model plus
     /// zone-scaled noise that damps as rounds progress, every client's drawn
     /// from its own `(seed, round, index)` generator, all stepping in
     /// lockstep — deterministic, thread-free. Every field and coefficient is
-    /// overwritten: a corrupted update the last group left is gone.
-    fn synth_group(&self, round: usize, global: &[Matrix], plan: &[Kept], out: &mut [LocalUpdate]) {
-        debug_assert!(!plan.is_empty() && plan.len() == out.len() && plan.len() <= LANES);
+    /// overwritten: a corrupted or decoded update the last group left is gone.
+    fn synth_group(
+        &self,
+        round: usize,
+        global: &[Matrix],
+        members: &[Admitted],
+        out: &mut [LocalUpdate],
+    ) {
+        debug_assert!(!members.is_empty() && members.len() == out.len() && out.len() <= LANES);
         let damp = 1.0 / (1.0 + round as f64);
         let mut seeds = [0u64; LANES];
         let mut scale = [0.0f64; LANES];
         for l in 0..LANES {
             // Lanes past the group replay its last client and are dropped.
-            let spec = self.spec(plan[l.min(plan.len() - 1)].0);
+            let spec = self.spec(members[l.min(members.len() - 1)].index);
             seeds[l] = self.config.seed ^ fnv1a(&[0x5ca1e, round as u64, spec.index as u64]);
             scale[l] = spec.amplitude * damp;
             if let Some(update) = out.get_mut(l) {
@@ -551,103 +462,37 @@ impl ScaleEngine {
         }
     }
 
-    /// Streams one shard's kept updates through a fresh accumulator and
-    /// returns the shard aggregate plus the join's bookkeeping. Shared by
-    /// the flat path (where the result *is* the next global) and the
-    /// hierarchical path (where it becomes an edge partial).
-    ///
-    /// This is the unit of parallel work: it takes `&self` only, touches
-    /// no channel or round state, and synthesises, disposes, and
-    /// ingests in shard order — so a fold's output is a pure function of
-    /// its inputs and identical on every thread. `plan` entries are the
-    /// pure pre-pass decisions; `dispose` re-derives them identically
-    /// while recording (discarded) side effects. Metering happens at the
-    /// join, from the same plan.
-    fn fold_shard(
-        &self,
+    /// One shard's fold — the unit of parallel work. Its members are
+    /// synthesised [`LANES`] at a time into `group`, the fold's reused
+    /// buffers, and handed to the fold in member order, so the fold, its
+    /// tally and its first error are a pure function of the inputs on any
+    /// thread; the join finishes it.
+    fn fold_shard<'a>(
+        &'a self,
         round: usize,
         global: &[Matrix],
-        plan: &[Kept],
-        shard_total: f64,
-        gate: &FaultGate,
+        share: &Share,
+        gate: &'a FaultGate,
         verify: bool,
-    ) -> EdgeFold {
-        let mut agg = self
-            .config
-            .aggregator
-            .streaming(shard_total, plan.len())
-            .expect("validated streamable");
-        // Event/wait sinks: the scale engine keeps counters, not O(clients)
-        // event telemetry, and reports wall-clock only.
-        let mut events: Vec<FaultEvent> = Vec::new();
-        let mut timeout_wait = 0.0_f64;
-        let mut fold = EdgeFold {
-            partial: Ok(Vec::new()),
-            peak_state: 0,
-            state_stable: true,
-            kept_payload_bytes: Vec::with_capacity(plan.len()),
-            batch_reference: Vec::new(),
-        };
-        // Per-fold codec scratch: the first client of the shard warms the
-        // buffers, every later encode in this fold reuses them. The
-        // payload buffer holds the encoded uplink the fused ingest reads.
-        let mode = self.config.compression;
-        let raw_len = wire::encoded_size(global);
-        let mut scratch = CodecScratch::default();
-        let mut payload = BytesMut::new();
-        let mut settled_state = 0usize;
-        // Synthesis buffers, allocated once per fold: LANES plan entries are
-        // synthesised in one pass, then disposed, encoded and ingested one
-        // by one in plan order.
-        let mut group = vec![blank_update(global); plan.len().min(LANES)];
-        for (i, &(_, fault, _attempts)) in plan.iter().enumerate() {
-            if i % LANES == 0 {
-                let members = &plan[i..plan.len().min(i + LANES)];
-                self.synth_group(round, global, members, &mut group[..members.len()]);
-            }
-            let update = &mut group[i % LANES];
-            let disposed = gate.dispose(round, fault, update, &mut events, &mut timeout_wait, true);
-            debug_assert!(matches!(disposed, Disposition::Keep { .. }));
-            events.clear();
-            // Uplink encode + fused edge fold. Quant8 builds the real
-            // compressed payload (post-fault, so corruption crosses the
-            // wire exactly as the protocol ships it) and streams it into
-            // the accumulator without materialising a decode.
-            let ingested = match mode {
-                CompressionMode::None => {
-                    fold.kept_payload_bytes.push(raw_len);
-                    agg.ingest(update)
+        group: &mut Vec<LocalUpdate>,
+    ) -> (Fold<'a>, Result<(), FederatedError>) {
+        let cfg = &self.config;
+        let acc = Accumulator::new(cfg.aggregator, share.kept, share.samples, true, verify);
+        let mut fold = Fold::new(gate, &self.channel, cfg.compression, true, acc);
+        group.resize_with(LANES, || LocalUpdate {
+            weights: global.to_vec(),
+            ..LocalUpdate::default()
+        });
+        for members in share.members.chunks(LANES) {
+            let group = &mut group[..members.len()];
+            self.synth_group(round, global, members, group);
+            for (update, member) in group.iter_mut().zip(members) {
+                if let Err(e) = fold.ingest(update, member.fault, None, None) {
+                    return (fold, Err(e));
                 }
-                CompressionMode::Quant8 => {
-                    crate::compression::QuantizedUpdate::quantize_into(
-                        &update.weights,
-                        &mut scratch.quant,
-                    );
-                    wire::encode_quantized_into(&mut payload, &scratch.quant);
-                    fold.kept_payload_bytes.push(payload.len());
-                    agg.ingest_quantized(&update.client_id, update.sample_count, &payload)
-                }
-            };
-            if let Err(e) = ingested {
-                fold.partial = Err(e);
-                return fold;
-            }
-            let state = agg.state_bytes();
-            if settled_state == 0 {
-                settled_state = state;
-            } else if state != settled_state {
-                fold.state_stable = false;
-            }
-            fold.peak_state = fold.peak_state.max(state);
-            if verify {
-                // The batch reference must see what the aggregator saw:
-                // the server-side decode of the encoded payload.
-                scratch.decode_into(mode, &mut update.weights);
-                fold.batch_reference.push(update.clone());
             }
         }
-        fold.partial = agg.finish();
-        fold
+        (fold, Ok(()))
     }
 
     /// Runs the full schedule.
@@ -656,7 +501,8 @@ impl ScaleEngine {
     ///
     /// * [`FederatedError::InvalidConfig`] from up-front validation;
     /// * [`FederatedError::InsufficientParticipants`] when faults starve a
-    ///   round below the plan's floor (or lose every shard);
+    ///   round below the client plan's floor, or the edge hop below the
+    ///   edge plan's;
     /// * [`FederatedError::Aggregation`] from the streaming rules (e.g. a
     ///   NaN-flooded coordinate exceeding trimmed mean's containment
     ///   budget) or a failed [`ScaleConfig::verify_streaming`] check.
@@ -664,299 +510,143 @@ impl ScaleEngine {
         self.config.validate()?;
         self.channel.reset();
         let start = Instant::now();
-        let cfg = self.config.clone();
+        let cfg = &self.config;
         let gate = FaultGate::new(cfg.faults.clone());
         let edge_gate = FaultGate::new(cfg.edge_faults.clone());
         let scheduler = Scheduler::new(cfg.participation, cfg.seed);
-        let n = cfg.clients;
         let mut global = self.template.clone();
-        let update_bytes = wire::encoded_size(&global);
         let model_bytes: usize = global.iter().map(|m| m.len() * 8).sum();
         let verify = cfg.verify_streaming && cfg.edge_faults.is_none();
-        // Wave width for the parallel fan-out: at most this many shard
-        // folds (and thus live edge accumulators) exist at once.
+        // At most this many shard folds, and so shard accumulators, are live
+        // at once.
         let fanout = cfg.effective_threads().max(1).min(cfg.edges);
-        // Scratch for metering wasted uploads in the (serial) pre-pass;
-        // the per-shard folds carry their own.
-        let mut waste_scratch = CodecScratch::default();
-        let mut waste_update = [blank_update(&global)];
-        // One id buffer for every `fault_for` question of the run.
-        let mut id = String::new();
-        let mut rounds = Vec::with_capacity(cfg.rounds);
-        let mut peak_aggregation_bytes = 0usize;
-        let mut materialized_equivalent_bytes = 0usize;
+        // Per concurrent fold, its synthesis buffers for the whole run (made
+        // per shard, they left the heap trimming and refaulting: +8 % a
+        // `scale_plain` round) and the wave's result.
+        let mut slots: Vec<(Vec<LocalUpdate>, Option<_>)> =
+            (0..fanout).map(|_| (Vec::new(), None)).collect();
+        let mut rounds: Vec<ScaleRoundStats> = Vec::with_capacity(cfg.rounds);
+        let mut materialized_equivalent_bytes = 0;
 
         for round in 0..cfg.rounds {
             let round_start = Instant::now();
-            let participants = scheduler.sample(round, n);
-            let sampled = participants.len();
-            let mut downlink_bytes = 0usize;
-            if round > 0 {
-                for _ in 0..sampled {
-                    self.channel.record_bytes(update_bytes);
-                }
-                downlink_bytes = update_bytes * sampled;
-            }
-
-            // Pure fault pre-pass: shard membership, surviving counts, and
-            // sample totals — everything the streaming constructors need —
-            // before a single update is synthesised. `fault_for` is a pure
-            // function of (seed, round, id), so the main pass below sees
-            // the identical decisions.
-            let mut shard_kept: Vec<Vec<Kept>> = vec![Vec::new(); cfg.edges];
-            // Summed as f64 in kept order — the exact fold the batch
-            // FedAvg performs over its updates.
-            let mut shard_samples: Vec<f64> = vec![0.0; cfg.edges];
-            let mut dropped = 0usize;
-            let mut wasted = 0usize;
-            let mut corrupted = 0usize;
-            let mut uplink_bytes = 0usize;
-            for &ci in &participants {
+            let sampled = scheduler.sample(round, cfg.clients);
+            let n = sampled.len();
+            let downlink_bytes = match round {
+                0 => 0,
+                _ => engine::meter_broadcast(&self.channel, wire::encoded_size(&global), n),
+            };
+            // Shards are contiguous and balanced.
+            let route = |ci: usize, id: &mut String| {
                 let spec = self.spec(ci);
-                spec.write_id(&mut id);
-                let fault = gate.fault_for(round, &id);
-                if matches!(fault, Some(FaultKind::DropOut)) {
-                    dropped += 1;
-                    continue;
+                spec.write_id(id);
+                (ci * cfg.edges / cfg.clients, spec.sample_count)
+            };
+            let clients = engine::admit(&gate, round, sampled, cfg.edges, route, None);
+            gate.require(round, clients.kept())?;
+            let shards = &clients.shares;
+            let partials = (0..cfg.edges).filter(|&e| shards[e].kept > 0);
+            // The edge hop — its admission over the shards with a partial and
+            // the root fold it sizes — precedes every shard fold. Per edge:
+            // the fault it acts out, `None` when it dropped or has no partial.
+            let mut hop = None;
+            if cfg.edges > 1 {
+                let route = |e: usize, id: &mut String| {
+                    write!(id, "edge-{e}").expect("a String accepts every write");
+                    (0, shards[e].samples as usize)
+                };
+                let edges = engine::admit(&edge_gate, round, partials.clone(), 1, route, None);
+                edge_gate.require(round, edges.kept())?;
+                let share = &edges.shares[0];
+                let mut faults = vec![None; cfg.edges];
+                for edge in &share.members {
+                    faults[edge.index] = Some(edge.fault);
                 }
-                if matches!(fault, Some(FaultKind::Corrupt { .. })) {
-                    corrupted += 1;
-                }
-                match gate.decide(fault) {
-                    Disposition::Keep { attempts } => {
-                        let e = self.edge_of(ci);
-                        shard_kept[e].push((ci, fault, attempts));
-                        shard_samples[e] += spec.sample_count as f64;
-                    }
-                    Disposition::Waste { attempts } => {
-                        // Discarded uploads still crossed the channel —
-                        // at their real encoded length. A wasted client
-                        // never reaches a fold, so its payload is the
-                        // synthesised update (waste dispositions never
-                        // mutate the payload).
-                        wasted += 1;
-                        let len = match cfg.compression {
-                            CompressionMode::None => update_bytes,
-                            mode => {
-                                let member = [(ci, fault, attempts)];
-                                self.synth_group(round, &global, &member, &mut waste_update);
-                                waste_scratch.encoded_len(mode, &waste_update[0].weights)
-                            }
-                        };
-                        self.channel.record_attempts_bytes(len, attempts);
-                        uplink_bytes += len * attempts;
-                    }
-                }
-            }
-            let kept_total: usize = shard_kept.iter().map(Vec::len).sum();
-            if kept_total < gate.min_participants {
-                return Err(FederatedError::InsufficientParticipants {
-                    round,
-                    survivors: kept_total,
-                    required: gate.min_participants,
-                });
+                let acc = Accumulator::new(cfg.aggregator, share.kept, share.samples, true, false);
+                let root = Fold::new(&edge_gate, &self.channel, CompressionMode::None, true, acc);
+                hop = Some((faults, root));
             }
 
-            // Edge-tier pre-pass (pure): which partials will reach the
-            // root. The flat topology has no forward hop — its single
-            // shard's aggregate *is* the next global.
-            let forwards: Option<Vec<EdgeForward>> = if cfg.edges == 1 {
-                None
-            } else {
-                Some(
-                    (0..cfg.edges)
-                        .map(|e| {
-                            if shard_kept[e].is_empty() {
-                                return EdgeForward::Empty;
-                            }
-                            id.clear();
-                            write!(id, "edge-{e}").expect("a String accepts every write");
-                            let fault = edge_gate.fault_for(round, &id);
-                            if matches!(fault, Some(FaultKind::DropOut)) {
-                                return EdgeForward::Dropped;
-                            }
-                            match edge_gate.decide(fault) {
-                                Disposition::Keep { attempts } => {
-                                    EdgeForward::Keep { fault, attempts }
-                                }
-                                Disposition::Waste { attempts } => EdgeForward::Waste { attempts },
-                            }
-                        })
-                        .collect(),
-                )
-            };
-            let mut root = match &forwards {
-                None => None,
-                Some(forwards) => {
-                    let root_expected = forwards
-                        .iter()
-                        .filter(|f| matches!(f, EdgeForward::Keep { .. }))
-                        .count();
-                    if root_expected == 0 {
-                        return Err(FederatedError::InsufficientParticipants {
-                            round,
-                            survivors: 0,
-                            required: gate.min_participants.max(1),
-                        });
+            // Fold the shards in waves of `fanout`, then hand each wave's
+            // partials to the root in edge order.
+            let mut tally = Tally::default();
+            let (mut aggregated, mut peak_shard, mut flat) = (0, 0, None);
+            let mut reference = Vec::new();
+            for wave in (0..cfg.edges).step_by(fanout) {
+                let slots = &mut slots[..fanout.min(cfg.edges - wave)];
+                parallel::distribute(slots, fanout, |k, (group, fold)| {
+                    let share = &shards[wave + k];
+                    if !share.members.is_empty() {
+                        *fold = Some(self.fold_shard(round, &global, share, &gate, verify, group));
                     }
-                    let root_total: f64 = forwards
-                        .iter()
-                        .enumerate()
-                        .filter(|(_, f)| matches!(f, EdgeForward::Keep { .. }))
-                        .map(|(e, _)| shard_samples[e])
-                        .sum();
-                    Some(
-                        cfg.aggregator
-                            .streaming(root_total, root_expected)
-                            .expect("validated streamable"),
-                    )
-                }
-            };
-
-            // Main pass: fold the shards in waves of `fanout` across the
-            // worker pool, then join every wave at the root in strict
-            // edge-index order. At most `fanout` edge accumulators are
-            // live at once (a chunk holds one shard at a time), and the
-            // root ingest order is a pure function of the edge index —
-            // bitwise identical at every thread count.
-            let mut aggregated = 0usize;
-            let mut edges_kept = 0usize;
-            let mut edges_lost = 0usize;
-            let mut round_peak_edge = 0usize;
-            let mut batch_reference: Vec<LocalUpdate> = Vec::new();
-            let mut flat_global: Option<Vec<Matrix>> = None;
-            let mut slots: Vec<Option<EdgeFold>> = Vec::with_capacity(fanout);
-            let mut wave_start = 0usize;
-            while wave_start < cfg.edges {
-                let wave = fanout.min(cfg.edges - wave_start);
-                slots.clear();
-                slots.resize_with(wave, || None);
-                parallel::distribute(&mut slots, wave, |k, slot| {
-                    let e = wave_start + k;
-                    // Empty hierarchical shards have nothing to fold; the
-                    // flat shard always folds so an empty round surfaces
-                    // the streaming rule's own error.
-                    if shard_kept[e].is_empty() && cfg.edges > 1 {
-                        return;
-                    }
-                    *slot = Some(self.fold_shard(
-                        round,
-                        &global,
-                        &shard_kept[e],
-                        shard_samples[e],
-                        &gate,
-                        verify,
-                    ));
                 });
-                for (k, slot) in slots.iter_mut().enumerate() {
-                    let e = wave_start + k;
-                    let Some(fold) = slot.take() else {
-                        continue; // empty shard
+                for (e, (_, slot)) in (wave..).zip(slots.iter_mut()) {
+                    let Some((mut fold, folded)) = slot.take() else {
+                        continue;
                     };
-                    // Kept clients' uploads crossed the channel whatever
-                    // the edge's fate — meter them from the fold's exact
-                    // per-update encoded lengths, in shard order.
-                    for (&(_, _, attempts), &len) in
-                        shard_kept[e].iter().zip(&fold.kept_payload_bytes)
-                    {
-                        self.channel.record_attempts_bytes(len, attempts);
-                        uplink_bytes += len * attempts;
-                    }
-                    round_peak_edge = round_peak_edge.max(fold.peak_state);
-                    if verify && !fold.state_stable {
+                    tally.absorb(&fold.tally);
+                    peak_shard = peak_shard.max(fold.acc.peak_state);
+                    if verify && !fold.acc.state_stable {
                         return Err(FederatedError::Aggregation(format!(
                             "round {round}: edge {e} accumulator grew after its first \
                              ingest — the O(model · workers) bound is broken"
                         )));
                     }
-                    let partial_weights = fold.partial?;
-                    if verify {
-                        batch_reference.extend(fold.batch_reference);
+                    folded?;
+                    reference.append(&mut fold.acc.kept);
+                    if shards[e].kept == 0 {
+                        continue; // only wasted uploads: no partial
                     }
-                    match (&mut root, &forwards) {
-                        (None, _) => {
-                            // Flat: the shard aggregate is the next global.
-                            aggregated += shard_kept[e].len();
-                            edges_kept += 1;
-                            flat_global = Some(partial_weights);
+                    let weights = fold.acc.finish()?;
+                    match &mut hop {
+                        None => (aggregated, flat) = (shards[e].kept, Some(weights)),
+                        Some((faults, root)) => {
+                            let Some(fault) = faults[e] else { continue };
+                            let mut partial = LocalUpdate {
+                                client_id: format!("edge-{e}"),
+                                weights,
+                                sample_count: shards[e].samples as usize,
+                                ..LocalUpdate::default()
+                            };
+                            if root.ingest(&mut partial, fault, None, None)? {
+                                aggregated += shards[e].kept;
+                            }
                         }
-                        (Some(root), Some(forwards)) => match forwards[e] {
-                            EdgeForward::Empty => unreachable!("empty shards leave no fold"),
-                            EdgeForward::Dropped => edges_lost += 1,
-                            EdgeForward::Waste { attempts } => {
-                                edges_lost += 1;
-                                self.channel.record_attempts_bytes(update_bytes, attempts);
-                                uplink_bytes += update_bytes * attempts;
-                            }
-                            EdgeForward::Keep { fault, attempts } => {
-                                let mut partial = LocalUpdate {
-                                    client_id: format!("edge-{e}"),
-                                    weights: partial_weights,
-                                    sample_count: shard_samples[e] as usize,
-                                    train_loss: 0.0,
-                                    duration: Duration::ZERO,
-                                    simulated_extra_seconds: 0.0,
-                                };
-                                let mut edge_events: Vec<FaultEvent> = Vec::new();
-                                let mut edge_wait = 0.0f64;
-                                edge_gate.dispose(
-                                    round,
-                                    fault,
-                                    &mut partial,
-                                    &mut edge_events,
-                                    &mut edge_wait,
-                                    true,
-                                );
-                                self.channel.record_attempts_bytes(update_bytes, attempts);
-                                uplink_bytes += update_bytes * attempts;
-                                root.ingest(&partial)?;
-                                edges_kept += 1;
-                                aggregated += shard_kept[e].len();
-                            }
-                        },
-                        (Some(_), None) => unreachable!("root implies forwards"),
                     }
                 }
-                wave_start += wave;
             }
 
-            // Peak live state this round: the root accumulator plus one
-            // edge accumulator per concurrently active fold. `active` is
-            // exact, not a bound: waves are `fanout` wide and a chunk
-            // never holds more than one shard.
-            let nonempty = shard_kept.iter().filter(|plan| !plan.is_empty()).count();
-            let active = fanout.min(nonempty.max(1));
-            let (next_global, root_state) = match root {
-                None => (flat_global.expect("flat shard always folds"), 0),
-                Some(root) => {
-                    let state = root.state_bytes();
-                    (root.finish()?, state)
+            let with_partial = partials.count();
+            let (next_global, root_state, edges_kept, hop_bytes) = match hop {
+                Some((_, root)) => {
+                    let (state, t) = (root.acc.peak_state, root.tally);
+                    (root.acc.finish()?, state, t.kept, t.bytes)
                 }
+                // The floor keeps a client, so the flat shard folded; were it
+                // empty, its streaming rule would say just this.
+                None => (flat.ok_or(FederatedError::NoClients)?, 0, 1, 0),
             };
-            let round_peak = root_state + active * round_peak_edge;
+            // Peak live state this round: the root accumulator plus one
+            // shard accumulator per concurrently active fold — exact, since
+            // waves are `fanout` wide and a chunk holds one shard at a time.
+            let round_peak = root_state + fanout.min(with_partial.max(1)) * peak_shard;
             if verify {
-                check_against_batch(
-                    cfg.aggregator,
-                    cfg.edges,
-                    &batch_reference,
-                    &next_global,
-                    round,
-                )?;
+                check_against_batch(cfg.aggregator, cfg.edges, &reference, &next_global, round)?;
             }
             global = next_global;
-            peak_aggregation_bytes = peak_aggregation_bytes.max(round_peak);
             materialized_equivalent_bytes =
-                materialized_equivalent_bytes.max(kept_total * model_bytes);
+                materialized_equivalent_bytes.max(clients.kept() * model_bytes);
             rounds.push(ScaleRoundStats {
                 round,
-                sampled,
+                sampled: n,
                 aggregated,
-                dropped,
-                wasted,
-                corrupted,
+                dropped: clients.dropped,
+                wasted: tally.wasted,
+                corrupted: tally.corrupted,
                 edges_kept,
-                edges_lost,
-                uplink_bytes,
+                // Dropped out, or wasted at the root.
+                edges_lost: with_partial - edges_kept,
+                uplink_bytes: tally.bytes + hop_bytes,
                 downlink_bytes,
                 peak_state_bytes: round_peak,
                 duration: round_start.elapsed(),
@@ -964,10 +654,10 @@ impl ScaleEngine {
         }
 
         Ok(ScaleOutcome {
+            peak_aggregation_bytes: rounds.iter().map(|r| r.peak_state_bytes).max().unwrap_or(0),
             rounds,
             global_weights: global,
             traffic: self.channel.totals(),
-            peak_aggregation_bytes,
             materialized_equivalent_bytes,
             model_bytes,
             total_duration: start.elapsed(),
@@ -1010,7 +700,8 @@ fn check_against_batch(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::faults::{Corruption, RoundSelector};
+    use crate::faults::{Corruption, FaultKind, RoundSelector};
+    use crate::server::Disposition;
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
 
@@ -1179,7 +870,11 @@ mod tests {
             ..cfg(5_000, 4)
         };
         let engine = ScaleEngine::new(global.clone(), config).expect("engine");
-        let mut out: Vec<LocalUpdate> = (0..LANES).map(|_| blank_update(&global)).collect();
+        let blank = LocalUpdate {
+            weights: global.clone(),
+            ..LocalUpdate::default()
+        };
+        let mut out = vec![blank; LANES];
         // Rounds 0 / 1 / 7 damp by exact powers of two; round 2 (a third)
         // is the one that notices `amplitude * damp` being reassociated.
         for round in [0usize, 1, 2, 7] {
@@ -1187,11 +882,15 @@ mod tests {
                 // `first` walks the three zones; stride 2 mixes them
                 // within a group.
                 for first in 0..Zone::ALL.len() {
-                    let plan: Vec<Kept> = (0..size)
-                        .map(|k| (100 * size + first + 2 * k, None, 1))
+                    let members: Vec<Admitted> = (0..size)
+                        .map(|k| Admitted {
+                            index: 100 * size + first + 2 * k,
+                            fault: None,
+                            disposition: Disposition::Keep { attempts: 1 },
+                        })
                         .collect();
-                    engine.synth_group(round, &global, &plan, &mut out[..size]);
-                    for (l, &(index, ..)) in plan.iter().enumerate() {
+                    engine.synth_group(round, &global, &members, &mut out[..size]);
+                    for (l, &Admitted { index, .. }) in members.iter().enumerate() {
                         let expected = synth_scalar(0xfeed, &engine.spec(index), round, &global);
                         let at =
                             format!("round {round}, group of {size}, lane {l}, client {index}");

@@ -4,9 +4,9 @@
 use crate::aggregate::Aggregator;
 use crate::client::{FedClient, LocalUpdate};
 use crate::compression::CompressionMode;
-use crate::engine::{self, PoolUpdate, RoundPool};
+use crate::engine::{self, Admitted, PoolUpdate, RoundPool};
 use crate::error::FederatedError;
-use crate::faults::{FaultEvent, FaultKind, FaultPlan};
+use crate::faults::{FaultEvent, FaultPlan};
 use crate::transport::MeteredChannel;
 use evfad_nn::{Sample, Sequential, TrainConfig};
 use evfad_tensor::{parallel, Matrix};
@@ -125,7 +125,7 @@ impl Default for FederatedConfig {
 }
 
 /// Statistics for one communication round.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
 pub struct RoundStats {
     /// Zero-based round index.
     pub round: usize,
@@ -409,8 +409,7 @@ impl FederatedSimulation {
 }
 
 /// The in-process [`RoundPool`]: trains [`FedClient`]s as pool jobs.
-/// Faults are left to the engine's gate (`faults_in_transit` = false) —
-/// exactly the behaviour the round loop had before the extraction.
+/// Faults are left to the engine's fold (`faults_in_transit` = false).
 struct InProcessPool<'a> {
     clients: &'a mut [FedClient],
     parallel: bool,
@@ -436,22 +435,21 @@ impl RoundPool for InProcessPool<'_> {
     fn round_updates(
         &mut self,
         _round: usize,
-        active: &[usize],
-        _active_faults: &[Option<FaultKind>],
+        admitted: &[Admitted],
         _global: &[Matrix],
     ) -> Result<Vec<PoolUpdate>, FederatedError> {
         let cfg = &self.train_cfg;
-        // `active` comes out of the sampler sorted, so the selection is a
+        // Admission keeps the sampler's sorted order, so the selection is a
         // single merge-walk over the client list — no per-round hash set,
         // no filter scan.
-        debug_assert!(active.windows(2).all(|w| w[0] < w[1]));
+        debug_assert!(admitted.windows(2).all(|w| w[0].index < w[1].index));
         let mut next = 0;
         let selected: Vec<&mut FedClient> = self
             .clients
             .iter_mut()
             .enumerate()
             .filter_map(|(i, client)| {
-                if next < active.len() && active[next] == i {
+                if next < admitted.len() && admitted[next].index == i {
                     next += 1;
                     Some(client)
                 } else {
@@ -461,7 +459,7 @@ impl RoundPool for InProcessPool<'_> {
             .collect();
         let updates: Result<Vec<LocalUpdate>, FederatedError> = if self.parallel {
             // One pool job per chunk of clients; every selected client
-            // trains, and collecting in `active` order returns the
+            // trains, and collecting in admission order returns the
             // lowest-index client's error, as the serial arm would.
             let mut slots: Vec<(&mut FedClient, Option<_>)> =
                 selected.into_iter().map(|client| (client, None)).collect();
@@ -478,14 +476,18 @@ impl RoundPool for InProcessPool<'_> {
                 .map(|client| client.train_local(cfg))
                 .collect()
         };
-        Ok(updates?.into_iter().map(PoolUpdate::local).collect())
+        let local = |update| PoolUpdate {
+            update,
+            wire_len: None,
+        };
+        Ok(updates?.into_iter().map(local).collect())
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::faults::FaultOutcome;
+    use crate::faults::{FaultKind, FaultOutcome};
     use evfad_nn::{forecaster_model, Loss};
 
     fn sine_samples(n: usize, phase: f64) -> Vec<Sample> {

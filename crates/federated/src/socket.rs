@@ -43,7 +43,7 @@
 
 use crate::client::{FedClient, LocalUpdate};
 use crate::compression::{CodecScratch, CompressionMode, QuantizedUpdate};
-use crate::engine::{self, PoolUpdate, RoundPool};
+use crate::engine::{self, Admitted, PoolUpdate, RoundPool};
 use crate::error::FederatedError;
 use crate::faults::FaultKind;
 use crate::framing::{write_frame, FrameDecoder};
@@ -455,18 +455,11 @@ impl SocketServer {
         let controls = self.handshake()?;
         self.channel.reset();
         let global = self.template.weights();
-        let retry_budget = self
-            .cfg
-            .config
-            .faults
-            .as_ref()
-            .map_or(0, |plan| plan.retry_budget);
         let mut pool = SocketPool {
             transport: &mut self.transport,
             ids: &self.cfg.expected_clients,
             controls: controls.clone(),
             compression: self.cfg.config.compression,
-            retry_budget,
             io_timeout: self.cfg.io_timeout,
             current_round: 0,
         };
@@ -489,15 +482,15 @@ impl SocketServer {
     fn handshake(&mut self) -> Result<Vec<u64>, FederatedError> {
         let deadline = Instant::now() + self.cfg.handshake_timeout;
         let mut controls: Vec<Option<u64>> = vec![None; self.cfg.expected_clients.len()];
-        let mut admitted = 0usize;
-        while admitted < controls.len() {
+        while controls.contains(&None) {
             let left = deadline
                 .checked_duration_since(Instant::now())
                 .ok_or_else(|| {
                     transport_err(
                         "handshake",
                         format!(
-                            "{admitted}/{} clients arrived before the timeout",
+                            "{}/{} clients arrived before the timeout",
+                            controls.iter().flatten().count(),
                             controls.len()
                         ),
                     )
@@ -510,10 +503,7 @@ impl SocketServer {
                         .iter()
                         .position(|id| *id == client_id)
                     {
-                        Some(i) if controls[i].is_none() => {
-                            controls[i] = Some(conn);
-                            admitted += 1;
-                        }
+                        Some(i) if controls[i].is_none() => controls[i] = Some(conn),
                         // Unknown or duplicate id: not our client.
                         _ => self.transport.kill(conn),
                     }
@@ -529,7 +519,8 @@ impl SocketServer {
                 }
             }
         }
-        let controls: Vec<u64> = controls.into_iter().map(|c| c.expect("admitted")).collect();
+        // The loop ran until every expected client held a control connection.
+        let controls: Vec<u64> = controls.into_iter().flatten().collect();
         // The handshake speaks the same binary codec as the round loop
         // (`EVCF`), so not a single JSON byte crosses the socket.
         let welcome = Message::Welcome {
@@ -551,29 +542,20 @@ struct SocketPool<'a> {
     /// Control connection per client, aligned with `ids`.
     controls: Vec<u64>,
     compression: CompressionMode,
-    retry_budget: usize,
     io_timeout: Duration,
     current_round: usize,
 }
 
-/// Upload bookkeeping for one active client within a round.
+/// Upload bookkeeping for one admitted client within a round.
 struct PendingUpload {
-    /// Position in the round's `active` list (output ordering).
-    slot: usize,
-    /// Total `Update` arrivals the fault plan schedules (failures the
-    /// server will nack-by-close, plus the final attempt).
+    /// Total `Update` arrivals the fault plan schedules: the gate's
+    /// attempts, every one but the last nacked by a close.
     expected_arrivals: usize,
     /// Whether the final arrival gets an `Ack` (false when the plan
     /// exhausts the retry budget — the client gives up unacknowledged).
     ack_last: bool,
     arrivals: usize,
-    result: Option<(LocalUpdate, usize)>,
-}
-
-impl SocketPool<'_> {
-    fn is_control(&self, conn: u64) -> bool {
-        self.controls.contains(&conn)
-    }
+    result: Option<PoolUpdate>,
 }
 
 impl RoundPool for SocketPool<'_> {
@@ -603,49 +585,37 @@ impl RoundPool for SocketPool<'_> {
     fn round_updates(
         &mut self,
         round: usize,
-        active: &[usize],
-        active_faults: &[Option<FaultKind>],
+        admitted: &[Admitted],
         global: &[Matrix],
     ) -> Result<Vec<PoolUpdate>, FederatedError> {
         self.current_round = round;
-        // Schedule the round: ask every active client to train, and plan
-        // how many of its upload connections to kill from the same fault
-        // the engine's gate will account for.
-        let mut pending: HashMap<String, PendingUpload> = HashMap::new();
-        for (slot, (&ci, &fault)) in active.iter().zip(active_faults).enumerate() {
-            let (expected_arrivals, ack_last) = match fault {
-                Some(FaultKind::Transient { failures }) => {
-                    if failures <= self.retry_budget {
-                        (failures + 1, true)
-                    } else {
-                        (self.retry_budget + 1, false)
-                    }
-                }
-                _ => (1, true),
-            };
-            pending.insert(
-                self.ids[ci].clone(),
-                PendingUpload {
-                    slot,
-                    expected_arrivals,
-                    ack_last,
-                    arrivals: 0,
-                    result: None,
-                },
-            );
+        let ids = self.ids;
+        // Ask every admitted client to train, and plan its upload saga from
+        // the gate's verdict: its attempts are that many arrivals, and the
+        // last is acknowledged unless a transient fault exhausted the retry
+        // budget.
+        let mut pending: Vec<PendingUpload> = Vec::with_capacity(admitted.len());
+        let mut slot_of: HashMap<&str, usize> = HashMap::with_capacity(admitted.len());
+        for (slot, a) in admitted.iter().enumerate() {
+            slot_of.insert(&ids[a.index], slot);
+            pending.push(PendingUpload {
+                expected_arrivals: a.disposition.attempts(),
+                ack_last: a.keeps() || !matches!(a.fault, Some(FaultKind::Transient { .. })),
+                arrivals: 0,
+                result: None,
+            });
             self.transport.send(
-                self.controls[ci],
+                self.controls[a.index],
                 &Message::TrainRequest {
                     round: round as u32,
-                    fault,
+                    fault: a.fault,
                 },
             )?;
         }
 
-        // Collect until every active client's upload saga concludes.
+        // Collect until every admitted client's upload saga concludes.
         // Arrival order is irrelevant: results are slotted by client.
-        let mut remaining = active.len();
-        while remaining > 0 {
+        while pending.iter().any(|p| p.result.is_none()) {
             match self.transport.recv(self.io_timeout)? {
                 TransportEvent::Message(
                     conn,
@@ -657,15 +627,13 @@ impl RoundPool for SocketPool<'_> {
                         payload,
                     },
                 ) => {
-                    let entry = if r as usize == round {
-                        pending.get_mut(&client_id)
-                    } else {
-                        None
-                    };
-                    let Some(entry) = entry else {
+                    let entry = match slot_of.get(client_id.as_str()) {
+                        Some(&slot) if r as usize == round => &mut pending[slot],
                         // Stale round or a client we did not ask: drop.
-                        self.transport.kill(conn);
-                        continue;
+                        _ => {
+                            self.transport.kill(conn);
+                            continue;
+                        }
                     };
                     if entry.result.is_some() {
                         self.transport.kill(conn);
@@ -679,21 +647,20 @@ impl RoundPool for SocketPool<'_> {
                         self.transport.kill(conn);
                         continue;
                     }
-                    // Final arrival: decode and keep (the engine decides
+                    // Final arrival: decode and keep (the fold decides
                     // Keep vs Waste; either way the payload is metered).
                     let weights = decode_uplink_payload(self.compression, &payload, global)?;
-                    entry.result = Some((
-                        LocalUpdate {
-                            client_id: client_id.clone(),
+                    entry.result = Some(PoolUpdate {
+                        update: LocalUpdate {
+                            client_id,
                             weights,
                             sample_count: sample_count as usize,
                             train_loss,
                             duration: Duration::ZERO,
                             simulated_extra_seconds: 0.0,
                         },
-                        payload.len(),
-                    ));
-                    remaining -= 1;
+                        wire_len: Some(payload.len()),
+                    });
                     if entry.ack_last {
                         self.transport.send(conn, &Message::Ack { round: r })?;
                     } else {
@@ -706,7 +673,7 @@ impl RoundPool for SocketPool<'_> {
                 TransportEvent::Message(conn, _) => {
                     // Protocol violation (stray Hello, unexpected control
                     // traffic): drop the offender, not the round.
-                    if self.is_control(conn) {
+                    if self.controls.contains(&conn) {
                         return Err(transport_err(
                             "round",
                             format!("unexpected control message on connection {conn}"),
@@ -715,7 +682,7 @@ impl RoundPool for SocketPool<'_> {
                     self.transport.kill(conn);
                 }
                 TransportEvent::Disconnected(conn) => {
-                    if self.is_control(conn) {
+                    if self.controls.contains(&conn) {
                         return Err(transport_err(
                             "round",
                             format!("client control connection {conn} lost in round {round}"),
@@ -726,19 +693,8 @@ impl RoundPool for SocketPool<'_> {
                 }
             }
         }
-
-        let mut slots: Vec<Option<PoolUpdate>> = (0..active.len()).map(|_| None).collect();
-        for (_, p) in pending {
-            let (update, wire_len) = p.result.expect("remaining hit zero");
-            slots[p.slot] = Some(PoolUpdate {
-                update,
-                wire_len: Some(wire_len),
-            });
-        }
-        Ok(slots
-            .into_iter()
-            .map(|s| s.expect("all slots filled"))
-            .collect())
+        // The loop ran until every slot held its update.
+        Ok(pending.into_iter().filter_map(|p| p.result).collect())
     }
 
     fn finish(&mut self, global: &[Matrix]) -> Result<(), FederatedError> {

@@ -17,7 +17,9 @@
 //!   trimmed mean (same kept set per coordinate, same non-finite
 //!   containment rule via [`trim_split`]) but sums in arrival order minus
 //!   the tracked extremes rather than in sorted order, so results agree to
-//!   floating-point reassociation (≈1 ulp), not bitwise. State per
+//!   floating-point reassociation, not bitwise: the extremes' rounding stays
+//!   in the sum, so a result can sit many ulps off when outliers dwarf it
+//!   (`tests/aggregator_oracle.rs` holds the summation bound). State per
 //!   coordinate: running sum, non-finite count, and the `trim` smallest /
 //!   largest values seen — O(model · trim).
 //!
@@ -308,7 +310,8 @@ impl StreamingAggregator for StreamingFedAvg {
 /// slots first (high side first, via [`crate::aggregate`]'s `trim_split`),
 /// the remaining budget trims honest extremes, and the mean of the kept
 /// values is `(sum - trimmed extremes) / kept` — the same set the batch
-/// rule averages, summed in a different order (≈1 ulp difference).
+/// rule averages, summed in a different order (see the module docs for how
+/// far apart that can put them).
 #[derive(Debug)]
 pub struct StreamingTrimmedMean {
     trim: usize,
