@@ -1,21 +1,14 @@
 //! Runs the complete four-scenario study once and prints every table and
 //! figure (Tables I–III, Figs. 2–3) plus the headline numbers — the
-//! one-shot artefact behind `EXPERIMENTS.md`. Optionally dumps the raw
-//! report as JSON with `--json <path>`.
+//! one-shot artefact behind `EXPERIMENTS.md`. `--rows` caps the Fig. 2
+//! series; `--json <path>` also dumps the raw report as JSON.
 
 use evfad_bench::BenchOpts;
 use evfad_core::forecast::run_study;
 use evfad_core::tensor::parallel;
 
 fn main() {
-    let opts = BenchOpts::from_env();
-    let json_path = {
-        let args: Vec<String> = std::env::args().collect();
-        args.iter()
-            .position(|a| a == "--json")
-            .and_then(|i| args.get(i + 1))
-            .cloned()
-    };
+    let opts = BenchOpts::from_env(&["--rows", "--json"]);
     println!("{}", opts.banner("Full study"));
     // An archived output says how it was produced: the study runs its
     // detector fits and its trainings as pool jobs, this many at once.
@@ -41,7 +34,7 @@ fn main() {
     print!("{}", report.fig3_text());
     println!();
     println!("{}", report.headline_text());
-    if let Some(path) = json_path {
+    if let Some(path) = opts.json {
         match serde_json::to_string_pretty(&report) {
             Ok(json) => {
                 if let Err(e) = std::fs::write(&path, json) {

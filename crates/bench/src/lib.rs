@@ -1,23 +1,29 @@
-//! Shared plumbing for the bench binaries.
+//! Shared plumbing for the two bench binaries, `full_study` and `ablate`.
 //!
-//! Every table/figure binary accepts `--scale small|mid|paper` (default
-//! `small`) and `--seed <u64>` (default 42), so the paper's experiments can
-//! be regenerated at CI speed or at full fidelity.
+//! Both accept `--scale small|mid|paper` (default `small`) and `--seed
+//! <u64>` (default 42), so the paper's experiments can be regenerated at CI
+//! speed or at full fidelity; each binary names the further flags it takes.
+//! An unknown flag, a malformed or missing value is an error (exit code 2)
+//! that names the valid values: a typo must not archive another experiment.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 use evfad_core::forecast::{Scale, StudyConfig};
 
-/// Parsed command-line options common to all bench binaries.
-#[derive(Debug, Clone, Copy, PartialEq)]
+/// Parsed command-line options of the bench binaries.
+#[derive(Debug, Clone, PartialEq)]
 pub struct BenchOpts {
     /// Study scale.
     pub scale: Scale,
     /// Master seed.
     pub seed: u64,
-    /// Row cap for series dumps (fig2).
+    /// Row cap for the Fig. 2 series dump (`--rows`).
     pub rows: usize,
+    /// Path to write the study report to as JSON (`--json`).
+    pub json: Option<String>,
+    /// Names of the sections to run (`--only a,b`); empty runs them all.
+    pub only: Vec<String>,
 }
 
 impl Default for BenchOpts {
@@ -26,56 +32,54 @@ impl Default for BenchOpts {
             scale: Scale::Small,
             seed: 42,
             rows: 48,
+            json: None,
+            only: Vec::new(),
         }
     }
 }
 
 impl BenchOpts {
-    /// Parses `--scale`, `--seed` and `--rows` from an argument iterator.
-    /// Unknown arguments are ignored (forward compatibility); malformed
-    /// values fall back to defaults with a warning on stderr.
-    pub fn parse(args: impl Iterator<Item = String>) -> Self {
+    /// Parses `--scale`, `--seed` and the flags named in `extra` (any of
+    /// `--rows`, `--json`, `--only`) from an argument iterator.
+    ///
+    /// # Errors
+    ///
+    /// A message naming the valid values, for a flag outside that set, a
+    /// flag without its value, or a value that does not parse.
+    pub fn parse(args: impl IntoIterator<Item = String>, extra: &[&str]) -> Result<Self, String> {
         let mut opts = Self::default();
-        let args: Vec<String> = args.collect();
-        let mut i = 0;
-        while i < args.len() {
-            match args[i].as_str() {
+        let mut args = args.into_iter();
+        while let Some(flag) = args.next() {
+            let mut value = || args.next().ok_or_else(|| format!("{flag} needs a value"));
+            match flag.as_str() {
                 "--scale" => {
-                    if let Some(v) = args.get(i + 1) {
-                        match Scale::parse(v) {
-                            Some(s) => opts.scale = s,
-                            None => eprintln!("warning: unknown scale {v:?}, using small"),
-                        }
-                        i += 1;
-                    }
+                    let v = value()?;
+                    opts.scale = Scale::parse(&v).ok_or_else(|| {
+                        format!("unknown scale {v:?} (expected small, mid or paper)")
+                    })?;
                 }
-                "--seed" => {
-                    if let Some(v) = args.get(i + 1) {
-                        match v.parse() {
-                            Ok(s) => opts.seed = s,
-                            Err(_) => eprintln!("warning: bad seed {v:?}, using default"),
-                        }
-                        i += 1;
-                    }
+                "--seed" => opts.seed = uint(value()?, "seed")?,
+                "--rows" if extra.contains(&"--rows") => opts.rows = uint(value()?, "row count")?,
+                "--json" if extra.contains(&"--json") => opts.json = Some(value()?),
+                "--only" if extra.contains(&"--only") => {
+                    opts.only = value()?.split(',').map(str::to_string).collect();
                 }
-                "--rows" => {
-                    if let Some(v) = args.get(i + 1) {
-                        if let Ok(r) = v.parse() {
-                            opts.rows = r;
-                        }
-                        i += 1;
-                    }
+                _ => {
+                    let known: Vec<&str> =
+                        ["--scale", "--seed"].iter().chain(extra).copied().collect();
+                    return Err(format!(
+                        "unknown flag {flag:?} (expected {})",
+                        known.join(", ")
+                    ));
                 }
-                _ => {}
             }
-            i += 1;
         }
-        opts
+        Ok(opts)
     }
 
-    /// Parses from the process arguments.
-    pub fn from_env() -> Self {
-        Self::parse(std::env::args().skip(1))
+    /// Parses from the process arguments; exits with code 2 on an error.
+    pub fn from_env(extra: &[&str]) -> Self {
+        Self::parse(std::env::args().skip(1), extra).unwrap_or_else(|e| usage_error(&e))
     }
 
     /// The study configuration these options select.
@@ -92,52 +96,82 @@ impl BenchOpts {
     }
 }
 
+fn uint<T: std::str::FromStr>(v: String, what: &str) -> Result<T, String> {
+    v.parse()
+        .map_err(|_| format!("bad {what} {v:?} (expected an unsigned integer)"))
+}
+
+/// Prints `message` to stderr and exits with code 2, the usage-error code.
+pub fn usage_error(message: &str) -> ! {
+    eprintln!("error: {message}");
+    std::process::exit(2)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    fn parse(v: &[&str]) -> BenchOpts {
-        BenchOpts::parse(v.iter().map(|s| s.to_string()))
+    fn parse(v: &[&str], extra: &[&str]) -> Result<BenchOpts, String> {
+        BenchOpts::parse(v.iter().map(|s| s.to_string()), extra)
     }
 
     #[test]
     fn defaults_apply() {
-        let o = parse(&[]);
+        let o = parse(&[], &[]).unwrap();
         assert_eq!(o.scale, Scale::Small);
         assert_eq!(o.seed, 42);
     }
 
     #[test]
     fn flags_parse() {
-        let o = parse(&["--scale", "paper", "--seed", "7", "--rows", "10"]);
+        let o = parse(
+            &[
+                "--scale", "paper", "--seed", "7", "--rows", "10", "--only", "a,b",
+            ],
+            &["--rows", "--only"],
+        )
+        .unwrap();
         assert_eq!(o.scale, Scale::Paper);
         assert_eq!(o.seed, 7);
         assert_eq!(o.rows, 10);
+        assert_eq!(o.only, ["a", "b"]);
     }
 
     #[test]
-    fn bad_values_fall_back() {
-        let o = parse(&["--scale", "galactic", "--seed", "NaN"]);
-        assert_eq!(o.scale, Scale::Small);
-        assert_eq!(o.seed, 42);
+    fn bad_values_are_errors() {
+        let e = parse(&["--scale", "galactic"], &[]).unwrap_err();
+        assert!(
+            e.contains("galactic") && e.contains("small, mid or paper"),
+            "{e}"
+        );
+        let e = parse(&["--seed", "NaN"], &[]).unwrap_err();
+        assert!(e.contains("NaN") && e.contains("unsigned integer"), "{e}");
+        let e = parse(&["--seed"], &[]).unwrap_err();
+        assert!(e.contains("--seed needs a value"), "{e}");
     }
 
     #[test]
-    fn unknown_flags_ignored() {
-        let o = parse(&["--whatever", "--seed", "3"]);
-        assert_eq!(o.seed, 3);
+    fn unknown_flags_are_errors() {
+        let e = parse(&["--whatever", "--seed", "3"], &["--only"]).unwrap_err();
+        assert!(
+            e.contains("--whatever") && e.contains("--scale, --seed, --only"),
+            "{e}"
+        );
+        // A flag another binary takes is unknown to one that does not.
+        let e = parse(&["--rows", "10"], &["--only"]).unwrap_err();
+        assert!(e.contains("--rows"), "{e}");
     }
 
     #[test]
     fn config_matches_scale() {
-        let o = parse(&["--scale", "paper"]);
+        let o = parse(&["--scale", "paper"], &[]).unwrap();
         assert_eq!(o.study_config().dataset.timestamps, 4344);
     }
 
     #[test]
     fn banner_mentions_scale_and_seed() {
-        let b = parse(&["--seed", "9"]).banner("table1");
-        assert!(b.contains("table1"));
+        let b = parse(&["--seed", "9"], &[]).unwrap().banner("Full study");
+        assert!(b.contains("Full study"));
         assert!(b.contains("seed=9"));
     }
 }

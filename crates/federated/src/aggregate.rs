@@ -10,8 +10,8 @@ use serde::{Deserialize, Serialize};
 /// The paper uses sample-weighted Federated Averaging
 /// ([`Aggregator::FedAvg`]). The Byzantine-robust rules harden the server
 /// against poisoned updates — relevant because the paper's threat model is
-/// an adversary attacking the *data* path; a natural escalation (bench
-/// `ablation_aggregation`, exercised end-to-end by the chaos harness in
+/// an adversary attacking the *data* path; a natural escalation (the
+/// `aggregation` section of the `ablate` bench, exercised end-to-end by the chaos harness in
 /// `tests/chaos.rs` via [`crate::faults`]) is an adversary compromising a
 /// *client*.
 ///

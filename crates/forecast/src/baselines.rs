@@ -2,8 +2,8 @@
 //!
 //! The paper's introduction surveys the pre-deep-learning state of practice
 //! (ARIMA-family statistical models and shallow learners). These baselines
-//! put the LSTM's advantage in context and are compared in the
-//! `ablation_baselines` bench:
+//! put the LSTM's advantage in context and are compared in the `baselines`
+//! section of the `ablate` bench:
 //!
 //! * [`NaiveForecaster`] — persistence: predict the last observed value;
 //! * [`SeasonalNaiveForecaster`] — predict the value one period (24 h) ago;
