@@ -67,11 +67,6 @@ impl DetectionReport {
         ratio(self.fp, self.fp + self.tn)
     }
 
-    /// Accuracy over all points.
-    pub fn accuracy(&self) -> f64 {
-        ratio(self.tp + self.tn, self.total())
-    }
-
     /// Total number of points.
     pub fn total(&self) -> usize {
         self.tp + self.fp + self.tn + self.fn_
@@ -108,7 +103,6 @@ mod tests {
         assert_eq!(r.recall(), 1.0);
         assert_eq!(r.f1(), 1.0);
         assert_eq!(r.false_positive_rate(), 0.0);
-        assert_eq!(r.accuracy(), 1.0);
     }
 
     #[test]
@@ -229,15 +223,6 @@ impl EpisodeReport {
             false_alarm_events,
         }
     }
-
-    /// Fraction of episodes detected (`0` when there were none).
-    pub fn detection_ratio(&self) -> f64 {
-        if self.episodes == 0 {
-            0.0
-        } else {
-            self.detected as f64 / self.episodes as f64
-        }
-    }
 }
 
 #[cfg(test)]
@@ -254,7 +239,6 @@ mod episode_tests {
         assert_eq!(r.episodes, 2);
         assert_eq!(r.detected, 2);
         assert_eq!(r.false_alarm_events, 0);
-        assert_eq!(r.detection_ratio(), 1.0);
     }
 
     #[test]
@@ -273,7 +257,6 @@ mod episode_tests {
         let episodes: [(usize, usize); 0] = [];
         let r = EpisodeReport::from_episodes(&episodes, &flags, 0.1);
         assert_eq!(r.false_alarm_events, 2);
-        assert_eq!(r.detection_ratio(), 0.0);
     }
 
     #[test]

@@ -1,6 +1,6 @@
 //! Streaming anomaly detection.
 //!
-//! The batch [`AnomalyFilter`](crate::AnomalyFilter) scores a whole series
+//! The batch [`AnomalyFilter`] scores a whole series
 //! at once — the right tool for the paper's offline evaluation. A deployed
 //! charging station instead sees one reading per hour and must decide
 //! immediately. [`OnlineDetector`] wraps a fitted filter's autoencoder in a

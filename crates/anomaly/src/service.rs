@@ -16,7 +16,7 @@
 //!   [`forward_batch_into`](InferenceModel::forward_batch_into) per
 //!   worker over it;
 //! - decisions come back in that same (round, tenant) order, each scored
-//!   against the **tenant's own** threshold with the exact
+//!   against the filter's fitted threshold with the exact
 //!   [`OnlineDetector::push`](crate::OnlineDetector::push) admission
 //!   semantics (sanitising replaces a flagged reading with the previous
 //!   admitted value; buffers stay bounded).
@@ -25,7 +25,7 @@
 //!
 //! A flush splits each round's batch into contiguous row chunks served by
 //! per-worker snapshot clones on the deterministic
-//! [`parallel`](evfad_tensor::parallel) pool — as many chunks as the
+//! [`parallel`] pool — as many chunks as the
 //! process-wide [`parallel::threads`]; at width 1 it is a plain loop on
 //! the caller. Because every kernel row depends only on its own window,
 //! chunking — and therefore the thread count — cannot change any tenant's
@@ -43,8 +43,8 @@
 //! [`TenantVerdict::Quarantined`] *before* batch assembly, every later
 //! reading from that tenant is rejected the same way, and the shared
 //! batch never sees the poison — the other tenants' scores are
-//! unaffected down to the bit. Once the station is repaired,
-//! [`release`](ScoringService::release) lets the tenant warm up again.
+//! unaffected down to the bit. A repaired station comes back as a new
+//! tenant.
 
 use crate::detector::AnomalyFilter;
 use crate::error::AnomalyError;
@@ -58,7 +58,7 @@ use std::collections::VecDeque;
 pub enum TenantVerdict {
     /// Context still filling; the reading was admitted unscored.
     Warmup,
-    /// Scored against the tenant's threshold.
+    /// Scored against the service's threshold.
     Scored(OnlineDecision),
     /// The reading was non-finite, or the tenant was already
     /// quarantined: rejected, nothing entered the buffer or the batch.
@@ -79,7 +79,6 @@ pub struct TenantDecision {
 struct TenantState {
     buffer: Vec<f64>,
     pending: VecDeque<f64>,
-    threshold: f64,
     sanitize: bool,
     quarantined: bool,
 }
@@ -127,7 +126,7 @@ pub struct ScoringService {
     prototype: InferenceModel,
     workers: Vec<Worker>,
     seq_len: usize,
-    default_threshold: f64,
+    threshold: f64,
     tenants: Vec<TenantState>,
     pending_total: usize,
     // Flush-round scratch: tenant id and raw value per batch row, and the
@@ -150,8 +149,8 @@ impl ScoringService {
     /// [`AnomalyError::Training`] if the model cannot be frozen.
     pub fn from_filter(filter: &AnomalyFilter, precision: Precision) -> Result<Self, AnomalyError> {
         let model = filter.model().ok_or(AnomalyError::NotFitted)?;
-        let default_threshold = filter.threshold().ok_or(AnomalyError::NotFitted)?;
-        if default_threshold.is_nan() {
+        let threshold = filter.threshold().ok_or(AnomalyError::NotFitted)?;
+        if threshold.is_nan() {
             return Err(AnomalyError::NanThreshold);
         }
         let prototype = InferenceModel::freeze(model, precision)
@@ -160,7 +159,7 @@ impl ScoringService {
             prototype,
             workers: Vec::new(),
             seq_len: filter.config().seq_len,
-            default_threshold,
+            threshold,
             tenants: Vec::new(),
             pending_total: 0,
             batch_tenants: Vec::new(),
@@ -169,62 +168,21 @@ impl ScoringService {
         })
     }
 
-    /// Registers a tenant with the filter's fitted threshold. Returns the
-    /// tenant id used by [`submit`](ScoringService::submit).
+    /// Registers a tenant scored against the filter's fitted threshold.
+    /// Returns the tenant id used by [`submit`](ScoringService::submit).
     pub fn add_tenant(&mut self, sanitize: bool) -> usize {
-        self.push_tenant(self.default_threshold, sanitize)
-    }
-
-    /// Registers a tenant with its own decision threshold. `+∞` is legal
-    /// ("never flag").
-    ///
-    /// # Errors
-    ///
-    /// [`AnomalyError::NanThreshold`] if `threshold` is NaN.
-    pub fn add_tenant_with(
-        &mut self,
-        threshold: f64,
-        sanitize: bool,
-    ) -> Result<usize, AnomalyError> {
-        if threshold.is_nan() {
-            return Err(AnomalyError::NanThreshold);
-        }
-        Ok(self.push_tenant(threshold, sanitize))
-    }
-
-    /// `threshold` is not NaN: `from_filter` and `add_tenant_with` checked.
-    fn push_tenant(&mut self, threshold: f64, sanitize: bool) -> usize {
         self.tenants.push(TenantState {
             buffer: Vec::new(),
             pending: VecDeque::new(),
-            threshold,
             sanitize,
             quarantined: false,
         });
         self.tenants.len() - 1
     }
 
-    /// Number of registered tenants.
-    pub fn tenant_count(&self) -> usize {
-        self.tenants.len()
-    }
-
     /// Whether a tenant has been quarantined by a non-finite reading.
     pub fn is_quarantined(&self, tenant: usize) -> bool {
         self.tenants[tenant].quarantined
-    }
-
-    /// Lets a repaired tenant back in: drops its pending readings, empties
-    /// its context buffer and clears the quarantine flag, so the tenant
-    /// warms up again through [`seed_context`](ScoringService::seed_context)
-    /// or `seq_len - 1` [`TenantVerdict::Warmup`] readings. Returns whether
-    /// the tenant was quarantined.
-    pub fn release(&mut self, tenant: usize) -> bool {
-        let t = &mut self.tenants[tenant];
-        self.pending_total -= t.pending.len();
-        t.pending.clear();
-        t.buffer.clear();
-        std::mem::take(&mut t.quarantined)
     }
 
     /// Context points currently buffered for a tenant.
@@ -387,7 +345,7 @@ impl ScoringService {
             let t = &mut self.tenants[self.batch_tenants[row]];
             let err = recon_last - value;
             let score = err * err;
-            let anomalous = score > t.threshold;
+            let anomalous = score > self.threshold;
             let admitted = if anomalous && t.sanitize {
                 *t.buffer.last().expect("context is non-empty")
             } else {
@@ -526,69 +484,6 @@ mod tests {
     }
 
     #[test]
-    fn a_released_tenant_scores_like_a_new_one() {
-        fn scored_bits(d: &TenantDecision) -> (u64, u64, bool) {
-            match d.verdict {
-                TenantVerdict::Scored(s) => (s.score.to_bits(), s.admitted.to_bits(), s.anomalous),
-                other => panic!("tenant {} was not scored: {other:?}", d.tenant),
-            }
-        }
-        let filter = fitted_filter();
-        let mut service = ScoringService::from_filter(&filter, Precision::F64).expect("service");
-        let healthy = service.add_tenant(false);
-        let broken = service.add_tenant(true);
-        // Reference: the healthy tenant alone, no neighbour.
-        let mut solo = ScoringService::from_filter(&filter, Precision::F64).expect("service");
-        let solo_id = solo.add_tenant(false);
-        let history = sine(40, 1);
-        service.seed_context(healthy, &history);
-        service.seed_context(broken, &history);
-        solo.seed_context(solo_id, &history);
-        // One reading for the healthy tenant beside whatever its neighbours
-        // queued: its bits are the solo service's.
-        let mut flush_beside_solo = |service: &mut ScoringService, v: f64| {
-            service.submit(healthy, v);
-            solo.submit(solo_id, v);
-            let decisions = service.flush();
-            assert_eq!(
-                scored_bits(&decisions[healthy]),
-                scored_bits(&solo.flush()[0]),
-                "a neighbour changed the healthy tenant's bits"
-            );
-            decisions
-        };
-
-        service.submit(broken, f64::NAN);
-        let decisions = flush_beside_solo(&mut service, 0.55);
-        assert_eq!(decisions[broken].verdict, TenantVerdict::Quarantined);
-        service.submit(broken, 0.5);
-        service.submit(broken, 0.6);
-        assert!(service.release(broken));
-        assert_eq!(service.pending(), 0, "its queue went with it");
-        assert_eq!(service.context_len(broken), 0);
-        assert!(!service.is_quarantined(broken));
-        assert!(!service.release(broken), "released once");
-
-        // Repaired and re-seeded, it is a tenant added now and seeded the
-        // same way.
-        let repair = sine(30, 5);
-        service.seed_context(broken, &repair);
-        let fresh = service.add_tenant(true);
-        service.seed_context(fresh, &repair);
-        let mut series = sine(20, 35);
-        series[8] += 3.0;
-        for &v in &series {
-            service.submit(broken, v);
-            service.submit(fresh, v);
-            let decisions = flush_beside_solo(&mut service, v);
-            assert_eq!(
-                scored_bits(&decisions[broken]),
-                scored_bits(&decisions[fresh])
-            );
-        }
-    }
-
-    #[test]
     fn cold_tenant_warms_up_before_scoring() {
         let filter = fitted_filter();
         let mut service = ScoringService::from_filter(&filter, Precision::F64).expect("service");
@@ -611,44 +506,10 @@ mod tests {
     }
 
     #[test]
-    fn per_tenant_thresholds_are_respected() {
-        let filter = fitted_filter();
-        let mut service = ScoringService::from_filter(&filter, Precision::F64).expect("service");
-        let strict = service.add_tenant_with(0.0, false).expect("finite");
-        let lax = service
-            .add_tenant_with(f64::INFINITY, false)
-            .expect("never flag");
-        let history = sine(40, 1);
-        service.seed_context(strict, &history);
-        service.seed_context(lax, &history);
-        service.submit(strict, 0.9);
-        service.submit(lax, 0.9);
-        let decisions = service.flush();
-        let TenantVerdict::Scored(s) = decisions[0].verdict else {
-            panic!("strict tenant unscored");
-        };
-        let TenantVerdict::Scored(l) = decisions[1].verdict else {
-            panic!("lax tenant unscored");
-        };
-        assert!(s.anomalous, "zero threshold must flag everything");
-        assert!(!l.anomalous, "infinite threshold must flag nothing");
-    }
-
-    #[test]
     fn nan_threshold_is_rejected() {
-        let filter = fitted_filter();
-        let mut service = ScoringService::from_filter(&filter, Precision::F64).expect("service");
-        assert_eq!(
-            service.add_tenant_with(f64::NAN, false),
-            Err(AnomalyError::NanThreshold)
-        );
-        assert_eq!(
-            service.tenant_count(),
-            0,
-            "a rejected tenant is not registered"
-        );
-        // The same hole one level up: a rule that fits to a NaN boundary
-        // must not become every `add_tenant`'s default.
+        // A rule that fits to a NaN boundary must not become every
+        // tenant's threshold: a NaN never compares greater, so nothing
+        // would ever be flagged.
         let mut config = FilterConfig::fast(12);
         config.threshold = crate::ThresholdRule::MeanStd { k: f64::NAN };
         let mut unflaggable = AnomalyFilter::new(config);

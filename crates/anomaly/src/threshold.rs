@@ -7,7 +7,7 @@ use serde::{Deserialize, Serialize};
 ///
 /// The paper thresholds at the 98th percentile of training reconstruction
 /// MSE. Mean+k·std (MSD) and median+k·MAD rules appear in the related work
-/// the paper builds on ([4]) and are provided for the threshold ablation.
+/// the paper builds on (\[4\]) and are provided for the threshold ablation.
 ///
 /// # Examples
 ///

@@ -81,22 +81,6 @@ pub struct AttackOutcome {
     pub episodes: Vec<AttackEpisode>,
 }
 
-impl AttackOutcome {
-    /// Number of attacked hours.
-    pub fn attacked_count(&self) -> usize {
-        self.labels.iter().filter(|&&l| l).count()
-    }
-
-    /// Fraction of hours attacked.
-    pub fn attacked_fraction(&self) -> f64 {
-        if self.labels.is_empty() {
-            0.0
-        } else {
-            self.attacked_count() as f64 / self.labels.len() as f64
-        }
-    }
-}
-
 /// Injects DDoS-like volume spikes into an hourly charging series.
 ///
 /// Attacks arrive as episodes of `min..=max` hours. Within an episode the
@@ -112,7 +96,7 @@ impl AttackOutcome {
 ///
 /// let clean = vec![10.0; 1000];
 /// let out = DdosInjector::new(DdosConfig::default()).inject(&clean, 7);
-/// let frac = out.attacked_fraction();
+/// let frac = out.labels.iter().filter(|&&l| l).count() as f64 / clean.len() as f64;
 /// assert!(frac > 0.06 && frac < 0.16, "fraction {frac}");
 /// ```
 #[derive(Debug, Clone)]
@@ -237,7 +221,7 @@ mod tests {
     #[test]
     fn attack_fraction_close_to_target() {
         let out = DdosInjector::default().inject(&flat(5000), 3);
-        let frac = out.attacked_fraction();
+        let frac = out.labels.iter().filter(|&&l| l).count() as f64 / 5000.0;
         assert!((0.08..=0.16).contains(&frac), "fraction {frac}");
     }
 
@@ -292,7 +276,7 @@ mod tests {
             ..DdosConfig::default()
         };
         let out = DdosInjector::new(cfg).inject(&flat(500), 6);
-        assert_eq!(out.attacked_count(), 0);
+        assert!(!out.labels.contains(&true));
         assert_eq!(out.series, flat(500));
     }
 

@@ -21,7 +21,7 @@
 //! let outcome = DdosInjector::new(DdosConfig::default()).inject(&clean, 42);
 //! assert_eq!(outcome.series.len(), clean.len());
 //! assert_eq!(outcome.labels.len(), clean.len());
-//! assert!(outcome.attacked_count() > 0);
+//! assert!(outcome.labels.contains(&true));
 //! // Unattacked points are untouched.
 //! for i in 0..clean.len() {
 //!     if !outcome.labels[i] {

@@ -34,10 +34,9 @@ pub const SLOT_MS: u64 = 100;
 ///
 /// let model = TrafficModel::paper();
 /// let mut rng = rand::rngs::StdRng::seed_from_u64(1);
-/// let slots = model.simulate_slots(600, 1.0, &mut rng); // one minute, full attack
-/// let mean_per_slot = slots.iter().sum::<f64>() / slots.len() as f64;
-/// // Slots are 100 ms, so the per-slot count is one tenth of the pps rate.
-/// assert!(mean_per_slot > evfad_attack::NORMAL_PPS / 10.0 * 5.0);
+/// // A fully attacked hour carries about the documented 10.6x the volume.
+/// let mult = model.hourly_multiplier(1.0, &mut rng);
+/// assert!((mult - evfad_attack::INTENSITY_MULTIPLIER).abs() < 0.5);
 /// ```
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct TrafficModel {
@@ -61,21 +60,14 @@ impl TrafficModel {
 
     /// Mean packet rate at attack `intensity` in `[0, 1]`
     /// (0 = normal traffic, 1 = full documented attack rate).
-    pub fn mean_rate(&self, intensity: f64) -> f64 {
+    fn mean_rate(&self, intensity: f64) -> f64 {
         let intensity = intensity.clamp(0.0, 1.0);
         self.normal_pps + (self.attack_pps - self.normal_pps) * intensity
     }
 
-    /// The volume multiplier implied by attack `intensity`: the ratio of the
-    /// attacked rate to the normal rate. At `intensity = 1` this is the
-    /// paper's 10.6x.
-    pub fn intensity_multiplier(&self, intensity: f64) -> f64 {
-        self.mean_rate(intensity) / self.normal_pps
-    }
-
     /// Simulates per-slot (100 ms) packet counts at a fixed attack
     /// intensity.
-    pub fn simulate_slots(&self, slots: usize, intensity: f64, rng: &mut impl Rng) -> Vec<f64> {
+    fn simulate_slots(&self, slots: usize, intensity: f64, rng: &mut impl Rng) -> Vec<f64> {
         let mean = self.mean_rate(intensity);
         (0..slots)
             .map(|_| {
@@ -159,12 +151,5 @@ mod tests {
         let slots = m.simulate_slots(1000, 0.0, &mut rng);
         let per_second = slots.iter().sum::<f64>() / slots.len() as f64 * 10.0;
         assert!((per_second - NORMAL_PPS).abs() < NORMAL_PPS * 0.05);
-    }
-
-    #[test]
-    fn multiplier_monotone_in_intensity() {
-        let m = TrafficModel::paper();
-        assert!(m.intensity_multiplier(0.2) < m.intensity_multiplier(0.8));
-        assert!((m.intensity_multiplier(1.0) - INTENSITY_MULTIPLIER).abs() < 1e-12);
     }
 }

@@ -7,14 +7,9 @@
 //! LSTM-autoencoder anomaly filter, evaluated under simulated DDoS
 //! data-integrity attacks.
 //!
-//! Most users want one of two entry points:
-//!
-//! * [`Framework`] — the high-level API: configure once, then run
-//!   detection/mitigation and federated forecasting over the bundled
-//!   synthetic Shenzhen dataset (or your own series);
-//! * [`forecast::run_study`] — the paper's full four-scenario evaluation,
-//!   producing a [`forecast::StudyReport`] from which every table and
-//!   figure is printed.
+//! Most users want one entry point, [`forecast::run_study`]: the paper's
+//! full four-scenario evaluation of a [`forecast::StudyConfig`], producing a
+//! [`forecast::StudyReport`] from which every table and figure is printed.
 //!
 //! The substrates are re-exported as modules ([`nn`], [`tensor`],
 //! [`timeseries`], [`data`], [`attack`], [`anomaly`], [`federated`],
@@ -25,10 +20,9 @@
 //! End-to-end quickstart on a small synthetic dataset:
 //!
 //! ```no_run
-//! use evfad_core::{Framework, forecast::Scale};
+//! use evfad_core::forecast::{run_study, Scale, StudyConfig};
 //!
-//! let framework = Framework::at_scale(Scale::Small, 42);
-//! let report = framework.run_study()?;
+//! let report = run_study(&StudyConfig::at_scale(Scale::Small, 42))?;
 //! println!("{}", report.table1());
 //! println!("{}", report.headline_text());
 //! # Ok::<(), evfad_core::forecast::ForecastError>(())
@@ -61,73 +55,9 @@ pub use evfad_federated as federated;
 /// Forecasting models and the paper's experiment runner.
 pub use evfad_forecast as forecast;
 
-use evfad_forecast::{run_study, ForecastError, Scale, StudyConfig, StudyReport};
-
-/// High-level entry point bundling the full pipeline behind one type.
-///
-/// Wraps a [`StudyConfig`]; construct via [`Framework::at_scale`] /
-/// [`Framework::paper`] or from a custom config with [`Framework::new`],
-/// then call [`Framework::run_study`].
-#[derive(Debug, Clone)]
-pub struct Framework {
-    config: StudyConfig,
-}
-
-impl Framework {
-    /// Wraps an explicit study configuration.
-    pub fn new(config: StudyConfig) -> Self {
-        Self { config }
-    }
-
-    /// A preset configuration at the given scale.
-    pub fn at_scale(scale: Scale, seed: u64) -> Self {
-        Self::new(StudyConfig::at_scale(scale, seed))
-    }
-
-    /// The paper's full protocol (4,344 points, LSTM(50), 5 × 10 epochs).
-    pub fn paper(seed: u64) -> Self {
-        Self::new(StudyConfig::paper(seed))
-    }
-
-    /// Borrow of the wrapped configuration.
-    pub fn config(&self) -> &StudyConfig {
-        &self.config
-    }
-
-    /// Mutable borrow of the wrapped configuration (for fine-tuning).
-    pub fn config_mut(&mut self) -> &mut StudyConfig {
-        &mut self.config
-    }
-
-    /// Runs the paper's complete four-scenario study.
-    ///
-    /// # Errors
-    ///
-    /// Propagates any preparation, filtering, or training failure from the
-    /// underlying pipeline.
-    pub fn run_study(&self) -> Result<StudyReport, ForecastError> {
-        run_study(&self.config)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn framework_exposes_config() {
-        let mut f = Framework::at_scale(Scale::Small, 7);
-        assert_eq!(f.config().seed, 7);
-        f.config_mut().seed = 8;
-        assert_eq!(f.config().seed, 8);
-    }
-
-    #[test]
-    fn paper_preset_is_paper_scale() {
-        let f = Framework::paper(1);
-        assert_eq!(f.config().dataset.timestamps, 4344);
-        assert_eq!(f.config().lstm_units, 50);
-    }
 
     #[test]
     fn reexports_are_wired() {
@@ -144,8 +74,7 @@ mod tests {
 
     #[test]
     fn tiny_study_runs_through_facade() {
-        let mut f = Framework::at_scale(Scale::Small, 3);
-        let cfg = f.config_mut();
+        let mut cfg = forecast::StudyConfig::at_scale(forecast::Scale::Small, 3);
         cfg.dataset.timestamps = 360;
         cfg.lstm_units = 6;
         cfg.rounds = 1;
@@ -153,7 +82,7 @@ mod tests {
         cfg.filter.encoder_units = (6, 3);
         cfg.filter.epochs = 2;
         cfg.filter.train_stride = 4;
-        let report = f.run_study().expect("study");
+        let report = forecast::run_study(&cfg).expect("study");
         assert_eq!(report.scenarios.len(), 4);
     }
 }

@@ -79,11 +79,14 @@ pub fn to_csv(client: &ClientData) -> String {
 }
 
 /// Parses a dataset CSV produced by [`to_csv`] (or hand-authored in the
-/// same format). Rows must be in timestamp order starting at zero.
+/// same format). Rows must be in timestamp order starting at zero, every
+/// number must be finite, and `raining` is `1`/`true` or `0`/`false`.
 ///
 /// # Errors
 ///
-/// Returns [`CsvError`] on a malformed header, row, or field.
+/// Returns [`CsvError`] on a malformed header, row, or field; a timestamp
+/// out of order, a non-finite number or another `raining` token is a
+/// [`CsvError::BadField`] naming its column.
 pub fn from_csv(text: &str, zone: Zone) -> Result<ClientData, CsvError> {
     let mut lines = text.lines().enumerate();
     let (_, header) = lines
@@ -106,18 +109,34 @@ pub fn from_csv(text: &str, zone: Zone) -> Result<ClientData, CsvError> {
                 fields: fields.len(),
             });
         }
-        let parse = |s: &str, column: &'static str| -> Result<f64, CsvError> {
-            s.trim().parse().map_err(|_| CsvError::BadField {
-                line: line_no,
-                column,
-            })
+        let bad = |column| CsvError::BadField {
+            line: line_no,
+            column,
         };
-        let _t = parse(fields[0], "timestamp")?;
+        let parse = |s: &str, column: &'static str| -> Result<f64, CsvError> {
+            s.trim()
+                .parse()
+                .ok()
+                .filter(|v: &f64| v.is_finite())
+                .ok_or(bad(column))
+        };
+        if fields[0].trim().parse() != Ok(demand.len()) {
+            return Err(bad("timestamp"));
+        }
         demand.push(parse(fields[1], "demand")?);
+        let temperature_c = parse(fields[2], "temperature_c")?;
+        let humidity_pct = parse(fields[3], "humidity_pct")?;
+        let raining = match fields[4].trim() {
+            "1" => true,
+            "0" => false,
+            t if t.eq_ignore_ascii_case("true") => true,
+            t if t.eq_ignore_ascii_case("false") => false,
+            _ => return Err(bad("raining")),
+        };
         weather.push(WeatherPoint {
-            temperature_c: parse(fields[2], "temperature_c")?,
-            humidity_pct: parse(fields[3], "humidity_pct")?,
-            raining: fields[4].trim() == "1" || fields[4].trim().eq_ignore_ascii_case("true"),
+            temperature_c,
+            humidity_pct,
+            raining,
         });
     }
     Ok(ClientData {
@@ -197,6 +216,51 @@ mod tests {
         let text = format!("{HEADER}\n0,1.0,20.0,50.0,TRUE\n");
         let data = from_csv(&text, Zone::Z102).unwrap();
         assert!(data.weather[0].raining);
+    }
+
+    #[test]
+    fn rejects_a_timestamp_out_of_order() {
+        for rows in ["1,1.0,20.0,50.0,0", "0,1.0,20.0,50.0,0\n0,2.0,20.0,50.0,0"] {
+            let text = format!("{HEADER}\n{rows}\n");
+            let line = 1 + rows.lines().count();
+            assert_eq!(
+                from_csv(&text, Zone::Z102).unwrap_err(),
+                CsvError::BadField {
+                    line,
+                    column: "timestamp"
+                }
+            );
+        }
+    }
+
+    #[test]
+    fn rejects_a_non_finite_demand() {
+        for value in ["NaN", "inf", "-inf"] {
+            let text = format!("{HEADER}\n0,{value},20.0,50.0,0\n");
+            assert_eq!(
+                from_csv(&text, Zone::Z102).unwrap_err(),
+                CsvError::BadField {
+                    line: 2,
+                    column: "demand"
+                }
+            );
+        }
+    }
+
+    #[test]
+    fn rejects_an_unknown_raining_token() {
+        for token in ["yes", "2", ""] {
+            let text = format!("{HEADER}\n0,1.0,20.0,50.0,{token}\n");
+            assert_eq!(
+                from_csv(&text, Zone::Z102).unwrap_err(),
+                CsvError::BadField {
+                    line: 2,
+                    column: "raining"
+                }
+            );
+        }
+        let text = format!("{HEADER}\n0,1.0,20.0,50.0,False\n");
+        assert!(!from_csv(&text, Zone::Z102).unwrap().weather[0].raining);
     }
 
     #[test]

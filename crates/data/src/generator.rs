@@ -49,13 +49,6 @@ pub struct ClientData {
     pub weather: Vec<WeatherPoint>,
 }
 
-impl ClientData {
-    /// The paper's client name (`"Client 1"` …).
-    pub fn client_name(&self) -> String {
-        format!("Client {}", self.zone.client_index())
-    }
-}
-
 /// Generates the synthetic three-zone dataset.
 ///
 /// # Examples
@@ -87,8 +80,8 @@ impl ShenzhenGenerator {
         self.generate_with_profile(zone, &ZoneProfile::shenzhen(zone))
     }
 
-    /// Generates a zone's data from a custom profile (used by ablations).
-    pub fn generate_with_profile(&self, zone: Zone, profile: &ZoneProfile) -> ClientData {
+    /// Generates a zone's data from a given profile.
+    fn generate_with_profile(&self, zone: Zone, profile: &ZoneProfile) -> ClientData {
         let n = self.config.timestamps;
         let zone_seed = self
             .config
@@ -128,7 +121,7 @@ mod rand_distr_normal {
     use rand::Rng;
 
     /// Samples one standard normal value.
-    pub fn sample_standard_normal(rng: &mut impl Rng) -> f64 {
+    pub(super) fn sample_standard_normal(rng: &mut impl Rng) -> f64 {
         // Box–Muller; u1 in (0,1] to avoid ln(0).
         let u1: f64 = 1.0 - rng.gen::<f64>();
         let u2: f64 = rng.gen();
@@ -246,13 +239,6 @@ mod tests {
         };
         let r: Vec<f64> = data.iter().map(|c| roughness(&c.demand)).collect();
         assert!(r[2] > r[0] && r[2] > r[1], "{r:?}");
-    }
-
-    #[test]
-    fn client_names_follow_paper() {
-        let data = ShenzhenGenerator::new(DatasetConfig::small(50, 1)).generate_all();
-        assert_eq!(data[0].client_name(), "Client 1");
-        assert_eq!(data[2].client_name(), "Client 3");
     }
 
     #[test]

@@ -131,7 +131,7 @@ impl QuantizedTensor {
     /// shape already matches — identical output to
     /// [`QuantizedTensor::dequantize`] (which delegates here), but a warm
     /// caller pays zero allocations per tensor.
-    pub fn dequantize_into(&self, out: &mut Matrix) {
+    fn dequantize_into(&self, out: &mut Matrix) {
         if out.shape() != (self.rows, self.cols) {
             *out = Matrix::zeros(self.rows, self.cols);
         }
@@ -215,7 +215,7 @@ impl QuantizedUpdate {
     /// Reconstructs the weight vector into `out`, reusing same-shaped
     /// buffers — identical output to [`QuantizedUpdate::dequantize`];
     /// zero allocations when `out` already holds matching shapes.
-    pub fn dequantize_into(&self, out: &mut Vec<Matrix>) {
+    fn dequantize_into(&self, out: &mut Vec<Matrix>) {
         out.truncate(self.tensors.len());
         for (i, t) in self.tensors.iter().enumerate() {
             match out.get_mut(i) {
@@ -254,23 +254,8 @@ pub struct CodecScratch {
 }
 
 impl CodecScratch {
-    /// Encodes `weights` under `mode` into the scratch representation and
-    /// returns the exact wire payload byte length (`encode_quantized`
-    /// produces exactly this many bytes — pinned by the wire tests).
-    /// [`CompressionMode::None`] is pure shape arithmetic and leaves the
-    /// scratch untouched.
-    pub fn encoded_len(&mut self, mode: CompressionMode, weights: &[Matrix]) -> usize {
-        match mode {
-            CompressionMode::None => crate::wire::encoded_size(weights),
-            CompressionMode::Quant8 => {
-                QuantizedUpdate::quantize_into(weights, &mut self.quant);
-                crate::wire::quantized_encoded_size(&self.quant)
-            }
-        }
-    }
-
     /// Replaces `weights` with the server-side decode of the payload last
-    /// encoded by [`CodecScratch::encoded_len`] under the same `mode`,
+    /// quantized into [`CodecScratch::quant`] under the same `mode`,
     /// reusing the existing matrix buffers. A no-op for
     /// [`CompressionMode::None`]: the `EVFD` round-trip is bitwise-exact,
     /// so the raw weights *are* the decoded payload.

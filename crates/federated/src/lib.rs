@@ -80,5 +80,5 @@ pub use scheduler::Scheduler;
 pub use simulation::{
     FederatedConfig, FederatedOutcome, FederatedSimulation, OutcomeDigest, RoundDigest, RoundStats,
 };
-pub use socket::{SocketClient, SocketServer, SocketServerConfig, SocketTransport};
+pub use socket::{SocketClient, SocketServer, SocketServerConfig};
 pub use streaming::StreamingAggregator;

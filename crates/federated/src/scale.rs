@@ -1,7 +1,7 @@
 //! Hierarchical large-population federation: 10k–1M synthetic clients,
 //! edge-tier streaming aggregation, O(model · workers) server memory.
 //!
-//! This engine runs the round protocol of [`engine`](crate::engine) — the
+//! This engine runs the round protocol of `engine` — the
 //! admission, fold and tally the in-process [`crate::FederatedSimulation`]
 //! runs — over paper-style populations, with synthesis in place of
 //! training: a [`ClientSpec`] (a zone profile of the data generator, a
@@ -12,7 +12,7 @@
 //!   contiguous shards, each an accumulator sized up front.
 //! * **Waves.** Shard folds fan out over the [`evfad_tensor::parallel`]
 //!   pool, [`ScaleConfig::threads`] at a time. A fold synthesises its
-//!   members [`LANES`] at a time into reused buffers, and each update is
+//!   members `LANES` at a time into reused buffers, and each update is
 //!   disposed, metered and folded (Quant8 straight from its payload) before
 //!   the next group overwrites it: nothing per client outlives its update.
 //! * **The edge hop.** With `edges > 1` each shard's aggregate is a partial:
@@ -65,8 +65,8 @@ pub struct ScaleConfig {
     pub seed: u64,
     /// Edge fan-out width: how many shard folds may run concurrently on
     /// the [`evfad_tensor::parallel`] worker pool. `1` = serial, `0` =
-    /// inherit the process-wide pool width (see
-    /// [`ScaleConfig::effective_threads`]). Results are bitwise identical
+    /// inherit the process-wide pool width,
+    /// [`evfad_tensor::parallel::threads`]. Results are bitwise identical
     /// for every setting, so the two defaults differ in speed only:
     /// [`ScaleConfig::default`] is `1` (serial, host-independent), a
     /// serialized config without the field reads as `0` (inherit).
@@ -178,7 +178,7 @@ impl ScaleConfig {
     /// knob `FederatedConfig.threads` installs at the start of a
     /// simulation run. The two therefore compose: a simulation configures
     /// the pool once and a scale run with `threads: 0` inherits it.
-    pub fn effective_threads(&self) -> usize {
+    fn effective_threads(&self) -> usize {
         if self.threads == 0 {
             parallel::threads()
         } else {

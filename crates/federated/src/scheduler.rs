@@ -9,7 +9,7 @@
 //!   thousands that double rounding can land one client off the exact
 //!   value of `round(n · participation)` (the f64 `participation` is a
 //!   dyadic rational `m · 2^e`, so the exact product is computable in
-//!   128-bit integer arithmetic — see [`exact_take`]).
+//!   128-bit integer arithmetic — see `exact_take`).
 //! * **The per-round RNG key uses the same FNV-1a mixing as the fault
 //!   layer.** The old ad-hoc `seed ^ round * 0x9E37` key changes only two
 //!   low bytes of the seed between consecutive rounds; FNV mixing
@@ -103,7 +103,7 @@ impl Scheduler {
 /// with carry — no double rounding, unlike `(n as f64 * p).round()`.
 /// Rounds half away from zero, matching `f64::round` on the values the
 /// old code computed when the product happened to be exact.
-pub fn exact_take(n: usize, p: f64) -> usize {
+fn exact_take(n: usize, p: f64) -> usize {
     debug_assert!(p.is_finite() && p >= 0.0);
     if n == 0 || p == 0.0 {
         return 0;

@@ -3,7 +3,7 @@
 //!
 //! Three layers, bottom up:
 //!
-//! * [`SocketTransport`] — a listener with an accept thread and one
+//! * `SocketTransport` — a listener with an accept thread and one
 //!   reader thread per connection. Readers reassemble length-prefixed
 //!   frames (see [`framing`](crate::framing)) from arbitrary read
 //!   fragmentation, decode each into a [`Message`], and feed a single
@@ -12,7 +12,7 @@
 //!   connections from the round loop.
 //! * [`SocketServer`] — binds, admits the expected clients
 //!   (`Hello`/`Welcome` handshake), then drives the **same**
-//!   [`engine`](crate::engine) round loop as the in-process simulation
+//!   `engine` round loop as the in-process simulation
 //!   through a socket-backed pool. Every protocol decision — sampling,
 //!   fault admission, disposition, metering, the `min_participants`
 //!   floor, aggregation — executes in the shared engine, which is why
@@ -35,7 +35,7 @@
 //! order; metering counts protocol payload bytes (frame and envelope
 //! overhead excluded), which the client produces with the same encoders
 //! the in-process path meters arithmetically. Connection-loss faults are
-//! scheduled from the same [`FaultPlan`] on both paths: the server knows
+//! scheduled from the same [`FaultPlan`](crate::faults::FaultPlan) on both paths: the server knows
 //! a client's planned `Transient { failures }` and closes exactly that
 //! many of its upload connections before acknowledging (or all of them,
 //! when the plan exceeds the retry budget) — the client's honest retry
@@ -71,7 +71,7 @@ fn transport_err(context: &str, detail: impl std::fmt::Display) -> FederatedErro
 
 /// What the event queue delivers to whoever drains the transport.
 #[derive(Debug)]
-pub enum TransportEvent {
+enum TransportEvent {
     /// A decoded protocol message from connection `0`'s peer.
     Message(u64, Message),
     /// The connection closed (peer hangup, server kill, or a framing /
@@ -85,7 +85,7 @@ pub enum TransportEvent {
 /// transport does not know which connection belongs to which client —
 /// the protocol layer learns that from `Hello` / `Update` messages.
 #[derive(Debug)]
-pub struct SocketTransport {
+struct SocketTransport {
     local_addr: SocketAddr,
     events: Receiver<TransportEvent>,
     writers: Arc<Mutex<HashMap<u64, TcpStream>>>,
@@ -103,7 +103,7 @@ impl SocketTransport {
     /// # Errors
     ///
     /// [`FederatedError::Transport`] if the bind fails.
-    pub fn bind(addr: impl ToSocketAddrs) -> Result<Self, FederatedError> {
+    fn bind(addr: impl ToSocketAddrs) -> Result<Self, FederatedError> {
         let listener = TcpListener::bind(addr).map_err(|e| transport_err("bind", e))?;
         let local_addr = listener
             .local_addr()
@@ -163,7 +163,7 @@ impl SocketTransport {
     }
 
     /// The bound address (with the OS-assigned port when bound to `:0`).
-    pub fn local_addr(&self) -> SocketAddr {
+    fn local_addr(&self) -> SocketAddr {
         self.local_addr
     }
 
@@ -177,7 +177,7 @@ impl SocketTransport {
     ///
     /// [`FederatedError::Transport`] when the connection is gone or the
     /// write fails.
-    pub fn send(&mut self, conn: u64, msg: &Message) -> Result<(), FederatedError> {
+    fn send(&mut self, conn: u64, msg: &Message) -> Result<(), FederatedError> {
         wire::encode_message(&mut self.scratch, msg);
         let mut writers = self.writers.lock();
         let stream = writers
@@ -190,7 +190,7 @@ impl SocketTransport {
     /// from the peer's side this is a connection lost mid-exchange. The
     /// reader thread observes the shutdown and emits
     /// [`TransportEvent::Disconnected`].
-    pub fn kill(&self, conn: u64) {
+    fn kill(&self, conn: u64) {
         if let Some(stream) = self.writers.lock().remove(&conn) {
             let _ = stream.shutdown(Shutdown::Both);
         }
@@ -202,7 +202,7 @@ impl SocketTransport {
     ///
     /// [`FederatedError::Transport`] on timeout or when the transport
     /// threads have all exited.
-    pub fn recv(&self, timeout: Duration) -> Result<TransportEvent, FederatedError> {
+    fn recv(&self, timeout: Duration) -> Result<TransportEvent, FederatedError> {
         self.events.recv_timeout(timeout).map_err(|e| match e {
             RecvTimeoutError::Timeout => {
                 transport_err("recv", format!("no event within {timeout:?}"))

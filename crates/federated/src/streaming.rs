@@ -15,7 +15,8 @@
 //!   intermediate rounding step matches. State: one model's worth of f64s.
 //! * [`StreamingTrimmedMean`] — semantically identical to the batch
 //!   trimmed mean (same kept set per coordinate, same non-finite
-//!   containment rule via [`trim_split`]) but sums in arrival order minus
+//!   containment rule via `trim_split`, shared with the batch rule so both
+//!   paths agree on which values are trimmed) but sums in arrival order minus
 //!   the tracked extremes rather than in sorted order, so results agree to
 //!   floating-point reassociation, not bitwise: the extremes' rounding stays
 //!   in the sum, so a result can sit many ulps off when outliers dwarf it
@@ -28,9 +29,6 @@
 //! batch path ([`Aggregator::supports_streaming`] returns `false`), which
 //! in a hierarchical topology still only materialises one *shard* — or one
 //! tier of edge partials — at a time (see [`crate::scale`]).
-//!
-//! [`trim_split`]: crate::aggregate — shared with the batch rule so both
-//! paths agree on which values are trimmed.
 
 use crate::aggregate::{trim_split, Aggregator};
 use crate::client::LocalUpdate;
@@ -307,7 +305,7 @@ impl StreamingAggregator for StreamingFedAvg {
 /// Per coordinate the accumulator tracks the running finite sum, the
 /// non-finite count, and the `trim` smallest / largest finite values seen.
 /// `finish` reconstructs the batch kept-set: non-finite values consume trim
-/// slots first (high side first, via [`crate::aggregate`]'s `trim_split`),
+/// slots first (high side first, via the batch rule's `trim_split`),
 /// the remaining budget trims honest extremes, and the mean of the kept
 /// values is `(sum - trimmed extremes) / kept` — the same set the batch
 /// rule averages, summed in a different order (see the module docs for how

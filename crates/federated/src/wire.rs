@@ -1486,10 +1486,14 @@ mod tests {
     #[test]
     fn model_weights_survive_the_wire() {
         use evfad_nn::forecaster_model;
-        let mut model = forecaster_model(8, 3);
-        let blob = encode_weights(&model.weights());
-        let restored = decode_weights(&blob).unwrap();
-        model.set_weights(&restored).expect("same shapes");
+        let mut donor = forecaster_model(8, 3);
+        let mut receiver = forecaster_model(8, 4);
+        let blob = encode_weights(&donor.weights());
+        receiver
+            .set_weights(&decode_weights(&blob).unwrap())
+            .expect("same shapes");
+        let input = [Matrix::column_vector(&[0.1, -0.4, 0.7, 0.2])];
+        assert_eq!(donor.predict(&input), receiver.predict(&input));
     }
 
     #[test]

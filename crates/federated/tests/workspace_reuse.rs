@@ -12,6 +12,7 @@
 //! Reads the process-global counters from `evfad_tensor::alloc_stats()`, so
 //! this lives in its own integration-test binary.
 
+use evfad_federated::compression::QuantizedUpdate;
 use evfad_federated::{wire, CodecScratch, CompressionMode, FedClient};
 use evfad_nn::{forecaster_model, Sample, TrainConfig};
 use evfad_tensor::{alloc_stats, Matrix};
@@ -69,9 +70,9 @@ fn later_rounds_allocate_no_more_than_the_first_warm_round() {
     let mut payload = wire::BytesMut::new();
     let mut decoded = weights.clone();
     let mut codec_round = || {
-        let len = scratch.encoded_len(CompressionMode::Quant8, &weights);
+        QuantizedUpdate::quantize_into(&weights, &mut scratch.quant);
         wire::encode_quantized_into(&mut payload, &scratch.quant);
-        assert_eq!(payload.len(), len);
+        assert_eq!(payload.len(), wire::quantized_encoded_size(&scratch.quant));
         scratch.decode_into(CompressionMode::Quant8, &mut decoded);
     };
     codec_round();

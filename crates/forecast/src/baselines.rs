@@ -124,11 +124,6 @@ impl ArForecaster {
     pub fn order(&self) -> usize {
         self.order
     }
-
-    /// Fitted coefficients (lags then intercept).
-    pub fn coefficients(&self) -> &[f64] {
-        &self.coefficients
-    }
 }
 
 impl BaselineForecaster for ArForecaster {
@@ -184,7 +179,7 @@ mod tests {
         }
         let model = ArForecaster::fit(&series[..250], 2, 1e-8).unwrap();
         // Coefficients: [w_{t-2}, w_{t-1}, intercept] in chronological order.
-        let c = model.coefficients();
+        let c = &model.coefficients;
         assert!((c[0] + 0.2).abs() < 1e-3, "{c:?}");
         assert!((c[1] - 0.6).abs() < 1e-3, "{c:?}");
         assert!((c[2] - 1.0).abs() < 1e-2, "{c:?}");

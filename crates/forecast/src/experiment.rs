@@ -202,8 +202,8 @@ pub struct Fig2Data {
 }
 
 /// The headline numbers quoted in the paper's abstract.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct HeadlineNumbers {
+#[derive(Debug, Clone, PartialEq)]
+struct HeadlineNumbers {
     /// Federated-over-centralized R² improvement on filtered data,
     /// Client 1, in percent (paper: 15.2 %).
     pub r2_improvement_pct: f64,
@@ -516,7 +516,7 @@ impl StudyReport {
     }
 
     /// Derived headline numbers (paper abstract).
-    pub fn headline(&self) -> HeadlineNumbers {
+    fn headline(&self) -> HeadlineNumbers {
         let get = |s, a| self.result(s, a);
         let clean = get(Scenario::Clean, Architecture::Federated);
         let attacked = get(Scenario::Attacked, Architecture::Federated);
@@ -762,7 +762,7 @@ mod tests {
     #[test]
     fn forecaster_matches_paper_architecture() {
         let m = build_forecaster(50, 0.001, 0);
-        assert_eq!(m.layer_count(), 3);
+        assert_eq!(m.layers().len(), 3);
         assert_eq!(m.scalar_param_count(), 51 * 200 + 200 + 510 + 11);
     }
 

@@ -91,7 +91,7 @@ impl PreparedClient {
     }
 
     /// Runs `model` over the test windows and returns raw-unit predictions.
-    pub fn predict_raw(&self, model: &mut Sequential) -> Vec<f64> {
+    fn predict_raw(&self, model: &mut Sequential) -> Vec<f64> {
         let inputs: Vec<Matrix> = self.test.iter().map(|s| s.input.clone()).collect();
         let scaled: Vec<f64> = model.predict(&inputs).iter().map(|m| m[(0, 0)]).collect();
         self.scaler.inverse_transform(&scaled)
@@ -163,7 +163,8 @@ mod tests {
         let mut series = daily_series(100);
         series[95] = 1e4; // spike only in test region
         let p = PreparedClient::prepare("x", &series, 12, 0.8).expect("prepare");
-        assert!(p.scaler.data_max() < 100.0, "test spike leaked into scaler");
+        let fitted_max = p.scaler.inverse_transform(&[1.0])[0];
+        assert!(fitted_max < 100.0, "test spike leaked into scaler");
     }
 
     #[test]

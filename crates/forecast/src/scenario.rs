@@ -92,7 +92,7 @@ impl ClientScenarios {
     /// # Errors
     ///
     /// Propagates preparation/filter failures.
-    pub fn build(
+    fn build(
         client: &ClientData,
         injector: &DdosInjector,
         filter_config: FilterConfig,

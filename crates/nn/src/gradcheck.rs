@@ -1,8 +1,5 @@
-//! Finite-difference gradient checking.
-//!
-//! Used by this crate's tests to validate every layer's backward pass, and
-//! exported so downstream crates can verify composed architectures (e.g. the
-//! full autoencoder stack in `evfad-anomaly`).
+//! Finite-difference gradient checking: the test oracle for every layer's
+//! backward pass, single and composed.
 
 use crate::loss::Loss;
 use crate::model::{Sample, Sequential};
@@ -89,26 +86,12 @@ pub fn check_model_gradients(
 fn snapshot_grads(model: &mut Sequential) -> Vec<Matrix> {
     // `weights()` order matches params_and_grads order by construction.
     let mut grads = Vec::new();
-    for layer in model_layers_mut(model) {
+    for layer in model.layers_mut() {
         for (_, g) in layer.params_and_grads_mut() {
             grads.push(g.clone());
         }
     }
     grads
-}
-
-// Internal accessor: Sequential does not publicly expose mutable layers, so
-// gradcheck reaches them through a crate-private hook.
-fn model_layers_mut(model: &mut Sequential) -> impl Iterator<Item = &mut crate::layer::Layer> {
-    model.layers_mut_for_gradcheck()
-}
-
-impl Sequential {
-    pub(crate) fn layers_mut_for_gradcheck(
-        &mut self,
-    ) -> impl Iterator<Item = &mut crate::layer::Layer> {
-        self.layers_mut_internal()
-    }
 }
 
 #[cfg(test)]

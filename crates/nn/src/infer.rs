@@ -181,7 +181,6 @@ enum Snapshot {
 #[derive(Debug, Clone)]
 pub struct InferenceModel {
     in_features: usize,
-    out_features: usize,
     snapshot: Snapshot,
 }
 
@@ -198,18 +197,13 @@ impl InferenceModel {
     /// produce output (nothing to serve), or, at `Int8`, if it has a layer
     /// the int8 lane does not serve (a GRU), naming that layer.
     pub fn freeze(model: &Sequential, precision: Precision) -> NnResult<Self> {
-        let dims: Vec<(usize, usize)> = model
-            .layers()
-            .iter()
-            .filter_map(|layer| match layer {
-                Layer::Dense(d) => Some((d.input_dim(), d.output_dim())),
-                Layer::Lstm(l) => Some((l.input_dim(), l.hidden_dim())),
-                Layer::Gru(g) => Some((g.input_dim(), g.hidden_dim())),
-                Layer::Dropout(_) | Layer::RepeatVector(_) => None,
-            })
-            .collect();
-        let (Some(&(in_features, _)), Some(&(_, out_features))) = (dims.first(), dims.last())
-        else {
+        let first_input = model.layers().iter().find_map(|layer| match layer {
+            Layer::Dense(d) => Some(d.input_dim()),
+            Layer::Lstm(l) => Some(l.input_dim()),
+            Layer::Gru(g) => Some(g.input_dim()),
+            Layer::Dropout(_) | Layer::RepeatVector(_) => None,
+        });
+        let Some(in_features) = first_input else {
             return Err(NnError::InvalidConfig(
                 "cannot freeze a model with no parameterised layers".into(),
             ));
@@ -223,7 +217,6 @@ impl InferenceModel {
         };
         Ok(Self {
             in_features,
-            out_features,
             snapshot,
         })
     }
@@ -236,30 +229,6 @@ impl InferenceModel {
         }
     }
 
-    /// Input feature width per timestep.
-    pub fn input_features(&self) -> usize {
-        self.in_features
-    }
-
-    /// Output feature width per timestep.
-    pub fn output_features(&self) -> usize {
-        self.out_features
-    }
-
-    /// Total packed int8 weight bytes the snapshot holds: zero for an
-    /// `F64` snapshot, which quantizes nothing.
-    pub fn quantized_bytes(&self) -> usize {
-        let Snapshot::Int8(net) = &self.snapshot else {
-            return 0;
-        };
-        let layer = |l: &InferLayer| match l {
-            InferLayer::Dense(d) => d.w.byte_size(),
-            InferLayer::Lstm(l) => l.wx.byte_size() + l.wh.byte_size(),
-            InferLayer::Repeat(_) => 0,
-        };
-        net.layers.iter().map(layer).sum()
-    }
-
     /// Batched forward pass: `windows` holds `batch` samples, sample-major
     /// (`batch × steps × features`, each sample's steps contiguous) — the
     /// layout [`Sequential::predict_into`] produces. Writes the outputs
@@ -270,7 +239,7 @@ impl InferenceModel {
     /// # Panics
     ///
     /// Panics if `windows.len()` is not a positive multiple of
-    /// `batch * input_features()`.
+    /// `batch` times the model's input feature width.
     pub fn forward_batch_into(
         &mut self,
         windows: &[f64],
@@ -526,7 +495,6 @@ mod tests {
         let mut model = autoencoder();
         let mut frozen = InferenceModel::freeze(&model, Precision::Int8).unwrap();
         assert_eq!(frozen.precision(), Precision::Int8);
-        assert!(frozen.quantized_bytes() > 0);
         let samples: Vec<Matrix> = (0..6).map(|s| window(s, 6)).collect();
         let exact = flat(&model.predict(&samples));
         let mut out = Vec::new();
@@ -558,12 +526,5 @@ mod tests {
     fn freeze_rejects_parameterless_models() {
         let model = Sequential::new(1).with(Dropout::new(0.1));
         assert!(InferenceModel::freeze(&model, Precision::F64).is_err());
-    }
-
-    #[test]
-    fn f64_snapshot_holds_no_int8_lane() {
-        let frozen = InferenceModel::freeze(&autoencoder(), Precision::F64).unwrap();
-        assert_eq!(frozen.precision(), Precision::F64);
-        assert_eq!(frozen.quantized_bytes(), 0);
     }
 }

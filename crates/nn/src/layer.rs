@@ -9,13 +9,11 @@
 use crate::layers::{Dense, Dropout, Gru, Lstm, RepeatVector};
 use crate::seq::Seq;
 use evfad_tensor::Matrix;
-use serde::{Deserialize, Serialize};
 
 /// Any layer a [`Sequential`](crate::Sequential) model can contain.
 ///
-/// Enum dispatch (rather than trait objects) keeps models `Clone` +
-/// `Serialize`, which the federated stack relies on for weight exchange and
-/// checkpointing.
+/// Enum dispatch (rather than trait objects) keeps models `Clone`; the
+/// federated stack moves only their weights, as `EVFD` records.
 ///
 /// # Examples
 ///
@@ -23,10 +21,10 @@ use serde::{Deserialize, Serialize};
 /// use evfad_nn::{Activation, Dense, Layer};
 ///
 /// let layer: Layer = Dense::new_seeded(4, 2, Activation::Relu, 0).into();
-/// assert_eq!(layer.param_count(), 2);
+/// assert_eq!(layer.params().len(), 2);
 /// assert_eq!(layer.kind(), "dense");
 /// ```
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub enum Layer {
     /// Fully connected (time-distributed) layer.
     Dense(Dense),
@@ -89,11 +87,6 @@ impl Layer {
         }
     }
 
-    /// Number of trainable parameter tensors.
-    pub fn param_count(&self) -> usize {
-        self.params().len()
-    }
-
     /// Clears accumulated gradients.
     pub fn zero_grads(&mut self) {
         match self {
@@ -126,17 +119,6 @@ impl Layer {
             Layer::Dropout(_) => return None,
             Layer::RepeatVector(l) => Layer::RepeatVector(l.clone()),
         })
-    }
-
-    /// Restores transient state (gradients, caches) after deserialisation.
-    pub(crate) fn rebuild_transient(&mut self) {
-        match self {
-            Layer::Dense(l) => l.rebuild_transient(),
-            Layer::Lstm(l) => l.rebuild_transient(),
-            Layer::Gru(l) => l.rebuild_transient(),
-            Layer::Dropout(l) => l.rebuild_transient(),
-            Layer::RepeatVector(_) => {}
-        }
     }
 }
 
@@ -185,10 +167,10 @@ mod tests {
         assert_eq!(l.kind(), "lstm");
         assert_eq!(p.kind(), "dropout");
         assert_eq!(r.kind(), "repeat_vector");
-        assert_eq!(d.param_count(), 2);
-        assert_eq!(l.param_count(), 2);
-        assert_eq!(p.param_count(), 0);
-        assert_eq!(r.param_count(), 0);
+        assert_eq!(d.params().len(), 2);
+        assert_eq!(l.params().len(), 2);
+        assert_eq!(p.params().len(), 0);
+        assert_eq!(r.params().len(), 0);
     }
 
     #[test]

@@ -11,7 +11,6 @@ use crate::seq::Seq;
 use crate::workspace::Workspace;
 use evfad_tensor::{kernels, Initializer, MatMut, MatRef, Matrix};
 use rand::Rng;
-use serde::{Deserialize, Serialize};
 
 // Workspace slots; forward slots double as the backward cache, eval-mode
 // forwards shift to `EVAL_BASE`.
@@ -41,20 +40,15 @@ const EVAL_BASE: usize = 8;
 /// layer.forward(&x, false, &mut y);
 /// assert_eq!(y.shape(), (1, 4, 2));
 /// ```
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct Dense {
     w: Matrix,
     b: Matrix,
     activation: Activation,
-    #[serde(skip)]
     grad_w: Matrix,
-    #[serde(skip)]
     grad_b: Matrix,
-    #[serde(skip)]
     ws: Workspace,
-    #[serde(skip)]
     cached_steps: usize,
-    #[serde(skip)]
     cached_batch: usize,
 }
 
@@ -253,13 +247,6 @@ impl Dense {
         }
     }
 
-    /// Restores transient state dropped by serde (gradients, caches).
-    pub(crate) fn rebuild_transient(&mut self) {
-        self.zero_grads();
-        self.cached_steps = 0;
-        self.cached_batch = 0;
-    }
-
     /// The parameters without the gradients or the workspace: what an
     /// eval forward reads, and nothing a trained layer merely carries.
     pub(crate) fn serving_copy(&self) -> Self {
@@ -365,16 +352,5 @@ mod tests {
         let a = Dense::new_seeded(3, 4, Activation::Tanh, 11);
         let b = Dense::new_seeded(3, 4, Activation::Tanh, 11);
         assert_eq!(a.params()[0], b.params()[0]);
-    }
-
-    #[test]
-    fn serde_round_trip_preserves_weights() {
-        let l = Dense::new_seeded(3, 2, Activation::Sigmoid, 7);
-        let json = serde_json::to_string(&l).expect("serialize");
-        let mut back: Dense = serde_json::from_str(&json).expect("deserialize");
-        back.rebuild_transient();
-        assert_eq!(l.params()[0], back.params()[0]);
-        assert_eq!(l.params()[1], back.params()[1]);
-        assert_eq!(l.activation(), back.activation());
     }
 }

@@ -7,7 +7,6 @@
 use crate::seq::Seq;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use serde::{Deserialize, Serialize};
 
 /// Inverted dropout: during training each element is zeroed with
 /// probability `rate` and the survivors are scaled by `1 / (1 - rate)`, so
@@ -20,7 +19,8 @@ use serde::{Deserialize, Serialize};
 /// use evfad_nn::{Dropout, Seq};
 /// use evfad_tensor::Matrix;
 ///
-/// let mut d = Dropout::new(0.5).with_seed(1);
+/// let mut d = Dropout::new(0.5);
+/// d.reseed(1);
 /// let x = Seq::single(Matrix::ones(1, 100));
 /// let mut y = Seq::default();
 /// // Inference: identity.
@@ -30,17 +30,14 @@ use serde::{Deserialize, Serialize};
 /// d.forward(&x, true, &mut y);
 /// assert!(y.as_slice().iter().all(|&v| v == 0.0 || v == 2.0));
 /// ```
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct Dropout {
     rate: f64,
     seed: u64,
-    #[serde(default)]
     eval_only: bool,
-    #[serde(skip)]
     rng_state: Option<StdRng>,
     /// The last training forward's mask, one factor per element in the
     /// sequence's flat order; empty after an identity forward.
-    #[serde(skip)]
     mask: Vec<f64>,
 }
 
@@ -62,19 +59,11 @@ impl Dropout {
     }
 
     /// Pins the layer to inference behaviour (identity) even when the
-    /// surrounding forward pass runs in training mode — the per-module
-    /// `eval()` of other frameworks. Useful to freeze regularisation during
-    /// fine-tuning, and to make stacks containing dropout amenable to
-    /// finite-difference gradient checking (builder style).
-    pub fn eval_mode(mut self, enabled: bool) -> Self {
+    /// surrounding forward pass runs in training mode, so finite-difference
+    /// gradient checks see one function (builder style).
+    #[cfg(test)]
+    pub(crate) fn eval_mode(mut self, enabled: bool) -> Self {
         self.eval_only = enabled;
-        self
-    }
-
-    /// Sets the RNG seed used for mask sampling (builder style).
-    pub fn with_seed(mut self, seed: u64) -> Self {
-        self.seed = seed;
-        self.rng_state = None;
         self
     }
 
@@ -82,11 +71,6 @@ impl Dropout {
     pub fn reseed(&mut self, seed: u64) {
         self.seed = seed;
         self.rng_state = None;
-    }
-
-    /// Drop probability.
-    pub fn rate(&self) -> f64 {
-        self.rate
     }
 
     /// Forward pass into `out`. Identity at inference; samples a fresh mask
@@ -141,12 +125,6 @@ impl Dropout {
             *g *= m;
         }
     }
-
-    /// Restores transient state dropped by serde.
-    pub(crate) fn rebuild_transient(&mut self) {
-        self.rng_state = None;
-        self.mask.clear();
-    }
 }
 
 #[cfg(test)]
@@ -160,6 +138,12 @@ mod tests {
         y
     }
 
+    fn seeded(rate: f64, seed: u64) -> Dropout {
+        let mut d = Dropout::new(rate);
+        d.reseed(seed);
+        d
+    }
+
     fn backward(d: &mut Dropout, grad: &Seq) -> Seq {
         let mut dx = Seq::default();
         d.backward(grad, Some(&mut dx));
@@ -168,7 +152,7 @@ mod tests {
 
     #[test]
     fn inference_is_identity() {
-        let mut d = Dropout::new(0.9).with_seed(3);
+        let mut d = seeded(0.9, 3);
         let x = Seq::single(Matrix::ones(3, 3));
         assert_eq!(forward(&mut d, &x, false), x);
     }
@@ -182,7 +166,7 @@ mod tests {
 
     #[test]
     fn expected_value_preserved() {
-        let mut d = Dropout::new(0.2).with_seed(7);
+        let mut d = seeded(0.2, 7);
         let x = Seq::single(Matrix::ones(50, 50));
         let y = forward(&mut d, &x, true);
         // E[y] = 1; with 2500 samples the mean should be close.
@@ -192,7 +176,7 @@ mod tests {
 
     #[test]
     fn backward_uses_same_mask() {
-        let mut d = Dropout::new(0.5).with_seed(9);
+        let mut d = seeded(0.5, 9);
         let x = Seq::from_steps(vec![Matrix::ones(4, 4); 3]);
         let y = forward(&mut d, &x, true);
         let g = backward(&mut d, &x);
@@ -205,7 +189,7 @@ mod tests {
 
     #[test]
     fn masks_differ_across_calls() {
-        let mut d = Dropout::new(0.5).with_seed(11);
+        let mut d = seeded(0.5, 11);
         let x = Seq::single(Matrix::ones(10, 10));
         let y1 = forward(&mut d, &x, true);
         let y2 = forward(&mut d, &x, true);
@@ -220,7 +204,7 @@ mod tests {
 
     #[test]
     fn backward_after_inference_forward_is_identity() {
-        let mut d = Dropout::new(0.5).with_seed(3);
+        let mut d = seeded(0.5, 3);
         let x = Seq::single(Matrix::ones(4, 4));
         let _ = forward(&mut d, &x, false);
         let g = Seq::single(Matrix::from_fn(4, 4, |r, c| (r * 4 + c) as f64));
@@ -238,7 +222,7 @@ mod tests {
 
     #[test]
     fn inference_forward_clears_stale_training_masks() {
-        let mut d = Dropout::new(0.5).with_seed(5);
+        let mut d = seeded(0.5, 5);
         let train_x = Seq::single(Matrix::ones(3, 3));
         let _ = forward(&mut d, &train_x, true);
         // Switch to eval on a *different* shape: the stale 3×3 mask must

@@ -14,7 +14,6 @@ use crate::seq::Seq;
 use crate::workspace::Workspace;
 use evfad_tensor::{kernels, vmath, Initializer, MatMut, MatRef, Matrix};
 use rand::Rng;
-use serde::{Deserialize, Serialize};
 
 // Workspace slot layout; forward slots double as the BPTT cache and
 // eval-mode forwards shift to `EVAL_BASE`.
@@ -62,7 +61,7 @@ const EVAL_BASE: usize = 24;
 /// gru.forward(&x, false, &mut h);
 /// assert_eq!(h.shape(), (1, 1, 6));
 /// ```
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct Gru {
     input_dim: usize,
     hidden_dim: usize,
@@ -76,19 +75,12 @@ pub struct Gru {
     w_cand: Matrix,
     /// Candidate bias, `1 x hidden`.
     b_cand: Matrix,
-    #[serde(skip)]
     grad_w_gates: Matrix,
-    #[serde(skip)]
     grad_b_gates: Matrix,
-    #[serde(skip)]
     grad_w_cand: Matrix,
-    #[serde(skip)]
     grad_b_cand: Matrix,
-    #[serde(skip)]
     ws: Workspace,
-    #[serde(skip)]
     cached_steps: usize,
-    #[serde(skip)]
     cached_batch: usize,
 }
 
@@ -514,13 +506,6 @@ impl Gru {
         }
     }
 
-    /// Restores transient state dropped by serde.
-    pub(crate) fn rebuild_transient(&mut self) {
-        self.zero_grads();
-        self.cached_steps = 0;
-        self.cached_batch = 0;
-    }
-
     /// The parameters without the gradients or the workspace: what an
     /// eval forward reads, and nothing a trained layer merely carries.
     pub(crate) fn serving_copy(&self) -> Self {
@@ -615,15 +600,6 @@ mod tests {
         plain.backward(&g, Some(&mut dx2));
         assert_eq!(dx1.shape(), (3, 2, 1));
         assert_eq!(dx1, dx2);
-    }
-
-    #[test]
-    fn serde_round_trip() {
-        let g = Gru::new_seeded(2, 3, true, 11);
-        let json = serde_json::to_string(&g).expect("ser");
-        let mut back: Gru = serde_json::from_str(&json).expect("de");
-        back.rebuild_transient();
-        assert_eq!(g.params(), back.params());
     }
 
     #[test]

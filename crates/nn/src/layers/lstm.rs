@@ -20,7 +20,6 @@ use crate::seq::Seq;
 use crate::workspace::Workspace;
 use evfad_tensor::{kernels, vmath, Initializer, MatMut, MatRef, Matrix};
 use rand::Rng;
-use serde::{Deserialize, Serialize};
 
 // Workspace slot layout. Forward slots double as the BPTT cache; eval-mode
 // forwards use the same layout at `EVAL_BASE`, a few steps deep instead of
@@ -72,7 +71,7 @@ const EVAL_BASE: usize = 16;
 /// lstm.forward(&x, false, &mut h);
 /// assert_eq!(h.shape(), (1, 1, 8));
 /// ```
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct Lstm {
     input_dim: usize,
     hidden_dim: usize,
@@ -81,16 +80,11 @@ pub struct Lstm {
     w: Matrix,
     /// Bias, shape `1 x 4*hidden`.
     b: Matrix,
-    #[serde(skip)]
     grad_w: Matrix,
-    #[serde(skip)]
     grad_b: Matrix,
-    #[serde(skip)]
     ws: Workspace,
     /// Timesteps cached by the last training forward (0 = no cache).
-    #[serde(skip)]
     cached_steps: usize,
-    #[serde(skip)]
     cached_batch: usize,
 }
 
@@ -489,13 +483,6 @@ impl Lstm {
         }
     }
 
-    /// Restores transient state dropped by serde.
-    pub(crate) fn rebuild_transient(&mut self) {
-        self.zero_grads();
-        self.cached_steps = 0;
-        self.cached_batch = 0;
-    }
-
     /// The parameters without the gradients or the workspace: what an
     /// eval forward reads, and nothing a trained layer merely carries.
     pub(crate) fn serving_copy(&self) -> Self {
@@ -683,17 +670,6 @@ mod tests {
         let ga: Vec<f64> = a.params_and_grads_mut()[0].1.as_slice().to_vec();
         let gb: Vec<f64> = b.params_and_grads_mut()[0].1.as_slice().to_vec();
         assert_eq!(ga, gb);
-    }
-
-    #[test]
-    fn serde_round_trip() {
-        let l = Lstm::new_seeded(2, 3, true, 11);
-        let json = serde_json::to_string(&l).expect("serialize");
-        let mut back: Lstm = serde_json::from_str(&json).expect("deserialize");
-        back.rebuild_transient();
-        assert_eq!(l.params()[0], back.params()[0]);
-        assert_eq!(l.params()[1], back.params()[1]);
-        assert!(back.return_sequences());
     }
 
     #[test]

@@ -1,7 +1,6 @@
 //! Keras-style `RepeatVector` layer.
 
 use crate::seq::Seq;
-use serde::{Deserialize, Serialize};
 
 /// Repeats a single-step batch `n` times along the time axis.
 ///
@@ -22,7 +21,7 @@ use serde::{Deserialize, Serialize};
 /// assert_eq!(y.shape(), (3, 2, 4));
 /// assert_eq!(y.step(2).as_slice(), x.step(0).as_slice());
 /// ```
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct RepeatVector {
     n: usize,
 }

@@ -14,10 +14,12 @@
 //!   split, early stopping with best-weight restoration);
 //! * the [`Adam`] optimiser and [`Loss`] functions (MSE / MAE);
 //! * weight export/import ([`Sequential::weights`] /
-//!   [`Sequential::set_weights`]) — the federated-averaging interface.
+//!   [`Sequential::set_weights`]) — the federated-averaging interface, and
+//!   the only model state that leaves a process (as `EVFD` records of
+//!   `evfad-federated`'s wire format; there is no whole-model checkpoint).
 //!
 //! All layer gradients are validated against finite differences in this
-//! crate's test-suite (see the [`gradcheck`] helpers).
+//! crate's test-suite; the finite-difference oracle is test code.
 //!
 //! # Examples
 //!
@@ -49,7 +51,8 @@
 mod activation;
 mod batch;
 mod error;
-pub mod gradcheck;
+#[cfg(test)]
+mod gradcheck;
 pub mod infer;
 mod layer;
 mod layers;
@@ -62,7 +65,6 @@ mod workspace;
 pub use activation::Activation;
 pub use batch::BatchPlan;
 pub use error::{NnError, NnResult};
-pub use gradcheck::{check_model_gradients, GradCheckReport};
 pub use infer::{InferenceModel, Precision};
 pub use layer::Layer;
 pub use layers::{Dense, Dropout, Gru, Lstm, RepeatVector};

@@ -129,29 +129,24 @@ impl TrainHistory {
 ///     .with(Lstm::new(1, 50, false))
 ///     .with(Dense::new(50, 10, Activation::Relu))
 ///     .with(Dense::new(10, 1, Activation::Linear));
-/// assert_eq!(model.layer_count(), 3);
+/// assert_eq!(model.layers().len(), 3);
 /// assert!(model.scalar_param_count() > 10_000);
 /// ```
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct Sequential {
     layers: Vec<Layer>,
     optimizer: Adam,
     seed: u64,
     layers_added: u64,
     /// The activation arena: layer `i` writes its output into `acts[i]`.
-    #[serde(skip)]
     acts: Vec<Seq>,
     /// Ping-pong input-gradient buffers for the backward chain.
-    #[serde(skip)]
     grads: [Seq; 2],
     /// The loss gradient's buffer, reused by every `train_batch`.
-    #[serde(skip)]
     loss_grad: Seq,
     /// Staged input / target batches for `predict*` and `evaluate`.
-    #[serde(skip)]
     staged: [Seq; 2],
     /// Row-index scratch for scattering batched outputs into flat buffers.
-    #[serde(skip)]
     scatter_idx: Vec<usize>,
 }
 
@@ -216,11 +211,6 @@ impl Sequential {
     pub fn with_optimizer(mut self, optimizer: Adam) -> Self {
         self.optimizer = optimizer;
         self
-    }
-
-    /// Number of layers.
-    pub fn layer_count(&self) -> usize {
-        self.layers.len()
     }
 
     /// Borrow of the layer stack.
@@ -555,36 +545,6 @@ impl Sequential {
         Ok(())
     }
 
-    /// Serialises the model (weights + architecture) to JSON.
-    pub fn to_json(&self) -> String {
-        serde_json::to_string(self).expect("model serialisation cannot fail")
-    }
-
-    /// Restores a model serialised with [`Sequential::to_json`].
-    ///
-    /// # Errors
-    ///
-    /// Returns [`NnError::InvalidConfig`] if the JSON is not a valid model.
-    pub fn from_json(json: &str) -> NnResult<Self> {
-        let mut model: Sequential = serde_json::from_str(json)
-            .map_err(|e| NnError::InvalidConfig(format!("bad model JSON: {e}")))?;
-        for layer in &mut model.layers {
-            layer.rebuild_transient();
-        }
-        Ok(model)
-    }
-
-    /// Human-readable architecture summary.
-    pub fn summary(&self) -> String {
-        let mut out = String::from("Sequential [\n");
-        for layer in &self.layers {
-            let params: usize = layer.params().iter().map(|m| m.len()).sum();
-            out.push_str(&format!("  {} ({} params)\n", layer.kind(), params));
-        }
-        out.push_str(&format!("] total {} params", self.scalar_param_count()));
-        out
-    }
-
     /// A replica for serving: the layers' parameters without their
     /// gradients or workspaces, dropout left out (the identity at
     /// inference), a fresh optimiser and an empty arena. Its eval forward
@@ -598,7 +558,9 @@ impl Sequential {
         }
     }
 
-    pub(crate) fn layers_mut_internal(&mut self) -> impl Iterator<Item = &mut Layer> {
+    /// The layers with their gradients, for the finite-difference check.
+    #[cfg(test)]
+    pub(crate) fn layers_mut(&mut self) -> impl Iterator<Item = &mut Layer> {
         self.layers.iter_mut()
     }
 
@@ -628,7 +590,7 @@ impl Sequential {
 ///
 /// ```
 /// let model = evfad_nn::forecaster_model(50, 7);
-/// assert_eq!(model.layer_count(), 3);
+/// assert_eq!(model.layers().len(), 3);
 /// ```
 pub fn forecaster_model(lstm_units: usize, seed: u64) -> Sequential {
     Sequential::new(seed)
@@ -646,7 +608,7 @@ pub fn forecaster_model(lstm_units: usize, seed: u64) -> Sequential {
 ///
 /// ```
 /// let model = evfad_nn::autoencoder_model(24, 7);
-/// assert_eq!(model.layer_count(), 8);
+/// assert_eq!(model.layers().len(), 8);
 /// ```
 pub fn autoencoder_model(seq_len: usize, seed: u64) -> Sequential {
     Sequential::new(seed)
@@ -770,16 +732,6 @@ mod tests {
     }
 
     #[test]
-    fn json_round_trip_preserves_predictions() {
-        let mut model = tiny_model(8);
-        let input = vec![Matrix::column_vector(&[0.1, 0.2, 0.3])];
-        let before = model.predict(&input);
-        let mut restored = Sequential::from_json(&model.to_json()).expect("round trip");
-        let after = restored.predict(&input);
-        assert_eq!(before, after);
-    }
-
-    #[test]
     fn predict_matches_forward() {
         let mut model = tiny_model(8);
         let inputs = vec![
@@ -800,15 +752,6 @@ mod tests {
         let mut ae = autoencoder_model(4, 0);
         let x = Seq::from_samples(&[Matrix::column_vector(&[0.1, 0.2, 0.3, 0.4])]);
         assert_eq!(ae.forward(&x, false).shape(), (4, 1, 1));
-    }
-
-    #[test]
-    fn summary_mentions_layers() {
-        let model = tiny_model(0);
-        let s = model.summary();
-        assert!(s.contains("lstm"));
-        assert!(s.contains("dense"));
-        assert!(s.contains("total"));
     }
 
     #[test]

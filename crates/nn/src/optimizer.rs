@@ -1,7 +1,6 @@
 //! The gradient-descent optimiser: Adam, the paper's.
 
 use evfad_tensor::Matrix;
-use serde::{Deserialize, Serialize};
 
 /// Adam optimiser (Kingma & Ba, 2015) with bias-corrected first/second
 /// moments — the paper's optimiser with `LEARNING_RATE = 0.001`.
@@ -10,7 +9,7 @@ use serde::{Deserialize, Serialize};
 /// `(param, grad)` list on every step (as produced by
 /// [`Sequential::params_and_grads_mut`](crate::Sequential)); moment state
 /// is kept per position.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct Adam {
     /// Step size (paper: `0.001`).
     pub learning_rate: f64,
@@ -77,13 +76,6 @@ impl Adam {
             }
         }
     }
-
-    /// Clears moment estimates and the step counter.
-    pub fn reset_state(&mut self) {
-        self.t = 0;
-        self.m.clear();
-        self.v.clear();
-    }
 }
 
 impl Default for Adam {
@@ -121,17 +113,6 @@ mod tests {
         let mut g = Matrix::filled(1, 1, 123.0);
         opt.step(&mut [(&mut w, &mut g)]);
         assert!((w[(0, 0)].abs() - 0.001).abs() < 1e-6);
-    }
-
-    #[test]
-    fn adam_reset_state_clears_momenta() {
-        let mut opt = Adam::new(0.01);
-        let mut w = Matrix::zeros(1, 1);
-        let mut g = Matrix::filled(1, 1, 1.0);
-        opt.step(&mut [(&mut w, &mut g)]);
-        opt.reset_state();
-        assert_eq!(opt.t, 0);
-        assert!(opt.m.is_empty());
     }
 
     #[test]

@@ -64,7 +64,8 @@ impl Seq {
     /// # Panics
     ///
     /// Panics if `steps` is empty or the step shapes are inconsistent.
-    pub fn from_steps(steps: Vec<Matrix>) -> Self {
+    #[cfg(test)]
+    pub(crate) fn from_steps(steps: Vec<Matrix>) -> Self {
         assert!(!steps.is_empty(), "a Seq needs at least one step");
         let (batch, features) = steps[0].shape();
         assert!(

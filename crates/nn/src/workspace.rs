@@ -59,7 +59,8 @@ impl Workspace {
     }
 
     /// Total bytes of `f64` payload currently parked in the arena.
-    pub fn allocated_bytes(&self) -> usize {
+    #[cfg(test)]
+    fn allocated_bytes(&self) -> usize {
         self.bufs.iter().map(|b| 8 * b.len()).sum()
     }
 }

@@ -25,21 +25,6 @@ impl ShapeError {
     pub fn new(op: &'static str, lhs: (usize, usize), rhs: (usize, usize)) -> Self {
         Self { op, lhs, rhs }
     }
-
-    /// The operation that failed (e.g. `"matmul"`).
-    pub fn op(&self) -> &'static str {
-        self.op
-    }
-
-    /// Shape of the left-hand operand as `(rows, cols)`.
-    pub fn lhs(&self) -> (usize, usize) {
-        self.lhs
-    }
-
-    /// Shape of the right-hand operand as `(rows, cols)`.
-    pub fn rhs(&self) -> (usize, usize) {
-        self.rhs
-    }
 }
 
 impl fmt::Display for ShapeError {
@@ -65,14 +50,6 @@ mod tests {
         assert!(s.contains("add"));
         assert!(s.contains("1x2"));
         assert!(s.contains("3x4"));
-    }
-
-    #[test]
-    fn accessors_round_trip() {
-        let e = ShapeError::new("matmul", (5, 6), (7, 8));
-        assert_eq!(e.op(), "matmul");
-        assert_eq!(e.lhs(), (5, 6));
-        assert_eq!(e.rhs(), (7, 8));
     }
 
     #[test]

@@ -70,18 +70,8 @@ impl PackedB {
         }
     }
 
-    /// Contraction depth (rows of the operand).
-    pub fn k(&self) -> usize {
-        self.k
-    }
-
-    /// Output width (columns of the operand).
-    pub fn n(&self) -> usize {
-        self.n
-    }
-
     /// The row-major operand.
-    pub fn orig_view(&self) -> MatRef<'_> {
+    fn orig_view(&self) -> MatRef<'_> {
         MatRef::new(self.k, self.n, &self.orig)
     }
 }
@@ -282,7 +272,7 @@ fn q8_store<const ACC: bool>(a: &[f32], rows: usize, b: &QuantizedPanel, dst: &m
 }
 
 /// `out = a · dequant(b)` with f32 accumulate; `a` is row-major
-/// `rows × b.k()`, `out` is row-major `rows × b.n()`.
+/// `rows × k`, `out` is row-major `rows × n` for a `k × n` panel.
 ///
 /// Always approximate: the int8 lane is opt-in by construction.
 pub fn matmul_q8_into(a: &[f32], rows: usize, b: &QuantizedPanel, out: &mut [f32]) {
@@ -308,7 +298,7 @@ mod tests {
         let a = mat(7, 53, |i, j| ((i * 31 + j * 7) % 19) as f64 * 0.05 - 0.4);
         let b = mat(53, 10, |i, j| ((i * 13 + j * 3) % 23) as f64 * 0.03 - 0.3);
         let p = PackedB::pack(b.view());
-        assert_eq!((p.k(), p.n()), (53, 10));
+        assert_eq!((p.k, p.n), (53, 10));
         assert_eq!(p.orig_view().as_slice(), b.as_slice());
         let mut exact = vec![1.0; 7 * 10];
         let mut served = exact.clone();

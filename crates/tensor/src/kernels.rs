@@ -213,7 +213,7 @@ pub fn matmul_acc_into(a: MatRef<'_>, b: MatRef<'_>, out: MatMut<'_>) {
     });
 }
 
-/// Output rows held in registers by [`tile`]. With its widest 16 columns
+/// Output rows held in registers by `tile`. With its widest 16 columns
 /// that is 8 AVX-512 (16 AVX2) accumulators plus four broadcasts and the
 /// `b` vectors — no spills; 4 x 32 spilled and ran a third slower. A GEMM
 /// with fewer rows streams them one by one, so a caller that can batch

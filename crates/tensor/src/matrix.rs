@@ -355,7 +355,8 @@ impl Matrix {
     }
 
     /// Maximum absolute element. Returns `0.0` for an empty matrix.
-    pub fn max_abs(&self) -> f64 {
+    #[cfg(test)]
+    pub(crate) fn max_abs(&self) -> f64 {
         self.data.iter().fold(0.0_f64, |m, &x| m.max(x.abs()))
     }
 

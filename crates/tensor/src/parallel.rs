@@ -258,7 +258,7 @@ pub(crate) fn row_partitioned<K>(
 ///
 /// - **Determinism.** Chunk boundaries depend only on
 ///   `(slots.len(), max_tasks)` — the same balanced split
-///   [`row_partitioned`] uses — and every slot is written by exactly one
+///   `row_partitioned` uses — and every slot is written by exactly one
 ///   task, so for a pure `task` the contents of `slots` afterwards are
 ///   identical for every thread count and scheduling order.
 /// - **Bounded concurrency.** At most `min(max_tasks, slots.len())`

@@ -21,7 +21,7 @@ pub fn mean(values: &[f64]) -> f64 {
 }
 
 /// Population variance. Returns `0.0` for slices shorter than 1.
-pub fn variance(values: &[f64]) -> f64 {
+fn variance(values: &[f64]) -> f64 {
     if values.is_empty() {
         return 0.0;
     }
@@ -92,29 +92,6 @@ pub fn min(values: &[f64]) -> f64 {
 /// Maximum of a slice. Returns `f64::NEG_INFINITY` for an empty slice.
 pub fn max(values: &[f64]) -> f64 {
     values.iter().copied().fold(f64::NEG_INFINITY, f64::max)
-}
-
-/// Pearson correlation between two equal-length slices.
-///
-/// Returns `0.0` when either input has zero variance or the lengths differ.
-pub fn pearson(a: &[f64], b: &[f64]) -> f64 {
-    if a.len() != b.len() || a.is_empty() {
-        return 0.0;
-    }
-    let (ma, mb) = (mean(a), mean(b));
-    let mut cov = 0.0;
-    let mut va = 0.0;
-    let mut vb = 0.0;
-    for (&x, &y) in a.iter().zip(b.iter()) {
-        cov += (x - ma) * (y - mb);
-        va += (x - ma) * (x - ma);
-        vb += (y - mb) * (y - mb);
-    }
-    if va == 0.0 || vb == 0.0 {
-        0.0
-    } else {
-        cov / (va.sqrt() * vb.sqrt())
-    }
 }
 
 #[cfg(test)]
@@ -189,20 +166,5 @@ mod tests {
         assert_eq!(max(&[]), f64::NEG_INFINITY);
         assert_eq!(min(&[2.0, -1.0]), -1.0);
         assert_eq!(max(&[2.0, -1.0]), 2.0);
-    }
-
-    #[test]
-    fn pearson_perfect_correlation() {
-        let a = [1.0, 2.0, 3.0];
-        let b = [2.0, 4.0, 6.0];
-        assert!((pearson(&a, &b) - 1.0).abs() < 1e-12);
-        let c = [-1.0, -2.0, -3.0];
-        assert!((pearson(&a, &c) + 1.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn pearson_degenerate_inputs() {
-        assert_eq!(pearson(&[1.0], &[1.0, 2.0]), 0.0);
-        assert_eq!(pearson(&[1.0, 1.0], &[1.0, 2.0]), 0.0);
     }
 }

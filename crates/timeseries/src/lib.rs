@@ -17,7 +17,7 @@
 //! use evfad_timeseries::{MinMaxScaler, split, windows};
 //!
 //! let series: Vec<f64> = (0..100).map(|i| (i as f64 * 0.3).sin() * 10.0 + 20.0).collect();
-//! let (train, test) = split::temporal(&series, 0.8)?;
+//! let (train, test) = series.split_at(split::boundary(series.len(), 0.8)?);
 //! let scaler = MinMaxScaler::fit(train)?;
 //! let train_scaled = scaler.transform(train);
 //! let seqs = windows::sliding(&train_scaled, 24);

@@ -54,36 +54,16 @@ impl MinMaxScaler {
         Ok(Self { min, max })
     }
 
-    /// Fitted minimum.
-    pub fn data_min(&self) -> f64 {
-        self.min
-    }
-
-    /// Fitted maximum.
-    pub fn data_max(&self) -> f64 {
-        self.max
-    }
-
     /// Maps each value through `(v - min) / (max - min)`.
     pub fn transform(&self, values: &[f64]) -> Vec<f64> {
         let range = self.max - self.min;
         values.iter().map(|v| (v - self.min) / range).collect()
     }
 
-    /// Scales a single value.
-    pub fn transform_one(&self, value: f64) -> f64 {
-        (value - self.min) / (self.max - self.min)
-    }
-
     /// Inverse of [`MinMaxScaler::transform`].
     pub fn inverse_transform(&self, values: &[f64]) -> Vec<f64> {
         let range = self.max - self.min;
         values.iter().map(|v| v * range + self.min).collect()
-    }
-
-    /// Inverse-scales a single value.
-    pub fn inverse_transform_one(&self, value: f64) -> f64 {
-        value * (self.max - self.min) + self.min
     }
 }
 
@@ -101,8 +81,7 @@ mod tests {
     #[test]
     fn out_of_range_values_exceed_unit_interval() {
         let s = MinMaxScaler::fit(&[0.0, 10.0]).unwrap();
-        assert_eq!(s.transform_one(20.0), 2.0);
-        assert_eq!(s.transform_one(-10.0), -1.0);
+        assert_eq!(s.transform(&[20.0, -10.0]), vec![2.0, -1.0]);
     }
 
     #[test]
@@ -134,13 +113,6 @@ mod tests {
             MinMaxScaler::fit(&[1.0, f64::NAN]),
             Err(TimeSeriesError::NonFiniteValue { index: 1 })
         );
-    }
-
-    #[test]
-    fn accessors_expose_fit_state() {
-        let s = MinMaxScaler::fit(&[-1.0, 3.0]).unwrap();
-        assert_eq!(s.data_min(), -1.0);
-        assert_eq!(s.data_max(), 3.0);
     }
 
     #[test]

@@ -2,44 +2,23 @@
 
 use crate::error::TimeSeriesError;
 
-/// Splits a series into a leading train slice and trailing test slice.
-///
-/// The paper uses a *temporal* split — the first 80 % of timestamps train,
-/// the final 20 % test — so no shuffling happens here.
+/// Index of the train/test boundary for a given fraction: the first
+/// `boundary` points train, the rest test. The paper uses a *temporal*
+/// split — the first 80 % of timestamps train, the final 20 % test — so no
+/// shuffling happens, and aligned series (values, labels) split at the
+/// same index. At least one point lands on each side.
 ///
 /// # Errors
 ///
-/// * [`TimeSeriesError::EmptySeries`] for an empty input;
+/// * [`TimeSeriesError::EmptySeries`] for `len == 0`;
 /// * [`TimeSeriesError::InvalidFraction`] unless `0 < train_fraction < 1`.
 ///
 /// # Examples
 ///
 /// ```
-/// let data: Vec<f64> = (0..10).map(|i| i as f64).collect();
-/// let (train, test) = evfad_timeseries::split::temporal(&data, 0.8)?;
-/// assert_eq!(train.len(), 8);
-/// assert_eq!(test, &[8.0, 9.0]);
+/// assert_eq!(evfad_timeseries::split::boundary(10, 0.8)?, 8);
 /// # Ok::<(), evfad_timeseries::TimeSeriesError>(())
 /// ```
-pub fn temporal(series: &[f64], train_fraction: f64) -> Result<(&[f64], &[f64]), TimeSeriesError> {
-    if series.is_empty() {
-        return Err(TimeSeriesError::EmptySeries);
-    }
-    if !(train_fraction > 0.0 && train_fraction < 1.0) {
-        return Err(TimeSeriesError::InvalidFraction(train_fraction));
-    }
-    let cut = ((series.len() as f64) * train_fraction).round() as usize;
-    let cut = cut.clamp(1, series.len() - 1);
-    Ok(series.split_at(cut))
-}
-
-/// Index of the train/test boundary for a given fraction, matching
-/// [`temporal`]. Useful when several aligned series (values, labels) must be
-/// split consistently.
-///
-/// # Errors
-///
-/// Same conditions as [`temporal`].
 pub fn boundary(len: usize, train_fraction: f64) -> Result<usize, TimeSeriesError> {
     if len == 0 {
         return Err(TimeSeriesError::EmptySeries);
@@ -56,47 +35,20 @@ mod tests {
 
     #[test]
     fn eighty_twenty_on_paper_size() {
-        // 4,344 timestamps per client in the paper.
-        let series = vec![0.0; 4344];
-        let (train, test) = temporal(&series, 0.8).unwrap();
-        assert_eq!(train.len(), 3475);
-        assert_eq!(test.len(), 869);
-    }
-
-    #[test]
-    fn boundary_agrees_with_temporal() {
-        let series: Vec<f64> = (0..101).map(|i| i as f64).collect();
-        let (train, _) = temporal(&series, 0.8).unwrap();
-        assert_eq!(boundary(101, 0.8).unwrap(), train.len());
+        // 4,344 timestamps per client in the paper: 3,475 train, 869 test.
+        assert_eq!(boundary(4344, 0.8).unwrap(), 3475);
     }
 
     #[test]
     fn tiny_series_always_keeps_one_test_point() {
-        let series = [1.0, 2.0];
-        let (train, test) = temporal(&series, 0.99).unwrap();
-        assert_eq!(train.len(), 1);
-        assert_eq!(test.len(), 1);
+        assert_eq!(boundary(2, 0.99).unwrap(), 1);
+        assert_eq!(boundary(2, 0.01).unwrap(), 1);
     }
 
     #[test]
     fn rejects_empty_and_bad_fraction() {
-        assert_eq!(temporal(&[], 0.8), Err(TimeSeriesError::EmptySeries));
-        assert_eq!(
-            temporal(&[1.0], 0.0),
-            Err(TimeSeriesError::InvalidFraction(0.0))
-        );
-        assert_eq!(
-            temporal(&[1.0], 1.0),
-            Err(TimeSeriesError::InvalidFraction(1.0))
-        );
-        assert!(boundary(0, 0.5).is_err());
-    }
-
-    #[test]
-    fn split_preserves_order() {
-        let series = [1.0, 2.0, 3.0, 4.0, 5.0];
-        let (train, test) = temporal(&series, 0.6).unwrap();
-        assert_eq!(train, &[1.0, 2.0, 3.0]);
-        assert_eq!(test, &[4.0, 5.0]);
+        assert_eq!(boundary(0, 0.8), Err(TimeSeriesError::EmptySeries));
+        assert_eq!(boundary(1, 0.0), Err(TimeSeriesError::InvalidFraction(0.0)));
+        assert_eq!(boundary(1, 1.0), Err(TimeSeriesError::InvalidFraction(1.0)));
     }
 }

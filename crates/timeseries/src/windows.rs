@@ -88,7 +88,6 @@ pub fn reconstruction(series: &[f64], seq_len: usize) -> Vec<Vec<f64>> {
 /// let series = [1.0, 2.0, 3.0, 4.0, 5.0];
 /// let ws = WindowedSeries::new(&series, 3).unwrap();
 /// assert_eq!(ws.len(), 3);
-/// assert_eq!(ws.window(1), &[2.0, 3.0, 4.0]);
 /// // Timestep 1 of windows 0..3 is the contiguous slice starting at 1.
 /// assert_eq!(ws.step(1, 0, 3), &[2.0, 3.0, 4.0]);
 /// ```
@@ -141,17 +140,6 @@ impl<'a> WindowedSeries<'a> {
             self.len()
         );
         &self.series[first + t..first + t + count]
-    }
-
-    /// The window starting at series index `w`
-    /// (`series[w..w + seq_len]` — what `reconstruction(...)[w]` holds).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `w >= self.len()`.
-    pub fn window(&self, w: usize) -> &'a [f64] {
-        assert!(w < self.len(), "window {w} out of range ({})", self.len());
-        &self.series[w..w + self.seq_len]
     }
 }
 
@@ -211,7 +199,8 @@ mod tests {
         assert_eq!(ws.len(), wins.len());
         assert_eq!(ws.seq_len(), 24);
         for (w, win) in wins.iter().enumerate() {
-            assert_eq!(ws.window(w), win.as_slice());
+            let window: Vec<f64> = (0..24).map(|t| ws.step(t, w, 1)[0]).collect();
+            assert_eq!(&window, win);
         }
         // step(t, first, count)[i] is window (first + i)'s element t.
         #[allow(clippy::needless_range_loop)]

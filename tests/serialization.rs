@@ -1,28 +1,40 @@
-//! Serialisation round-trips across the workspace: model checkpoints,
-//! scalers, attack outcomes, and study reports.
+//! Serialisation round-trips across the workspace: model weights through
+//! their one format (`EVFD`), scalers, attack outcomes, and study reports.
 
 use evfad_core::attack::{DdosConfig, DdosInjector};
 use evfad_core::data::{DatasetConfig, ShenzhenGenerator};
+use evfad_core::federated::wire;
 use evfad_core::forecast::experiment::build_forecaster;
 use evfad_core::nn::Sequential;
 use evfad_core::tensor::Matrix;
 use evfad_core::timeseries::MinMaxScaler;
 
+/// A freshly built forecaster holding `model`'s weights, decoded from the
+/// `EVFD` bytes that carry them between processes.
+fn restore_through_evfd(model: &Sequential, lstm_units: usize, learning_rate: f64) -> Sequential {
+    let bytes = wire::encode_weights(&model.weights());
+    let mut restored = build_forecaster(lstm_units, learning_rate, model.seed() + 1);
+    restored
+        .set_weights(&wire::decode_weights(&bytes).expect("a well-formed EVFD record"))
+        .expect("same architecture");
+    restored
+}
+
 #[test]
-fn forecaster_checkpoint_round_trip_preserves_predictions() {
+fn forecaster_evfd_round_trip_preserves_predictions() {
     let mut model = build_forecaster(10, 0.001, 42);
     let input = vec![Matrix::column_vector(
         &(0..24).map(|t| (t as f64 * 0.3).sin()).collect::<Vec<_>>(),
     )];
     let before = model.predict(&input);
-    let json = model.to_json();
-    let mut restored = Sequential::from_json(&json).expect("restore");
+    let mut restored = restore_through_evfd(&model, 10, 0.001);
     assert_eq!(before, restored.predict(&input));
 }
 
 #[test]
-fn restored_model_can_keep_training() {
-    // A checkpoint is only useful if training can resume from it.
+fn evfd_restored_forecaster_can_keep_training() {
+    // Weights are only useful if training can resume from them: a federated
+    // client trains on from the global model it decoded.
     let mut model = build_forecaster(6, 0.01, 1);
     let samples: Vec<evfad_core::nn::Sample> = (0..32)
         .map(|i| {
@@ -38,7 +50,7 @@ fn restored_model_can_keep_training() {
         ..evfad_core::nn::TrainConfig::default()
     };
     model.fit(&samples, &cfg).expect("first fit");
-    let mut restored = Sequential::from_json(&model.to_json()).expect("restore");
+    let mut restored = restore_through_evfd(&model, 6, 0.01);
     let before = restored.evaluate(&samples, evfad_core::nn::Loss::Mse);
     restored.fit(&samples, &cfg).expect("resumed fit");
     let after = restored.evaluate(&samples, evfad_core::nn::Loss::Mse);
