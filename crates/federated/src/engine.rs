@@ -26,7 +26,7 @@
 //! nothing per client; its edge→root hop is one more admission and fold,
 //! over the shard partials, under the edge plan's gate. Because every
 //! protocol decision lives here, the socket digest is the in-process
-//! digest by construction; the loopback suite pins it anyway.
+//! digest by construction; the equivalence matrix pins it anyway.
 
 use crate::aggregate::Aggregator;
 use crate::client::LocalUpdate;

@@ -273,6 +273,7 @@ impl FaultPlan {
             ));
         }
         for (i, rule) in self.rules.iter().enumerate() {
+            crate::wire::check_id("faults.rules", &rule.client)?;
             if let RoundSelector::Probability { p } = rule.rounds {
                 if !(0.0..=1.0).contains(&p) || p.is_nan() {
                     return Err(bad(
@@ -609,6 +610,22 @@ mod tests {
             },
         );
         assert!(bad_scale.validate().is_err());
+        // An id the wire's u16 length prefix cannot carry.
+        let long_id = FaultPlan::new(0).with_rule(
+            "z".repeat(70_000),
+            RoundSelector::Every,
+            FaultKind::DropOut,
+        );
+        assert!(matches!(
+            long_id.validate(),
+            Err(FederatedError::InvalidConfig { field, .. }) if field == "faults.rules"
+        ));
+        let longest = FaultPlan::new(0).with_rule(
+            "z".repeat(usize::from(u16::MAX)),
+            RoundSelector::Every,
+            FaultKind::DropOut,
+        );
+        assert!(longest.validate().is_ok());
         assert!(FaultPlan::default().validate().is_ok());
     }
 

@@ -1086,61 +1086,6 @@ mod tests {
         );
     }
 
-    /// Zeroes the one legitimately thread-dependent stat so round stats
-    /// can be compared across thread counts.
-    fn stats_without_peak(rounds: &[ScaleRoundStats]) -> String {
-        let stripped: Vec<ScaleRoundStats> = rounds
-            .iter()
-            .map(|r| ScaleRoundStats {
-                peak_state_bytes: 0,
-                ..r.clone()
-            })
-            .collect();
-        serde_json::to_string(&stripped).expect("serialize")
-    }
-
-    #[test]
-    fn parallel_fanout_is_bitwise_identical_to_serial() {
-        let plan = FaultPlan::new(2)
-            .with_rule(
-                "*",
-                RoundSelector::Probability { p: 0.15 },
-                FaultKind::DropOut,
-            )
-            .with_rule(
-                "*",
-                RoundSelector::Probability { p: 0.05 },
-                FaultKind::Transient { failures: 2 },
-            );
-        let run = |threads: usize| {
-            let mut e = ScaleEngine::new(
-                template(),
-                ScaleConfig {
-                    threads,
-                    faults: Some(plan.clone()),
-                    ..cfg(2_000, 8)
-                },
-            )
-            .expect("engine");
-            e.run().expect("run")
-        };
-        let serial = run(1);
-        for threads in [2usize, 4, 8, 16] {
-            let par = run(threads);
-            assert_eq!(
-                par.weights_checksum(),
-                serial.weights_checksum(),
-                "threads={threads}"
-            );
-            assert_eq!(par.traffic, serial.traffic, "threads={threads}");
-            assert_eq!(
-                stats_without_peak(&par.rounds),
-                stats_without_peak(&serial.rounds),
-                "threads={threads}"
-            );
-        }
-    }
-
     #[test]
     fn peak_state_grows_with_workers_not_population() {
         let run = |clients: usize, threads: usize| {
@@ -1205,15 +1150,13 @@ mod tests {
     }
 
     #[test]
-    fn compressed_uplink_is_deterministic_across_thread_counts() {
+    fn compressed_uplink_is_lossy_smaller_and_keeps_peak_state() {
         // The fused Quant8 path end to end: encode per client, meter the
-        // exact payload length, fold straight from the payload. Checksums,
-        // traffic, and stats must be identical at every fan-out width.
-        let run = |threads: usize, compression: CompressionMode| {
+        // exact payload length, fold straight from the payload.
+        let run = |compression: CompressionMode| {
             let mut e = ScaleEngine::new(
                 template(),
                 ScaleConfig {
-                    threads,
                     compression,
                     ..cfg(2_000, 8)
                 },
@@ -1221,32 +1164,18 @@ mod tests {
             .expect("engine");
             e.run().expect("run")
         };
-        let serial = run(1, CompressionMode::Quant8);
-        for threads in [2usize, 4] {
-            let par = run(threads, CompressionMode::Quant8);
-            assert_eq!(
-                par.weights_checksum(),
-                serial.weights_checksum(),
-                "threads={threads}"
-            );
-            assert_eq!(par.traffic, serial.traffic, "threads={threads}");
-            assert_eq!(
-                stats_without_peak(&par.rounds),
-                stats_without_peak(&serial.rounds),
-                "threads={threads}"
-            );
-        }
+        let quant = run(CompressionMode::Quant8);
         // Quantisation genuinely changes the fold (it is lossy) and
         // genuinely shrinks the uplink; the downlink stays full precision.
-        let raw = run(1, CompressionMode::None);
-        assert_ne!(serial.weights_checksum(), raw.weights_checksum());
-        for (q, r) in serial.rounds.iter().zip(&raw.rounds) {
+        let raw = run(CompressionMode::None);
+        assert_ne!(quant.weights_checksum(), raw.weights_checksum());
+        for (q, r) in quant.rounds.iter().zip(&raw.rounds) {
             assert!(q.uplink_bytes < r.uplink_bytes);
             assert_eq!(q.downlink_bytes, r.downlink_bytes);
         }
         // Peak aggregation state is unchanged: the fused fold never
         // materialises a decoded update.
-        assert_eq!(serial.peak_aggregation_bytes, raw.peak_aggregation_bytes);
+        assert_eq!(quant.peak_aggregation_bytes, raw.peak_aggregation_bytes);
     }
 
     #[test]

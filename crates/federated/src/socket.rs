@@ -18,7 +18,7 @@
 //!   floor, aggregation — executes in the shared engine, which is why
 //!   the socket run's digest is byte-identical to
 //!   [`FederatedSimulation`](crate::FederatedSimulation) for the same
-//!   seed and config (the loopback suite pins it).
+//!   seed and config (the equivalence matrix pins it).
 //! * [`SocketClient`] — connects, trains when asked, and uploads each
 //!   update over a *fresh* connection per attempt with real
 //!   exponential-backoff retries. Faults are acted out, not flagged:
@@ -441,14 +441,27 @@ impl SocketServer {
     /// # Errors
     ///
     /// Everything [`FederatedSimulation::run`](crate::FederatedSimulation::run)
-    /// can return, plus [`FederatedError::Transport`] for handshake
-    /// timeouts, connection loss on a control channel, or protocol
-    /// violations. On any error the server best-effort sends `Abort` to
-    /// every admitted client before returning.
+    /// can return; [`FederatedError::InvalidConfig`] for an
+    /// `expected_clients` roster that names an id twice or holds one the
+    /// wire cannot carry (both refused before the handshake); and
+    /// [`FederatedError::Transport`] for handshake timeouts, connection
+    /// loss on a control channel, or protocol violations. On any error
+    /// after the handshake the server best-effort sends `Abort` to every
+    /// admitted client before returning.
     pub fn run(&mut self) -> Result<FederatedOutcome, FederatedError> {
-        let n = self.cfg.expected_clients.len();
+        let roster = &self.cfg.expected_clients;
+        let n = roster.len();
         if n == 0 {
             return Err(FederatedError::NoClients);
+        }
+        for (i, id) in roster.iter().enumerate() {
+            wire::check_id("expected_clients", id)?;
+            if roster[..i].contains(id) {
+                return Err(FederatedError::InvalidConfig {
+                    field: "expected_clients".to_string(),
+                    message: format!("client id {id:?} is listed twice"),
+                });
+            }
         }
         self.cfg.config.validate(n)?;
 
@@ -736,8 +749,10 @@ impl SocketClient {
     ///
     /// # Errors
     ///
-    /// [`FederatedError::Transport`] on connection loss, protocol
-    /// violations, or a server `Abort`; training errors are propagated.
+    /// [`FederatedError::InvalidConfig`] for a `client_id` the wire
+    /// cannot carry, before connecting; [`FederatedError::Transport`] on
+    /// connection loss, protocol violations, or a server `Abort`; training
+    /// errors are propagated.
     pub fn run(
         &self,
         addr: SocketAddr,
@@ -746,6 +761,7 @@ impl SocketClient {
         samples: Vec<Sample>,
     ) -> Result<Vec<Matrix>, FederatedError> {
         let client_id = client_id.into();
+        wire::check_id("client_id", &client_id)?;
         let mut control = MessageStream::connect(addr)?;
         control.send(&Message::Hello {
             client_id: client_id.clone(),
@@ -893,6 +909,44 @@ mod tests {
 
     fn loopback() -> SocketTransport {
         SocketTransport::bind("127.0.0.1:0").expect("bind")
+    }
+
+    /// A roster the server could never admit is refused before the
+    /// handshake: a duplicate id, whose second slot no `Hello` can fill,
+    /// and an id the wire's `u16` length prefix cannot carry.
+    #[test]
+    fn an_unadmittable_roster_is_refused_before_the_handshake() {
+        let long = "z".repeat(70_000);
+        for roster in [["a", "a"], ["a", long.as_str()]] {
+            let ids = roster.iter().map(|id| id.to_string()).collect();
+            let mut cfg = SocketServerConfig::new(FederatedConfig::default(), ids);
+            cfg.handshake_timeout = Duration::from_millis(200);
+            let mut server =
+                SocketServer::bind("127.0.0.1:0", evfad_nn::forecaster_model(4, 3), cfg)
+                    .expect("bind");
+            let err = server.run().unwrap_err();
+            assert!(
+                matches!(&err, FederatedError::InvalidConfig { field, .. } if field == "expected_clients"),
+                "{err}"
+            );
+        }
+    }
+
+    #[test]
+    fn a_client_id_the_wire_cannot_carry_is_refused_before_connecting() {
+        // Nothing listens at `addr` once the listener is dropped.
+        let addr = TcpListener::bind("127.0.0.1:0")
+            .and_then(|l| l.local_addr())
+            .expect("bind");
+        let client = SocketClient { time_dilation: 0.0 };
+        let model = evfad_nn::forecaster_model(4, 3);
+        let err = client
+            .run(addr, "z".repeat(70_000), model, Vec::new())
+            .unwrap_err();
+        assert!(
+            matches!(&err, FederatedError::InvalidConfig { field, .. } if field == "client_id"),
+            "{err}"
+        );
     }
 
     #[test]

@@ -153,17 +153,16 @@ mod tests {
     #[test]
     fn works_across_threads() {
         let ch = MeteredChannel::new();
-        crossbeam::thread::scope(|s| {
+        std::thread::scope(|s| {
             for _ in 0..4 {
                 let local = ch.clone();
-                s.spawn(move |_| {
+                s.spawn(move || {
                     for _ in 0..10 {
                         local.record_bytes(64);
                     }
                 });
             }
-        })
-        .expect("threads");
+        });
         assert_eq!(ch.totals().messages, 40);
         assert_eq!(ch.totals().bytes, 40 * 64);
     }

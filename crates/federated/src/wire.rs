@@ -1,13 +1,12 @@
 //! Binary wire format for weight exchange — what actually crosses the
 //! channel, simulated or TCP.
 //!
-//! Five little-endian records, each opened by a four-byte magic and a
+//! Four little-endian records, each opened by a four-byte magic and a
 //! `u16` version ([`VERSION`]; `EVCF` has its own, [`CONFIG_VERSION`]):
 //! full-precision weights (`EVFD`) and 8-bit-quantized
-//! updates (`EVQ8`, see [`compression`](crate::compression)), the fault
-//! log (`EVFL`), the run configuration with its embedded fault plan
-//! (`EVCF`), and the socket envelope (`EVMS`) that carries the others
-//! verbatim. The weight formats
+//! updates (`EVQ8`, see [`compression`](crate::compression)), the run
+//! configuration with its embedded fault plan (`EVCF`), and the socket
+//! envelope (`EVMS`) that carries the others verbatim. The weight formats
 //! have exact O(1) size functions, so metering never serialises. Together
 //! they complete the communication story of the paper's §II-C2 ("only
 //! model parameters were exchanged").
@@ -32,9 +31,8 @@
 
 use crate::aggregate::Aggregator;
 use crate::compression::{CompressionMode, QuantizedTensor, QuantizedUpdate};
-use crate::faults::{
-    Corruption, FaultEvent, FaultKind, FaultOutcome, FaultPlan, FaultRule, RoundSelector,
-};
+use crate::error::FederatedError;
+use crate::faults::{Corruption, FaultKind, FaultPlan, FaultRule, RoundSelector};
 use crate::simulation::FederatedConfig;
 use bytes::BufMut;
 use bytes::Bytes;
@@ -48,9 +46,6 @@ pub const MAGIC: [u8; 4] = *b"EVFD";
 
 /// Format magic for 8-bit-quantized update payloads (`"EVQ8"`).
 pub const QUANT_MAGIC: [u8; 4] = *b"EVQ8";
-
-/// Format magic for fault-log payloads (`"EVFL"`).
-pub const FAULT_MAGIC: [u8; 4] = *b"EVFL";
 
 /// Current format version of every record but `EVCF` (see
 /// [`CONFIG_VERSION`]).
@@ -670,11 +665,7 @@ pub fn weights_checksum(weights: &[Matrix]) -> u64 {
     hash
 }
 
-/// Maximum accepted events per fault log (sanity bound, far above any
-/// simulation in this workspace: rounds × clients × rules).
-const MAX_FAULT_EVENTS: usize = 1 << 24;
-
-// Fault-kind discriminants.
+// Fault-kind discriminants (`EVCF` rules, `EVMS` train directives).
 const TAG_DROP_OUT: u8 = 0;
 const TAG_STRAGGLER: u8 = 1;
 const TAG_CORRUPT: u8 = 2;
@@ -683,124 +674,9 @@ const TAG_TRANSIENT: u8 = 3;
 const TAG_NAN_FLOOD: u8 = 0;
 const TAG_SIGN_FLIP: u8 = 1;
 const TAG_SCALE: u8 = 2;
-// Fault-outcome discriminants.
-const TAG_DROPPED: u8 = 0;
-const TAG_DELAYED: u8 = 1;
-const TAG_TIMED_OUT: u8 = 2;
-const TAG_CORRUPTED: u8 = 3;
-const TAG_RECOVERED: u8 = 4;
-const TAG_EXHAUSTED: u8 = 5;
-
-/// Encodes a fault log into the binary wire format — the telemetry a real
-/// deployment would ship alongside round stats so operators can audit
-/// which clients misbehaved when.
-///
-/// # Examples
-///
-/// ```
-/// use evfad_federated::faults::{FaultEvent, FaultKind, FaultOutcome};
-/// use evfad_federated::wire;
-///
-/// let log = vec![FaultEvent {
-///     round: 2,
-///     client_id: "z105".into(),
-///     fault: FaultKind::DropOut,
-///     outcome: FaultOutcome::Dropped,
-/// }];
-/// let blob = wire::encode_fault_log(&log);
-/// assert_eq!(wire::decode_fault_log(&blob)?, log);
-/// # Ok::<(), evfad_federated::wire::WireError>(())
-/// ```
-pub fn encode_fault_log(events: &[FaultEvent]) -> Bytes {
-    let mut buf = BytesMut::with_capacity(10 + events.len() * 32);
-    buf.put_slice(&FAULT_MAGIC);
-    buf.put_u16_le(VERSION);
-    buf.put_u32_le(events.len() as u32);
-    for e in events {
-        buf.put_u32_le(e.round as u32);
-        put_short_str(&mut buf, &e.client_id);
-        encode_fault_kind(&mut buf, e.fault);
-        match e.outcome {
-            FaultOutcome::Dropped => buf.put_u8(TAG_DROPPED),
-            FaultOutcome::Delayed { delay_seconds } => {
-                buf.put_u8(TAG_DELAYED);
-                buf.put_f64_le(delay_seconds);
-            }
-            FaultOutcome::TimedOut {
-                delay_seconds,
-                timeout_seconds,
-            } => {
-                buf.put_u8(TAG_TIMED_OUT);
-                buf.put_f64_le(delay_seconds);
-                buf.put_f64_le(timeout_seconds);
-            }
-            FaultOutcome::Corrupted => buf.put_u8(TAG_CORRUPTED),
-            FaultOutcome::Recovered {
-                failed_attempts,
-                backoff_seconds,
-            } => {
-                buf.put_u8(TAG_RECOVERED);
-                buf.put_u32_le(failed_attempts as u32);
-                buf.put_f64_le(backoff_seconds);
-            }
-            FaultOutcome::RetriesExhausted { failed_attempts } => {
-                buf.put_u8(TAG_EXHAUSTED);
-                buf.put_u32_le(failed_attempts as u32);
-            }
-        }
-    }
-    buf.freeze()
-}
-
-/// Decodes a payload produced by [`encode_fault_log`].
-///
-/// # Errors
-///
-/// Returns [`WireError`] on a malformed, truncated, or unknown-tag
-/// payload.
-pub fn decode_fault_log(payload: &[u8]) -> Result<Vec<FaultEvent>, WireError> {
-    let mut r = Reader::new(payload);
-    r.header(FAULT_MAGIC, VERSION)?;
-    let count = r.seq(8)?;
-    if count > MAX_FAULT_EVENTS {
-        return Err(WireError::InvalidRecord(
-            "fault log count exceeds sanity bound",
-        ));
-    }
-    let mut out = Vec::with_capacity(count);
-    for _ in 0..count {
-        out.push(FaultEvent {
-            round: r.u32()? as usize,
-            client_id: r.short_str()?,
-            fault: decode_fault_kind(&mut r)?,
-            outcome: match r.u8()? {
-                TAG_DROPPED => FaultOutcome::Dropped,
-                TAG_DELAYED => FaultOutcome::Delayed {
-                    delay_seconds: r.f64()?,
-                },
-                TAG_TIMED_OUT => FaultOutcome::TimedOut {
-                    delay_seconds: r.f64()?,
-                    timeout_seconds: r.f64()?,
-                },
-                TAG_CORRUPTED => FaultOutcome::Corrupted,
-                TAG_RECOVERED => FaultOutcome::Recovered {
-                    failed_attempts: r.u32()? as usize,
-                    backoff_seconds: r.f64()?,
-                },
-                TAG_EXHAUSTED => FaultOutcome::RetriesExhausted {
-                    failed_attempts: r.u32()? as usize,
-                },
-                tag => return Err(WireError::UnknownTag(tag)),
-            },
-        });
-    }
-    r.finish()?;
-    Ok(out)
-}
 
 /// Appends the tagged binary encoding of one fault kind — shared by the
-/// `EVFL` fault-log record and the `EVMS` envelope's train directive, so a
-/// fault crosses the socket in exactly the bytes the log archives.
+/// `EVCF` fault plan's rules and the `EVMS` envelope's train directive.
 fn encode_fault_kind(buf: &mut BytesMut, fault: FaultKind) {
     match fault {
         FaultKind::DropOut => buf.put_u8(TAG_DROP_OUT),
@@ -1008,9 +884,6 @@ fn encode_fault_plan(buf: &mut BytesMut, plan: &FaultPlan) {
 fn decode_fault_plan(r: &mut Reader<'_>) -> Result<FaultPlan, WireError> {
     let seed = r.u64()?;
     let rule_count = r.seq(4)?;
-    if rule_count > MAX_FAULT_EVENTS {
-        return Err(WireError::InvalidRecord("implausible fault rule count"));
-    }
     let mut rules = Vec::with_capacity(rule_count);
     for _ in 0..rule_count {
         rules.push(FaultRule {
@@ -1128,6 +1001,22 @@ pub enum Message {
 fn put_blob(buf: &mut BytesMut, blob: &[u8]) {
     buf.put_u32_le(blob.len() as u32);
     buf.put_slice(blob);
+}
+
+/// Refuses an id longer than the `u16` length prefix of its wire field
+/// can carry — `put_short_str` would misframe it — as an invalid `field`.
+pub(crate) fn check_id(field: &str, id: &str) -> Result<(), FederatedError> {
+    if id.len() <= usize::from(u16::MAX) {
+        return Ok(());
+    }
+    Err(FederatedError::InvalidConfig {
+        field: field.to_string(),
+        message: format!(
+            "an id of {} bytes exceeds the wire's {}-byte limit",
+            id.len(),
+            u16::MAX
+        ),
+    })
 }
 
 fn put_short_str(buf: &mut BytesMut, s: &str) {
@@ -1337,7 +1226,6 @@ mod tests {
         assert_needed_walk(&encode_weights(&[]), decode_weights);
         let q = QuantizedUpdate::quantize(&sample_weights());
         assert_needed_walk(&encode_quantized(&q), decode_quantized);
-        assert_needed_walk(&encode_fault_log(&sample_fault_log()), decode_fault_log);
     }
 
     #[test]
@@ -1352,13 +1240,6 @@ mod tests {
         assert_eq!(
             decode_weights(&two),
             Err(WireError::TrailingBytes { extra: one.len() })
-        );
-        let log = encode_fault_log(&sample_fault_log());
-        let mut pair = log.to_vec();
-        pair.extend_from_slice(&log);
-        assert_eq!(
-            decode_fault_log(&pair),
-            Err(WireError::TrailingBytes { extra: log.len() })
         );
     }
 
@@ -1388,88 +1269,6 @@ mod tests {
         let binary = encode_weights(&w).len();
         let json = serde_json::to_vec(&w).unwrap().len();
         assert!(binary < json, "binary {binary} vs json {json}");
-    }
-
-    fn sample_fault_log() -> Vec<FaultEvent> {
-        vec![
-            FaultEvent {
-                round: 0,
-                client_id: "z102".into(),
-                fault: FaultKind::DropOut,
-                outcome: FaultOutcome::Dropped,
-            },
-            FaultEvent {
-                round: 1,
-                client_id: "z105".into(),
-                fault: FaultKind::Straggler {
-                    delay_seconds: 42.5,
-                },
-                outcome: FaultOutcome::TimedOut {
-                    delay_seconds: 42.5,
-                    timeout_seconds: 30.0,
-                },
-            },
-            FaultEvent {
-                round: 1,
-                client_id: "z108".into(),
-                fault: FaultKind::Corrupt {
-                    corruption: Corruption::Scale { factor: -2.25 },
-                },
-                outcome: FaultOutcome::Corrupted,
-            },
-            FaultEvent {
-                round: 2,
-                client_id: "z111".into(),
-                fault: FaultKind::Transient { failures: 2 },
-                outcome: FaultOutcome::Recovered {
-                    failed_attempts: 2,
-                    backoff_seconds: 3.0,
-                },
-            },
-            FaultEvent {
-                round: 3,
-                client_id: "z114".into(),
-                fault: FaultKind::Transient { failures: 9 },
-                outcome: FaultOutcome::RetriesExhausted { failed_attempts: 3 },
-            },
-            FaultEvent {
-                round: 4,
-                client_id: "z117".into(),
-                fault: FaultKind::Corrupt {
-                    corruption: Corruption::NanFlood,
-                },
-                outcome: FaultOutcome::Delayed { delay_seconds: 1.5 },
-            },
-        ]
-    }
-
-    #[test]
-    fn fault_log_round_trips() {
-        let log = sample_fault_log();
-        let blob = encode_fault_log(&log);
-        assert_eq!(decode_fault_log(&blob).unwrap(), log);
-    }
-
-    #[test]
-    fn empty_fault_log_round_trips() {
-        let blob = encode_fault_log(&[]);
-        assert_eq!(decode_fault_log(&blob).unwrap(), Vec::<FaultEvent>::new());
-    }
-
-    #[test]
-    fn fault_log_rejects_weight_magic_and_vice_versa() {
-        let weights = encode_weights(&sample_weights());
-        assert_eq!(decode_fault_log(&weights), Err(WireError::BadMagic));
-        let log = encode_fault_log(&sample_fault_log());
-        assert_eq!(decode_weights(&log), Err(WireError::BadMagic));
-    }
-
-    #[test]
-    fn fault_log_rejects_unknown_tags() {
-        let mut blob = encode_fault_log(&sample_fault_log()[..1]).to_vec();
-        let tag_at = blob.len() - 2; // fault tag of the single DropOut event
-        blob[tag_at] = 250;
-        assert_eq!(decode_fault_log(&blob), Err(WireError::UnknownTag(250)));
     }
 
     #[test]
@@ -1581,7 +1380,6 @@ mod tests {
         let q = QuantizedUpdate::quantize(&sample_weights());
         let qblob = encode_quantized(&q);
         assert_eq!(decode_weights(&qblob), Err(WireError::BadMagic));
-        assert_eq!(decode_fault_log(&qblob), Err(WireError::BadMagic));
         let wblob = encode_weights(&sample_weights());
         assert_eq!(decode_quantized(&wblob), Err(WireError::BadMagic));
     }
@@ -1712,6 +1510,41 @@ mod tests {
         encode_message(&mut buf, &Message::Ack { round: 1 });
         buf[6] = 200;
         assert_eq!(decode_message(&buf), Err(WireError::UnknownTag(200)));
+    }
+
+    /// A fault kind travels in two records — an `EVMS` train directive
+    /// and an `EVCF` fault rule — and an undefined tag is refused in both.
+    #[test]
+    fn fault_kind_rejects_unknown_tags() {
+        let mut buf = BytesMut::new();
+        encode_message(
+            &mut buf,
+            &Message::TrainRequest {
+                round: 0,
+                fault: Some(FaultKind::DropOut),
+            },
+        );
+        let last = buf.len() - 1;
+        assert_eq!(buf[last], TAG_DROP_OUT, "layout moved");
+        buf[last] = 250;
+        assert_eq!(decode_message(&buf), Err(WireError::UnknownTag(250)));
+
+        let plan = FaultPlan::new(9).with_rule(
+            "z102",
+            RoundSelector::Every,
+            FaultKind::Transient { failures: 2 },
+        );
+        let mut blob = encode_config(&FederatedConfig {
+            faults: Some(plan),
+            ..FederatedConfig::default()
+        })
+        .to_vec();
+        // Behind the rule's kind tag: failures 4, timeout flag 1, retry
+        // budget 4, backoff 8, min participants 4, compression tag 1.
+        let tag_at = blob.len() - 23;
+        assert_eq!(blob[tag_at], TAG_TRANSIENT, "layout moved");
+        blob[tag_at] = 250;
+        assert_eq!(decode_config(&blob), Err(WireError::UnknownTag(250)));
     }
 
     #[test]

@@ -118,8 +118,8 @@ mod hostile {
     use evfad_federated::socket::SocketServerConfig;
     use evfad_federated::wire::{self, BytesMut, Message, WireError};
     use evfad_federated::{
-        Aggregator, CompressionMode, Corruption, FaultEvent, FaultKind, FaultOutcome, FaultPlan,
-        FederatedConfig, FederatedError, RoundSelector, SocketServer,
+        Aggregator, CompressionMode, Corruption, FaultKind, FaultPlan, FederatedConfig,
+        FederatedError, RoundSelector, SocketServer,
     };
     use evfad_nn::forecaster_model;
     use evfad_tensor::Matrix;
@@ -138,7 +138,7 @@ mod hostile {
         fixtures: fn() -> Vec<Vec<u8>>,
     }
 
-    const TABLE: [Row; 6] = [
+    const TABLE: [Row; 5] = [
         Row {
             name: "decode_weights",
             format: "EVFD",
@@ -156,12 +156,6 @@ mod hostile {
             format: "EVQ8",
             codec: reencode_quantized_view,
             fixtures: evq8_fixtures,
-        },
-        Row {
-            name: "decode_fault_log",
-            format: "EVFL",
-            codec: |b| wire::decode_fault_log(b).map(|l| wire::encode_fault_log(&l).to_vec()),
-            fixtures: evfl_fixtures,
         },
         Row {
             name: "decode_config",
@@ -243,69 +237,6 @@ mod hostile {
         ]
     }
 
-    fn fault_log() -> Vec<FaultEvent> {
-        let event = |round, client_id: &str, fault, outcome| FaultEvent {
-            round,
-            client_id: client_id.into(),
-            fault,
-            outcome,
-        };
-        vec![
-            event(0, "z102", FaultKind::DropOut, FaultOutcome::Dropped),
-            event(
-                1,
-                "z105",
-                FaultKind::Straggler {
-                    delay_seconds: 42.5,
-                },
-                FaultOutcome::TimedOut {
-                    delay_seconds: 42.5,
-                    timeout_seconds: 30.0,
-                },
-            ),
-            event(
-                1,
-                "z108",
-                FaultKind::Corrupt {
-                    corruption: Corruption::Scale { factor: -2.25 },
-                },
-                FaultOutcome::Corrupted,
-            ),
-            event(
-                2,
-                "",
-                FaultKind::Transient { failures: 2 },
-                FaultOutcome::Recovered {
-                    failed_attempts: 2,
-                    backoff_seconds: 3.0,
-                },
-            ),
-            event(
-                3,
-                "z114",
-                FaultKind::Corrupt {
-                    corruption: Corruption::SignFlip,
-                },
-                FaultOutcome::RetriesExhausted { failed_attempts: 3 },
-            ),
-            event(
-                4,
-                "z117",
-                FaultKind::Corrupt {
-                    corruption: Corruption::NanFlood,
-                },
-                FaultOutcome::Delayed { delay_seconds: 1.5 },
-            ),
-        ]
-    }
-
-    fn evfl_fixtures() -> Vec<Vec<u8>> {
-        vec![
-            wire::encode_fault_log(&fault_log()).to_vec(),
-            wire::encode_fault_log(&[]).to_vec(),
-        ]
-    }
-
     fn full_config() -> FederatedConfig {
         FederatedConfig {
             rounds: 7,
@@ -334,6 +265,13 @@ mod hostile {
                         RoundSelector::Probability { p: 0.5 },
                         FaultKind::Corrupt {
                             corruption: Corruption::Scale { factor: -4.0 },
+                        },
+                    )
+                    .with_rule(
+                        "",
+                        RoundSelector::Every,
+                        FaultKind::Corrupt {
+                            corruption: Corruption::SignFlip,
                         },
                     )
                     .with_timeout(30.0)
@@ -379,6 +317,12 @@ mod hostile {
                 round: 4,
                 fault: Some(FaultKind::Corrupt {
                     corruption: Corruption::Scale { factor: -2.5 },
+                }),
+            },
+            Message::TrainRequest {
+                round: 5,
+                fault: Some(FaultKind::Corrupt {
+                    corruption: Corruption::NanFlood,
                 }),
             },
             Message::Update {
@@ -674,7 +618,6 @@ mod hostile {
             let cases = [
                 ("EVFD", header(&wire::MAGIC, count)),
                 ("EVQ8", header(&wire::QUANT_MAGIC, count)),
-                ("EVFL", header(&wire::FAULT_MAGIC, count)),
                 ("EVCF", config_claiming_rules(count)),
             ];
             for (format, blob) in cases {

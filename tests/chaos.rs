@@ -5,7 +5,8 @@
 //! same bytes. These tests pin that guarantee and the paper's resilience
 //! story: a corrupted client poisons plain FedAvg while the robust
 //! aggregation rules shrug it off, and a federation degrades gracefully
-//! through drop-outs, stragglers, and flaky uplinks.
+//! through drop-outs, stragglers, and flaky uplinks. `tests/equivalence.rs`
+//! runs the kitchen-sink plan across every thread width and codec.
 
 use evfad_core::federated::{
     Aggregator, Corruption, FaultKind, FaultOutcome, FaultPlan, FederatedConfig, FederatedError,
@@ -30,22 +31,32 @@ fn sine_samples(n: usize, phase: f64) -> Vec<Sample> {
         .collect()
 }
 
-/// A four-client federation (Krum with f = 1 needs n ≥ 4).
-fn four_client_sim(aggregator: Aggregator, faults: Option<FaultPlan>) -> FederatedSimulation {
-    let cfg = FederatedConfig {
+/// The four-station roster as (id, phase) pairs, in registration order.
+const FOUR_STATIONS: [(&str, f64); 4] =
+    [("z102", 0.0), ("z105", 0.8), ("z108", 1.6), ("z111", 2.4)];
+
+/// The four-station schedule, for driving either path.
+fn four_client_config(faults: Option<FaultPlan>) -> FederatedConfig {
+    FederatedConfig {
         rounds: 2,
         epochs_per_round: 2,
         batch_size: 16,
-        aggregator,
         parallel: false,
         faults,
         ..FederatedConfig::default()
+    }
+}
+
+/// A four-client federation (Krum with f = 1 needs n ≥ 4).
+fn four_client_sim(aggregator: Aggregator, faults: Option<FaultPlan>) -> FederatedSimulation {
+    let cfg = FederatedConfig {
+        aggregator,
+        ..four_client_config(faults)
     };
     let mut sim = FederatedSimulation::new(forecaster_model(4, 3), cfg);
-    sim.add_client("z102", sine_samples(32, 0.0));
-    sim.add_client("z105", sine_samples(32, 0.8));
-    sim.add_client("z108", sine_samples(32, 1.6));
-    sim.add_client("z111", sine_samples(32, 2.4));
+    for (id, phase) in FOUR_STATIONS {
+        sim.add_client(id, sine_samples(32, phase));
+    }
     sim
 }
 
@@ -215,11 +226,7 @@ fn nan_flood_breaks_fedavg_but_robust_rules_stay_finite() {
     // global weights untouched — that is the vulnerability.
     let one_round = FederatedConfig {
         rounds: 1,
-        epochs_per_round: 2,
-        batch_size: 16,
-        parallel: false,
-        faults: plan(),
-        ..FederatedConfig::default()
+        ..four_client_config(plan())
     };
     let mut sim = FederatedSimulation::new(forecaster_model(4, 3), one_round);
     sim.add_client("z102", sine_samples(32, 0.0));
@@ -396,19 +403,6 @@ fn retry_accounting_matches_the_transport_meter() {
 }
 
 #[test]
-fn fault_logs_round_trip_through_the_wire_format() {
-    use evfad_core::federated::wire::{decode_fault_log, encode_fault_log};
-    let out = four_client_sim(Aggregator::Median, Some(kitchen_sink_plan()))
-        .run()
-        .expect("run");
-    let events: Vec<_> = out.fault_events().cloned().collect();
-    assert!(!events.is_empty());
-    let encoded = encode_fault_log(&events);
-    let decoded = decode_fault_log(&encoded).expect("decode");
-    assert_eq!(events, decoded);
-}
-
-#[test]
 fn trimmed_mean_contains_a_double_nan_flood_at_its_exact_budget() {
     // Two of four clients flood every round — exactly the 2 * trim = 2
     // non-finite values TrimmedMean { trim: 1 } can absorb per coordinate.
@@ -455,24 +449,6 @@ fn trimmed_mean_contains_a_double_nan_flood_at_its_exact_budget() {
 // client's retry/backoff is the same `faults` machinery the simulation
 // accounts — and the digests must agree byte for byte.
 // ---------------------------------------------------------------------------
-
-/// The four-station roster as (id, phase) pairs, matching
-/// [`four_client_sim`]'s registration order.
-const FOUR_STATIONS: [(&str, f64); 4] =
-    [("z102", 0.0), ("z105", 0.8), ("z108", 1.6), ("z111", 2.4)];
-
-/// [`four_client_sim`]'s config, for driving the socket path with the
-/// same schedule.
-fn four_client_config(faults: Option<FaultPlan>) -> FederatedConfig {
-    FederatedConfig {
-        rounds: 2,
-        epochs_per_round: 2,
-        batch_size: 16,
-        parallel: false,
-        faults,
-        ..FederatedConfig::default()
-    }
-}
 
 /// Runs the federation over localhost TCP: server on an ephemeral port,
 /// one thread per client. Returns the server's result and every

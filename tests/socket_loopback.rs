@@ -1,20 +1,20 @@
 //! Loopback integration suite: the federation over real TCP sockets.
 //!
-//! Spawns an `evfad` socket server and N socket clients on localhost,
-//! runs full federated rounds through the live transport, and pins the
-//! central claim of the socket layer: for the same seed and config, the
-//! socket run's digest serialises to **byte-identical JSON** as the
-//! in-process [`FederatedSimulation`] digest. The shared round engine
-//! makes that a property of the code shape; these tests make it a
-//! regression guarantee.
+//! Spawns an `evfad` socket server and N socket clients on localhost and
+//! runs full federated rounds through the live transport. The central
+//! claim of the socket layer — the socket run's digest serialises to
+//! byte-identical JSON as the in-process [`FederatedSimulation`]'s, under
+//! either codec, with or without faults, at every pool width — is owned
+//! by `tests/equivalence.rs`; this suite pins what that table does not.
 //!
-//! Traffic is also pinned arithmetically: metering counts protocol
-//! payload bytes only (frame and envelope overhead excluded), so the
-//! live run's byte totals must equal `wire::encoded_size` arithmetic.
+//! Traffic is pinned arithmetically: metering counts protocol payload
+//! bytes only (frame and envelope overhead excluded), so the live run's
+//! byte totals must equal `wire::encoded_size` arithmetic. And partial
+//! participation samples the same subset over sockets as in-process.
 
 use evfad_core::federated::{
-    wire, CompressionMode, FederatedConfig, FederatedOutcome, FederatedSimulation, SocketClient,
-    SocketServer, SocketServerConfig,
+    wire, FederatedConfig, FederatedOutcome, FederatedSimulation, SocketClient, SocketServer,
+    SocketServerConfig,
 };
 use evfad_core::nn::{forecaster_model, Sample};
 use evfad_core::tensor::Matrix;
@@ -49,12 +49,9 @@ fn loopback_config(rounds: usize) -> FederatedConfig {
 }
 
 /// Runs a full federation over localhost TCP: server on an ephemeral
-/// port, one thread per client. Returns the server outcome and each
-/// client's final global model, in roster order.
-fn run_loopback(
-    config: FederatedConfig,
-    roster: &[(&str, f64)],
-) -> (FederatedOutcome, Vec<Vec<Matrix>>) {
+/// port, one thread per client. Returns the server outcome once every
+/// client has finished.
+fn run_loopback(config: FederatedConfig, roster: &[(&str, f64)]) -> FederatedOutcome {
     let ids: Vec<String> = roster.iter().map(|(id, _)| id.to_string()).collect();
     let server_cfg = SocketServerConfig::new(config, ids);
     let mut server =
@@ -75,15 +72,12 @@ fn run_loopback(
         .join()
         .expect("server thread panicked")
         .expect("server run failed");
-    let globals = client_threads
-        .into_iter()
-        .map(|h| {
-            h.join()
-                .expect("client thread panicked")
-                .expect("client run")
-        })
-        .collect();
-    (outcome, globals)
+    for h in client_threads {
+        h.join()
+            .expect("client thread panicked")
+            .expect("client run");
+    }
+    outcome
 }
 
 /// The same schedule run entirely in-process, for digest comparison.
@@ -95,24 +89,6 @@ fn run_in_process(config: FederatedConfig, roster: &[(&str, f64)]) -> FederatedO
     sim.run().expect("in-process run failed")
 }
 
-/// The tentpole guarantee: a federation over real sockets produces a
-/// digest whose JSON serialisation is byte-for-byte the in-process
-/// simulation's — same sampling, same losses, same checksum, same
-/// traffic. Every client walks away holding the aggregated global.
-#[test]
-fn loopback_digest_is_byte_identical_to_in_process() {
-    let (socket_outcome, client_globals) = run_loopback(loopback_config(3), &ROSTER);
-    let sim_outcome = run_in_process(loopback_config(3), &ROSTER);
-
-    let socket_json = serde_json::to_string(&socket_outcome.digest()).unwrap();
-    let sim_json = serde_json::to_string(&sim_outcome.digest()).unwrap();
-    assert_eq!(socket_json, sim_json);
-
-    for global in &client_globals {
-        assert_eq!(global, &socket_outcome.global_weights);
-    }
-}
-
 /// Metering counts protocol payload bytes only, so the live run's
 /// traffic must equal pure `wire::encoded_size` arithmetic: with full
 /// participation and no faults, R rounds over N clients cost N·R
@@ -122,7 +98,7 @@ fn loopback_digest_is_byte_identical_to_in_process() {
 fn loopback_traffic_matches_encoded_size_arithmetic() {
     let rounds = 3;
     let n = ROSTER.len();
-    let (outcome, _) = run_loopback(loopback_config(rounds), &ROSTER);
+    let outcome = run_loopback(loopback_config(rounds), &ROSTER);
 
     let payload = wire::encoded_size(&forecaster_model(4, 3).weights());
     let uplinks = n * rounds;
@@ -139,24 +115,6 @@ fn loopback_traffic_matches_encoded_size_arithmetic() {
     }
 }
 
-/// Digest identity holds when uplinks are 8-bit quantised: the client
-/// encodes, the payload crosses the wire, and the server's dequantised
-/// weights — and metered byte counts — match the in-process path's
-/// encode/decode round trip exactly.
-#[test]
-fn loopback_digest_identity_holds_under_quant8() {
-    let config = FederatedConfig {
-        compression: CompressionMode::Quant8,
-        ..loopback_config(2)
-    };
-    let (socket_outcome, _) = run_loopback(config.clone(), &ROSTER);
-    let sim_outcome = run_in_process(config, &ROSTER);
-    assert_eq!(
-        serde_json::to_string(&socket_outcome.digest()).unwrap(),
-        serde_json::to_string(&sim_outcome.digest()).unwrap()
-    );
-}
-
 /// Partial participation samples identically over sockets: the
 /// scheduler draws from registration order on both paths, so the same
 /// subset trains each round and idle clients simply hold for the next
@@ -169,7 +127,7 @@ fn partial_participation_samples_identically_over_sockets() {
         sampling_seed: 7,
         ..loopback_config(3)
     };
-    let (socket_outcome, _) = run_loopback(config.clone(), &roster);
+    let socket_outcome = run_loopback(config.clone(), &roster);
     let sim_outcome = run_in_process(config, &roster);
     assert_eq!(
         serde_json::to_string(&socket_outcome.digest()).unwrap(),
