@@ -175,6 +175,12 @@ impl AnomalyFilter {
     /// Trains the autoencoder on a (presumed normal) series and fixes the
     /// detection boundary from the training-score distribution.
     ///
+    /// The fitted filter holds the weights, the optimizer state and the
+    /// threshold, and nothing else: the fit ends by releasing the training
+    /// and calibration arenas ([`Sequential::release_arenas`]), so a clone
+    /// costs about four times the parameter bytes. The first `score`
+    /// afterwards regrows only the scoring arenas.
+    ///
     /// # Errors
     ///
     /// * [`AnomalyError::SeriesTooShort`] if `train` cannot form one window;
@@ -211,6 +217,10 @@ impl AnomalyFilter {
         // calibrated for the minimum of two draws.
         let (_, train_estimates) = self.score_with_estimates(train)?;
         self.threshold = Some(self.config.threshold.boundary(&train_estimates));
+        // Last, so the calibration pass's scoring arenas go too.
+        self.model.as_mut().expect("set above").release_arenas();
+        self.win_buf = Seq::default();
+        self.recon = Vec::new();
         Ok(history)
     }
 

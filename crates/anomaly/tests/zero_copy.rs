@@ -68,6 +68,40 @@ fn stage_chunk(ws: &WindowedSeries<'_>, first: usize, count: usize, buf: &mut Se
     }
 }
 
+/// A forward's result never depends on what its arenas held before: the
+/// property `Sequential::release_arenas` rests on. Series A scores the same
+/// on the cold arenas a fit leaves behind as after series B has regrown
+/// them. B's ragged tail is A's window count (40 after one 64-window
+/// chunk), so A's second pass takes every buffer back at its own length,
+/// still holding B's values.
+#[test]
+fn scores_do_not_depend_on_arena_history() {
+    let train: Vec<f64> = (0..120)
+        .map(|i| 0.5 + 0.3 * (i as f64 * std::f64::consts::TAU / 12.0).sin())
+        .collect();
+    let mut filter = AnomalyFilter::new(FilterConfig::fast(SCORE_SEQ_LEN));
+    filter.fit(&train).expect("fit");
+    let a: Vec<f64> = (0..SCORE_SEQ_LEN - 1 + 40)
+        .map(|i| 0.5 + 0.25 * (i as f64 * 0.7).cos())
+        .collect();
+    let b: Vec<f64> = (0..SCORE_SEQ_LEN - 1 + 64 + 40)
+        .map(|i| {
+            if i % 17 == 3 {
+                0.95
+            } else {
+                0.1 + 0.002 * i as f64
+            }
+        })
+        .collect();
+    let cold = filter.score(&a).expect("score A on cold arenas");
+    let _ = filter.score(&b).expect("score B");
+    let stale = filter.score(&a).expect("score A after B");
+    assert_eq!(cold.len(), stale.len());
+    for (i, (c, s)) in cold.iter().zip(&stale).enumerate() {
+        assert_eq!(c.to_bits(), s.to_bits(), "point {i}: {c} cold, {s} after B");
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(32))]
 

@@ -456,6 +456,11 @@ pub(crate) fn run_rounds<P: RoundPool>(
         };
         let admission = admit(&gate, round, sampled, 1, route, Some(&mut stats.faults));
         let share = &admission.shares[0];
+        // One entry per kept update: the round record allocates exactly.
+        stats.participants.reserve_exact(share.kept);
+        stats.client_losses.reserve_exact(share.kept);
+        stats.client_seconds.reserve_exact(share.kept);
+        stats.client_extra_seconds.reserve_exact(share.kept);
         let updates = pool.round_updates(round, &share.members, &global)?;
         debug_assert_eq!(updates.len(), share.members.len());
         gate.require(round, share.kept)?;

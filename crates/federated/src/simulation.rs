@@ -709,6 +709,28 @@ mod tests {
     }
 
     #[test]
+    fn round_records_allocate_exactly() {
+        use crate::faults::{FaultPlan, RoundSelector};
+        let mut partial = small_sim(false);
+        partial.config.participation = 0.34;
+        let mut dropping = small_sim(false);
+        dropping.config.faults =
+            Some(FaultPlan::new(3).with_rule("z105", RoundSelector::Every, FaultKind::DropOut));
+        for mut sim in [small_sim(false), partial, dropping] {
+            let out = sim.run().expect("run");
+            for r in &out.rounds {
+                assert_eq!(r.participants.capacity(), r.participants.len());
+                assert_eq!(r.client_losses.capacity(), r.client_losses.len());
+                assert_eq!(r.client_seconds.capacity(), r.client_seconds.len());
+                assert_eq!(
+                    r.client_extra_seconds.capacity(),
+                    r.client_extra_seconds.len()
+                );
+            }
+        }
+    }
+
+    #[test]
     fn full_participation_lists_everyone() {
         let mut sim = small_sim(false);
         let out = sim.run().expect("run");

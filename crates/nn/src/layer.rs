@@ -108,6 +108,18 @@ impl Layer {
         }
     }
 
+    /// Drops the layer's scratch — workspace, training cache, dropout
+    /// mask — and keeps its weights, gradients and dropout RNG state.
+    pub(crate) fn release_arenas(&mut self) {
+        match self {
+            Layer::Dense(l) => l.release_arenas(),
+            Layer::Lstm(l) => l.release_arenas(),
+            Layer::Gru(l) => l.release_arenas(),
+            Layer::Dropout(l) => l.release_arenas(),
+            Layer::RepeatVector(_) => {}
+        }
+    }
+
     /// The layer as a serving replica holds it: parameters and shape, no
     /// gradients or workspace; `None` for dropout, the identity at
     /// inference.

@@ -247,6 +247,15 @@ impl Dense {
         }
     }
 
+    /// Drops the workspace, and with it any pending training cache (a
+    /// backward now needs a fresh training forward). Weights and their
+    /// gradients stay; the next forward regrows the slots it uses.
+    pub(crate) fn release_arenas(&mut self) {
+        self.ws = Workspace::new();
+        self.cached_steps = 0;
+        self.cached_batch = 0;
+    }
+
     /// The parameters without the gradients or the workspace: what an
     /// eval forward reads, and nothing a trained layer merely carries.
     pub(crate) fn serving_copy(&self) -> Self {

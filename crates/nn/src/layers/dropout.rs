@@ -73,6 +73,12 @@ impl Dropout {
         self.rng_state = None;
     }
 
+    /// Drops the cached mask; the mask RNG keeps its place in the stream,
+    /// so the next training forward draws what it would have drawn.
+    pub(crate) fn release_arenas(&mut self) {
+        self.mask = Vec::new();
+    }
+
     /// Forward pass into `out`. Identity at inference; samples a fresh mask
     /// per call in training mode, drawing element by element in the
     /// sequence's flat order (step-major, then row-major).

@@ -258,6 +258,29 @@ impl Sequential {
         }
     }
 
+    /// Frees the model's scratch: the activation arena, the gradient and
+    /// staging buffers, and every layer's workspace and dropout mask. What
+    /// stays is the model — weights, parameter gradients, Adam's moments
+    /// and each dropout layer's RNG state — so training and inference carry
+    /// on with the same bits. The next call regrows only the arenas it
+    /// uses.
+    ///
+    /// Arenas otherwise live as long as the model and keep the size of the
+    /// largest batch they served, a training batch's BPTT caches included:
+    /// a model fitted once and then only scored (a fitted detector) calls
+    /// this when its fit ends; one that trains round after round (a
+    /// federated client) keeps them warm.
+    pub fn release_arenas(&mut self) {
+        for layer in &mut self.layers {
+            layer.release_arenas();
+        }
+        self.acts = Vec::new();
+        self.grads = Default::default();
+        self.loss_grad = Seq::default();
+        self.staged = Default::default();
+        self.scatter_idx = Vec::new();
+    }
+
     /// Clears all accumulated gradients.
     pub fn zero_grads(&mut self) {
         for layer in &mut self.layers {
@@ -666,6 +689,38 @@ mod tests {
         let after = model.evaluate(&samples, Loss::Mse);
         assert!(after < before * 0.25, "before={before} after={after}");
         assert_eq!(history.epochs.len(), 40);
+    }
+
+    /// Released arenas are scratch only: a model that sheds them between
+    /// two fits trains on — Adam's moments, dropout's mask stream — to the
+    /// bits of one that kept them, and predicts the same.
+    #[test]
+    fn released_arenas_keep_the_training_bits() {
+        let samples = toy_samples(48);
+        let model = || {
+            Sequential::new(5)
+                .with(Lstm::new(1, 6, true))
+                .with(Dropout::new(0.2))
+                .with(Lstm::new(6, 4, false))
+                .with(Dense::new(4, 1, Activation::Linear))
+        };
+        let cfg = TrainConfig {
+            epochs: 2,
+            batch_size: 16,
+            ..TrainConfig::default()
+        };
+        let (mut kept, mut released) = (model(), model());
+        for m in [&mut kept, &mut released] {
+            m.fit(&samples, &cfg).expect("fit");
+        }
+        released.release_arenas();
+        assert!(released.acts.is_empty() && released.scatter_idx.is_empty());
+        for m in [&mut kept, &mut released] {
+            m.fit(&samples, &cfg).expect("fit");
+        }
+        assert_eq!(kept.weights(), released.weights());
+        let inputs: Vec<Matrix> = samples.iter().map(|s| s.input.clone()).collect();
+        assert_eq!(kept.predict(&inputs), released.predict(&inputs));
     }
 
     #[test]

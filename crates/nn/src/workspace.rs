@@ -15,6 +15,13 @@
 //! its slots and the backward pass takes them back out. `take` therefore
 //! **preserves contents** when the requested length already matches — callers
 //! that need a zeroed buffer must `fill(0.0)` explicitly.
+//!
+//! Buffers live until their owner releases them: a layer's workspace keeps
+//! the size of the largest batch it has run — a training batch's BPTT
+//! caches included — until
+//! [`Sequential::release_arenas`](crate::Sequential::release_arenas) drops
+//! it. No forward reads a slot before writing it, so a released arena and a
+//! stale one give the same bits.
 
 /// Per-layer scratch arena of reusable `f64` buffers.
 ///
