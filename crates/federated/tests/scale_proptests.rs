@@ -269,8 +269,8 @@ fn golden_template() -> Vec<Matrix> {
 
 /// Drop-out, stragglers cut off by the round timeout (metered waste — the
 /// pre-pass synthesises these to size their compressed payload), a
-/// NaN flood and retried transients, all as wildcard rates.
-fn golden_plan() -> FaultPlan {
+/// corruption and retried transients, all as wildcard rates.
+fn golden_plan(corruption: Corruption) -> FaultPlan {
     FaultPlan::new(11)
         .with_rule(
             "*",
@@ -285,9 +285,7 @@ fn golden_plan() -> FaultPlan {
         .with_rule(
             "*",
             RoundSelector::Probability { p: 0.01 },
-            FaultKind::Corrupt {
-                corruption: Corruption::NanFlood,
-            },
+            FaultKind::Corrupt { corruption },
         )
         .with_rule(
             "*",
@@ -368,7 +366,7 @@ fn golden_cases() -> Vec<Golden> {
             name: "chaos + NaN flood, trimmed mean, plain",
             config: ScaleConfig {
                 aggregator: trimmed,
-                faults: Some(golden_plan()),
+                faults: Some(golden_plan(Corruption::NanFlood)),
                 verify_streaming: true,
                 ..base(2_000, 1, 1)
             },
@@ -380,11 +378,32 @@ fn golden_cases() -> Vec<Golden> {
             config: ScaleConfig {
                 aggregator: trimmed,
                 compression: CompressionMode::Quant8,
-                faults: Some(golden_plan()),
+                faults: Some(golden_plan(Corruption::NanFlood)),
                 ..base(2_000, 1, 2)
             },
             checksum: "55f43242f61c59b7",
             rounds: r#"[{"round":0,"sampled":200,"aggregated":165,"dropped":19,"wasted":16,"corrupted":2,"trained":0,"edges_kept":1,"edges_lost":0,"uplink_bytes":42015,"downlink_bytes":0,"peak_state_bytes":18156},{"round":1,"sampled":200,"aggregated":169,"dropped":22,"wasted":9,"corrupted":1,"trained":0,"edges_kept":1,"edges_lost":0,"uplink_bytes":41158,"downlink_bytes":150800,"peak_state_bytes":18156}]"#,
+        },
+        Golden {
+            // Sign flips, not NaN: a flooded FedAvg global is NaN, whose
+            // checksum pins little.
+            name: "chaos + sign flip, fedavg, plain",
+            config: ScaleConfig {
+                faults: Some(golden_plan(Corruption::SignFlip)),
+                ..base(2_000, 1, 1)
+            },
+            checksum: "f47c31593a221528",
+            rounds: r#"[{"round":0,"sampled":200,"aggregated":165,"dropped":19,"wasted":16,"corrupted":2,"edges_kept":1,"edges_lost":0,"uplink_bytes":142506,"downlink_bytes":0,"peak_state_bytes":712},{"round":1,"sampled":200,"aggregated":169,"dropped":22,"wasted":9,"corrupted":1,"edges_kept":1,"edges_lost":0,"uplink_bytes":143260,"downlink_bytes":150800,"peak_state_bytes":712}]"#,
+        },
+        Golden {
+            name: "chaos + sign flip, fedavg, quant8, threads 2",
+            config: ScaleConfig {
+                compression: CompressionMode::Quant8,
+                faults: Some(golden_plan(Corruption::SignFlip)),
+                ..base(2_000, 1, 2)
+            },
+            checksum: "b96a6b1c7042c267",
+            rounds: r#"[{"round":0,"sampled":200,"aggregated":165,"dropped":19,"wasted":16,"corrupted":2,"edges_kept":1,"edges_lost":0,"uplink_bytes":39879,"downlink_bytes":0,"peak_state_bytes":712},{"round":1,"sampled":200,"aggregated":169,"dropped":22,"wasted":9,"corrupted":1,"edges_kept":1,"edges_lost":0,"uplink_bytes":40090,"downlink_bytes":150800,"peak_state_bytes":712}]"#,
         },
     ]
 }
