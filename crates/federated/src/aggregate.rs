@@ -2,6 +2,7 @@
 
 use crate::client::LocalUpdate;
 use crate::error::FederatedError;
+use crate::streaming::{StreamingAggregator, StreamingFedAvg};
 use evfad_tensor::Matrix;
 use serde::{Deserialize, Serialize};
 
@@ -94,7 +95,14 @@ impl Aggregator {
             }
         }
         match self {
-            Aggregator::FedAvg => Ok(fed_avg(updates)),
+            Aggregator::FedAvg => {
+                let total = updates.iter().map(|u| u.sample_count as f64).sum();
+                let mut acc = StreamingFedAvg::new(total, updates.len());
+                for u in updates {
+                    acc.ingest(u)?;
+                }
+                acc.finish()
+            }
             Aggregator::Median => coordinate_wise(updates, |vals| Ok(robust_median(vals))),
             Aggregator::TrimmedMean { trim } => {
                 if 2 * trim >= updates.len() {
@@ -108,13 +116,6 @@ impl Aggregator {
             Aggregator::Krum { byzantine } => krum(updates, byzantine),
         }
     }
-
-    /// Whether this rule can consume updates one at a time in O(model)
-    /// memory (see [`crate::streaming::StreamingAggregator`]). Median and
-    /// Krum need every update at once by construction.
-    pub fn supports_streaming(self) -> bool {
-        matches!(self, Aggregator::FedAvg | Aggregator::TrimmedMean { .. })
-    }
 }
 
 /// How many trim slots the non-finite values of a coordinate consume on
@@ -123,10 +124,7 @@ impl Aggregator {
 /// into the `2 * trim` budget, high side first (positive NaN used to sort
 /// to the positive end, so this keeps the single-flood behaviour
 /// identical).
-///
-/// Shared by the batch path below and the streaming path in
-/// [`crate::streaming`], so both agree on semantics exactly.
-pub(crate) fn trim_split(trim: usize, non_finite: usize) -> (usize, usize) {
+fn trim_split(trim: usize, non_finite: usize) -> (usize, usize) {
     let high_honest = trim - non_finite.min(trim);
     let low_honest = trim - non_finite.saturating_sub(trim);
     (low_honest, high_honest)
@@ -158,27 +156,6 @@ fn trimmed_mean(vals: &[f64], trim: usize) -> Result<f64, FederatedError> {
     let (low, high) = trim_split(trim, bad);
     let kept = &sorted[low..sorted.len() - high];
     Ok(kept.iter().sum::<f64>() / kept.len() as f64)
-}
-
-fn fed_avg(updates: &[LocalUpdate]) -> Vec<Matrix> {
-    let total: f64 = updates.iter().map(|u| u.sample_count as f64).sum();
-    let mut out: Vec<Matrix> = updates[0]
-        .weights
-        .iter()
-        .map(|m| Matrix::zeros(m.rows(), m.cols()))
-        .collect();
-    for u in updates {
-        // Degenerate all-zero-samples federations fall back to uniform.
-        let w = if total > 0.0 {
-            u.sample_count as f64 / total
-        } else {
-            1.0 / updates.len() as f64
-        };
-        for (acc, m) in out.iter_mut().zip(&u.weights) {
-            acc.axpy(w, m);
-        }
-    }
-    out
 }
 
 /// Coordinate-wise median over the *finite* contributions; NaN/∞ values
@@ -457,14 +434,6 @@ mod tests {
         assert_eq!(trim_split(2, 3), (1, 0));
         assert_eq!(trim_split(2, 4), (0, 0));
         assert_eq!(trim_split(0, 0), (0, 0));
-    }
-
-    #[test]
-    fn streaming_support_matrix() {
-        assert!(Aggregator::FedAvg.supports_streaming());
-        assert!(Aggregator::TrimmedMean { trim: 2 }.supports_streaming());
-        assert!(!Aggregator::Median.supports_streaming());
-        assert!(!Aggregator::Krum { byzantine: 1 }.supports_streaming());
     }
 
     #[test]

@@ -20,13 +20,13 @@
 //! Only the source of updates differs. A [`RoundPool`] trains (in-process)
 //! or collects (TCP) its admitted clients' updates; a socket client reports
 //! its sample count with its update, so `run_rounds` sizes the accumulator
-//! from the kept updates — FedAvg streams, bitwise the batch fold, and the
-//! robust rules collect for their batch rule. The scale engine synthesises
-//! its updates shard by shard, streams FedAvg and TrimmedMean and logs
-//! nothing per client; its edge→root hop is one more admission and fold,
-//! over the shard partials, under the edge plan's gate. Because every
-//! protocol decision lives here, the socket digest is the in-process
-//! digest by construction; the equivalence matrix pins it anyway.
+//! from the kept updates — FedAvg streams and the robust rules collect for
+//! their batch rule. The scale engine synthesises its updates shard by
+//! shard, streams FedAvg and logs nothing per client; its edge→root hop is
+//! one more admission and fold, over the shard partials, under the edge
+//! plan's gate. Because every protocol decision lives here, the socket
+//! digest is the in-process digest by construction; the equivalence matrix
+//! pins it anyway.
 
 use crate::aggregate::Aggregator;
 use crate::client::LocalUpdate;
@@ -36,7 +36,7 @@ use crate::faults::{FaultEvent, FaultKind, FaultOutcome};
 use crate::scheduler::Scheduler;
 use crate::server::{Disposition, FaultGate};
 use crate::simulation::{FederatedConfig, FederatedOutcome, RoundStats};
-use crate::streaming::StreamingAggregator;
+use crate::streaming::{StreamingAggregator, StreamingFedAvg};
 use crate::transport::MeteredChannel;
 use crate::wire;
 use bytes::BytesMut;
@@ -134,45 +134,26 @@ pub(crate) fn admit(
     admission
 }
 
-/// Where a fold's kept updates go: a streaming rule, the updates
-/// themselves, or both.
+/// Where a fold's kept updates go: FedAvg streams them, every other rule
+/// collects them for its batch rule.
 pub(crate) struct Accumulator {
     rule: Aggregator,
-    stream: Option<Box<dyn StreamingAggregator>>,
-    collect: bool,
-    /// The kept updates, as the server decoded them, when collecting: the
-    /// batch rule's input when nothing streams, otherwise a reference the
-    /// scale engine's `verify_streaming` checks the stream against.
-    pub(crate) kept: Vec<LocalUpdate>,
+    stream: Option<StreamingFedAvg>,
+    /// The kept updates, as the server decoded them, when collecting.
+    kept: Vec<LocalUpdate>,
     /// Largest streaming state seen after an ingest.
     pub(crate) peak_state: usize,
-    /// Whether the streaming state kept the size of its first ingest — the
-    /// O(model · workers) bound the scale engine reports rests on it.
-    pub(crate) state_stable: bool,
 }
 
 impl Accumulator {
     /// An accumulator for `expected` kept updates whose sample counts sum
-    /// to `samples`. `streams` says whether the rule streams here: FedAvg
-    /// streams bit for bit, trimmed mean up to reassociation, median and
-    /// Krum not at all. A rule that does not stream collects the kept
-    /// updates for its batch rule, as does an accumulator asked to keep a
-    /// `reference`.
-    pub(crate) fn new(
-        rule: Aggregator,
-        expected: usize,
-        samples: f64,
-        streams: bool,
-        reference: bool,
-    ) -> Self {
-        let stream = streams.then(|| rule.streaming(samples, expected)).flatten();
+    /// to `samples`.
+    pub(crate) fn new(rule: Aggregator, expected: usize, samples: f64) -> Self {
         Self {
             rule,
-            collect: reference || stream.is_none(),
-            stream,
+            stream: (rule == Aggregator::FedAvg).then(|| StreamingFedAvg::new(samples, expected)),
             kept: Vec::new(),
             peak_state: 0,
-            state_stable: true,
         }
     }
 
@@ -185,24 +166,22 @@ impl Accumulator {
         update: &mut LocalUpdate,
         quantized: Option<(&[u8], &CodecScratch)>,
     ) -> Result<(), FederatedError> {
-        if let Some(stream) = &mut self.stream {
-            match quantized {
-                Some((payload, _)) => {
-                    stream.ingest_quantized(&update.client_id, update.sample_count, payload)?
+        match &mut self.stream {
+            Some(stream) => {
+                match quantized {
+                    Some((payload, _)) => {
+                        stream.ingest_quantized(&update.client_id, update.sample_count, payload)?
+                    }
+                    None => stream.ingest(update)?,
                 }
-                None => stream.ingest(update)?,
+                self.peak_state = self.peak_state.max(stream.state_bytes());
             }
-            let state = stream.state_bytes();
-            if self.peak_state != 0 && state != self.peak_state {
-                self.state_stable = false;
+            None => {
+                if let Some((_, scratch)) = quantized {
+                    scratch.decode_into(CompressionMode::Quant8, &mut update.weights);
+                }
+                self.kept.push(update.clone());
             }
-            self.peak_state = self.peak_state.max(state);
-        }
-        if self.collect {
-            if let Some((_, scratch)) = quantized {
-                scratch.decode_into(CompressionMode::Quant8, &mut update.weights);
-            }
-            self.kept.push(update.clone());
         }
         Ok(())
     }
@@ -470,8 +449,7 @@ pub(crate) fn run_rounds<P: RoundPool>(
             .filter(|(_, admitted)| admitted.keeps())
             .map(|(pooled, _)| pooled.update.sample_count as f64)
             .sum();
-        let streams = config.aggregator == Aggregator::FedAvg;
-        let acc = Accumulator::new(config.aggregator, share.kept, samples, streams, false);
+        let acc = Accumulator::new(config.aggregator, share.kept, samples);
         let mut fold = Fold::new(
             &gate,
             channel,
@@ -528,21 +506,6 @@ mod tests {
     }
 
     #[test]
-    fn exact_accumulator_streams_fedavg_bitwise_with_the_batch_rule() {
-        let kept = vec![
-            update("a", 31, 0.1234567),
-            update("b", 7, -2.25),
-            update("c", 113, 9.75e-3),
-        ];
-        let total: f64 = kept.iter().map(|u| u.sample_count as f64).sum();
-        let acc = Accumulator::new(Aggregator::FedAvg, kept.len(), total, true, false);
-        assert!(acc.stream.is_some() && !acc.collect);
-        let via_fold = fold_all(acc, &kept).expect("streaming route");
-        let via_batch = Aggregator::FedAvg.aggregate(&kept).expect("batch");
-        assert_eq!(via_fold, via_batch, "must match to the bit");
-    }
-
-    #[test]
     fn exact_accumulator_collects_the_robust_rules_for_their_batch_rule() {
         let kept = vec![
             update("a", 1, 1.0),
@@ -555,8 +518,8 @@ mod tests {
             Aggregator::TrimmedMean { trim: 1 },
             Aggregator::Krum { byzantine: 1 },
         ] {
-            let acc = Accumulator::new(agg, kept.len(), 4.0, false, false);
-            assert!(acc.stream.is_none() && acc.collect);
+            let acc = Accumulator::new(agg, kept.len(), 4.0);
+            assert!(acc.stream.is_none());
             let via_fold = fold_all(acc, &kept).expect("batch route");
             let via_batch = agg.aggregate(&kept).expect("batch");
             assert_eq!(via_fold, via_batch);
@@ -566,9 +529,9 @@ mod tests {
     #[test]
     fn an_accumulator_that_folded_nothing_is_no_clients() {
         for acc in [
-            Accumulator::new(Aggregator::FedAvg, 0, 0.0, true, false),
-            Accumulator::new(Aggregator::Median, 0, 0.0, true, false),
-            Accumulator::new(Aggregator::TrimmedMean { trim: 0 }, 0, 0.0, true, true),
+            Accumulator::new(Aggregator::FedAvg, 0, 0.0),
+            Accumulator::new(Aggregator::Median, 0, 0.0),
+            Accumulator::new(Aggregator::TrimmedMean { trim: 0 }, 0, 0.0),
         ] {
             assert!(matches!(acc.finish(), Err(FederatedError::NoClients)));
         }

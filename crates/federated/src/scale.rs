@@ -25,10 +25,8 @@
 //! Live state is the root accumulator plus at most `min(threads, edges)`
 //! shard accumulators — O(model · workers), against the batch path's
 //! O(clients × model) ([`ScaleOutcome::peak_aggregation_bytes`],
-//! [`ScaleOutcome::materialized_equivalent_bytes`]).
-//! [`ScaleConfig::verify_streaming`] checks in-run that no accumulator grows
-//! after its first ingest, and each round against the batch rule: bitwise
-//! for flat FedAvg, ≤ 1e-9 relative with edges.
+//! [`ScaleOutcome::materialized_equivalent_bytes`]). Every tier aggregates
+//! with sample-weighted FedAvg, the paper's rule.
 
 use crate::aggregate::Aggregator;
 use crate::client::LocalUpdate;
@@ -47,7 +45,7 @@ use std::fmt::Write as _;
 use std::time::{Duration, Instant};
 
 /// Schedule and topology of a large-population run.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ScaleConfig {
     /// Population size (the paper's federation, scaled: 10k–1M).
     pub clients: usize,
@@ -58,41 +56,27 @@ pub struct ScaleConfig {
     /// Edge aggregators between clients and the root. `1` = flat
     /// (every client streams straight into the root accumulator).
     pub edges: usize,
-    /// Aggregation rule — must stream
-    /// ([`Aggregator::supports_streaming`]): FedAvg or TrimmedMean.
-    pub aggregator: Aggregator,
     /// Seed for sampling, update synthesis, and population derivation.
     pub seed: u64,
     /// Edge fan-out width: how many shard folds may run concurrently on
     /// the [`evfad_tensor::parallel`] worker pool. `1` = serial, `0` =
     /// inherit the process-wide pool width,
     /// [`evfad_tensor::parallel::threads`]. Results are bitwise identical
-    /// for every setting, so the two defaults differ in speed only:
-    /// [`ScaleConfig::default`] is `1` (serial, host-independent), a
-    /// serialized config without the field reads as `0` (inherit).
-    #[serde(default)]
+    /// for every setting; [`ScaleConfig::default`] is `1` (serial,
+    /// host-independent).
     pub threads: usize,
     /// Client→edge uplink compression: each update is encoded for real,
     /// metered at its wire length and folded straight from the payload
     /// ([`crate::streaming::StreamingAggregator::ingest_quantized`]). The
     /// downlink and the edge→root hop stay full precision.
-    #[serde(default)]
     pub compression: CompressionMode,
     /// Client-tier fault plan. Wildcard (`"*"`) probability rules express
     /// population-level drop-out/straggler/corruption rates.
-    #[serde(default)]
     pub faults: Option<FaultPlan>,
     /// Edge-tier fault plan, consulted with client ids `"edge-{e}"` on the
     /// edge→root hop: a dropped edge loses its whole shard for the round; a
     /// timed-out edge partial is metered but discarded.
-    #[serde(default)]
     pub edge_faults: Option<FaultPlan>,
-    /// Also keep every kept update and check each round against the batch
-    /// aggregate: bitwise for flat FedAvg, ≤1e-9 relative otherwise. A
-    /// correctness gate at O(clients × model) memory; ignored under an
-    /// edge-tier fault plan (lost shards make the reference incomparable).
-    #[serde(default)]
-    pub verify_streaming: bool,
 }
 
 impl Default for ScaleConfig {
@@ -102,13 +86,11 @@ impl Default for ScaleConfig {
             rounds: 5,
             participation: 0.1,
             edges: 16,
-            aggregator: Aggregator::FedAvg,
             seed: 0,
             threads: 1,
             compression: CompressionMode::None,
             faults: None,
             edge_faults: None,
-            verify_streaming: false,
         }
     }
 }
@@ -144,28 +126,6 @@ impl ScaleConfig {
                     self.clients, self.edges
                 ),
             ));
-        }
-        if !self.aggregator.supports_streaming() {
-            return Err(bad(
-                "aggregator",
-                format!(
-                    "{} cannot stream; the scale engine supports FedAvg and TrimmedMean",
-                    self.aggregator.name()
-                ),
-            ));
-        }
-        if let Aggregator::TrimmedMean { trim } = self.aggregator {
-            if self.edges > 1 && self.edges <= 2 * trim {
-                return Err(bad(
-                    "edges",
-                    format!(
-                        "trimmed mean with trim {trim} at the root needs more than {} \
-                         edge partials, got {}",
-                        2 * trim,
-                        self.edges
-                    ),
-                ));
-            }
         }
         for plan in self.faults.iter().chain(&self.edge_faults) {
             plan.validate()?;
@@ -473,11 +433,10 @@ impl ScaleEngine {
         global: &[Matrix],
         share: &Share,
         gate: &'a FaultGate,
-        verify: bool,
         group: &mut Vec<LocalUpdate>,
     ) -> (Fold<'a>, Result<(), FederatedError>) {
         let cfg = &self.config;
-        let acc = Accumulator::new(cfg.aggregator, share.kept, share.samples, true, verify);
+        let acc = Accumulator::new(Aggregator::FedAvg, share.kept, share.samples);
         let mut fold = Fold::new(gate, &self.channel, cfg.compression, true, acc);
         group.resize_with(LANES, || LocalUpdate {
             weights: global.to_vec(),
@@ -503,9 +462,7 @@ impl ScaleEngine {
     /// * [`FederatedError::InsufficientParticipants`] when faults starve a
     ///   round below the client plan's floor, or the edge hop below the
     ///   edge plan's;
-    /// * [`FederatedError::Aggregation`] from the streaming rules (e.g. a
-    ///   NaN-flooded coordinate exceeding trimmed mean's containment
-    ///   budget) or a failed [`ScaleConfig::verify_streaming`] check.
+    /// * [`FederatedError::Aggregation`] from the FedAvg fold.
     pub fn run(&mut self) -> Result<ScaleOutcome, FederatedError> {
         self.config.validate()?;
         self.channel.reset();
@@ -516,7 +473,6 @@ impl ScaleEngine {
         let scheduler = Scheduler::new(cfg.participation, cfg.seed);
         let mut global = self.template.clone();
         let model_bytes: usize = global.iter().map(|m| m.len() * 8).sum();
-        let verify = cfg.verify_streaming && cfg.edge_faults.is_none();
         // At most this many shard folds, and so shard accumulators, are live
         // at once.
         let fanout = cfg.effective_threads().max(1).min(cfg.edges);
@@ -562,7 +518,7 @@ impl ScaleEngine {
                 for edge in &share.members {
                     faults[edge.index] = Some(edge.fault);
                 }
-                let acc = Accumulator::new(cfg.aggregator, share.kept, share.samples, true, false);
+                let acc = Accumulator::new(Aggregator::FedAvg, share.kept, share.samples);
                 let root = Fold::new(&edge_gate, &self.channel, CompressionMode::None, true, acc);
                 hop = Some((faults, root));
             }
@@ -571,29 +527,21 @@ impl ScaleEngine {
             // partials to the root in edge order.
             let mut tally = Tally::default();
             let (mut aggregated, mut peak_shard, mut flat) = (0, 0, None);
-            let mut reference = Vec::new();
             for wave in (0..cfg.edges).step_by(fanout) {
                 let slots = &mut slots[..fanout.min(cfg.edges - wave)];
                 parallel::distribute(slots, fanout, |k, (group, fold)| {
                     let share = &shards[wave + k];
                     if !share.members.is_empty() {
-                        *fold = Some(self.fold_shard(round, &global, share, &gate, verify, group));
+                        *fold = Some(self.fold_shard(round, &global, share, &gate, group));
                     }
                 });
                 for (e, (_, slot)) in (wave..).zip(slots.iter_mut()) {
-                    let Some((mut fold, folded)) = slot.take() else {
+                    let Some((fold, folded)) = slot.take() else {
                         continue;
                     };
                     tally.absorb(&fold.tally);
                     peak_shard = peak_shard.max(fold.acc.peak_state);
-                    if verify && !fold.acc.state_stable {
-                        return Err(FederatedError::Aggregation(format!(
-                            "round {round}: edge {e} accumulator grew after its first \
-                             ingest — the O(model · workers) bound is broken"
-                        )));
-                    }
                     folded?;
-                    reference.append(&mut fold.acc.kept);
                     if shards[e].kept == 0 {
                         continue; // only wasted uploads: no partial
                     }
@@ -630,9 +578,6 @@ impl ScaleEngine {
             // shard accumulator per concurrently active fold — exact, since
             // waves are `fanout` wide and a chunk holds one shard at a time.
             let round_peak = root_state + fanout.min(with_partial.max(1)) * peak_shard;
-            if verify {
-                check_against_batch(cfg.aggregator, cfg.edges, &reference, &next_global, round)?;
-            }
             global = next_global;
             materialized_equivalent_bytes =
                 materialized_equivalent_bytes.max(clients.kept() * model_bytes);
@@ -665,41 +610,10 @@ impl ScaleEngine {
     }
 }
 
-/// The [`ScaleConfig::verify_streaming`] gate: the hierarchical streaming
-/// result must match the flat batch aggregate over the same kept updates —
-/// bitwise for flat FedAvg (same fold, same order), within 1e-9 relative
-/// otherwise (reassociation across shards).
-fn check_against_batch(
-    aggregator: Aggregator,
-    edges: usize,
-    kept: &[LocalUpdate],
-    streamed: &[Matrix],
-    round: usize,
-) -> Result<(), FederatedError> {
-    let batch = aggregator.aggregate(kept)?;
-    let exact = edges == 1 && matches!(aggregator, Aggregator::FedAvg);
-    for (b, s) in batch.iter().zip(streamed) {
-        for (x, y) in b.as_slice().iter().zip(s.as_slice()) {
-            let ok = if exact {
-                x.to_bits() == y.to_bits()
-            } else {
-                (x - y).abs() <= 1e-9 * x.abs().max(y.abs()).max(1.0)
-            };
-            if !ok {
-                return Err(FederatedError::Aggregation(format!(
-                    "round {round}: streaming result {y:e} diverged from batch {x:e} \
-                     ({} check, {edges} edges)",
-                    if exact { "bitwise" } else { "tolerance" }
-                )));
-            }
-        }
-    }
-    Ok(())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::compression::QuantizedUpdate;
     use crate::faults::{Corruption, FaultKind, RoundSelector};
     use crate::server::Disposition;
     use rand::rngs::StdRng;
@@ -722,32 +636,72 @@ mod tests {
         }
     }
 
+    /// The run's final global and the same schedule's written out: each
+    /// round's sampled clients (no fault plan, so all kept) rebuilt by
+    /// [`synth_scalar`], decoded from their `EVQ8` payload under Quant8,
+    /// and averaged by a plain loop in sample order.
+    fn run_and_fedavg_by_hand(config: ScaleConfig) -> (Vec<Matrix>, Vec<Matrix>) {
+        let mut engine = ScaleEngine::new(template(), config).expect("engine");
+        let run = engine.run().expect("run").global_weights;
+        let cfg = engine.config();
+        let scheduler = Scheduler::new(cfg.participation, cfg.seed);
+        let mut global = template();
+        for round in 0..cfg.rounds {
+            let mut kept = Vec::new();
+            for index in scheduler.sample(round, cfg.clients) {
+                let mut update = synth_scalar(cfg.seed, &engine.spec(index), round, &global);
+                if cfg.compression == CompressionMode::Quant8 {
+                    let payload =
+                        wire::encode_quantized(&QuantizedUpdate::quantize(&update.weights));
+                    update.weights = wire::decode_quantized(&payload).expect("EVQ8").dequantize();
+                }
+                kept.push(update);
+            }
+            let mut total = 0.0;
+            for update in &kept {
+                total += update.sample_count as f64;
+            }
+            let mut next: Vec<Matrix> = global
+                .iter()
+                .map(|g| Matrix::zeros(g.rows(), g.cols()))
+                .collect();
+            for update in &kept {
+                let w = update.sample_count as f64 / total;
+                for (acc, m) in next.iter_mut().zip(&update.weights) {
+                    for (a, v) in acc.as_mut_slice().iter_mut().zip(m.as_slice()) {
+                        *a += w * v;
+                    }
+                }
+            }
+            global = next;
+        }
+        (run, global)
+    }
+
+    fn assert_bitwise(run: &[Matrix], by_hand: &[Matrix]) {
+        for (r, h) in run.iter().zip(by_hand) {
+            for (x, y) in r.as_slice().iter().zip(h.as_slice()) {
+                assert_eq!(x.to_bits(), y.to_bits(), "run {x:e}, by hand {y:e}");
+            }
+        }
+    }
+
     #[test]
     fn flat_fedavg_is_bitwise_identical_to_batch() {
-        let mut engine = ScaleEngine::new(
-            template(),
-            ScaleConfig {
-                verify_streaming: true,
-                ..cfg(500, 1)
-            },
-        )
-        .expect("engine");
-        // verify_streaming asserts bitwise equality inside run().
-        let out = engine.run().expect("flat run must match batch bitwise");
-        assert!(out.global_weights.iter().all(Matrix::is_finite));
+        let (run, by_hand) = run_and_fedavg_by_hand(cfg(500, 1));
+        assert_bitwise(&run, &by_hand);
     }
 
     #[test]
     fn hierarchical_fedavg_matches_batch_to_tolerance() {
-        let mut engine = ScaleEngine::new(
-            template(),
-            ScaleConfig {
-                verify_streaming: true,
-                ..cfg(1_000, 8)
-            },
-        )
-        .expect("engine");
-        engine.run().expect("hierarchical run within tolerance");
+        // Shards reassociate the weighted mean: within 1e-9, not bitwise.
+        let (run, by_hand) = run_and_fedavg_by_hand(cfg(1_000, 8));
+        for (r, h) in run.iter().zip(&by_hand) {
+            for (x, y) in r.as_slice().iter().zip(h.as_slice()) {
+                let tolerance = 1e-9 * x.abs().max(y.abs()).max(1.0);
+                assert!((x - y).abs() <= tolerance, "run {x:e}, by hand {y:e}");
+            }
+        }
     }
 
     #[test]
@@ -985,33 +939,6 @@ mod tests {
     }
 
     #[test]
-    fn trimmed_mean_contains_wildcard_nan_floods_at_scale() {
-        // 1% of clients NaN-flood every round; per-shard trimmed mean with
-        // budget to spare must keep the global finite.
-        let plan = FaultPlan::new(9).with_rule(
-            "*",
-            RoundSelector::Probability { p: 0.01 },
-            FaultKind::Corrupt {
-                corruption: Corruption::NanFlood,
-            },
-        );
-        let mut engine = ScaleEngine::new(
-            template(),
-            ScaleConfig {
-                aggregator: Aggregator::TrimmedMean { trim: 20 },
-                faults: Some(plan),
-                edges: 1,
-                rounds: 2,
-                ..cfg(2_000, 1)
-            },
-        )
-        .expect("engine");
-        let out = engine.run().expect("contained");
-        assert!(out.global_weights.iter().all(Matrix::is_finite));
-        assert!(out.rounds.iter().all(|r| r.corrupted > 0));
-    }
-
-    #[test]
     fn traffic_accounts_both_tiers() {
         let mut engine = ScaleEngine::new(template(), cfg(1_000, 4)).expect("engine");
         let out = engine.run().expect("run");
@@ -1069,21 +996,6 @@ mod tests {
             },
             "edges",
         );
-        reject(
-            ScaleConfig {
-                aggregator: Aggregator::Median,
-                ..ScaleConfig::default()
-            },
-            "aggregator",
-        );
-        reject(
-            ScaleConfig {
-                aggregator: Aggregator::TrimmedMean { trim: 8 },
-                edges: 16,
-                ..ScaleConfig::default()
-            },
-            "edges",
-        );
     }
 
     #[test]
@@ -1093,7 +1005,6 @@ mod tests {
                 template(),
                 ScaleConfig {
                     threads,
-                    verify_streaming: true,
                     ..cfg(clients, 8)
                 },
             )
@@ -1180,21 +1091,14 @@ mod tests {
 
     #[test]
     fn compressed_flat_fold_matches_batch_over_decoded_updates() {
-        // verify_streaming under compression checks the fused streamed
-        // fold against the batch aggregate over the server-side decodes
-        // of the same payloads — bitwise for flat FedAvg.
-        let mut e = ScaleEngine::new(
-            template(),
-            ScaleConfig {
-                compression: CompressionMode::Quant8,
-                verify_streaming: true,
-                rounds: 2,
-                ..cfg(400, 1)
-            },
-        )
-        .expect("engine");
-        e.run()
-            .expect("fused fold must match the batch over decoded payloads bitwise");
+        // The fused fold straight from each payload is FedAvg over the
+        // server-side decodes of the same payloads, bit for bit.
+        let (run, by_hand) = run_and_fedavg_by_hand(ScaleConfig {
+            compression: CompressionMode::Quant8,
+            rounds: 2,
+            ..cfg(400, 1)
+        });
+        assert_bitwise(&run, &by_hand);
     }
 
     #[test]
@@ -1224,32 +1128,5 @@ mod tests {
             .map(|r| r.uplink_bytes + r.downlink_bytes)
             .sum();
         assert_eq!(accounted, out.traffic.bytes);
-    }
-
-    #[test]
-    fn scale_config_serde_round_trips() {
-        let cfg = ScaleConfig {
-            faults: Some(FaultPlan::new(3).with_rule(
-                "*",
-                RoundSelector::Probability { p: 0.05 },
-                FaultKind::DropOut,
-            )),
-            ..ScaleConfig::default()
-        };
-        let json = serde_json::to_string(&cfg).expect("serialize");
-        let back: ScaleConfig = serde_json::from_str(&json).expect("deserialize");
-        assert_eq!(cfg, back);
-        // Only the undefaulted fields: the rest read as their type's
-        // default, which for `threads` is 0 (inherit), not `default()`'s 1.
-        let bare: ScaleConfig = serde_json::from_str(
-            r#"{"clients":10000,"rounds":5,"participation":0.1,"edges":16,
-                "aggregator":"FedAvg","seed":0}"#,
-        )
-        .expect("bare");
-        let expected = ScaleConfig {
-            threads: 0,
-            ..ScaleConfig::default()
-        };
-        assert_eq!(bare, expected);
     }
 }

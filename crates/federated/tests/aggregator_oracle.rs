@@ -4,13 +4,7 @@
 //!
 //! `Aggregator::aggregate` (FedAvg, Median, TrimmedMean, Krum) and
 //! `StreamingFedAvg` must equal the reference bit for bit, refusals
-//! included. `StreamingTrimmedMean` sums a coordinate's finite values in
-//! arrival order and then subtracts the extremes it tracked, so it is a
-//! reassociation of the reference's sorted sum: it must refuse exactly when
-//! the reference does and otherwise stay inside the recursive-summation
-//! bound `(m + 2·trim + 2)·ε·Σ|x| / kept` over the coordinate's `m` finite
-//! values. It is not within one ulp: [`streaming_trimmed_mean_is_not_one_ulp`]
-//! pins a case it misses by far more.
+//! included.
 //!
 //! Cases draw one to three tensors of up to 4 × 4, one to twelve clients
 //! with sample counts from zero (all-zero federations included), and floods
@@ -23,6 +17,7 @@
 // The reference indexes on purpose: it should read as the definition.
 #![allow(clippy::needless_range_loop)]
 
+use evfad_federated::streaming::{StreamingAggregator, StreamingFedAvg};
 use evfad_federated::{Aggregator, FederatedError, LocalUpdate};
 use evfad_tensor::Matrix;
 use proptest::prelude::*;
@@ -233,15 +228,13 @@ fn rules() -> Vec<Aggregator> {
     rules
 }
 
-fn streamed(case: &Case, rule: Aggregator) -> Result<Vec<Matrix>, FederatedError> {
+fn streamed(case: &Case) -> Result<Vec<Matrix>, FederatedError> {
     let updates = case.updates();
     let mut total = 0.0;
     for u in &updates {
         total += u.sample_count as f64;
     }
-    let mut stream = rule
-        .streaming(total, updates.len())
-        .expect("a streaming rule");
+    let mut stream = StreamingFedAvg::new(total, updates.len());
     for u in &updates {
         stream.ingest(u)?;
     }
@@ -339,58 +332,7 @@ proptest! {
     /// Streaming FedAvg is the reference, bit for bit.
     #[test]
     fn streaming_fedavg_equals_the_reference_bitwise(case in case()) {
-        let verdict = same_bits(streamed(&case, Aggregator::FedAvg), Some(fedavg(&case)));
+        let verdict = same_bits(streamed(&case), Some(fedavg(&case)));
         prop_assert!(verdict.is_ok(), "{}", verdict.unwrap_err());
     }
-
-    /// Streaming trimmed mean refuses where the reference does and
-    /// otherwise stays inside the bound of its reassociation.
-    #[test]
-    fn streaming_trimmed_mean_is_the_reference_reassociated(case in case()) {
-        for trim in 0..4 {
-            let rule = Aggregator::TrimmedMean { trim };
-            let (got, want) = (streamed(&case, rule), reference(&case, rule));
-            prop_assert_eq!(got.is_ok(), want.is_some(), "trim {}: {:?}", trim, got);
-            let (Ok(got), Some(want)) = (got, want) else { continue };
-            for t in 0..want.len() {
-                for k in 0..want[t].len() {
-                    let column = case.column(t, k);
-                    let (mut m, mut sum_abs) = (0usize, 0.0f64);
-                    for v in column.iter().filter(|v| v.is_finite()) {
-                        m += 1;
-                        sum_abs += v.abs();
-                    }
-                    let kept = column.len() - 2 * trim;
-                    let bound = (m + 2 * trim + 2) as f64 * f64::EPSILON * sum_abs / kept as f64;
-                    let (g, w) = (got[t].as_slice()[k], want[t][k]);
-                    prop_assert!(
-                        (g - w).abs() <= bound,
-                        "trim {trim}, tensor {t}[{k}]: {g:e} against {w:e}, bound {bound:e}"
-                    );
-                }
-            }
-        }
-    }
-}
-
-/// The streaming rule sums every finite value, extremes included, and
-/// subtracts the extremes afterwards, so a pair of outliers at ±10¹⁰ leaves
-/// the rounding of their magnitude (2⁻¹⁹ a step) in a mean near 0.2, whose
-/// ulp is 2⁻⁵⁵: the bound above admits it, one ulp does not.
-#[test]
-fn streaming_trimmed_mean_is_not_one_ulp() {
-    let values = [1e10, 0.1, 0.2, 0.3, -1e10];
-    let case = Case {
-        shapes: vec![(1, 1)],
-        clients: values.iter().map(|&v| (vec![vec![v]], 1)).collect(),
-    };
-    let rule = Aggregator::TrimmedMean { trim: 1 };
-    let want = reference(&case, rule).expect("five values, trim one")[0][0];
-    let got = streamed(&case, rule).expect("streams")[0].as_slice()[0];
-    assert_eq!(
-        want,
-        rule.aggregate(&case.updates()).unwrap()[0].as_slice()[0]
-    );
-    let ulps = (got.to_bits() as i64 - want.to_bits() as i64).unsigned_abs();
-    assert!(ulps > 1, "streamed {got:e}, reference {want:e}: {ulps} ulp");
 }

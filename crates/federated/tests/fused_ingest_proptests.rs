@@ -6,12 +6,12 @@
 //! reconstruct the `Vec<Matrix>`, call `ingest` — for every payload the
 //! codec can produce: random values, tie-heavy values (exercising shared
 //! quantization codes), and NaN/±∞ floods (specials carried verbatim;
-//! results compared as raw bits because `NaN != NaN`). When a rule rejects
-//! an input (e.g. trimmed mean's non-finite containment budget), both
-//! paths must reject it with the same error.
+//! results compared as raw bits because `NaN != NaN`). When one path
+//! rejects an input, the other must reject it with the same error.
 
 use evfad_federated::compression::QuantizedUpdate;
-use evfad_federated::{wire, Aggregator, FederatedError, LocalUpdate};
+use evfad_federated::streaming::{StreamingAggregator, StreamingFedAvg};
+use evfad_federated::{wire, FederatedError, LocalUpdate};
 use evfad_tensor::Matrix;
 use proptest::prelude::*;
 use std::time::Duration;
@@ -77,15 +77,6 @@ fn bits(w: &[Matrix]) -> Vec<u8> {
     wire::encode_weights(w).to_vec()
 }
 
-/// Which streaming rules to pit against each other for `n` updates.
-fn rules(n: usize) -> Vec<Aggregator> {
-    let mut r = vec![Aggregator::FedAvg];
-    if n >= 3 {
-        r.push(Aggregator::TrimmedMean { trim: 1 });
-    }
-    r
-}
-
 fn assert_same_finish(
     fused: Result<Vec<Matrix>, FederatedError>,
     reference: Result<Vec<Matrix>, FederatedError>,
@@ -105,23 +96,20 @@ fn check_quantized(
     clients: &[(Vec<f64>, usize)],
 ) -> Result<(), TestCaseError> {
     let total: f64 = clients.iter().map(|(_, sc)| *sc as f64).sum();
-    for rule in rules(clients.len()) {
-        let mut fused = rule.streaming(total, clients.len()).expect("streams");
-        let mut reference = rule.streaming(total, clients.len()).expect("streams");
-        for (i, (pool, sc)) in clients.iter().enumerate() {
-            let weights = build_weights(shapes, pool);
-            let payload = wire::encode_quantized(&QuantizedUpdate::quantize(&weights));
-            let decoded = wire::decode_quantized(&payload)
-                .expect("valid payload")
-                .dequantize();
-            fused
-                .ingest_quantized(&format!("c{i}"), *sc, &payload)
-                .expect("fused ingest");
-            reference.ingest(&update(i, decoded, *sc)).expect("ingest");
-        }
-        assert_same_finish(fused.finish(), reference.finish())?;
+    let mut fused = StreamingFedAvg::new(total, clients.len());
+    let mut reference = StreamingFedAvg::new(total, clients.len());
+    for (i, (pool, sc)) in clients.iter().enumerate() {
+        let weights = build_weights(shapes, pool);
+        let payload = wire::encode_quantized(&QuantizedUpdate::quantize(&weights));
+        let decoded = wire::decode_quantized(&payload)
+            .expect("valid payload")
+            .dequantize();
+        fused
+            .ingest_quantized(&format!("c{i}"), *sc, &payload)
+            .expect("fused ingest");
+        reference.ingest(&update(i, decoded, *sc)).expect("ingest");
     }
-    Ok(())
+    assert_same_finish(fused.finish(), reference.finish())
 }
 
 proptest! {
