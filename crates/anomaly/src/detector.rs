@@ -176,10 +176,12 @@ impl AnomalyFilter {
     /// detection boundary from the training-score distribution.
     ///
     /// The fitted filter holds the weights, the optimizer state and the
-    /// threshold, and nothing else: the fit ends by releasing the training
-    /// and calibration arenas ([`Sequential::release_arenas`]), so a clone
-    /// costs about four times the parameter bytes. The first `score`
-    /// afterwards regrows only the scoring arenas.
+    /// threshold, and nothing else. The model's arenas
+    /// ([`Sequential::release_arenas`]) are released twice: once the
+    /// training ends, so the calibration pass does not grow its scoring
+    /// arenas on top of the training batch's BPTT caches, and once it is
+    /// done, so a clone costs about four times the parameter bytes. The
+    /// first `score` afterwards regrows only the scoring arenas.
     ///
     /// # Errors
     ///
@@ -207,6 +209,7 @@ impl AnomalyFilter {
             ..TrainConfig::default()
         };
         let history = model.fit(&samples, &cfg)?;
+        model.release_arenas();
         self.model = Some(model);
         // The boundary is set on the distribution of *individual* estimates
         // (each point contributes its backward- and forward-window errors
@@ -217,7 +220,7 @@ impl AnomalyFilter {
         // calibrated for the minimum of two draws.
         let (_, train_estimates) = self.score_with_estimates(train)?;
         self.threshold = Some(self.config.threshold.boundary(&train_estimates));
-        // Last, so the calibration pass's scoring arenas go too.
+        // Again, so the calibration pass's scoring arenas go too.
         self.model.as_mut().expect("set above").release_arenas();
         self.win_buf = Seq::default();
         self.recon = Vec::new();

@@ -4,7 +4,10 @@
 //! service clones one per worker, so it should cost about its model: the
 //! weights, their gradients and Adam's two moments — four times the
 //! parameter bytes — not the training-sized arenas its fit ran through.
-//! This binary installs a counting global allocator, so it holds one test
+//! The fit releases those once its training ends, before the threshold
+//! calibration, and again after it, so the last thing it frees is the
+//! calibration's scoring arena; what the fit peaks at on the way is
+//! `fit_peak.rs`'s to bound. This binary installs a counting global allocator, so it holds one test
 //! and nothing else shares its process.
 
 use evfad_anomaly::{AnomalyFilter, FilterConfig};

@@ -49,7 +49,7 @@ pub fn check_model_gradients(
     model.zero_grads();
     let mut grad = Seq::default();
     loss.evaluate(model.forward(&input_seq, true), &target_seq, &mut grad);
-    model.backward(&grad);
+    model.backward(&input_seq, &grad);
     let analytic = snapshot_grads(model);
     model.zero_grads();
 

@@ -1,10 +1,11 @@
 //! Enum dispatch over the concrete layer types.
 //!
 //! Every layer kind has exactly one `forward(input, training, out)` and one
-//! `backward(grad, dx)`: activations and input gradients land in
-//! caller-owned [`Seq`]s — [`Sequential`](crate::Sequential)'s arena in
+//! `backward(input, output, grad, dx)`: activations and input gradients land
+//! in caller-owned [`Seq`]s — [`Sequential`](crate::Sequential)'s arena in
 //! practice — that the layer reshapes in place, so training and inference
-//! are the same code and neither allocates once the buffers are warm.
+//! are the same code and neither allocates once the buffers are warm, and
+//! backward reads its forward's input and output back from the caller.
 
 use crate::layers::{Dense, Dropout, Gru, Lstm, RepeatVector};
 use crate::seq::Seq;
@@ -56,12 +57,14 @@ impl Layer {
     /// given, writes the gradient with respect to the layer input into it
     /// (reshaped, storage reused). `None` skips the input-gradient product
     /// — the first layer of a model has no consumer for it — and leaves
-    /// the parameter gradients identical.
-    pub fn backward(&mut self, grad: &Seq, dx: Option<&mut Seq>) {
+    /// the parameter gradients identical. `input` and `output` are the
+    /// `input` and `out` of the layer's last training forward, unchanged;
+    /// a recurrent or dense layer panics if they are not of its shape.
+    pub fn backward(&mut self, input: &Seq, output: &Seq, grad: &Seq, dx: Option<&mut Seq>) {
         match self {
-            Layer::Dense(l) => l.backward(grad, dx),
-            Layer::Lstm(l) => l.backward(grad, dx),
-            Layer::Gru(l) => l.backward(grad, dx),
+            Layer::Dense(l) => l.backward(input, output, grad, dx),
+            Layer::Lstm(l) => l.backward(input, output, grad, dx),
+            Layer::Gru(l) => l.backward(input, output, grad, dx),
             Layer::Dropout(l) => l.backward(grad, dx),
             Layer::RepeatVector(l) => l.backward(grad, dx),
         }

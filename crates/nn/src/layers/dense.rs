@@ -2,9 +2,10 @@
 //!
 //! A [`Seq`] already is the `(T*B) x I` operand, so the forward pass is a
 //! single GEMM over all timesteps (rows are independent, so this is bitwise
-//! identical to the per-step products). Input and activations are cached in
-//! reusable workspace slots for the backward pass; the output and the input
-//! gradient land in caller-owned `Seq`s.
+//! identical to the per-step products), written straight into the
+//! caller-owned output `Seq`. The backward pass reads the input and the
+//! activations back from the caller and keeps only per-step scratch in its
+//! workspace; the input gradient lands in a caller-owned `Seq` too.
 
 use crate::activation::Activation;
 use crate::seq::Seq;
@@ -12,14 +13,10 @@ use crate::workspace::Workspace;
 use evfad_tensor::{kernels, Initializer, MatMut, MatRef, Matrix};
 use rand::Rng;
 
-// Workspace slots; forward slots double as the backward cache, eval-mode
-// forwards shift to `EVAL_BASE`.
-const X_CAT: usize = 0; // (T*B) x I (training forwards only)
-const Y_CAT: usize = 1; // (T*B) x O (post-activation)
-const DPRE: usize = 2; // B x O
-const TW: usize = 3; // I x O
-const BSUM: usize = 4; // 1 x O
-const EVAL_BASE: usize = 8;
+// Workspace slots, backward scratch only: a forward writes nothing here.
+const DPRE: usize = 0; // B x O
+const TW: usize = 1; // I x O
+const BSUM: usize = 2; // 1 x O
 
 /// A fully connected layer `y = f(x W + b)` applied to every timestep.
 ///
@@ -114,37 +111,24 @@ impl Dense {
     }
 
     /// Forward pass into `out` (reshaped to `T x B x O`, storage reused).
-    /// Caches input and activations for [`Dense::backward`] when `training`
-    /// is `true`; an eval forward works in its own slots and leaves a
-    /// pending training cache alone.
+    /// A training forward records the shape [`Dense::backward`] checks its
+    /// `input` and `output` against; neither mode touches the workspace.
     pub fn forward(&mut self, input: &Seq, training: bool, out: &mut Seq) {
-        let base = if training { 0 } else { EVAL_BASE };
         let (steps, batch) = (input.len(), input.batch_size());
-        let (i_dim, o_dim) = (self.w.rows(), self.w.cols());
+        let o_dim = self.w.cols();
         let rows = steps * batch;
 
-        let mut y_cat = self.ws.take(base + Y_CAT, rows * o_dim);
+        out.reshape(steps, batch, o_dim);
+        let y = out.as_mut_slice();
         // One GEMM for all timesteps: each output row only depends on its
         // own input row, so this matches the per-step products bitwise.
-        kernels::matmul_into(
-            input.view(),
-            self.w.view(),
-            MatMut::new(rows, o_dim, &mut y_cat),
-        );
-        kernels::add_row_broadcast_into(MatMut::new(rows, o_dim, &mut y_cat), self.b.view());
+        kernels::matmul_into(input.view(), self.w.view(), MatMut::new(rows, o_dim, y));
+        kernels::add_row_broadcast_into(MatMut::new(rows, o_dim, y), self.b.view());
         let act = self.activation;
-        for v in y_cat.iter_mut() {
+        for v in y.iter_mut() {
             *v = act.apply(*v);
         }
-        out.reshape(steps, batch, o_dim);
-        out.as_mut_slice().copy_from_slice(&y_cat);
-        self.ws.put(base + Y_CAT, y_cat);
         if training {
-            // The input is the one thing backward reads that the caller,
-            // not this layer, owns: keep a copy.
-            let mut x_cat = self.ws.take(X_CAT, rows * i_dim);
-            x_cat.copy_from_slice(input.as_slice());
-            self.ws.put(X_CAT, x_cat);
             self.cached_steps = steps;
             self.cached_batch = batch;
         }
@@ -152,26 +136,25 @@ impl Dense {
 
     /// Backward pass: accumulates kernel/bias gradients and, when `dx` is
     /// given, writes the gradient with respect to the input sequence into
-    /// it. Passing `None` skips that product (the first layer of a model
-    /// discards it anyway); parameter gradients are identical either way.
+    /// it. `input` and `output` are the `input` and `out` of the last
+    /// training forward, unchanged since. Passing `None` for `dx` skips that
+    /// product (the first layer of a model discards it anyway); parameter
+    /// gradients are identical either way.
     ///
     /// # Panics
     ///
-    /// Panics if called without a preceding training-mode forward pass or
-    /// with a gradient whose length differs from that pass.
-    pub fn backward(&mut self, grad: &Seq, mut dx: Option<&mut Seq>) {
-        assert_eq!(
-            grad.len(),
-            self.cached_steps,
-            "backward called with mismatched sequence length"
-        );
-        let steps = self.cached_steps;
-        let batch = self.cached_batch;
+    /// Panics if called without a preceding training-mode forward pass, or
+    /// if `input`, `output` or `grad` is not of that pass's shape.
+    pub fn backward(&mut self, input: &Seq, output: &Seq, grad: &Seq, mut dx: Option<&mut Seq>) {
+        let (steps, batch) = (self.cached_steps, self.cached_batch);
+        assert!(steps > 0, "backward requires a training forward pass");
         let (i_dim, o_dim) = (self.w.rows(), self.w.cols());
+        input.expect_shape((steps, batch, i_dim), "Dense input");
+        output.expect_shape((steps, batch, o_dim), "Dense output");
+        assert_eq!(grad.len(), steps, "gradient length mismatch");
         let (bi, bo) = (batch * i_dim, batch * o_dim);
+        let (x_all, y_all) = (input.as_slice(), output.as_slice());
 
-        let x_cat = self.ws.take(X_CAT, steps * bi);
-        let y_cat = self.ws.take(Y_CAT, steps * bo);
         let mut dpre = self.ws.take(DPRE, bo);
         let mut tw = self.ws.take(TW, i_dim * o_dim);
         let mut bsum = self.ws.take(BSUM, o_dim);
@@ -181,13 +164,13 @@ impl Dense {
 
         let act = self.activation;
         for t in 0..steps {
-            let y_t = &y_cat[t * bo..(t + 1) * bo];
+            let y_t = &y_all[t * bo..(t + 1) * bo];
             for ((d, &gv), &yv) in dpre.iter_mut().zip(grad.step(t).as_slice()).zip(y_t) {
                 *d = gv * act.derivative_from_output(yv);
             }
             let dpre_ref = MatRef::new(batch, o_dim, &dpre);
             kernels::transpose_matmul_into(
-                MatRef::new(batch, i_dim, &x_cat[t * bi..(t + 1) * bi]),
+                MatRef::new(batch, i_dim, &x_all[t * bi..(t + 1) * bi]),
                 dpre_ref,
                 MatMut::new(i_dim, o_dim, &mut tw),
             );
@@ -213,8 +196,6 @@ impl Dense {
             }
         }
 
-        self.ws.put(X_CAT, x_cat);
-        self.ws.put(Y_CAT, y_cat);
         self.ws.put(DPRE, dpre);
         self.ws.put(TW, tw);
         self.ws.put(BSUM, bsum);
@@ -334,10 +315,10 @@ mod tests {
     fn backward_accumulates_bias_gradient() {
         let mut l = Dense::new_seeded(2, 1, Activation::Linear, 5);
         let x = Seq::single(Matrix::from_rows(&[vec![1.0, 2.0], vec![3.0, 4.0]]));
-        let _ = forward(&mut l, &x, true);
+        let y = forward(&mut l, &x, true);
         let g = Seq::single(Matrix::from_rows(&[vec![1.0], vec![1.0]]));
         let mut dx = Seq::default();
-        l.backward(&g, Some(&mut dx));
+        l.backward(&x, &y, &g, Some(&mut dx));
         assert_eq!(dx.shape(), (1, 2, 2));
         // dL/db = sum over batch of upstream grads = 2.
         let pg = l.params_and_grads_mut();
@@ -345,11 +326,26 @@ mod tests {
     }
 
     #[test]
+    fn a_training_forward_leaves_the_workspace_empty() {
+        let (b, i, o) = (4, 3, 2);
+        let mut l = Dense::new_seeded(i, o, Activation::Tanh, 5);
+        let x = Seq::from_steps(vec![Matrix::from_fn(b, i, |r, c| (r + c) as f64 * 0.1); 2]);
+        let y = forward(&mut l, &x, true);
+        // Input and activations are the caller's: nothing is cached.
+        assert_eq!(l.ws.allocated_bytes(), 0);
+        let mut dx = Seq::default();
+        l.backward(&x, &y, &y, Some(&mut dx));
+        assert_eq!(dx.shape(), x.shape());
+        // Backward keeps one step's scratch: dpre, x^T dpre, bias sums.
+        assert_eq!(l.ws.slot_lens(), vec![b * o, i * o, o]);
+    }
+
+    #[test]
     fn zero_grads_resets() {
         let mut l = Dense::new_seeded(2, 1, Activation::Linear, 5);
         let x = Seq::single(Matrix::ones(1, 2));
-        let _ = forward(&mut l, &x, true);
-        l.backward(&Seq::single(Matrix::ones(1, 1)), None);
+        let y = forward(&mut l, &x, true);
+        l.backward(&x, &y, &Seq::single(Matrix::ones(1, 1)), None);
         l.zero_grads();
         let pg = l.params_and_grads_mut();
         assert_eq!(pg[0].1.sum(), 0.0);

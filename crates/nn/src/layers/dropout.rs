@@ -1,8 +1,9 @@
 //! Inverted-dropout regularisation layer.
 //!
-//! The mask of the last training forward is one flat buffer, a factor per
-//! element in the [`Seq`]'s own order, reused from step to step; forward
-//! and backward are one multiply pass each over caller-owned `Seq`s.
+//! The mask of the last training forward is one flat buffer, a keep flag
+//! per element in the [`Seq`]'s own order, reused from step to step; forward
+//! and backward are one multiply pass each over caller-owned `Seq`s, by the
+//! same two factors (`0` and `1 / (1 - rate)`).
 
 use crate::seq::Seq;
 use rand::rngs::StdRng;
@@ -36,9 +37,9 @@ pub struct Dropout {
     seed: u64,
     eval_only: bool,
     rng_state: Option<StdRng>,
-    /// The last training forward's mask, one factor per element in the
+    /// The last training forward's mask, one keep flag per element in the
     /// sequence's flat order; empty after an identity forward.
-    mask: Vec<f64>,
+    mask: Vec<bool>,
 }
 
 impl Dropout {
@@ -96,14 +97,11 @@ impl Dropout {
         let rng = self
             .rng_state
             .get_or_insert_with(|| StdRng::seed_from_u64(self.seed));
+        self.mask.reserve(out.element_count());
         for x in out.as_mut_slice() {
-            let m = if rng.gen::<f64>() < rate {
-                0.0
-            } else {
-                keep_scale
-            };
-            *x *= m;
-            self.mask.push(m);
+            let keep = rng.gen::<f64>() >= rate;
+            *x *= if keep { keep_scale } else { 0.0 };
+            self.mask.push(keep);
         }
     }
 
@@ -127,8 +125,9 @@ impl Dropout {
             self.mask.len(),
             "dropout mask/grad mismatch"
         );
-        for (g, m) in dx.as_mut_slice().iter_mut().zip(&self.mask) {
-            *g *= m;
+        let keep_scale = 1.0 / (1.0 - self.rate);
+        for (g, &keep) in dx.as_mut_slice().iter_mut().zip(&self.mask) {
+            *g *= if keep { keep_scale } else { 0.0 };
         }
     }
 }

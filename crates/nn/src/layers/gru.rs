@@ -5,7 +5,7 @@
 //! input [`Seq`]'s own buffer, the combined kernels are addressed through
 //! zero-copy row views, the per-step state lives in reusable arena slots,
 //! and the output and the input gradient are written into caller-owned
-//! `Seq`s. Sums and
+//! `Seq`s, which BPTT reads the input and the output back from. Sums and
 //! products keep the order of the original allocating implementation; σ
 //! runs as one [`vmath`] slice pass over a step's gate block and tanh as
 //! one over its candidate block.
@@ -17,24 +17,23 @@ use rand::Rng;
 
 // Workspace slot layout; forward slots double as the BPTT cache and
 // eval-mode forwards shift to `EVAL_BASE`.
-const X_ALL: usize = 0; // (T*B) x I   input copy (training forwards only)
-const PREG_ALL: usize = 1; // (T*B) x 2H  gate pre-activations, then [z|r]
-const CAND_ALL: usize = 2; // (T*B) x H   candidate pre, then tanh (h~)
-const RH_ALL: usize = 3; // (T*B) x H   r ∘ h_prev
-const H_ALL: usize = 4; // (T*B) x H   hidden states
-const ZEROS: usize = 5; // B x H       zero h_-1 (re-zeroed per call)
-const DH: usize = 6; // B x H       running dh
-const DHP: usize = 7; // B x H       dh_prev accumulator
-const DPRE_C: usize = 8; // B x H
-const DPRE_G: usize = 9; // B x 2H
-const TGX: usize = 10; // I x 2H      x^T @ dpre_g staging
-const TGH: usize = 11; // H x 2H      h^T @ dpre_g staging
-const TCX: usize = 12; // I x H       x^T @ dpre_c staging
-const TCH: usize = 13; // H x H       rh^T @ dpre_c staging
-const BSUM_G: usize = 14; // 1 x 2H
-const BSUM_C: usize = 15; // 1 x H
-const DRH: usize = 16; // B x H
-const DXG: usize = 17; // B x I       gate-path input gradient staging
+const PREG_ALL: usize = 0; // (T*B) x 2H  gate pre-activations, then [z|r]
+const CAND_ALL: usize = 1; // (T*B) x H   candidate pre, then tanh (h~)
+const RH_ALL: usize = 2; // (T*B) x H   r ∘ h_prev
+const H_ALL: usize = 3; // (T*B) x H   hidden states (empty with return_sequences)
+const ZEROS: usize = 4; // B x H       zero h_-1 (re-zeroed per call)
+const DH: usize = 5; // B x H       running dh
+const DHP: usize = 6; // B x H       dh_prev accumulator
+const DPRE_C: usize = 7; // B x H
+const DPRE_G: usize = 8; // B x 2H
+const TGX: usize = 9; // I x 2H      x^T @ dpre_g staging
+const TGH: usize = 10; // H x 2H      h^T @ dpre_g staging
+const TCX: usize = 11; // I x H       x^T @ dpre_c staging
+const TCH: usize = 12; // H x H       rh^T @ dpre_c staging
+const BSUM_G: usize = 13; // 1 x 2H
+const BSUM_C: usize = 14; // 1 x H
+const DRH: usize = 15; // B x H
+const DXG: usize = 16; // B x I       gate-path input gradient staging
 const EVAL_BASE: usize = 24;
 
 /// A Gated Recurrent Unit layer (Cho et al., 2014).
@@ -175,14 +174,18 @@ impl Gru {
         let steps = input.len();
         let batch = input.batch_size();
         let (i_dim, h_dim) = (self.input_dim, self.hidden_dim);
-        let (bi, bh, b2h) = (batch * i_dim, batch * h_dim, batch * 2 * h_dim);
+        let (bh, b2h) = (batch * h_dim, batch * 2 * h_dim);
 
         let mut preg_all = self.ws.take(base + PREG_ALL, steps * b2h);
         let mut cand_all = self.ws.take(base + CAND_ALL, steps * bh);
         let mut rh_all = self.ws.take(base + RH_ALL, steps * bh);
-        let mut h_all = self.ws.take(base + H_ALL, steps * bh);
+        let seq = self.return_sequences;
+        let h_len = if seq { 0 } else { steps * bh };
+        let mut h_all = self.ws.take(base + H_ALL, h_len);
         let mut zeros = self.ws.take(base + ZEROS, bh);
         zeros.fill(0.0);
+        out.reshape(if seq { steps } else { 1 }, batch, h_dim);
+        let h_buf: &mut [f64] = if seq { out.as_mut_slice() } else { &mut h_all };
 
         // Batched input projections for both kernels (the x-columns of the
         // combined products accumulate first, so this is bitwise identical
@@ -201,7 +204,7 @@ impl Gru {
         let w_ch = self.w_cand.rows_view(i_dim..i_dim + h_dim);
 
         for t in 0..steps {
-            let (h_done, h_rest) = h_all.split_at_mut(t * bh);
+            let (h_done, h_rest) = h_buf.split_at_mut(t * bh);
             let h_prev = if t == 0 {
                 &zeros[..]
             } else {
@@ -252,9 +255,9 @@ impl Gru {
             }
         }
 
-        let first = if self.return_sequences { 0 } else { steps - 1 };
-        out.reshape(steps - first, batch, h_dim);
-        out.as_mut_slice().copy_from_slice(&h_all[first * bh..]);
+        if !seq {
+            out.as_mut_slice().copy_from_slice(&h_all[h_len - bh..]);
+        }
 
         self.ws.put(base + PREG_ALL, preg_all);
         self.ws.put(base + CAND_ALL, cand_all);
@@ -262,38 +265,33 @@ impl Gru {
         self.ws.put(base + H_ALL, h_all);
         self.ws.put(base + ZEROS, zeros);
         if training {
-            // As in `Lstm::forward`: the input copy BPTT reads.
-            let mut x_all = self.ws.take(X_ALL, steps * bi);
-            x_all.copy_from_slice(input.as_slice());
-            self.ws.put(X_ALL, x_all);
             self.cached_steps = steps;
             self.cached_batch = batch;
         }
     }
 
     /// Backward pass through time; see [`Lstm::backward`](crate::Lstm::backward)
-    /// for the gradient-shape contract and the optional input gradient.
+    /// for the operands' shape contract and the optional input gradient.
     ///
     /// # Panics
     ///
-    /// Panics if called without a preceding training-mode forward pass.
-    pub fn backward(&mut self, grad: &Seq, mut dx: Option<&mut Seq>) {
-        let steps = self.cached_steps;
+    /// Panics as [`Lstm::backward`](crate::Lstm::backward) does.
+    pub fn backward(&mut self, input: &Seq, output: &Seq, grad: &Seq, mut dx: Option<&mut Seq>) {
+        let (steps, batch) = (self.cached_steps, self.cached_batch);
         assert!(steps > 0, "backward requires a training forward pass");
-        if self.return_sequences {
-            assert_eq!(grad.len(), steps, "gradient length mismatch");
-        } else {
-            assert_eq!(grad.len(), 1, "single-step gradient expected");
-        }
         let (i_dim, h_dim) = (self.input_dim, self.hidden_dim);
-        let batch = self.cached_batch;
+        let seq = self.return_sequences;
+        let out_steps = if seq { steps } else { 1 };
+        input.expect_shape((steps, batch, i_dim), "GRU input");
+        output.expect_shape((out_steps, batch, h_dim), "GRU output");
+        assert_eq!(grad.len(), out_steps, "gradient length mismatch");
         let (bi, bh, b2h) = (batch * i_dim, batch * h_dim, batch * 2 * h_dim);
 
-        let x_all = self.ws.take(X_ALL, steps * bi);
         let preg_all = self.ws.take(PREG_ALL, steps * b2h);
         let cand_all = self.ws.take(CAND_ALL, steps * bh);
         let rh_all = self.ws.take(RH_ALL, steps * bh);
-        let h_all = self.ws.take(H_ALL, steps * bh);
+        let h_all = self.ws.take(H_ALL, if seq { 0 } else { steps * bh });
+        let h_seq = if seq { output.as_slice() } else { &h_all[..] };
         let zeros = self.ws.take(ZEROS, bh);
         let mut dh = self.ws.take(DH, bh);
         let mut dhp = self.ws.take(DHP, bh);
@@ -328,11 +326,11 @@ impl Gru {
             let preg_t = &preg_all[t * b2h..(t + 1) * b2h];
             let cand_t = &cand_all[t * bh..(t + 1) * bh];
             let rh_t = &rh_all[t * bh..(t + 1) * bh];
-            let x_t = &x_all[t * bi..(t + 1) * bi];
+            let x_t = &input.as_slice()[t * bi..(t + 1) * bi];
             let h_prev = if t == 0 {
                 &zeros[..]
             } else {
-                &h_all[(t - 1) * bh..t * bh]
+                &h_seq[(t - 1) * bh..t * bh]
             };
             // Candidate path: dpre_c = (dh∘z) * (1 - h~²), dh_prev = dh∘(1-z).
             for r in 0..batch {
@@ -453,7 +451,6 @@ impl Gru {
             std::mem::swap(&mut dh, &mut dhp);
         }
 
-        self.ws.put(X_ALL, x_all);
         self.ws.put(PREG_ALL, preg_all);
         self.ws.put(CAND_ALL, cand_all);
         self.ws.put(RH_ALL, rh_all);
@@ -599,16 +596,44 @@ mod tests {
         ]);
         let mut with_eval = Gru::new_seeded(1, 4, false, 6);
         let mut plain = Gru::new_seeded(1, 4, false, 6);
-        let _ = forward(&mut with_eval, &x, true);
+        let y = forward(&mut with_eval, &x, true);
         let _ = forward(&mut plain, &x, true);
         let other = Seq::from_samples(&[Matrix::column_vector(&[0.9, -0.9])]);
         let _ = forward(&mut with_eval, &other, false);
         let g = Seq::single(Matrix::ones(2, 4));
         let (mut dx1, mut dx2) = (Seq::default(), Seq::default());
-        with_eval.backward(&g, Some(&mut dx1));
-        plain.backward(&g, Some(&mut dx2));
+        with_eval.backward(&x, &y, &g, Some(&mut dx1));
+        plain.backward(&x, &y, &g, Some(&mut dx2));
         assert_eq!(dx1.shape(), (3, 2, 1));
         assert_eq!(dx1, dx2);
+    }
+
+    #[test]
+    fn a_training_forward_keeps_no_input_or_output_copy() {
+        // 2 samples x 3 steps x 3 features: 18 input values, a length no
+        // slot of a 4-unit layer has.
+        let x = Seq::from_samples(&[
+            Matrix::from_fn(3, 3, |t, i| 0.1 * (t + i) as f64),
+            Matrix::from_fn(3, 3, |t, i| -0.2 * (t * i) as f64),
+        ]);
+        let (t, b, h) = (3, 2, 4);
+        for return_sequences in [true, false] {
+            let mut g = Gru::new_seeded(3, h, return_sequences, 8);
+            let y = forward(&mut g, &x, true);
+            // In slot order: gate pre-activations, candidates and r∘h_prev
+            // for every step, every hidden state only when they are not the
+            // output, the zero state.
+            let mut slots = vec![t * b * 2 * h, t * b * h, t * b * h, b * h];
+            if !return_sequences {
+                slots.insert(3, t * b * h);
+            }
+            assert_eq!(g.ws.slot_lens(), slots);
+            assert_eq!(g.ws.allocated_bytes(), 8 * slots.iter().sum::<usize>());
+            assert!(!slots.contains(&x.element_count()), "a copy of the input");
+            let mut dx = Seq::default();
+            g.backward(&x, &y, &y, Some(&mut dx));
+            assert_eq!(dx.shape(), x.shape());
+        }
     }
 
     #[test]

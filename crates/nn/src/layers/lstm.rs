@@ -6,15 +6,16 @@
 //! `(T*B) x 4H` GEMM over the input [`Seq`]'s own buffer, the combined
 //! kernel is addressed through zero-copy `W_x`/`W_h` row views instead of
 //! per-step `hstack`, and the output and the input gradient are written
-//! into caller-owned `Seq`s. An eval forward runs the same loop but keeps
-//! only what the next step reads — two steps of cell and hidden state, the
-//! input projected a register tile of rows at a time — so its workspace
-//! does not grow with `T`; kernel rows are independent, so its bits are
-//! the same. Every
-//! sum and product keeps the order of the original allocating
-//! implementation (see DESIGN.md §6 for the summation-order argument); the
-//! gate nonlinearities are [`vmath`]'s slice kernels, the workspace's one
-//! definition of σ and tanh, applied band by band to the in-place gates.
+//! into caller-owned `Seq`s, which BPTT reads the input and (under
+//! `return_sequences`) every h back from. An eval forward runs the same
+//! loop but keeps only what the next step reads — two steps of cell and
+//! hidden state, the input projected a register tile of rows at a time —
+//! so its workspace does not grow with `T`; kernel rows are independent,
+//! so its bits are the same. Every sum and product keeps the order of the
+//! original allocating implementation (see DESIGN.md §6 for the
+//! summation-order argument); the gate nonlinearities are [`vmath`]'s
+//! slice kernels, the workspace's one definition of σ and tanh, applied
+//! band by band to the in-place gates.
 
 use crate::seq::Seq;
 use crate::workspace::Workspace;
@@ -24,20 +25,19 @@ use rand::Rng;
 // Workspace slot layout. Forward slots double as the BPTT cache; eval-mode
 // forwards use the same layout at `EVAL_BASE`, a few steps deep instead of
 // `T`, so they never clobber a pending training cache.
-const X_ALL: usize = 0; // (T*B) x I   input copy (training forwards only)
-const PRE_ALL: usize = 1; // (T*B) x 4H  pre-activations, then gates in place
-const C_ALL: usize = 2; // (T*B) x H   cell states
-const TANH_ALL: usize = 3; // (T*B) x H   tanh(c)
-const H_ALL: usize = 4; // (T*B) x H   hidden states
-const ZEROS: usize = 5; // B x H       zero h_-1 / c_-1 (re-zeroed per call)
-const DH: usize = 6; // B x H       running dh
-const DC: usize = 7; // B x H       running dc
-const DPRE: usize = 8; // B x 4H      per-step pre-activation gradient
-const TW_X: usize = 9; // I x 4H      x^T @ dpre staging
-const TW_H: usize = 10; // H x 4H      h^T @ dpre staging
-const BSUM: usize = 11; // 1 x 4H      column sums of dpre
-const WXT: usize = 12; // 4H x I      W_x^T, staged once per backward
-const WHT: usize = 13; // 4H x H      W_h^T, staged once per backward
+const PRE_ALL: usize = 0; // (T*B) x 4H  pre-activations, then gates in place
+const C_ALL: usize = 1; // (T*B) x H   cell states
+const TANH_ALL: usize = 2; // (T*B) x H   tanh(c)
+const H_ALL: usize = 3; // (T*B) x H   hidden states (empty with return_sequences)
+const ZEROS: usize = 4; // B x H       zero h_-1 / c_-1 (re-zeroed per call)
+const DH: usize = 5; // B x H       running dh
+const DC: usize = 6; // B x H       running dc
+const DPRE: usize = 7; // B x 4H      per-step pre-activation gradient
+const TW_X: usize = 8; // I x 4H      x^T @ dpre staging
+const TW_H: usize = 9; // H x 4H      h^T @ dpre staging
+const BSUM: usize = 10; // 1 x 4H      column sums of dpre
+const WXT: usize = 11; // 4H x I      W_x^T, staged once per backward
+const WHT: usize = 12; // 4H x H      W_h^T, staged once per backward
 const EVAL_BASE: usize = 16;
 
 /// A Long Short-Term Memory layer.
@@ -184,11 +184,12 @@ impl Lstm {
         let (bi, bh, b4h) = (batch * i_dim, batch * h_dim, batch * 4 * h_dim);
         // The input is projected `group` steps per GEMM into block
         // `t % group` of the pre-activations; cell, tanh(c) and hidden state
-        // of step `t` live in block `t % blocks`. A training forward keeps
-        // every step for BPTT: one GEMM, `T` blocks. An eval forward keeps
-        // the step it writes and the one it reads, and projects just enough
-        // steps for a full register tile of rows; it works in a disjoint
-        // slot range, so an in-flight training cache survives it.
+        // of step `t` live in block `t % blocks` (h in block `t` of `out`
+        // under `return_sequences`). A training forward keeps every step
+        // for BPTT: one GEMM, `T` blocks. An eval forward keeps the step it
+        // writes and the one it reads, and projects just enough steps for a
+        // full register tile of rows; it works in a disjoint slot range, so
+        // an in-flight training cache survives it.
         let (base, blocks, group) = if training {
             (0, steps, steps)
         } else {
@@ -199,7 +200,10 @@ impl Lstm {
         let mut pre_all = self.ws.take(base + PRE_ALL, group * b4h);
         let mut c_all = self.ws.take(base + C_ALL, blocks * bh);
         let mut tanh_all = self.ws.take(base + TANH_ALL, blocks * bh);
-        let mut h_all = self.ws.take(base + H_ALL, blocks * bh);
+        let seq = self.return_sequences;
+        let h_blocks = if seq { steps } else { blocks };
+        let h_len = if seq { 0 } else { blocks * bh };
+        let mut h_all = self.ws.take(base + H_ALL, h_len);
         let mut zeros = self.ws.take(base + ZEROS, bh);
         zeros.fill(0.0);
 
@@ -210,8 +214,8 @@ impl Lstm {
         // group size is not in the bits.
         let w_x = self.w.rows_view(0..i_dim);
         let w_h = self.w.rows_view(i_dim..i_dim + h_dim);
-        let first = if self.return_sequences { 0 } else { steps - 1 };
-        out.reshape(steps - first, batch, h_dim);
+        out.reshape(if seq { steps } else { 1 }, batch, h_dim);
+        let h_buf: &mut [f64] = if seq { out.as_mut_slice() } else { &mut h_all };
 
         for t in 0..steps {
             if t % group == 0 {
@@ -225,7 +229,7 @@ impl Lstm {
                 );
             }
             let pre_t = &mut pre_all[(t % group) * b4h..][..b4h];
-            let (h_prev, h_t) = step_blocks(&mut h_all, &zeros, t, blocks);
+            let (h_prev, h_t) = step_blocks(&mut *h_buf, &zeros, t, h_blocks);
             kernels::matmul_acc_into(
                 MatRef::new(batch, h_dim, h_prev),
                 w_h,
@@ -263,9 +267,10 @@ impl Lstm {
                     *ht = o_v * tc;
                 }
             }
-            if t >= first {
-                out.step_data_mut(t - first).copy_from_slice(h_t);
-            }
+        }
+        if !seq {
+            let last = &h_all[(steps - 1) % blocks * bh..][..bh];
+            out.as_mut_slice().copy_from_slice(last);
         }
 
         self.ws.put(base + PRE_ALL, pre_all);
@@ -274,11 +279,6 @@ impl Lstm {
         self.ws.put(base + H_ALL, h_all);
         self.ws.put(base + ZEROS, zeros);
         if training {
-            // The input is the one thing BPTT reads that the caller, not
-            // this layer, owns: keep a copy.
-            let mut x_all = self.ws.take(X_ALL, steps * bi);
-            x_all.copy_from_slice(input.as_slice());
-            self.ws.put(X_ALL, x_all);
             self.cached_steps = steps;
             self.cached_batch = batch;
         }
@@ -286,33 +286,32 @@ impl Lstm {
 
     /// Backward pass through time.
     ///
-    /// `grad` must match the forward output shape: one step per input step
-    /// when `return_sequences`, otherwise a single step (gradient of the
-    /// final hidden state). Accumulates kernel/bias gradients and, when
-    /// `dx` is given, writes the gradient with respect to the input
-    /// sequence into it; `None` skips the `dpre @ W_x^T` product per step
-    /// (the first layer of a model discards that gradient anyway).
+    /// `input` and `output` are the last training forward's, unchanged;
+    /// `grad` has the output's shape. Accumulates kernel/bias gradients
+    /// and, when `dx` is given, writes the gradient with respect to the
+    /// input sequence into it; `None` skips the `dpre @ W_x^T` product per
+    /// step (the first layer of a model discards that gradient anyway).
     ///
     /// # Panics
     ///
-    /// Panics if called without a preceding training-mode forward pass.
-    pub fn backward(&mut self, grad: &Seq, mut dx: Option<&mut Seq>) {
-        let steps = self.cached_steps;
+    /// Panics without a preceding training forward, or if `input`, `output`
+    /// or `grad` is not of that pass's shape.
+    pub fn backward(&mut self, input: &Seq, output: &Seq, grad: &Seq, mut dx: Option<&mut Seq>) {
+        let (steps, batch) = (self.cached_steps, self.cached_batch);
         assert!(steps > 0, "backward requires a training forward pass");
-        if self.return_sequences {
-            assert_eq!(grad.len(), steps, "gradient length mismatch");
-        } else {
-            assert_eq!(grad.len(), 1, "single-step gradient expected");
-        }
         let (i_dim, h_dim) = (self.input_dim, self.hidden_dim);
-        let batch = self.cached_batch;
+        let seq = self.return_sequences;
+        let out_steps = if seq { steps } else { 1 };
+        input.expect_shape((steps, batch, i_dim), "LSTM input");
+        output.expect_shape((out_steps, batch, h_dim), "LSTM output");
+        assert_eq!(grad.len(), out_steps, "gradient length mismatch");
         let (bi, bh, b4h) = (batch * i_dim, batch * h_dim, batch * 4 * h_dim);
 
-        let x_all = self.ws.take(X_ALL, steps * bi);
         let pre_all = self.ws.take(PRE_ALL, steps * b4h);
         let c_all = self.ws.take(C_ALL, steps * bh);
         let tanh_all = self.ws.take(TANH_ALL, steps * bh);
-        let h_all = self.ws.take(H_ALL, steps * bh);
+        let h_all = self.ws.take(H_ALL, if seq { 0 } else { steps * bh });
+        let h_seq = if seq { output.as_slice() } else { &h_all[..] };
         let zeros = self.ws.take(ZEROS, bh);
         let mut dh = self.ws.take(DH, bh);
         let mut dc = self.ws.take(DC, bh);
@@ -356,7 +355,7 @@ impl Lstm {
             let h_prev = if t == 0 {
                 &zeros[..]
             } else {
-                &h_all[(t - 1) * bh..t * bh]
+                &h_seq[(t - 1) * bh..t * bh]
             };
             // Fused gate backward: identical expression trees to the
             // allocating version (products grouped left-to-right).
@@ -406,7 +405,7 @@ impl Lstm {
             // then added — the grouping the allocating `+=` produced.
             let dpre_ref = MatRef::new(batch, 4 * h_dim, &dpre);
             kernels::transpose_matmul_into(
-                MatRef::new(batch, i_dim, &x_all[t * bi..(t + 1) * bi]),
+                MatRef::new(batch, i_dim, &input.as_slice()[t * bi..(t + 1) * bi]),
                 dpre_ref,
                 MatMut::new(i_dim, 4 * h_dim, &mut tw_x),
             );
@@ -440,7 +439,6 @@ impl Lstm {
             kernels::matmul_into(dpre_ref, wht_ref, MatMut::new(batch, h_dim, &mut dh));
         }
 
-        self.ws.put(X_ALL, x_all);
         self.ws.put(PRE_ALL, pre_all);
         self.ws.put(C_ALL, c_all);
         self.ws.put(TANH_ALL, tanh_all);
@@ -541,9 +539,9 @@ mod tests {
         y
     }
 
-    fn backward(l: &mut Lstm, grad: &Seq) -> Seq {
+    fn backward(l: &mut Lstm, x: &Seq, y: &Seq, grad: &Seq) -> Seq {
         let mut dx = Seq::default();
-        l.backward(grad, Some(&mut dx));
+        l.backward(x, y, grad, Some(&mut dx));
         dx
     }
 
@@ -639,8 +637,8 @@ mod tests {
             Matrix::column_vector(&[0.4, 0.5, 0.6]),
         ]);
         let mut l = Lstm::new_seeded(1, 4, false, 6);
-        let _ = forward(&mut l, &x, true);
-        let dx = backward(&mut l, &Seq::single(Matrix::ones(2, 4)));
+        let y = forward(&mut l, &x, true);
+        let dx = backward(&mut l, &x, &y, &Seq::single(Matrix::ones(2, 4)));
         assert_eq!(dx.shape(), (3, 2, 1));
         assert!(dx.is_finite());
     }
@@ -653,14 +651,17 @@ mod tests {
         ]);
         let mut with_eval = Lstm::new_seeded(1, 4, false, 6);
         let mut plain = Lstm::new_seeded(1, 4, false, 6);
-        let _ = forward(&mut with_eval, &x, true);
+        let y = forward(&mut with_eval, &x, true);
         let _ = forward(&mut plain, &x, true);
         // An eval forward (e.g. a validation pass) between forward and
         // backward must not disturb the training cache.
         let other = Seq::from_samples(&[Matrix::column_vector(&[0.9, -0.9, 0.9, -0.9])]);
         let _ = forward(&mut with_eval, &other, false);
         let g = Seq::single(Matrix::ones(2, 4));
-        assert_eq!(backward(&mut with_eval, &g), backward(&mut plain, &g));
+        assert_eq!(
+            backward(&mut with_eval, &x, &y, &g),
+            backward(&mut plain, &x, &y, &g)
+        );
     }
 
     #[test]
@@ -672,13 +673,67 @@ mod tests {
         let g = Seq::single(Matrix::ones(2, 4));
         let mut a = Lstm::new_seeded(1, 4, false, 6);
         let mut b = Lstm::new_seeded(1, 4, false, 6);
-        let _ = forward(&mut a, &x, true);
+        let y = forward(&mut a, &x, true);
         let _ = forward(&mut b, &x, true);
-        let _ = backward(&mut a, &g);
-        b.backward(&g, None);
+        let _ = backward(&mut a, &x, &y, &g);
+        b.backward(&x, &y, &g, None);
         let ga: Vec<f64> = a.params_and_grads_mut()[0].1.as_slice().to_vec();
         let gb: Vec<f64> = b.params_and_grads_mut()[0].1.as_slice().to_vec();
         assert_eq!(ga, gb);
+    }
+
+    /// Two samples of three steps of three features: 18 input values, a
+    /// length no slot of a 4-unit layer has.
+    fn three_by_three() -> Seq {
+        Seq::from_samples(&[
+            Matrix::from_fn(3, 3, |t, i| 0.1 * (t + i) as f64),
+            Matrix::from_fn(3, 3, |t, i| -0.2 * (t * i) as f64),
+        ])
+    }
+
+    /// The slots a training forward of `T x B` rows leaves, in slot order:
+    /// gates, cell states and tanh(c) for every step, every hidden state
+    /// only when they are not the output, the zero state.
+    fn training_slots(l: &Lstm, x: &Seq) -> Vec<usize> {
+        let (t, b, h) = (x.len(), x.batch_size(), l.hidden_dim());
+        let mut slots = vec![t * b * 4 * h, t * b * h, t * b * h, b * h];
+        if !l.return_sequences() {
+            slots.insert(3, t * b * h);
+        }
+        slots
+    }
+
+    fn assert_caches_only_its_own_state(return_sequences: bool) {
+        let x = three_by_three();
+        let mut l = Lstm::new_seeded(3, 4, return_sequences, 8);
+        let y = forward(&mut l, &x, true);
+        let slots = training_slots(&l, &x);
+        assert_eq!(l.ws.slot_lens(), slots);
+        assert_eq!(l.ws.allocated_bytes(), 8 * slots.iter().sum::<usize>());
+        assert!(!slots.contains(&x.element_count()), "a copy of the input");
+        // Backward reads both back from the caller.
+        let dx = backward(&mut l, &x, &y, &y);
+        assert_eq!(dx.shape(), x.shape());
+    }
+
+    #[test]
+    fn a_training_forward_with_return_sequences_keeps_no_input_or_output_copy() {
+        assert_caches_only_its_own_state(true);
+    }
+
+    #[test]
+    fn a_training_forward_without_return_sequences_keeps_no_input_or_output_copy() {
+        assert_caches_only_its_own_state(false);
+    }
+
+    #[test]
+    #[should_panic(expected = "LSTM input is not the forward's")]
+    fn backward_on_another_batch_panics() {
+        let x = three_by_three();
+        let mut l = Lstm::new_seeded(3, 4, true, 8);
+        let y = forward(&mut l, &x, true);
+        let shorter = Seq::from_samples(&[Matrix::ones(2, 3), Matrix::ones(2, 3)]);
+        let _ = backward(&mut l, &shorter, &y, &y);
     }
 
     #[test]

@@ -245,15 +245,18 @@ impl Sequential {
     }
 
     /// Backward pass through every layer (reverse order), accumulating
-    /// parameter gradients. Input gradients alternate between the two
-    /// gradient buffers; the first layer skips its input-gradient product —
-    /// nothing consumes it.
-    pub fn backward(&mut self, grad: &Seq) {
+    /// parameter gradients. Layer `i` reads its input and output back from
+    /// the activation arena (`input` itself for layer 0), so this is only
+    /// correct directly after a training [`Sequential::forward`] of `input`.
+    /// Input gradients alternate between the two gradient buffers; the
+    /// first layer skips its input-gradient product — nothing consumes it.
+    pub(crate) fn backward(&mut self, input: &Seq, grad: &Seq) {
         let [mut upstream, mut dx] = self.grads.each_mut();
         let last = self.layers.len().saturating_sub(1);
         for (i, layer) in self.layers.iter_mut().enumerate().rev() {
             let from_above = if i == last { grad } else { &*upstream };
-            layer.backward(from_above, (i > 0).then_some(&mut *dx));
+            let x = if i == 0 { input } else { &self.acts[i - 1] };
+            layer.backward(x, &self.acts[i], from_above, (i > 0).then_some(&mut *dx));
             std::mem::swap(&mut upstream, &mut dx);
         }
     }
@@ -400,7 +403,7 @@ impl Sequential {
     ) -> f64 {
         let mut grad = std::mem::take(&mut self.loss_grad);
         let loss_value = loss.evaluate(self.forward(input, true), target, &mut grad);
-        self.backward(&grad);
+        self.backward(input, &grad);
         self.loss_grad = grad;
         if let Some(max_norm) = clip_norm {
             self.clip_gradients(max_norm);

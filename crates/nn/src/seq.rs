@@ -248,6 +248,12 @@ impl Seq {
         (0..self.time).map(|t| self.step(t))
     }
 
+    /// Panics unless the shape is `shape`: a layer's backward checking that
+    /// `what` is its training forward's.
+    pub(crate) fn expect_shape(&self, shape: (usize, usize, usize), what: &str) {
+        assert_eq!(self.shape(), shape, "{what} is not the forward's");
+    }
+
     /// Returns `true` if every element is finite.
     pub fn is_finite(&self) -> bool {
         self.data.iter().all(|v| v.is_finite())

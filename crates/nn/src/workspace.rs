@@ -11,10 +11,11 @@
 //! without fighting the borrow checker: each buffer is moved out, used, and
 //! moved back.
 //!
-//! Buffers double as the forward cache: a forward pass leaves activations in
-//! its slots and the backward pass takes them back out. `take` therefore
-//! **preserves contents** when the requested length already matches — callers
-//! that need a zeroed buffer must `fill(0.0)` explicitly.
+//! Buffers double as the forward cache: a forward pass leaves the state its
+//! layer computes — not its input or output, which the backward pass is
+//! handed — in its slots and the backward pass takes it back out. `take`
+//! therefore **preserves contents** when the requested length already
+//! matches — callers that need a zeroed buffer must `fill(0.0)` explicitly.
 //!
 //! Buffers live until their owner releases them: a layer's workspace keeps
 //! the size of the largest batch it has run — a training batch's BPTT
@@ -67,8 +68,14 @@ impl Workspace {
 
     /// Total bytes of `f64` payload currently parked in the arena.
     #[cfg(test)]
-    fn allocated_bytes(&self) -> usize {
-        self.bufs.iter().map(|b| 8 * b.len()).sum()
+    pub(crate) fn allocated_bytes(&self) -> usize {
+        8 * self.slot_lens().iter().sum::<usize>()
+    }
+
+    /// The lengths of the slots holding a buffer, in slot order.
+    #[cfg(test)]
+    pub(crate) fn slot_lens(&self) -> Vec<usize> {
+        self.bufs.iter().map(Vec::len).filter(|&l| l > 0).collect()
     }
 }
 
