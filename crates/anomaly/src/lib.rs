@@ -12,9 +12,8 @@
 //! * detection metrics (precision / recall / F1 / false-positive rate /
 //!   true-attacks-detected) for Table II.
 //!
-//! Alternative thresholds (mean + k·std, MAD) and mitigation strategies
-//! (seasonal-naive, hold-last, autoencoder reconstruction) are included for
-//! the ablation benches.
+//! Alternative thresholds (mean + k·std, MAD) and a seasonal-naive
+//! mitigation strategy are included for the ablation benches.
 //!
 //! # Examples
 //!

@@ -6,8 +6,8 @@ use serde::{Deserialize, Serialize};
 
 /// How flagged points are replaced.
 ///
-/// The paper's `filter_anomalies` uses [`MitigationStrategy::Linear`]; the
-/// other strategies implement its future-work suggestion of "more
+/// The paper's `filter_anomalies` uses [`MitigationStrategy::Linear`];
+/// seasonal-naive implements its future-work suggestion of "more
 /// sophisticated reconstruction techniques".
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize, Default)]
 pub enum MitigationStrategy {
@@ -16,8 +16,6 @@ pub enum MitigationStrategy {
     Linear,
     /// Same-hour-yesterday substitution (period 24).
     SeasonalNaive,
-    /// Hold the last non-anomalous value.
-    HoldLast,
 }
 
 impl MitigationStrategy {
@@ -26,7 +24,6 @@ impl MitigationStrategy {
         match self {
             MitigationStrategy::Linear => "linear",
             MitigationStrategy::SeasonalNaive => "seasonal_naive",
-            MitigationStrategy::HoldLast => "hold_last",
         }
     }
 
@@ -46,7 +43,6 @@ impl MitigationStrategy {
         let fixed = match self {
             MitigationStrategy::Linear => impute::linear(series, mask)?,
             MitigationStrategy::SeasonalNaive => impute::seasonal_naive(series, mask, 24)?,
-            MitigationStrategy::HoldLast => impute::hold_last(series, mask)?,
         };
         Ok(fixed)
     }
@@ -136,7 +132,6 @@ mod tests {
         for strat in [
             MitigationStrategy::Linear,
             MitigationStrategy::SeasonalNaive,
-            MitigationStrategy::HoldLast,
         ] {
             let fixed = strat.apply(&series, &mask).unwrap();
             assert_eq!(fixed.len(), series.len());

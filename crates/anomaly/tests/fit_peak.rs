@@ -139,7 +139,6 @@ fn batch_floats(layers: &[Layer], t: usize, b: usize, bv: usize) -> (usize, usiz
             }
             Layer::Dropout(_) => mask_bytes += steps * b * width,
             Layer::RepeatVector(r) => steps = r.n(),
-            other => panic!("no slot layout for a {} layer", other.kind()),
         }
         floats += steps * b * width;
     }

@@ -30,7 +30,7 @@ use evfad_core::forecast::experiment::{build_forecaster, ReadOut};
 use evfad_core::forecast::pipeline::PreparedClient;
 use evfad_core::forecast::scenario::build_all;
 use evfad_core::forecast::{run_study, Architecture, Scenario, StudyConfig};
-use evfad_core::nn::{Activation, Adam, Dense, Gru, Sequential, TrainConfig};
+use evfad_core::nn::{Sequential, TrainConfig};
 use evfad_core::timeseries::{metrics, MinMaxScaler};
 use std::error::Error;
 
@@ -38,13 +38,12 @@ type Outcome = Result<(), Box<dyn Error>>;
 type Section = fn(&Ctx) -> Outcome;
 
 /// `(name, banner title, section)` in the archive's order.
-const SECTIONS: [(&str, &str, Section); 9] = [
+const SECTIONS: [(&str, &str, Section); 8] = [
     ("baselines", "forecaster baselines", baselines),
     ("mitigation", "mitigation strategies", mitigation),
     ("threshold", "threshold rules", threshold),
     ("dropout", "client downtime", dropout),
     ("compression", "update compression", compression),
-    ("architecture", "recurrent backbone", architecture),
     ("aggregation", "robust aggregation", aggregation),
     ("attacks", "attack vectors", attacks),
     ("readout", "federated read-out", readout),
@@ -248,7 +247,6 @@ fn mitigation(ctx: &Ctx) -> Outcome {
         for strategy in [
             MitigationStrategy::Linear,
             MitigationStrategy::SeasonalNaive,
-            MitigationStrategy::HoldLast,
         ] {
             let residual = l1(&strategy.apply(&outcome.series, &merged)?, &c.demand);
             println!(
@@ -405,36 +403,6 @@ fn compression(ctx: &Ctx) -> Outcome {
                 r2s[1],
                 r2s[2],
                 mean(&r2s)
-            );
-        }
-    }
-    Ok(())
-}
-
-/// LSTM vs GRU backbone under the same head and training budget, per zone.
-fn architecture(ctx: &Ctx) -> Outcome {
-    let cfg = &ctx.cfg;
-    println!(
-        "{:<8} {:<10} {:>10} {:>8} {:>8} {:>8}",
-        "zone", "backbone", "params", "MAE", "RMSE", "R2"
-    );
-    for p in &ctx.prepared {
-        let gru = Sequential::new(cfg.seed)
-            .with(Gru::new(1, cfg.lstm_units, false))
-            .with(Dense::new(cfg.lstm_units, 10, Activation::Relu))
-            .with(Dense::new(10, 1, Activation::Linear))
-            .with_optimizer(Adam::new(cfg.learning_rate));
-        let lstm = build_forecaster(cfg.lstm_units, cfg.learning_rate, cfg.seed);
-        for (name, mut model) in [("lstm", lstm), ("gru", gru)] {
-            let params = model.scalar_param_count();
-            model.fit(
-                &p.train,
-                &ctx.train_config(cfg.rounds * cfg.epochs_per_round),
-            )?;
-            let eval = p.evaluate_raw(&mut model)?;
-            println!(
-                "{:<8} {name:<10} {params:>10} {:>8.4} {:>8.4} {:>8.4}",
-                p.label, eval.mae, eval.rmse, eval.r2
             );
         }
     }

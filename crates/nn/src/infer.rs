@@ -13,8 +13,7 @@
 //!   and scores the study.
 //! - `Int8`: [`QuantizedPanel`]s (the shared EVQ8 fold) and `f32` arenas for
 //!   the layer kinds the scoring service serves — dense, LSTM and
-//!   repeat-vector; dropout, the identity at inference, is dropped, and a
-//!   GRU is refused at freeze time.
+//!   repeat-vector; dropout, the identity at inference, is dropped.
 //!
 //! [`InferenceModel::forward_batch_into`] takes windows sample-major on
 //! either lane, stages them time-major, and runs **many windows per GEMM**:
@@ -194,13 +193,11 @@ impl InferenceModel {
     /// # Errors
     ///
     /// Returns [`NnError::InvalidConfig`] if the model has no layers that
-    /// produce output (nothing to serve), or, at `Int8`, if it has a layer
-    /// the int8 lane does not serve (a GRU), naming that layer.
+    /// produce output (nothing to serve).
     pub fn freeze(model: &Sequential, precision: Precision) -> NnResult<Self> {
         let first_input = model.layers().iter().find_map(|layer| match layer {
             Layer::Dense(d) => Some(d.input_dim()),
             Layer::Lstm(l) => Some(l.input_dim()),
-            Layer::Gru(g) => Some(g.input_dim()),
             Layer::Dropout(_) | Layer::RepeatVector(_) => None,
         });
         let Some(in_features) = first_input else {
@@ -213,7 +210,7 @@ impl InferenceModel {
                 model: Box::new(model.serving_replica()),
                 input: Seq::default(),
             },
-            Precision::Int8 => Snapshot::Int8(Net::freeze(model)?),
+            Precision::Int8 => Snapshot::Int8(Net::freeze(model)),
         };
         Ok(Self {
             in_features,
@@ -267,9 +264,9 @@ impl InferenceModel {
 }
 
 impl Net {
-    fn freeze(model: &Sequential) -> NnResult<Self> {
+    fn freeze(model: &Sequential) -> Self {
         let mut layers = Vec::new();
-        for (i, layer) in model.layers().iter().enumerate() {
+        for layer in model.layers() {
             layers.push(match layer {
                 Layer::Dropout(_) => continue,
                 Layer::RepeatVector(r) => InferLayer::Repeat(r.n()),
@@ -292,21 +289,14 @@ impl Net {
                         b: bias_row(p[1]),
                     })
                 }
-                Layer::Gru(_) => {
-                    return Err(NnError::InvalidConfig(format!(
-                        "the Int8 lane serves dense, lstm and repeat_vector layers; \
-                         layer {i} is a {}",
-                        layer.kind()
-                    )))
-                }
             });
         }
-        Ok(Self {
+        Self {
             layers,
             buf_a: Vec::new(),
             buf_b: Vec::new(),
             scratch: Vec::new(),
-        })
+        }
     }
 
     /// `windows` is `batch × steps × feat`, sample-major.
@@ -418,7 +408,7 @@ impl LstmSnap {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{Dense, Dropout, Gru, Lstm, RepeatVector};
+    use crate::{Dense, Dropout, Lstm, RepeatVector};
 
     fn window(seed: usize, steps: usize) -> Matrix {
         Matrix::from_fn(steps, 1, |t, _| {
@@ -474,23 +464,6 @@ mod tests {
     }
 
     #[test]
-    fn gru_stack_matches_predict() {
-        let mut model = Sequential::new(9)
-            .with(Gru::new(1, 6, true))
-            .with(Gru::new(6, 3, false))
-            .with(Dense::new(3, 2, Activation::Tanh));
-        let mut frozen = InferenceModel::freeze(&model, Precision::F64).unwrap();
-        let samples: Vec<Matrix> = (0..4).map(|s| window(s, 5)).collect();
-        let exact = model.predict(&samples);
-        let mut out = Vec::new();
-        let (steps, feat) = frozen.forward_batch_into(&flat(&samples), 4, &mut out);
-        assert_eq!((steps, feat), (1, 2));
-        for (a, b) in out.iter().zip(flat(&exact).iter()) {
-            assert_eq!(a.to_bits(), b.to_bits());
-        }
-    }
-
-    #[test]
     fn int8_lane_stays_close_to_exact() {
         let mut model = autoencoder();
         let mut frozen = InferenceModel::freeze(&model, Precision::Int8).unwrap();
@@ -505,21 +478,6 @@ mod tests {
                 "int8 drifted too far from exact: {a} vs {b}"
             );
         }
-    }
-
-    #[test]
-    fn int8_refuses_a_gru_and_names_it() {
-        let model = Sequential::new(9)
-            .with(Dropout::new(0.1))
-            .with(Gru::new(1, 6, false))
-            .with(Dense::new(6, 1, Activation::Linear));
-        match InferenceModel::freeze(&model, Precision::Int8) {
-            Err(NnError::InvalidConfig(msg)) => {
-                assert!(msg.contains("layer 1 is a gru"), "{msg}")
-            }
-            other => panic!("a GRU must not freeze at Int8: {other:?}"),
-        }
-        assert!(InferenceModel::freeze(&model, Precision::F64).is_ok());
     }
 
     #[test]

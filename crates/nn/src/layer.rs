@@ -7,7 +7,7 @@
 //! are the same code and neither allocates once the buffers are warm, and
 //! backward reads its forward's input and output back from the caller.
 
-use crate::layers::{Dense, Dropout, Gru, Lstm, RepeatVector};
+use crate::layers::{Dense, Dropout, Lstm, RepeatVector};
 use crate::seq::Seq;
 use evfad_tensor::Matrix;
 
@@ -23,7 +23,6 @@ use evfad_tensor::Matrix;
 ///
 /// let layer: Layer = Dense::new_seeded(4, 2, Activation::Relu, 0).into();
 /// assert_eq!(layer.params().len(), 2);
-/// assert_eq!(layer.kind(), "dense");
 /// ```
 #[derive(Debug, Clone)]
 pub enum Layer {
@@ -31,8 +30,6 @@ pub enum Layer {
     Dense(Dense),
     /// LSTM recurrent layer.
     Lstm(Lstm),
-    /// GRU recurrent layer.
-    Gru(Gru),
     /// Inverted dropout.
     Dropout(Dropout),
     /// Keras-style RepeatVector.
@@ -47,7 +44,6 @@ impl Layer {
         match self {
             Layer::Dense(l) => l.forward(input, training, out),
             Layer::Lstm(l) => l.forward(input, training, out),
-            Layer::Gru(l) => l.forward(input, training, out),
             Layer::Dropout(l) => l.forward(input, training, out),
             Layer::RepeatVector(l) => l.forward(input, training, out),
         }
@@ -64,7 +60,6 @@ impl Layer {
         match self {
             Layer::Dense(l) => l.backward(input, output, grad, dx),
             Layer::Lstm(l) => l.backward(input, output, grad, dx),
-            Layer::Gru(l) => l.backward(input, output, grad, dx),
             Layer::Dropout(l) => l.backward(grad, dx),
             Layer::RepeatVector(l) => l.backward(grad, dx),
         }
@@ -75,7 +70,6 @@ impl Layer {
         match self {
             Layer::Dense(l) => l.params(),
             Layer::Lstm(l) => l.params(),
-            Layer::Gru(l) => l.params(),
             Layer::Dropout(_) | Layer::RepeatVector(_) => Vec::new(),
         }
     }
@@ -85,7 +79,6 @@ impl Layer {
         match self {
             Layer::Dense(l) => l.params_and_grads_mut(),
             Layer::Lstm(l) => l.params_and_grads_mut(),
-            Layer::Gru(l) => l.params_and_grads_mut(),
             Layer::Dropout(_) | Layer::RepeatVector(_) => Vec::new(),
         }
     }
@@ -95,19 +88,7 @@ impl Layer {
         match self {
             Layer::Dense(l) => l.zero_grads(),
             Layer::Lstm(l) => l.zero_grads(),
-            Layer::Gru(l) => l.zero_grads(),
             Layer::Dropout(_) | Layer::RepeatVector(_) => {}
-        }
-    }
-
-    /// Short stable identifier for summaries (`"dense"`, `"lstm"`, ...).
-    pub fn kind(&self) -> &'static str {
-        match self {
-            Layer::Dense(_) => "dense",
-            Layer::Lstm(_) => "lstm",
-            Layer::Gru(_) => "gru",
-            Layer::Dropout(_) => "dropout",
-            Layer::RepeatVector(_) => "repeat_vector",
         }
     }
 
@@ -117,7 +98,6 @@ impl Layer {
         match self {
             Layer::Dense(l) => l.release_arenas(),
             Layer::Lstm(l) => l.release_arenas(),
-            Layer::Gru(l) => l.release_arenas(),
             Layer::Dropout(l) => l.release_arenas(),
             Layer::RepeatVector(_) => {}
         }
@@ -130,7 +110,6 @@ impl Layer {
         Some(match self {
             Layer::Dense(l) => Layer::Dense(l.serving_copy()),
             Layer::Lstm(l) => Layer::Lstm(l.serving_copy()),
-            Layer::Gru(l) => Layer::Gru(l.serving_copy()),
             Layer::Dropout(_) => return None,
             Layer::RepeatVector(l) => Layer::RepeatVector(l.clone()),
         })
@@ -146,12 +125,6 @@ impl From<Dense> for Layer {
 impl From<Lstm> for Layer {
     fn from(l: Lstm) -> Self {
         Layer::Lstm(l)
-    }
-}
-
-impl From<Gru> for Layer {
-    fn from(l: Gru) -> Self {
-        Layer::Gru(l)
     }
 }
 
@@ -178,10 +151,6 @@ mod tests {
         let l: Layer = Lstm::new_seeded(1, 2, false, 0).into();
         let p: Layer = Dropout::new(0.1).into();
         let r: Layer = RepeatVector::new(2).into();
-        assert_eq!(d.kind(), "dense");
-        assert_eq!(l.kind(), "lstm");
-        assert_eq!(p.kind(), "dropout");
-        assert_eq!(r.kind(), "repeat_vector");
         assert_eq!(d.params().len(), 2);
         assert_eq!(l.params().len(), 2);
         assert_eq!(p.params().len(), 0);

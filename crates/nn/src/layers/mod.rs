@@ -2,12 +2,10 @@
 
 mod dense;
 mod dropout;
-mod gru;
 mod lstm;
 mod repeat_vector;
 
 pub use dense::Dense;
 pub use dropout::Dropout;
-pub use gru::Gru;
 pub use lstm::Lstm;
 pub use repeat_vector::RepeatVector;

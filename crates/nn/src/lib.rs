@@ -12,7 +12,7 @@
 //! * [`Sequential`] — a layer container with a Keras-style
 //!   [`fit`](Sequential::fit) loop (mini-batches, shuffling, validation
 //!   split, early stopping with best-weight restoration);
-//! * the [`Adam`] optimiser and [`Loss`] functions (MSE / MAE);
+//! * the [`Adam`] optimiser and the MSE [`Loss`];
 //! * weight export/import ([`Sequential::weights`] /
 //!   [`Sequential::set_weights`]) — the federated-averaging interface, and
 //!   the only model state that leaves a process (as `EVFD` records of
@@ -67,7 +67,7 @@ pub use batch::BatchPlan;
 pub use error::{NnError, NnResult};
 pub use infer::{InferenceModel, Precision};
 pub use layer::Layer;
-pub use layers::{Dense, Dropout, Gru, Lstm, RepeatVector};
+pub use layers::{Dense, Dropout, Lstm, RepeatVector};
 pub use loss::Loss;
 pub use model::{
     autoencoder_model, forecaster_model, EpochStats, Sample, Sequential, TrainConfig, TrainHistory,

@@ -1,13 +1,12 @@
 //! Loss functions.
 
 use crate::seq::Seq;
-use serde::{Deserialize, Serialize};
 
 /// Training loss evaluated over an entire output sequence batch.
 ///
 /// The value is the mean over all `time x batch x feature` elements, so a
 /// one-step forecaster and a 24-step autoencoder use the same code path
-/// (matching Keras's `mse`/`mae` on 3-D tensors).
+/// (matching Keras's `mse` on 3-D tensors).
 ///
 /// # Examples
 ///
@@ -22,13 +21,11 @@ use serde::{Deserialize, Serialize};
 /// assert!((value - 2.5).abs() < 1e-12); // (1 + 4) / 2
 /// assert_eq!(grad.as_slice(), &[1.0, 2.0]); // 2 (p - t) / n
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize, Default)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum Loss {
     /// Mean squared error.
     #[default]
     Mse,
-    /// Mean absolute error.
-    Mae,
 }
 
 impl Loss {
@@ -52,28 +49,15 @@ impl Loss {
         for ((d, p), t) in diffs.zip(pred.as_slice()).zip(target.as_slice()) {
             *d = p - t;
         }
-        let per_step = |f: fn(&f64) -> f64| {
-            grad.iter()
-                .map(|step| step.as_slice().iter().map(f).sum::<f64>())
-                .sum::<f64>()
-                / n
-        };
-        match self {
-            Loss::Mse => {
-                let value = per_step(|d| d * d);
-                grad.as_mut_slice()
-                    .iter_mut()
-                    .for_each(|d| *d = 2.0 * *d / n);
-                value
-            }
-            Loss::Mae => {
-                let value = per_step(|d| d.abs());
-                grad.as_mut_slice()
-                    .iter_mut()
-                    .for_each(|d| *d = d.signum() / n);
-                value
-            }
-        }
+        let value = grad
+            .iter()
+            .map(|step| step.as_slice().iter().map(|d| d * d).sum::<f64>())
+            .sum::<f64>()
+            / n;
+        grad.as_mut_slice()
+            .iter_mut()
+            .for_each(|d| *d = 2.0 * *d / n);
+        value
     }
 
     /// Loss value only: one running sum over every element, no gradient.
@@ -87,20 +71,14 @@ impl Loss {
         let mut acc = 0.0;
         for (pv, tv) in pred.as_slice().iter().zip(target.as_slice()) {
             let d = pv - tv;
-            acc += match self {
-                Loss::Mse => d * d,
-                Loss::Mae => d.abs(),
-            };
+            acc += d * d;
         }
         acc / n
     }
 
-    /// Stable identifier (`"mse"` / `"mae"`).
+    /// Stable identifier (`"mse"`).
     pub fn name(self) -> &'static str {
-        match self {
-            Loss::Mse => "mse",
-            Loss::Mae => "mae",
-        }
+        "mse"
     }
 }
 
@@ -136,16 +114,6 @@ mod tests {
     }
 
     #[test]
-    fn mae_value_and_gradient_known() {
-        let p = Seq::single(Matrix::from_rows(&[vec![1.0, -1.0]]));
-        let t = Seq::single(Matrix::from_rows(&[vec![0.0, 1.0]]));
-        assert!((Loss::Mae.value(&p, &t) - 1.5).abs() < 1e-12);
-        let mut g = Seq::default();
-        assert!((Loss::Mae.evaluate(&p, &t, &mut g) - 1.5).abs() < 1e-12);
-        assert_eq!(g.as_slice(), &[0.5, -0.5]);
-    }
-
-    #[test]
     fn multi_step_mean_over_all_elements() {
         let p = Seq::from_steps(vec![Matrix::filled(1, 1, 2.0), Matrix::filled(1, 1, 4.0)]);
         let t = Seq::from_steps(vec![Matrix::zeros(1, 1), Matrix::zeros(1, 1)]);
@@ -157,10 +125,8 @@ mod tests {
     fn value_agrees_with_evaluate() {
         let p = Seq::single(Matrix::from_rows(&[vec![0.3, 0.7], vec![1.1, -0.2]]));
         let t = Seq::single(Matrix::from_rows(&[vec![0.1, 0.2], vec![0.9, 0.1]]));
-        for loss in [Loss::Mse, Loss::Mae] {
-            let v = loss.evaluate(&p, &t, &mut Seq::default());
-            assert!((v - loss.value(&p, &t)).abs() < 1e-12);
-        }
+        let v = Loss::Mse.evaluate(&p, &t, &mut Seq::default());
+        assert!((v - Loss::Mse.value(&p, &t)).abs() < 1e-12);
     }
 
     /// Checking the step count alone would zip the flat buffers, truncate
@@ -186,7 +152,6 @@ mod tests {
     #[test]
     fn names() {
         assert_eq!(Loss::Mse.name(), "mse");
-        assert_eq!(Loss::Mae.name(), "mae");
         assert_eq!(Loss::default(), Loss::Mse);
     }
 }

@@ -53,8 +53,6 @@ pub struct TrainConfig {
     pub epochs: usize,
     /// Mini-batch size (paper: 32).
     pub batch_size: usize,
-    /// Loss to minimise.
-    pub loss: Loss,
     /// Whether to shuffle sample order each epoch.
     pub shuffle: bool,
     /// Fraction (0..1) of the *end* of the dataset held out for validation.
@@ -73,7 +71,6 @@ impl Default for TrainConfig {
         Self {
             epochs: 10,
             batch_size: 32,
-            loss: Loss::Mse,
             shuffle: true,
             validation_split: 0.0,
             patience: None,
@@ -199,7 +196,6 @@ impl Sequential {
         match &mut layer {
             Layer::Dense(l) => l.reinitialize(&mut rng),
             Layer::Lstm(l) => l.reinitialize(&mut rng),
-            Layer::Gru(l) => l.reinitialize(&mut rng),
             Layer::Dropout(l) => l.reseed(rng.gen()),
             Layer::RepeatVector(_) => {}
         }
@@ -421,8 +417,9 @@ impl Sequential {
 
     /// Trains the model with mini-batch gradient descent.
     ///
-    /// Mirrors `model.fit` in Keras: optional shuffling, a tail validation
-    /// split, and early stopping with best-weight restoration.
+    /// Mirrors `model.fit` in Keras under an `mse` loss: optional
+    /// shuffling, a tail validation split, and early stopping with
+    /// best-weight restoration.
     ///
     /// Batches are marshalled through a [`BatchPlan`] built once per call:
     /// the shuffle produces an index permutation that gathers rows out of a
@@ -481,7 +478,7 @@ impl Sequential {
             let mut batches = 0usize;
             for batch_idx in order.chunks(cfg.batch_size) {
                 plan.gather_into(batch_idx, &mut batch_in, &mut batch_tgt);
-                let loss_value = self.train_batch(&batch_in, &batch_tgt, cfg.loss, cfg.clip_norm);
+                let loss_value = self.train_batch(&batch_in, &batch_tgt, Loss::Mse, cfg.clip_norm);
                 if !loss_value.is_finite() {
                     return Err(NnError::NonFiniteLoss { epoch });
                 }
@@ -492,7 +489,7 @@ impl Sequential {
             let val_loss = if val.is_empty() {
                 None
             } else {
-                Some(self.evaluate(val, cfg.loss))
+                Some(self.evaluate(val, Loss::Mse))
             };
             history.epochs.push(EpochStats {
                 epoch,

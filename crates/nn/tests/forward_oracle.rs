@@ -1,4 +1,4 @@
-//! Differential oracle for the recurrent forwards.
+//! Differential oracle for the LSTM forward.
 //!
 //! Every other forward test in the workspace compares the fused layers with
 //! something built from the same kernels and the same `vmath` activations
@@ -7,10 +7,10 @@
 //! per output element, libm `exp`/`tanh`, written from the layer equations.
 //! It runs on the paper's shapes — 24 steps × batch 32, 1 → 50 with every
 //! step returned and 50 → 25 with the last — and must agree within 1e-12
-//! (the layers differ from it by summation order and by `vmath`'s 5e-15 per
+//! (the layer differs from it by summation order and by `vmath`'s 5e-15 per
 //! activation, carried through 24 recurrent steps).
 
-use evfad_nn::{Gru, Lstm, Seq};
+use evfad_nn::{Lstm, Seq};
 use evfad_tensor::{MatRef, Matrix};
 
 const STEPS: usize = 24;
@@ -86,33 +86,6 @@ fn naive_lstm(w: &Matrix, bias: &Matrix, x: &Seq, h_dim: usize) -> Vec<Vec<Vec<f
     trajectory
 }
 
-/// Hidden state per step, batch row and unit of a GRU: gates `[z | r]` over
-/// `[x | h]`, candidate over `[x | r∘h]`.
-fn naive_gru(params: &[&Matrix], x: &Seq, h_dim: usize) -> Vec<Vec<Vec<f64>>> {
-    let [w_gates, b_gates, w_cand, b_cand] = params else {
-        panic!("a GRU has four parameter tensors");
-    };
-    let mut h = vec![vec![0.0; h_dim]; BATCH];
-    let mut trajectory = Vec::new();
-    for x_t in x.iter() {
-        for (b, h_b) in h.iter_mut().enumerate() {
-            let x_b = row(x_t, b);
-            let gate = |j: usize| sigmoid(affine(w_gates, b_gates, x_b, h_b, j));
-            let rh: Vec<f64> = (0..h_dim).map(|j| gate(h_dim + j) * h_b[j]).collect();
-            let next: Vec<f64> = (0..h_dim)
-                .map(|j| {
-                    let z = gate(j);
-                    let cand = affine(w_cand, b_cand, x_b, &rh, j).tanh();
-                    (1.0 - z) * h_b[j] + z * cand
-                })
-                .collect();
-            *h_b = next;
-        }
-        trajectory.push(h.clone());
-    }
-    trajectory
-}
-
 #[test]
 fn lstm_forward_agrees_with_a_naive_libm_forward_on_the_paper_shapes() {
     for (i_dim, h_dim, return_sequences) in [(1, 50, true), (50, 25, false)] {
@@ -132,25 +105,6 @@ fn lstm_forward_agrees_with_a_naive_libm_forward_on_the_paper_shapes() {
         );
         // The training-mode forward is the same computation.
         lstm.forward(&x, true, &mut trained);
-        assert_eq!(trained, got);
-    }
-}
-
-#[test]
-fn gru_forward_agrees_with_a_naive_libm_forward_on_the_paper_shapes() {
-    for (i_dim, h_dim, return_sequences) in [(1, 50, true), (50, 25, false)] {
-        let mut gru = Gru::new_seeded(i_dim, h_dim, return_sequences, 42);
-        let x = input(i_dim);
-        let (mut got, mut trained) = (Seq::default(), Seq::default());
-        gru.forward(&x, false, &mut got);
-        let want = naive_gru(&gru.params(), &x, h_dim);
-        assert_close(
-            &format!("gru {i_dim}→{h_dim}"),
-            &got,
-            &want,
-            return_sequences,
-        );
-        gru.forward(&x, true, &mut trained);
         assert_eq!(trained, got);
     }
 }

@@ -3,23 +3,18 @@
 use evfad_federated::wire;
 use evfad_nn::infer::{InferenceModel, Precision};
 use evfad_nn::{
-    autoencoder_model, forecaster_model, Activation, Dense, Dropout, Gru, Loss, Lstm, RepeatVector,
-    Seq, Sequential,
+    autoencoder_model, forecaster_model, Activation, Dense, Dropout, Loss, Lstm, RepeatVector, Seq,
+    Sequential,
 };
 use evfad_tensor::Matrix;
 use proptest::prelude::*;
 
-/// The stacks whose weights cross the wire: the paper's forecaster, the
-/// paper's autoencoder (dropout and `RepeatVector` included, over 5 steps),
-/// and stacked GRUs.
+/// The stacks whose weights cross the wire: the paper's forecaster and the
+/// paper's autoencoder (dropout and `RepeatVector` included, over 5 steps).
 fn architecture(arch: usize, seed: u64) -> Sequential {
     match arch {
         0 => forecaster_model(3, seed),
-        1 => autoencoder_model(5, seed),
-        _ => Sequential::new(seed)
-            .with(Gru::new(1, 4, true))
-            .with(Gru::new(4, 3, false))
-            .with(Dense::new(3, 1, Activation::Linear)),
+        _ => autoencoder_model(5, seed),
     }
 }
 
@@ -46,7 +41,7 @@ proptest! {
     /// the donor once it holds the donor's decoded weights.
     #[test]
     fn weight_transfer_preserves_predictions(
-        arch in 0usize..3,
+        arch in 0usize..2,
         x in sequence_strategy(5),
         seed in 0u64..1000,
     ) {
@@ -93,16 +88,6 @@ proptest! {
         let v = Loss::Mse.value(&pred, &target);
         prop_assert!(v >= 0.0);
         prop_assert_eq!(Loss::Mse.value(&pred, &pred), 0.0);
-    }
-
-    /// MAE <= sqrt(MSE)·const relationship: mean |e| <= sqrt(mean e^2).
-    #[test]
-    fn mae_bounded_by_rmse(p in prop::collection::vec(-10.0f64..10.0, 1..20)) {
-        let pred = Seq::single(Matrix::from_vec(1, p.len(), p.clone()));
-        let target = Seq::single(Matrix::zeros(1, p.len()));
-        let mae = Loss::Mae.value(&pred, &target);
-        let rmse = Loss::Mse.value(&pred, &target).sqrt();
-        prop_assert!(mae <= rmse + 1e-12);
     }
 }
 
@@ -175,7 +160,7 @@ proptest! {
     /// chunks with a ragged tail: the chunk size is not in the bits.
     #[test]
     fn predict_into_matches_allocating_predict(
-        arch in 0usize..4,
+        arch in 0usize..3,
         seed in 0u64..100,
         data in prop::collection::vec(-1.0f64..1.0, 5 * 258),
     ) {
@@ -195,8 +180,8 @@ proptest! {
     }
 }
 
-/// Builds one of four serving-relevant layer stacks (dense-only,
-/// LSTM head, GRU stack, full LSTM autoencoder) with randomised dims.
+/// Builds one of three serving-relevant layer stacks (dense-only,
+/// LSTM head, full LSTM autoencoder) with randomised dims.
 fn stack(arch: usize, h1: usize, h2: usize, time: usize, seed: u64) -> Sequential {
     match arch {
         0 => Sequential::new(seed)
@@ -205,10 +190,6 @@ fn stack(arch: usize, h1: usize, h2: usize, time: usize, seed: u64) -> Sequentia
         1 => Sequential::new(seed)
             .with(Lstm::new(1, h1, false))
             .with(Dense::new(h1, 2, Activation::Tanh)),
-        2 => Sequential::new(seed)
-            .with(Gru::new(1, h1, true))
-            .with(Gru::new(h1, h2, false))
-            .with(Dense::new(h2, 1, Activation::Sigmoid)),
         _ => Sequential::new(seed)
             .with(Lstm::new(1, h1, true))
             .with(Dropout::new(0.2))
@@ -237,7 +218,7 @@ proptest! {
     /// independent `predict` calls, bitwise.
     #[test]
     fn frozen_f64_lane_matches_per_window_predict(
-        arch in 0usize..4,
+        arch in 0usize..3,
         h1 in 2usize..6,
         h2 in 1usize..4,
         time in 3usize..7,
@@ -275,7 +256,7 @@ proptest! {
         seed in 0u64..500,
         data in prop::collection::vec(-1.0f64..1.0, 4 * 6),
     ) {
-        let mut model = stack([1, 3][lstm_arch], h1, h2, time, seed);
+        let mut model = stack(1 + lstm_arch, h1, h2, time, seed);
         let samples = batch_of_windows(&data, batch, time);
         let exact: Vec<f64> = model
             .predict(&samples)
@@ -308,8 +289,7 @@ fn checksum(values: &[f64]) -> u64 {
 }
 
 /// Both serving lanes against recorded checksums: the LSTM autoencoder at
-/// `F64` and `Int8`, and a GRU → Dense(tanh) stack at `F64` (the int8 lane
-/// serves no GRU), at batch 1, 5 and 32 (edge tile only, band plus edge,
+/// `F64` and `Int8`, at batch 1, 5 and 32 (edge tile only, band plus edge,
 /// full bands of the GEMM micro-kernels). The `Int8` literal has held
 /// through every rewrite of the int8 forward. The `F64` literals were
 /// re-recorded once, when the f64 σ/tanh became the `vmath` polynomial
@@ -325,15 +305,10 @@ fn frozen_lanes_reproduce_the_recorded_literals() {
         .with(RepeatVector::new(TIME))
         .with(Lstm::new(4, 8, true))
         .with(Dense::new(8, 1, Activation::Linear));
-    let gru = Sequential::new(9)
-        .with(Gru::new(1, 6, true))
-        .with(Gru::new(6, 3, false))
-        .with(Dense::new(3, 2, Activation::Tanh));
     #[rustfmt::skip]
-    let recorded: [(&Sequential, Precision, [u64; 3]); 3] = [
+    let recorded: [(&Sequential, Precision, [u64; 3]); 2] = [
         (&autoencoder, Precision::F64, [0xbcb84b600185ad62, 0xc45fb560e4dae63e, 0xb80025e4bce5e3c7]),
         (&autoencoder, Precision::Int8, [0xda799df9460c8ebe, 0xc42b8d3f727ac055, 0xdcf9337125610536]),
-        (&gru, Precision::F64, [0xce56ebb9a4c7bb22, 0xd60146e4eca14d89, 0xed4a6798ce9faa55]),
     ];
     for (model, precision, want) in recorded {
         let mut frozen = InferenceModel::freeze(model, precision).expect("freeze");

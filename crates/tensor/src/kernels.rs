@@ -342,23 +342,6 @@ fn acc_rows(out_row: &mut [f64], lhs: &[f64], b: MatRef<'_>, k0: usize) {
 ///
 /// Panics on any shape mismatch.
 pub fn matmul_transpose_into(a: MatRef<'_>, b: MatRef<'_>, out: MatMut<'_>) {
-    matmul_transpose_dispatch(a, b, out, false);
-}
-
-/// `out += a · bᵀ`: each dot product is completed, then added to `out`.
-///
-/// Matches `out += &a.matmul_transpose(&b)` bitwise (the full dot product
-/// is formed before the single addition, exactly as the two-step form
-/// does).
-///
-/// # Panics
-///
-/// Panics on any shape mismatch.
-pub fn matmul_transpose_acc_into(a: MatRef<'_>, b: MatRef<'_>, out: MatMut<'_>) {
-    matmul_transpose_dispatch(a, b, out, true);
-}
-
-fn matmul_transpose_dispatch(a: MatRef<'_>, b: MatRef<'_>, out: MatMut<'_>, accumulate: bool) {
     assert_eq!(
         a.cols, b.cols,
         "matmul_transpose_into: {}x{} vs {}x{}",
@@ -378,7 +361,7 @@ fn matmul_transpose_dispatch(a: MatRef<'_>, b: MatRef<'_>, out: MatMut<'_>, accu
     crate::parallel::row_partitioned(flops, out.data, a.rows, n, |r0, r1, block| {
         // 2x4 register tile: eight accumulator chains, each an independent
         // scalar dot product evaluated exactly as the reference single-dot
-        // loop (ascending k, full dot formed before the one store/add) — the
+        // loop (ascending k, full dot formed before the one store) — the
         // tiling only amortises loads and adds instruction-level
         // parallelism across output elements.
         let rows = r1 - r0;
@@ -404,12 +387,12 @@ fn matmul_transpose_dispatch(a: MatRef<'_>, b: MatRef<'_>, out: MatMut<'_>, accu
                     s12 += x1 * y2;
                     s13 += x1 * y3;
                 }
-                store4(&mut row0[j..j + 4], [s00, s01, s02, s03], accumulate);
-                store4(&mut row1[j..j + 4], [s10, s11, s12, s13], accumulate);
+                store4(&mut row0[j..j + 4], [s00, s01, s02, s03]);
+                store4(&mut row1[j..j + 4], [s10, s11, s12, s13]);
                 j += 4;
             }
-            dot_tail(l0, b, &mut row0[j..], j, accumulate);
-            dot_tail(l1, b, &mut row1[j..], j, accumulate);
+            dot_tail(l0, b, &mut row0[j..], j);
+            dot_tail(l1, b, &mut row1[j..], j);
             bi += 2;
         }
         if bi < rows {
@@ -426,38 +409,30 @@ fn matmul_transpose_dispatch(a: MatRef<'_>, b: MatRef<'_>, out: MatMut<'_>, accu
                     s2 += x * y2;
                     s3 += x * y3;
                 }
-                store4(&mut out_row[j..j + 4], [s0, s1, s2, s3], accumulate);
+                store4(&mut out_row[j..j + 4], [s0, s1, s2, s3]);
                 j += 4;
             }
-            dot_tail(lhs_row, b, &mut out_row[j..], j, accumulate);
+            dot_tail(lhs_row, b, &mut out_row[j..], j);
         }
     });
 }
 
-/// Writes (or adds) four completed dot products into the output slice.
-fn store4(out: &mut [f64], sums: [f64; 4], accumulate: bool) {
+/// Writes four completed dot products into the output slice.
+fn store4(out: &mut [f64], sums: [f64; 4]) {
     for (o, s) in out.iter_mut().zip(sums) {
-        if accumulate {
-            *o += s;
-        } else {
-            *o = s;
-        }
+        *o = s;
     }
 }
 
 /// Reference single-dot loop for the trailing `< 4` output columns.
-fn dot_tail(lhs_row: &[f64], b: MatRef<'_>, out: &mut [f64], j0: usize, accumulate: bool) {
+fn dot_tail(lhs_row: &[f64], b: MatRef<'_>, out: &mut [f64], j0: usize) {
     for (o, j) in out.iter_mut().zip(j0..) {
         let rhs_row = b.row(j);
         let mut acc = 0.0;
         for (x, y) in lhs_row.iter().zip(rhs_row.iter()) {
             acc += x * y;
         }
-        if accumulate {
-            *o += acc;
-        } else {
-            *o = acc;
-        }
+        *o = acc;
     }
 }
 
@@ -684,17 +659,6 @@ mod tests {
         let mut out = vec![0.0; 12];
         matmul_transpose_into(a.view(), b.view(), MatMut::new(4, 3, &mut out));
         assert_eq!(out, a.matmul_transpose(&b).as_slice());
-    }
-
-    #[test]
-    fn matmul_transpose_acc_matches_two_step_add() {
-        let a = m(4, 6, 1.0);
-        let b = m(3, 6, 0.8);
-        let mut out_vec: Vec<f64> = (0..12).map(|i| i as f64 * 0.1).collect();
-        let mut expected = Matrix::from_vec(4, 3, out_vec.clone());
-        expected += &a.matmul_transpose(&b);
-        matmul_transpose_acc_into(a.view(), b.view(), MatMut::new(4, 3, &mut out_vec));
-        assert_eq!(out_vec, expected.as_slice());
     }
 
     #[test]

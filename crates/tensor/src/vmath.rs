@@ -2,7 +2,7 @@
 //! over slices and over single values.
 //!
 //! Every sigmoid and tanh under a train step or a forward is one of the
-//! functions below — the LSTM/GRU gate bands (training and both serving
+//! functions below — the LSTM gate bands (training and both serving
 //! lanes), `Activation::{Sigmoid, Tanh}` of a dense layer, the int8 lane's
 //! `f32` epilogues. libm's `tanh`/`exp` are not called on any of those
 //! paths; they survive only as the oracle the accuracy tests compare

@@ -3,8 +3,8 @@
 //! The paper's `filter_anomalies` replaces attack-flagged segments by linear
 //! interpolation between the surrounding non-anomalous points
 //! ([`linear`]). The paper's future-work section calls for more advanced
-//! reconstruction; [`seasonal_naive`] and [`hold_last`] are provided as
-//! ablation alternatives (benchmarked in `evfad-bench`).
+//! reconstruction; [`seasonal_naive`] is provided as the ablation
+//! alternative (benchmarked in `evfad-bench`).
 
 use crate::error::TimeSeriesError;
 
@@ -126,30 +126,6 @@ pub fn seasonal_naive(
     Ok(out)
 }
 
-/// Replaces each masked point with the most recent unmasked value
-/// (back-filling leading masked points from the first valid one).
-///
-/// # Errors
-///
-/// Same conditions as [`linear`].
-pub fn hold_last(series: &[f64], mask: &[bool]) -> Result<Vec<f64>, TimeSeriesError> {
-    check_mask(series, mask)?;
-    let mut out = series.to_vec();
-    let first_valid = mask.iter().position(|&m| !m);
-    let Some(first_valid) = first_valid else {
-        return Ok(out); // fully masked
-    };
-    let mut last = series[first_valid];
-    for i in 0..out.len() {
-        if mask[i] {
-            out[i] = last;
-        } else {
-            last = out[i];
-        }
-    }
-    Ok(out)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -235,28 +211,10 @@ mod tests {
     }
 
     #[test]
-    fn hold_last_carries_forward() {
-        let s = [1.0, 9.0, 9.0, 4.0, 9.0];
-        let m = [false, true, true, false, true];
-        assert_eq!(hold_last(&s, &m).unwrap(), vec![1.0, 1.0, 1.0, 4.0, 4.0]);
-    }
-
-    #[test]
-    fn hold_last_backfills_leading() {
-        let s = [9.0, 9.0, 3.0];
-        let m = [true, true, false];
-        assert_eq!(hold_last(&s, &m).unwrap(), vec![3.0, 3.0, 3.0]);
-    }
-
-    #[test]
     fn all_strategies_leave_unmasked_points_untouched() {
         let s: Vec<f64> = (0..50).map(|i| (i as f64 * 0.7).sin()).collect();
         let m: Vec<bool> = (0..50).map(|i| i % 7 == 3).collect();
-        for fixed in [
-            linear(&s, &m).unwrap(),
-            seasonal_naive(&s, &m, 10).unwrap(),
-            hold_last(&s, &m).unwrap(),
-        ] {
+        for fixed in [linear(&s, &m).unwrap(), seasonal_naive(&s, &m, 10).unwrap()] {
             for i in 0..50 {
                 if !m[i] {
                     assert_eq!(fixed[i], s[i]);
