@@ -4,10 +4,10 @@
 //! what a fit holds at its peak is edge memory. One training batch's BPTT
 //! state is the largest thing a fit needs: the model's activation arena
 //! (each layer's output, once), each layer's own caches (gates, cell
-//! states, dropout masks), the backward pass's gradient buffers and
-//! scratch. Next to it sit the model — weights, gradients, Adam's two
-//! moments and early stopping's best-weights snapshot — and the fit's
-//! samples. The calibration pass that follows the training scores the
+//! states, dropout masks), the backward pass's gradient buffers and the one
+//! scratch every layer's backward borrows in turn. Next to it sit the
+//! model — weights, gradients, Adam's two moments and early stopping's
+//! best-weights snapshot — and the fit's samples. The calibration pass that follows the training scores the
 //! training series after the training arenas are released, so it is never
 //! stacked on them. This binary installs a counting global allocator that
 //! tracks the bytes live at once, so it holds one test and nothing else
@@ -104,14 +104,15 @@ fn batch_shapes(config: &FilterConfig, series_len: usize) -> (usize, usize, usiz
 /// validation pass of `bv` rows that follows it with the training caches
 /// still in place, by the slot layout of each layer: every layer's output
 /// once, in the model's activation arena; each recurrent layer's BPTT cache
-/// (gates, cell states, tanh(c), and the hidden states when they are not
-/// the output) and its backward staging; the eval slots of the validation
+/// (gates and cell states per row, two steps of tanh(c), the zero state);
+/// the backward scratch, as long as the widest layer's, plus the widest
+/// recomputed hidden-state block; the eval slots of the validation
 /// forward; the two ping-pong input-gradient buffers. Dropout masks are
 /// returned apart, in bytes.
 fn batch_floats(layers: &[Layer], t: usize, b: usize, bv: usize) -> (usize, usize) {
     let (mut floats, mut mask_bytes) = (0, 0);
     let (mut steps, mut width) = (t, 1);
-    let mut widest_dx = 0;
+    let (mut widest_dx, mut scratch, mut h_prev) = (0, 0, 0);
     for (i, layer) in layers.iter().enumerate() {
         if i > 0 {
             widest_dx = widest_dx.max(steps * b * width);
@@ -119,22 +120,27 @@ fn batch_floats(layers: &[Layer], t: usize, b: usize, bv: usize) -> (usize, usiz
         match layer {
             Layer::Lstm(l) => {
                 let (x, h, seq) = (l.input_dim(), l.hidden_dim(), l.return_sequences());
-                let h_all = if seq { 0 } else { 1 };
-                // Forward cache, zero state; backward dh, dc, one step's
-                // gate gradient, the x^T/h^T dpre staging and W_x^T/W_h^T,
-                // bias sums.
-                floats += steps * b * (6 + h_all) * h + b * h;
-                floats += 2 * b * h + 4 * b * h + 2 * (x + h) * 4 * h + 4 * h;
+                // Gates and c per row, two tanh(c) blocks, zero state.
+                floats += steps * b * 5 * h + 2 * b * h + b * h;
+                // Backward: dh, dc, one step's gate gradient, the x^T/h^T
+                // dpre staging and W_x^T/W_h^T, bias sums; and h_{t-1}
+                // when the output is the last step only.
+                scratch = scratch.max(2 * b * h + 4 * b * h + 2 * (x + h) * 4 * h + 4 * h);
+                if !seq {
+                    h_prev = h_prev.max(b * h);
+                }
                 // The eval forward: a register tile of projected steps, two
-                // steps of c and tanh(c) (and h), zero state.
+                // steps of c and tanh(c), zero state.
                 let group = kernels::TILE_ROWS.div_ceil(bv).min(steps);
-                floats += group * bv * 4 * h + (4 + 2 * h_all) * bv * h + bv * h;
+                floats += group * bv * 4 * h + 4 * bv * h + bv * h;
                 (steps, width) = (if seq { steps } else { 1 }, h);
             }
             Layer::Dense(d) => {
-                // One step's gradient, the x^T dpre staging, bias sums.
+                // Backward: one step's gradient, the x^T dpre staging, bias
+                // sums, in the slots the LSTM's gate gradient, x^T staging
+                // and bias sums use.
                 let (x, o) = (d.input_dim(), d.output_dim());
-                floats += b * o + x * o + o;
+                scratch = scratch.max(b * o + x * o + o);
                 width = o;
             }
             Layer::Dropout(_) => mask_bytes += steps * b * width,
@@ -142,7 +148,7 @@ fn batch_floats(layers: &[Layer], t: usize, b: usize, bv: usize) -> (usize, usiz
         }
         floats += steps * b * width;
     }
-    (floats + 2 * widest_dx, mask_bytes)
+    (floats + scratch + h_prev + 2 * widest_dx, mask_bytes)
 }
 
 /// The paper's autoencoder fitted at the serving benchmark's set-up shape

@@ -1,14 +1,17 @@
 //! Enum dispatch over the concrete layer types.
 //!
 //! Every layer kind has exactly one `forward(input, training, out)` and one
-//! `backward(input, output, grad, dx)`: activations and input gradients land
-//! in caller-owned [`Seq`]s — [`Sequential`](crate::Sequential)'s arena in
-//! practice — that the layer reshapes in place, so training and inference
-//! are the same code and neither allocates once the buffers are warm, and
-//! backward reads its forward's input and output back from the caller.
+//! crate-private `backward(input, output, grad, dx, scratch)`: activations
+//! and input gradients land in caller-owned [`Seq`]s —
+//! [`Sequential`](crate::Sequential)'s arena in practice — that the layer
+//! reshapes in place, so training and inference are the same code and
+//! neither allocates once the buffers are warm; backward reads its
+//! forward's input and output back from the caller and works in the one
+//! scratch the model lends every layer's backward in turn.
 
 use crate::layers::{Dense, Dropout, Lstm, RepeatVector};
 use crate::seq::Seq;
+use crate::workspace::Workspace;
 use evfad_tensor::Matrix;
 
 /// Any layer a [`Sequential`](crate::Sequential) model can contain.
@@ -56,10 +59,19 @@ impl Layer {
     /// the parameter gradients identical. `input` and `output` are the
     /// `input` and `out` of the layer's last training forward, unchanged;
     /// a recurrent or dense layer panics if they are not of its shape.
-    pub fn backward(&mut self, input: &Seq, output: &Seq, grad: &Seq, dx: Option<&mut Seq>) {
+    /// No layer reads a `scratch` slot before writing it, so one scratch
+    /// serves every layer in turn.
+    pub(crate) fn backward(
+        &mut self,
+        input: &Seq,
+        output: &Seq,
+        grad: &Seq,
+        dx: Option<&mut Seq>,
+        scratch: &mut Workspace,
+    ) {
         match self {
-            Layer::Dense(l) => l.backward(input, output, grad, dx),
-            Layer::Lstm(l) => l.backward(input, output, grad, dx),
+            Layer::Dense(l) => l.backward(input, output, grad, dx, scratch),
+            Layer::Lstm(l) => l.backward(input, output, grad, dx, scratch),
             Layer::Dropout(l) => l.backward(grad, dx),
             Layer::RepeatVector(l) => l.backward(grad, dx),
         }
@@ -74,13 +86,15 @@ impl Layer {
         }
     }
 
-    /// Mutable `(parameter, gradient)` pairs for the optimiser.
-    pub fn params_and_grads_mut(&mut self) -> Vec<(&mut Matrix, &mut Matrix)> {
-        match self {
-            Layer::Dense(l) => l.params_and_grads_mut(),
-            Layer::Lstm(l) => l.params_and_grads_mut(),
-            Layer::Dropout(_) | Layer::RepeatVector(_) => Vec::new(),
-        }
+    /// Mutable `(parameter, gradient)` pairs for the optimiser, in
+    /// [`Layer::params`] order; walking them allocates nothing.
+    pub fn params_and_grads_mut(&mut self) -> impl Iterator<Item = (&mut Matrix, &mut Matrix)> {
+        let pairs = match self {
+            Layer::Dense(l) => Some(l.params_and_grads_mut()),
+            Layer::Lstm(l) => Some(l.params_and_grads_mut()),
+            Layer::Dropout(_) | Layer::RepeatVector(_) => None,
+        };
+        pairs.into_iter().flatten()
     }
 
     /// Clears accumulated gradients.
@@ -92,7 +106,7 @@ impl Layer {
         }
     }
 
-    /// Drops the layer's scratch — workspace, training cache, dropout
+    /// Drops the layer's arenas — workspace, training cache, dropout
     /// mask — and keeps its weights, gradients and dropout RNG state.
     pub(crate) fn release_arenas(&mut self) {
         match self {

@@ -3,20 +3,17 @@
 //! A [`Seq`] already is the `(T*B) x I` operand, so the forward pass is a
 //! single GEMM over all timesteps (rows are independent, so this is bitwise
 //! identical to the per-step products), written straight into the
-//! caller-owned output `Seq`. The backward pass reads the input and the
-//! activations back from the caller and keeps only per-step scratch in its
-//! workspace; the input gradient lands in a caller-owned `Seq` too.
+//! caller-owned output `Seq`. The layer keeps no arena: the backward pass
+//! reads the input and the activations back from the caller and works in
+//! the backward scratch the model lends it; the input gradient lands in a
+//! caller-owned `Seq` too.
 
+use super::{BSUM, DPRE, TW_X};
 use crate::activation::Activation;
 use crate::seq::Seq;
 use crate::workspace::Workspace;
 use evfad_tensor::{kernels, Initializer, MatMut, MatRef, Matrix};
 use rand::Rng;
-
-// Workspace slots, backward scratch only: a forward writes nothing here.
-const DPRE: usize = 0; // B x O
-const TW: usize = 1; // I x O
-const BSUM: usize = 2; // 1 x O
 
 /// A fully connected layer `y = f(x W + b)` applied to every timestep.
 ///
@@ -44,7 +41,6 @@ pub struct Dense {
     activation: Activation,
     grad_w: Matrix,
     grad_b: Matrix,
-    ws: Workspace,
     cached_steps: usize,
     cached_batch: usize,
 }
@@ -70,7 +66,6 @@ impl Dense {
             activation,
             grad_w: Matrix::zeros(input_dim, output_dim),
             grad_b: Matrix::zeros(1, output_dim),
-            ws: Workspace::new(),
             cached_steps: 0,
             cached_batch: 0,
         }
@@ -111,8 +106,8 @@ impl Dense {
     }
 
     /// Forward pass into `out` (reshaped to `T x B x O`, storage reused).
-    /// A training forward records the shape [`Dense::backward`] checks its
-    /// `input` and `output` against; neither mode touches the workspace.
+    /// A training forward records the shape the backward pass checks its
+    /// `input` and `output` against; neither mode keeps anything else.
     pub fn forward(&mut self, input: &Seq, training: bool, out: &mut Seq) {
         let (steps, batch) = (input.len(), input.batch_size());
         let o_dim = self.w.cols();
@@ -139,13 +134,21 @@ impl Dense {
     /// it. `input` and `output` are the `input` and `out` of the last
     /// training forward, unchanged since. Passing `None` for `dx` skips that
     /// product (the first layer of a model discards it anyway); parameter
-    /// gradients are identical either way.
+    /// gradients are identical either way. One step's `dpre`, `x^T dpre`
+    /// and bias sums live in `scratch`; each is written before it is read.
     ///
     /// # Panics
     ///
     /// Panics if called without a preceding training-mode forward pass, or
     /// if `input`, `output` or `grad` is not of that pass's shape.
-    pub fn backward(&mut self, input: &Seq, output: &Seq, grad: &Seq, mut dx: Option<&mut Seq>) {
+    pub(crate) fn backward(
+        &mut self,
+        input: &Seq,
+        output: &Seq,
+        grad: &Seq,
+        mut dx: Option<&mut Seq>,
+        scratch: &mut Workspace,
+    ) {
         let (steps, batch) = (self.cached_steps, self.cached_batch);
         assert!(steps > 0, "backward requires a training forward pass");
         let (i_dim, o_dim) = (self.w.rows(), self.w.cols());
@@ -155,9 +158,9 @@ impl Dense {
         let (bi, bo) = (batch * i_dim, batch * o_dim);
         let (x_all, y_all) = (input.as_slice(), output.as_slice());
 
-        let mut dpre = self.ws.take(DPRE, bo);
-        let mut tw = self.ws.take(TW, i_dim * o_dim);
-        let mut bsum = self.ws.take(BSUM, o_dim);
+        let mut dpre = scratch.take(DPRE, bo);
+        let mut tw = scratch.take(TW_X, i_dim * o_dim);
+        let mut bsum = scratch.take(BSUM, o_dim);
         if let Some(dx) = dx.as_deref_mut() {
             dx.reshape(steps, batch, i_dim);
         }
@@ -196,9 +199,9 @@ impl Dense {
             }
         }
 
-        self.ws.put(DPRE, dpre);
-        self.ws.put(TW, tw);
-        self.ws.put(BSUM, bsum);
+        scratch.put(DPRE, dpre);
+        scratch.put(TW_X, tw);
+        scratch.put(BSUM, bsum);
     }
 
     /// Immutable access to `(kernel, bias)`.
@@ -207,8 +210,8 @@ impl Dense {
     }
 
     /// Parameter/gradient pairs for the optimiser.
-    pub fn params_and_grads_mut(&mut self) -> Vec<(&mut Matrix, &mut Matrix)> {
-        vec![
+    pub fn params_and_grads_mut(&mut self) -> [(&mut Matrix, &mut Matrix); 2] {
+        [
             (&mut self.w, &mut self.grad_w),
             (&mut self.b, &mut self.grad_b),
         ]
@@ -228,24 +231,21 @@ impl Dense {
         }
     }
 
-    /// Drops the workspace, and with it any pending training cache (a
-    /// backward now needs a fresh training forward). Weights and their
-    /// gradients stay; the next forward regrows the slots it uses.
+    /// Forgets the pending training forward (a backward now needs a fresh
+    /// one). Weights and their gradients stay.
     pub(crate) fn release_arenas(&mut self) {
-        self.ws = Workspace::new();
         self.cached_steps = 0;
         self.cached_batch = 0;
     }
 
-    /// The parameters without the gradients or the workspace: what an
-    /// eval forward reads, and nothing a trained layer merely carries.
+    /// The parameters without the gradients: what an eval forward reads,
+    /// and nothing a trained layer merely carries.
     pub(crate) fn serving_copy(&self) -> Self {
         Self {
             w: self.w.clone(),
             b: self.b.clone(),
             grad_w: Matrix::default(),
             grad_b: Matrix::default(),
-            ws: Workspace::new(),
             cached_steps: 0,
             cached_batch: 0,
             ..*self
@@ -263,19 +263,11 @@ mod tests {
         y
     }
 
-    fn simple_layer() -> Dense {
-        let mut l = Dense::new_seeded(2, 2, Activation::Linear, 1);
-        // Overwrite with known weights.
-        let pg = l.params_and_grads_mut();
-        drop(pg);
-        l
-    }
-
     #[test]
     fn forward_known_values() {
-        let mut l = simple_layer();
+        let mut l = Dense::new_seeded(2, 2, Activation::Linear, 1);
         {
-            let mut pg = l.params_and_grads_mut();
+            let pg = l.params_and_grads_mut();
             *pg[0].0 = Matrix::from_rows(&[vec![1.0, 0.0], vec![0.0, 2.0]]);
             *pg[1].0 = Matrix::from_vec(1, 2, vec![0.5, -0.5]);
         }
@@ -288,7 +280,7 @@ mod tests {
     fn time_distributed_applies_per_step() {
         let mut l = Dense::new_seeded(1, 1, Activation::Linear, 3);
         {
-            let mut pg = l.params_and_grads_mut();
+            let pg = l.params_and_grads_mut();
             *pg[0].0 = Matrix::from_vec(1, 1, vec![2.0]);
             *pg[1].0 = Matrix::zeros(1, 1);
         }
@@ -302,7 +294,7 @@ mod tests {
     fn relu_zeroes_negative_preactivations() {
         let mut l = Dense::new_seeded(1, 1, Activation::Relu, 3);
         {
-            let mut pg = l.params_and_grads_mut();
+            let pg = l.params_and_grads_mut();
             *pg[0].0 = Matrix::from_vec(1, 1, vec![1.0]);
             *pg[1].0 = Matrix::zeros(1, 1);
         }
@@ -318,7 +310,7 @@ mod tests {
         let y = forward(&mut l, &x, true);
         let g = Seq::single(Matrix::from_rows(&[vec![1.0], vec![1.0]]));
         let mut dx = Seq::default();
-        l.backward(&x, &y, &g, Some(&mut dx));
+        l.backward(&x, &y, &g, Some(&mut dx), &mut Workspace::new());
         assert_eq!(dx.shape(), (1, 2, 2));
         // dL/db = sum over batch of upstream grads = 2.
         let pg = l.params_and_grads_mut();
@@ -326,18 +318,18 @@ mod tests {
     }
 
     #[test]
-    fn a_training_forward_leaves_the_workspace_empty() {
+    fn backward_works_in_the_lent_scratch() {
         let (b, i, o) = (4, 3, 2);
         let mut l = Dense::new_seeded(i, o, Activation::Tanh, 5);
         let x = Seq::from_steps(vec![Matrix::from_fn(b, i, |r, c| (r + c) as f64 * 0.1); 2]);
+        // Input and activations are the caller's; the layer has no arena.
         let y = forward(&mut l, &x, true);
-        // Input and activations are the caller's: nothing is cached.
-        assert_eq!(l.ws.allocated_bytes(), 0);
         let mut dx = Seq::default();
-        l.backward(&x, &y, &y, Some(&mut dx));
+        let mut scratch = Workspace::new();
+        l.backward(&x, &y, &y, Some(&mut dx), &mut scratch);
         assert_eq!(dx.shape(), x.shape());
-        // Backward keeps one step's scratch: dpre, x^T dpre, bias sums.
-        assert_eq!(l.ws.slot_lens(), vec![b * o, i * o, o]);
+        // One step's dpre, x^T dpre and bias sums.
+        assert_eq!(scratch.slot_lens(), vec![b * o, i * o, o]);
     }
 
     #[test]
@@ -345,7 +337,8 @@ mod tests {
         let mut l = Dense::new_seeded(2, 1, Activation::Linear, 5);
         let x = Seq::single(Matrix::ones(1, 2));
         let y = forward(&mut l, &x, true);
-        l.backward(&x, &y, &Seq::single(Matrix::ones(1, 1)), None);
+        let g = Seq::single(Matrix::ones(1, 1));
+        l.backward(&x, &y, &g, None, &mut Workspace::new());
         l.zero_grads();
         let pg = l.params_and_grads_mut();
         assert_eq!(pg[0].1.sum(), 0.0);

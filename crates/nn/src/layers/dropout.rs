@@ -114,7 +114,7 @@ impl Dropout {
     ///
     /// Panics if the cached mask disagrees with the gradient's size
     /// (forward and backward saw different sequences).
-    pub fn backward(&mut self, grad: &Seq, dx: Option<&mut Seq>) {
+    pub(crate) fn backward(&mut self, grad: &Seq, dx: Option<&mut Seq>) {
         let Some(dx) = dx else { return };
         dx.copy_from(grad);
         if self.mask.is_empty() {

@@ -1,44 +1,56 @@
 //! LSTM layer with full backpropagation through time.
 //!
-//! The hot path is fused and allocation-free: all per-timestep state
-//! (pre-activations, gates, cell/hidden trajectories) lives in a reusable
-//! [`Workspace`] arena, the input projection of a training forward is one
-//! `(T*B) x 4H` GEMM over the input [`Seq`]'s own buffer, the combined
-//! kernel is addressed through zero-copy `W_x`/`W_h` row views instead of
-//! per-step `hstack`, and the output and the input gradient are written
-//! into caller-owned `Seq`s, which BPTT reads the input and (under
-//! `return_sequences`) every h back from. An eval forward runs the same
-//! loop but keeps only what the next step reads — two steps of cell and
-//! hidden state, the input projected a register tile of rows at a time —
-//! so its workspace does not grow with `T`; kernel rows are independent,
-//! so its bits are the same. Every sum and product keeps the order of the
-//! original allocating implementation (see DESIGN.md §6 for the
-//! summation-order argument); the gate nonlinearities are [`vmath`]'s
-//! slice kernels, the workspace's one definition of σ and tanh, applied
-//! band by band to the in-place gates.
+//! The hot path is fused and allocation-free: the per-timestep state a
+//! forward keeps (pre-activations turned gates, cell states) lives in a
+//! reusable [`Workspace`] arena, the input projection of a training forward
+//! is one `(T*B) x 4H` GEMM over the input [`Seq`]'s own buffer, the
+//! combined kernel is addressed through zero-copy `W_x`/`W_h` row views
+//! instead of per-step `hstack`, and the output and the input gradient are
+//! written into caller-owned `Seq`s. Every hidden state goes straight into
+//! the output — all `T` under `return_sequences`, else the one step the
+//! next step reads, overwritten once its `h @ W_h` product is done.
+//!
+//! A training forward keeps per step only what BPTT cannot recompute
+//! exactly: the gates and `c`. Backward reads the input and (under
+//! `return_sequences`) every h back from the caller, and recomputes
+//! `tanh(c_{t-1})` — and, without `return_sequences`, `h_{t-1} = o_{t-1} *
+//! tanh(c_{t-1})` — once per step with the forward's own kernel and
+//! expression, so the bits are the ones a kept copy would give. Its
+//! remaining state (`dh`, `dc`, `dpre`, the staged `W^T` and the `grad_W`
+//! temporaries) is live only while it runs, so it lives in the scratch the
+//! model lends each layer's backward in turn, not in the layer.
+//!
+//! An eval forward runs the same loop but keeps only what the next step
+//! reads — two steps of cell state and tanh(c), the input projected a
+//! register tile of rows at a time — so its workspace does not grow with
+//! `T`; kernel rows are independent, so its bits are the same. Every sum and
+//! product keeps the order of the original allocating implementation (see
+//! DESIGN.md §6 for the summation-order argument); the gate nonlinearities
+//! are [`vmath`]'s slice kernels, the workspace's one definition of σ and
+//! tanh, applied band by band to the in-place gates.
 
+use super::{BSUM, DPRE, TW_X};
 use crate::seq::Seq;
 use crate::workspace::Workspace;
 use evfad_tensor::{kernels, vmath, Initializer, MatMut, MatRef, Matrix};
 use rand::Rng;
 
-// Workspace slot layout. Forward slots double as the BPTT cache; eval-mode
-// forwards use the same layout at `EVAL_BASE`, a few steps deep instead of
-// `T`, so they never clobber a pending training cache.
+// Workspace slot layout. A training forward's slots are the BPTT cache;
+// eval-mode forwards use the same layout at `EVAL_BASE`, two steps deep
+// instead of `T`, so they never clobber a pending training cache.
 const PRE_ALL: usize = 0; // (T*B) x 4H  pre-activations, then gates in place
 const C_ALL: usize = 1; // (T*B) x H   cell states
-const TANH_ALL: usize = 2; // (T*B) x H   tanh(c)
-const H_ALL: usize = 3; // (T*B) x H   hidden states (empty with return_sequences)
-const ZEROS: usize = 4; // B x H       zero h_-1 / c_-1 (re-zeroed per call)
-const DH: usize = 5; // B x H       running dh
-const DC: usize = 6; // B x H       running dc
-const DPRE: usize = 7; // B x 4H      per-step pre-activation gradient
-const TW_X: usize = 8; // I x 4H      x^T @ dpre staging
-const TW_H: usize = 9; // H x 4H      h^T @ dpre staging
-const BSUM: usize = 10; // 1 x 4H      column sums of dpre
-const WXT: usize = 11; // 4H x I      W_x^T, staged once per backward
-const WHT: usize = 12; // 4H x H      W_h^T, staged once per backward
-const EVAL_BASE: usize = 16;
+const TANH_ALL: usize = 2; // 2 x B x H   tanh(c) of step t in block t % 2
+const ZEROS: usize = 3; // B x H       zero h_-1 / c_-1 (re-zeroed per call)
+const EVAL_BASE: usize = 4;
+
+// Backward scratch slots past the ones Dense shares (see `layers`).
+const TW_H: usize = 3; // H x 4H      h^T @ dpre staging
+const DH: usize = 4; // B x H       running dh
+const DC: usize = 5; // B x H       running dc
+const WXT: usize = 6; // 4H x I      W_x^T, staged once per backward
+const WHT: usize = 7; // 4H x H      W_h^T, staged once per backward
+const H_PREV: usize = 8; // B x H    recomputed h_{t-1} (empty with return_sequences)
 
 /// A Long Short-Term Memory layer.
 ///
@@ -183,13 +195,13 @@ impl Lstm {
         let (i_dim, h_dim) = (self.input_dim, self.hidden_dim);
         let (bi, bh, b4h) = (batch * i_dim, batch * h_dim, batch * 4 * h_dim);
         // The input is projected `group` steps per GEMM into block
-        // `t % group` of the pre-activations; cell, tanh(c) and hidden state
-        // of step `t` live in block `t % blocks` (h in block `t` of `out`
-        // under `return_sequences`). A training forward keeps every step
-        // for BPTT: one GEMM, `T` blocks. An eval forward keeps the step it
-        // writes and the one it reads, and projects just enough steps for a
-        // full register tile of rows; it works in a disjoint slot range, so
-        // an in-flight training cache survives it.
+        // `t % group` of the pre-activations; the cell state of step `t`
+        // lives in block `t % blocks`, its tanh in block `t % 2`, its h in
+        // block `t % h_blocks` of `out`. A training forward keeps every
+        // step's gates and c for BPTT: one GEMM, `T` blocks. An eval forward
+        // keeps the step it writes and the one it reads, and projects just
+        // enough steps for a full register tile of rows; it works in a
+        // disjoint slot range, so an in-flight training cache survives it.
         let (base, blocks, group) = if training {
             (0, steps, steps)
         } else {
@@ -199,11 +211,7 @@ impl Lstm {
 
         let mut pre_all = self.ws.take(base + PRE_ALL, group * b4h);
         let mut c_all = self.ws.take(base + C_ALL, blocks * bh);
-        let mut tanh_all = self.ws.take(base + TANH_ALL, blocks * bh);
-        let seq = self.return_sequences;
-        let h_blocks = if seq { steps } else { blocks };
-        let h_len = if seq { 0 } else { blocks * bh };
-        let mut h_all = self.ws.take(base + H_ALL, h_len);
+        let mut tanh_all = self.ws.take(base + TANH_ALL, 2 * bh);
         let mut zeros = self.ws.take(base + ZEROS, bh);
         zeros.fill(0.0);
 
@@ -214,8 +222,10 @@ impl Lstm {
         // group size is not in the bits.
         let w_x = self.w.rows_view(0..i_dim);
         let w_h = self.w.rows_view(i_dim..i_dim + h_dim);
-        out.reshape(if seq { steps } else { 1 }, batch, h_dim);
-        let h_buf: &mut [f64] = if seq { out.as_mut_slice() } else { &mut h_all };
+        let seq = self.return_sequences;
+        let h_blocks = if seq { steps } else { 1 };
+        out.reshape(h_blocks, batch, h_dim);
+        let h_buf = out.as_mut_slice();
 
         for t in 0..steps {
             if t % group == 0 {
@@ -229,7 +239,10 @@ impl Lstm {
                 );
             }
             let pre_t = &mut pre_all[(t % group) * b4h..][..b4h];
-            let (h_prev, h_t) = step_blocks(&mut *h_buf, &zeros, t, h_blocks);
+            let h_prev = match t {
+                0 => &zeros[..],
+                _ => &h_buf[(t - 1) % h_blocks * bh..][..bh],
+            };
             kernels::matmul_acc_into(
                 MatRef::new(batch, h_dim, h_prev),
                 w_h,
@@ -255,28 +268,18 @@ impl Lstm {
                     *ct = (f_v * cp) + (i_v * g_v);
                 }
             }
-            // tanh(c) for the whole step, in the slot backward reads it
-            // from; then h = o ∘ tanh(c).
-            let tanh_t = &mut tanh_all[(t % blocks) * bh..][..bh];
-            tanh_t.copy_from_slice(c_t);
-            vmath::tanh_f64(tanh_t);
-            for r in 0..batch {
-                let go = &pre_t[(r * 4 + 3) * h_dim..(r + 1) * 4 * h_dim];
-                let row = r * h_dim..(r + 1) * h_dim;
-                for ((ht, &o_v), &tc) in h_t[row.clone()].iter_mut().zip(go).zip(&tanh_t[row]) {
-                    *ht = o_v * tc;
-                }
-            }
-        }
-        if !seq {
-            let last = &h_all[(steps - 1) % blocks * bh..][..bh];
-            out.as_mut_slice().copy_from_slice(last);
+            // tanh(c) for the whole step, in the block backward finds it
+            // in; then h = o ∘ tanh(c), over h_{t-1} without
+            // `return_sequences` (its product above is done).
+            let tanh_t = &mut tanh_all[(t % 2) * bh..][..bh];
+            tanh_of(c_t, tanh_t);
+            let h_t = &mut h_buf[t % h_blocks * bh..][..bh];
+            hidden_state(batch, h_dim, pre_t, tanh_t, h_t);
         }
 
         self.ws.put(base + PRE_ALL, pre_all);
         self.ws.put(base + C_ALL, c_all);
         self.ws.put(base + TANH_ALL, tanh_all);
-        self.ws.put(base + H_ALL, h_all);
         self.ws.put(base + ZEROS, zeros);
         if training {
             self.cached_steps = steps;
@@ -291,12 +294,21 @@ impl Lstm {
     /// and, when `dx` is given, writes the gradient with respect to the
     /// input sequence into it; `None` skips the `dpre @ W_x^T` product per
     /// step (the first layer of a model discards that gradient anyway).
+    /// Everything the pass needs beyond its forward's cache lives in
+    /// `scratch`, and each slot is written before it is read.
     ///
     /// # Panics
     ///
     /// Panics without a preceding training forward, or if `input`, `output`
     /// or `grad` is not of that pass's shape.
-    pub fn backward(&mut self, input: &Seq, output: &Seq, grad: &Seq, mut dx: Option<&mut Seq>) {
+    pub(crate) fn backward(
+        &mut self,
+        input: &Seq,
+        output: &Seq,
+        grad: &Seq,
+        mut dx: Option<&mut Seq>,
+        scratch: &mut Workspace,
+    ) {
         let (steps, batch) = (self.cached_steps, self.cached_batch);
         assert!(steps > 0, "backward requires a training forward pass");
         let (i_dim, h_dim) = (self.input_dim, self.hidden_dim);
@@ -309,18 +321,17 @@ impl Lstm {
 
         let pre_all = self.ws.take(PRE_ALL, steps * b4h);
         let c_all = self.ws.take(C_ALL, steps * bh);
-        let tanh_all = self.ws.take(TANH_ALL, steps * bh);
-        let h_all = self.ws.take(H_ALL, if seq { 0 } else { steps * bh });
-        let h_seq = if seq { output.as_slice() } else { &h_all[..] };
+        let mut tanh_all = self.ws.take(TANH_ALL, 2 * bh);
         let zeros = self.ws.take(ZEROS, bh);
-        let mut dh = self.ws.take(DH, bh);
-        let mut dc = self.ws.take(DC, bh);
-        let mut dpre = self.ws.take(DPRE, b4h);
-        let mut tw_x = self.ws.take(TW_X, i_dim * 4 * h_dim);
-        let mut tw_h = self.ws.take(TW_H, h_dim * 4 * h_dim);
-        let mut bsum = self.ws.take(BSUM, 4 * h_dim);
-        let mut wxt = self.ws.take(WXT, 4 * h_dim * i_dim);
-        let mut wht = self.ws.take(WHT, 4 * h_dim * h_dim);
+        let mut h_prev_buf = scratch.take(H_PREV, if seq { 0 } else { bh });
+        let mut dh = scratch.take(DH, bh);
+        let mut dc = scratch.take(DC, bh);
+        let mut dpre = scratch.take(DPRE, b4h);
+        let mut tw_x = scratch.take(TW_X, i_dim * 4 * h_dim);
+        let mut tw_h = scratch.take(TW_H, h_dim * 4 * h_dim);
+        let mut bsum = scratch.take(BSUM, 4 * h_dim);
+        let mut wxt = scratch.take(WXT, 4 * h_dim * i_dim);
+        let mut wht = scratch.take(WHT, 4 * h_dim * h_dim);
         dh.fill(0.0);
         dc.fill(0.0);
 
@@ -346,16 +357,26 @@ impl Lstm {
                 }
             }
             let pre_t = &pre_all[t * b4h..(t + 1) * b4h];
-            let tanh_t = &tanh_all[t * bh..(t + 1) * bh];
-            let c_prev = if t == 0 {
-                &zeros[..]
-            } else {
-                &c_all[(t - 1) * bh..t * bh]
-            };
-            let h_prev = if t == 0 {
-                &zeros[..]
-            } else {
-                &h_seq[(t - 1) * bh..t * bh]
+            // tanh(c_t) is in block `t % 2`: the forward left step T-1's
+            // there, step t+1 recomputed the others. Step t-1's goes into
+            // the other block, from c_{t-1} by the forward's kernel, and
+            // with it h_{t-1} when the output holds the last step only.
+            let (lo, hi) = tanh_all.split_at_mut(bh);
+            let (tanh_t, tanh_prev) = if t % 2 == 0 { (lo, hi) } else { (hi, lo) };
+            let (c_prev, h_prev) = match t {
+                0 => (&zeros[..], &zeros[..]),
+                _ => {
+                    let c_prev = &c_all[(t - 1) * bh..t * bh];
+                    tanh_of(c_prev, tanh_prev);
+                    let h_prev = if seq {
+                        &output.as_slice()[(t - 1) * bh..t * bh]
+                    } else {
+                        let pre_prev = &pre_all[(t - 1) * b4h..t * b4h];
+                        hidden_state(batch, h_dim, pre_prev, tanh_prev, &mut h_prev_buf);
+                        &h_prev_buf[..]
+                    };
+                    (c_prev, h_prev)
+                }
             };
             // Fused gate backward: identical expression trees to the
             // allocating version (products grouped left-to-right).
@@ -442,16 +463,16 @@ impl Lstm {
         self.ws.put(PRE_ALL, pre_all);
         self.ws.put(C_ALL, c_all);
         self.ws.put(TANH_ALL, tanh_all);
-        self.ws.put(H_ALL, h_all);
         self.ws.put(ZEROS, zeros);
-        self.ws.put(DH, dh);
-        self.ws.put(DC, dc);
-        self.ws.put(DPRE, dpre);
-        self.ws.put(TW_X, tw_x);
-        self.ws.put(TW_H, tw_h);
-        self.ws.put(BSUM, bsum);
-        self.ws.put(WXT, wxt);
-        self.ws.put(WHT, wht);
+        scratch.put(H_PREV, h_prev_buf);
+        scratch.put(DH, dh);
+        scratch.put(DC, dc);
+        scratch.put(DPRE, dpre);
+        scratch.put(TW_X, tw_x);
+        scratch.put(TW_H, tw_h);
+        scratch.put(BSUM, bsum);
+        scratch.put(WXT, wxt);
+        scratch.put(WHT, wht);
     }
 
     /// Immutable access to `(kernel, bias)`.
@@ -460,8 +481,8 @@ impl Lstm {
     }
 
     /// Parameter/gradient pairs for the optimiser.
-    pub fn params_and_grads_mut(&mut self) -> Vec<(&mut Matrix, &mut Matrix)> {
-        vec![
+    pub fn params_and_grads_mut(&mut self) -> [(&mut Matrix, &mut Matrix); 2] {
+        [
             (&mut self.w, &mut self.grad_w),
             (&mut self.b, &mut self.grad_b),
         ]
@@ -506,6 +527,25 @@ impl Lstm {
     }
 }
 
+/// `tanh(c)` of one step's `B x H` block, by the one pass forward and
+/// backward both run over such a block.
+fn tanh_of(c: &[f64], tanh_c: &mut [f64]) {
+    tanh_c.copy_from_slice(c);
+    vmath::tanh_f64(tanh_c);
+}
+
+/// One step's `h = o ∘ tanh(c)` from its gates (`B x 4H`, `o` the last
+/// band of each row) and `tanh(c)` (`B x H`).
+fn hidden_state(batch: usize, h_dim: usize, gates: &[f64], tanh_c: &[f64], h: &mut [f64]) {
+    for r in 0..batch {
+        let go = &gates[(r * 4 + 3) * h_dim..(r + 1) * 4 * h_dim];
+        let row = r * h_dim..(r + 1) * h_dim;
+        for ((ht, &o_v), &tc) in h[row.clone()].iter_mut().zip(go).zip(&tanh_c[row]) {
+            *ht = o_v * tc;
+        }
+    }
+}
+
 /// Step `t`'s two blocks of a slot holding `blocks` steps of `zeros.len()`
 /// values each, step `t` in block `t % blocks`: the block it reads (step
 /// `t - 1`'s, or `zeros` at `t == 0`) and the block it writes.
@@ -541,7 +581,7 @@ mod tests {
 
     fn backward(l: &mut Lstm, x: &Seq, y: &Seq, grad: &Seq) -> Seq {
         let mut dx = Seq::default();
-        l.backward(x, y, grad, Some(&mut dx));
+        l.backward(x, y, grad, Some(&mut dx), &mut Workspace::new());
         dx
     }
 
@@ -676,7 +716,7 @@ mod tests {
         let y = forward(&mut a, &x, true);
         let _ = forward(&mut b, &x, true);
         let _ = backward(&mut a, &x, &y, &g);
-        b.backward(&x, &y, &g, None);
+        b.backward(&x, &y, &g, None, &mut Workspace::new());
         let ga: Vec<f64> = a.params_and_grads_mut()[0].1.as_slice().to_vec();
         let gb: Vec<f64> = b.params_and_grads_mut()[0].1.as_slice().to_vec();
         assert_eq!(ga, gb);
@@ -692,13 +732,22 @@ mod tests {
     }
 
     /// The slots a training forward of `T x B` rows leaves, in slot order:
-    /// gates, cell states and tanh(c) for every step, every hidden state
-    /// only when they are not the output, the zero state.
+    /// gates and cell states for every step, two steps of tanh(c), the
+    /// zero state. No hidden state: h is the output, or recomputed.
     fn training_slots(l: &Lstm, x: &Seq) -> Vec<usize> {
         let (t, b, h) = (x.len(), x.batch_size(), l.hidden_dim());
-        let mut slots = vec![t * b * 4 * h, t * b * h, t * b * h, b * h];
+        vec![t * b * 4 * h, t * b * h, 2 * b * h, b * h]
+    }
+
+    /// The slots a backward fills in the scratch it is lent, in slot order:
+    /// one step's dpre, the x^T / bias / h^T staging, dh and dc, W_x^T and
+    /// W_h^T, and the recomputed h_{t-1} when h is not the output.
+    fn scratch_slots(l: &Lstm, x: &Seq) -> Vec<usize> {
+        let (b, i, h) = (x.batch_size(), l.input_dim(), l.hidden_dim());
+        let mut slots = vec![b * 4 * h, i * 4 * h, 4 * h, h * 4 * h];
+        slots.extend([b * h, b * h, 4 * h * i, 4 * h * h]);
         if !l.return_sequences() {
-            slots.insert(3, t * b * h);
+            slots.push(b * h);
         }
         slots
     }
@@ -711,9 +760,14 @@ mod tests {
         assert_eq!(l.ws.slot_lens(), slots);
         assert_eq!(l.ws.allocated_bytes(), 8 * slots.iter().sum::<usize>());
         assert!(!slots.contains(&x.element_count()), "a copy of the input");
-        // Backward reads both back from the caller.
-        let dx = backward(&mut l, &x, &y, &y);
+        // Backward reads input and output back from the caller and works in
+        // the lent scratch: the layer's own workspace gains nothing.
+        let mut dx = Seq::default();
+        let mut scratch = Workspace::new();
+        l.backward(&x, &y, &y, Some(&mut dx), &mut scratch);
         assert_eq!(dx.shape(), x.shape());
+        assert_eq!(l.ws.slot_lens(), slots);
+        assert_eq!(scratch.slot_lens(), scratch_slots(&l, &x));
     }
 
     #[test]

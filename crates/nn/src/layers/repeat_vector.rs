@@ -62,7 +62,7 @@ impl RepeatVector {
 
     /// Backward pass: sums the per-step gradients back into one step of
     /// `dx` (when given), starting from `+0.0` and adding in time order.
-    pub fn backward(&mut self, grad: &Seq, dx: Option<&mut Seq>) {
+    pub(crate) fn backward(&mut self, grad: &Seq, dx: Option<&mut Seq>) {
         let Some(dx) = dx else { return };
         dx.reshape(1, grad.batch_size(), grad.features());
         dx.as_mut_slice().fill(0.0);

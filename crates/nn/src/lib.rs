@@ -74,4 +74,3 @@ pub use model::{
 };
 pub use optimizer::Adam;
 pub use seq::Seq;
-pub use workspace::Workspace;

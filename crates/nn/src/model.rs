@@ -1,12 +1,13 @@
 //! Layer container and training loop.
 //!
 //! A [`Sequential`] owns one activation arena — a reusable [`Seq`] per layer
-//! — and two ping-pong gradient buffers. `train_batch`, `evaluate`,
-//! `predict`, `predict_into` and `predict_seq_into` all run through them:
-//! each layer reshapes its slot in place, so a warm call allocates no
-//! matrix whatever the batch size, and alternating a full inference chunk
-//! with a ragged tail (or a train batch with a validation pass) costs
-//! nothing. Inference is chunked only to bound the arena on a long series.
+//! — two ping-pong gradient buffers and one backward scratch that each
+//! layer's backward borrows in turn. `train_batch`, `evaluate`, `predict`,
+//! `predict_into` and `predict_seq_into` all run through them: each layer
+//! reshapes its slot in place, so a warm call allocates nothing whatever
+//! the batch size, and alternating a full inference chunk with a ragged
+//! tail (or a train batch with a validation pass) costs nothing. Inference
+//! is chunked only to bound the arena on a long series.
 
 use crate::batch::BatchPlan;
 use crate::error::{NnError, NnResult};
@@ -15,6 +16,7 @@ use crate::layers::{Dense, Dropout, Lstm};
 use crate::loss::Loss;
 use crate::optimizer::Adam;
 use crate::seq::Seq;
+use crate::workspace::Workspace;
 use evfad_tensor::{kernels, MatMut, Matrix};
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
@@ -139,6 +141,9 @@ pub struct Sequential {
     acts: Vec<Seq>,
     /// Ping-pong input-gradient buffers for the backward chain.
     grads: [Seq; 2],
+    /// The backward scratch every layer's backward borrows in turn, as
+    /// long as its widest layer's.
+    scratch: Workspace,
     /// The loss gradient's buffer, reused by every `train_batch`.
     loss_grad: Seq,
     /// Staged input / target batches for `predict*` and `evaluate`.
@@ -171,6 +176,7 @@ impl Sequential {
             layers_added: 0,
             acts: Vec::new(),
             grads: Default::default(),
+            scratch: Workspace::new(),
             loss_grad: Seq::default(),
             staged: Default::default(),
             scatter_idx: Vec::new(),
@@ -246,23 +252,25 @@ impl Sequential {
     /// correct directly after a training [`Sequential::forward`] of `input`.
     /// Input gradients alternate between the two gradient buffers; the
     /// first layer skips its input-gradient product — nothing consumes it.
+    /// Every layer works in the model's one backward scratch.
     pub(crate) fn backward(&mut self, input: &Seq, grad: &Seq) {
         let [mut upstream, mut dx] = self.grads.each_mut();
         let last = self.layers.len().saturating_sub(1);
         for (i, layer) in self.layers.iter_mut().enumerate().rev() {
             let from_above = if i == last { grad } else { &*upstream };
             let x = if i == 0 { input } else { &self.acts[i - 1] };
-            layer.backward(x, &self.acts[i], from_above, (i > 0).then_some(&mut *dx));
+            let dx_i = (i > 0).then_some(&mut *dx);
+            layer.backward(x, &self.acts[i], from_above, dx_i, &mut self.scratch);
             std::mem::swap(&mut upstream, &mut dx);
         }
     }
 
-    /// Frees the model's scratch: the activation arena, the gradient and
-    /// staging buffers, and every layer's workspace and dropout mask. What
-    /// stays is the model — weights, parameter gradients, Adam's moments
-    /// and each dropout layer's RNG state — so training and inference carry
-    /// on with the same bits. The next call regrows only the arenas it
-    /// uses.
+    /// Frees the model's scratch: the activation arena, the gradient,
+    /// backward-scratch and staging buffers, and every layer's workspace
+    /// and dropout mask. What stays is the model — weights, parameter
+    /// gradients, Adam's moments and each dropout layer's RNG state — so
+    /// training and inference carry on with the same bits. The next call
+    /// regrows only the arenas it uses.
     ///
     /// Arenas otherwise live as long as the model and keep the size of the
     /// largest batch they served, a training batch's BPTT caches included:
@@ -275,6 +283,7 @@ impl Sequential {
         }
         self.acts = Vec::new();
         self.grads = Default::default();
+        self.scratch = Workspace::new();
         self.loss_grad = Seq::default();
         self.staged = Default::default();
         self.scatter_idx = Vec::new();
@@ -404,13 +413,8 @@ impl Sequential {
         if let Some(max_norm) = clip_norm {
             self.clip_gradients(max_norm);
         }
-        let mut pg: Vec<(&mut Matrix, &mut Matrix)> = self
-            .layers
-            .iter_mut()
-            .flat_map(|l| l.params_and_grads_mut())
-            .collect();
-        self.optimizer.step(&mut pg);
-        drop(pg);
+        let pairs = self.layers.iter_mut().flat_map(Layer::params_and_grads_mut);
+        self.optimizer.step(pairs);
         self.zero_grads();
         loss_value
     }
@@ -715,12 +719,52 @@ mod tests {
         }
         released.release_arenas();
         assert!(released.acts.is_empty() && released.scatter_idx.is_empty());
+        assert!(released.scratch.slot_lens().is_empty());
         for m in [&mut kept, &mut released] {
             m.fit(&samples, &cfg).expect("fit");
         }
         assert_eq!(kept.weights(), released.weights());
         let inputs: Vec<Matrix> = samples.iter().map(|s| s.input.clone()).collect();
         assert_eq!(kept.predict(&inputs), released.predict(&inputs));
+    }
+
+    /// Every backward writes a scratch slot before it reads it, so what
+    /// the previous layer or step left there is not in the bits: a stack of
+    /// unequal widths, its scratch poisoned with NaN at the lengths the
+    /// last backward left, takes the same next step as an untouched twin.
+    #[test]
+    fn the_backward_scratch_carries_nothing_between_layers() {
+        let samples: Vec<Sample> = toy_samples(16)
+            .into_iter()
+            .map(|s| Sample::autoencoding(s.input))
+            .collect();
+        let model = || {
+            Sequential::new(6)
+                .with(Lstm::new(1, 6, true))
+                .with(Lstm::new(6, 3, false))
+                .with(crate::RepeatVector::new(6))
+                .with(Lstm::new(3, 6, true))
+                .with(Dense::new(6, 1, Activation::Linear))
+        };
+        let cfg = TrainConfig {
+            epochs: 1,
+            batch_size: 8,
+            ..TrainConfig::default()
+        };
+        // A batch of the last fit batch's size, so the slots keep their
+        // poisoned lengths wherever the next layer's shapes allow.
+        let inputs: Vec<Matrix> = samples[..8].iter().map(|s| s.input.clone()).collect();
+        let x = Seq::from_samples(&inputs);
+        let (mut twin, mut poisoned) = (model(), model());
+        for m in [&mut twin, &mut poisoned] {
+            m.fit(&samples, &cfg).expect("fit");
+        }
+        poisoned.scratch.fill(f64::NAN);
+        for m in [&mut twin, &mut poisoned] {
+            m.train_batch(&x, &x, Loss::Mse, Some(5.0));
+        }
+        assert!(twin.weights().iter().all(Matrix::is_finite));
+        assert_eq!(twin.weights(), poisoned.weights());
     }
 
     #[test]

@@ -6,9 +6,10 @@ use evfad_tensor::Matrix;
 /// moments — the paper's optimiser with `LEARNING_RATE = 0.001`.
 ///
 /// Parameters are addressed positionally: the caller passes the same ordered
-/// `(param, grad)` list on every step (as produced by
-/// [`Sequential::params_and_grads_mut`](crate::Sequential)); moment state
-/// is kept per position.
+/// `(param, grad)` pairs on every step (as
+/// [`Layer::params_and_grads_mut`](crate::Layer::params_and_grads_mut)
+/// yields them, layer by layer); moment state is kept per position and
+/// sized on the first step.
 #[derive(Debug, Clone)]
 pub struct Adam {
     /// Step size (paper: `0.001`).
@@ -38,28 +39,27 @@ impl Adam {
         }
     }
 
-    /// Applies one Adam update to every `(param, grad)` pair.
+    /// Applies one Adam update to every `(param, grad)` pair, in order.
     ///
     /// # Panics
     ///
     /// Panics if the number of pairs changes between calls.
-    pub fn step(&mut self, params_and_grads: &mut [(&mut Matrix, &mut Matrix)]) {
-        if self.m.is_empty() {
-            self.m = params_and_grads
-                .iter()
-                .map(|(w, _)| Matrix::zeros(w.rows(), w.cols()))
-                .collect();
-            self.v = self.m.clone();
-        }
-        assert_eq!(
-            self.m.len(),
-            params_and_grads.len(),
-            "Adam was initialised for a different parameter set"
-        );
+    pub fn step<'a>(
+        &mut self,
+        params_and_grads: impl IntoIterator<Item = (&'a mut Matrix, &'a mut Matrix)>,
+    ) {
+        const CHANGED: &str = "Adam was initialised for a different parameter set";
+        let first = self.m.is_empty();
         self.t += 1;
         let b1t = 1.0 - self.beta1.powi(self.t as i32);
         let b2t = 1.0 - self.beta2.powi(self.t as i32);
-        for (idx, (w, g)) in params_and_grads.iter_mut().enumerate() {
+        let mut pairs = 0;
+        for (idx, (w, g)) in params_and_grads.into_iter().enumerate() {
+            if first {
+                self.m.push(Matrix::zeros(w.rows(), w.cols()));
+                self.v.push(Matrix::zeros(w.rows(), w.cols()));
+            }
+            assert!(idx < self.m.len(), "{CHANGED}");
             let m = &mut self.m[idx];
             let v = &mut self.v[idx];
             for ((wv, gv), (mv, vv)) in w
@@ -74,7 +74,9 @@ impl Adam {
                 let v_hat = *vv / b2t;
                 *wv -= self.learning_rate * m_hat / (v_hat.sqrt() + self.epsilon);
             }
+            pairs = idx + 1;
         }
+        assert_eq!(pairs, self.m.len(), "{CHANGED}");
     }
 }
 
@@ -93,7 +95,7 @@ mod tests {
         let mut w = Matrix::filled(1, 1, start);
         for _ in 0..iters {
             let mut g = Matrix::filled(1, 1, 2.0 * (w[(0, 0)] - 3.0));
-            opt.step(&mut [(&mut w, &mut g)]);
+            opt.step([(&mut w, &mut g)]);
         }
         w[(0, 0)]
     }
@@ -111,7 +113,7 @@ mod tests {
         let mut opt = Adam::new(0.001);
         let mut w = Matrix::zeros(1, 1);
         let mut g = Matrix::filled(1, 1, 123.0);
-        opt.step(&mut [(&mut w, &mut g)]);
+        opt.step([(&mut w, &mut g)]);
         assert!((w[(0, 0)].abs() - 0.001).abs() < 1e-6);
     }
 
@@ -121,10 +123,10 @@ mod tests {
         let mut opt = Adam::new(0.01);
         let mut w = Matrix::zeros(1, 1);
         let mut g = Matrix::zeros(1, 1);
-        opt.step(&mut [(&mut w, &mut g)]);
+        opt.step([(&mut w, &mut g)]);
         let mut w2 = Matrix::zeros(1, 1);
         let mut g2 = Matrix::zeros(1, 1);
-        opt.step(&mut [(&mut w, &mut g), (&mut w2, &mut g2)]);
+        opt.step([(&mut w, &mut g), (&mut w2, &mut g2)]);
     }
 
     #[test]
@@ -154,7 +156,7 @@ mod tests {
         let mut v_ref = Matrix::zeros(4, 3);
         for step in 1..=50 {
             let mut g = fake_grad(step, 4, 3);
-            opt.step(&mut [(&mut w, &mut g)]);
+            opt.step([(&mut w, &mut g)]);
 
             let b1t = 1.0 - beta1_pow(beta1, step);
             let b2t = 1.0 - beta1_pow(beta2, step);

@@ -1,30 +1,36 @@
-//! Reusable per-layer scratch arena for the fused recurrent hot path.
+//! Reusable scratch arena for the fused recurrent hot path.
 //!
-//! Every recurrent/dense layer owns a [`Workspace`]: a small vector of
-//! `Vec<f64>` buffers addressed by slot index. A buffer is allocated the
-//! first time its slot is requested at a given size and then reused across
-//! timesteps, batches, epochs, and federated rounds — the warm-path cost of
-//! `take` is a `mem::take` plus a length check, no allocator traffic.
+//! A [`Workspace`] is a small vector of `Vec<f64>` buffers addressed by slot
+//! index. A buffer is allocated the first time its slot is requested at a
+//! given size and then reused across timesteps, batches, epochs, and
+//! federated rounds — the warm-path cost of `take` is a `mem::take` plus a
+//! length check, no allocator traffic.
+//!
+//! Two kinds of owner hold one. Each recurrent layer owns a workspace for
+//! what its forward passes keep: a training forward leaves the state its
+//! layer computes — not its input or output, which the backward pass is
+//! handed, and nothing backward can recompute exactly — in its slots and
+//! the backward pass takes it back out. `take` therefore **preserves
+//! contents** when the requested length already matches — callers that
+//! need a zeroed buffer must `fill(0.0)` explicitly. And
+//! [`Sequential`](crate::Sequential) owns one workspace of backward
+//! scratch, lent to each layer's backward in turn: it holds nothing
+//! between two layers' passes, since every backward writes a slot before
+//! reading it.
 //!
 //! The take/put protocol (rather than handing out `&mut` slices) exists so a
 //! layer can hold several buffers from the *same* workspace simultaneously
 //! without fighting the borrow checker: each buffer is moved out, used, and
 //! moved back.
 //!
-//! Buffers double as the forward cache: a forward pass leaves the state its
-//! layer computes — not its input or output, which the backward pass is
-//! handed — in its slots and the backward pass takes it back out. `take`
-//! therefore **preserves contents** when the requested length already
-//! matches — callers that need a zeroed buffer must `fill(0.0)` explicitly.
-//!
-//! Buffers live until their owner releases them: a layer's workspace keeps
-//! the size of the largest batch it has run — a training batch's BPTT
+//! Buffers live until their owner releases them: a workspace keeps the
+//! size of the largest batch it has served — a training batch's BPTT
 //! caches included — until
 //! [`Sequential::release_arenas`](crate::Sequential::release_arenas) drops
 //! it. No forward reads a slot before writing it, so a released arena and a
 //! stale one give the same bits.
 
-/// Per-layer scratch arena of reusable `f64` buffers.
+/// Scratch arena of reusable `f64` buffers, addressed by slot.
 ///
 /// Cloning a `Workspace` deep-copies its buffers; layer caches live in these
 /// slots, so a cloned layer keeps a usable cache exactly as it did when
@@ -76,6 +82,15 @@ impl Workspace {
     #[cfg(test)]
     pub(crate) fn slot_lens(&self) -> Vec<usize> {
         self.bufs.iter().map(Vec::len).filter(|&l| l > 0).collect()
+    }
+
+    /// Overwrites every buffer with `value`, keeping its length, so a
+    /// `take` at that length hands the value back.
+    #[cfg(test)]
+    pub(crate) fn fill(&mut self, value: f64) {
+        for buf in &mut self.bufs {
+            buf.fill(value);
+        }
     }
 }
 
