@@ -20,8 +20,8 @@ use evfad_core::attack::vectors::{inject_vector, AttackVector};
 use evfad_core::attack::{AttackOutcome, DdosConfig, DdosInjector};
 use evfad_core::data::{ClientData, ShenzhenGenerator};
 use evfad_core::federated::{
-    Aggregator, CompressionMode, FederatedConfig, FederatedOutcome, FederatedSimulation,
-    LocalUpdate,
+    Aggregator, CompressionMode, Corruption, FaultKind, FaultPlan, FederatedConfig,
+    FederatedOutcome, FederatedSimulation, RoundSelector,
 };
 use evfad_core::forecast::baselines::{
     ArForecaster, BaselineForecaster, NaiveForecaster, SeasonalNaiveForecaster,
@@ -144,34 +144,38 @@ impl Ctx {
         Ok((outcome, detection))
     }
 
-    /// One federation over `clients` and the R² of its final global model
-    /// on each client's test split.
+    /// The study's federation schedule: full participation, uncompressed,
+    /// FedAvg unless the study says otherwise.
+    fn federated_config(&self) -> FederatedConfig {
+        let cfg = &self.cfg;
+        FederatedConfig {
+            rounds: cfg.rounds,
+            epochs_per_round: cfg.epochs_per_round,
+            batch_size: cfg.batch_size,
+            aggregator: cfg.aggregator,
+            sampling_seed: cfg.seed,
+            ..FederatedConfig::default()
+        }
+    }
+
+    /// One federation over `clients` under `config`, and its final global
+    /// model.
     fn federate(
         &self,
         clients: &[PreparedClient],
-        participation: f64,
-        compression: CompressionMode,
-    ) -> Result<(FederatedOutcome, Vec<f64>), Box<dyn Error>> {
+        config: FederatedConfig,
+    ) -> Result<(FederatedOutcome, Sequential), Box<dyn Error>> {
         let cfg = &self.cfg;
         let mut sim = FederatedSimulation::new(
             build_forecaster(cfg.lstm_units, cfg.learning_rate, cfg.seed),
-            FederatedConfig {
-                rounds: cfg.rounds,
-                epochs_per_round: cfg.epochs_per_round,
-                batch_size: cfg.batch_size,
-                aggregator: cfg.aggregator,
-                participation,
-                sampling_seed: cfg.seed,
-                compression,
-                ..FederatedConfig::default()
-            },
+            config,
         );
         for p in clients {
             sim.add_client(p.label.clone(), p.train.clone());
         }
         let outcome = sim.run()?;
-        let mut global = sim.model_with_weights(&outcome.global_weights)?;
-        Ok((outcome, r2s(clients, &mut global)))
+        let global = sim.model_with_weights(&outcome.global_weights)?;
+        Ok((outcome, global))
     }
 }
 
@@ -309,7 +313,12 @@ fn dropout(ctx: &Ctx) -> Outcome {
     );
     let mut rows = Vec::new();
     for participation in [1.0, 0.67, 0.34] {
-        let (_, r2s) = ctx.federate(&ctx.prepared, participation, CompressionMode::None)?;
+        let config = FederatedConfig {
+            participation,
+            ..ctx.federated_config()
+        };
+        let (_, mut global) = ctx.federate(&ctx.prepared, config)?;
+        let r2s = r2s(&ctx.prepared, &mut global);
         println!(
             "{participation:<15.2} {:>10.4} {:>10.4} {:>10.4} {:>10.4}",
             r2s[0],
@@ -392,7 +401,12 @@ fn compression(ctx: &Ctx) -> Outcome {
             "mode", "uplink B/round", "ratio", "102 R2", "105 R2", "108 R2", "mean R2"
         );
         for mode in [CompressionMode::None, CompressionMode::Quant8] {
-            let (outcome, r2s) = ctx.federate(&prepared, 1.0, mode)?;
+            let config = FederatedConfig {
+                compression: mode,
+                ..ctx.federated_config()
+            };
+            let (outcome, mut global) = ctx.federate(&prepared, config)?;
+            let r2s = r2s(&prepared, &mut global);
             let last = outcome.rounds.last().ok_or("a federation without rounds")?;
             println!(
                 "{:<10} {:>15} {:>7.2} {:>9.4} {:>9.4} {:>9.4} {:>9.4}",
@@ -409,57 +423,79 @@ fn compression(ctx: &Ctx) -> Outcome {
     Ok(())
 }
 
-/// Aggregation rules under a compromised client that submits a 50×
-/// scaled update: the global model's mean R² for FedAvg and the robust
-/// rules.
+/// Aggregation rules inside a federation with a compromised station: the
+/// three zones' clean clients plus k ∈ {0, 1} compromised clients, each a
+/// fourth client on zone 105's train split whose update is corrupted every
+/// round. A cell is the mean R² of the final global model over the three
+/// zones' test splits; Krum runs with f = k, only where n ≥ f + 3.
 fn aggregation(ctx: &Ctx) -> Outcome {
-    let cfg = &ctx.cfg;
-    // Honest local updates (one per zone, plus a twin for Krum headroom).
-    let mut updates = Vec::new();
-    for p in &ctx.prepared {
-        let mut model = build_forecaster(cfg.lstm_units, cfg.learning_rate, cfg.seed);
-        model.fit(&p.train, &ctx.train_config(cfg.epochs_per_round))?;
-        updates.push(LocalUpdate {
-            client_id: p.label.clone(),
-            weights: model.weights(),
-            sample_count: p.train.len(),
-            train_loss: 0.0,
-            duration: std::time::Duration::ZERO,
-            simulated_extra_seconds: 0.0,
-        });
+    let mut compromised = ctx.prepared[1].clone();
+    compromised.label = "compromised".into();
+    let mut poisoned = ctx.prepared.clone();
+    poisoned.push(compromised);
+    let cells = [
+        ("clean k=0", None),
+        ("sign_flip k=1", Some(Corruption::SignFlip)),
+        ("scale50 k=1", Some(Corruption::Scale { factor: 50.0 })),
+        ("nan_flood k=1", Some(Corruption::NanFlood)),
+    ];
+    let rules: [(&str, fn(usize) -> Aggregator); 4] = [
+        ("fedavg", |_| Aggregator::FedAvg),
+        ("median", |_| Aggregator::Median),
+        ("trimmed_mean{1}", |_| Aggregator::TrimmedMean { trim: 1 }),
+        ("krum{f=k}", |k| Aggregator::Krum { byzantine: k }),
+    ];
+    print!("{:<16}", "rule");
+    for (cell, _) in &cells {
+        print!(" {cell:>14}");
     }
-    let mut twin = updates[0].clone();
-    twin.client_id = "102-twin".into();
-    updates.push(twin);
-    let mut poisoned = updates.clone();
-    let mut evil = poisoned[1].clone();
-    evil.client_id = "compromised".into();
-    for w in &mut evil.weights {
-        *w = w.scale(50.0);
+    println!();
+    let mut errors = Vec::new();
+    for (rule, aggregator) in rules {
+        print!("{rule:<16}");
+        for (cell, corruption) in &cells {
+            let (clients, faults) = match corruption {
+                None => (&ctx.prepared, None),
+                Some(c) => (
+                    &poisoned,
+                    Some(FaultPlan::new(ctx.cfg.seed).with_rule(
+                        "compromised",
+                        RoundSelector::Every,
+                        FaultKind::Corrupt { corruption: *c },
+                    )),
+                ),
+            };
+            let k = clients.len() - ctx.prepared.len();
+            let aggregator = aggregator(k);
+            if matches!(aggregator, Aggregator::Krum { byzantine } if clients.len() < byzantine + 3)
+            {
+                print!(" {:>14}", "n<f+3");
+                continue;
+            }
+            let config = FederatedConfig {
+                aggregator,
+                faults,
+                ..ctx.federated_config()
+            };
+            match ctx.federate(clients, config) {
+                Ok((_, mut global)) => {
+                    let r2 = mean(&r2s(&ctx.prepared, &mut global));
+                    if r2.abs() < 1e4 {
+                        print!(" {r2:>14.4}");
+                    } else {
+                        print!(" {r2:>14.3e}");
+                    }
+                }
+                Err(e) => {
+                    print!(" {:>14}", "error");
+                    errors.push(format!("{rule} / {cell}: {e}"));
+                }
+            }
+        }
+        println!();
     }
-    poisoned.push(evil);
-
-    println!(
-        "{:<14} {:>12} {:>12}",
-        "aggregator", "clean R2", "poisoned R2"
-    );
-    for agg in [
-        Aggregator::FedAvg,
-        Aggregator::Median,
-        Aggregator::TrimmedMean { trim: 1 },
-        Aggregator::Krum { byzantine: 1 },
-    ] {
-        let mean_r2 = |ups: &[LocalUpdate]| -> Result<f64, Box<dyn Error>> {
-            let mut model = build_forecaster(cfg.lstm_units, cfg.learning_rate, cfg.seed);
-            model.set_weights(&agg.aggregate(ups)?)?;
-            Ok(mean(&r2s(&ctx.prepared, &mut model)))
-        };
-        println!(
-            "{:<14} {:>12.4} {:>12.4}",
-            agg.name(),
-            mean_r2(&updates)?,
-            mean_r2(&poisoned)?
-        );
+    for e in errors {
+        println!("{e}");
     }
     Ok(())
 }
