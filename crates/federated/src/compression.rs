@@ -14,10 +14,10 @@
 //! Quantization is NaN-tolerant by construction: non-finite values (NaN,
 //! ±∞) are excluded from the min/max range fold and transmitted **verbatim**
 //! as `(index, value)` side records, so a NaN-flood-corrupted update
-//! round-trips exactly — the poison reaches the server unmodified and the
-//! robust aggregators (not the codec) remain the defence. A finite tensor
-//! pays nothing for this; a fully non-finite tensor degenerates to the
-//! verbatim list (correctness over ratio under attack).
+//! round-trips exactly — the poison reaches the server unmodified and Krum,
+//! not the codec, remains the defence. A finite tensor pays nothing for
+//! this; a fully non-finite tensor degenerates to the verbatim list
+//! (correctness over ratio under attack).
 
 use evfad_tensor::quant::QuantRange;
 use evfad_tensor::Matrix;

@@ -20,9 +20,9 @@
 //! Only the source of updates differs. A [`RoundPool`] trains (in-process)
 //! or collects (TCP) its admitted clients' updates; a socket client reports
 //! its sample count with its update, so `run_rounds` sizes the accumulator
-//! from the kept updates — FedAvg streams and the robust rules collect for
-//! their batch rule. The scale engine synthesises its updates shard by
-//! shard, streams FedAvg and logs nothing per client; its edge→root hop is
+//! from the kept updates — FedAvg streams and Krum collects for its batch
+//! rule. The scale engine synthesises its updates shard by shard, streams
+//! FedAvg and logs nothing per client; its edge→root hop is
 //! one more admission and fold, over the shard partials, under the edge
 //! plan's gate. Because every protocol decision lives here, the socket
 //! digest is the in-process digest by construction; the equivalence matrix
@@ -134,8 +134,8 @@ pub(crate) fn admit(
     admission
 }
 
-/// Where a fold's kept updates go: FedAvg streams them, every other rule
-/// collects them for its batch rule.
+/// Where a fold's kept updates go: FedAvg streams them, Krum collects them
+/// for its batch rule.
 pub(crate) struct Accumulator {
     rule: Aggregator,
     stream: Option<StreamingFedAvg>,
@@ -506,32 +506,26 @@ mod tests {
     }
 
     #[test]
-    fn exact_accumulator_collects_the_robust_rules_for_their_batch_rule() {
+    fn exact_accumulator_collects_krum_for_its_batch_rule() {
         let kept = vec![
             update("a", 1, 1.0),
             update("b", 1, 2.0),
             update("c", 1, 3.0),
             update("d", 1, 4.0),
         ];
-        for agg in [
-            Aggregator::Median,
-            Aggregator::TrimmedMean { trim: 1 },
-            Aggregator::Krum { byzantine: 1 },
-        ] {
-            let acc = Accumulator::new(agg, kept.len(), 4.0);
-            assert!(acc.stream.is_none());
-            let via_fold = fold_all(acc, &kept).expect("batch route");
-            let via_batch = agg.aggregate(&kept).expect("batch");
-            assert_eq!(via_fold, via_batch);
-        }
+        let agg = Aggregator::Krum { byzantine: 1 };
+        let acc = Accumulator::new(agg, kept.len(), 4.0);
+        assert!(acc.stream.is_none());
+        let via_fold = fold_all(acc, &kept).expect("batch route");
+        let via_batch = agg.aggregate(&kept).expect("batch");
+        assert_eq!(via_fold, via_batch);
     }
 
     #[test]
     fn an_accumulator_that_folded_nothing_is_no_clients() {
         for acc in [
             Accumulator::new(Aggregator::FedAvg, 0, 0.0),
-            Accumulator::new(Aggregator::Median, 0, 0.0),
-            Accumulator::new(Aggregator::TrimmedMean { trim: 0 }, 0, 0.0),
+            Accumulator::new(Aggregator::Krum { byzantine: 0 }, 0, 0.0),
         ] {
             assert!(matches!(acc.finish(), Err(FederatedError::NoClients)));
         }

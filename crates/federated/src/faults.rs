@@ -15,7 +15,7 @@
 //! |---|---|---|
 //! | [`FaultKind::DropOut`] | node vanishes | round proceeds without it |
 //! | [`FaultKind::Straggler`] | degraded link / slow node | excluded when later than the round timeout |
-//! | [`FaultKind::Corrupt`] | integrity attack at the weight level | left to the aggregator (robust rules survive) |
+//! | [`FaultKind::Corrupt`] | integrity attack at the weight level | left to the aggregator (Krum survives) |
 //! | [`FaultKind::Transient`] | flaky upload | retried with exponential backoff up to a budget |
 
 use crate::error::FederatedError;
@@ -32,7 +32,7 @@ use serde::{Deserialize, Serialize};
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub enum Corruption {
     /// Every weight becomes NaN — destroys any mean-style aggregate
-    /// outright and stress-tests NaN tolerance in the robust rules.
+    /// outright and stress-tests NaN tolerance in Krum.
     NanFlood,
     /// Every weight is negated (gradient-inversion style poisoning).
     SignFlip,

@@ -9,9 +9,8 @@
 //! Beyond the paper, the crate provides the robustness machinery a
 //! production deployment would need (and which the benches ablate):
 //!
-//! * [`Aggregator`] — FedAvg plus Byzantine-robust rules (coordinate-wise
-//!   median, trimmed mean, Krum), NaN-tolerant against weight-level
-//!   corruption;
+//! * [`Aggregator`] — FedAvg plus one Byzantine-robust rule, Krum,
+//!   NaN-tolerant against weight-level corruption;
 //! * [`faults`] — seeded, bit-reproducible fault injection (drop-out,
 //!   stragglers with a server-side round timeout, update corruption,
 //!   transient failures with retry/backoff) driven by a [`FaultPlan`];

@@ -7,6 +7,7 @@ use crate::compression::CompressionMode;
 use crate::engine::{self, Admitted, PoolUpdate, RoundPool};
 use crate::error::FederatedError;
 use crate::faults::{FaultEvent, FaultPlan};
+use crate::scheduler::Scheduler;
 use crate::transport::MeteredChannel;
 use evfad_nn::{Sample, Sequential, TrainConfig};
 use evfad_tensor::{parallel, Matrix};
@@ -68,9 +69,11 @@ impl FederatedConfig {
     ///
     /// [`FederatedError::InvalidConfig`] naming the offending field when a
     /// knob is out of range: zero `rounds`/`epochs_per_round`/`batch_size`,
-    /// `participation` outside `(0, 1]` (NaN included), or an invalid
-    /// [`FaultPlan`] (including a `min_participants` larger than the client
-    /// count).
+    /// `participation` outside `(0, 1]` (NaN included), Krum with fewer
+    /// than `f + 3` clients sampled a round, or an invalid [`FaultPlan`]
+    /// (including a `min_participants` larger than the client count). Krum
+    /// still checks its count when it aggregates, since drop-outs can starve
+    /// a round.
     pub fn validate(&self, client_count: usize) -> Result<(), FederatedError> {
         let bad = |field: &str, message: String| FederatedError::InvalidConfig {
             field: field.to_string(),
@@ -90,6 +93,20 @@ impl FederatedConfig {
                 "participation",
                 format!("must be in (0, 1], got {}", self.participation),
             ));
+        }
+        if let Aggregator::Krum { byzantine } = self.aggregator {
+            let sampled =
+                Scheduler::new(self.participation, self.sampling_seed).take_count(client_count);
+            if sampled < byzantine + 3 {
+                return Err(bad(
+                    "aggregator",
+                    format!(
+                        "Krum with f = {byzantine} needs at least f + 3 = {} clients a round, \
+                         but {sampled} of {client_count} are sampled",
+                        byzantine + 3
+                    ),
+                ));
+            }
         }
         if let Some(plan) = &self.faults {
             plan.validate()?;
@@ -354,7 +371,7 @@ impl FederatedSimulation {
     /// gracefully: dropped-out clients are skipped, stragglers past the
     /// round timeout are excluded from aggregation (their late upload is
     /// still metered), corrupted updates are aggregated as transmitted
-    /// (robust rules are the defence, not the server), and transient
+    /// (Krum is the defence, not the server), and transient
     /// upload failures are retried with exponential backoff up to the
     /// plan's budget. The round aborts with
     /// [`FederatedError::InsufficientParticipants`] only when fewer than
@@ -650,13 +667,13 @@ mod tests {
                 .any(|m| m.as_slice().iter().any(|v| v.is_nan())),
             "quantization must not silently launder NaN poison"
         );
-        // …while the robust rules contain it, exactly as uncompressed.
-        let mut med = small_sim(false);
-        med.config.aggregator = Aggregator::Median;
-        med.config.compression = crate::compression::CompressionMode::Quant8;
-        med.config.faults = Some(plan);
-        let med_out = med.run().expect("median run");
-        assert!(med_out.global_weights.iter().all(Matrix::is_finite));
+        // …while Krum contains it, exactly as uncompressed.
+        let mut krum = small_sim(false);
+        krum.config.aggregator = Aggregator::Krum { byzantine: 0 };
+        krum.config.compression = crate::compression::CompressionMode::Quant8;
+        krum.config.faults = Some(plan);
+        let krum_out = krum.run().expect("krum run");
+        assert!(krum_out.global_weights.iter().all(Matrix::is_finite));
     }
 
     #[test]

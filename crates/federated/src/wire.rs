@@ -737,8 +737,8 @@ pub const CONFIG_VERSION: u16 = 2;
 
 // Aggregator discriminants (EVCF).
 const TAG_AGG_FED_AVG: u8 = 0;
-const TAG_AGG_MEDIAN: u8 = 1;
-const TAG_AGG_TRIMMED_MEAN: u8 = 2;
+// Tags 1 and 2 were `Median` and `TrimmedMean { trim }`; they stay
+// unassigned (DESIGN.md §6e).
 const TAG_AGG_KRUM: u8 = 3;
 // Round-selector discriminants (EVCF).
 const TAG_SEL_EVERY: u8 = 0;
@@ -773,11 +773,6 @@ pub fn encode_config(config: &FederatedConfig) -> Bytes {
     buf.put_u32_le(config.batch_size as u32);
     match config.aggregator {
         Aggregator::FedAvg => buf.put_u8(TAG_AGG_FED_AVG),
-        Aggregator::Median => buf.put_u8(TAG_AGG_MEDIAN),
-        Aggregator::TrimmedMean { trim } => {
-            buf.put_u8(TAG_AGG_TRIMMED_MEAN);
-            buf.put_u32_le(trim as u32);
-        }
         Aggregator::Krum { byzantine } => {
             buf.put_u8(TAG_AGG_KRUM);
             buf.put_u32_le(byzantine as u32);
@@ -817,10 +812,6 @@ pub fn decode_config(payload: &[u8]) -> Result<FederatedConfig, WireError> {
         batch_size: r.u32()? as usize,
         aggregator: match r.u8()? {
             TAG_AGG_FED_AVG => Aggregator::FedAvg,
-            TAG_AGG_MEDIAN => Aggregator::Median,
-            TAG_AGG_TRIMMED_MEAN => Aggregator::TrimmedMean {
-                trim: r.u32()? as usize,
-            },
             TAG_AGG_KRUM => Aggregator::Krum {
                 byzantine: r.u32()? as usize,
             },
@@ -1574,7 +1565,7 @@ mod tests {
             rounds: 7,
             epochs_per_round: 3,
             batch_size: 16,
-            aggregator: Aggregator::TrimmedMean { trim: 2 },
+            aggregator: Aggregator::Krum { byzantine: 2 },
             parallel: false,
             threads: 3,
             participation: 0.6,

@@ -1,18 +1,13 @@
 //! Every aggregation rule against a naive f64 reference written here with
-//! plain loops and nothing of the crate's — no `trim_split`, no
-//! `evfad_tensor::stats`, no `Matrix` arithmetic.
+//! plain loops and nothing of the crate's — no `Matrix` arithmetic.
 //!
-//! `Aggregator::aggregate` (FedAvg, Median, TrimmedMean, Krum) and
-//! `StreamingFedAvg` must equal the reference bit for bit, refusals
-//! included.
+//! `Aggregator::aggregate` (FedAvg, Krum) and `StreamingFedAvg` must equal
+//! the reference bit for bit, refusals included.
 //!
 //! Cases draw one to three tensors of up to 4 × 4, one to twelve clients
 //! with sample counts from zero (all-zero federations included), and floods
-//! of NaN, +∞ or −∞ over whole clients or single coordinates — inside the
-//! trim budget and past it. Values come from a continuous range, so no
-//! signed zero arises, and they stay far from overflow and subnormals,
-//! where the reference's `(a + b) / 2` median and the crate's
-//! `0.5·a + 0.5·b` could part.
+//! of NaN, +∞ or −∞ over whole clients or single coordinates. Values come
+//! from a continuous range, far from overflow and subnormals.
 
 // The reference indexes on purpose: it should read as the definition.
 #![allow(clippy::needless_range_loop)]
@@ -58,52 +53,17 @@ impl Case {
         }
         out
     }
-
-    /// Client by client, the values of coordinate `k` of tensor `t`.
-    fn column(&self, t: usize, k: usize) -> Vec<f64> {
-        let mut out = Vec::new();
-        for (values, _) in &self.clients {
-            out.push(values[t][k]);
-        }
-        out
-    }
-
-    /// `rule(column)` at every coordinate; `None` when any refuses.
-    fn coordinate_wise(&self, rule: impl Fn(&[f64]) -> Option<f64>) -> Option<Weights> {
-        let mut out = self.zeros();
-        for t in 0..out.len() {
-            for k in 0..out[t].len() {
-                out[t][k] = rule(&self.column(t, k))?;
-            }
-        }
-        Some(out)
-    }
 }
 
-/// Sorts ascending by `less`, equal values keeping their order.
-fn insertion_sort(v: &mut [f64], less: impl Fn(f64, f64) -> bool) {
+/// Sorts ascending in IEEE total order, equal values keeping their order.
+fn insertion_sort(v: &mut [f64]) {
     for i in 1..v.len() {
         let mut j = i;
-        while j > 0 && less(v[j], v[j - 1]) {
+        while j > 0 && v[j].total_cmp(&v[j - 1]).is_lt() {
             v.swap(j, j - 1);
             j -= 1;
         }
     }
-}
-
-/// The finite values of a column, ascending, and how many were not finite.
-fn sorted_finite(column: &[f64]) -> (Vec<f64>, usize) {
-    let mut finite = Vec::new();
-    let mut bad = 0;
-    for &v in column {
-        if v.is_finite() {
-            finite.push(v);
-        } else {
-            bad += 1;
-        }
-    }
-    insertion_sort(&mut finite, |a, b| a < b);
-    (finite, bad)
 }
 
 /// Sample-weighted mean: each client weighs its share of the summed counts
@@ -128,39 +88,6 @@ fn fedavg(case: &Case) -> Weights {
         }
     }
     out
-}
-
-/// The middle finite value, or the midpoint of the middle two; NaN when no
-/// value is finite.
-fn median(column: &[f64]) -> Option<f64> {
-    let (finite, _) = sorted_finite(column);
-    let n = finite.len();
-    Some(if n == 0 {
-        f64::NAN
-    } else if n % 2 == 1 {
-        finite[n / 2]
-    } else {
-        (finite[n / 2 - 1] + finite[n / 2]) / 2.0
-    })
-}
-
-/// Drops `trim` values from each end and averages the rest. A non-finite
-/// value is dropped first, taking a slot on the high side while any is
-/// left, then on the low side; more than `2·trim` of them, or no value left
-/// at all, is a refusal.
-fn trimmed_mean(column: &[f64], trim: usize) -> Option<f64> {
-    let (finite, bad) = sorted_finite(column);
-    if 2 * trim >= column.len() || bad > 2 * trim {
-        return None;
-    }
-    let bad_high = if bad < trim { bad } else { trim };
-    let bad_low = bad - bad_high;
-    let (low, high) = (trim - bad_low, trim - bad_high);
-    let mut sum = 0.0;
-    for &v in &finite[low..finite.len() - high] {
-        sum += v;
-    }
-    Some(sum / (finite.len() - low - high) as f64)
 }
 
 /// Squared Euclidean distance, summed tensor by tensor.
@@ -194,7 +121,7 @@ fn krum(case: &Case, byzantine: usize) -> Option<Weights> {
                 distances.push(distance(&case.clients[i].0, &case.clients[j].0));
             }
         }
-        insertion_sort(&mut distances, |a, b| a.total_cmp(&b).is_lt());
+        insertion_sort(&mut distances);
         let mut score = 0.0;
         for &d in &distances[..n - byzantine - 2] {
             score += d;
@@ -213,16 +140,13 @@ fn krum(case: &Case, byzantine: usize) -> Option<Weights> {
 fn reference(case: &Case, rule: Aggregator) -> Option<Weights> {
     match rule {
         Aggregator::FedAvg => Some(fedavg(case)),
-        Aggregator::Median => case.coordinate_wise(median),
-        Aggregator::TrimmedMean { trim } => case.coordinate_wise(|c| trimmed_mean(c, trim)),
         Aggregator::Krum { byzantine } => krum(case, byzantine),
     }
 }
 
 fn rules() -> Vec<Aggregator> {
-    let mut rules = vec![Aggregator::FedAvg, Aggregator::Median];
+    let mut rules = vec![Aggregator::FedAvg];
     for k in 0..4 {
-        rules.push(Aggregator::TrimmedMean { trim: k });
         rules.push(Aggregator::Krum { byzantine: k });
     }
     rules

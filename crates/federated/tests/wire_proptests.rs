@@ -242,7 +242,7 @@ mod hostile {
             rounds: 7,
             epochs_per_round: 3,
             batch_size: 16,
-            aggregator: Aggregator::TrimmedMean { trim: 2 },
+            aggregator: Aggregator::Krum { byzantine: 2 },
             parallel: false,
             threads: 3,
             participation: 0.6,

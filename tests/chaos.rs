@@ -3,8 +3,8 @@
 //! Every fault decision flows from the seeded [`FaultPlan`], so a chaotic
 //! run is exactly as reproducible as a clean one — same seed, same faults,
 //! same bytes. These tests pin that guarantee and the paper's resilience
-//! story: a corrupted client poisons plain FedAvg while the robust
-//! aggregation rules shrug it off, and a federation degrades gracefully
+//! story: a corrupted client poisons plain FedAvg while Krum shrugs it
+//! off, and a federation degrades gracefully
 //! through drop-outs, stragglers, and flaky uplinks. `tests/equivalence.rs`
 //! runs the kitchen-sink plan across every thread width and codec.
 
@@ -187,20 +187,15 @@ fn sign_flip_poisons_fedavg_but_not_robust_rules() {
         fedavg_shift > 1e-3,
         "sign-flip should visibly move FedAvg (shift = {fedavg_shift})"
     );
-    for agg in [
-        Aggregator::Median,
-        Aggregator::TrimmedMean { trim: 1 },
-        Aggregator::Krum { byzantine: 1 },
-    ] {
-        let shift = weights_distance(
-            &final_weights(agg, None),
-            &final_weights(agg, corrupt_plan()),
-        );
-        assert!(
-            shift < fedavg_shift * 0.25,
-            "{agg:?} shifted {shift} under sign-flip vs FedAvg's {fedavg_shift}"
-        );
-    }
+    let krum = Aggregator::Krum { byzantine: 1 };
+    let shift = weights_distance(
+        &final_weights(krum, None),
+        &final_weights(krum, corrupt_plan()),
+    );
+    assert!(
+        shift < fedavg_shift * 0.25,
+        "Krum shifted {shift} under sign-flip vs FedAvg's {fedavg_shift}"
+    );
 }
 
 #[test]
@@ -236,20 +231,14 @@ fn nan_flood_breaks_fedavg_but_robust_rules_stay_finite() {
         weights.iter().any(|m| !m.is_finite()),
         "FedAvg must propagate a NaN flood"
     );
-    for agg in [
-        Aggregator::Median,
-        Aggregator::TrimmedMean { trim: 1 },
-        Aggregator::Krum { byzantine: 1 },
-    ] {
-        let weights = four_client_sim(agg, plan())
-            .run()
-            .expect("run")
-            .global_weights;
-        assert!(
-            weights.iter().all(Matrix::is_finite),
-            "{agg:?} let NaNs through"
-        );
-    }
+    let weights = four_client_sim(Aggregator::Krum { byzantine: 1 }, plan())
+        .run()
+        .expect("run")
+        .global_weights;
+    assert!(
+        weights.iter().all(Matrix::is_finite),
+        "Krum let NaNs through"
+    );
 }
 
 #[test]
@@ -402,44 +391,50 @@ fn retry_accounting_matches_the_transport_meter() {
     assert_eq!(out.rounds[0].client_extra_seconds[0], 6.0);
 }
 
+/// Krum with f Byzantine clients needs n ≥ f + 3. A roster that can never
+/// meet that is refused before anything trains, on both paths; a round that
+/// drop-outs starve below it is still refused when it aggregates.
 #[test]
-fn trimmed_mean_contains_a_double_nan_flood_at_its_exact_budget() {
-    // Two of four clients flood every round — exactly the 2 * trim = 2
-    // non-finite values TrimmedMean { trim: 1 } can absorb per coordinate.
-    // The floods consume the whole trim capacity and the aggregate is the
-    // mean of the two honest clients, finite both rounds.
-    let plan = |floods: &[&str]| {
-        let mut p = FaultPlan::new(9);
-        for id in floods {
-            p = p.with_rule(
-                *id,
-                RoundSelector::Every,
-                FaultKind::Corrupt {
-                    corruption: Corruption::NanFlood,
-                },
-            );
-        }
-        Some(p)
+fn krum_refuses_a_roster_below_f_plus_3_before_training() {
+    let krum = FederatedConfig {
+        aggregator: Aggregator::Krum { byzantine: 1 },
+        ..four_client_config(None)
     };
-    let out = four_client_sim(Aggregator::TrimmedMean { trim: 1 }, plan(&["z105", "z108"]))
+    let refused = |err: &FederatedError| matches!(err, FederatedError::InvalidConfig { field, .. } if field == "aggregator");
+    let run = |config: &FederatedConfig, roster: &[(&str, f64)]| {
+        let mut sim = FederatedSimulation::new(forecaster_model(4, 3), config.clone());
+        for &(id, phase) in roster {
+            sim.add_client(id, sine_samples(32, phase));
+        }
+        sim.run().unwrap_err()
+    };
+    let three = &FOUR_STATIONS[..3];
+    let err = run(&krum, three);
+    assert!(refused(&err), "in-process run: {err}");
+    // Four registered clients at half participation sample two a round.
+    let half = FederatedConfig {
+        participation: 0.5,
+        ..krum.clone()
+    };
+    let err = run(&half, &FOUR_STATIONS);
+    assert!(refused(&err), "half participation: {err}");
+    // No client ever connects: a server that reached its handshake would
+    // time out with a transport error instead.
+    let ids = three.iter().map(|(id, _)| id.to_string()).collect();
+    let mut cfg = SocketServerConfig::new(krum, ids);
+    cfg.handshake_timeout = std::time::Duration::from_millis(200);
+    let mut server = SocketServer::bind("127.0.0.1:0", forecaster_model(4, 3), cfg).expect("bind");
+    let err = server.run().unwrap_err();
+    assert!(refused(&err), "socket server: {err}");
+    // Four registered clients pass; a permanent drop-out leaves three in
+    // round 0, and aggregation refuses it.
+    let plan = FaultPlan::new(5).with_rule("z111", RoundSelector::Every, FaultKind::DropOut);
+    let err = four_client_sim(Aggregator::Krum { byzantine: 1 }, Some(plan))
         .run()
-        .expect("double flood must be contained");
+        .unwrap_err();
     assert!(
-        out.global_weights.iter().all(Matrix::is_finite),
-        "two NaN floods exceeded containment despite fitting the budget"
-    );
-    assert_eq!(out.rounds.len(), 2);
-    // A third flooder pushes past the budget: the loop must refuse with an
-    // aggregation error instead of averaging a poisoned middle slice.
-    let err = four_client_sim(
-        Aggregator::TrimmedMean { trim: 1 },
-        plan(&["z102", "z105", "z108"]),
-    )
-    .run()
-    .unwrap_err();
-    assert!(
-        matches!(&err, FederatedError::Aggregation(m) if m.contains("containment budget")),
-        "expected a containment-budget error, got {err}"
+        matches!(&err, FederatedError::Aggregation(m) if m.contains("f + 3")),
+        "starved round: {err}"
     );
 }
 

@@ -104,7 +104,7 @@ proptest! {
         }
     }
 
-    /// Robust aggregators agree with FedAvg when all updates are identical.
+    /// Krum agrees with FedAvg when all updates are identical.
     #[test]
     fn aggregators_agree_on_identical_updates(v in -5.0f64..5.0) {
         let mk = |id: &str| LocalUpdate {
@@ -117,15 +117,9 @@ proptest! {
         };
         let ups = [mk("a"), mk("b"), mk("c"), mk("d")];
         let favg = Aggregator::FedAvg.aggregate(&ups).unwrap();
-        for agg in [
-            Aggregator::Median,
-            Aggregator::TrimmedMean { trim: 1 },
-            Aggregator::Krum { byzantine: 1 },
-        ] {
-            let g = agg.aggregate(&ups).unwrap();
-            for (x, y) in g[0].as_slice().iter().zip(favg[0].as_slice()) {
-                prop_assert!((x - y).abs() < 1e-12);
-            }
+        let g = Aggregator::Krum { byzantine: 1 }.aggregate(&ups).unwrap();
+        for (x, y) in g[0].as_slice().iter().zip(favg[0].as_slice()) {
+            prop_assert!((x - y).abs() < 1e-12);
         }
     }
 

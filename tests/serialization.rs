@@ -97,7 +97,7 @@ fn weights_survive_json_exactly() {
 #[test]
 fn a_retired_compression_tag_is_refused() {
     use evfad_core::federated::wire::{self, WireError};
-    use evfad_core::federated::{CompressionMode, FederatedConfig};
+    use evfad_core::federated::{Aggregator, CompressionMode, FederatedConfig};
     // The compression tag is an `EVCF` record's last byte; 2 was
     // `TopKDelta { k }` and stays unassigned.
     let mut blob = wire::encode_config(&FederatedConfig {
@@ -108,4 +108,15 @@ fn a_retired_compression_tag_is_refused() {
     *blob.last_mut().expect("non-empty record") = 2;
     assert_eq!(wire::decode_config(&blob), Err(WireError::UnknownTag(2)));
     assert!(serde_json::from_str::<CompressionMode>(r#"{"TopKDelta":{"k":8}}"#).is_err());
+    // The aggregator tag follows the 6-byte preamble and three `u32`s; 1
+    // was `Median` and 2 `TrimmedMean { trim }`, and both stay unassigned.
+    const AGGREGATOR_TAG_AT: usize = 6 + 12;
+    for tag in [1, 2] {
+        let mut blob = wire::encode_config(&FederatedConfig::default()).to_vec();
+        assert_eq!(blob[AGGREGATOR_TAG_AT], 0, "layout moved");
+        blob[AGGREGATOR_TAG_AT] = tag;
+        assert_eq!(wire::decode_config(&blob), Err(WireError::UnknownTag(tag)));
+    }
+    assert!(serde_json::from_str::<Aggregator>(r#""Median""#).is_err());
+    assert!(serde_json::from_str::<Aggregator>(r#"{"TrimmedMean":{"trim":1}}"#).is_err());
 }
