@@ -1,21 +1,20 @@
 //! Heap high-water mark of a detector fit.
 //!
 //! The paper trains its autoencoder on the charging station it guards, so
-//! what a fit holds at its peak is edge memory. One training batch's BPTT
-//! state is the largest thing a fit needs: the model's activation arena
-//! (each layer's output, once), each layer's own caches (gates, cell
-//! states, dropout masks), the backward pass's gradient buffers and the one
-//! scratch every layer's backward borrows in turn. Next to it sit the
+//! what a fit holds at its peak is edge memory. The model works in one
+//! arena that a training step and the validation pass after it both lay
+//! out from offset 0, so the arena is the larger of the two layouts —
+//! `Sequential::arena_plan` reports both, from the plan every call is laid
+//! out by. Next to it sit the dropout masks, the fit's gathered batch, the
 //! model — weights, gradients, Adam's two moments and early stopping's
-//! best-weights snapshot — and the fit's samples. The calibration pass that follows the training scores the
-//! training series after the training arenas are released, so it is never
-//! stacked on them. This binary installs a counting global allocator that
-//! tracks the bytes live at once, so it holds one test and nothing else
-//! shares its process.
+//! best-weights snapshot — and the fit's samples. The calibration pass
+//! that follows the training scores the training series after the arena is
+//! released, so it is never stacked on it. This binary installs a counting
+//! global allocator that tracks the bytes live at once, so it holds one
+//! test and nothing else shares its process.
 
 use evfad_anomaly::{AnomalyFilter, FilterConfig};
 use evfad_nn::{Layer, Sample};
-use evfad_tensor::kernels;
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -100,74 +99,23 @@ fn batch_shapes(config: &FilterConfig, series_len: usize) -> (usize, usize, usiz
     (windows, samples, train.min(config.batch_size), val)
 }
 
-/// `f64`s a model holds for one training batch of `t x b` rows, and for the
-/// validation pass of `bv` rows that follows it with the training caches
-/// still in place, by the slot layout of each layer: every layer's output
-/// once, in the model's activation arena; each recurrent layer's BPTT cache
-/// (gates and cell states per row, two steps of tanh(c), the zero state);
-/// the backward scratch, as long as the widest layer's, plus the widest
-/// recomputed hidden-state block; the eval slots of the validation
-/// forward; the two ping-pong input-gradient buffers. Dropout masks are
-/// returned apart, in bytes.
-fn batch_floats(layers: &[Layer], t: usize, b: usize, bv: usize) -> (usize, usize) {
-    let (mut floats, mut mask_bytes) = (0, 0);
-    let (mut steps, mut width) = (t, 1);
-    let (mut widest_dx, mut scratch, mut h_prev) = (0, 0, 0);
-    for (i, layer) in layers.iter().enumerate() {
-        if i > 0 {
-            widest_dx = widest_dx.max(steps * b * width);
-        }
-        match layer {
-            Layer::Lstm(l) => {
-                let (x, h, seq) = (l.input_dim(), l.hidden_dim(), l.return_sequences());
-                // Gates and c per row, two tanh(c) blocks, zero state.
-                floats += steps * b * 5 * h + 2 * b * h + b * h;
-                // Backward: dh, dc, one step's gate gradient, the x^T/h^T
-                // dpre staging and W_x^T/W_h^T, bias sums; and h_{t-1}
-                // when the output is the last step only.
-                scratch = scratch.max(2 * b * h + 4 * b * h + 2 * (x + h) * 4 * h + 4 * h);
-                if !seq {
-                    h_prev = h_prev.max(b * h);
-                }
-                // The eval forward: a register tile of projected steps, two
-                // steps of c and tanh(c), zero state.
-                let group = kernels::TILE_ROWS.div_ceil(bv).min(steps);
-                floats += group * bv * 4 * h + 4 * bv * h + bv * h;
-                (steps, width) = (if seq { steps } else { 1 }, h);
-            }
-            Layer::Dense(d) => {
-                // Backward: one step's gradient, the x^T dpre staging, bias
-                // sums, in the slots the LSTM's gate gradient, x^T staging
-                // and bias sums use.
-                let (x, o) = (d.input_dim(), d.output_dim());
-                scratch = scratch.max(b * o + x * o + o);
-                width = o;
-            }
-            Layer::Dropout(_) => mask_bytes += steps * b * width,
-            Layer::RepeatVector(r) => steps = r.n(),
-        }
-        floats += steps * b * width;
-    }
-    (floats + scratch + h_prev + 2 * widest_dx, mask_bytes)
+/// A fit's measured peak, the bound its shapes give and the training
+/// layout of its arena, in bytes.
+struct Fit {
+    peak: usize,
+    bound: usize,
+    training: usize,
 }
 
-/// The paper's autoencoder fitted at the serving benchmark's set-up shape
-/// (one epoch, every fourth window of a 720-point series) peaks at no more
-/// than one training batch's BPTT state plus the model and the fit's
-/// samples, each derived from the shapes alone.
-#[test]
-fn a_fit_peaks_at_one_training_batch_plus_its_model_and_samples() {
-    let series: Vec<f64> = (0..720)
+/// Fits the paper's autoencoder to `points` points of a daily-cycle series
+/// under `config`.
+fn fit(points: usize, config: FilterConfig) -> Fit {
+    let series: Vec<f64> = (0..points)
         .map(|i| {
             let hour = i as f64 * std::f64::consts::TAU / 24.0;
             0.45 + 0.3 * hour.sin() + 0.05 * (i as f64 * 0.37).sin()
         })
         .collect();
-    let config = FilterConfig {
-        epochs: 1,
-        train_stride: 4,
-        ..FilterConfig::paper(42)
-    };
     let mut filter = AnomalyFilter::new(config.clone());
     let (fitted, peak) = peak_of(|| filter.fit(&series));
     fitted.expect("fit");
@@ -176,11 +124,19 @@ fn a_fit_peaks_at_one_training_batch_plus_its_model_and_samples() {
     let t = config.seq_len;
     let (windows, samples, b, bv) = batch_shapes(&config, series.len());
     let train = samples - bv;
-    let (batch, mask_bytes) = batch_floats(model.layers(), t, b, bv);
-    // The batch's input and target, the loss gradient, the validation
-    // pass's staged inputs and targets.
-    let staging = 2 * t * b + t * b + 2 * t * bv;
-    let batch_bytes = 8 * (batch + staging) + mask_bytes;
+    let training = model.arena_plan(t, b, 1);
+    let validation = model.arena_plan(t, bv, 1);
+    let arena = training.training.max(validation.eval);
+    // One keep flag per element of a dropout layer's output.
+    let masks: usize = model
+        .layers()
+        .iter()
+        .zip(&training.layers)
+        .filter(|(layer, _)| matches!(layer, Layer::Dropout(_)))
+        .map(|(_, bytes)| bytes.output / 8)
+        .sum();
+    // The fit's gathered batch: its input and its target.
+    let batch = 2 * 8 * t * b;
     // Weights, gradients, Adam's two moments, the best-weights snapshot.
     let model_bytes = 5 * 8 * model.scalar_param_count();
     // The windows, the samples (input and target each) and the fit's
@@ -188,18 +144,53 @@ fn a_fit_peaks_at_one_training_batch_plus_its_model_and_samples() {
     let sample_bytes = 8 * t * (windows + 2 * samples + 2 * train)
         + windows * size_of::<Vec<f64>>()
         + samples * size_of::<Sample>();
-    // The containers' own headers (the layer and tensor vectors, the
-    // workspaces' slot tables, the optimiser's moment vectors, the order
-    // permutation) and the thread RNG the layers are built with.
+    // The containers' own headers (the layer and tensor vectors, the plan's
+    // table, the optimiser's moment vectors, the order permutation) and the
+    // thread RNG the layers are built with.
     let headers = 32 << 10;
-    let bound = batch_bytes + model_bytes + sample_bytes + headers;
+    let bound = arena + masks + batch + model_bytes + sample_bytes + headers;
     eprintln!(
-        "fit peak {peak} B; bound {bound} B = batch {batch_bytes} + model {model_bytes} \
-         + samples {sample_bytes} + headers {headers}"
+        "{points} points: fit peak {peak} B; bound {bound} B = arena {arena} (training {}, \
+         eval {}) + masks {masks} + batch {batch} + model {model_bytes} + samples \
+         {sample_bytes} + headers {headers}",
+        training.training, validation.eval
     );
-    assert!(
-        peak <= bound,
-        "a fit peaks at {peak} B, over one training batch ({batch_bytes} B) plus the model \
-         ({model_bytes} B) and its samples ({sample_bytes} B) and {headers} B of headers"
-    );
+    Fit {
+        peak,
+        bound,
+        training: training.training,
+    }
+}
+
+/// The paper's autoencoder fitted at the serving benchmark's set-up shape
+/// (one epoch, every fourth window of a 720-point series) and at the study
+/// benchmark's detector shape (three epochs, every second window of a
+/// 1080-point series, a validation pass wider than the batch) peaks at no
+/// more than its arena plan plus the masks, the batch, the model and the
+/// fit's samples.
+#[test]
+fn a_fit_peaks_at_one_training_batch_plus_its_model_and_samples() {
+    for (points, epochs, train_stride) in [(720, 1, 4), (1080, 3, 2)] {
+        let config = FilterConfig {
+            epochs,
+            train_stride,
+            ..FilterConfig::paper(42)
+        };
+        let Fit {
+            peak,
+            bound,
+            training,
+        } = fit(points, config);
+        assert!(
+            peak <= bound,
+            "{points} points: a fit peaks at {peak} B, over its arena plan, masks, batch, \
+             model, samples and headers ({bound} B)"
+        );
+        if points == 720 {
+            // Neither the bound nor the training layout may outgrow what
+            // the per-layer workspaces' slot layout gave at this shape.
+            assert!(bound <= 9_027_936, "bound {bound} B");
+            assert!(training <= 7_169_088, "training arena {training} B");
+        }
+    }
 }

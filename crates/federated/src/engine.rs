@@ -418,6 +418,14 @@ pub(crate) fn run_rounds<P: RoundPool>(
         let round_start = Instant::now();
         let mut downlink_bytes = 0;
         if round > 0 {
+            // A non-finite aggregate would fail the next round's training
+            // on whichever client ran first; name the round that folded it.
+            if !global.iter().all(Matrix::is_finite) {
+                return Err(FederatedError::Aggregation(format!(
+                    "round {} aggregated a non-finite global model; it is not broadcast",
+                    round - 1
+                )));
+            }
             wire::encode_weights_into(&mut broadcast, &global);
             downlink_bytes = meter_broadcast(channel, broadcast.len(), pool.client_count());
             pool.broadcast(&global, &broadcast)?;

@@ -653,8 +653,8 @@ mod tests {
         );
         // The quantizer must carry the NaN payload faithfully: under
         // FedAvg the poison reaches and destroys the aggregate. One round
-        // only — a second round would train on the poisoned global and
-        // surface as a (legitimate) non-finite-loss error.
+        // only — a second round refuses to broadcast the poisoned global
+        // and surfaces as an aggregation error.
         let mut avg = small_sim(false);
         avg.config.rounds = 1;
         avg.config.compression = crate::compression::CompressionMode::Quant8;

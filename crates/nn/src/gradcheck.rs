@@ -47,9 +47,7 @@ pub fn check_model_gradients(
 
     // Analytic gradients.
     model.zero_grads();
-    let mut grad = Seq::default();
-    loss.evaluate(model.forward(&input_seq, true), &target_seq, &mut grad);
-    model.backward(&input_seq, &grad);
+    model.accumulate_gradients(&input_seq, &target_seq, loss);
     let analytic = snapshot_grads(model);
     model.zero_grads();
 

@@ -6,8 +6,8 @@
 //! snapshot, and [`Precision`] picks at freeze time what it holds:
 //!
 //! - `F64`: a serving replica of the model — every layer's parameters, an
-//!   empty eval arena, and none of the gradients, workspaces, optimiser
-//!   moments or dropout layers a trained model carries — run through the
+//!   empty arena, and none of the gradients, optimiser moments or
+//!   dropout layers a trained model carries — run through the
 //!   layers' own eval forward, [`Sequential::predict_seq_into`]. There is
 //!   no second f64 forward: serving runs the code that trains the model
 //!   and scores the study.

@@ -1,17 +1,20 @@
 //! Enum dispatch over the concrete layer types.
 //!
-//! Every layer kind has exactly one `forward(input, training, out)` and one
-//! crate-private `backward(input, output, grad, dx, scratch)`: activations
-//! and input gradients land in caller-owned [`Seq`]s —
-//! [`Sequential`](crate::Sequential)'s arena in practice — that the layer
-//! reshapes in place, so training and inference are the same code and
-//! neither allocates once the buffers are warm; backward reads its
-//! forward's input and output back from the caller and works in the one
-//! scratch the model lends every layer's backward in turn.
+//! Every layer kind declares its output shape and its slots — what its
+//! training forward keeps for its backward, what its backward works in,
+//! what its eval forward works in — and owns no buffer for them. It has one
+//! crate-private `forward_in(input, training, out, slots)` and one
+//! `backward(input, output, grad, dx, cache, scratch)`, each writing into
+//! spans of [`Sequential`](crate::Sequential)'s arena that the model's plan
+//! lays out from those declarations, so training and inference are the
+//! same code and neither allocates once the arena is warm; backward reads
+//! its forward's input and output back from the caller. The public
+//! `forward(input, training, out)` runs one layer on its own, in slots
+//! sized for the call.
 
+use crate::arena::Slots;
 use crate::layers::{Dense, Dropout, Lstm, RepeatVector};
-use crate::seq::Seq;
-use crate::workspace::Workspace;
+use crate::seq::{Seq, SeqRef, Shape};
 use evfad_tensor::Matrix;
 
 /// Any layer a [`Sequential`](crate::Sequential) model can contain.
@@ -40,9 +43,9 @@ pub enum Layer {
 }
 
 impl Layer {
-    /// Forward pass into `out`, which is reshaped to the layer's output
-    /// shape with its storage reused. Backward caches are populated when
-    /// `training` is `true`; an eval forward never disturbs them.
+    /// Forward pass of the layer on its own into `out`, which is reshaped
+    /// to the layer's output shape with its storage reused; whatever slots
+    /// it works in are sized for the call and dropped with it.
     pub fn forward(&mut self, input: &Seq, training: bool, out: &mut Seq) {
         match self {
             Layer::Dense(l) => l.forward(input, training, out),
@@ -52,26 +55,67 @@ impl Layer {
         }
     }
 
+    /// The layer's output shape for an input of `input`.
+    pub(crate) fn output_shape(&self, input: Shape) -> Shape {
+        match self {
+            Layer::Dense(l) => l.output_shape(input),
+            Layer::Lstm(l) => l.output_shape(input),
+            Layer::Dropout(_) => input,
+            Layer::RepeatVector(l) => l.output_shape(input),
+        }
+    }
+
+    /// The slots the layer declares at an input of `input`.
+    pub(crate) fn slots(&self, input: Shape) -> Slots {
+        match self {
+            Layer::Dense(l) => l.slots(input),
+            Layer::Lstm(l) => l.slots(input),
+            Layer::Dropout(_) | Layer::RepeatVector(_) => Slots::default(),
+        }
+    }
+
+    /// Forward pass into `out`, a buffer of the output shape, working in
+    /// `slots`: its span of the training caches when `training`, else the
+    /// eval slots. A training forward leaves its BPTT state there; an eval
+    /// forward may overwrite what a training forward left, so a layer
+    /// forgets its training shape on an eval forward.
+    pub(crate) fn forward_in(
+        &mut self,
+        input: SeqRef<'_>,
+        training: bool,
+        out: &mut [f64],
+        slots: &mut [f64],
+    ) {
+        match self {
+            Layer::Dense(l) => l.forward_in(input, training, out),
+            Layer::Lstm(l) => l.forward_in(input, training, out, slots),
+            Layer::Dropout(l) => l.forward_in(input, training, out),
+            Layer::RepeatVector(l) => l.forward_in(input, out),
+        }
+    }
+
     /// Backward pass: accumulates parameter gradients and, when `dx` is
     /// given, writes the gradient with respect to the layer input into it
-    /// (reshaped, storage reused). `None` skips the input-gradient product
-    /// — the first layer of a model has no consumer for it — and leaves
-    /// the parameter gradients identical. `input` and `output` are the
-    /// `input` and `out` of the layer's last training forward, unchanged;
-    /// a recurrent or dense layer panics if they are not of its shape.
-    /// No layer reads a `scratch` slot before writing it, so one scratch
-    /// serves every layer in turn.
+    /// (a buffer of the input's shape). `None` skips the input-gradient
+    /// product — the first layer of a model has no consumer for it — and
+    /// leaves the parameter gradients identical. `input` and `output` are
+    /// the `input` and `out` of the layer's last training forward and
+    /// `cache` the slots it worked in, all unchanged; a recurrent or dense
+    /// layer panics if they are not of its shape. No layer reads a
+    /// `scratch` value before writing it, so one scratch serves every layer
+    /// in turn.
     pub(crate) fn backward(
         &mut self,
-        input: &Seq,
-        output: &Seq,
-        grad: &Seq,
-        dx: Option<&mut Seq>,
-        scratch: &mut Workspace,
+        input: SeqRef<'_>,
+        output: SeqRef<'_>,
+        grad: SeqRef<'_>,
+        dx: Option<&mut [f64]>,
+        cache: &mut [f64],
+        scratch: &mut [f64],
     ) {
         match self {
             Layer::Dense(l) => l.backward(input, output, grad, dx, scratch),
-            Layer::Lstm(l) => l.backward(input, output, grad, dx, scratch),
+            Layer::Lstm(l) => l.backward(input, output, grad, dx, cache, scratch),
             Layer::Dropout(l) => l.backward(grad, dx),
             Layer::RepeatVector(l) => l.backward(grad, dx),
         }
@@ -106,8 +150,8 @@ impl Layer {
         }
     }
 
-    /// Drops the layer's arenas — workspace, training cache, dropout
-    /// mask — and keeps its weights, gradients and dropout RNG state.
+    /// Forgets the layer's pending training forward and drops its dropout
+    /// mask; keeps its weights, gradients and dropout RNG state.
     pub(crate) fn release_arenas(&mut self) {
         match self {
             Layer::Dense(l) => l.release_arenas(),
@@ -118,8 +162,7 @@ impl Layer {
     }
 
     /// The layer as a serving replica holds it: parameters and shape, no
-    /// gradients or workspace; `None` for dropout, the identity at
-    /// inference.
+    /// gradients; `None` for dropout, the identity at inference.
     pub(crate) fn serving_copy(&self) -> Option<Layer> {
         Some(match self {
             Layer::Dense(l) => Layer::Dense(l.serving_copy()),

@@ -3,15 +3,15 @@
 //! A [`Seq`] already is the `(T*B) x I` operand, so the forward pass is a
 //! single GEMM over all timesteps (rows are independent, so this is bitwise
 //! identical to the per-step products), written straight into the
-//! caller-owned output `Seq`. The layer keeps no arena: the backward pass
-//! reads the input and the activations back from the caller and works in
-//! the backward scratch the model lends it; the input gradient lands in a
-//! caller-owned `Seq` too.
+//! caller's output buffer — a span of the model's arena. The layer declares
+//! no cache and no eval slots: the backward pass reads the input and the
+//! activations back from the caller and works in the backward scratch the
+//! model lends it (`backward_blocks`); the input gradient lands in a
+//! caller-owned buffer too.
 
-use super::{BSUM, DPRE, TW_X};
 use crate::activation::Activation;
-use crate::seq::Seq;
-use crate::workspace::Workspace;
+use crate::arena::{carve, Slots};
+use crate::seq::{Seq, SeqRef, Shape};
 use evfad_tensor::{kernels, Initializer, MatMut, MatRef, Matrix};
 use rand::Rng;
 
@@ -105,16 +105,42 @@ impl Dense {
         self.activation
     }
 
+    /// Output shape for an input of `(T, B, _)`: `T x B x O`.
+    pub(crate) fn output_shape(&self, (steps, batch, _): Shape) -> Shape {
+        (steps, batch, self.w.cols())
+    }
+
+    /// The blocks of the backward scratch: one step's `dpre`, its
+    /// `x^T @ dpre` staging and its bias sums.
+    fn backward_blocks(&self, batch: usize) -> [usize; 3] {
+        let (i_dim, o_dim) = (self.w.rows(), self.w.cols());
+        [batch * o_dim, i_dim * o_dim, o_dim]
+    }
+
+    /// What the layer declares at an input of `(_, B, _)`: backward
+    /// scratch only.
+    pub(crate) fn slots(&self, (_, batch, _): Shape) -> Slots {
+        Slots {
+            scratch: self.backward_blocks(batch).iter().sum(),
+            ..Slots::default()
+        }
+    }
+
     /// Forward pass into `out` (reshaped to `T x B x O`, storage reused).
-    /// A training forward records the shape the backward pass checks its
-    /// `input` and `output` against; neither mode keeps anything else.
     pub fn forward(&mut self, input: &Seq, training: bool, out: &mut Seq) {
+        let (t, b, o) = self.output_shape(input.shape());
+        out.reshape(t, b, o);
+        self.forward_in(input.as_seq_ref(), training, out.as_mut_slice());
+    }
+
+    /// Forward pass into `out`, a buffer of the output shape. A training
+    /// forward records the shape the backward pass checks its `input` and
+    /// `output` against; neither mode keeps anything else.
+    pub(crate) fn forward_in(&mut self, input: SeqRef<'_>, training: bool, out: &mut [f64]) {
         let (steps, batch) = (input.len(), input.batch_size());
         let o_dim = self.w.cols();
         let rows = steps * batch;
-
-        out.reshape(steps, batch, o_dim);
-        let y = out.as_mut_slice();
+        let y = &mut out[..rows * o_dim];
         // One GEMM for all timesteps: each output row only depends on its
         // own input row, so this matches the per-step products bitwise.
         kernels::matmul_into(input.view(), self.w.view(), MatMut::new(rows, o_dim, y));
@@ -123,19 +149,17 @@ impl Dense {
         for v in y.iter_mut() {
             *v = act.apply(*v);
         }
-        if training {
-            self.cached_steps = steps;
-            self.cached_batch = batch;
-        }
+        (self.cached_steps, self.cached_batch) = if training { (steps, batch) } else { (0, 0) };
     }
 
-    /// Backward pass: accumulates kernel/bias gradients and, when `dx` is
-    /// given, writes the gradient with respect to the input sequence into
-    /// it. `input` and `output` are the `input` and `out` of the last
-    /// training forward, unchanged since. Passing `None` for `dx` skips that
-    /// product (the first layer of a model discards it anyway); parameter
-    /// gradients are identical either way. One step's `dpre`, `x^T dpre`
-    /// and bias sums live in `scratch`; each is written before it is read.
+    /// Backward pass: accumulates kernel/bias gradients and, when `dx` (a
+    /// buffer of the input's shape) is given, writes the gradient with
+    /// respect to the input sequence into it. `input` and `output` are the
+    /// `input` and `out` of the last training forward, unchanged since.
+    /// Passing `None` for `dx` skips that product (the first layer of a
+    /// model discards it anyway); parameter gradients are identical either
+    /// way. One step's `dpre`, `x^T dpre` and bias sums live in `scratch`;
+    /// each is written before it is read.
     ///
     /// # Panics
     ///
@@ -143,11 +167,11 @@ impl Dense {
     /// if `input`, `output` or `grad` is not of that pass's shape.
     pub(crate) fn backward(
         &mut self,
-        input: &Seq,
-        output: &Seq,
-        grad: &Seq,
-        mut dx: Option<&mut Seq>,
-        scratch: &mut Workspace,
+        input: SeqRef<'_>,
+        output: SeqRef<'_>,
+        grad: SeqRef<'_>,
+        mut dx: Option<&mut [f64]>,
+        scratch: &mut [f64],
     ) {
         let (steps, batch) = (self.cached_steps, self.cached_batch);
         assert!(steps > 0, "backward requires a training forward pass");
@@ -158,12 +182,7 @@ impl Dense {
         let (bi, bo) = (batch * i_dim, batch * o_dim);
         let (x_all, y_all) = (input.as_slice(), output.as_slice());
 
-        let mut dpre = scratch.take(DPRE, bo);
-        let mut tw = scratch.take(TW_X, i_dim * o_dim);
-        let mut bsum = scratch.take(BSUM, o_dim);
-        if let Some(dx) = dx.as_deref_mut() {
-            dx.reshape(steps, batch, i_dim);
-        }
+        let [dpre, tw, bsum] = carve(scratch, self.backward_blocks(batch));
 
         let act = self.activation;
         for t in 0..steps {
@@ -171,11 +190,11 @@ impl Dense {
             for ((d, &gv), &yv) in dpre.iter_mut().zip(grad.step(t).as_slice()).zip(y_t) {
                 *d = gv * act.derivative_from_output(yv);
             }
-            let dpre_ref = MatRef::new(batch, o_dim, &dpre);
+            let dpre_ref = MatRef::new(batch, o_dim, dpre);
             kernels::transpose_matmul_into(
                 MatRef::new(batch, i_dim, &x_all[t * bi..(t + 1) * bi]),
                 dpre_ref,
-                MatMut::new(i_dim, o_dim, &mut tw),
+                MatMut::new(i_dim, o_dim, tw),
             );
             for (gw, &v) in self.grad_w.as_mut_slice().iter_mut().zip(tw.iter()) {
                 *gw += v;
@@ -194,14 +213,10 @@ impl Dense {
                 kernels::matmul_transpose_into(
                     dpre_ref,
                     self.w.view(),
-                    MatMut::new(batch, i_dim, dx.step_data_mut(t)),
+                    MatMut::new(batch, i_dim, &mut dx[t * bi..(t + 1) * bi]),
                 );
             }
         }
-
-        scratch.put(DPRE, dpre);
-        scratch.put(TW_X, tw);
-        scratch.put(BSUM, bsum);
     }
 
     /// Immutable access to `(kernel, bias)`.
@@ -263,6 +278,26 @@ mod tests {
         y
     }
 
+    /// The backward of a training forward of `x` that gave `y`, working in
+    /// `scratch`; returns the input gradient.
+    fn backward_in(l: &mut Dense, x: &Seq, y: &Seq, grad: &Seq, scratch: &mut [f64]) -> Seq {
+        let mut dx = x.clone();
+        l.backward(
+            x.into(),
+            y.into(),
+            grad.into(),
+            Some(dx.as_mut_slice()),
+            scratch,
+        );
+        dx
+    }
+
+    /// [`backward_in`] a zeroed scratch of the declared length.
+    fn backward(l: &mut Dense, x: &Seq, y: &Seq, grad: &Seq) -> Seq {
+        let mut scratch = vec![0.0; l.slots(x.shape()).scratch];
+        backward_in(l, x, y, grad, &mut scratch)
+    }
+
     #[test]
     fn forward_known_values() {
         let mut l = Dense::new_seeded(2, 2, Activation::Linear, 1);
@@ -309,8 +344,7 @@ mod tests {
         let x = Seq::single(Matrix::from_rows(&[vec![1.0, 2.0], vec![3.0, 4.0]]));
         let y = forward(&mut l, &x, true);
         let g = Seq::single(Matrix::from_rows(&[vec![1.0], vec![1.0]]));
-        let mut dx = Seq::default();
-        l.backward(&x, &y, &g, Some(&mut dx), &mut Workspace::new());
+        let dx = backward(&mut l, &x, &y, &g);
         assert_eq!(dx.shape(), (1, 2, 2));
         // dL/db = sum over batch of upstream grads = 2.
         let pg = l.params_and_grads_mut();
@@ -322,14 +356,21 @@ mod tests {
         let (b, i, o) = (4, 3, 2);
         let mut l = Dense::new_seeded(i, o, Activation::Tanh, 5);
         let x = Seq::from_steps(vec![Matrix::from_fn(b, i, |r, c| (r + c) as f64 * 0.1); 2]);
-        // Input and activations are the caller's; the layer has no arena.
+        // Input and activations are the caller's; the layer declares one
+        // step's dpre, x^T dpre and bias sums of scratch and nothing else.
+        assert_eq!(l.backward_blocks(b), [b * o, i * o, o]);
+        let slots = l.slots(x.shape());
+        assert_eq!(
+            (slots.cache, slots.scratch, slots.eval),
+            (0, b * o + i * o + o, 0)
+        );
+        // A scratch of exactly that length, poisoned: every value is
+        // written before it is read.
         let y = forward(&mut l, &x, true);
-        let mut dx = Seq::default();
-        let mut scratch = Workspace::new();
-        l.backward(&x, &y, &y, Some(&mut dx), &mut scratch);
+        let mut poisoned = vec![f64::NAN; slots.scratch];
+        let dx = backward_in(&mut l, &x, &y, &y, &mut poisoned);
         assert_eq!(dx.shape(), x.shape());
-        // One step's dpre, x^T dpre and bias sums.
-        assert_eq!(scratch.slot_lens(), vec![b * o, i * o, o]);
+        assert!(dx.is_finite() && l.params_and_grads_mut()[0].1.is_finite());
     }
 
     #[test]
@@ -338,7 +379,7 @@ mod tests {
         let x = Seq::single(Matrix::ones(1, 2));
         let y = forward(&mut l, &x, true);
         let g = Seq::single(Matrix::ones(1, 1));
-        l.backward(&x, &y, &g, None, &mut Workspace::new());
+        backward(&mut l, &x, &y, &g);
         l.zero_grads();
         let pg = l.params_and_grads_mut();
         assert_eq!(pg[0].1.sum(), 0.0);

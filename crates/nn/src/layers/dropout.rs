@@ -1,11 +1,12 @@
 //! Inverted-dropout regularisation layer.
 //!
 //! The mask of the last training forward is one flat buffer, a keep flag
-//! per element in the [`Seq`]'s own order, reused from step to step; forward
-//! and backward are one multiply pass each over caller-owned `Seq`s, by the
-//! same two factors (`0` and `1 / (1 - rate)`).
+//! per element in the [`Seq`]'s own order, reused from step to step and
+//! kept in the layer, not in its model's arena; forward and backward are
+//! one multiply pass each over caller-owned buffers, by the same two
+//! factors (`0` and `1 / (1 - rate)`).
 
-use crate::seq::Seq;
+use crate::seq::{Seq, SeqRef};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -80,15 +81,24 @@ impl Dropout {
         self.mask = Vec::new();
     }
 
-    /// Forward pass into `out`. Identity at inference; samples a fresh mask
-    /// per call in training mode, drawing element by element in the
-    /// sequence's flat order (step-major, then row-major).
+    /// Forward pass into `out` (reshaped to the input's shape). Identity at
+    /// inference; samples a fresh mask per call in training mode, drawing
+    /// element by element in the sequence's flat order (step-major, then
+    /// row-major).
     pub fn forward(&mut self, input: &Seq, training: bool, out: &mut Seq) {
+        let (t, b, f) = input.shape();
+        out.reshape(t, b, f);
+        self.forward_in(input.as_seq_ref(), training, out.as_mut_slice());
+    }
+
+    /// Forward pass into `out`, a buffer of the input's shape.
+    pub(crate) fn forward_in(&mut self, input: SeqRef<'_>, training: bool, out: &mut [f64]) {
         // Drop the mask of an earlier training pass first: a backward call
         // after an identity forward must also be the identity, not a replay
         // of a stale mask (or a shape panic).
         self.mask.clear();
-        out.copy_from(input);
+        let out = &mut out[..input.element_count()];
+        out.copy_from_slice(input.as_slice());
         if !training || self.eval_only || self.rate == 0.0 {
             return;
         }
@@ -97,8 +107,8 @@ impl Dropout {
         let rng = self
             .rng_state
             .get_or_insert_with(|| StdRng::seed_from_u64(self.seed));
-        self.mask.reserve(out.element_count());
-        for x in out.as_mut_slice() {
+        self.mask.reserve(out.len());
+        for x in out {
             let keep = rng.gen::<f64>() >= rate;
             *x *= if keep { keep_scale } else { 0.0 };
             self.mask.push(keep);
@@ -106,17 +116,18 @@ impl Dropout {
     }
 
     /// Backward pass: writes the upstream gradient times the cached mask
-    /// into `dx` (when given). After an inference (or rate-0) forward pass
-    /// there is no mask and the gradient passes through unchanged —
-    /// matching the identity forward.
+    /// into `dx` (when given; a buffer of the gradient's shape). After an
+    /// inference (or rate-0) forward pass there is no mask and the gradient
+    /// passes through unchanged — matching the identity forward.
     ///
     /// # Panics
     ///
     /// Panics if the cached mask disagrees with the gradient's size
     /// (forward and backward saw different sequences).
-    pub(crate) fn backward(&mut self, grad: &Seq, dx: Option<&mut Seq>) {
+    pub(crate) fn backward(&mut self, grad: SeqRef<'_>, dx: Option<&mut [f64]>) {
         let Some(dx) = dx else { return };
-        dx.copy_from(grad);
+        let dx = &mut dx[..grad.element_count()];
+        dx.copy_from_slice(grad.as_slice());
         if self.mask.is_empty() {
             return;
         }
@@ -126,7 +137,7 @@ impl Dropout {
             "dropout mask/grad mismatch"
         );
         let keep_scale = 1.0 / (1.0 - self.rate);
-        for (g, &keep) in dx.as_mut_slice().iter_mut().zip(&self.mask) {
+        for (g, &keep) in dx.iter_mut().zip(&self.mask) {
             *g *= if keep { keep_scale } else { 0.0 };
         }
     }
@@ -150,8 +161,8 @@ mod tests {
     }
 
     fn backward(d: &mut Dropout, grad: &Seq) -> Seq {
-        let mut dx = Seq::default();
-        d.backward(grad, Some(&mut dx));
+        let mut dx = grad.clone();
+        d.backward(grad.as_seq_ref(), Some(dx.as_mut_slice()));
         dx
     }
 

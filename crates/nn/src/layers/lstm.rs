@@ -1,8 +1,8 @@
 //! LSTM layer with full backpropagation through time.
 //!
 //! The hot path is fused and allocation-free: the per-timestep state a
-//! forward keeps (pre-activations turned gates, cell states) lives in a
-//! reusable [`Workspace`] arena, the input projection of a training forward
+//! forward works in (pre-activations turned gates, cell states) lives in
+//! slots of its model's arena, the input projection of a training forward
 //! is one `(T*B) x 4H` GEMM over the input [`Seq`]'s own buffer, the
 //! combined kernel is addressed through zero-copy `W_x`/`W_h` row views
 //! instead of per-step `hstack`, and the output and the input gradient are
@@ -20,37 +20,24 @@
 //! temporaries) is live only while it runs, so it lives in the scratch the
 //! model lends each layer's backward in turn, not in the layer.
 //!
-//! An eval forward runs the same loop but keeps only what the next step
-//! reads — two steps of cell state and tanh(c), the input projected a
-//! register tile of rows at a time — so its workspace does not grow with
-//! `T`; kernel rows are independent, so its bits are the same. Every sum and
+//! The layer owns no buffer: it declares the blocks of each kind of slot
+//! (`forward_blocks`, `backward_blocks`), the model's plan sums them into
+//! the arena's layout, and each pass carves the span it is handed by the
+//! same declaration. An eval forward runs the same loop but keeps only
+//! what the next step reads — two steps of cell state and tanh(c), the
+//! input projected a register tile of rows at a time — so its slots do
+//! not grow with `T`; kernel rows are independent, so its bits are the
+//! same. It may lie over a training step's cache: no cache outlives the
+//! call whose backward reads it. Every sum and
 //! product keeps the order of the original allocating implementation (see
 //! DESIGN.md §6 for the summation-order argument); the gate nonlinearities
 //! are [`vmath`]'s slice kernels, the workspace's one definition of σ and
 //! tanh, applied band by band to the in-place gates.
 
-use super::{BSUM, DPRE, TW_X};
-use crate::seq::Seq;
-use crate::workspace::Workspace;
+use crate::arena::{carve, Slots};
+use crate::seq::{Seq, SeqRef, Shape};
 use evfad_tensor::{kernels, vmath, Initializer, MatMut, MatRef, Matrix};
 use rand::Rng;
-
-// Workspace slot layout. A training forward's slots are the BPTT cache;
-// eval-mode forwards use the same layout at `EVAL_BASE`, two steps deep
-// instead of `T`, so they never clobber a pending training cache.
-const PRE_ALL: usize = 0; // (T*B) x 4H  pre-activations, then gates in place
-const C_ALL: usize = 1; // (T*B) x H   cell states
-const TANH_ALL: usize = 2; // 2 x B x H   tanh(c) of step t in block t % 2
-const ZEROS: usize = 3; // B x H       zero h_-1 / c_-1 (re-zeroed per call)
-const EVAL_BASE: usize = 4;
-
-// Backward scratch slots past the ones Dense shares (see `layers`).
-const TW_H: usize = 3; // H x 4H      h^T @ dpre staging
-const DH: usize = 4; // B x H       running dh
-const DC: usize = 5; // B x H       running dc
-const WXT: usize = 6; // 4H x I      W_x^T, staged once per backward
-const WHT: usize = 7; // 4H x H      W_h^T, staged once per backward
-const H_PREV: usize = 8; // B x H    recomputed h_{t-1} (empty with return_sequences)
 
 /// A Long Short-Term Memory layer.
 ///
@@ -94,8 +81,8 @@ pub struct Lstm {
     b: Matrix,
     grad_w: Matrix,
     grad_b: Matrix,
-    ws: Workspace,
-    /// Timesteps cached by the last training forward (0 = no cache).
+    /// Timesteps of the last training forward (0 = none since the last
+    /// eval forward or release).
     cached_steps: usize,
     cached_batch: usize,
 }
@@ -135,7 +122,6 @@ impl Lstm {
             b,
             grad_w: Matrix::zeros(z_dim, 4 * hidden_dim),
             grad_b: Matrix::zeros(1, 4 * hidden_dim),
-            ws: Workspace::new(),
             cached_steps: 0,
             cached_batch: 0,
         }
@@ -175,14 +161,72 @@ impl Lstm {
         self.return_sequences
     }
 
+    /// Output shape for an input of `(T, B, _)`: `T x B x H`, or
+    /// `1 x B x H` without `return_sequences`.
+    pub(crate) fn output_shape(&self, (steps, batch, _): Shape) -> Shape {
+        let out_steps = if self.return_sequences { steps } else { 1 };
+        (out_steps, batch, self.hidden_dim)
+    }
+
+    /// The blocks a forward of `batch` rows works in: pre-activations (then
+    /// gates in place) of `group` projected steps, cell states of `blocks`
+    /// steps, tanh(c) of step `t` in block `t % 2`, the zero state. A
+    /// training forward keeps all `T` of the first two for BPTT.
+    fn forward_blocks(&self, group: usize, blocks: usize, batch: usize) -> [usize; 4] {
+        let bh = batch * self.hidden_dim;
+        [group * 4 * bh, blocks * bh, 2 * bh, bh]
+    }
+
+    /// The blocks of the backward scratch: one step's `dpre`, the `x^T` and
+    /// `h^T @ dpre` staging, bias sums, the running `dh` and `dc`, `W_x^T`
+    /// and `W_h^T`, and the recomputed `h_{t-1}` when h is not the output.
+    fn backward_blocks(&self, batch: usize) -> [usize; 9] {
+        let (i, h) = (self.input_dim, self.hidden_dim);
+        let h_prev = if self.return_sequences { 0 } else { batch * h };
+        let (bh, g) = (batch * h, 4 * h);
+        [batch * g, i * g, h * g, g, bh, bh, g * i, g * h, h_prev]
+    }
+
+    /// What the layer declares at an input of `(T, B, _)`.
+    pub(crate) fn slots(&self, (steps, batch, _): Shape) -> Slots {
+        let group = eval_group(steps, batch);
+        Slots {
+            cache: self.forward_blocks(steps, steps, batch).iter().sum(),
+            scratch: self.backward_blocks(batch).iter().sum(),
+            eval: self.forward_blocks(group, 2, batch).iter().sum(),
+        }
+    }
+
     /// Forward pass over a batched sequence into `out` (reshaped to
-    /// `T x B x H`, or `1 x B x H` without `return_sequences`; storage
-    /// reused). Caches the BPTT state when `training`.
+    /// [`Lstm`]'s output shape, storage reused). A layer on its own has no
+    /// arena: its slots are sized for this call and dropped with it.
     ///
     /// # Panics
     ///
     /// Panics if the input feature width differs from `input_dim`.
     pub fn forward(&mut self, input: &Seq, training: bool, out: &mut Seq) {
+        let (t, b, h) = self.output_shape(input.shape());
+        out.reshape(t, b, h);
+        let slots = self.slots(input.shape());
+        let mut buf = vec![0.0; if training { slots.cache } else { slots.eval }];
+        self.forward_in(input.as_seq_ref(), training, out.as_mut_slice(), &mut buf);
+    }
+
+    /// Forward pass into `out`, a buffer of the output shape, working in
+    /// `slots` — at least the layer's training cache when `training`, its
+    /// eval slots otherwise. A training forward leaves the BPTT state its
+    /// backward reads in `slots`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the input feature width differs from `input_dim`.
+    pub(crate) fn forward_in(
+        &mut self,
+        input: SeqRef<'_>,
+        training: bool,
+        out: &mut [f64],
+        slots: &mut [f64],
+    ) {
         assert_eq!(
             input.features(),
             self.input_dim,
@@ -200,19 +244,14 @@ impl Lstm {
         // block `t % h_blocks` of `out`. A training forward keeps every
         // step's gates and c for BPTT: one GEMM, `T` blocks. An eval forward
         // keeps the step it writes and the one it reads, and projects just
-        // enough steps for a full register tile of rows; it works in a
-        // disjoint slot range, so an in-flight training cache survives it.
-        let (base, blocks, group) = if training {
-            (0, steps, steps)
+        // enough steps for a full register tile of rows.
+        let (group, blocks) = if training {
+            (steps, steps)
         } else {
-            let tile_steps = kernels::TILE_ROWS.div_ceil(batch.max(1));
-            (EVAL_BASE, 2, tile_steps.min(steps))
+            (eval_group(steps, batch), 2)
         };
-
-        let mut pre_all = self.ws.take(base + PRE_ALL, group * b4h);
-        let mut c_all = self.ws.take(base + C_ALL, blocks * bh);
-        let mut tanh_all = self.ws.take(base + TANH_ALL, 2 * bh);
-        let mut zeros = self.ws.take(base + ZEROS, bh);
+        let [pre_all, c_all, tanh_all, zeros] =
+            carve(slots, self.forward_blocks(group, blocks, batch));
         zeros.fill(0.0);
 
         // Input projection: accumulating the x-columns first and the
@@ -222,10 +261,8 @@ impl Lstm {
         // group size is not in the bits.
         let w_x = self.w.rows_view(0..i_dim);
         let w_h = self.w.rows_view(i_dim..i_dim + h_dim);
-        let seq = self.return_sequences;
-        let h_blocks = if seq { steps } else { 1 };
-        out.reshape(h_blocks, batch, h_dim);
-        let h_buf = out.as_mut_slice();
+        let h_blocks = if self.return_sequences { steps } else { 1 };
+        let h_buf = &mut out[..h_blocks * bh];
 
         for t in 0..steps {
             if t % group == 0 {
@@ -251,7 +288,7 @@ impl Lstm {
             kernels::add_row_broadcast_into(MatMut::new(batch, 4 * h_dim, pre_t), self.b.view());
             // Gate nonlinearities as slice passes over each row's in-place
             // bands, then the cell update.
-            let (c_prev, c_t) = step_blocks(&mut c_all, &zeros, t, blocks);
+            let (c_prev, c_t) = step_blocks(c_all, zeros, t, blocks);
             for r in 0..batch {
                 let gates = &mut pre_t[r * 4 * h_dim..(r + 1) * 4 * h_dim];
                 vmath::sigmoid_f64(&mut gates[..2 * h_dim]);
@@ -277,25 +314,21 @@ impl Lstm {
             hidden_state(batch, h_dim, pre_t, tanh_t, h_t);
         }
 
-        self.ws.put(base + PRE_ALL, pre_all);
-        self.ws.put(base + C_ALL, c_all);
-        self.ws.put(base + TANH_ALL, tanh_all);
-        self.ws.put(base + ZEROS, zeros);
-        if training {
-            self.cached_steps = steps;
-            self.cached_batch = batch;
-        }
+        // An eval forward may overwrite a training cache's span.
+        (self.cached_steps, self.cached_batch) = if training { (steps, batch) } else { (0, 0) };
     }
 
     /// Backward pass through time.
     ///
     /// `input` and `output` are the last training forward's, unchanged;
-    /// `grad` has the output's shape. Accumulates kernel/bias gradients
-    /// and, when `dx` is given, writes the gradient with respect to the
-    /// input sequence into it; `None` skips the `dpre @ W_x^T` product per
-    /// step (the first layer of a model discards that gradient anyway).
-    /// Everything the pass needs beyond its forward's cache lives in
-    /// `scratch`, and each slot is written before it is read.
+    /// `grad` has the output's shape and `cache` holds what that forward
+    /// left in its slots. Accumulates kernel/bias gradients and, when `dx`
+    /// (a buffer of the input's shape) is given, writes the gradient with
+    /// respect to the input sequence into it; `None` skips the
+    /// `dpre @ W_x^T` product per step (the first layer of a model discards
+    /// that gradient anyway). Everything the pass needs beyond its
+    /// forward's cache lives in `scratch`, and each block is written before
+    /// it is read.
     ///
     /// # Panics
     ///
@@ -303,11 +336,12 @@ impl Lstm {
     /// or `grad` is not of that pass's shape.
     pub(crate) fn backward(
         &mut self,
-        input: &Seq,
-        output: &Seq,
-        grad: &Seq,
-        mut dx: Option<&mut Seq>,
-        scratch: &mut Workspace,
+        input: SeqRef<'_>,
+        output: SeqRef<'_>,
+        grad: SeqRef<'_>,
+        mut dx: Option<&mut [f64]>,
+        cache: &mut [f64],
+        scratch: &mut [f64],
     ) {
         let (steps, batch) = (self.cached_steps, self.cached_batch);
         assert!(steps > 0, "backward requires a training forward pass");
@@ -319,19 +353,10 @@ impl Lstm {
         assert_eq!(grad.len(), out_steps, "gradient length mismatch");
         let (bi, bh, b4h) = (batch * i_dim, batch * h_dim, batch * 4 * h_dim);
 
-        let pre_all = self.ws.take(PRE_ALL, steps * b4h);
-        let c_all = self.ws.take(C_ALL, steps * bh);
-        let mut tanh_all = self.ws.take(TANH_ALL, 2 * bh);
-        let zeros = self.ws.take(ZEROS, bh);
-        let mut h_prev_buf = scratch.take(H_PREV, if seq { 0 } else { bh });
-        let mut dh = scratch.take(DH, bh);
-        let mut dc = scratch.take(DC, bh);
-        let mut dpre = scratch.take(DPRE, b4h);
-        let mut tw_x = scratch.take(TW_X, i_dim * 4 * h_dim);
-        let mut tw_h = scratch.take(TW_H, h_dim * 4 * h_dim);
-        let mut bsum = scratch.take(BSUM, 4 * h_dim);
-        let mut wxt = scratch.take(WXT, 4 * h_dim * i_dim);
-        let mut wht = scratch.take(WHT, 4 * h_dim * h_dim);
+        let [pre_all, c_all, tanh_all, zeros] =
+            carve(cache, self.forward_blocks(steps, steps, batch));
+        let [dpre, tw_x, tw_h, bsum, dh, dc, wxt, wht, h_prev_buf] =
+            carve(scratch, self.backward_blocks(batch));
         dh.fill(0.0);
         dc.fill(0.0);
 
@@ -340,13 +365,10 @@ impl Lstm {
         // (bitwise identical: same terms in the same ascending-k order).
         let w_x = self.w.rows_view(0..i_dim);
         let w_h = self.w.rows_view(i_dim..i_dim + h_dim);
-        kernels::transpose_into(w_x, MatMut::new(4 * h_dim, i_dim, &mut wxt));
-        kernels::transpose_into(w_h, MatMut::new(4 * h_dim, h_dim, &mut wht));
-        let wxt_ref = MatRef::new(4 * h_dim, i_dim, &wxt);
-        let wht_ref = MatRef::new(4 * h_dim, h_dim, &wht);
-        if let Some(dx) = dx.as_deref_mut() {
-            dx.reshape(steps, batch, i_dim);
-        }
+        kernels::transpose_into(w_x, MatMut::new(4 * h_dim, i_dim, wxt));
+        kernels::transpose_into(w_h, MatMut::new(4 * h_dim, h_dim, wht));
+        let wxt_ref = MatRef::new(4 * h_dim, i_dim, wxt);
+        let wht_ref = MatRef::new(4 * h_dim, h_dim, wht);
 
         for t in (0..steps).rev() {
             // `grad` covers the last `grad.len()` steps (all of them, or
@@ -372,7 +394,7 @@ impl Lstm {
                         &output.as_slice()[(t - 1) * bh..t * bh]
                     } else {
                         let pre_prev = &pre_all[(t - 1) * b4h..t * b4h];
-                        hidden_state(batch, h_dim, pre_prev, tanh_prev, &mut h_prev_buf);
+                        hidden_state(batch, h_dim, pre_prev, tanh_prev, h_prev_buf);
                         &h_prev_buf[..]
                     };
                     (c_prev, h_prev)
@@ -424,16 +446,16 @@ impl Lstm {
             }
             // Parameter gradients: full products staged into temporaries,
             // then added — the grouping the allocating `+=` produced.
-            let dpre_ref = MatRef::new(batch, 4 * h_dim, &dpre);
+            let dpre_ref = MatRef::new(batch, 4 * h_dim, dpre);
             kernels::transpose_matmul_into(
                 MatRef::new(batch, i_dim, &input.as_slice()[t * bi..(t + 1) * bi]),
                 dpre_ref,
-                MatMut::new(i_dim, 4 * h_dim, &mut tw_x),
+                MatMut::new(i_dim, 4 * h_dim, tw_x),
             );
             kernels::transpose_matmul_into(
                 MatRef::new(batch, h_dim, h_prev),
                 dpre_ref,
-                MatMut::new(h_dim, 4 * h_dim, &mut tw_h),
+                MatMut::new(h_dim, 4 * h_dim, tw_h),
             );
             let gw = self.grad_w.as_mut_slice();
             for (g, &v) in gw[..i_dim * 4 * h_dim].iter_mut().zip(tw_x.iter()) {
@@ -454,25 +476,11 @@ impl Lstm {
             }
             // Through z = [x | h_prev]: column blocks of dpre @ W^T.
             if let Some(dx) = dx.as_deref_mut() {
-                let dx_t = MatMut::new(batch, i_dim, dx.step_data_mut(t));
+                let dx_t = MatMut::new(batch, i_dim, &mut dx[t * bi..(t + 1) * bi]);
                 kernels::matmul_into(dpre_ref, wxt_ref, dx_t);
             }
-            kernels::matmul_into(dpre_ref, wht_ref, MatMut::new(batch, h_dim, &mut dh));
+            kernels::matmul_into(dpre_ref, wht_ref, MatMut::new(batch, h_dim, dh));
         }
-
-        self.ws.put(PRE_ALL, pre_all);
-        self.ws.put(C_ALL, c_all);
-        self.ws.put(TANH_ALL, tanh_all);
-        self.ws.put(ZEROS, zeros);
-        scratch.put(H_PREV, h_prev_buf);
-        scratch.put(DH, dh);
-        scratch.put(DC, dc);
-        scratch.put(DPRE, dpre);
-        scratch.put(TW_X, tw_x);
-        scratch.put(TW_H, tw_h);
-        scratch.put(BSUM, bsum);
-        scratch.put(WXT, wxt);
-        scratch.put(WHT, wht);
     }
 
     /// Immutable access to `(kernel, bias)`.
@@ -502,29 +510,32 @@ impl Lstm {
         }
     }
 
-    /// Drops the workspace, and with it any pending training cache (a
-    /// backward now needs a fresh training forward). Weights and their
-    /// gradients stay; the next forward regrows the slots it uses.
+    /// Forgets the pending training forward (a backward now needs a fresh
+    /// one). Weights and their gradients stay.
     pub(crate) fn release_arenas(&mut self) {
-        self.ws = Workspace::new();
         self.cached_steps = 0;
         self.cached_batch = 0;
     }
 
-    /// The parameters without the gradients or the workspace: what an
-    /// eval forward reads, and nothing a trained layer merely carries.
+    /// The parameters without the gradients: what an eval forward reads,
+    /// and nothing a trained layer merely carries.
     pub(crate) fn serving_copy(&self) -> Self {
         Self {
             w: self.w.clone(),
             b: self.b.clone(),
             grad_w: Matrix::default(),
             grad_b: Matrix::default(),
-            ws: Workspace::new(),
             cached_steps: 0,
             cached_batch: 0,
             ..*self
         }
     }
+}
+
+/// Steps an eval forward of `batch` rows projects per GEMM: enough for a
+/// full register tile of rows.
+fn eval_group(steps: usize, batch: usize) -> usize {
+    kernels::TILE_ROWS.div_ceil(batch.max(1)).min(steps)
 }
 
 /// `tanh(c)` of one step's `B x H` block, by the one pass forward and
@@ -579,10 +590,36 @@ mod tests {
         y
     }
 
-    fn backward(l: &mut Lstm, x: &Seq, y: &Seq, grad: &Seq) -> Seq {
-        let mut dx = Seq::default();
-        l.backward(x, y, grad, Some(&mut dx), &mut Workspace::new());
+    /// A training forward of `x` keeping its cache in a buffer of the
+    /// declared length: the output and the cache.
+    fn train_forward(l: &mut Lstm, x: &Seq) -> (Seq, Vec<f64>) {
+        let mut cache = vec![0.0; l.slots(x.shape()).cache];
+        let (t, b, h) = l.output_shape(x.shape());
+        let mut y = Seq::default();
+        y.reshape(t, b, h);
+        l.forward_in(x.into(), true, y.as_mut_slice(), &mut cache);
+        (y, cache)
+    }
+
+    /// The backward of that forward in `scratch`; returns the input
+    /// gradient.
+    fn backward_in(
+        l: &mut Lstm,
+        x: &Seq,
+        (y, cache): &mut (Seq, Vec<f64>),
+        grad: &Seq,
+        scratch: &mut [f64],
+    ) -> Seq {
+        let mut dx = x.clone();
+        let dx_buf = Some(dx.as_mut_slice());
+        l.backward(x.into(), (&*y).into(), grad.into(), dx_buf, cache, scratch);
         dx
+    }
+
+    /// [`backward_in`] a zeroed scratch of the declared length.
+    fn backward(l: &mut Lstm, x: &Seq, fwd: &mut (Seq, Vec<f64>), grad: &Seq) -> Seq {
+        let mut scratch = vec![0.0; l.slots(x.shape()).scratch];
+        backward_in(l, x, fwd, grad, &mut scratch)
     }
 
     #[test]
@@ -677,31 +714,10 @@ mod tests {
             Matrix::column_vector(&[0.4, 0.5, 0.6]),
         ]);
         let mut l = Lstm::new_seeded(1, 4, false, 6);
-        let y = forward(&mut l, &x, true);
-        let dx = backward(&mut l, &x, &y, &Seq::single(Matrix::ones(2, 4)));
+        let mut fwd = train_forward(&mut l, &x);
+        let dx = backward(&mut l, &x, &mut fwd, &Seq::single(Matrix::ones(2, 4)));
         assert_eq!(dx.shape(), (3, 2, 1));
         assert!(dx.is_finite());
-    }
-
-    #[test]
-    fn eval_forward_does_not_clobber_training_cache() {
-        let x = Seq::from_samples(&[
-            Matrix::column_vector(&[0.1, 0.2, 0.3]),
-            Matrix::column_vector(&[0.4, 0.5, 0.6]),
-        ]);
-        let mut with_eval = Lstm::new_seeded(1, 4, false, 6);
-        let mut plain = Lstm::new_seeded(1, 4, false, 6);
-        let y = forward(&mut with_eval, &x, true);
-        let _ = forward(&mut plain, &x, true);
-        // An eval forward (e.g. a validation pass) between forward and
-        // backward must not disturb the training cache.
-        let other = Seq::from_samples(&[Matrix::column_vector(&[0.9, -0.9, 0.9, -0.9])]);
-        let _ = forward(&mut with_eval, &other, false);
-        let g = Seq::single(Matrix::ones(2, 4));
-        assert_eq!(
-            backward(&mut with_eval, &x, &y, &g),
-            backward(&mut plain, &x, &y, &g)
-        );
     }
 
     #[test]
@@ -713,10 +729,18 @@ mod tests {
         let g = Seq::single(Matrix::ones(2, 4));
         let mut a = Lstm::new_seeded(1, 4, false, 6);
         let mut b = Lstm::new_seeded(1, 4, false, 6);
-        let y = forward(&mut a, &x, true);
-        let _ = forward(&mut b, &x, true);
-        let _ = backward(&mut a, &x, &y, &g);
-        b.backward(&x, &y, &g, None, &mut Workspace::new());
+        let mut fwd = train_forward(&mut a, &x);
+        let (y, mut cache) = train_forward(&mut b, &x);
+        let _ = backward(&mut a, &x, &mut fwd, &g);
+        let mut scratch = vec![0.0; b.slots(x.shape()).scratch];
+        b.backward(
+            x.as_seq_ref(),
+            y.as_seq_ref(),
+            g.as_seq_ref(),
+            None,
+            &mut cache,
+            &mut scratch,
+        );
         let ga: Vec<f64> = a.params_and_grads_mut()[0].1.as_slice().to_vec();
         let gb: Vec<f64> = b.params_and_grads_mut()[0].1.as_slice().to_vec();
         assert_eq!(ga, gb);
@@ -731,43 +755,54 @@ mod tests {
         ])
     }
 
-    /// The slots a training forward of `T x B` rows leaves, in slot order:
+    /// The blocks a training forward of `T x B` rows keeps, in order:
     /// gates and cell states for every step, two steps of tanh(c), the
     /// zero state. No hidden state: h is the output, or recomputed.
-    fn training_slots(l: &Lstm, x: &Seq) -> Vec<usize> {
+    fn training_blocks(l: &Lstm, x: &Seq) -> [usize; 4] {
         let (t, b, h) = (x.len(), x.batch_size(), l.hidden_dim());
-        vec![t * b * 4 * h, t * b * h, 2 * b * h, b * h]
+        [t * b * 4 * h, t * b * h, 2 * b * h, b * h]
     }
 
-    /// The slots a backward fills in the scratch it is lent, in slot order:
-    /// one step's dpre, the x^T / bias / h^T staging, dh and dc, W_x^T and
-    /// W_h^T, and the recomputed h_{t-1} when h is not the output.
-    fn scratch_slots(l: &Lstm, x: &Seq) -> Vec<usize> {
+    /// The blocks a backward works in, in order: one step's dpre, the x^T
+    /// / h^T staging, bias sums, dh and dc, W_x^T and W_h^T, and the
+    /// recomputed h_{t-1} when h is not the output.
+    fn scratch_blocks(l: &Lstm, x: &Seq) -> [usize; 9] {
         let (b, i, h) = (x.batch_size(), l.input_dim(), l.hidden_dim());
-        let mut slots = vec![b * 4 * h, i * 4 * h, 4 * h, h * 4 * h];
-        slots.extend([b * h, b * h, 4 * h * i, 4 * h * h]);
-        if !l.return_sequences() {
-            slots.push(b * h);
-        }
-        slots
+        let h_prev = if l.return_sequences() { 0 } else { b * h };
+        [
+            b * 4 * h,
+            i * 4 * h,
+            h * 4 * h,
+            4 * h,
+            b * h,
+            b * h,
+            4 * h * i,
+            4 * h * h,
+            h_prev,
+        ]
     }
 
     fn assert_caches_only_its_own_state(return_sequences: bool) {
         let x = three_by_three();
         let mut l = Lstm::new_seeded(3, 4, return_sequences, 8);
-        let y = forward(&mut l, &x, true);
-        let slots = training_slots(&l, &x);
-        assert_eq!(l.ws.slot_lens(), slots);
-        assert_eq!(l.ws.allocated_bytes(), 8 * slots.iter().sum::<usize>());
-        assert!(!slots.contains(&x.element_count()), "a copy of the input");
-        // Backward reads input and output back from the caller and works in
-        // the lent scratch: the layer's own workspace gains nothing.
-        let mut dx = Seq::default();
-        let mut scratch = Workspace::new();
-        l.backward(&x, &y, &y, Some(&mut dx), &mut scratch);
+        let (t, b) = (x.len(), x.batch_size());
+        let blocks = training_blocks(&l, &x);
+        assert_eq!(l.forward_blocks(t, t, b), blocks);
+        assert!(!blocks.contains(&x.element_count()), "a copy of the input");
+        assert_eq!(l.backward_blocks(b), scratch_blocks(&l, &x));
+        let slots = l.slots(x.shape());
+        assert_eq!(slots.cache, blocks.iter().sum::<usize>());
+        assert_eq!(slots.scratch, scratch_blocks(&l, &x).iter().sum::<usize>());
+        // Backward reads input and output back from the caller and works
+        // in a scratch of exactly the declared length (carving a shorter
+        // one panics), poisoned: it writes every value before reading it.
+        let mut fwd = train_forward(&mut l, &x);
+        assert_eq!(fwd.1.len(), slots.cache);
+        let grad = fwd.0.clone();
+        let mut poisoned = vec![f64::NAN; slots.scratch];
+        let dx = backward_in(&mut l, &x, &mut fwd, &grad, &mut poisoned);
         assert_eq!(dx.shape(), x.shape());
-        assert_eq!(l.ws.slot_lens(), slots);
-        assert_eq!(scratch.slot_lens(), scratch_slots(&l, &x));
+        assert!(dx.is_finite());
     }
 
     #[test]
@@ -785,9 +820,10 @@ mod tests {
     fn backward_on_another_batch_panics() {
         let x = three_by_three();
         let mut l = Lstm::new_seeded(3, 4, true, 8);
-        let y = forward(&mut l, &x, true);
+        let mut fwd = train_forward(&mut l, &x);
+        let grad = fwd.0.clone();
         let shorter = Seq::from_samples(&[Matrix::ones(2, 3), Matrix::ones(2, 3)]);
-        let _ = backward(&mut l, &shorter, &y, &y);
+        let _ = backward(&mut l, &shorter, &mut fwd, &grad);
     }
 
     #[test]

@@ -1,6 +1,6 @@
 //! Keras-style `RepeatVector` layer.
 
-use crate::seq::Seq;
+use crate::seq::{Seq, SeqRef, Shape};
 
 /// Repeats a single-step batch `n` times along the time axis.
 ///
@@ -42,32 +42,50 @@ impl RepeatVector {
         self.n
     }
 
-    /// Forward pass into `out`: `n` copies of the input step.
+    /// Output shape for an input of `(_, B, F)`: `n x B x F`.
+    pub(crate) fn output_shape(&self, (_, batch, features): Shape) -> Shape {
+        (self.n, batch, features)
+    }
+
+    /// Forward pass into `out` (reshaped to `n x B x F`): `n` copies of the
+    /// input step.
     ///
     /// # Panics
     ///
     /// Panics if the input has more than one timestep.
     pub fn forward(&mut self, input: &Seq, _training: bool, out: &mut Seq) {
+        let (t, b, f) = self.output_shape(input.shape());
+        out.reshape(t, b, f);
+        self.forward_in(input.as_seq_ref(), out.as_mut_slice());
+    }
+
+    /// Forward pass into `out`, a buffer of the output shape.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the input has more than one timestep.
+    pub(crate) fn forward_in(&self, input: SeqRef<'_>, out: &mut [f64]) {
         assert_eq!(
             input.len(),
             1,
             "RepeatVector expects a single-step input (got {} steps)",
             input.len()
         );
-        out.reshape(self.n, input.batch_size(), input.features());
-        for t in 0..self.n {
-            out.step_data_mut(t).copy_from_slice(input.as_slice());
+        let step = input.element_count();
+        for copy in out[..self.n * step].chunks_exact_mut(step) {
+            copy.copy_from_slice(input.as_slice());
         }
     }
 
     /// Backward pass: sums the per-step gradients back into one step of
-    /// `dx` (when given), starting from `+0.0` and adding in time order.
-    pub(crate) fn backward(&mut self, grad: &Seq, dx: Option<&mut Seq>) {
+    /// `dx` (when given; a buffer of one step), starting from `+0.0` and
+    /// adding in time order.
+    pub(crate) fn backward(&mut self, grad: SeqRef<'_>, dx: Option<&mut [f64]>) {
         let Some(dx) = dx else { return };
-        dx.reshape(1, grad.batch_size(), grad.features());
-        dx.as_mut_slice().fill(0.0);
+        let dx = &mut dx[..grad.batch_size() * grad.features()];
+        dx.fill(0.0);
         for g in grad.iter() {
-            for (acc, &v) in dx.as_mut_slice().iter_mut().zip(g.as_slice()) {
+            for (acc, &v) in dx.iter_mut().zip(g.as_slice()) {
                 *acc += v;
             }
         }
@@ -99,10 +117,10 @@ mod tests {
             Matrix::from_rows(&[vec![3.0, 4.0]]),
             Matrix::from_rows(&[vec![5.0, -0.0]]),
         ]);
-        // A reused, differently shaped buffer: the sum must not see it.
-        let mut dx = Seq::single(Matrix::filled(4, 4, 9.0));
-        r.backward(&g, Some(&mut dx));
-        assert_eq!(dx, Seq::single(Matrix::from_rows(&[vec![9.0, 6.0]])));
+        // A reused, longer buffer: the sum must not see what it holds.
+        let mut dx = vec![9.0; 16];
+        r.backward(g.as_seq_ref(), Some(&mut dx));
+        assert_eq!(dx[..2], [9.0, 6.0]);
     }
 
     #[test]
@@ -110,8 +128,8 @@ mod tests {
         // +0.0 + -0.0 is +0.0: the sum's start, not the first step's sign.
         let mut r = RepeatVector::new(2);
         let g = Seq::from_steps(vec![Matrix::filled(1, 1, -0.0); 2]);
-        let mut dx = Seq::default();
-        r.backward(&g, Some(&mut dx));
+        let mut dx = Seq::single(Matrix::filled(1, 1, 9.0));
+        r.backward(g.as_seq_ref(), Some(dx.as_mut_slice()));
         assert_eq!(dx.as_slice()[0].to_bits(), 0.0f64.to_bits());
     }
 

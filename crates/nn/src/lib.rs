@@ -49,6 +49,7 @@
 #![warn(missing_docs)]
 
 mod activation;
+mod arena;
 mod batch;
 mod error;
 #[cfg(test)]
@@ -60,9 +61,9 @@ mod loss;
 mod model;
 mod optimizer;
 mod seq;
-mod workspace;
 
 pub use activation::Activation;
+pub use arena::{ArenaPlan, LayerBytes};
 pub use batch::BatchPlan;
 pub use error::{NnError, NnResult};
 pub use infer::{InferenceModel, Precision};
@@ -73,4 +74,4 @@ pub use model::{
     autoencoder_model, forecaster_model, EpochStats, Sample, Sequential, TrainConfig, TrainHistory,
 };
 pub use optimizer::Adam;
-pub use seq::Seq;
+pub use seq::{Seq, SeqRef};

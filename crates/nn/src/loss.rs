@@ -1,6 +1,6 @@
 //! Loss functions.
 
-use crate::seq::Seq;
+use crate::seq::{Seq, SeqRef};
 
 /// Training loss evaluated over an entire output sequence batch.
 ///
@@ -41,31 +41,41 @@ impl Loss {
     /// Panics if `pred` and `target` differ in any of time, batch or
     /// feature width.
     pub fn evaluate(self, pred: &Seq, target: &Seq, grad: &mut Seq) -> f64 {
-        assert_eq!(pred.shape(), target.shape(), "loss shape mismatch");
-        let n = pred.element_count() as f64;
         let (time, batch, features) = pred.shape();
         grad.reshape(time, batch, features);
-        let diffs = grad.as_mut_slice().iter_mut();
-        for ((d, p), t) in diffs.zip(pred.as_slice()).zip(target.as_slice()) {
+        self.gradient(pred.as_seq_ref(), target.as_seq_ref(), grad.as_mut_slice())
+    }
+
+    /// [`Loss::evaluate`] into `grad`, a buffer of the predictions' length.
+    pub(crate) fn gradient(self, pred: SeqRef<'_>, target: SeqRef<'_>, grad: &mut [f64]) -> f64 {
+        assert_eq!(pred.shape(), target.shape(), "loss shape mismatch");
+        let n = pred.element_count() as f64;
+        let grad = &mut grad[..pred.element_count()];
+        for ((d, p), t) in grad.iter_mut().zip(pred.as_slice()).zip(target.as_slice()) {
             *d = p - t;
         }
-        let value = grad
-            .iter()
-            .map(|step| step.as_slice().iter().map(|d| d * d).sum::<f64>())
+        let step = pred.batch_size() * pred.features();
+        let value = (0..pred.len())
+            .map(|t| {
+                grad[t * step..(t + 1) * step]
+                    .iter()
+                    .map(|d| d * d)
+                    .sum::<f64>()
+            })
             .sum::<f64>()
             / n;
-        grad.as_mut_slice()
-            .iter_mut()
-            .for_each(|d| *d = 2.0 * *d / n);
+        grad.iter_mut().for_each(|d| *d = 2.0 * *d / n);
         value
     }
 
     /// Loss value only: one running sum over every element, no gradient.
+    /// Takes a [`Seq`] or a [`SeqRef`].
     ///
     /// # Panics
     ///
     /// As [`Loss::evaluate`].
-    pub fn value(self, pred: &Seq, target: &Seq) -> f64 {
+    pub fn value<'a>(self, pred: impl Into<SeqRef<'a>>, target: impl Into<SeqRef<'a>>) -> f64 {
+        let (pred, target) = (pred.into(), target.into());
         assert_eq!(pred.shape(), target.shape(), "loss shape mismatch");
         let n = pred.element_count() as f64;
         let mut acc = 0.0;

@@ -1,22 +1,25 @@
 //! Layer container and training loop.
 //!
-//! A [`Sequential`] owns one activation arena — a reusable [`Seq`] per layer
-//! — two ping-pong gradient buffers and one backward scratch that each
-//! layer's backward borrows in turn. `train_batch`, `evaluate`, `predict`,
-//! `predict_into` and `predict_seq_into` all run through them: each layer
-//! reshapes its slot in place, so a warm call allocates nothing whatever
-//! the batch size, and alternating a full inference chunk with a ragged
-//! tail (or a train batch with a validation pass) costs nothing. Inference
-//! is chunked only to bound the arena on a long series.
+//! A [`Sequential`] keeps every `f64` buffer a call works in — each layer's
+//! output, the BPTT caches, the backward scratch, the eval slots, the
+//! gradient and staging buffers — in one arena, laid out per call by a
+//! plan from the phase, the input shape and what each layer declares (see
+//! `arena`). `train_batch`, `evaluate`, `predict`, `predict_into` and
+//! `predict_seq_into` all run through it; a training step and an eval pass
+//! both start at offset 0, so the arena is the larger of the two, and a
+//! warm call allocates and zero-fills nothing whatever the batch size:
+//! alternating a full inference chunk with a ragged tail (or a train batch
+//! with a validation pass) costs nothing. Inference is chunked only to
+//! bound the arena on a long series.
 
+use crate::arena::{carve, elems, Arena, ArenaPlan, Plan, Span};
 use crate::batch::BatchPlan;
 use crate::error::{NnError, NnResult};
 use crate::layer::Layer;
 use crate::layers::{Dense, Dropout, Lstm};
 use crate::loss::Loss;
 use crate::optimizer::Adam;
-use crate::seq::Seq;
-use crate::workspace::Workspace;
+use crate::seq::{stage, staged_shape, Seq, SeqRef};
 use evfad_tensor::{kernels, MatMut, Matrix};
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
@@ -137,17 +140,11 @@ pub struct Sequential {
     optimizer: Adam,
     seed: u64,
     layers_added: u64,
-    /// The activation arena: layer `i` writes its output into `acts[i]`.
-    acts: Vec<Seq>,
-    /// Ping-pong input-gradient buffers for the backward chain.
-    grads: [Seq; 2],
-    /// The backward scratch every layer's backward borrows in turn, as
-    /// long as its widest layer's.
-    scratch: Workspace,
-    /// The loss gradient's buffer, reused by every `train_batch`.
-    loss_grad: Seq,
-    /// Staged input / target batches for `predict*` and `evaluate`.
-    staged: [Seq; 2],
+    /// Every `f64` buffer a call works in, laid out by `plan`; it only
+    /// grows, and only [`Sequential::release_arenas`] frees it.
+    arena: Arena,
+    /// The current call's layout, rebuilt before each call.
+    plan: Plan,
     /// Row-index scratch for scattering batched outputs into flat buffers.
     scatter_idx: Vec<usize>,
 }
@@ -174,11 +171,8 @@ impl Sequential {
             optimizer: Adam::default(),
             seed,
             layers_added: 0,
-            acts: Vec::new(),
-            grads: Default::default(),
-            scratch: Workspace::new(),
-            loss_grad: Seq::default(),
-            staged: Default::default(),
+            arena: Arena::default(),
+            plan: Plan::default(),
             scatter_idx: Vec::new(),
         }
     }
@@ -235,57 +229,112 @@ impl Sequential {
     }
 
     /// Forward pass through every layer; returns a borrow of the last
-    /// layer's slot in the activation arena (of `input` itself for an
-    /// empty model).
-    pub fn forward<'a>(&'a mut self, input: &'a Seq, training: bool) -> &'a Seq {
-        self.acts.resize_with(self.layers.len(), Seq::default);
-        for (i, layer) in self.layers.iter_mut().enumerate() {
-            let (done, rest) = self.acts.split_at_mut(i);
-            layer.forward(done.last().unwrap_or(input), training, &mut rest[0]);
+    /// layer's output in the arena (of `input` itself for an empty model).
+    /// A training forward lays out a training step and leaves its caches,
+    /// which the next call may overwrite.
+    pub fn forward<'a>(&'a mut self, input: &'a Seq, training: bool) -> SeqRef<'a> {
+        let x = input.as_seq_ref();
+        if !training {
+            return self.eval_forward(x);
         }
-        self.acts.last().unwrap_or(input)
+        let len = self.plan.train(&self.layers, x.shape());
+        let [acts, caches, ..] = carve(self.arena.lay_out(len), self.plan.regions);
+        train_forward(&mut self.layers, &self.plan.spans, x, acts, caches);
+        last_output(&self.plan.spans, x, acts)
     }
 
-    /// Backward pass through every layer (reverse order), accumulating
-    /// parameter gradients. Layer `i` reads its input and output back from
-    /// the activation arena (`input` itself for layer 0), so this is only
-    /// correct directly after a training [`Sequential::forward`] of `input`.
-    /// Input gradients alternate between the two gradient buffers; the
-    /// first layer skips its input-gradient product — nothing consumes it.
-    /// Every layer works in the model's one backward scratch.
-    pub(crate) fn backward(&mut self, input: &Seq, grad: &Seq) {
-        let [mut upstream, mut dx] = self.grads.each_mut();
-        let last = self.layers.len().saturating_sub(1);
-        for (i, layer) in self.layers.iter_mut().enumerate().rev() {
-            let from_above = if i == last { grad } else { &*upstream };
-            let x = if i == 0 { input } else { &self.acts[i - 1] };
-            let dx_i = (i > 0).then_some(&mut *dx);
-            layer.backward(x, &self.acts[i], from_above, dx_i, &mut self.scratch);
+    /// The bytes of the arena a training step and an `evaluate` pass of
+    /// `batch` windows of `steps x features` lay out, per layer and by
+    /// lifetime — from the plan every call is laid out by.
+    pub fn arena_plan(&self, steps: usize, batch: usize, features: usize) -> ArenaPlan {
+        let input = (steps, batch, features);
+        let (mut train, mut eval) = (Plan::default(), Plan::default());
+        train.train(&self.layers, input);
+        let staged = [elems(input), elems(train.output(input))];
+        eval.eval(&self.layers, input, staged);
+        ArenaPlan::new(&train, &eval)
+    }
+
+    /// An eval forward of `x` through every layer in an eval layout with
+    /// nothing staged.
+    fn eval_forward<'a>(&'a mut self, x: SeqRef<'a>) -> SeqRef<'a> {
+        let len = self.plan.eval(&self.layers, x.shape(), [0, 0]);
+        let [_, _, a, b, slots] = carve(self.arena.lay_out(len), self.plan.regions);
+        eval_layers(&mut self.layers, &self.plan.spans, x, [a, b], slots)
+    }
+
+    /// An eval pass over `items` staged in the arena: each item's input
+    /// matrix is a batch row of the staged input, and with `target_of` its
+    /// target one of the staged target. Returns the output and the staged
+    /// target (empty without `target_of`).
+    fn eval_staged<T>(
+        &mut self,
+        items: &[T],
+        input_of: impl Fn(&T) -> &Matrix,
+        target_of: Option<fn(&T) -> &Matrix>,
+    ) -> (SeqRef<'_>, SeqRef<'_>) {
+        let in_shape = staged_shape(items, &input_of);
+        let tgt_shape = target_of.map_or((0, 0, 0), |f| staged_shape(items, f));
+        let staged = [elems(in_shape), elems(tgt_shape)];
+        let len = self.plan.eval(&self.layers, in_shape, staged);
+        let [x, target, a, b, slots] = carve(self.arena.lay_out(len), self.plan.regions);
+        stage(items, input_of, x);
+        if let Some(f) = target_of {
+            stage(items, f, target);
+        }
+        let x = SeqRef::new(in_shape, x);
+        let out = eval_layers(&mut self.layers, &self.plan.spans, x, [a, b], slots);
+        (out, SeqRef::new(tgt_shape, target))
+    }
+
+    /// One training step up to the optimiser: the training forward of
+    /// `input`, the loss against `target` and the backward pass, which
+    /// accumulates every layer's parameter gradients; returns the loss.
+    /// Layer `i`'s backward reads its input and output back from the
+    /// arena (`input` itself for layer 0) and its cache; input gradients
+    /// alternate between the two gradient buffers, the loss gradient in
+    /// the first, and the first layer skips its input-gradient product —
+    /// nothing consumes it. The backward runs straight after its forward,
+    /// so no training cache outlives this call.
+    pub(crate) fn accumulate_gradients(&mut self, input: &Seq, target: &Seq, loss: Loss) -> f64 {
+        let x = input.as_seq_ref();
+        let len = self.plan.train(&self.layers, x.shape());
+        let [acts, caches, scratch, mut upstream, mut dx] =
+            carve(self.arena.lay_out(len), self.plan.regions);
+        let spans = &self.plan.spans;
+        train_forward(&mut self.layers, spans, x, acts, caches);
+        let acts = &*acts;
+        let loss_value = loss.gradient(last_output(spans, x, acts), target.as_seq_ref(), upstream);
+        for (i, (layer, span)) in self.layers.iter_mut().zip(spans).enumerate().rev() {
+            let out = SeqRef::new(span.output, &acts[span.act..][..elems(span.output)]);
+            let grad = SeqRef::new(span.output, &upstream[..elems(span.output)]);
+            let dx_i = (i > 0).then(|| &mut dx[..elems(span.input)]);
+            let cache = &mut caches[span.cache..][..span.slots.cache];
+            layer.backward(layer_input(x, acts, span), out, grad, dx_i, cache, scratch);
             std::mem::swap(&mut upstream, &mut dx);
         }
+        loss_value
     }
 
-    /// Frees the model's scratch: the activation arena, the gradient,
-    /// backward-scratch and staging buffers, and every layer's workspace
-    /// and dropout mask. What stays is the model — weights, parameter
-    /// gradients, Adam's moments and each dropout layer's RNG state — so
-    /// training and inference carry on with the same bits. The next call
-    /// regrows only the arenas it uses.
+    /// Frees the model's scratch: the arena — activations, BPTT caches,
+    /// backward scratch, eval slots, gradient and staging buffers — the
+    /// plan's table, the scatter indices and every dropout layer's mask.
+    /// What stays is the model — weights, parameter gradients, Adam's
+    /// moments and each dropout layer's RNG state — so training and
+    /// inference carry on with the same bits. The next call regrows the
+    /// arena to its plan.
     ///
-    /// Arenas otherwise live as long as the model and keep the size of the
-    /// largest batch they served, a training batch's BPTT caches included:
+    /// The arena otherwise lives as long as the model and keeps the size of
+    /// the largest call it served, a training batch's BPTT caches included:
     /// a model fitted once and then only scored (a fitted detector) calls
     /// this when its fit ends; one that trains round after round (a
-    /// federated client) keeps them warm.
+    /// federated client) keeps it warm.
     pub fn release_arenas(&mut self) {
         for layer in &mut self.layers {
             layer.release_arenas();
         }
-        self.acts = Vec::new();
-        self.grads = Default::default();
-        self.scratch = Workspace::new();
-        self.loss_grad = Seq::default();
-        self.staged = Default::default();
+        self.arena.free();
+        self.plan = Plan::default();
         self.scatter_idx = Vec::new();
     }
 
@@ -301,14 +350,10 @@ impl Sequential {
     /// evaluated in chunks through the arena; only the returned matrices
     /// are freshly allocated.
     pub fn predict(&mut self, inputs: &[Matrix]) -> Vec<Matrix> {
-        // The staged batches leave `self` while a forward borrows it.
-        let mut staged = std::mem::take(&mut self.staged[0]);
         let mut outputs = Vec::with_capacity(inputs.len());
         for chunk in inputs.chunks(PREDICT_CHUNK) {
-            staged.load_samples(chunk, |m| m);
-            outputs.extend(self.forward(&staged, false).to_samples());
+            outputs.extend(self.eval_staged(chunk, |m| m, None).0.to_samples());
         }
-        self.staged[0] = staged;
         outputs
     }
 
@@ -325,15 +370,15 @@ impl Sequential {
     /// Panics if `inputs` is empty or the samples disagree on shape.
     pub fn predict_into(&mut self, inputs: &[Matrix], out: &mut Vec<f64>) -> (usize, usize) {
         assert!(!inputs.is_empty(), "predict_into requires inputs");
-        let mut staged = std::mem::take(&mut self.staged[0]);
+        let mut idx = std::mem::take(&mut self.scatter_idx);
         let mut shape = (0usize, 0usize);
         let mut written = 0usize;
         for chunk in inputs.chunks(PREDICT_CHUNK) {
-            staged.load_samples(chunk, |m| m);
-            shape = self.predict_seq_into(&staged, out, written);
+            let (res, _) = self.eval_staged(chunk, |m| m, None);
+            shape = scatter_samples(res, &mut idx, out, written);
             written += chunk.len() * shape.0 * shape.1;
         }
-        self.staged[0] = staged;
+        self.scatter_idx = idx;
         out.truncate(written);
         shape
     }
@@ -354,23 +399,9 @@ impl Sequential {
         offset: usize,
     ) -> (usize, usize) {
         let mut idx = std::mem::take(&mut self.scatter_idx);
-        let res = self.forward(input, false);
-        let (t_out, batch, f_out) = res.shape();
-        let need = offset + batch * t_out * f_out;
-        if out.len() < need {
-            out.resize(need, 0.0);
-        }
-        let dst = &mut out[offset..need];
-        // Each time step scatters its rows to the per-sample positions:
-        // viewing `dst` as a (batch * T) x F matrix, sample b's step t is
-        // row b * T + t.
-        for t in 0..t_out {
-            idx.clear();
-            idx.extend((0..batch).map(|b| b * t_out + t));
-            kernels::scatter_rows_into(res.step(t), &idx, MatMut::new(batch * t_out, f_out, dst));
-        }
+        let shape = scatter_samples(self.eval_forward(input.as_seq_ref()), &mut idx, out, offset);
         self.scatter_idx = idx;
-        (t_out, f_out)
+        shape
     }
 
     /// Mean loss of the model on `samples` (inference mode), staged and
@@ -383,14 +414,11 @@ impl Sequential {
         if samples.is_empty() {
             return 0.0;
         }
-        let [mut input, mut target] = std::mem::take(&mut self.staged);
         let mut total = 0.0;
         for chunk in samples.chunks(EVAL_CHUNK) {
-            input.load_samples(chunk, |s| &s.input);
-            target.load_samples(chunk, |s| &s.target);
-            total += loss.value(self.forward(&input, false), &target) * chunk.len() as f64;
+            let (out, target) = self.eval_staged(chunk, |s| &s.input, Some(|s| &s.target));
+            total += loss.value(out, target) * chunk.len() as f64;
         }
-        self.staged = [input, target];
         total / samples.len() as f64
     }
 
@@ -406,10 +434,7 @@ impl Sequential {
         loss: Loss,
         clip_norm: Option<f64>,
     ) -> f64 {
-        let mut grad = std::mem::take(&mut self.loss_grad);
-        let loss_value = loss.evaluate(self.forward(input, true), target, &mut grad);
-        self.backward(input, &grad);
-        self.loss_grad = grad;
+        let loss_value = self.accumulate_gradients(input, target, loss);
         if let Some(max_norm) = clip_norm {
             self.clip_gradients(max_norm);
         }
@@ -507,7 +532,16 @@ impl Sequential {
                 history.best_epoch = epoch;
                 epochs_without_improvement = 0;
                 if cfg.patience.is_some() {
-                    best_weights = Some(self.weights());
+                    // Into the snapshot's own buffers: a second copy of the
+                    // weights never lives beside it.
+                    let params = self.layers.iter().flat_map(Layer::params);
+                    match &mut best_weights {
+                        Some(best) => best
+                            .iter_mut()
+                            .zip(params)
+                            .for_each(|(b, p)| b.as_mut_slice().copy_from_slice(p.as_slice())),
+                        None => best_weights = Some(self.weights()),
+                    }
                 }
             } else {
                 epochs_without_improvement += 1;
@@ -573,8 +607,8 @@ impl Sequential {
     }
 
     /// A replica for serving: the layers' parameters without their
-    /// gradients or workspaces, dropout left out (the identity at
-    /// inference), a fresh optimiser and an empty arena. Its eval forward
+    /// gradients, dropout left out (the identity at inference), a fresh
+    /// optimiser and an empty arena. Its eval forward
     /// has this model's bits, and nothing done to either afterwards
     /// reaches the other.
     pub(crate) fn serving_replica(&self) -> Sequential {
@@ -608,6 +642,98 @@ impl Sequential {
             }
         }
     }
+}
+
+/// The training forward of `x` through `layers`: layer `i` writes its output
+/// into its span of `acts` and keeps its BPTT state in its span of
+/// `caches`.
+fn train_forward(
+    layers: &mut [Layer],
+    spans: &[Span],
+    x: SeqRef<'_>,
+    acts: &mut [f64],
+    caches: &mut [f64],
+) {
+    for (layer, span) in layers.iter_mut().zip(spans) {
+        let (done, rest) = acts.split_at_mut(span.act);
+        let out = &mut rest[..elems(span.output)];
+        let cache = &mut caches[span.cache..][..span.slots.cache];
+        layer.forward_in(layer_input(x, done, span), true, out, cache);
+    }
+}
+
+/// A layer's input in a training step: the output just before its span in
+/// `acts`, or the batch `x` itself for layer 0.
+fn layer_input<'a>(x: SeqRef<'a>, acts: &'a [f64], span: &Span) -> SeqRef<'a> {
+    match span.act {
+        0 => x,
+        at => SeqRef::new(span.input, &acts[at - elems(span.input)..at]),
+    }
+}
+
+/// The last layer's output in a training step's `acts`, `x` for no layer.
+fn last_output<'a>(spans: &[Span], x: SeqRef<'a>, acts: &'a [f64]) -> SeqRef<'a> {
+    spans.last().map_or(x, |span| {
+        SeqRef::new(span.output, &acts[span.act..][..elems(span.output)])
+    })
+}
+
+/// The eval forward of `x` through `layers`: layer `i` writes its output
+/// into `bufs[i % 2]`, reading layer `i - 1`'s from the other, and every
+/// layer works in the one `slots`. Returns the last output.
+fn eval_layers<'a>(
+    layers: &mut [Layer],
+    spans: &[Span],
+    x: SeqRef<'a>,
+    bufs: [&'a mut [f64]; 2],
+    slots: &mut [f64],
+) -> SeqRef<'a> {
+    let [even, odd] = bufs;
+    for (i, (layer, span)) in layers.iter_mut().zip(spans).enumerate() {
+        let (src, dst) = if i % 2 == 0 {
+            (&*odd, &mut *even)
+        } else {
+            (&*even, &mut *odd)
+        };
+        let input = match i {
+            0 => x,
+            _ => SeqRef::new(span.input, &src[..elems(span.input)]),
+        };
+        layer.forward_in(input, false, &mut dst[..elems(span.output)], slots);
+    }
+    match spans.len() {
+        0 => x,
+        n => {
+            let last: &'a [f64] = if n % 2 == 1 { even } else { odd };
+            SeqRef::new(spans[n - 1].output, &last[..elems(spans[n - 1].output)])
+        }
+    }
+}
+
+/// Writes `res` into `out` starting at `offset`, sample-major
+/// (`out[offset + (b * T + t) * F + f]`), growing `out` if needed, with
+/// `idx` as row-index scratch. Returns `(out_time, out_features)`.
+fn scatter_samples(
+    res: SeqRef<'_>,
+    idx: &mut Vec<usize>,
+    out: &mut Vec<f64>,
+    offset: usize,
+) -> (usize, usize) {
+    let (t_out, batch, f_out) = res.shape();
+    let need = offset + batch * t_out * f_out;
+    if out.len() < need {
+        out.resize(need, 0.0);
+    }
+    let dst = &mut out[offset..need];
+    // Each time step scatters its rows to the per-sample positions:
+    // viewing `dst` as a (batch * T) x F matrix, sample b's step t is
+    // row b * T + t.
+    for t in 0..t_out {
+        idx.clear();
+        idx.extend((0..batch).map(|b| b * t_out + t));
+        kernels::scatter_rows_into(res.step(t), idx, MatMut::new(batch * t_out, f_out, dst));
+    }
+    (t_out, f_out)
 }
 
 /// Builds the paper's forecaster architecture:
@@ -718,8 +844,8 @@ mod tests {
             m.fit(&samples, &cfg).expect("fit");
         }
         released.release_arenas();
-        assert!(released.acts.is_empty() && released.scatter_idx.is_empty());
-        assert!(released.scratch.slot_lens().is_empty());
+        assert!(released.arena.values().is_empty() && released.scatter_idx.is_empty());
+        assert!(released.plan.spans.is_empty());
         for m in [&mut kept, &mut released] {
             m.fit(&samples, &cfg).expect("fit");
         }
@@ -728,10 +854,11 @@ mod tests {
         assert_eq!(kept.predict(&inputs), released.predict(&inputs));
     }
 
-    /// Every backward writes a scratch slot before it reads it, so what
+    /// Every pass writes its span of the arena before it reads it, so what
     /// the previous layer or step left there is not in the bits: a stack of
-    /// unequal widths, its scratch poisoned with NaN at the lengths the
-    /// last backward left, takes the same next step as an untouched twin.
+    /// unequal widths, its whole arena — backward scratch, caches,
+    /// activations, gradients — poisoned with NaN before each step, takes
+    /// the same steps as an untouched twin.
     #[test]
     fn the_backward_scratch_carries_nothing_between_layers() {
         let samples: Vec<Sample> = toy_samples(16)
@@ -751,20 +878,96 @@ mod tests {
             batch_size: 8,
             ..TrainConfig::default()
         };
-        // A batch of the last fit batch's size, so the slots keep their
-        // poisoned lengths wherever the next layer's shapes allow.
         let inputs: Vec<Matrix> = samples[..8].iter().map(|s| s.input.clone()).collect();
         let x = Seq::from_samples(&inputs);
         let (mut twin, mut poisoned) = (model(), model());
         for m in [&mut twin, &mut poisoned] {
             m.fit(&samples, &cfg).expect("fit");
         }
-        poisoned.scratch.fill(f64::NAN);
-        for m in [&mut twin, &mut poisoned] {
-            m.train_batch(&x, &x, Loss::Mse, Some(5.0));
+        for _ in 0..2 {
+            poisoned.arena.values().fill(f64::NAN);
+            for m in [&mut twin, &mut poisoned] {
+                m.train_batch(&x, &x, Loss::Mse, Some(5.0));
+            }
         }
         assert!(twin.weights().iter().all(Matrix::is_finite));
         assert_eq!(twin.weights(), poisoned.weights());
+    }
+
+    /// An eval pass lies over the training step before it: `evaluate` and
+    /// `predict_into`, at batch widths below and above the training
+    /// batch's (the wider ones growing the arena past the training
+    /// layout), between every two train steps leave the weights — Adam's
+    /// moments and the dropout masks' stream included — bit for bit those
+    /// of a twin that ran none of them.
+    #[test]
+    fn eval_passes_between_train_steps_leave_the_training_bits() {
+        let samples: Vec<Sample> = toy_samples(96)
+            .into_iter()
+            .map(|s| Sample::autoencoding(s.input))
+            .collect();
+        let inputs: Vec<Matrix> = samples.iter().map(|s| s.input.clone()).collect();
+        let model = || {
+            Sequential::new(9)
+                .with(Lstm::new(1, 6, true))
+                .with(Dropout::new(0.2))
+                .with(Lstm::new(6, 3, false))
+                .with(crate::RepeatVector::new(6))
+                .with(Lstm::new(3, 6, true))
+                .with(Dense::new(6, 1, Activation::Linear))
+        };
+        let x = Seq::from_samples(&inputs[..8]);
+        let (mut twin, mut overlaid) = (model(), model());
+        let mut out = Vec::new();
+        for width in [3, 96, 5, 70] {
+            for m in [&mut twin, &mut overlaid] {
+                m.train_batch(&x, &x, Loss::Mse, Some(5.0));
+            }
+            assert!(overlaid.evaluate(&samples[..width], Loss::Mse).is_finite());
+            overlaid.predict_into(&inputs[..width], &mut out);
+        }
+        assert!(overlaid.arena.values().len() > overlaid.plan.train(&overlaid.layers, x.shape()));
+        for m in [&mut twin, &mut overlaid] {
+            m.train_batch(&x, &x, Loss::Mse, Some(5.0));
+        }
+        assert!(twin.weights().iter().all(Matrix::is_finite));
+        assert_eq!(twin.weights(), overlaid.weights());
+    }
+
+    /// The arena grows into fresh zeroed memory and no pass reads a value
+    /// before writing it, so a warm call fills nothing: the paper's
+    /// autoencoder at its batch of 32 zero-fills one training layout on
+    /// its first step, then nothing on a warm step, nor on a validation
+    /// pass wider than the batch, which lies over the same arena. (The
+    /// per-slot workspaces this arena replaced re-zeroed 72 583 `f64` a
+    /// warm step, wherever two layers' backward slots differed in length.)
+    #[test]
+    fn a_warm_train_step_zero_fills_nothing() {
+        let windows: Vec<Sample> = (0..53)
+            .map(|i| {
+                let xs: Vec<f64> = (0..24).map(|t| ((i + t) as f64 * 0.31).sin()).collect();
+                Sample::autoencoding(Matrix::column_vector(&xs))
+            })
+            .collect();
+        let inputs: Vec<Matrix> = windows[..32].iter().map(|s| s.input.clone()).collect();
+        let x = Seq::from_samples(&inputs);
+        let mut model = autoencoder_model(24, 7);
+        model.train_batch(&x, &x, Loss::Mse, Some(5.0));
+        assert_eq!(model.arena.zero_filled, model.plan.len());
+        model.train_batch(&x, &x, Loss::Mse, Some(5.0));
+        let before = model.arena.zero_filled;
+        model.train_batch(&x, &x, Loss::Mse, Some(5.0));
+        assert_eq!(
+            model.arena.zero_filled - before,
+            0,
+            "a warm train step zero-filled"
+        );
+        model.evaluate(&windows, Loss::Mse);
+        assert_eq!(
+            model.arena.zero_filled - before,
+            0,
+            "a validation pass zero-filled"
+        );
     }
 
     #[test]

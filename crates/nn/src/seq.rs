@@ -10,6 +10,9 @@
 
 use evfad_tensor::{MatRef, Matrix};
 
+/// `(time, batch, features)` of a sequence.
+pub(crate) type Shape = (usize, usize, usize);
+
 /// A batch of equally long sequences in time-major layout.
 ///
 /// Row `t * batch + b` of the `(time * batch) x features` buffer holds
@@ -113,34 +116,14 @@ impl Seq {
     ///
     /// As [`Seq::from_samples`].
     pub fn load_samples<T>(&mut self, items: &[T], matrix_of: impl Fn(&T) -> &Matrix) {
-        assert!(!items.is_empty(), "from_samples requires samples");
-        let (time, features) = matrix_of(&items[0]).shape();
-        self.reshape(time, items.len(), features);
-        for (b, item) in items.iter().enumerate() {
-            let sample = matrix_of(item);
-            assert_eq!(
-                sample.shape(),
-                (time, features),
-                "all samples must share the same time x features shape"
-            );
-            let src = sample.as_slice();
-            for t in 0..time {
-                let at = (t * self.batch + b) * features;
-                self.data[at..at + features]
-                    .copy_from_slice(&src[t * features..(t + 1) * features]);
-            }
-        }
+        let (time, batch, features) = staged_shape(items, &matrix_of);
+        self.reshape(time, batch, features);
+        stage(items, matrix_of, &mut self.data);
     }
 
     /// Splits the batch back into per-sample `time x features` matrices.
     pub fn to_samples(&self) -> Vec<Matrix> {
-        (0..self.batch)
-            .map(|b| {
-                Matrix::from_fn(self.time, self.features, |t, f| {
-                    self.data[(t * self.batch + b) * self.features + f]
-                })
-            })
-            .collect()
+        self.as_seq_ref().to_samples()
     }
 
     /// Re-dimensions the buffer in place, reusing its capacity. Contents
@@ -202,9 +185,14 @@ impl Seq {
         self.data.len()
     }
 
+    /// The sequence borrowed: the read side every layer and loss takes.
+    pub fn as_seq_ref(&self) -> SeqRef<'_> {
+        SeqRef::new(self.shape(), &self.data)
+    }
+
     /// The whole sequence as one `(time * batch) x features` operand.
     pub fn view(&self) -> MatRef<'_> {
-        MatRef::new(self.time * self.batch, self.features, &self.data)
+        self.as_seq_ref().view()
     }
 
     /// Flat row-major contents, step after step.
@@ -223,12 +211,7 @@ impl Seq {
     ///
     /// Panics if `t >= self.len()`.
     pub fn step(&self, t: usize) -> MatRef<'_> {
-        let block = self.batch * self.features;
-        MatRef::new(
-            self.batch,
-            self.features,
-            &self.data[t * block..(t + 1) * block],
-        )
+        self.as_seq_ref().step(t)
     }
 
     /// Mutable flat row-major contents of the step at time `t`: the
@@ -245,18 +228,177 @@ impl Seq {
 
     /// Iterator over the steps in time order.
     pub fn iter(&self) -> impl Iterator<Item = MatRef<'_>> {
-        (0..self.time).map(|t| self.step(t))
+        self.as_seq_ref().iter()
     }
 
-    /// Panics unless the shape is `shape`: a layer's backward checking that
-    /// `what` is its training forward's.
-    pub(crate) fn expect_shape(&self, shape: (usize, usize, usize), what: &str) {
-        assert_eq!(self.shape(), shape, "{what} is not the forward's");
+    /// Returns `true` if every element is finite.
+    pub fn is_finite(&self) -> bool {
+        self.as_seq_ref().is_finite()
+    }
+}
+
+/// The shape `items` stage to: each item's `time x features` matrix is a
+/// batch row.
+///
+/// # Panics
+///
+/// Panics if `items` is empty.
+pub(crate) fn staged_shape<T>(items: &[T], matrix_of: impl Fn(&T) -> &Matrix) -> Shape {
+    assert!(!items.is_empty(), "from_samples requires samples");
+    let (time, features) = matrix_of(&items[0]).shape();
+    (time, items.len(), features)
+}
+
+/// Copies `matrix_of(&items[b])` into batch row `b` of every step of
+/// `dst`, laid out in [`staged_shape`]: pure data movement.
+///
+/// # Panics
+///
+/// Panics if the items disagree on shape, or have zero timesteps.
+pub(crate) fn stage<T>(items: &[T], matrix_of: impl Fn(&T) -> &Matrix, dst: &mut [f64]) {
+    let (time, batch, features) = staged_shape(items, &matrix_of);
+    assert!(time > 0, "a Seq needs at least one step");
+    for (b, item) in items.iter().enumerate() {
+        let sample = matrix_of(item);
+        assert_eq!(
+            sample.shape(),
+            (time, features),
+            "all samples must share the same time x features shape"
+        );
+        let src = sample.as_slice();
+        for t in 0..time {
+            let at = (t * batch + b) * features;
+            dst[at..at + features].copy_from_slice(&src[t * features..(t + 1) * features]);
+        }
+    }
+}
+
+impl<'a> From<&'a Seq> for SeqRef<'a> {
+    fn from(seq: &'a Seq) -> Self {
+        seq.as_seq_ref()
+    }
+}
+
+/// A borrowed [`Seq`]: the same time-major layout over storage someone
+/// else owns — a caller's `Seq`, or a span of a
+/// [`Sequential`](crate::Sequential)'s arena, which is what
+/// [`Sequential::forward`](crate::Sequential::forward) returns.
+///
+/// # Examples
+///
+/// ```
+/// use evfad_nn::{Seq, SeqRef};
+/// use evfad_tensor::Matrix;
+///
+/// let seq = Seq::from_samples(&[Matrix::column_vector(&[1.0, 2.0])]);
+/// let view: SeqRef<'_> = seq.as_seq_ref();
+/// assert_eq!(view.shape(), (2, 1, 1));
+/// assert_eq!(view.to_samples(), seq.to_samples());
+/// ```
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct SeqRef<'a> {
+    time: usize,
+    batch: usize,
+    features: usize,
+    data: &'a [f64],
+}
+
+impl<'a> SeqRef<'a> {
+    /// `data` read as a `time x batch x features` sequence.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `data` does not hold exactly that many values.
+    pub(crate) fn new((time, batch, features): Shape, data: &'a [f64]) -> Self {
+        assert_eq!(
+            data.len(),
+            time * batch * features,
+            "sequence buffer length"
+        );
+        Self {
+            time,
+            batch,
+            features,
+            data,
+        }
+    }
+
+    /// Number of timesteps.
+    #[allow(clippy::len_without_is_empty)] // a sequence has at least one step
+    pub fn len(&self) -> usize {
+        self.time
+    }
+
+    /// Batch size (rows of every step).
+    pub fn batch_size(&self) -> usize {
+        self.batch
+    }
+
+    /// Feature width (columns of every step).
+    pub fn features(&self) -> usize {
+        self.features
+    }
+
+    /// `(time, batch, features)`.
+    pub fn shape(&self) -> (usize, usize, usize) {
+        (self.time, self.batch, self.features)
+    }
+
+    /// Total number of scalar elements (`time * batch * features`).
+    pub fn element_count(&self) -> usize {
+        self.data.len()
+    }
+
+    /// Flat row-major contents, step after step.
+    pub fn as_slice(&self) -> &'a [f64] {
+        self.data
+    }
+
+    /// The whole sequence as one `(time * batch) x features` operand.
+    pub fn view(&self) -> MatRef<'a> {
+        MatRef::new(self.time * self.batch, self.features, self.data)
+    }
+
+    /// Borrow of the `batch x features` step at time `t`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `t >= self.len()`.
+    pub fn step(&self, t: usize) -> MatRef<'a> {
+        let block = self.batch * self.features;
+        MatRef::new(
+            self.batch,
+            self.features,
+            &self.data[t * block..(t + 1) * block],
+        )
+    }
+
+    /// Iterator over the steps in time order.
+    pub fn iter(&self) -> impl Iterator<Item = MatRef<'a>> + 'a {
+        let this = *self;
+        (0..self.time).map(move |t| this.step(t))
+    }
+
+    /// Splits the batch back into per-sample `time x features` matrices.
+    pub fn to_samples(&self) -> Vec<Matrix> {
+        (0..self.batch)
+            .map(|b| {
+                Matrix::from_fn(self.time, self.features, |t, f| {
+                    self.data[(t * self.batch + b) * self.features + f]
+                })
+            })
+            .collect()
     }
 
     /// Returns `true` if every element is finite.
     pub fn is_finite(&self) -> bool {
         self.data.iter().all(|v| v.is_finite())
+    }
+
+    /// Panics unless the shape is `shape`: a layer's backward checking that
+    /// `what` is its training forward's.
+    pub(crate) fn expect_shape(&self, shape: Shape, what: &str) {
+        assert_eq!(self.shape(), shape, "{what} is not the forward's");
     }
 }
 

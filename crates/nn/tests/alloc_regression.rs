@@ -21,8 +21,8 @@ fn toy_batch(seq_len: usize, batch: usize) -> (Seq, Seq) {
     (Seq::from_samples(&inputs), Seq::from_samples(&targets))
 }
 
-/// Matrix allocations of a *warm* `train_batch` (workspaces, arena and
-/// gradient buffers already sized by two earlier steps).
+/// Matrix allocations of a *warm* `train_batch` (the arena already sized
+/// by two earlier steps).
 fn warm_step_allocs(mut model: Sequential, x: &Seq, y: &Seq) -> AllocStats {
     for _ in 0..2 {
         model.train_batch(x, y, Loss::Mse, Some(5.0));
@@ -45,9 +45,8 @@ fn warm_autoencoder_step_allocs(seq_len: usize) -> AllocStats {
 }
 
 /// A warm train step allocates no matrix at all, at any sequence length
-/// and for every stack: per-timestep scratch lives in the layer workspaces,
-/// activations, input gradients and the loss gradient in the model's
-/// arena. While each layer still returned a fresh `Matrix` per step the
+/// and for every stack: per-timestep scratch, activations, input
+/// gradients and the loss gradient all live in the model's arena. While each layer still returned a fresh `Matrix` per step the
 /// paper's autoencoder made 117 / 229 / 341 allocations at T = 8 / 16 / 24
 /// (batch 32) and the forecaster a constant 7.
 #[test]
@@ -68,7 +67,7 @@ fn warm_train_step_matrix_allocs_are_o1_in_sequence_length() {
 }
 
 /// A warm step must also not allocate more *bytes* when only T grows; all
-/// T-proportional buffers belong to the reusable workspaces.
+/// T-proportional buffers belong to the reusable arena.
 #[test]
 fn warm_train_step_bytes_are_o1_in_sequence_length() {
     let _guard = GUARD.lock().unwrap();
@@ -133,7 +132,7 @@ fn predict_into_allocates_5x_fewer_matrices_than_predict() {
         .map(|i| Matrix::from_fn(12, 1, |t, _| ((i * 5 + t) as f64 * 0.17).sin()))
         .collect();
     let mut out = Vec::new();
-    // Warm both paths so neither pays one-time workspace sizing.
+    // Warm both paths so neither pays one-time arena sizing.
     let _ = model.predict(&inputs);
     let _ = model.predict_into(&inputs, &mut out);
     let before = alloc_stats();
@@ -150,9 +149,9 @@ fn predict_into_allocates_5x_fewer_matrices_than_predict() {
 
 /// One arena serves every batch size: a warm `evaluate` (a full 256-sample
 /// chunk, then a ragged tail of 37) + `predict_into` (four full 64-input
-/// chunks, then the same tail) reshapes the staged batches and every
-/// layer's slot in place and allocates no matrix at all — as does going
-/// back and forth between that and a train step.
+/// chunks, then the same tail) lays each call out in the same arena and
+/// allocates no matrix at all — as does going back and forth between that
+/// and a train step.
 #[test]
 fn alternating_full_chunk_and_ragged_tail_allocates_nothing_once_warm() {
     let _guard = GUARD.lock().unwrap();

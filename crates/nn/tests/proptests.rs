@@ -328,7 +328,7 @@ fn frozen_lanes_reproduce_the_recorded_literals() {
 }
 
 /// A snapshot is a copy, not a view of its source: train steps through
-/// the source's layers (their workspaces included) and a `set_weights` on
+/// the source (its arena included) and a `set_weights` on
 /// it leave both lanes' warm outputs at their pre-training bits.
 #[test]
 fn frozen_snapshots_do_not_follow_their_source() {

@@ -210,12 +210,13 @@ fn nan_flood_breaks_fedavg_but_robust_rules_stay_finite() {
         ))
     };
     // Under FedAvg the round-0 aggregate is already NaN; broadcasting it
-    // poisons every client's round-1 training. The loop surfaces that as a
-    // clean error rather than silently converging to garbage.
+    // would poison every client's round-1 training. The loop refuses to
+    // broadcast it and names the round that aggregated it, rather than
+    // silently converging to garbage or blaming an honest client.
     let mut poisoned = four_client_sim(Aggregator::FedAvg, plan());
     assert!(matches!(
         poisoned.run().unwrap_err(),
-        FederatedError::ClientTraining { .. }
+        FederatedError::Aggregation(m) if m.starts_with("round 0 aggregated a non-finite")
     ));
     // A single round shows the mechanism: the NaN flood reaches the
     // global weights untouched — that is the vulnerability.
