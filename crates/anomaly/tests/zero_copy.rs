@@ -37,9 +37,7 @@ fn fitted_filter() -> &'static AnomalyFilter {
 fn allocating_score(model: &mut Sequential, series: &[f64], seq_len: usize) -> Vec<f64> {
     let wins = windows::reconstruction(series, seq_len);
     let inputs: Vec<Matrix> = wins.iter().map(|w| Matrix::column_vector(w)).collect();
-    let recon = model
-        .forward(&Seq::from_samples(&inputs), false)
-        .to_samples();
+    let recon = model.forward(&Seq::from_samples(&inputs)).to_samples();
     let mut best = vec![f64::INFINITY; series.len()];
     for (start, r) in recon.iter().enumerate() {
         let last_idx = start + seq_len - 1;

@@ -4,10 +4,11 @@
 //! round, but its own threat model (data-integrity attacks on charging
 //! telemetry) implies clients that stall, vanish, or return garbage. This
 //! module makes those failure modes first-class and *deterministic*: a
-//! [`FaultPlan`] describes which client misbehaves when and how, a
-//! [`FaultInjector`] evaluates it, and every probabilistic decision flows
-//! from a seeded RNG keyed on `(seed, rule, round, client)` — so a chaos
-//! schedule is bit-reproducible regardless of thread interleaving.
+//! [`FaultPlan`] describes which client misbehaves when and how and
+//! evaluates itself ([`FaultPlan::fault_for`]), and every probabilistic
+//! decision flows from a seeded RNG keyed on `(seed, rule, round, client)`
+//! — so a chaos schedule is bit-reproducible regardless of thread
+//! interleaving.
 //!
 //! Fault taxonomy (see DESIGN §7):
 //!
@@ -340,35 +341,13 @@ impl FaultPlan {
         }
         self.backoff_base_seconds * (1u64 << attempt as u32) as f64
     }
-}
-
-/// Evaluates a [`FaultPlan`] deterministically.
-///
-/// The injector is consulted *serially on the server*, before and after
-/// client training, so its RNG consumption never depends on thread
-/// scheduling.
-#[derive(Debug, Clone)]
-pub struct FaultInjector {
-    plan: FaultPlan,
-}
-
-impl FaultInjector {
-    /// Wraps a plan.
-    pub fn new(plan: FaultPlan) -> Self {
-        Self { plan }
-    }
-
-    /// The wrapped plan.
-    pub fn plan(&self) -> &FaultPlan {
-        &self.plan
-    }
 
     /// The fault (if any) hitting `client_id` in `round`: the first rule
     /// matching the client (exactly, or via the `"*"` wildcard) that fires
-    /// this round.
+    /// this round. A pure function of `(seed, round, client)`, so the
+    /// order in which a server asks never changes an answer.
     pub fn fault_for(&self, round: usize, client_id: &str) -> Option<FaultKind> {
-        self.plan
-            .rules
+        self.rules
             .iter()
             .enumerate()
             .filter(|(_, rule)| rule.client == client_id || rule.client == "*")
@@ -391,7 +370,7 @@ impl FaultInjector {
                     round as u64,
                     fnv1a_bytes(client_id.as_bytes()),
                 ]);
-                StdRng::seed_from_u64(self.plan.seed ^ key).gen_bool(p)
+                StdRng::seed_from_u64(self.seed ^ key).gen_bool(p)
             }
         }
     }
@@ -504,12 +483,11 @@ mod tests {
             .with_rule("a", RoundSelector::Every, FaultKind::DropOut)
             .with_rule("b", RoundSelector::Only { round: 2 }, FaultKind::DropOut)
             .with_rule("c", RoundSelector::From { round: 1 }, FaultKind::DropOut);
-        let inj = FaultInjector::new(plan);
         for round in 0..4 {
-            assert!(inj.fault_for(round, "a").is_some());
-            assert_eq!(inj.fault_for(round, "b").is_some(), round == 2);
-            assert_eq!(inj.fault_for(round, "c").is_some(), round >= 1);
-            assert!(inj.fault_for(round, "unknown").is_none());
+            assert!(plan.fault_for(round, "a").is_some());
+            assert_eq!(plan.fault_for(round, "b").is_some(), round == 2);
+            assert_eq!(plan.fault_for(round, "c").is_some(), round >= 1);
+            assert!(plan.fault_for(round, "unknown").is_none());
         }
     }
 
@@ -522,10 +500,9 @@ mod tests {
                 RoundSelector::Every,
                 FaultKind::Straggler { delay_seconds: 3.0 },
             );
-        let inj = FaultInjector::new(plan);
-        assert_eq!(inj.fault_for(1, "a"), Some(FaultKind::DropOut));
+        assert_eq!(plan.fault_for(1, "a"), Some(FaultKind::DropOut));
         assert!(matches!(
-            inj.fault_for(0, "a"),
+            plan.fault_for(0, "a"),
             Some(FaultKind::Straggler { .. })
         ));
     }
@@ -539,11 +516,9 @@ mod tests {
                 FaultKind::DropOut,
             )
         };
-        let x = FaultInjector::new(plan(9));
-        let y = FaultInjector::new(plan(9));
-        let z = FaultInjector::new(plan(10));
-        let draws = |inj: &FaultInjector| -> Vec<bool> {
-            (0..64).map(|r| inj.fault_for(r, "a").is_some()).collect()
+        let (x, y, z) = (plan(9), plan(9), plan(10));
+        let draws = |plan: &FaultPlan| -> Vec<bool> {
+            (0..64).map(|r| plan.fault_for(r, "a").is_some()).collect()
         };
         assert_eq!(draws(&x), draws(&y), "same seed, same schedule");
         assert_ne!(draws(&x), draws(&z), "different seed, different schedule");
@@ -564,10 +539,9 @@ mod tests {
                 RoundSelector::Probability { p: 1.0 },
                 FaultKind::DropOut,
             );
-        let inj = FaultInjector::new(plan);
         for round in 0..32 {
-            assert!(inj.fault_for(round, "never").is_none());
-            assert!(inj.fault_for(round, "always").is_some());
+            assert!(plan.fault_for(round, "never").is_none());
+            assert!(plan.fault_for(round, "always").is_some());
         }
     }
 

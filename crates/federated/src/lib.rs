@@ -72,8 +72,7 @@ pub use client::{FedClient, LocalUpdate};
 pub use compression::{CodecScratch, CompressionMode};
 pub use error::FederatedError;
 pub use faults::{
-    Corruption, FaultEvent, FaultInjector, FaultKind, FaultOutcome, FaultPlan, FaultRule,
-    RoundSelector,
+    Corruption, FaultEvent, FaultKind, FaultOutcome, FaultPlan, FaultRule, RoundSelector,
 };
 pub use scheduler::Scheduler;
 pub use simulation::{

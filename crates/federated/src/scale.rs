@@ -134,10 +134,8 @@ impl ScaleConfig {
     }
 
     /// The edge fan-out width a run will use: `threads` itself, or — when
-    /// `threads == 0` — the process-wide [`parallel::threads`], the same
-    /// knob `FederatedConfig.threads` installs at the start of a
-    /// simulation run. The two therefore compose: a simulation configures
-    /// the pool once and a scale run with `threads: 0` inherits it.
+    /// `threads == 0` — the process-wide [`parallel::threads`], the width
+    /// a simulation's client fan-out also runs at.
     fn effective_threads(&self) -> usize {
         if self.threads == 0 {
             parallel::threads()
@@ -1047,9 +1045,8 @@ mod tests {
             ..ScaleConfig::default()
         };
         assert_eq!(explicit.effective_threads(), 5);
-        // …while 0 composes with the process-wide knob that
-        // `FederatedConfig.threads` installs at the start of a simulation
-        // run (`parallel::set_threads`).
+        // …while 0 inherits the process-wide width
+        // (`parallel::set_threads`).
         parallel::set_threads(3);
         let inherited = ScaleConfig {
             threads: 0,

@@ -17,7 +17,7 @@
 
 use crate::client::LocalUpdate;
 use crate::error::FederatedError;
-use crate::faults::{FaultInjector, FaultKind, FaultOutcome, FaultPlan};
+use crate::faults::{FaultKind, FaultOutcome, FaultPlan};
 
 /// What the server does with a trained update after consulting the fault
 /// model: aggregate it, or discard it while still paying for its bytes.
@@ -42,19 +42,17 @@ impl Disposition {
 
 /// Deterministic fault admission and disposition for one run.
 ///
-/// Wraps a [`FaultInjector`] over the run's [`FaultPlan`] — a plan with no
-/// rules when the run has none, so no fault ever fires — and reads the
-/// plan-level knobs (`min_participants`, round timeout, retry budget,
-/// backoff) from it, so the protocol never re-derives them. The scale
+/// Holds the run's [`FaultPlan`] — a plan with no rules when the run has
+/// none, so no fault ever fires — and reads the plan-level knobs
+/// (`min_participants`, round timeout, retry budget, backoff) from it, so
+/// the protocol never re-derives them. The scale
 /// engine's parallel shard folds share one gate by `&` across worker
 /// threads, so the gate must stay `Sync`: no interior mutability, no cached
 /// per-call state (the `gate_is_sync_for_the_parallel_fan_out` test pins
 /// this at compile time).
 #[derive(Debug)]
 pub(crate) struct FaultGate {
-    injector: FaultInjector,
-    /// Fewest aggregated updates a round may proceed with.
-    min_participants: usize,
+    plan: FaultPlan,
     /// The plan's round timeout in simulated seconds; `+∞` when it waits
     /// forever, which no delay exceeds.
     round_timeout: f64,
@@ -64,9 +62,8 @@ impl FaultGate {
     pub(crate) fn new(plan: Option<FaultPlan>) -> Self {
         let plan = plan.unwrap_or_default();
         Self {
-            min_participants: plan.min_participants,
             round_timeout: plan.round_timeout_seconds.unwrap_or(f64::INFINITY),
-            injector: FaultInjector::new(plan),
+            plan,
         }
     }
 
@@ -78,7 +75,7 @@ impl FaultGate {
         round: usize,
         client_id: &str,
     ) -> Option<(Option<FaultKind>, Disposition)> {
-        let fault = self.injector.fault_for(round, client_id);
+        let fault = self.plan.fault_for(round, client_id);
         if matches!(fault, Some(FaultKind::DropOut)) {
             None
         } else {
@@ -102,7 +99,7 @@ impl FaultGate {
             }
             Some(FaultKind::Straggler { .. }) => Disposition::Keep { attempts: 1 },
             Some(FaultKind::Transient { failures }) => {
-                let budget = self.injector.plan().retry_budget;
+                let budget = self.plan.retry_budget;
                 if failures <= budget {
                     Disposition::Keep {
                         attempts: failures + 1,
@@ -159,7 +156,7 @@ impl FaultGate {
                 FaultOutcome::Corrupted
             }
             (FaultKind::Transient { failures }, Disposition::Keep { .. }) => {
-                let backoff = self.injector.plan().backoff_total_seconds(failures);
+                let backoff = self.plan.backoff_total_seconds(failures);
                 update.simulated_extra_seconds += backoff;
                 FaultOutcome::Recovered {
                     failed_attempts: failures,
@@ -182,11 +179,12 @@ impl FaultGate {
     ///
     /// [`FederatedError::InsufficientParticipants`] below the floor.
     pub(crate) fn require(&self, round: usize, survivors: usize) -> Result<(), FederatedError> {
-        if survivors < self.min_participants {
+        let required = self.plan.min_participants;
+        if survivors < required {
             return Err(FederatedError::InsufficientParticipants {
                 round,
                 survivors,
-                required: self.min_participants,
+                required,
             });
         }
         Ok(())
@@ -223,7 +221,7 @@ mod tests {
     #[test]
     fn gate_without_plan_keeps_everything() {
         let gate = FaultGate::new(None);
-        assert_eq!(gate.min_participants, 1);
+        assert_eq!(gate.plan.min_participants, 1);
         let keep = Disposition::Keep { attempts: 1 };
         assert_eq!(gate.admit(0, "a"), Some((None, keep)));
         let mut u = update("a");

@@ -28,16 +28,11 @@ pub struct FederatedConfig {
     /// Train a round's clients as jobs on the tensor worker pool, at most
     /// `parallel::threads()` at a time (the distributed-hardware model;
     /// disable to train them one after another on the calling thread).
+    /// Client fits are jobs on the same pool their kernels dispatch to, so
+    /// concurrency never exceeds the pool's width, which the caller sets
+    /// with `parallel::set_threads`. Results are bitwise identical at every
+    /// width — see `evfad_tensor::parallel`.
     pub parallel: bool,
-    /// Thread count for the tensor worker pool, installed process-wide at
-    /// the start of `run()`; `0` = inherit the process-wide setting (one
-    /// per CPU unless changed).
-    ///
-    /// Composes with [`FederatedConfig::parallel`]: client fits are jobs
-    /// on the same pool their kernels dispatch to, so concurrency never
-    /// exceeds this width regardless of the client count. Results are
-    /// bitwise identical for every setting — see `evfad_tensor::parallel`.
-    pub threads: usize,
     /// Fraction of clients participating per round in `(0, 1]`. At least
     /// one client always participates. Models node downtime — the paper's
     /// §III-F resilience claim.
@@ -132,7 +127,6 @@ impl Default for FederatedConfig {
             batch_size: 32,
             aggregator: Aggregator::FedAvg,
             parallel: true,
-            threads: 0,
             participation: 1.0,
             sampling_seed: 0,
             faults: None,
@@ -390,11 +384,6 @@ impl FederatedSimulation {
             return Err(FederatedError::NoClients);
         }
         self.config.validate(self.clients.len())?;
-        // `0` inherits: storing it would undo a caller's `set_threads(1)`
-        // for the rest of the process.
-        if self.config.threads != 0 {
-            parallel::set_threads(self.config.threads);
-        }
         self.channel.reset();
         let global = self.template.weights();
         let mut pool = InProcessPool {

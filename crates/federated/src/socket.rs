@@ -35,7 +35,7 @@
 //! order; metering counts protocol payload bytes (frame and envelope
 //! overhead excluded), which the client produces with the same encoders
 //! the in-process path meters arithmetically. Connection-loss faults are
-//! scheduled from the same [`FaultPlan`](crate::faults::FaultPlan) on both paths: the server knows
+//! scheduled from the same [`FaultPlan`] on both paths: the server knows
 //! a client's planned `Transient { failures }` and closes exactly that
 //! many of its upload connections before acknowledging (or all of them,
 //! when the plan exceeds the retry budget) — the client's honest retry
@@ -45,7 +45,7 @@ use crate::client::{FedClient, LocalUpdate};
 use crate::compression::{CodecScratch, CompressionMode, QuantizedUpdate};
 use crate::engine::{self, Admitted, PoolUpdate, RoundPool};
 use crate::error::FederatedError;
-use crate::faults::FaultKind;
+use crate::faults::{FaultKind, FaultPlan};
 use crate::framing::{write_frame, FrameDecoder};
 use crate::simulation::{FederatedConfig, FederatedOutcome};
 use crate::transport::MeteredChannel;
@@ -489,7 +489,8 @@ impl SocketServer {
     }
 
     /// Waits for a `Hello` from every expected client, then welcomes all
-    /// of them at once with the config and the initial global weights.
+    /// of them at once with the schedule values a client reads and the
+    /// initial global weights.
     /// Returns the control connection of each client in registration
     /// order.
     fn handshake(&mut self) -> Result<Vec<u64>, FederatedError> {
@@ -534,10 +535,19 @@ impl SocketServer {
         }
         // The loop ran until every expected client held a control connection.
         let controls: Vec<u64> = controls.into_iter().flatten().collect();
-        // The handshake speaks the same binary codec as the round loop
-        // (`EVCF`), so not a single JSON byte crosses the socket.
+        // A client learns how to train, encode and retry, and nothing else
+        // of the config: not the roster, the sampling seed or the fault rules.
+        let config = &self.cfg.config;
+        let (retry_budget, backoff_base_seconds) = config
+            .faults
+            .as_ref()
+            .map_or((0, 0.0), |p| (p.retry_budget, p.backoff_base_seconds));
         let welcome = Message::Welcome {
-            config: wire::encode_config(&self.cfg.config),
+            epochs_per_round: config.epochs_per_round as u32,
+            batch_size: config.batch_size as u32,
+            compression: config.compression,
+            retry_budget: retry_budget as u32,
+            backoff_base_seconds,
             init_global: wire::encode_weights(&self.template.weights()),
         };
         for &conn in &controls {
@@ -751,8 +761,9 @@ impl SocketClient {
     ///
     /// [`FederatedError::InvalidConfig`] for a `client_id` the wire
     /// cannot carry, before connecting; [`FederatedError::Transport`] on
-    /// connection loss, protocol violations, or a server `Abort`; training
-    /// errors are propagated.
+    /// connection loss, protocol violations, a server `Abort`, a `Welcome`
+    /// whose backoff base is negative or not finite, or a delay too long
+    /// for a `Duration`; training errors are propagated.
     pub fn run(
         &self,
         addr: SocketAddr,
@@ -766,16 +777,32 @@ impl SocketClient {
         control.send(&Message::Hello {
             client_id: client_id.clone(),
         })?;
-        let (config, init_global) = match control.recv()? {
+        let (train_cfg, compression, retry, init_global) = match control.recv()? {
             Some(Message::Welcome {
-                config,
+                epochs_per_round,
+                batch_size,
+                compression,
+                retry_budget,
+                backoff_base_seconds,
                 init_global,
             }) => {
-                let config =
-                    wire::decode_config(&config).map_err(|e| transport_err("welcome", e))?;
+                if !(backoff_base_seconds.is_finite() && backoff_base_seconds >= 0.0) {
+                    return Err(transport_err(
+                        "welcome",
+                        format!("backoff base {backoff_base_seconds} s is not a delay"),
+                    ));
+                }
+                let train_cfg = TrainConfig {
+                    epochs: epochs_per_round as usize,
+                    batch_size: batch_size as usize,
+                    ..TrainConfig::default()
+                };
+                // The client's plan holds the two retry knobs and no rule.
+                let retry =
+                    FaultPlan::default().with_retry(retry_budget as usize, backoff_base_seconds);
                 let init =
                     wire::decode_weights(&init_global).map_err(|e| transport_err("welcome", e))?;
-                (config, init)
+                (train_cfg, compression, retry, init)
             }
             Some(Message::Abort { message }) => {
                 return Err(transport_err("aborted by server", message))
@@ -794,12 +821,6 @@ impl SocketClient {
             .set_weights(&global)
             .map_err(|e| transport_err("welcome", e))?;
         let mut client = FedClient::new(client_id.clone(), model, samples);
-        let train_cfg = TrainConfig {
-            epochs: config.epochs_per_round,
-            batch_size: config.batch_size,
-            ..TrainConfig::default()
-        };
-        let retry_budget = config.faults.as_ref().map_or(0, |p| p.retry_budget);
         // Reused across rounds: warm uploads re-fill these codec buffers
         // instead of allocating a fresh compressed representation.
         let mut codec_scratch = CodecScratch::default();
@@ -823,15 +844,14 @@ impl SocketClient {
                     // responds honestly.
                     match fault {
                         Some(FaultKind::Straggler { delay_seconds }) => {
-                            self.sleep(delay_seconds);
+                            self.sleep(delay_seconds)?;
                         }
                         Some(FaultKind::Corrupt { corruption }) => {
                             corruption.apply(&mut weights);
                         }
                         _ => {}
                     }
-                    let payload =
-                        encode_uplink_payload(config.compression, &weights, &mut codec_scratch);
+                    let payload = encode_uplink_payload(compression, &weights, &mut codec_scratch);
                     let msg = Message::Update {
                         round,
                         client_id: client_id.clone(),
@@ -839,7 +859,7 @@ impl SocketClient {
                         train_loss: update.train_loss,
                         payload,
                     };
-                    self.upload_with_retries(addr, &msg, retry_budget, config.faults.as_ref())?;
+                    self.upload_with_retries(addr, &msg, &retry)?;
                 }
                 Some(Message::Done { global: encoded }) => {
                     let final_global =
@@ -860,24 +880,21 @@ impl SocketClient {
 
     /// Uploads over a fresh connection per attempt, retrying with
     /// exponential backoff when the connection dies before the `Ack` —
-    /// up to `retry_budget` retries, after which the client gives up
+    /// up to `retry.retry_budget` retries, after which the client gives up
     /// (the fault plan's retries-exhausted outcome; not a client error).
     fn upload_with_retries(
         &self,
         addr: SocketAddr,
         msg: &Message,
-        retry_budget: usize,
-        plan: Option<&crate::faults::FaultPlan>,
+        retry: &FaultPlan,
     ) -> Result<(), FederatedError> {
-        let max_attempts = retry_budget + 1;
+        let max_attempts = retry.retry_budget + 1;
         for attempt in 0..max_attempts {
             if self.upload_once(addr, msg).is_ok() {
                 return Ok(());
             }
             if attempt + 1 < max_attempts {
-                if let Some(plan) = plan {
-                    self.sleep(plan.backoff_step_seconds(attempt));
-                }
+                self.sleep(retry.backoff_step_seconds(attempt))?;
             }
         }
         Ok(())
@@ -894,11 +911,18 @@ impl SocketClient {
         }
     }
 
-    fn sleep(&self, seconds: f64) {
+    /// Sleeps `seconds` scaled by the dilation. A delay no `Duration` can
+    /// hold (≥ about 1.8e19 s, or `+∞` once `base · 2^attempt` overflows)
+    /// is a typed error, not a panic: a plan that validates or a hostile
+    /// server can ask for one.
+    fn sleep(&self, seconds: f64) -> Result<(), FederatedError> {
         let scaled = seconds * self.time_dilation;
         if scaled > 0.0 {
-            std::thread::sleep(Duration::from_secs_f64(scaled));
+            let delay = Duration::try_from_secs_f64(scaled)
+                .map_err(|e| transport_err("sleep", format!("{scaled} s: {e}")))?;
+            std::thread::sleep(delay);
         }
+        Ok(())
     }
 }
 
@@ -947,6 +971,60 @@ mod tests {
             matches!(&err, FederatedError::InvalidConfig { field, .. } if field == "client_id"),
             "{err}"
         );
+    }
+
+    /// `Duration::from_secs_f64` panics past about 1.8e19 s and on `+∞`;
+    /// a validated plan's straggler delay, or `base · 2^attempt`, can ask
+    /// for either.
+    #[test]
+    fn a_delay_no_duration_can_hold_is_a_transport_error() {
+        let client = SocketClient { time_dilation: 1.0 };
+        for seconds in [1e300, f64::INFINITY] {
+            let err = client.sleep(seconds).unwrap_err();
+            assert!(
+                matches!(&err, FederatedError::Transport { message } if message.starts_with("sleep")),
+                "{err}"
+            );
+        }
+        // A test client never sleeps, however long the delay.
+        assert!(SocketClient { time_dilation: 0.0 }.sleep(1e300).is_ok());
+    }
+
+    #[test]
+    fn a_welcome_whose_backoff_is_not_a_delay_is_refused() {
+        for backoff_base_seconds in [-1.0, f64::NAN, f64::INFINITY] {
+            let mut server = loopback();
+            let addr = server.local_addr();
+            let client = std::thread::spawn(move || {
+                SocketClient { time_dilation: 0.0 }.run(
+                    addr,
+                    "a",
+                    evfad_nn::forecaster_model(4, 3),
+                    Vec::new(),
+                )
+            });
+            let conn = match server.recv(Duration::from_secs(5)).expect("hello") {
+                TransportEvent::Message(conn, Message::Hello { .. }) => conn,
+                other => panic!("unexpected {other:?}"),
+            };
+            let welcome = Message::Welcome {
+                epochs_per_round: 1,
+                batch_size: 4,
+                compression: CompressionMode::None,
+                retry_budget: 2,
+                backoff_base_seconds,
+                init_global: wire::encode_weights(&evfad_nn::forecaster_model(4, 3).weights()),
+            };
+            server.send(conn, &welcome).expect("send");
+            // Hanging up after the Welcome turns a client that accepted it
+            // into a `control` error instead of a wait.
+            drop(server);
+            let err = client.join().expect("client thread").unwrap_err();
+            assert!(
+                matches!(&err, FederatedError::Transport { message } if message.starts_with("welcome: backoff base")),
+                "{backoff_base_seconds}: {err}"
+            );
+        }
     }
 
     #[test]

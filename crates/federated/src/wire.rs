@@ -1,12 +1,13 @@
 //! Binary wire format for weight exchange — what actually crosses the
 //! channel, simulated or TCP.
 //!
-//! Four little-endian records, each opened by a four-byte magic and a
-//! `u16` version ([`VERSION`]; `EVCF` has its own, [`CONFIG_VERSION`]):
-//! full-precision weights (`EVFD`) and 8-bit-quantized
-//! updates (`EVQ8`, see [`compression`](crate::compression)), the run
-//! configuration with its embedded fault plan (`EVCF`), and the socket
-//! envelope (`EVMS`) that carries the others verbatim. The weight formats
+//! Three little-endian records, each opened by a four-byte magic and the
+//! `u16` [`VERSION`]: full-precision weights (`EVFD`), 8-bit-quantized
+//! updates (`EVQ8`, see [`compression`](crate::compression)), and the
+//! socket envelope (`EVMS`) that carries the other two verbatim. The
+//! handshake's [`Message::Welcome`] hands a client the five schedule values
+//! it acts on and nothing else of the server's configuration: no roster, no
+//! sampling seed, no fault rules naming other clients. The weight formats
 //! have exact O(1) size functions, so metering never serialises. Together
 //! they complete the communication story of the paper's §II-C2 ("only
 //! model parameters were exchanged").
@@ -29,11 +30,9 @@
 //! [`QuantizedUpdate::dequantize`] as the oracle for the fused fold
 //! materialize.
 
-use crate::aggregate::Aggregator;
 use crate::compression::{CompressionMode, QuantizedTensor, QuantizedUpdate};
 use crate::error::FederatedError;
-use crate::faults::{Corruption, FaultKind, FaultPlan, FaultRule, RoundSelector};
-use crate::simulation::FederatedConfig;
+use crate::faults::{Corruption, FaultKind};
 use bytes::BufMut;
 use bytes::Bytes;
 use evfad_tensor::quant::QuantRange;
@@ -47,8 +46,9 @@ pub const MAGIC: [u8; 4] = *b"EVFD";
 /// Format magic for 8-bit-quantized update payloads (`"EVQ8"`).
 pub const QUANT_MAGIC: [u8; 4] = *b"EVQ8";
 
-/// Current format version of every record but `EVCF` (see
-/// [`CONFIG_VERSION`]).
+/// Current format version of every record. It cannot move:
+/// [`weights_checksum`] hashes the `EVFD` header, so bumping it would change
+/// every digest. A message layout retires by taking a new tag instead.
 pub const VERSION: u16 = 1;
 
 /// Error produced when decoding a weight payload.
@@ -665,7 +665,7 @@ pub fn weights_checksum(weights: &[Matrix]) -> u64 {
     hash
 }
 
-// Fault-kind discriminants (`EVCF` rules, `EVMS` train directives).
+// Fault-kind discriminants (`EVMS` train directives).
 const TAG_DROP_OUT: u8 = 0;
 const TAG_STRAGGLER: u8 = 1;
 const TAG_CORRUPT: u8 = 2;
@@ -675,8 +675,8 @@ const TAG_NAN_FLOOD: u8 = 0;
 const TAG_SIGN_FLIP: u8 = 1;
 const TAG_SCALE: u8 = 2;
 
-/// Appends the tagged binary encoding of one fault kind — shared by the
-/// `EVCF` fault plan's rules and the `EVMS` envelope's train directive.
+/// Appends the tagged binary encoding of one fault kind (the `EVMS`
+/// envelope's train directive).
 fn encode_fault_kind(buf: &mut BytesMut, fault: FaultKind) {
     match fault {
         FaultKind::DropOut => buf.put_u8(TAG_DROP_OUT),
@@ -724,197 +724,24 @@ fn decode_fault_kind(r: &mut Reader<'_>) -> Result<FaultKind, WireError> {
     })
 }
 
-/// Format magic for the binary run-configuration record (`"EVCF"`).
-const CONFIG_MAGIC: [u8; 4] = *b"EVCF";
-
-/// `EVCF`'s own version. A retired field leaves the record by a bump of
-/// this number alone, so a peer speaking the old layout gets
-/// [`WireError::BadVersion`] instead of a misparse. The shared [`VERSION`]
-/// cannot move: `weights_checksum` hashes the `EVFD` header, so bumping it
-/// would change every digest. Version 1 carried a DP flag with two `f64`s
-/// and a FedProx `f64` after `threads`.
-pub const CONFIG_VERSION: u16 = 2;
-
-// Aggregator discriminants (EVCF).
-const TAG_AGG_FED_AVG: u8 = 0;
-// Tags 1 and 2 were `Median` and `TrimmedMean { trim }`; they stay
-// unassigned (DESIGN.md §6e).
-const TAG_AGG_KRUM: u8 = 3;
-// Round-selector discriminants (EVCF).
-const TAG_SEL_EVERY: u8 = 0;
-const TAG_SEL_ONLY: u8 = 1;
-const TAG_SEL_FROM: u8 = 2;
-const TAG_SEL_PROBABILITY: u8 = 3;
-// Compression-mode discriminants (EVCF). 2 was `TopKDelta { k: u32 }`,
-// retired in PR 21 and never to be reassigned.
-const TAG_COMP_NONE: u8 = 0;
-const TAG_COMP_QUANT8: u8 = 1;
-
-/// Encodes a [`FederatedConfig`] as a self-describing `EVCF` binary
-/// record — the socket handshake's `Welcome.config` blob, so the whole
-/// protocol speaks one codec.
-///
-/// # Examples
-///
-/// ```
-/// use evfad_federated::{wire, FederatedConfig};
-///
-/// let cfg = FederatedConfig::default();
-/// let blob = wire::encode_config(&cfg);
-/// assert_eq!(wire::decode_config(&blob)?, cfg);
-/// # Ok::<(), evfad_federated::wire::WireError>(())
-/// ```
-pub fn encode_config(config: &FederatedConfig) -> Bytes {
-    let mut buf = BytesMut::with_capacity(128);
-    buf.put_slice(&CONFIG_MAGIC);
-    buf.put_u16_le(CONFIG_VERSION);
-    buf.put_u32_le(config.rounds as u32);
-    buf.put_u32_le(config.epochs_per_round as u32);
-    buf.put_u32_le(config.batch_size as u32);
-    match config.aggregator {
-        Aggregator::FedAvg => buf.put_u8(TAG_AGG_FED_AVG),
-        Aggregator::Krum { byzantine } => {
-            buf.put_u8(TAG_AGG_KRUM);
-            buf.put_u32_le(byzantine as u32);
-        }
-    }
-    buf.put_u8(u8::from(config.parallel));
-    buf.put_u32_le(config.threads as u32);
-    buf.put_f64_le(config.participation);
-    buf.put_u64_le(config.sampling_seed);
-    match &config.faults {
-        None => buf.put_u8(0),
-        Some(plan) => {
-            buf.put_u8(1);
-            encode_fault_plan(&mut buf, plan);
-        }
-    }
-    match config.compression {
-        CompressionMode::None => buf.put_u8(TAG_COMP_NONE),
-        CompressionMode::Quant8 => buf.put_u8(TAG_COMP_QUANT8),
-    }
-    buf.freeze()
-}
-
-/// Decodes an `EVCF` record (inverse of [`encode_config`]). Strict: the
-/// payload must contain exactly one record.
-///
-/// # Errors
-///
-/// Returns [`WireError`] on a malformed or truncated payload.
-pub fn decode_config(payload: &[u8]) -> Result<FederatedConfig, WireError> {
-    let mut r = Reader::new(payload);
-    r.header(CONFIG_MAGIC, CONFIG_VERSION)?;
-    // Struct fields evaluate in the order written, which is wire order.
-    let config = FederatedConfig {
-        rounds: r.u32()? as usize,
-        epochs_per_round: r.u32()? as usize,
-        batch_size: r.u32()? as usize,
-        aggregator: match r.u8()? {
-            TAG_AGG_FED_AVG => Aggregator::FedAvg,
-            TAG_AGG_KRUM => Aggregator::Krum {
-                byzantine: r.u32()? as usize,
-            },
-            tag => return Err(WireError::UnknownTag(tag)),
-        },
-        parallel: r.flag()?,
-        threads: r.u32()? as usize,
-        participation: r.f64()?,
-        sampling_seed: r.u64()?,
-        faults: if r.flag()? {
-            Some(decode_fault_plan(&mut r)?)
-        } else {
-            None
-        },
-        compression: match r.u8()? {
-            TAG_COMP_NONE => CompressionMode::None,
-            TAG_COMP_QUANT8 => CompressionMode::Quant8,
-            tag => return Err(WireError::UnknownTag(tag)),
-        },
-    };
-    r.finish()?;
-    Ok(config)
-}
-
-/// Appends the binary encoding of one fault plan (`EVCF` sub-record).
-fn encode_fault_plan(buf: &mut BytesMut, plan: &FaultPlan) {
-    buf.put_u64_le(plan.seed);
-    buf.put_u32_le(plan.rules.len() as u32);
-    for rule in &plan.rules {
-        put_short_str(buf, &rule.client);
-        match rule.rounds {
-            RoundSelector::Every => buf.put_u8(TAG_SEL_EVERY),
-            RoundSelector::Only { round } => {
-                buf.put_u8(TAG_SEL_ONLY);
-                buf.put_u32_le(round as u32);
-            }
-            RoundSelector::From { round } => {
-                buf.put_u8(TAG_SEL_FROM);
-                buf.put_u32_le(round as u32);
-            }
-            RoundSelector::Probability { p } => {
-                buf.put_u8(TAG_SEL_PROBABILITY);
-                buf.put_f64_le(p);
-            }
-        }
-        encode_fault_kind(buf, rule.fault);
-    }
-    match plan.round_timeout_seconds {
-        None => buf.put_u8(0),
-        Some(t) => {
-            buf.put_u8(1);
-            buf.put_f64_le(t);
-        }
-    }
-    buf.put_u32_le(plan.retry_budget as u32);
-    buf.put_f64_le(plan.backoff_base_seconds);
-    buf.put_u32_le(plan.min_participants as u32);
-}
-
-/// Decodes one fault plan (inverse of [`encode_fault_plan`]).
-fn decode_fault_plan(r: &mut Reader<'_>) -> Result<FaultPlan, WireError> {
-    let seed = r.u64()?;
-    let rule_count = r.seq(4)?;
-    let mut rules = Vec::with_capacity(rule_count);
-    for _ in 0..rule_count {
-        rules.push(FaultRule {
-            client: r.short_str()?,
-            rounds: match r.u8()? {
-                TAG_SEL_EVERY => RoundSelector::Every,
-                TAG_SEL_ONLY => RoundSelector::Only {
-                    round: r.u32()? as usize,
-                },
-                TAG_SEL_FROM => RoundSelector::From {
-                    round: r.u32()? as usize,
-                },
-                TAG_SEL_PROBABILITY => RoundSelector::Probability { p: r.f64()? },
-                tag => return Err(WireError::UnknownTag(tag)),
-            },
-            fault: decode_fault_kind(r)?,
-        });
-    }
-    Ok(FaultPlan {
-        seed,
-        rules,
-        round_timeout_seconds: if r.flag()? { Some(r.f64()?) } else { None },
-        retry_budget: r.u32()? as usize,
-        backoff_base_seconds: r.f64()?,
-        min_participants: r.u32()? as usize,
-    })
-}
-
 /// Format magic for socket envelope messages (`"EVMS"`).
 pub const MESSAGE_MAGIC: [u8; 4] = *b"EVMS";
 
-// Envelope message discriminants.
+// Envelope message discriminants. 1 was the `Welcome` that carried the
+// server's whole config as an `EVCF` record; it stays unassigned, so an old
+// server's `Welcome` is `UnknownTag(1)`, never a misparse (DESIGN.md §6e).
 const TAG_HELLO: u8 = 0;
-const TAG_WELCOME: u8 = 1;
 const TAG_BROADCAST: u8 = 2;
 const TAG_TRAIN_REQUEST: u8 = 3;
 const TAG_UPDATE: u8 = 4;
 const TAG_ACK: u8 = 5;
 const TAG_DONE: u8 = 6;
 const TAG_ABORT: u8 = 7;
+const TAG_WELCOME: u8 = 8;
+// Compression-mode discriminants (`Welcome`). 2 was `TopKDelta { k: u32 }`,
+// retired on evidence and never to be reassigned.
+const TAG_COMP_NONE: u8 = 0;
+const TAG_COMP_QUANT8: u8 = 1;
 
 /// One message of the socket protocol (`EVMS` envelope). The heavy fields
 /// (`global`, `payload`) carry already-encoded `EVFD`/`EVQ8` records verbatim, so the envelope adds framing without re-encoding —
@@ -929,13 +756,21 @@ pub enum Message {
         /// The connecting client's roster id.
         client_id: String,
     },
-    /// Server → client: handshake reply carrying the run configuration as
-    /// an `EVCF` blob (see [`encode_config`] — the handshake speaks the
-    /// same binary codec as the round loop) and the shared initial global
-    /// weights as an `EVFD` blob.
+    /// Server → client: handshake reply carrying what a client reads of
+    /// the run's schedule — how to train, how to encode its uplink, how to
+    /// retry — and the shared initial global weights as an `EVFD` blob.
     Welcome {
-        /// `EVCF`-encoded [`crate::FederatedConfig`].
-        config: Bytes,
+        /// Local epochs per round.
+        epochs_per_round: u32,
+        /// Local mini-batch size.
+        batch_size: u32,
+        /// Uplink encoding.
+        compression: CompressionMode,
+        /// Upload retries after the first attempt (`0` without a fault
+        /// plan).
+        retry_budget: u32,
+        /// First retry backoff in seconds (`0.0` without a fault plan).
+        backoff_base_seconds: f64,
         /// `EVFD`-encoded initial global weights.
         init_global: Bytes,
     },
@@ -952,7 +787,7 @@ pub enum Message {
     TrainRequest {
         /// Zero-based round index.
         round: u32,
-        /// Fault directive from the server's [`crate::faults::FaultPlan`].
+        /// Fault directive from the server's fault plan.
         fault: Option<FaultKind>,
     },
     /// Client → server: one upload attempt of a trained update. Sent on a
@@ -1027,11 +862,22 @@ pub fn encode_message(buf: &mut BytesMut, msg: &Message) {
             put_short_str(buf, client_id);
         }
         Message::Welcome {
-            config,
+            epochs_per_round,
+            batch_size,
+            compression,
+            retry_budget,
+            backoff_base_seconds,
             init_global,
         } => {
             buf.put_u8(TAG_WELCOME);
-            put_blob(buf, config);
+            buf.put_u32_le(*epochs_per_round);
+            buf.put_u32_le(*batch_size);
+            buf.put_u8(match compression {
+                CompressionMode::None => TAG_COMP_NONE,
+                CompressionMode::Quant8 => TAG_COMP_QUANT8,
+            });
+            buf.put_u32_le(*retry_budget);
+            buf.put_f64_le(*backoff_base_seconds);
             put_blob(buf, init_global);
         }
         Message::Broadcast { round, global } => {
@@ -1095,8 +941,17 @@ pub fn decode_message(payload: &[u8]) -> Result<Message, WireError> {
         TAG_HELLO => Message::Hello {
             client_id: r.short_str()?,
         },
+        // Struct fields evaluate in the order written, which is wire order.
         TAG_WELCOME => Message::Welcome {
-            config: r.blob()?,
+            epochs_per_round: r.u32()?,
+            batch_size: r.u32()?,
+            compression: match r.u8()? {
+                TAG_COMP_NONE => CompressionMode::None,
+                TAG_COMP_QUANT8 => CompressionMode::Quant8,
+                tag => return Err(WireError::UnknownTag(tag)),
+            },
+            retry_budget: r.u32()?,
+            backoff_base_seconds: r.f64()?,
             init_global: r.blob()?,
         },
         TAG_BROADCAST => Message::Broadcast {
@@ -1408,7 +1263,11 @@ mod tests {
                 client_id: "z105".into(),
             },
             Message::Welcome {
-                config: encode_config(&FederatedConfig::default()),
+                epochs_per_round: 10,
+                batch_size: 32,
+                compression: CompressionMode::Quant8,
+                retry_budget: 2,
+                backoff_base_seconds: 0.5,
                 init_global: encode_weights(&sample_weights()),
             },
             Message::Broadcast {
@@ -1503,8 +1362,7 @@ mod tests {
         assert_eq!(decode_message(&buf), Err(WireError::UnknownTag(200)));
     }
 
-    /// A fault kind travels in two records — an `EVMS` train directive
-    /// and an `EVCF` fault rule — and an undefined tag is refused in both.
+    /// An undefined fault-kind tag in a train directive is refused.
     #[test]
     fn fault_kind_rejects_unknown_tags() {
         let mut buf = BytesMut::new();
@@ -1519,23 +1377,6 @@ mod tests {
         assert_eq!(buf[last], TAG_DROP_OUT, "layout moved");
         buf[last] = 250;
         assert_eq!(decode_message(&buf), Err(WireError::UnknownTag(250)));
-
-        let plan = FaultPlan::new(9).with_rule(
-            "z102",
-            RoundSelector::Every,
-            FaultKind::Transient { failures: 2 },
-        );
-        let mut blob = encode_config(&FederatedConfig {
-            faults: Some(plan),
-            ..FederatedConfig::default()
-        })
-        .to_vec();
-        // Behind the rule's kind tag: failures 4, timeout flag 1, retry
-        // budget 4, backoff 8, min participants 4, compression tag 1.
-        let tag_at = blob.len() - 23;
-        assert_eq!(blob[tag_at], TAG_TRANSIENT, "layout moved");
-        blob[tag_at] = 250;
-        assert_eq!(decode_config(&blob), Err(WireError::UnknownTag(250)));
     }
 
     #[test]
@@ -1559,76 +1400,28 @@ mod tests {
         assert_eq!(view.tensors().map(|t| t.special_count()).sum::<usize>(), 3);
     }
 
+    /// The `Welcome` body is the five schedule values in a fixed 21-byte
+    /// layout, then the initial global: nothing else of the server's
+    /// configuration crosses.
     #[test]
-    fn config_round_trips_through_the_binary_codec() {
-        let mut cfg = FederatedConfig {
-            rounds: 7,
+    fn a_welcome_round_trips_with_exactly_its_schedule() {
+        let init_global = encode_weights(&sample_weights());
+        let welcome = Message::Welcome {
             epochs_per_round: 3,
             batch_size: 16,
-            aggregator: Aggregator::Krum { byzantine: 2 },
-            parallel: false,
-            threads: 3,
-            participation: 0.6,
-            sampling_seed: 42,
-            faults: None,
             compression: CompressionMode::None,
+            retry_budget: 5,
+            backoff_base_seconds: 0.25,
+            init_global: init_global.clone(),
         };
-        assert_eq!(decode_config(&encode_config(&cfg)).unwrap(), cfg);
-
-        cfg.faults = Some(
-            FaultPlan::new(9)
-                .with_rule("z102", RoundSelector::Only { round: 1 }, FaultKind::DropOut)
-                .with_rule(
-                    "z105",
-                    RoundSelector::Every,
-                    FaultKind::Straggler { delay_seconds: 3.0 },
-                )
-                .with_rule(
-                    "z108",
-                    RoundSelector::From { round: 2 },
-                    FaultKind::Corrupt {
-                        corruption: Corruption::NanFlood,
-                    },
-                )
-                .with_rule(
-                    "z103",
-                    RoundSelector::Probability { p: 0.5 },
-                    FaultKind::Corrupt {
-                        corruption: Corruption::Scale { factor: -4.0 },
-                    },
-                )
-                .with_rule(
-                    "z104",
-                    RoundSelector::Every,
-                    FaultKind::Transient { failures: 2 },
-                )
-                .with_timeout(30.0)
-                .with_retry(5, 0.5)
-                .with_min_participants(2),
-        );
-        cfg.aggregator = Aggregator::Krum { byzantine: 1 };
-        cfg.compression = CompressionMode::Quant8;
-        assert_eq!(decode_config(&encode_config(&cfg)).unwrap(), cfg);
-
-        assert_eq!(
-            decode_config(&encode_config(&FederatedConfig::default())).unwrap(),
-            FederatedConfig::default()
-        );
-    }
-
-    #[test]
-    fn config_codec_rejects_corruption() {
-        let blob = encode_config(&FederatedConfig::default());
-        let mut bad = blob.to_vec();
-        bad[0] = b'X';
-        assert_eq!(decode_config(&bad), Err(WireError::BadMagic));
-        let mut padded = blob.to_vec();
-        padded.push(0);
-        assert_eq!(
-            decode_config(&padded),
-            Err(WireError::TrailingBytes { extra: 1 })
-        );
-        assert_needed_walk(&blob, decode_config);
+        let mut buf = BytesMut::new();
+        encode_message(&mut buf, &welcome);
+        assert_eq!(decode_message(&buf), Ok(welcome));
+        // Preamble 6, tag 1, epochs / batch 8, compression 1, retry 4,
+        // backoff 8, blob length 4.
+        assert_eq!(buf.len(), 6 + 1 + 21 + 4 + init_global.len());
+        assert_eq!(buf[6], TAG_WELCOME);
+        assert_eq!(&buf[buf.len() - init_global.len()..], &init_global[..]);
     }
 
     #[test]

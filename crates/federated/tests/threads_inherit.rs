@@ -1,7 +1,7 @@
-//! `FederatedConfig::threads == 0` inherits the process-wide pool width.
+//! A federation runs at the process-wide pool width and never writes it.
 //!
-//! A study runs three default-config federations at once; if each stored
-//! its `0` into `parallel::set_threads`, the first would undo a caller's
+//! A study runs three default-config federations at once; if a run stored
+//! a width into `parallel::set_threads`, the first would undo a caller's
 //! `set_threads(1)` for the rest of the process and a second study would no
 //! longer run serially.
 //!
@@ -24,28 +24,19 @@ fn samples(offset: usize) -> Vec<Sample> {
         .collect()
 }
 
-fn run(threads: usize) {
+#[test]
+fn a_default_config_run_leaves_the_process_wide_thread_count_alone() {
+    parallel::set_threads(1);
     let cfg = FederatedConfig {
         rounds: 1,
         epochs_per_round: 1,
         batch_size: 4,
-        threads,
         ..FederatedConfig::default()
     };
     let mut sim = FederatedSimulation::new(forecaster_model(4, 1), cfg);
     sim.add_client("a", samples(0));
     sim.add_client("b", samples(5));
     sim.run().expect("run");
-}
-
-#[test]
-fn a_default_config_run_leaves_the_process_wide_thread_count_alone() {
-    assert_eq!(FederatedConfig::default().threads, 0);
-    parallel::set_threads(1);
-    run(0);
-    assert_eq!(parallel::threads(), 1, "threads: 0 must inherit");
-    // An explicit count is still installed, as documented.
-    run(3);
-    assert_eq!(parallel::threads(), 3);
+    assert_eq!(parallel::threads(), 1, "a run must inherit the width");
     parallel::set_threads(0);
 }

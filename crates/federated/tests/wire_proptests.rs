@@ -118,8 +118,7 @@ mod hostile {
     use evfad_federated::socket::SocketServerConfig;
     use evfad_federated::wire::{self, BytesMut, Message, WireError};
     use evfad_federated::{
-        Aggregator, CompressionMode, Corruption, FaultKind, FaultPlan, FederatedConfig,
-        FederatedError, RoundSelector, SocketServer,
+        CompressionMode, Corruption, FaultKind, FederatedConfig, FederatedError, SocketServer,
     };
     use evfad_nn::forecaster_model;
     use evfad_tensor::Matrix;
@@ -138,7 +137,7 @@ mod hostile {
         fixtures: fn() -> Vec<Vec<u8>>,
     }
 
-    const TABLE: [Row; 5] = [
+    const TABLE: [Row; 4] = [
         Row {
             name: "decode_weights",
             format: "EVFD",
@@ -156,12 +155,6 @@ mod hostile {
             format: "EVQ8",
             codec: reencode_quantized_view,
             fixtures: evq8_fixtures,
-        },
-        Row {
-            name: "decode_config",
-            format: "EVCF",
-            codec: |b| wire::decode_config(b).map(|c| wire::encode_config(&c).to_vec()),
-            fixtures: evcf_fixtures,
         },
         Row {
             name: "decode_message",
@@ -237,64 +230,6 @@ mod hostile {
         ]
     }
 
-    fn full_config() -> FederatedConfig {
-        FederatedConfig {
-            rounds: 7,
-            epochs_per_round: 3,
-            batch_size: 16,
-            aggregator: Aggregator::Krum { byzantine: 2 },
-            parallel: false,
-            threads: 3,
-            participation: 0.6,
-            sampling_seed: 42,
-            faults: Some(
-                FaultPlan::new(9)
-                    .with_rule("z102", RoundSelector::Only { round: 1 }, FaultKind::DropOut)
-                    .with_rule(
-                        "z105",
-                        RoundSelector::Every,
-                        FaultKind::Straggler { delay_seconds: 3.0 },
-                    )
-                    .with_rule(
-                        "z108",
-                        RoundSelector::From { round: 2 },
-                        FaultKind::Transient { failures: 2 },
-                    )
-                    .with_rule(
-                        "z103",
-                        RoundSelector::Probability { p: 0.5 },
-                        FaultKind::Corrupt {
-                            corruption: Corruption::Scale { factor: -4.0 },
-                        },
-                    )
-                    .with_rule(
-                        "",
-                        RoundSelector::Every,
-                        FaultKind::Corrupt {
-                            corruption: Corruption::SignFlip,
-                        },
-                    )
-                    .with_timeout(30.0)
-                    .with_retry(5, 0.5)
-                    .with_min_participants(2),
-            ),
-            compression: CompressionMode::None,
-        }
-    }
-
-    fn evcf_fixtures() -> Vec<Vec<u8>> {
-        vec![
-            wire::encode_config(&full_config()).to_vec(),
-            wire::encode_config(&FederatedConfig::default()).to_vec(),
-            wire::encode_config(&FederatedConfig {
-                aggregator: Aggregator::Krum { byzantine: 1 },
-                compression: CompressionMode::Quant8,
-                ..FederatedConfig::default()
-            })
-            .to_vec(),
-        ]
-    }
-
     fn evms_fixtures() -> Vec<Vec<u8>> {
         let global = wire::encode_weights(&weights());
         let messages = [
@@ -302,7 +237,19 @@ mod hostile {
                 client_id: "z105".into(),
             },
             Message::Welcome {
-                config: wire::encode_config(&FederatedConfig::default()),
+                epochs_per_round: 10,
+                batch_size: 32,
+                compression: CompressionMode::None,
+                retry_budget: 0,
+                backoff_base_seconds: 0.0,
+                init_global: global.clone(),
+            },
+            Message::Welcome {
+                epochs_per_round: 3,
+                batch_size: 16,
+                compression: CompressionMode::Quant8,
+                retry_budget: 5,
+                backoff_base_seconds: 0.5,
                 init_global: global.clone(),
             },
             Message::Broadcast {
@@ -555,56 +502,32 @@ mod hostile {
         }
     }
 
-    /// An `EVCF` record cut right after its fault plan's rule count, with
-    /// that count overwritten. Layout up to there: preamble 6, rounds /
-    /// epochs / batch 12, aggregator tag 1, parallel 1, threads 4,
-    /// participation 8, sampling seed 8, faults flag 1, plan seed 8, rule
-    /// count 4.
-    fn config_claiming_rules(count: u32) -> Vec<u8> {
-        const RULE_COUNT_AT: usize = 6 + 12 + 1 + 1 + 4 + 8 + 8 + 1 + 8;
-        let mut blob = wire::encode_config(&FederatedConfig {
-            faults: Some(FaultPlan::new(9)),
-            ..FederatedConfig::default()
-        })
-        .to_vec();
-        assert_eq!(
-            blob[RULE_COUNT_AT..RULE_COUNT_AT + 4],
-            [0; 4],
-            "layout moved"
-        );
-        blob.truncate(RULE_COUNT_AT);
-        blob.extend(count.to_le_bytes());
-        blob
-    }
-
-    /// `FederatedConfig::default()` as version 1 of `EVCF` encoded it, by
-    /// hand: a DP flag (off) and FedProx's μ (0.0) sat between `threads`
-    /// and `participation`.
+    /// `FederatedConfig::default()` as the retired `EVCF` record (version 2)
+    /// encoded it, by hand.
     #[rustfmt::skip]
-    const EVCF_V1_DEFAULT: [u8; 51] = [
-        b'E', b'V', b'C', b'F', 1, 0,         // preamble, version 1
+    const EVCF_V2_DEFAULT: [u8; 42] = [
+        b'E', b'V', b'C', b'F', 2, 0,         // preamble, version 2
         5, 0, 0, 0, 10, 0, 0, 0, 32, 0, 0, 0, // rounds / epochs / batch
         0, 1, 0, 0, 0, 0,                     // FedAvg, parallel, threads 0
-        0, 0, 0, 0, 0, 0, 0, 0, 0,            // dp flag, mu
         0, 0, 0, 0, 0, 0, 0xF0, 0x3F,         // participation 1.0
         0, 0, 0, 0, 0, 0, 0, 0, 0, 0,         // sampling seed, faults, compression
     ];
 
-    /// A peer still speaking version 1 is refused by its version, never
-    /// misparsed: `EVCF` retired the DP and FedProx fields by moving to
-    /// version 2 alone, while every other record stays at `wire::VERSION`.
+    /// The handshake reply of a server from before `EVCF` left the wire:
+    /// tag 1, the whole config as an `EVCF` blob, then the initial global.
+    /// Tag 1 stays unassigned, so a client refuses it by its tag and never
+    /// reads config bytes as a schedule; the shared version stays 1.
     #[test]
-    fn a_version_1_config_is_bad_version() {
-        assert_eq!(
-            wire::decode_config(&EVCF_V1_DEFAULT),
-            Err(WireError::BadVersion(1))
-        );
-        // The literal is today's record with the old version and the 1 + 8
-        // retired bytes put back after `threads`.
-        let mut current = wire::encode_config(&FederatedConfig::default()).to_vec();
-        current[4..6].copy_from_slice(&1u16.to_le_bytes());
-        current.splice(24..24, [0; 9]);
-        assert_eq!(current, EVCF_V1_DEFAULT);
+    fn an_old_layout_welcome_is_unknown_tag_1() {
+        let global = wire::encode_weights(&weights());
+        let mut old = wire::MESSAGE_MAGIC.to_vec();
+        old.extend(wire::VERSION.to_le_bytes());
+        old.push(1);
+        for blob in [&EVCF_V2_DEFAULT[..], &global[..]] {
+            old.extend((blob.len() as u32).to_le_bytes());
+            old.extend(blob);
+        }
+        assert_eq!(wire::decode_message(&old), Err(WireError::UnknownTag(1)));
         assert_eq!(wire::VERSION, 1);
     }
 
@@ -618,7 +541,6 @@ mod hostile {
             let cases = [
                 ("EVFD", header(&wire::MAGIC, count)),
                 ("EVQ8", header(&wire::QUANT_MAGIC, count)),
-                ("EVCF", config_claiming_rules(count)),
             ];
             for (format, blob) in cases {
                 for row in rows_of(format) {

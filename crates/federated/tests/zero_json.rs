@@ -66,7 +66,8 @@ fn run_mode(compression: CompressionMode) {
 fn socket_session_is_json_free_handshake_included() {
     let _exclusive = counter();
     // The handshake used to ship `FederatedConfig` as JSON inside the
-    // binary Welcome envelope; it is now the EVCF binary codec. The gate
+    // binary Welcome envelope; a Welcome now carries five fixed-width
+    // schedule values and the initial weights. The gate
     // covers the whole session — bind, Hello/Welcome handshake, rounds,
     // Done — from both ends, which run in this one process.
     let model = forecaster_model(4, 3);

@@ -60,12 +60,12 @@ pub fn check_model_gradients(
             let mut plus = base_weights.clone();
             plus[tensor_idx].as_mut_slice()[flat] += epsilon;
             model.set_weights(&plus).expect("same shapes");
-            let lp = loss.value(model.forward(&input_seq, false), &target_seq);
+            let lp = loss.value(model.forward(&input_seq), &target_seq);
 
             let mut minus = base_weights.clone();
             minus[tensor_idx].as_mut_slice()[flat] -= epsilon;
             model.set_weights(&minus).expect("same shapes");
-            let lm = loss.value(model.forward(&input_seq, false), &target_seq);
+            let lm = loss.value(model.forward(&input_seq), &target_seq);
 
             let numeric = (lp - lm) / (2.0 * epsilon);
             let exact = analytic[tensor_idx].as_slice()[flat];

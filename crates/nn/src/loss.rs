@@ -1,6 +1,6 @@
 //! Loss functions.
 
-use crate::seq::{Seq, SeqRef};
+use crate::seq::SeqRef;
 
 /// Training loss evaluated over an entire output sequence batch.
 ///
@@ -16,10 +16,8 @@ use crate::seq::{Seq, SeqRef};
 ///
 /// let pred = Seq::single(Matrix::from_rows(&[vec![1.0], vec![3.0]]));
 /// let target = Seq::single(Matrix::from_rows(&[vec![0.0], vec![1.0]]));
-/// let mut grad = Seq::default();
-/// let value = Loss::Mse.evaluate(&pred, &target, &mut grad);
+/// let value = Loss::Mse.value(&pred, &target);
 /// assert!((value - 2.5).abs() < 1e-12); // (1 + 4) / 2
-/// assert_eq!(grad.as_slice(), &[1.0, 2.0]); // 2 (p - t) / n
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum Loss {
@@ -30,7 +28,7 @@ pub enum Loss {
 
 impl Loss {
     /// Returns the loss value and writes its gradient with respect to the
-    /// predictions into `grad` (reshaped to match, storage reused).
+    /// predictions into the first `pred.element_count()` values of `grad`.
     ///
     /// The value is a two-level sum — per-step partial sums, then across
     /// steps — where [`Loss::value`] keeps one running sum; the two agree
@@ -40,13 +38,6 @@ impl Loss {
     ///
     /// Panics if `pred` and `target` differ in any of time, batch or
     /// feature width.
-    pub fn evaluate(self, pred: &Seq, target: &Seq, grad: &mut Seq) -> f64 {
-        let (time, batch, features) = pred.shape();
-        grad.reshape(time, batch, features);
-        self.gradient(pred.as_seq_ref(), target.as_seq_ref(), grad.as_mut_slice())
-    }
-
-    /// [`Loss::evaluate`] into `grad`, a buffer of the predictions' length.
     pub(crate) fn gradient(self, pred: SeqRef<'_>, target: SeqRef<'_>, grad: &mut [f64]) -> f64 {
         assert_eq!(pred.shape(), target.shape(), "loss shape mismatch");
         let n = pred.element_count() as f64;
@@ -69,11 +60,12 @@ impl Loss {
     }
 
     /// Loss value only: one running sum over every element, no gradient.
-    /// Takes a [`Seq`] or a [`SeqRef`].
+    /// Takes a [`Seq`](crate::Seq) or a [`SeqRef`].
     ///
     /// # Panics
     ///
-    /// As [`Loss::evaluate`].
+    /// Panics if `pred` and `target` differ in any of time, batch or
+    /// feature width.
     pub fn value<'a>(self, pred: impl Into<SeqRef<'a>>, target: impl Into<SeqRef<'a>>) -> f64 {
         let (pred, target) = (pred.into(), target.into());
         assert_eq!(pred.shape(), target.shape(), "loss shape mismatch");
@@ -95,31 +87,36 @@ impl Loss {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::seq::Seq;
     use evfad_tensor::Matrix;
+
+    /// `Loss::gradient` over `Seq`s, into a fresh buffer of `len` NaNs.
+    fn gradient(pred: &Seq, target: &Seq, len: usize) -> (f64, Vec<f64>) {
+        let mut grad = vec![f64::NAN; len];
+        let value = Loss::Mse.gradient(pred.as_seq_ref(), target.as_seq_ref(), &mut grad);
+        (value, grad)
+    }
 
     #[test]
     fn mse_zero_at_perfect_prediction() {
         let p = Seq::single(Matrix::ones(2, 2));
-        let mut g = Seq::default();
-        assert_eq!(Loss::Mse.evaluate(&p, &p.clone(), &mut g), 0.0);
-        assert_eq!(g, Seq::single(Matrix::zeros(2, 2)));
+        assert_eq!(gradient(&p, &p, 4), (0.0, vec![0.0; 4]));
     }
 
     #[test]
     fn mse_gradient_matches_finite_difference() {
         let p = Seq::single(Matrix::from_rows(&[vec![1.0, -2.0], vec![0.5, 3.0]]));
         let t = Seq::single(Matrix::from_rows(&[vec![0.0, 1.0], vec![-1.0, 2.0]]));
-        // A reused gradient buffer of another shape is reshaped, not read.
-        let mut g = Seq::single(Matrix::filled(3, 1, 7.0));
-        Loss::Mse.evaluate(&p, &t, &mut g);
-        assert_eq!(g.shape(), p.shape());
+        // A longer buffer is written in its first four values only.
+        let (_, g) = gradient(&p, &t, 5);
+        assert!(g[4].is_nan());
         let eps = 1e-6;
-        for i in 0..4 {
+        for (i, gi) in g[..4].iter().enumerate() {
             let (mut plus, mut minus) = (p.clone(), p.clone());
             plus.as_mut_slice()[i] += eps;
             minus.as_mut_slice()[i] -= eps;
             let num = (Loss::Mse.value(&plus, &t) - Loss::Mse.value(&minus, &t)) / (2.0 * eps);
-            assert!((num - g.as_slice()[i]).abs() < 1e-6);
+            assert!((num - gi).abs() < 1e-6);
         }
     }
 
@@ -132,10 +129,10 @@ mod tests {
     }
 
     #[test]
-    fn value_agrees_with_evaluate() {
+    fn value_agrees_with_gradient() {
         let p = Seq::single(Matrix::from_rows(&[vec![0.3, 0.7], vec![1.1, -0.2]]));
         let t = Seq::single(Matrix::from_rows(&[vec![0.1, 0.2], vec![0.9, 0.1]]));
-        let v = Loss::Mse.evaluate(&p, &t, &mut Seq::default());
+        let (v, _) = gradient(&p, &t, 4);
         assert!((v - Loss::Mse.value(&p, &t)).abs() < 1e-12);
     }
 
@@ -153,10 +150,10 @@ mod tests {
     /// buffers only the shape check stands between this and a wrong loss.
     #[test]
     #[should_panic(expected = "loss shape mismatch")]
-    fn evaluate_rejects_a_shape_mismatch_of_equal_length() {
+    fn gradient_rejects_a_shape_mismatch_of_equal_length() {
         let p = Seq::single(Matrix::from_rows(&[vec![1.0], vec![3.0]]));
         let t = Seq::single(Matrix::from_rows(&[vec![0.0, 1.0]]));
-        let _ = Loss::Mse.evaluate(&p, &t, &mut Seq::default());
+        let _ = gradient(&p, &t, 2);
     }
 
     #[test]

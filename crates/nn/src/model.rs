@@ -228,19 +228,15 @@ impl Sequential {
             .sum()
     }
 
-    /// Forward pass through every layer; returns a borrow of the last
-    /// layer's output in the arena (of `input` itself for an empty model).
-    /// A training forward lays out a training step and leaves its caches,
-    /// which the next call may overwrite.
-    pub fn forward<'a>(&'a mut self, input: &'a Seq, training: bool) -> SeqRef<'a> {
+    /// Eval forward pass through every layer, in an eval layout with
+    /// nothing staged; returns a borrow of the last layer's output in the
+    /// arena (of `input` itself for an empty model). Training runs its
+    /// forward inside [`Sequential::train_batch`].
+    pub fn forward<'a>(&'a mut self, input: &'a Seq) -> SeqRef<'a> {
         let x = input.as_seq_ref();
-        if !training {
-            return self.eval_forward(x);
-        }
-        let len = self.plan.train(&self.layers, x.shape());
-        let [acts, caches, ..] = carve(self.arena.lay_out(len), self.plan.regions);
-        train_forward(&mut self.layers, &self.plan.spans, x, acts, caches);
-        last_output(&self.plan.spans, x, acts)
+        let len = self.plan.eval(&self.layers, x.shape(), [0, 0]);
+        let [_, _, a, b, slots] = carve(self.arena.lay_out(len), self.plan.regions);
+        eval_layers(&mut self.layers, &self.plan.spans, x, [a, b], slots)
     }
 
     /// The bytes of the arena a training step and an `evaluate` pass of
@@ -253,14 +249,6 @@ impl Sequential {
         let staged = [elems(input), elems(train.output(input))];
         eval.eval(&self.layers, input, staged);
         ArenaPlan::new(&train, &eval)
-    }
-
-    /// An eval forward of `x` through every layer in an eval layout with
-    /// nothing staged.
-    fn eval_forward<'a>(&'a mut self, x: SeqRef<'a>) -> SeqRef<'a> {
-        let len = self.plan.eval(&self.layers, x.shape(), [0, 0]);
-        let [_, _, a, b, slots] = carve(self.arena.lay_out(len), self.plan.regions);
-        eval_layers(&mut self.layers, &self.plan.spans, x, [a, b], slots)
     }
 
     /// An eval pass over `items` staged in the arena: each item's input
@@ -399,7 +387,7 @@ impl Sequential {
         offset: usize,
     ) -> (usize, usize) {
         let mut idx = std::mem::take(&mut self.scatter_idx);
-        let shape = scatter_samples(self.eval_forward(input.as_seq_ref()), &mut idx, out, offset);
+        let shape = scatter_samples(self.forward(input), &mut idx, out, offset);
         self.scatter_idx = idx;
         shape
     }
@@ -1042,7 +1030,7 @@ mod tests {
         ];
         let preds = model.predict(&inputs);
         let x = Seq::from_samples(&inputs);
-        let batch = model.forward(&x, false);
+        let batch = model.forward(&x);
         assert_eq!(batch.as_slice(), &[preds[0][(0, 0)], preds[1][(0, 0)]]);
     }
 
@@ -1053,7 +1041,7 @@ mod tests {
         assert_eq!(f.scalar_param_count(), 51 * 200 + 200 + 510 + 11);
         let mut ae = autoencoder_model(4, 0);
         let x = Seq::from_samples(&[Matrix::column_vector(&[0.1, 0.2, 0.3, 0.4])]);
-        assert_eq!(ae.forward(&x, false).shape(), (4, 1, 1));
+        assert_eq!(ae.forward(&x).shape(), (4, 1, 1));
     }
 
     #[test]

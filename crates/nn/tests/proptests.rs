@@ -168,7 +168,7 @@ proptest! {
         let mut model = stack(arch, 4, 2, time, seed);
         for n in [1usize, 2, 5, 63, 64, 65, 129, 255, 256, 258] {
             let inputs = batch_of_windows(&data, n, time);
-            let reference = model.forward(&Seq::from_samples(&inputs), false).to_samples();
+            let reference = model.forward(&Seq::from_samples(&inputs)).to_samples();
             let mut got = Vec::new();
             let (t_out, f_out) = model.predict_into(&inputs, &mut got);
             prop_assert_eq!(got.len(), n * t_out * f_out);

@@ -35,9 +35,11 @@ static WIDTH: Mutex<()> = Mutex::new(());
 /// Where a federation row runs.
 #[derive(Debug, Clone, Copy)]
 enum Fed {
-    /// `FederatedSimulation` with `parallel: false` and `threads: 1`.
+    /// `FederatedSimulation` with `parallel: false` under
+    /// `parallel::set_threads(1)`.
     Serial,
-    /// `FederatedSimulation` with `parallel: true` at this `threads`.
+    /// `FederatedSimulation` with `parallel: true` under
+    /// `parallel::set_threads`.
     InProcess(usize),
     /// `SocketServer` and its clients under `parallel::set_threads`.
     Socket(usize),
@@ -177,16 +179,14 @@ fn federation_class(compression: CompressionMode, faults: Option<FaultPlan>) {
             faults: faults.clone(),
             ..FederatedConfig::default()
         };
+        let threads = match row {
+            Fed::Serial => 1,
+            Fed::InProcess(threads) | Fed::Socket(threads) => threads,
+        };
+        parallel::set_threads(threads);
         let outcome = match row {
-            Fed::Serial => in_process(FederatedConfig {
-                threads: 1,
-                ..config
-            }),
-            Fed::InProcess(threads) => in_process(FederatedConfig { threads, ..config }),
-            Fed::Socket(threads) => {
-                parallel::set_threads(threads);
-                over_sockets(config)
-            }
+            Fed::Socket(_) => over_sockets(config),
+            Fed::Serial | Fed::InProcess(_) => in_process(config),
         };
         parallel::set_threads(0);
         let digest = outcome.digest();

@@ -228,22 +228,22 @@ proptest! {
                 })
                 .collect()
         };
-        let build = |threads: usize| {
+        let run = |threads: usize| {
+            parallel::set_threads(threads);
             let cfg = FederatedConfig {
                 rounds: 1,
                 epochs_per_round: 1,
                 batch_size: 8,
                 parallel: false,
-                threads,
                 ..FederatedConfig::default()
             };
             let mut sim = FederatedSimulation::new(forecaster_model(3, 3), cfg);
             sim.add_client("a", samples(0.0));
             sim.add_client("b", samples(0.9));
-            sim
+            sim.run()
         };
-        let out_one = build(1).run().expect("threads=1 run");
-        let out_four = build(4).run().expect("threads=4 run");
+        let out_one = run(1).expect("threads=1 run");
+        let out_four = run(4).expect("threads=4 run");
         parallel::set_threads(0);
         prop_assert_eq!(out_one.global_weights, out_four.global_weights);
     }

@@ -96,27 +96,30 @@ fn weights_survive_json_exactly() {
 
 #[test]
 fn a_retired_compression_tag_is_refused() {
-    use evfad_core::federated::wire::{self, WireError};
-    use evfad_core::federated::{Aggregator, CompressionMode, FederatedConfig};
-    // The compression tag is an `EVCF` record's last byte; 2 was
-    // `TopKDelta { k }` and stays unassigned.
-    let mut blob = wire::encode_config(&FederatedConfig {
-        compression: CompressionMode::Quant8,
-        ..FederatedConfig::default()
-    })
-    .to_vec();
-    *blob.last_mut().expect("non-empty record") = 2;
-    assert_eq!(wire::decode_config(&blob), Err(WireError::UnknownTag(2)));
+    use evfad_core::federated::wire::{self, BytesMut, Message, WireError};
+    use evfad_core::federated::{Aggregator, CompressionMode};
+    // The compression tag follows a `Welcome`'s 6-byte preamble, its
+    // message tag and two `u32`s; 2 was `TopKDelta { k }` and stays
+    // unassigned.
+    const COMPRESSION_TAG_AT: usize = 6 + 1 + 8;
+    let mut blob = BytesMut::new();
+    wire::encode_message(
+        &mut blob,
+        &Message::Welcome {
+            epochs_per_round: 10,
+            batch_size: 32,
+            compression: CompressionMode::Quant8,
+            retry_budget: 0,
+            backoff_base_seconds: 0.0,
+            init_global: wire::encode_weights(&[]),
+        },
+    );
+    assert_eq!(blob[COMPRESSION_TAG_AT], 1, "layout moved");
+    blob[COMPRESSION_TAG_AT] = 2;
+    assert_eq!(wire::decode_message(&blob), Err(WireError::UnknownTag(2)));
     assert!(serde_json::from_str::<CompressionMode>(r#"{"TopKDelta":{"k":8}}"#).is_err());
-    // The aggregator tag follows the 6-byte preamble and three `u32`s; 1
-    // was `Median` and 2 `TrimmedMean { trim }`, and both stay unassigned.
-    const AGGREGATOR_TAG_AT: usize = 6 + 12;
-    for tag in [1, 2] {
-        let mut blob = wire::encode_config(&FederatedConfig::default()).to_vec();
-        assert_eq!(blob[AGGREGATOR_TAG_AT], 0, "layout moved");
-        blob[AGGREGATOR_TAG_AT] = tag;
-        assert_eq!(wire::decode_config(&blob), Err(WireError::UnknownTag(tag)));
-    }
+    // `Median` and `TrimmedMean { trim }` were retired on evidence; no
+    // aggregator crosses the wire, and JSON configs refuse both.
     assert!(serde_json::from_str::<Aggregator>(r#""Median""#).is_err());
     assert!(serde_json::from_str::<Aggregator>(r#"{"TrimmedMean":{"trim":1}}"#).is_err());
 }
