@@ -16,14 +16,20 @@
 //! bytes only, which is what keeps socket-path byte counts identical to
 //! the in-process `encoded_size` arithmetic.
 //!
-//! [`FrameDecoder`] is an incremental reassembler: feed it arbitrary
-//! chunks (down to one byte at a time, including splits inside the
-//! length header) and it yields exactly the payload sequence that was
-//! framed, in order. Malformed input — a declared length above
-//! [`MAX_FRAME_BYTES`] — surfaces as a typed [`WireError`], never a
-//! panic or an unbounded allocation.
+//! [`FrameDecoder`] is the one reassembler, with a frame cap of its own
+//! ([`MAX_FRAME_BYTES`] unless [`FrameDecoder::with_cap`] says less).
+//! Over a stream, [`read_frame`](FrameDecoder::read_frame) reads the
+//! four header bytes, checks the declared length against the cap, and
+//! reads the body straight into one buffer of exactly that length: one
+//! allocation, bounded by the cap, and no copy. Fed arbitrary chunks
+//! instead (down to one byte at a time, including splits inside the
+//! length header), [`feed`](FrameDecoder::feed) and
+//! [`next_frame`](FrameDecoder::next_frame) yield exactly the payload
+//! sequence that was framed, in order. A declared length above the cap
+//! is a typed error before anything is allocated for it, never a panic.
 
 use bytes::{Buf, BufMut, Bytes, BytesMut};
+use std::io::{ErrorKind, Read};
 
 use crate::wire::WireError;
 
@@ -31,9 +37,11 @@ use crate::wire::WireError;
 pub const FRAME_HEADER_BYTES: usize = 4;
 
 /// Upper bound on a single frame's payload (256 MiB), mirroring the
-/// per-blob bound inside the EVMS envelope. A peer declaring more is
-/// malformed or hostile; the decoder rejects the length before
-/// allocating anything.
+/// per-blob bound inside the EVMS envelope, and the cap of a
+/// [`FrameDecoder::new`]. A peer declaring more is malformed or hostile;
+/// the decoder rejects the length before allocating anything. The socket
+/// transport caps each session far lower, at the largest frame the
+/// protocol can send at its model's size.
 pub const MAX_FRAME_BYTES: usize = 256 << 20;
 
 /// Appends one length-prefixed frame wrapping `payload` to `buf`.
@@ -104,24 +112,161 @@ pub fn write_frame<W: std::io::Write>(writer: &mut W, payload: &[u8]) -> std::io
     Ok(())
 }
 
-/// Incremental frame reassembler.
+/// Why [`FrameDecoder::read_frame`] delivered no frame.
+#[derive(Debug)]
+pub enum FrameError {
+    /// The header declared more than the decoder's cap. Nothing of the
+    /// body was read or allocated; the stream has no resynchronisation
+    /// point, so the connection must be dropped.
+    Oversized {
+        /// Declared payload length.
+        declared: usize,
+        /// The decoder's cap.
+        cap: usize,
+    },
+    /// The stream ended `missing` bytes short of a whole length header.
+    EndInHeader {
+        /// Header bytes never received.
+        missing: usize,
+    },
+    /// The stream ended `missing` bytes short of a `declared`-byte body.
+    EndInBody {
+        /// Declared payload length.
+        declared: usize,
+        /// Body bytes never received.
+        missing: usize,
+    },
+    /// Reading the stream failed.
+    Io(std::io::Error),
+}
+
+impl std::fmt::Display for FrameError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            FrameError::Oversized { declared, cap } => {
+                write!(f, "frame of {declared} bytes exceeds the cap of {cap}")
+            }
+            FrameError::EndInHeader { missing } => {
+                write!(
+                    f,
+                    "connection closed {missing} bytes short of a frame header"
+                )
+            }
+            FrameError::EndInBody { declared, missing } => write!(
+                f,
+                "connection closed {missing} bytes short of a {declared}-byte frame"
+            ),
+            FrameError::Io(e) => write!(f, "{e}"),
+        }
+    }
+}
+
+impl std::error::Error for FrameError {}
+
+impl From<std::io::Error> for FrameError {
+    fn from(e: std::io::Error) -> Self {
+        FrameError::Io(e)
+    }
+}
+
+/// Frame reassembler with a cap on the length a header may declare.
 ///
-/// Bytes go in via [`feed`](Self::feed) in whatever chunks the socket
-/// delivers; completed payloads come out via
-/// [`next_frame`](Self::next_frame). The decoder owns a single
-/// contiguous buffer with a consumed-prefix offset, compacted
+/// Over a blocking stream, [`read_frame`](Self::read_frame) reads each
+/// frame into one buffer of its declared size. Otherwise bytes go in via
+/// [`feed`](Self::feed) in whatever chunks arrive and completed payloads
+/// come out via [`next_frame`](Self::next_frame); the decoder then owns a
+/// single contiguous buffer with a consumed-prefix offset, compacted
 /// opportunistically so a long-lived connection does not accrete memory.
-#[derive(Debug, Default)]
+/// `read_frame` takes bytes already fed before it reads the stream.
+#[derive(Debug)]
 pub struct FrameDecoder {
     buf: Vec<u8>,
     /// Offset of the first unconsumed byte in `buf`.
     start: usize,
+    /// The longest payload a header may declare.
+    cap: usize,
+}
+
+impl Default for FrameDecoder {
+    fn default() -> Self {
+        Self::new()
+    }
 }
 
 impl FrameDecoder {
-    /// Creates an empty decoder.
+    /// Creates an empty decoder capped at [`MAX_FRAME_BYTES`].
     pub fn new() -> Self {
-        Self::default()
+        Self::with_cap(MAX_FRAME_BYTES)
+    }
+
+    /// Creates an empty decoder that refuses any frame declaring more
+    /// than `cap` payload bytes (at most [`MAX_FRAME_BYTES`]).
+    pub fn with_cap(cap: usize) -> Self {
+        Self {
+            buf: Vec::new(),
+            start: 0,
+            cap: cap.min(MAX_FRAME_BYTES),
+        }
+    }
+
+    /// Reads the next frame from `reader`: the header, then the body into
+    /// one buffer allocated at the declared length once the length has
+    /// passed the cap. Bytes already [`feed`](Self::feed)-ed come first.
+    ///
+    /// Returns `Ok(None)` when the stream ends cleanly between frames.
+    ///
+    /// # Errors
+    ///
+    /// [`FrameError::Oversized`] for a declared length above the cap,
+    /// read before any body byte; [`FrameError::EndInHeader`] /
+    /// [`FrameError::EndInBody`] when the stream ends inside a frame;
+    /// [`FrameError::Io`] when a read fails.
+    pub fn read_frame<R: Read>(&mut self, reader: &mut R) -> Result<Option<Vec<u8>>, FrameError> {
+        let mut header = [0u8; FRAME_HEADER_BYTES];
+        match self.fill(reader, &mut header)? {
+            0 => return Ok(None),
+            FRAME_HEADER_BYTES => {}
+            got => {
+                return Err(FrameError::EndInHeader {
+                    missing: FRAME_HEADER_BYTES - got,
+                })
+            }
+        }
+        let declared = u32::from_le_bytes(header) as usize;
+        if declared > self.cap {
+            return Err(FrameError::Oversized {
+                declared,
+                cap: self.cap,
+            });
+        }
+        let mut body = vec![0u8; declared];
+        let got = self.fill(reader, &mut body)?;
+        if got < declared {
+            return Err(FrameError::EndInBody {
+                declared,
+                missing: declared - got,
+            });
+        }
+        Ok(Some(body))
+    }
+
+    /// Fills `dst` from the buffered bytes, then from `reader` until it is
+    /// full or the stream ends; returns how many bytes it holds.
+    fn fill<R: Read>(&mut self, reader: &mut R, dst: &mut [u8]) -> std::io::Result<usize> {
+        let pending = &self.buf[self.start..];
+        let mut filled = pending.len().min(dst.len());
+        dst[..filled].copy_from_slice(&pending[..filled]);
+        self.start += filled;
+        self.compact();
+        while filled < dst.len() {
+            match reader.read(&mut dst[filled..]) {
+                Ok(0) => break,
+                Ok(n) => filled += n,
+                Err(e) if e.kind() == ErrorKind::Interrupted => {}
+                Err(e) => return Err(e),
+            }
+        }
+        Ok(filled)
     }
 
     /// Appends raw bytes received from the stream.
@@ -153,7 +298,7 @@ impl FrameDecoder {
     ///
     /// Returns `Ok(None)` when more bytes are needed (see
     /// [`needed`](Self::needed)), and `Err(WireError::OversizedFrame)`
-    /// when the declared length exceeds [`MAX_FRAME_BYTES`]. The error is
+    /// when the declared length exceeds the decoder's cap. The error is
     /// sticky in effect: the bad header is not consumed, so a poisoned
     /// stream keeps reporting the same error — the connection must be
     /// dropped, there is no resynchronization point in a length-prefixed
@@ -165,7 +310,7 @@ impl FrameDecoder {
         }
         let mut cursor = pending;
         let declared = cursor.get_u32_le() as usize;
-        if declared > MAX_FRAME_BYTES {
+        if declared > self.cap {
             return Err(WireError::OversizedFrame { declared });
         }
         if cursor.len() < declared {
@@ -278,6 +423,113 @@ mod tests {
         dec.feed(&(MAX_FRAME_BYTES as u32).to_le_bytes());
         assert_eq!(dec.next_frame().unwrap(), None);
         assert_eq!(dec.needed(), MAX_FRAME_BYTES);
+    }
+
+    /// A `Read` over `bytes` that hands out at most `step` bytes a call
+    /// and counts the bytes it has handed out.
+    struct Trickle<'a> {
+        bytes: &'a [u8],
+        step: usize,
+        handed: usize,
+    }
+
+    impl<'a> Trickle<'a> {
+        fn new(bytes: &'a [u8], step: usize) -> Self {
+            Self {
+                bytes,
+                step,
+                handed: 0,
+            }
+        }
+    }
+
+    impl Read for Trickle<'_> {
+        fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
+            let rest = &self.bytes[self.handed..];
+            let n = buf.len().min(self.step).min(rest.len());
+            buf[..n].copy_from_slice(&rest[..n]);
+            self.handed += n;
+            Ok(n)
+        }
+    }
+
+    #[test]
+    fn a_frame_at_the_cap_is_read_and_one_byte_over_is_refused_unread() {
+        let at_cap = vec![9u8; 300];
+        let stream = frames(&[&at_cap]);
+        let mut src = Trickle::new(&stream, usize::MAX);
+        let mut dec = FrameDecoder::with_cap(300);
+        assert_eq!(dec.read_frame(&mut src).unwrap(), Some(at_cap));
+        assert_eq!(dec.read_frame(&mut src).unwrap(), None);
+
+        let stream = frames(&[&[9u8; 301]]);
+        let mut src = Trickle::new(&stream, usize::MAX);
+        let err = FrameDecoder::with_cap(300)
+            .read_frame(&mut src)
+            .unwrap_err();
+        assert!(
+            matches!(
+                err,
+                FrameError::Oversized {
+                    declared: 301,
+                    cap: 300
+                }
+            ),
+            "{err}"
+        );
+        // The header left the stream and no body byte did.
+        assert_eq!(src.handed, FRAME_HEADER_BYTES);
+    }
+
+    #[test]
+    fn a_stream_ending_inside_a_frame_is_an_error_and_between_frames_a_clean_end() {
+        let (first, second): (&[u8], &[u8]) = (b"first", b"second-frame");
+        let stream = frames(&[first, second]);
+        let boundary = frame_size(first.len());
+        for cut in 0..=stream.len() {
+            let mut src = Trickle::new(&stream[..cut], 3);
+            let mut dec = FrameDecoder::new();
+            // Whatever whole frames the prefix holds come out first.
+            let mut whole = Vec::new();
+            let end = loop {
+                match dec.read_frame(&mut src) {
+                    Ok(Some(frame)) => whole.push(frame),
+                    other => break other,
+                }
+            };
+            assert_eq!(
+                whole.len(),
+                usize::from(cut >= boundary) + usize::from(cut == stream.len())
+            );
+            let (offset, body) = if cut < boundary {
+                (cut, first.len())
+            } else {
+                (cut - boundary, second.len())
+            };
+            match end {
+                Ok(None) => assert!(cut == 0 || cut == boundary || cut == stream.len(), "{cut}"),
+                Err(FrameError::EndInHeader { missing }) => {
+                    assert_eq!(missing, FRAME_HEADER_BYTES - offset, "{cut}");
+                }
+                Err(FrameError::EndInBody { declared, missing }) => {
+                    assert_eq!(declared, body, "{cut}");
+                    assert_eq!(missing, FRAME_HEADER_BYTES + body - offset, "{cut}");
+                }
+                other => panic!("cut {cut}: {other:?}"),
+            }
+        }
+    }
+
+    #[test]
+    fn read_frame_takes_fed_bytes_before_the_stream() {
+        let stream = frames(&[b"alpha", b"bravo"]);
+        let mut dec = FrameDecoder::new();
+        dec.feed(&stream[..7]);
+        let mut src = Trickle::new(&stream[7..], 2);
+        assert_eq!(dec.read_frame(&mut src).unwrap(), Some(b"alpha".to_vec()));
+        assert_eq!(dec.read_frame(&mut src).unwrap(), Some(b"bravo".to_vec()));
+        assert_eq!(dec.read_frame(&mut src).unwrap(), None);
+        assert_eq!(dec.buffered(), 0);
     }
 
     #[test]

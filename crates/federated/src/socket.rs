@@ -4,12 +4,15 @@
 //! Three layers, bottom up:
 //!
 //! * `SocketTransport` — a listener with an accept thread and one
-//!   reader thread per connection. Readers reassemble length-prefixed
-//!   frames (see [`framing`](crate::framing)) from arbitrary read
-//!   fragmentation, decode each into a [`Message`], and feed a single
-//!   [`mpsc`] event queue the server drains. Writes go through a shared
-//!   writer map so the server can send (and deliberately *kill*)
-//!   connections from the round loop.
+//!   reader thread per connection, up to a connection cap; a connection
+//!   beyond it is closed at accept with no reader. Readers read each
+//!   length-prefixed frame (see [`framing`](crate::framing)) into one
+//!   buffer of its declared size — one allocation, bounded by the
+//!   session's frame cap — decode it into a [`Message`], and feed a
+//!   single bounded [`mpsc::sync_channel`] event queue the server drains;
+//!   a connection whose event finds the queue full is dropped. Writes go
+//!   through a shared writer map so the server can send (and deliberately
+//!   *kill*) connections from the round loop.
 //! * [`SocketServer`] — binds, admits the expected clients
 //!   (`Hello`/`Welcome` handshake), then drives the **same**
 //!   `engine` round loop as the in-process simulation
@@ -25,6 +28,31 @@
 //!   a straggler sleeps, a corrupt client corrupts its own payload
 //!   before encoding, and a transient failure is a connection the
 //!   server really closes mid-upload, which the client really retries.
+//!
+//! # Bounded memory
+//!
+//! Every session caps its frames at the largest frame the protocol can
+//! legitimately send it at the model's size, so a peer declaring more is
+//! refused after four header bytes, before anything is allocated:
+//!
+//! * a server receives a `Hello` or an `Update`, whose payload is at most
+//!   the template's `EVQ8` worst case (every value a special; larger than
+//!   its `EVFD` record, so one cap serves both compression modes), with
+//!   the roster's longest id;
+//! * a client receives at most a `Welcome` carrying its own template's
+//!   `EVFD` weights (`Broadcast` and `Done` carry the same blob under a
+//!   shorter header), or an `Abort` whose text the server cuts to
+//!   `ABORT_TEXT_BYTES`.
+//!
+//! A server admits two connections per roster client: its control
+//! connection and its one upload. An upload it refuses is closed at once;
+//! one it acknowledges is left for the client to close, and any still
+//! open is closed before the next round asks for uploads. A connection
+//! the server closes leaves the count at once, so a client never opens an
+//! upload while its previous one still counts. The event queue holds two
+//! events per admitted connection, its message and its hang-up. Frame
+//! buffers and queued messages are therefore bounded by the roster and
+//! the model, never by what a peer declares or streams.
 //!
 //! # Determinism
 //!
@@ -55,10 +83,9 @@ use evfad_nn::{Sample, Sequential, TrainConfig};
 use evfad_tensor::Matrix;
 use parking_lot::Mutex;
 use std::collections::HashMap;
-use std::io::Read;
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::mpsc::{self, Receiver, RecvTimeoutError, Sender};
+use std::sync::mpsc::{self, Receiver, RecvTimeoutError, SyncSender};
 use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
@@ -79,11 +106,21 @@ enum TransportEvent {
     Disconnected(u64),
 }
 
+/// What one transport admits: connections at once, and payload bytes per
+/// frame on each of them.
+#[derive(Debug, Clone, Copy)]
+struct Limits {
+    connections: usize,
+    frame_bytes: usize,
+}
+
 /// Listener + per-connection reader threads feeding one event queue.
 ///
 /// Connections are identified by a monotonically increasing `u64`. The
 /// transport does not know which connection belongs to which client —
-/// the protocol layer learns that from `Hello` / `Update` messages.
+/// the protocol layer learns that from `Hello` / `Update` messages. A
+/// connection is live while it holds an entry in the writer map: from
+/// its accept until its reader exits or the server kills it.
 #[derive(Debug)]
 struct SocketTransport {
     local_addr: SocketAddr,
@@ -93,22 +130,27 @@ struct SocketTransport {
     accept_handle: Option<JoinHandle<()>>,
     reader_handles: Arc<Mutex<Vec<JoinHandle<()>>>>,
     scratch: BytesMut,
+    /// Connections whose exchange is over, left for the peer to close;
+    /// [`close_retired`](Self::close_retired) closes those still open.
+    retired: Vec<u64>,
 }
 
 impl SocketTransport {
     /// Binds a listener and starts accepting connections immediately —
     /// clients may connect (and their `Hello`s queue) before the server
-    /// starts draining events, so startup order cannot race.
+    /// starts draining events, so startup order cannot race. At most
+    /// `limits.connections` are live at once, each reading frames of at
+    /// most `limits.frame_bytes`, into a queue of twice as many events.
     ///
     /// # Errors
     ///
     /// [`FederatedError::Transport`] if the bind fails.
-    fn bind(addr: impl ToSocketAddrs) -> Result<Self, FederatedError> {
+    fn bind(addr: impl ToSocketAddrs, limits: Limits) -> Result<Self, FederatedError> {
         let listener = TcpListener::bind(addr).map_err(|e| transport_err("bind", e))?;
         let local_addr = listener
             .local_addr()
             .map_err(|e| transport_err("local_addr", e))?;
-        let (tx, events) = mpsc::channel();
+        let (tx, events) = mpsc::sync_channel(limits.connections.saturating_mul(2));
         let writers: Arc<Mutex<HashMap<u64, TcpStream>>> = Arc::new(Mutex::new(HashMap::new()));
         let stop = Arc::new(AtomicBool::new(false));
         let reader_handles: Arc<Mutex<Vec<JoinHandle<()>>>> = Arc::new(Mutex::new(Vec::new()));
@@ -132,15 +174,26 @@ impl SocketTransport {
                     if stop.load(Ordering::SeqCst) {
                         break;
                     }
-                    let id = next_id;
-                    next_id += 1;
                     let Ok(write_half) = stream.try_clone() else {
                         continue;
                     };
-                    writers.lock().insert(id, write_half);
+                    {
+                        let mut live = writers.lock();
+                        if live.len() >= limits.connections {
+                            // Over the cap: both halves drop here, which
+                            // closes the connection before any reader runs.
+                            continue;
+                        }
+                        live.insert(next_id, write_half);
+                    }
+                    let id = next_id;
+                    next_id += 1;
                     let tx = tx.clone();
                     let writers = Arc::clone(&writers);
-                    let handle = std::thread::spawn(move || run_reader(stream, id, &tx, &writers));
+                    let frame_bytes = limits.frame_bytes;
+                    let handle = std::thread::spawn(move || {
+                        run_reader(stream, id, frame_bytes, &tx, &writers);
+                    });
                     // Every upload attempt is a fresh connection: keep the
                     // handles of live readers only, or the list grows with
                     // rounds x clients x attempts for the server's lifetime.
@@ -159,6 +212,7 @@ impl SocketTransport {
             accept_handle: Some(accept_handle),
             reader_handles,
             scratch: BytesMut::new(),
+            retired: Vec::new(),
         })
     }
 
@@ -188,11 +242,28 @@ impl SocketTransport {
 
     /// Forcibly closes a connection **without** any farewell message —
     /// from the peer's side this is a connection lost mid-exchange. The
-    /// reader thread observes the shutdown and emits
-    /// [`TransportEvent::Disconnected`].
+    /// connection leaves the live count at once; its reader thread
+    /// observes the shutdown and emits [`TransportEvent::Disconnected`].
     fn kill(&self, conn: u64) {
         if let Some(stream) = self.writers.lock().remove(&conn) {
             let _ = stream.shutdown(Shutdown::Both);
+        }
+    }
+
+    /// Marks a connection whose exchange is over — an acknowledged upload
+    /// — for the peer to close. It counts as live until its reader sees
+    /// the peer hang up or [`close_retired`](Self::close_retired) runs.
+    fn retire(&mut self, conn: u64) {
+        self.retired.push(conn);
+    }
+
+    /// Closes every retired connection its peer has left open. A peer
+    /// closes right after its `Ack`, so this usually finds none, and
+    /// closing them here keeps the shutdown off the path from an
+    /// upload to its `Ack`.
+    fn close_retired(&mut self) {
+        for conn in std::mem::take(&mut self.retired) {
+            self.kill(conn);
         }
     }
 
@@ -231,42 +302,32 @@ impl Drop for SocketTransport {
 }
 
 /// Per-connection reader: socket bytes → frames → messages → events.
-/// Any framing or decode error poisons the stream (there is no
-/// resynchronisation point in a length-prefixed protocol), so the
-/// connection is dropped.
+/// Each frame is read into one buffer of its declared length, at most
+/// `frame_bytes`. Any framing or decode error poisons the stream (there
+/// is no resynchronisation point in a length-prefixed protocol), and a
+/// message the full event queue cannot take marks its connection as one
+/// the server cannot keep up with: either way the connection is dropped.
+/// The hang-up event is queued only if there is room for it.
 fn run_reader(
     mut stream: TcpStream,
     id: u64,
-    tx: &Sender<TransportEvent>,
+    frame_bytes: usize,
+    tx: &SyncSender<TransportEvent>,
     writers: &Mutex<HashMap<u64, TcpStream>>,
 ) {
-    let mut buf = [0u8; 4096];
-    let mut decoder = FrameDecoder::new();
-    'conn: loop {
-        let n = match stream.read(&mut buf) {
-            Ok(0) | Err(_) => break 'conn,
-            Ok(n) => n,
+    let mut decoder = FrameDecoder::with_cap(frame_bytes);
+    while let Ok(Some(frame)) = decoder.read_frame(&mut stream) {
+        let Ok(msg) = wire::decode_message(&frame) else {
+            break;
         };
-        decoder.feed(&buf[..n]);
-        loop {
-            match decoder.next_frame() {
-                Ok(Some(frame)) => match wire::decode_message(&frame) {
-                    Ok(msg) => {
-                        if tx.send(TransportEvent::Message(id, msg)).is_err() {
-                            break 'conn;
-                        }
-                    }
-                    Err(_) => break 'conn,
-                },
-                Ok(None) => break,
-                Err(_) => break 'conn,
-            }
+        if tx.try_send(TransportEvent::Message(id, msg)).is_err() {
+            break;
         }
     }
     if let Some(s) = writers.lock().remove(&id) {
         let _ = s.shutdown(Shutdown::Both);
     }
-    let _ = tx.send(TransportEvent::Disconnected(id));
+    let _ = tx.try_send(TransportEvent::Disconnected(id));
 }
 
 /// Framed, blocking message stream over one client-side connection.
@@ -277,11 +338,12 @@ struct MessageStream {
 }
 
 impl MessageStream {
-    fn connect(addr: SocketAddr) -> Result<Self, FederatedError> {
+    /// Connects to `addr`, refusing any frame of more than `frame_bytes`.
+    fn connect(addr: SocketAddr, frame_bytes: usize) -> Result<Self, FederatedError> {
         let stream = TcpStream::connect(addr).map_err(|e| transport_err("connect", e))?;
         Ok(Self {
             stream,
-            decoder: FrameDecoder::new(),
+            decoder: FrameDecoder::with_cap(frame_bytes),
             scratch: BytesMut::new(),
         })
     }
@@ -294,28 +356,15 @@ impl MessageStream {
     /// Blocks until one full message arrives. `Ok(None)` means the peer
     /// closed the connection cleanly between messages.
     fn recv(&mut self) -> Result<Option<Message>, FederatedError> {
-        let mut buf = [0u8; 4096];
-        loop {
-            if let Some(frame) = self
-                .decoder
-                .next_frame()
-                .map_err(|e| transport_err("recv", e))?
-            {
-                let msg = wire::decode_message(&frame).map_err(|e| transport_err("recv", e))?;
-                return Ok(Some(msg));
-            }
-            let n = self
-                .stream
-                .read(&mut buf)
-                .map_err(|e| transport_err("recv", e))?;
-            if n == 0 {
-                if self.decoder.buffered() > 0 {
-                    return Err(transport_err("recv", "connection closed mid-frame"));
-                }
-                return Ok(None);
-            }
-            self.decoder.feed(&buf[..n]);
-        }
+        let Some(frame) = self
+            .decoder
+            .read_frame(&mut self.stream)
+            .map_err(|e| transport_err("recv", e))?
+        else {
+            return Ok(None);
+        };
+        let msg = wire::decode_message(&frame).map_err(|e| transport_err("recv", e))?;
+        Ok(Some(msg))
     }
 }
 
@@ -372,6 +421,66 @@ fn decode_uplink_payload(
     Ok(weights)
 }
 
+/// The longest `Abort` text a server sends; a client's frame cap leaves
+/// room for this much and no more.
+const ABORT_TEXT_BYTES: usize = 4 << 10;
+
+/// Element counts of the template's tensors, in wire order.
+fn tensor_lens(template: &Sequential) -> impl Iterator<Item = usize> + '_ {
+    template
+        .layers()
+        .iter()
+        .flat_map(|layer| layer.params())
+        .map(Matrix::len)
+}
+
+/// Encoded length of `msg` once its one blob holds `blob_bytes` more.
+fn envelope_len(msg: &Message, blob_bytes: usize) -> usize {
+    let mut buf = BytesMut::new();
+    wire::encode_message(&mut buf, msg);
+    buf.len() + blob_bytes
+}
+
+/// The largest frame a client can legitimately send a server with this
+/// template and roster: an `Update` from the longest id, carrying the
+/// largest payload either encoding can give (a `Hello` is shorter).
+fn server_frame_cap(template: &Sequential, roster: &[String]) -> usize {
+    let longest = roster.iter().max_by_key(|id| id.len()).cloned();
+    let update = Message::Update {
+        round: 0,
+        client_id: longest.unwrap_or_default(),
+        sample_count: 0,
+        train_loss: 0.0,
+        payload: Bytes::new(),
+    };
+    envelope_len(&update, wire::quantized_max_size(tensor_lens(template)))
+}
+
+/// The largest frame a server can legitimately send a client with this
+/// template: a `Welcome` carrying its `EVFD` weights, or an `Abort`.
+fn client_frame_cap(template: &Sequential) -> usize {
+    let welcome = Message::Welcome {
+        epochs_per_round: 0,
+        batch_size: 0,
+        compression: CompressionMode::None,
+        retry_budget: 0,
+        backoff_base_seconds: 0.0,
+        init_global: Bytes::new(),
+    };
+    let abort = Message::Abort {
+        message: String::new(),
+    };
+    envelope_len(&welcome, wire::weights_size(tensor_lens(template)))
+        .max(envelope_len(&abort, ABORT_TEXT_BYTES))
+}
+
+/// `err`'s text for an `Abort`, cut to [`ABORT_TEXT_BYTES`].
+fn abort_text(err: &FederatedError) -> String {
+    let mut text = err.to_string();
+    text.truncate(text.floor_char_boundary(ABORT_TEXT_BYTES));
+    text
+}
+
 /// Knobs for a [`SocketServer`] beyond the shared [`FederatedConfig`].
 #[derive(Debug, Clone)]
 pub struct SocketServerConfig {
@@ -422,8 +531,12 @@ impl SocketServer {
         template: Sequential,
         cfg: SocketServerConfig,
     ) -> Result<Self, FederatedError> {
+        let limits = Limits {
+            connections: cfg.expected_clients.len().saturating_mul(2),
+            frame_bytes: server_frame_cap(&template, &cfg.expected_clients),
+        };
         Ok(Self {
-            transport: SocketTransport::bind(addr)?,
+            transport: SocketTransport::bind(addr, limits)?,
             template,
             cfg,
             channel: MeteredChannel::new(),
@@ -479,7 +592,7 @@ impl SocketServer {
         let outcome = engine::run_rounds(&mut pool, &self.cfg.config, &self.channel, global);
         if let Err(err) = &outcome {
             let abort = Message::Abort {
-                message: err.to_string(),
+                message: abort_text(err),
             };
             for &conn in &controls {
                 let _ = self.transport.send(conn, &abort);
@@ -612,6 +725,9 @@ impl RoundPool for SocketPool<'_> {
         global: &[Matrix],
     ) -> Result<Vec<PoolUpdate>, FederatedError> {
         self.current_round = round;
+        // Last round's uploads leave the connection count before any
+        // client is asked for its next one.
+        self.transport.close_retired();
         let ids = self.ids;
         // Ask every admitted client to train, and plan its upload saga from
         // the gate's verdict: its attempts are that many arrivals, and the
@@ -686,6 +802,7 @@ impl RoundPool for SocketPool<'_> {
                     });
                     if entry.ack_last {
                         self.transport.send(conn, &Message::Ack { round: r })?;
+                        self.transport.retire(conn);
                     } else {
                         // Retries exhausted by plan: the last attempt dies
                         // like the others. The payload still arrived — and
@@ -773,7 +890,8 @@ impl SocketClient {
     ) -> Result<Vec<Matrix>, FederatedError> {
         let client_id = client_id.into();
         wire::check_id("client_id", &client_id)?;
-        let mut control = MessageStream::connect(addr)?;
+        let frame_bytes = client_frame_cap(&template);
+        let mut control = MessageStream::connect(addr, frame_bytes)?;
         control.send(&Message::Hello {
             client_id: client_id.clone(),
         })?;
@@ -859,7 +977,7 @@ impl SocketClient {
                         train_loss: update.train_loss,
                         payload,
                     };
-                    self.upload_with_retries(addr, &msg, &retry)?;
+                    self.upload_with_retries(addr, frame_bytes, &msg, &retry)?;
                 }
                 Some(Message::Done { global: encoded }) => {
                     let final_global =
@@ -885,12 +1003,13 @@ impl SocketClient {
     fn upload_with_retries(
         &self,
         addr: SocketAddr,
+        frame_bytes: usize,
         msg: &Message,
         retry: &FaultPlan,
     ) -> Result<(), FederatedError> {
         let max_attempts = retry.retry_budget + 1;
         for attempt in 0..max_attempts {
-            if self.upload_once(addr, msg).is_ok() {
+            if self.upload_once(addr, frame_bytes, msg).is_ok() {
                 return Ok(());
             }
             if attempt + 1 < max_attempts {
@@ -902,8 +1021,13 @@ impl SocketClient {
 
     /// One upload attempt: connect, send, block for the `Ack`. Any
     /// connection loss before the ack is a failed attempt.
-    fn upload_once(&self, addr: SocketAddr, msg: &Message) -> Result<(), FederatedError> {
-        let mut conn = MessageStream::connect(addr)?;
+    fn upload_once(
+        &self,
+        addr: SocketAddr,
+        frame_bytes: usize,
+        msg: &Message,
+    ) -> Result<(), FederatedError> {
+        let mut conn = MessageStream::connect(addr, frame_bytes)?;
         conn.send(msg)?;
         match conn.recv()? {
             Some(Message::Ack { .. }) => Ok(()),
@@ -929,10 +1053,117 @@ impl SocketClient {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::io::Write;
+    use crate::framing::MAX_FRAME_BYTES;
+    use std::io::{Read, Write};
 
     fn loopback() -> SocketTransport {
-        SocketTransport::bind("127.0.0.1:0").expect("bind")
+        let limits = Limits {
+            connections: 64,
+            frame_bytes: MAX_FRAME_BYTES,
+        };
+        SocketTransport::bind("127.0.0.1:0", limits).expect("bind")
+    }
+
+    /// A transport admitting `connections` at once, frames of ≤ 64 bytes.
+    fn capped(connections: usize) -> SocketTransport {
+        let limits = Limits {
+            connections,
+            frame_bytes: 64,
+        };
+        SocketTransport::bind("127.0.0.1:0", limits).expect("bind")
+    }
+
+    fn hello(transport: &SocketTransport, id: &str) -> MessageStream {
+        let mut peer = MessageStream::connect(transport.local_addr(), 64).expect("connect");
+        peer.send(&Message::Hello {
+            client_id: id.into(),
+        })
+        .expect("send");
+        match transport.recv(Duration::from_secs(5)).expect("event") {
+            TransportEvent::Message(_, Message::Hello { client_id }) => assert_eq!(client_id, id),
+            other => panic!("unexpected {other:?}"),
+        }
+        peer
+    }
+
+    /// A fake server answers the client's `Hello` with a header declaring
+    /// one byte more than the client's cap, then some of the body, and
+    /// keeps the connection open: a client that allocated and waited for
+    /// that body would still be reading when the deadline passes.
+    #[test]
+    fn a_welcome_beyond_the_client_frame_cap_fails_the_run_unread() {
+        let listener = TcpListener::bind("127.0.0.1:0").expect("bind");
+        let addr = listener.local_addr().expect("addr");
+        let template = evfad_nn::forecaster_model(4, 3);
+        let cap = client_frame_cap(&template);
+        let (done, result) = mpsc::channel();
+        std::thread::spawn(move || {
+            let run = SocketClient { time_dilation: 0.0 }.run(addr, "a", template, Vec::new());
+            let _ = done.send(run);
+        });
+        let (mut conn, _) = listener.accept().expect("accept");
+        let frame = FrameDecoder::new().read_frame(&mut conn).expect("hello");
+        assert!(matches!(
+            wire::decode_message(&frame.expect("a frame")),
+            Ok(Message::Hello { .. })
+        ));
+        conn.write_all(&(cap as u32 + 1).to_le_bytes())
+            .expect("header");
+        conn.write_all(&[0u8; 1024]).expect("body bytes");
+        let err = result
+            .recv_timeout(Duration::from_secs(10))
+            .expect("the client refuses the header, not waits for its body")
+            .unwrap_err();
+        let expected = format!("recv: frame of {} bytes exceeds the cap of {cap}", cap + 1);
+        assert!(
+            matches!(&err, FederatedError::Transport { message } if *message == expected),
+            "{err}"
+        );
+    }
+
+    #[test]
+    fn a_connection_beyond_the_cap_is_closed_without_a_reader() {
+        let transport = capped(2);
+        let mut admitted = vec![hello(&transport, "a"), hello(&transport, "b")];
+        let mut refused = TcpStream::connect(transport.local_addr()).expect("connect");
+        refused
+            .set_read_timeout(Some(Duration::from_secs(5)))
+            .expect("timeout");
+        match refused.read(&mut [0u8; 1]) {
+            Ok(0) => {}
+            Err(e) if e.kind() == std::io::ErrorKind::ConnectionReset => {}
+            other => panic!("a connection over the cap stayed open: {other:?}"),
+        }
+        assert_eq!(transport.reader_handles.lock().len(), 2);
+        assert!(transport.recv(Duration::from_millis(100)).is_err());
+        // A hang-up frees its slot for the next connection.
+        drop(admitted.pop());
+        match transport.recv(Duration::from_secs(5)).expect("event") {
+            TransportEvent::Disconnected(_) => {}
+            other => panic!("unexpected {other:?}"),
+        }
+        hello(&transport, "c");
+    }
+
+    /// The queue holds two events per connection: with one connection,
+    /// a third message finds it full and its connection is dropped, and
+    /// the hang-up finds no room either.
+    #[test]
+    fn a_message_the_full_queue_cannot_take_drops_its_connection() {
+        let transport = capped(1);
+        let mut peer = MessageStream::connect(transport.local_addr(), 64).expect("connect");
+        for round in 0..3 {
+            peer.send(&Message::Ack { round }).expect("send");
+        }
+        assert!(matches!(peer.recv(), Ok(None) | Err(_)));
+        for round in 0..2 {
+            match transport.recv(Duration::from_secs(5)).expect("event") {
+                TransportEvent::Message(_, Message::Ack { round: r }) => assert_eq!(r, round),
+                other => panic!("unexpected {other:?}"),
+            }
+        }
+        assert!(transport.recv(Duration::from_millis(100)).is_err());
+        hello(&transport, "a");
     }
 
     /// A roster the server could never admit is refused before the
@@ -1030,7 +1261,8 @@ mod tests {
     #[test]
     fn hello_crosses_the_transport() {
         let transport = loopback();
-        let mut peer = MessageStream::connect(transport.local_addr()).expect("connect");
+        let mut peer =
+            MessageStream::connect(transport.local_addr(), MAX_FRAME_BYTES).expect("connect");
         peer.send(&Message::Hello {
             client_id: "z102".into(),
         })
@@ -1062,7 +1294,8 @@ mod tests {
     #[test]
     fn kill_looks_like_connection_loss_to_the_peer() {
         let mut transport = loopback();
-        let mut peer = MessageStream::connect(transport.local_addr()).expect("connect");
+        let mut peer =
+            MessageStream::connect(transport.local_addr(), MAX_FRAME_BYTES).expect("connect");
         peer.send(&Message::Hello {
             client_id: "z105".into(),
         })
@@ -1088,7 +1321,8 @@ mod tests {
     #[test]
     fn peer_hangup_surfaces_as_disconnect() {
         let transport = loopback();
-        let peer = MessageStream::connect(transport.local_addr()).expect("connect");
+        let peer =
+            MessageStream::connect(transport.local_addr(), MAX_FRAME_BYTES).expect("connect");
         drop(peer);
         match transport.recv(Duration::from_secs(5)).expect("event") {
             TransportEvent::Disconnected(_) => {}
@@ -1109,7 +1343,8 @@ mod tests {
             other => panic!("unexpected {other:?}"),
         }
         // The transport still accepts and serves new connections.
-        let mut good = MessageStream::connect(transport.local_addr()).expect("connect");
+        let mut good =
+            MessageStream::connect(transport.local_addr(), MAX_FRAME_BYTES).expect("connect");
         good.send(&Message::Ack { round: 7 }).expect("send");
         match transport.recv(Duration::from_secs(5)).expect("event") {
             TransportEvent::Message(_, Message::Ack { round }) => assert_eq!(round, 7),

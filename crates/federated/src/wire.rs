@@ -363,7 +363,19 @@ pub fn decode_weights(payload: &[u8]) -> Result<Vec<Matrix>, WireError> {
 /// Pure O(1)-per-tensor shape arithmetic — no allocation, no
 /// serialisation; the round loop meters full-precision uplinks with this.
 pub fn encoded_size(weights: &[Matrix]) -> usize {
-    10 + weights.iter().map(|m| 8 + m.len() * 8).sum::<usize>()
+    weights_size(weights.iter().map(Matrix::len))
+}
+
+/// [`encoded_size`] of a model whose tensors hold `lens` values each.
+pub(crate) fn weights_size(lens: impl IntoIterator<Item = usize>) -> usize {
+    10 + lens.into_iter().map(|n| 8 + n * 8).sum::<usize>()
+}
+
+/// Size of the largest `EVQ8` record a model whose tensors hold `lens`
+/// values each can produce: every value a special, sent as a code *and*
+/// an `(index, value)` entry. No encoding of such a model is larger.
+pub(crate) fn quantized_max_size(lens: impl IntoIterator<Item = usize>) -> usize {
+    10 + lens.into_iter().map(|n| 28 + 13 * n).sum::<usize>()
 }
 
 /// Encodes a quantized update into the `EVQ8` binary wire format: the
@@ -1161,6 +1173,25 @@ mod tests {
         assert_eq!(back, q);
         // Re-encode idempotence: decoding loses nothing.
         assert_eq!(&encode_quantized(&back)[..], &blob[..]);
+    }
+
+    /// The frame caps of the socket transport rest on these two bounds.
+    #[test]
+    fn the_evq8_worst_case_is_an_all_special_update_and_bounds_evfd() {
+        let w = sample_weights();
+        let lens = || w.iter().map(Matrix::len);
+        let specials: Vec<Matrix> = w
+            .iter()
+            .map(|m| Matrix::from_vec(m.rows(), m.cols(), vec![f64::NAN; m.len()]))
+            .collect();
+        let worst = quantized_max_size(lens());
+        assert_eq!(
+            worst,
+            encode_quantized(&QuantizedUpdate::quantize(&specials)).len()
+        );
+        assert!(encode_quantized(&QuantizedUpdate::quantize(&w)).len() < worst);
+        assert_eq!(weights_size(lens()), encoded_size(&w));
+        assert!(encoded_size(&w) < worst);
     }
 
     /// Pinned byte fixture for the `EVQ8` blob: the quantize math now

@@ -5,7 +5,9 @@
 //! yields exactly the payload sequence that was framed, in order. The
 //! strategies here cover chunk sizes from 1 byte (every header split
 //! position) up to 4096 bytes (several frames coalesced per read), with
-//! payloads from empty to multi-KiB including real EVMS envelopes.
+//! payloads from empty to multi-KiB including real EVMS envelopes. Read
+//! from a stream instead, one frame at a time into a buffer of its own
+//! size, the decoder yields the same sequence under any short reads.
 
 use evfad_federated::framing::{encode_frame, frame_size, FrameDecoder, FRAME_HEADER_BYTES};
 use evfad_federated::wire::{self, Message, WireError};
@@ -37,8 +39,50 @@ fn reassemble(stream: &[u8], cuts: &[usize]) -> Result<Vec<Vec<u8>>, WireError> 
     Ok(out)
 }
 
+/// A stream whose `read` calls hand out at most `cuts[i]` bytes each,
+/// cycling through `cuts`.
+struct ShortReads<'a> {
+    bytes: &'a [u8],
+    cuts: &'a [usize],
+    calls: usize,
+}
+
+impl std::io::Read for ShortReads<'_> {
+    fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
+        let n = self.cuts[self.calls % self.cuts.len()]
+            .min(buf.len())
+            .min(self.bytes.len());
+        self.calls += 1;
+        buf[..n].copy_from_slice(&self.bytes[..n]);
+        self.bytes = &self.bytes[n..];
+        Ok(n)
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// `read_frame` over a stream that returns 1..=n bytes a call yields
+    /// the payload sequence `feed` reassembles from the same bytes.
+    #[test]
+    fn short_reads_reassemble_what_feed_does(
+        payloads in prop::collection::vec(prop::collection::vec(any::<u8>(), 0..600), 0..8),
+        cuts in prop::collection::vec(1usize..=700, 1..12),
+    ) {
+        let mut buf = BytesMut::new();
+        for p in &payloads {
+            encode_frame(&mut buf, p);
+        }
+        let fed = reassemble(&buf, &cuts).expect("well-formed stream");
+        let mut stream = ShortReads { bytes: &buf, cuts: &cuts, calls: 0 };
+        let mut dec = FrameDecoder::with_cap(600);
+        let mut read = Vec::new();
+        while let Some(frame) = dec.read_frame(&mut stream).expect("well-formed stream") {
+            read.push(frame);
+        }
+        prop_assert_eq!(&read, &fed);
+        prop_assert_eq!(read, payloads);
+    }
 
     /// Arbitrary payload sequences survive arbitrary fragmentation:
     /// chunk sizes 1..=4096, including every possible mid-header split.
