@@ -16,7 +16,9 @@
 //!   the one stat that grows with the fan-out by design.
 //!
 //! A class asserts that every row's digest is byte-identical to its first
-//! row's, naming the row that diverged. A fault-plan class also asserts
+//! row's, naming the row that diverged, and that its first row's traffic is
+//! the class's recorded literal: rows that agree with each other cannot
+//! catch a miscount every driver shares. A fault-plan class also asserts
 //! that its plan fired, and a federation Quant8 class that the codec did.
 
 use evfad_core::federated::scale::{ScaleConfig, ScaleEngine, ScaleRoundStats};
@@ -166,8 +168,12 @@ fn over_sockets(config: FederatedConfig) -> FederatedOutcome {
     outcome
 }
 
-/// Runs a federation class and checks that its plan and codec fired.
-fn federation_class(compression: CompressionMode, faults: Option<FaultPlan>) {
+/// A run's traffic totals as `(messages, bytes, retries)`.
+type Traffic = (usize, usize, usize);
+
+/// Runs a federation class, checks its traffic against `traffic` and that
+/// its plan and codec fired.
+fn federation_class(compression: CompressionMode, faults: Option<FaultPlan>, traffic: Traffic) {
     let fired = faults.is_some();
     let digest = assert_rows_agree(&FED_ROWS, |row| {
         let config = FederatedConfig {
@@ -192,6 +198,8 @@ fn federation_class(compression: CompressionMode, faults: Option<FaultPlan>) {
         let digest = outcome.digest();
         (serde_json::to_string(&digest).expect("digest json"), digest)
     });
+    let got = (digest.messages, digest.bytes, digest.retries);
+    assert_eq!(got, traffic, "traffic moved from the recorded literal");
     if fired {
         let events = digest.rounds.iter().map(|r| r.faults.len()).sum::<usize>();
         assert!(events > 0, "the plan never fired");
@@ -202,8 +210,9 @@ fn federation_class(compression: CompressionMode, faults: Option<FaultPlan>) {
     }
 }
 
-/// Runs a scale class and checks that its plan fired.
-fn scale_class(compression: CompressionMode, faults: Option<FaultPlan>) {
+/// Runs a scale class, checks its traffic against `traffic` and that its
+/// plan fired.
+fn scale_class(compression: CompressionMode, faults: Option<FaultPlan>, traffic: Traffic) {
     let fired = faults.is_some();
     let out = assert_rows_agree(&SCALE_ROWS, |Scale { threads }| {
         let template = vec![
@@ -235,6 +244,8 @@ fn scale_class(compression: CompressionMode, faults: Option<FaultPlan>) {
         let digest = format!("{} {:?} {stats}", out.weights_checksum(), out.traffic);
         (digest, out)
     });
+    let got = (out.traffic.messages, out.traffic.bytes, out.traffic.retries);
+    assert_eq!(got, traffic, "traffic moved from the recorded literal");
     if fired {
         assert!(out.rounds.iter().any(|r| r.dropped > 0), "no drop-out");
         assert!(out.traffic.retries > 0, "no transient fault");
@@ -258,40 +269,56 @@ fn wildcard_plan() -> FaultPlan {
 
 #[test]
 fn federation_plain_clean() {
-    federation_class(CompressionMode::None, None);
+    federation_class(CompressionMode::None, None, (12, 15768, 0));
 }
 
 #[test]
 fn federation_plain_kitchen_sink() {
-    federation_class(CompressionMode::None, Some(kitchen_sink_plan()));
+    federation_class(
+        CompressionMode::None,
+        Some(kitchen_sink_plan()),
+        (12, 15768, 2),
+    );
 }
 
 #[test]
 fn federation_quant8_clean() {
-    federation_class(CompressionMode::Quant8, None);
+    federation_class(CompressionMode::Quant8, None, (12, 7936, 0));
 }
 
 #[test]
 fn federation_quant8_kitchen_sink() {
-    federation_class(CompressionMode::Quant8, Some(kitchen_sink_plan()));
+    federation_class(
+        CompressionMode::Quant8,
+        Some(kitchen_sink_plan()),
+        (12, 7936, 2),
+    );
 }
 
 #[test]
 fn scale_plain_clean() {
-    scale_class(CompressionMode::None, None);
+    scale_class(CompressionMode::None, None, (1024, 174080, 0));
 }
 
 #[test]
 fn scale_plain_wildcard() {
-    scale_class(CompressionMode::None, Some(wildcard_plan()));
+    scale_class(
+        CompressionMode::None,
+        Some(wildcard_plan()),
+        (990, 168300, 68),
+    );
 }
 
 #[test]
 fn scale_quant8_clean() {
-    scale_class(CompressionMode::Quant8, None);
+    scale_class(CompressionMode::Quant8, None, (1024, 138680, 0));
 }
 
 #[test]
 fn scale_quant8_wildcard() {
-    scale_class(CompressionMode::Quant8, Some(wildcard_plan()));
+    scale_class(
+        CompressionMode::Quant8,
+        Some(wildcard_plan()),
+        (990, 134906, 68),
+    );
 }
