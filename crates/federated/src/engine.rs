@@ -15,7 +15,8 @@
 //!    meter the payload at its exact wire length (encoding it here unless it
 //!    crossed a real wire), and fold a kept update into its [`Accumulator`].
 //! 3. [`Tally`]: the counters a fold keeps, which both [`RoundStats`] and
-//!    [`ScaleRoundStats`](crate::scale::ScaleRoundStats) are built from.
+//!    [`ScaleRoundStats`](crate::scale::ScaleRoundStats) are built from. A
+//!    run's [`TrafficTotals`] are its rounds' tallies plus their broadcasts.
 //!
 //! Only the source of updates differs. A [`RoundPool`] trains (in-process)
 //! or collects (TCP) its admitted clients' updates; a socket client reports
@@ -37,7 +38,6 @@ use crate::scheduler::Scheduler;
 use crate::server::{Disposition, FaultGate};
 use crate::simulation::{FederatedConfig, FederatedOutcome, RoundStats};
 use crate::streaming::{StreamingAggregator, StreamingFedAvg};
-use crate::transport::MeteredChannel;
 use crate::wire;
 use bytes::BytesMut;
 use evfad_tensor::Matrix;
@@ -203,6 +203,9 @@ pub(crate) struct Tally {
     pub(crate) kept: usize,
     /// Updates that crossed the channel but were discarded.
     pub(crate) wasted: usize,
+    /// Uploads that crossed the channel, retries included: at least one
+    /// per kept or wasted update.
+    pub(crate) attempts: usize,
     /// Updates corrupted in flight (and aggregated as transmitted).
     pub(crate) corrupted: usize,
     /// Wire bytes that crossed the channel, retries included.
@@ -218,6 +221,7 @@ impl Tally {
     pub(crate) fn absorb(&mut self, other: &Tally) {
         self.kept += other.kept;
         self.wasted += other.wasted;
+        self.attempts += other.attempts;
         self.corrupted += other.corrupted;
         self.bytes += other.bytes;
         self.raw_bytes += other.raw_bytes;
@@ -234,10 +238,34 @@ impl Tally {
     }
 }
 
+/// A run's traffic in both directions: client uploads and server
+/// broadcasts, summed from each round's fold counters and broadcast size.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+pub struct TrafficTotals {
+    /// Number of payloads sent (including re-sends).
+    pub messages: usize,
+    /// Total payload bytes.
+    pub bytes: usize,
+    /// Payloads that were *re*-sends: retry attempts after a transient
+    /// upload failure (see [`crate::faults::FaultKind::Transient`]). Each
+    /// retry is also counted in `messages`/`bytes` — the payload crossed
+    /// the channel — so `messages - retries` is the first-attempt count.
+    pub retries: usize,
+}
+
+impl TrafficTotals {
+    /// Adds one round: the uploads `uplink` tallied and a broadcast of
+    /// `downlink_bytes` in total to `receivers` clients.
+    pub(crate) fn add_round(&mut self, uplink: &Tally, receivers: usize, downlink_bytes: usize) {
+        self.messages += uplink.attempts + receivers;
+        self.retries += uplink.attempts - (uplink.kept + uplink.wasted);
+        self.bytes += uplink.bytes + downlink_bytes;
+    }
+}
+
 /// The per-update half of the protocol, over one accumulator.
 pub(crate) struct Fold<'a> {
     gate: &'a FaultGate,
-    channel: &'a MeteredChannel,
     mode: CompressionMode,
     /// `false` when the client already corrupted its own payload before
     /// encoding (the socket path): sign flip is not idempotent.
@@ -251,14 +279,12 @@ pub(crate) struct Fold<'a> {
 impl<'a> Fold<'a> {
     pub(crate) fn new(
         gate: &'a FaultGate,
-        channel: &'a MeteredChannel,
         mode: CompressionMode,
         apply_payload_faults: bool,
         acc: Accumulator,
     ) -> Self {
         Self {
             gate,
-            channel,
             mode,
             apply_payload_faults,
             scratch: CodecScratch::default(),
@@ -324,7 +350,7 @@ impl<'a> Fold<'a> {
             None => wire::encoded_size(&update.weights),
         };
         let attempts = disposition.attempts();
-        self.channel.record_attempts_bytes(len, attempts);
+        self.tally.attempts += attempts;
         self.tally.bytes += len * attempts;
         self.tally.raw_bytes += wire::encoded_size(&update.weights) * attempts;
         if !keep {
@@ -336,15 +362,6 @@ impl<'a> Fold<'a> {
         self.tally.kept += 1;
         Ok(true)
     }
-}
-
-/// Meters one broadcast of `len` bytes to each of `receivers`; returns the
-/// round's downlink bytes.
-pub(crate) fn meter_broadcast(channel: &MeteredChannel, len: usize, receivers: usize) -> usize {
-    for _ in 0..receivers {
-        channel.record_bytes(len);
-    }
-    len * receivers
 }
 
 /// One trained update as delivered by a [`RoundPool`].
@@ -398,11 +415,10 @@ pub(crate) trait RoundPool {
 }
 
 /// Runs the full federated schedule over `pool`. The caller has already
-/// validated `config` and reset `channel`.
+/// validated `config`.
 pub(crate) fn run_rounds<P: RoundPool>(
     pool: &mut P,
     config: &FederatedConfig,
-    channel: &MeteredChannel,
     mut global: Vec<Matrix>,
 ) -> Result<FederatedOutcome, FederatedError> {
     let start = Instant::now();
@@ -410,13 +426,14 @@ pub(crate) fn run_rounds<P: RoundPool>(
     let scheduler = Scheduler::new(config.participation, config.sampling_seed);
     let apply_payload_faults = !pool.faults_in_transit();
     let mut rounds = Vec::with_capacity(config.rounds);
+    let mut traffic = TrafficTotals::default();
     // The broadcast is encoded once per round into this reused buffer and
     // every client is metered by its length.
     let mut broadcast = BytesMut::new();
 
     for round in 0..config.rounds {
         let round_start = Instant::now();
-        let mut downlink_bytes = 0;
+        let (mut receivers, mut downlink_bytes) = (0, 0);
         if round > 0 {
             // A non-finite aggregate would fail the next round's training
             // on whichever client ran first; name the round that folded it.
@@ -427,7 +444,8 @@ pub(crate) fn run_rounds<P: RoundPool>(
                 )));
             }
             wire::encode_weights_into(&mut broadcast, &global);
-            downlink_bytes = meter_broadcast(channel, broadcast.len(), pool.client_count());
+            receivers = pool.client_count();
+            downlink_bytes = broadcast.len() * receivers;
             pool.broadcast(&global, &broadcast)?;
         }
         let mut stats = RoundStats {
@@ -458,18 +476,13 @@ pub(crate) fn run_rounds<P: RoundPool>(
             .map(|(pooled, _)| pooled.update.sample_count as f64)
             .sum();
         let acc = Accumulator::new(config.aggregator, share.kept, samples);
-        let mut fold = Fold::new(
-            &gate,
-            channel,
-            config.compression,
-            apply_payload_faults,
-            acc,
-        );
+        let mut fold = Fold::new(&gate, config.compression, apply_payload_faults, acc);
         for (mut pooled, admitted) in updates.into_iter().zip(&share.members) {
             let (update, wire_len) = (&mut pooled.update, pooled.wire_len);
             fold.ingest(update, admitted.fault, wire_len, Some(&mut stats))?;
         }
         global = fold.acc.finish()?;
+        traffic.add_round(&fold.tally, receivers, downlink_bytes);
         stats.uplink_bytes = fold.tally.bytes;
         stats.compression_ratio = fold.tally.compression_ratio();
         stats.timeout_wait_seconds = fold.tally.timeout_wait_seconds;
@@ -483,7 +496,7 @@ pub(crate) fn run_rounds<P: RoundPool>(
         rounds,
         global_weights: global,
         total_duration: start.elapsed(),
-        traffic: channel.totals(),
+        traffic,
     })
 }
 

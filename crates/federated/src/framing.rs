@@ -11,10 +11,10 @@
 //!
 //! where `payload` is one encoded [`wire`](crate::wire) record (in
 //! practice an EVMS envelope, which itself carries EVFD/EVQ8 blobs).
-//! The length prefix is transport overhead and is *not* metered — the
-//! traffic accounting in [`transport`](crate::transport) counts payload
-//! bytes only, which is what keeps socket-path byte counts identical to
-//! the in-process `encoded_size` arithmetic.
+//! The length prefix is transport overhead and is *not* metered — a run's
+//! [`TrafficTotals`](crate::TrafficTotals) count payload bytes only, which
+//! is what keeps socket-path byte counts identical to the in-process
+//! `encoded_size` arithmetic.
 //!
 //! [`FrameDecoder`] is the one reassembler, with a frame cap of its own
 //! ([`MAX_FRAME_BYTES`] unless [`FrameDecoder::with_cap`] says less).
@@ -28,7 +28,7 @@
 //! sequence that was framed, in order. A declared length above the cap
 //! is a typed error before anything is allocated for it, never a panic.
 
-use bytes::{Buf, BufMut, Bytes, BytesMut};
+use bytes::{Buf, Bytes};
 use std::io::{ErrorKind, Read};
 
 use crate::wire::WireError;
@@ -44,36 +44,11 @@ pub const FRAME_HEADER_BYTES: usize = 4;
 /// protocol can send at its model's size.
 pub const MAX_FRAME_BYTES: usize = 256 << 20;
 
-/// Appends one length-prefixed frame wrapping `payload` to `buf`.
-///
-/// The buffer is *not* cleared: callers batch several frames into one
-/// `write` by calling this repeatedly.
-///
-/// # Panics
-///
-/// Panics if `payload.len() > MAX_FRAME_BYTES`; the transport never
-/// produces such a payload (the wire encoders bound tensor counts and
-/// blob sizes well below it).
-pub fn encode_frame(buf: &mut BytesMut, payload: &[u8]) {
-    assert!(
-        payload.len() <= MAX_FRAME_BYTES,
-        "frame payload exceeds MAX_FRAME_BYTES"
-    );
-    buf.put_u32_le(payload.len() as u32);
-    buf.put_slice(payload);
-}
-
-/// Total wire footprint of a frame carrying `payload_len` payload bytes.
-pub fn frame_size(payload_len: usize) -> usize {
-    FRAME_HEADER_BYTES + payload_len
-}
-
 /// Writes one length-prefixed frame to `writer` without assembling it
 /// first: the 4-byte header and the payload go out in a single vectored
 /// write (gathered by the kernel into one TCP segment where possible),
-/// with a resume loop for short writes. This replaces the per-send
-/// "allocate a framed buffer, copy payload, write" dance in the socket
-/// transport — the payload is written from wherever it already lives.
+/// with a resume loop for short writes. The payload is written from
+/// wherever it already lives; no framed copy is assembled.
 ///
 /// # Errors
 ///
@@ -82,8 +57,9 @@ pub fn frame_size(payload_len: usize) -> usize {
 ///
 /// # Panics
 ///
-/// Panics if `payload.len() > MAX_FRAME_BYTES`, exactly like
-/// [`encode_frame`].
+/// Panics if `payload.len() > MAX_FRAME_BYTES`; the transport never
+/// produces such a payload (the wire encoders bound tensor counts and
+/// blob sizes well below it).
 pub fn write_frame<W: std::io::Write>(writer: &mut W, payload: &[u8]) -> std::io::Result<()> {
     assert!(
         payload.len() <= MAX_FRAME_BYTES,
@@ -280,24 +256,10 @@ impl FrameDecoder {
         self.buf.len() - self.start
     }
 
-    /// Minimum additional bytes required before [`next_frame`](Self::next_frame)
-    /// can yield another payload: the rest of the length header if it is
-    /// split, otherwise the rest of the declared payload. Returns 0 when
-    /// a complete frame is already buffered.
-    pub fn needed(&self) -> usize {
-        let pending = &self.buf[self.start..];
-        if pending.len() < FRAME_HEADER_BYTES {
-            return FRAME_HEADER_BYTES - pending.len();
-        }
-        let mut cursor = pending;
-        let declared = cursor.get_u32_le() as usize;
-        (FRAME_HEADER_BYTES + declared).saturating_sub(pending.len())
-    }
-
     /// Extracts the next complete payload, if one is buffered.
     ///
-    /// Returns `Ok(None)` when more bytes are needed (see
-    /// [`needed`](Self::needed)), and `Err(WireError::OversizedFrame)`
+    /// Returns `Ok(None)` until a whole frame is buffered, and
+    /// `Err(WireError::OversizedFrame)`
     /// when the declared length exceeds the decoder's cap. The error is
     /// sticky in effect: the bad header is not consumed, so a poisoned
     /// stream keeps reporting the same error — the connection must be
@@ -340,11 +302,11 @@ mod tests {
     use super::*;
 
     fn frames(payloads: &[&[u8]]) -> Vec<u8> {
-        let mut buf = BytesMut::new();
+        let mut buf = Vec::new();
         for p in payloads {
-            encode_frame(&mut buf, p);
+            write_frame(&mut buf, p).expect("a Vec accepts every write");
         }
-        buf.to_vec()
+        buf
     }
 
     #[test]
@@ -383,22 +345,6 @@ mod tests {
     }
 
     #[test]
-    fn needed_tracks_header_then_payload() {
-        let mut dec = FrameDecoder::new();
-        assert_eq!(dec.needed(), FRAME_HEADER_BYTES);
-        dec.feed(&5u32.to_le_bytes()[..2]);
-        assert_eq!(dec.needed(), 2);
-        dec.feed(&5u32.to_le_bytes()[2..]);
-        assert_eq!(dec.needed(), 5);
-        dec.feed(b"ab");
-        assert_eq!(dec.needed(), 3);
-        assert_eq!(dec.next_frame().unwrap(), None);
-        dec.feed(b"cde");
-        assert_eq!(dec.needed(), 0);
-        assert_eq!(dec.next_frame().unwrap().unwrap().as_ref(), b"abcde");
-    }
-
-    #[test]
     fn oversized_declaration_is_rejected_before_buffering_the_body() {
         let mut dec = FrameDecoder::new();
         dec.feed(&(u32::MAX).to_le_bytes());
@@ -422,7 +368,8 @@ mod tests {
         let mut dec = FrameDecoder::new();
         dec.feed(&(MAX_FRAME_BYTES as u32).to_le_bytes());
         assert_eq!(dec.next_frame().unwrap(), None);
-        assert_eq!(dec.needed(), MAX_FRAME_BYTES);
+        // Pending, not poisoned: the header waits for its body.
+        assert_eq!(dec.buffered(), FRAME_HEADER_BYTES);
     }
 
     /// A `Read` over `bytes` that hands out at most `step` bytes a call
@@ -485,7 +432,7 @@ mod tests {
     fn a_stream_ending_inside_a_frame_is_an_error_and_between_frames_a_clean_end() {
         let (first, second): (&[u8], &[u8]) = (b"first", b"second-frame");
         let stream = frames(&[first, second]);
-        let boundary = frame_size(first.len());
+        let boundary = FRAME_HEADER_BYTES + first.len();
         for cut in 0..=stream.len() {
             let mut src = Trickle::new(&stream[..cut], 3);
             let mut dec = FrameDecoder::new();
@@ -548,9 +495,7 @@ mod tests {
         let payload = vec![7u8; 2048];
         let mut dec = FrameDecoder::new();
         for _ in 0..64 {
-            let mut buf = BytesMut::new();
-            encode_frame(&mut buf, &payload);
-            dec.feed(&buf);
+            dec.feed(&frames(&[&payload]));
             assert_eq!(dec.next_frame().unwrap().unwrap().as_ref(), &payload[..]);
         }
         // Everything consumed: the buffer must have been reset, not grown
@@ -560,19 +505,18 @@ mod tests {
     }
 
     #[test]
-    fn frame_size_matches_encoder_output() {
-        let mut buf = BytesMut::new();
-        encode_frame(&mut buf, b"abc");
-        assert_eq!(buf.len(), frame_size(3));
+    fn a_frame_is_its_header_plus_its_payload() {
+        for len in [0, 1, 3, 4096] {
+            assert_eq!(frames(&[&vec![1u8; len]]).len(), FRAME_HEADER_BYTES + len);
+        }
     }
 
     #[test]
-    fn write_frame_matches_encode_frame_bytes() {
-        let mut framed = BytesMut::new();
-        encode_frame(&mut framed, b"payload-bytes");
+    fn write_frame_writes_the_length_little_endian_then_the_payload() {
         let mut written = Vec::new();
         write_frame(&mut written, b"payload-bytes").unwrap();
-        assert_eq!(written, framed.to_vec());
+        assert_eq!(written[..FRAME_HEADER_BYTES], 13u32.to_le_bytes());
+        assert_eq!(&written[FRAME_HEADER_BYTES..], b"payload-bytes");
     }
 
     /// A writer that accepts at most one byte per call, exercising every
@@ -595,11 +539,10 @@ mod tests {
 
     #[test]
     fn write_frame_survives_short_writes() {
-        let mut expected = BytesMut::new();
-        encode_frame(&mut expected, b"short-write-survivor");
+        let expected = frames(&[b"short-write-survivor"]);
         let mut dribble = Dribble(Vec::new());
         write_frame(&mut dribble, b"short-write-survivor").unwrap();
-        assert_eq!(dribble.0, expected.to_vec());
+        assert_eq!(dribble.0, expected);
 
         let mut dec = FrameDecoder::new();
         dec.feed(&dribble.0);

@@ -14,8 +14,8 @@
 //! * [`faults`] — seeded, bit-reproducible fault injection (drop-out,
 //!   stragglers with a server-side round timeout, update corruption,
 //!   transient failures with retry/backoff) driven by a [`FaultPlan`];
-//! * [`transport`] — update-size and retry accounting for the
-//!   communication story;
+//! * [`TrafficTotals`] — a run's messages, wire bytes and retries, summed
+//!   from its rounds' tallies, for the communication story;
 //! * parallel client training on threads (the mechanism behind the paper's
 //!   18.1 % training-time advantage over centralized training).
 //!
@@ -64,12 +64,12 @@ mod server;
 mod simulation;
 pub mod socket;
 pub mod streaming;
-pub mod transport;
 pub mod wire;
 
 pub use aggregate::Aggregator;
 pub use client::{FedClient, LocalUpdate};
 pub use compression::{CodecScratch, CompressionMode};
+pub use engine::TrafficTotals;
 pub use error::FederatedError;
 pub use faults::{
     Corruption, FaultEvent, FaultKind, FaultOutcome, FaultPlan, FaultRule, RoundSelector,

@@ -31,12 +31,11 @@
 use crate::aggregate::Aggregator;
 use crate::client::LocalUpdate;
 use crate::compression::CompressionMode;
-use crate::engine::{self, Accumulator, Admitted, Fold, Share, Tally};
+use crate::engine::{self, Accumulator, Admitted, Fold, Share, Tally, TrafficTotals};
 use crate::error::FederatedError;
 use crate::faults::{fnv1a, FaultPlan};
 use crate::scheduler::Scheduler;
 use crate::server::FaultGate;
-use crate::transport::{MeteredChannel, TrafficTotals};
 use crate::wire;
 use evfad_data::{Zone, ZoneProfile};
 use evfad_tensor::{parallel, Matrix};
@@ -328,7 +327,6 @@ impl LaneRng {
 pub struct ScaleEngine {
     config: ScaleConfig,
     template: Vec<Matrix>,
-    channel: MeteredChannel,
 }
 
 impl ScaleEngine {
@@ -345,11 +343,7 @@ impl ScaleEngine {
                 "scale engine needs a non-empty model template".to_string(),
             ));
         }
-        Ok(Self {
-            config,
-            template,
-            channel: MeteredChannel::new(),
-        })
+        Ok(Self { config, template })
     }
 
     /// Client `index`'s spec, derived from the config seed (one FNV hash).
@@ -435,7 +429,7 @@ impl ScaleEngine {
     ) -> (Fold<'a>, Result<(), FederatedError>) {
         let cfg = &self.config;
         let acc = Accumulator::new(Aggregator::FedAvg, share.kept, share.samples);
-        let mut fold = Fold::new(gate, &self.channel, cfg.compression, true, acc);
+        let mut fold = Fold::new(gate, cfg.compression, true, acc);
         group.resize_with(LANES, || LocalUpdate {
             weights: global.to_vec(),
             ..LocalUpdate::default()
@@ -463,7 +457,6 @@ impl ScaleEngine {
     /// * [`FederatedError::Aggregation`] from the FedAvg fold.
     pub fn run(&mut self) -> Result<ScaleOutcome, FederatedError> {
         self.config.validate()?;
-        self.channel.reset();
         let start = Instant::now();
         let cfg = &self.config;
         let gate = FaultGate::new(cfg.faults.clone());
@@ -481,15 +474,14 @@ impl ScaleEngine {
             (0..fanout).map(|_| (Vec::new(), None)).collect();
         let mut rounds: Vec<ScaleRoundStats> = Vec::with_capacity(cfg.rounds);
         let mut materialized_equivalent_bytes = 0;
+        let mut traffic = TrafficTotals::default();
 
         for round in 0..cfg.rounds {
             let round_start = Instant::now();
             let sampled = scheduler.sample(round, cfg.clients);
             let n = sampled.len();
-            let downlink_bytes = match round {
-                0 => 0,
-                _ => engine::meter_broadcast(&self.channel, wire::encoded_size(&global), n),
-            };
+            let receivers = if round == 0 { 0 } else { n };
+            let downlink_bytes = wire::encoded_size(&global) * receivers;
             // Shards are contiguous and balanced.
             let route = |ci: usize, id: &mut String| {
                 let spec = self.spec(ci);
@@ -517,7 +509,7 @@ impl ScaleEngine {
                     faults[edge.index] = Some(edge.fault);
                 }
                 let acc = Accumulator::new(Aggregator::FedAvg, share.kept, share.samples);
-                let root = Fold::new(&edge_gate, &self.channel, CompressionMode::None, true, acc);
+                let root = Fold::new(&edge_gate, CompressionMode::None, true, acc);
                 hop = Some((faults, root));
             }
 
@@ -563,15 +555,19 @@ impl ScaleEngine {
             }
 
             let with_partial = partials.count();
-            let (next_global, root_state, edges_kept, hop_bytes) = match hop {
+            // Client→edge uploads plus the edge→root hop's.
+            let mut uplink = tally;
+            let (next_global, root_state, edges_kept) = match hop {
                 Some((_, root)) => {
-                    let (state, t) = (root.acc.peak_state, root.tally);
-                    (root.acc.finish()?, state, t.kept, t.bytes)
+                    uplink.absorb(&root.tally);
+                    let (state, kept) = (root.acc.peak_state, root.tally.kept);
+                    (root.acc.finish()?, state, kept)
                 }
                 // The floor keeps a client, so the flat shard folded; were it
                 // empty, its streaming rule would say just this.
-                None => (flat.ok_or(FederatedError::NoClients)?, 0, 1, 0),
+                None => (flat.ok_or(FederatedError::NoClients)?, 0, 1),
             };
+            traffic.add_round(&uplink, receivers, downlink_bytes);
             // Peak live state this round: the root accumulator plus one
             // shard accumulator per concurrently active fold — exact, since
             // waves are `fanout` wide and a chunk holds one shard at a time.
@@ -589,7 +585,7 @@ impl ScaleEngine {
                 edges_kept,
                 // Dropped out, or wasted at the root.
                 edges_lost: with_partial - edges_kept,
-                uplink_bytes: tally.bytes + hop_bytes,
+                uplink_bytes: uplink.bytes,
                 downlink_bytes,
                 peak_state_bytes: round_peak,
                 duration: round_start.elapsed(),
@@ -600,7 +596,7 @@ impl ScaleEngine {
             peak_aggregation_bytes: rounds.iter().map(|r| r.peak_state_bytes).max().unwrap_or(0),
             rounds,
             global_weights: global,
-            traffic: self.channel.totals(),
+            traffic,
             materialized_equivalent_bytes,
             model_bytes,
             total_duration: start.elapsed(),

@@ -4,11 +4,10 @@
 use crate::aggregate::Aggregator;
 use crate::client::{FedClient, LocalUpdate};
 use crate::compression::CompressionMode;
-use crate::engine::{self, Admitted, PoolUpdate, RoundPool};
+use crate::engine::{self, Admitted, PoolUpdate, RoundPool, TrafficTotals};
 use crate::error::FederatedError;
 use crate::faults::{FaultEvent, FaultPlan};
 use crate::scheduler::Scheduler;
-use crate::transport::MeteredChannel;
 use evfad_nn::{Sample, Sequential, TrainConfig};
 use evfad_tensor::{parallel, Matrix};
 use serde::{Deserialize, Serialize};
@@ -194,7 +193,7 @@ pub struct FederatedOutcome {
     pub total_duration: Duration,
     /// Bytes/messages exchanged (client→server updates and
     /// server→client broadcasts).
-    pub traffic: crate::transport::TrafficTotals,
+    pub traffic: TrafficTotals,
 }
 
 impl FederatedOutcome {
@@ -322,7 +321,6 @@ pub struct FederatedSimulation {
     template: Sequential,
     config: FederatedConfig,
     clients: Vec<FedClient>,
-    channel: MeteredChannel,
 }
 
 impl FederatedSimulation {
@@ -333,7 +331,6 @@ impl FederatedSimulation {
             template,
             config,
             clients: Vec::new(),
-            channel: MeteredChannel::new(),
         }
     }
 
@@ -384,7 +381,6 @@ impl FederatedSimulation {
             return Err(FederatedError::NoClients);
         }
         self.config.validate(self.clients.len())?;
-        self.channel.reset();
         let global = self.template.weights();
         let mut pool = InProcessPool {
             clients: &mut self.clients,
@@ -395,7 +391,7 @@ impl FederatedSimulation {
                 ..TrainConfig::default()
             },
         };
-        engine::run_rounds(&mut pool, &self.config, &self.channel, global)
+        engine::run_rounds(&mut pool, &self.config, global)
     }
 
     /// Builds a fresh model carrying the given weights (e.g. the final
@@ -571,14 +567,14 @@ mod tests {
     fn round_stats_account_every_byte() {
         let mut sim = small_sim(false);
         let out = sim.run().expect("run");
-        let per_update = crate::transport::update_size_bytes(&out.global_weights);
+        let per_update = crate::wire::encoded_size(&out.global_weights);
         // Round 0: no broadcast, 3 uplinks. Round 1: 3 broadcasts + 3
         // uplinks, all full-precision payloads of identical shape.
         assert_eq!(out.rounds[0].downlink_bytes, 0);
         assert_eq!(out.rounds[0].uplink_bytes, 3 * per_update);
         assert_eq!(out.rounds[1].downlink_bytes, 3 * per_update);
         assert_eq!(out.rounds[1].uplink_bytes, 3 * per_update);
-        // Per-round stats and channel totals agree to the byte.
+        // Per-round stats and run totals agree to the byte.
         let accounted: usize = out
             .rounds
             .iter()

@@ -76,7 +76,6 @@ use crate::error::FederatedError;
 use crate::faults::{FaultKind, FaultPlan};
 use crate::framing::{write_frame, FrameDecoder};
 use crate::simulation::{FederatedConfig, FederatedOutcome};
-use crate::transport::MeteredChannel;
 use crate::wire::{self, Message};
 use bytes::{Bytes, BytesMut};
 use evfad_nn::{Sample, Sequential, TrainConfig};
@@ -516,7 +515,6 @@ pub struct SocketServer {
     transport: SocketTransport,
     template: Sequential,
     cfg: SocketServerConfig,
-    channel: MeteredChannel,
 }
 
 impl SocketServer {
@@ -539,7 +537,6 @@ impl SocketServer {
             transport: SocketTransport::bind(addr, limits)?,
             template,
             cfg,
-            channel: MeteredChannel::new(),
         })
     }
 
@@ -579,7 +576,6 @@ impl SocketServer {
         self.cfg.config.validate(n)?;
 
         let controls = self.handshake()?;
-        self.channel.reset();
         let global = self.template.weights();
         let mut pool = SocketPool {
             transport: &mut self.transport,
@@ -589,7 +585,7 @@ impl SocketServer {
             io_timeout: self.cfg.io_timeout,
             current_round: 0,
         };
-        let outcome = engine::run_rounds(&mut pool, &self.cfg.config, &self.channel, global);
+        let outcome = engine::run_rounds(&mut pool, &self.cfg.config, global);
         if let Err(err) = &outcome {
             let abort = Message::Abort {
                 message: abort_text(err),
@@ -1335,8 +1331,8 @@ mod tests {
         let transport = loopback();
         let mut bad = TcpStream::connect(transport.local_addr()).expect("connect");
         // A frame whose payload is not a valid EVMS envelope.
-        let mut framed = BytesMut::new();
-        crate::framing::encode_frame(&mut framed, b"not a message");
+        let mut framed = Vec::new();
+        write_frame(&mut framed, b"not a message").expect("write");
         bad.write_all(&framed).expect("write");
         match transport.recv(Duration::from_secs(5)).expect("event") {
             TransportEvent::Disconnected(_) => {}

@@ -481,7 +481,10 @@ pub fn decode_quantized(payload: &[u8]) -> Result<QuantizedUpdate, WireError> {
 /// let decoded = q.dequantize();
 /// for (t, m) in view.tensors().zip(&decoded) {
 ///     assert_eq!(t.shape(), m.shape());
-///     assert!(t.values().zip(m.as_slice()).all(|(a, &b)| a == b));
+///     // No specials here: every coefficient is its code on the range.
+///     assert_eq!(t.special_count(), 0);
+///     let values = t.codes().iter().map(|&c| t.range().decode(c));
+///     assert!(values.zip(m.as_slice()).all(|(a, &b)| a == b));
 /// }
 /// # Ok::<(), evfad_federated::wire::WireError>(())
 /// ```
@@ -553,8 +556,8 @@ impl<'a> QuantizedTensorView<'a> {
     /// Together with [`Self::range`] and [`Self::specials`] this exposes
     /// the tensor in bulk form, so hot folds can run tight slice loops
     /// over the runs between specials instead of paying per-coefficient
-    /// iterator state (see [`Self::values`] for the element-at-a-time
-    /// equivalent).
+    /// iterator state. Coefficient `i` is `range().decode(codes()[i])`
+    /// unless a special record carries index `i`.
     pub fn codes(&self) -> &'a [u8] {
         self.codes
     }
@@ -567,55 +570,7 @@ impl<'a> QuantizedTensorView<'a> {
             (idx as usize, value)
         })
     }
-
-    /// Iterates the decoded coefficients in row-major order — exactly the
-    /// values [`crate::compression::QuantizedTensor::dequantize`] would
-    /// materialize, bit for bit: `range.decode(code)` everywhere except at
-    /// special indices, which yield the stored f64 verbatim.
-    pub fn values(&self) -> QuantizedValues<'a> {
-        QuantizedValues {
-            range: self.range,
-            codes: self.codes,
-            specials: self.specials,
-            flat: 0,
-        }
-    }
 }
-
-/// Infallible decoding iterator over one quantized tensor's coefficients;
-/// see [`QuantizedTensorView::values`].
-#[derive(Debug, Clone)]
-pub struct QuantizedValues<'a> {
-    range: QuantRange,
-    codes: &'a [u8],
-    specials: &'a [[u8; 12]],
-    flat: usize,
-}
-
-impl Iterator for QuantizedValues<'_> {
-    type Item = f64;
-
-    fn next(&mut self) -> Option<f64> {
-        let i = self.flat;
-        let code = *self.codes.get(i)?;
-        self.flat += 1;
-        if let Some((rec, rest)) = self.specials.split_first() {
-            let (idx, value) = entry(rec);
-            if idx as usize == i {
-                self.specials = rest;
-                return Some(value);
-            }
-        }
-        Some(self.range.decode(code))
-    }
-
-    fn size_hint(&self) -> (usize, Option<usize>) {
-        let left = self.codes.len() - self.flat;
-        (left, Some(left))
-    }
-}
-
-impl ExactSizeIterator for QuantizedValues<'_> {}
 
 /// The one `EVQ8` parser: a cursor over the tensor records plus how many
 /// are left. [`quantized_view`] runs it once to validate and keeps a copy
@@ -1423,8 +1378,12 @@ mod tests {
         assert_eq!(view.tensor_count(), decoded.len());
         for (t, m) in view.tensors().zip(&decoded) {
             assert_eq!(t.shape(), m.shape());
-            assert_eq!(t.values().len(), m.len());
-            for (a, &b) in t.values().zip(m.as_slice()) {
+            assert_eq!(t.codes().len(), m.len());
+            let mut values: Vec<f64> = t.codes().iter().map(|&c| t.range().decode(c)).collect();
+            for (idx, value) in t.specials() {
+                values[idx] = value;
+            }
+            for (a, &b) in values.iter().zip(m.as_slice()) {
                 assert_eq!(a.to_bits(), b.to_bits());
             }
         }

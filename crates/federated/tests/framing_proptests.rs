@@ -9,7 +9,7 @@
 //! from a stream instead, one frame at a time into a buffer of its own
 //! size, the decoder yields the same sequence under any short reads.
 
-use evfad_federated::framing::{encode_frame, frame_size, FrameDecoder, FRAME_HEADER_BYTES};
+use evfad_federated::framing::{write_frame, FrameDecoder, FRAME_HEADER_BYTES};
 use evfad_federated::wire::{self, Message, WireError};
 use evfad_tensor::Matrix;
 use proptest::prelude::*;
@@ -37,6 +37,15 @@ fn reassemble(stream: &[u8], cuts: &[usize]) -> Result<Vec<Vec<u8>>, WireError> 
     }
     assert_eq!(dec.buffered(), 0, "stream fully consumed");
     Ok(out)
+}
+
+/// `payloads` framed back to back.
+fn framed(payloads: &[Vec<u8>]) -> Vec<u8> {
+    let mut buf = Vec::new();
+    for p in payloads {
+        write_frame(&mut buf, p).expect("a Vec accepts every write");
+    }
+    buf
 }
 
 /// A stream whose `read` calls hand out at most `cuts[i]` bytes each,
@@ -69,10 +78,7 @@ proptest! {
         payloads in prop::collection::vec(prop::collection::vec(any::<u8>(), 0..600), 0..8),
         cuts in prop::collection::vec(1usize..=700, 1..12),
     ) {
-        let mut buf = BytesMut::new();
-        for p in &payloads {
-            encode_frame(&mut buf, p);
-        }
+        let buf = framed(&payloads);
         let fed = reassemble(&buf, &cuts).expect("well-formed stream");
         let mut stream = ShortReads { bytes: &buf, cuts: &cuts, calls: 0 };
         let mut dec = FrameDecoder::with_cap(600);
@@ -91,13 +97,10 @@ proptest! {
         payloads in prop::collection::vec(prop::collection::vec(any::<u8>(), 0..600), 0..8),
         cuts in prop::collection::vec(1usize..=4096, 1..12),
     ) {
-        let mut buf = BytesMut::new();
-        for p in &payloads {
-            encode_frame(&mut buf, p);
-        }
+        let buf = framed(&payloads);
         prop_assert_eq!(
             buf.len(),
-            payloads.iter().map(|p| frame_size(p.len())).sum::<usize>()
+            payloads.iter().map(|p| FRAME_HEADER_BYTES + p.len()).sum::<usize>()
         );
         let out = reassemble(&buf, &cuts).expect("well-formed stream");
         prop_assert_eq!(out, payloads);
@@ -109,10 +112,7 @@ proptest! {
     fn one_byte_chunks_hit_every_header_split(
         payloads in prop::collection::vec(prop::collection::vec(any::<u8>(), 0..64), 1..6),
     ) {
-        let mut buf = BytesMut::new();
-        for p in &payloads {
-            encode_frame(&mut buf, p);
-        }
+        let buf = framed(&payloads);
         let out = reassemble(&buf, &[1]).expect("well-formed stream");
         prop_assert_eq!(out, payloads);
     }
@@ -136,11 +136,11 @@ proptest! {
             .iter()
             .map(|&round| Message::Broadcast { round, global: global.clone() })
             .collect();
-        let mut stream = BytesMut::new();
+        let mut stream = Vec::new();
         let mut scratch = BytesMut::new();
         for msg in &msgs {
             wire::encode_message(&mut scratch, msg);
-            encode_frame(&mut stream, &scratch);
+            write_frame(&mut stream, &scratch).expect("a Vec accepts every write");
         }
         let out = reassemble(&stream, &cuts).expect("well-formed stream");
         let decoded: Vec<Message> = out
@@ -186,34 +186,5 @@ proptest! {
                 }
             }
         }
-    }
-
-    /// A truncated final frame is reported as pending, with `needed`
-    /// counting down exactly to completion.
-    #[test]
-    fn needed_walks_to_completion(
-        payload in prop::collection::vec(any::<u8>(), 0..512),
-        cut_fraction in 0.0f64..1.0,
-    ) {
-        let mut buf = BytesMut::new();
-        encode_frame(&mut buf, &payload);
-        let cut = ((buf.len() as f64) * cut_fraction) as usize;
-        let mut dec = FrameDecoder::new();
-        dec.feed(&buf[..cut]);
-        if cut < buf.len() {
-            prop_assert_eq!(dec.next_frame().expect("prefix is pending, not an error"), None);
-            let needed = dec.needed();
-            prop_assert!(needed >= 1);
-            // `needed` promises progress, never overshoot...
-            prop_assert!(cut + needed <= buf.len());
-            if cut >= FRAME_HEADER_BYTES {
-                // ...and once the header is known, it is exact.
-                prop_assert_eq!(cut + needed, buf.len());
-            }
-        }
-        dec.feed(&buf[cut..]);
-        prop_assert_eq!(dec.needed(), 0);
-        let frame = dec.next_frame().unwrap().expect("complete frame");
-        prop_assert_eq!(frame.to_vec(), payload);
     }
 }

@@ -12,11 +12,11 @@
 //! ```
 
 use evfad_core::data::{DatasetConfig, ShenzhenGenerator};
-use evfad_core::federated::transport::{series_size_bytes, update_size_bytes};
-use evfad_core::federated::{FederatedConfig, FederatedSimulation};
+use evfad_core::federated::{wire, FederatedConfig, FederatedSimulation};
 use evfad_core::forecast::experiment::build_forecaster;
 use evfad_core::forecast::pipeline::PreparedClient;
 use evfad_core::nn::TrainConfig;
+use evfad_core::tensor::Matrix;
 use std::time::Instant;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
@@ -79,8 +79,13 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     );
 
     // --- Communication cost. ---
-    let weights_bytes = update_size_bytes(&outcome.global_weights);
-    let raw_bytes: usize = clients.iter().map(|c| series_size_bytes(&c.demand)).sum();
+    // Both priced in the same binary wire format; a series is one column
+    // tensor.
+    let weights_bytes = wire::encoded_size(&outcome.global_weights);
+    let raw_bytes: usize = clients
+        .iter()
+        .map(|c| wire::encoded_size(&[Matrix::column_vector(&c.demand)]))
+        .sum();
     println!(
         "\ncommunication: {} federated messages totalling {:.1} KiB \
          (one update = {:.1} KiB);\ncentralizing the raw season instead would ship {:.1} KiB \

@@ -361,8 +361,8 @@ fn retry_accounting_matches_the_transport_meter() {
     let out = four_client_sim(Aggregator::FedAvg, Some(plan))
         .run()
         .expect("flaky run");
-    // Cross-check the transport meter against the fault log: every retry
-    // the log claims must appear in the channel totals, and vice versa.
+    // Cross-check the traffic totals against the fault log: every retry
+    // the log claims must appear in the totals, and vice versa.
     let logged_retries: usize = out
         .fault_events()
         .map(|e| match e.outcome {
