@@ -384,9 +384,9 @@ pub(crate) trait RoundPool {
     fn client_id(&self, ci: usize) -> &str;
 
     /// Delivers the new global model to every client. `encoded` is the
-    /// EVFD broadcast payload, already metered once per client. Called at
-    /// the top of rounds `1..`, never before round 0 — clients start from
-    /// the shared initialisation.
+    /// EVFD broadcast payload, counted once per client in the round's
+    /// downlink. Called at the top of rounds `1..`, never before round 0 —
+    /// clients start from the shared initialisation.
     fn broadcast(&mut self, global: &[Matrix], encoded: &[u8]) -> Result<(), FederatedError>;
 
     /// Trains (or collects) the `admitted` clients' updates for one round
