@@ -26,9 +26,8 @@ use serde::{Deserialize, Serialize};
 /// Uplink encoding for client updates, selected by
 /// [`FederatedConfig::compression`](crate::FederatedConfig::compression).
 ///
-/// Whatever the mode, the server decodes the payload **before**
-/// aggregation, so metering, faults, and aggregation all see the same
-/// bytes that crossed the channel.
+/// Whatever the mode, the server aggregates the payload that crossed the
+/// channel, so metering, faults, and aggregation all see the same bytes.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize, Default)]
 pub enum CompressionMode {
     /// Full-precision binary wire format (`EVFD`); decode is bit-exact,
@@ -123,18 +122,6 @@ impl QuantizedTensor {
     /// bit-for-bit.
     pub fn dequantize(&self) -> Matrix {
         let mut out = Matrix::zeros(self.rows, self.cols);
-        self.dequantize_into(&mut out);
-        out
-    }
-
-    /// Reconstructs the tensor into `out`, reusing its buffer when the
-    /// shape already matches — identical output to
-    /// [`QuantizedTensor::dequantize`] (which delegates here), but a warm
-    /// caller pays zero allocations per tensor.
-    fn dequantize_into(&self, out: &mut Matrix) {
-        if out.shape() != (self.rows, self.cols) {
-            *out = Matrix::zeros(self.rows, self.cols);
-        }
         let range = self.range();
         let data = out.as_mut_slice();
         for (slot, &c) in data.iter_mut().zip(&self.codes) {
@@ -143,12 +130,7 @@ impl QuantizedTensor {
         for (&i, &v) in self.special_idx.iter().zip(&self.special_val) {
             data[i as usize] = v;
         }
-    }
-
-    /// Worst-case absolute reconstruction error over finite values (half a
-    /// step; non-finite values are exact).
-    pub fn max_error(&self) -> f64 {
-        self.range().max_error()
+        out
     }
 
     /// Payload size in bytes — exactly the per-tensor record size of the
@@ -156,11 +138,6 @@ impl QuantizedTensor {
     /// per verbatim non-finite value).
     pub fn byte_size(&self) -> usize {
         4 + 4 + 8 + 8 + 4 + self.codes.len() + 12 * self.special_idx.len()
-    }
-
-    /// Number of non-finite values transmitted verbatim.
-    pub fn special_count(&self) -> usize {
-        self.special_idx.len()
     }
 }
 
@@ -194,9 +171,9 @@ impl QuantizedUpdate {
     /// Quantizes every tensor into `out`, reusing its nested buffers —
     /// identical output to [`QuantizedUpdate::quantize`], but zero
     /// allocations once `out` has seen the model's shapes. This is the
-    /// warm-round encode path: the engine, the socket client, and the
-    /// scale engine hold one `QuantizedUpdate` scratch per worker and
-    /// re-fill it every round.
+    /// warm-round encode path: the round fold, the socket client and the
+    /// scale engine each keep one `QuantizedUpdate` and re-fill it every
+    /// round.
     pub fn quantize_into(weights: &[Matrix], out: &mut Self) {
         out.tensors.resize_with(weights.len(), Default::default);
         for (m, t) in weights.iter().zip(&mut out.tensors) {
@@ -212,58 +189,12 @@ impl QuantizedUpdate {
             .collect()
     }
 
-    /// Reconstructs the weight vector into `out`, reusing same-shaped
-    /// buffers — identical output to [`QuantizedUpdate::dequantize`];
-    /// zero allocations when `out` already holds matching shapes.
-    fn dequantize_into(&self, out: &mut Vec<Matrix>) {
-        out.truncate(self.tensors.len());
-        for (i, t) in self.tensors.iter().enumerate() {
-            match out.get_mut(i) {
-                Some(m) => t.dequantize_into(m),
-                None => out.push(t.dequantize()),
-            }
-        }
-    }
-
     /// Total payload bytes (sum of per-tensor records, excluding the
     /// 10-byte blob header of [`wire::encode_quantized`]).
     ///
     /// [`wire::encode_quantized`]: crate::wire::encode_quantized
     pub fn byte_size(&self) -> usize {
         self.tensors.iter().map(QuantizedTensor::byte_size).sum()
-    }
-
-    /// Compression ratio versus shipping raw `f64` values.
-    pub fn compression_ratio(&self) -> f64 {
-        let raw: usize = self.tensors.iter().map(|t| t.codes.len() * 8).sum();
-        raw as f64 / self.byte_size() as f64
-    }
-}
-
-/// Caller-owned scratch for the allocation-free encode path.
-///
-/// Holds the reusable quantized representation the `*_into` codec entry
-/// points fill. One `CodecScratch` lives per round loop, socket client, or
-/// scale-engine worker; after the first (cold) round every re-encode
-/// reuses the buffers, so warm-round encoding performs zero codec
-/// allocations (`tests/workspace_reuse.rs` pins this).
-#[derive(Debug, Clone, Default)]
-pub struct CodecScratch {
-    /// Reused quantized representation (per-tensor code + special buffers).
-    pub quant: QuantizedUpdate,
-}
-
-impl CodecScratch {
-    /// Replaces `weights` with the server-side decode of the payload last
-    /// quantized into [`CodecScratch::quant`] under the same `mode`,
-    /// reusing the existing matrix buffers. A no-op for
-    /// [`CompressionMode::None`]: the `EVFD` round-trip is bitwise-exact,
-    /// so the raw weights *are* the decoded payload.
-    pub fn decode_into(&self, mode: CompressionMode, weights: &mut Vec<Matrix>) {
-        match mode {
-            CompressionMode::None => {}
-            CompressionMode::Quant8 => self.quant.dequantize_into(weights),
-        }
     }
 }
 
@@ -277,7 +208,7 @@ mod tests {
         let q = QuantizedTensor::quantize(&m);
         let back = q.dequantize();
         for (a, b) in m.as_slice().iter().zip(back.as_slice()) {
-            assert!((a - b).abs() <= q.max_error() + 1e-12);
+            assert!((a - b).abs() <= q.range().max_error() + 1e-12);
         }
     }
 
@@ -286,7 +217,7 @@ mod tests {
         let m = Matrix::filled(5, 5, 3.25);
         let q = QuantizedTensor::quantize(&m);
         assert_eq!(q.dequantize(), m);
-        assert_eq!(q.max_error(), 0.0);
+        assert_eq!(q.range().max_error(), 0.0);
     }
 
     #[test]
@@ -301,7 +232,7 @@ mod tests {
     fn nan_values_round_trip_exactly() {
         let m = Matrix::from_rows(&[vec![1.0, f64::NAN, -3.0, f64::NAN]]);
         let q = QuantizedTensor::quantize(&m);
-        assert_eq!(q.special_count(), 2);
+        assert_eq!(q.special_idx.len(), 2);
         // The range fold ignored the NaNs: finite values stay exact at the
         // extremes.
         let back = q.dequantize();
@@ -315,8 +246,8 @@ mod tests {
     fn nan_flood_round_trips_without_garbage() {
         let m = Matrix::filled(6, 5, f64::NAN);
         let q = QuantizedTensor::quantize(&m);
-        assert_eq!(q.special_count(), 30);
-        assert_eq!(q.max_error(), 0.0, "step must not be NaN-poisoned");
+        assert_eq!(q.special_idx.len(), 30);
+        assert_eq!(q.range().max_error(), 0.0, "step must not be NaN-poisoned");
         let back = q.dequantize();
         assert!(back.as_slice().iter().all(|v| v.is_nan()));
     }
@@ -344,7 +275,7 @@ mod tests {
     fn compression_ratio_near_eight() {
         let weights = vec![Matrix::from_fn(100, 100, |i, j| (i + j) as f64 * 0.001)];
         let q = QuantizedUpdate::quantize(&weights);
-        let ratio = q.compression_ratio();
+        let ratio = (100 * 100 * 8) as f64 / q.byte_size() as f64;
         assert!(ratio > 7.0 && ratio <= 8.0, "ratio {ratio}");
     }
 

@@ -31,15 +31,15 @@
 
 use crate::aggregate::Aggregator;
 use crate::client::LocalUpdate;
-use crate::compression::{CodecScratch, CompressionMode, QuantizedUpdate};
+use crate::compression::{CompressionMode, QuantizedUpdate};
 use crate::error::FederatedError;
 use crate::faults::{FaultEvent, FaultKind, FaultOutcome};
 use crate::scheduler::Scheduler;
 use crate::server::{Disposition, FaultGate};
 use crate::simulation::{FederatedConfig, FederatedOutcome, RoundStats};
-use crate::streaming::{StreamingAggregator, StreamingFedAvg};
+use crate::streaming::{bad_payload, StreamingAggregator, StreamingFedAvg};
 use crate::wire;
-use bytes::BytesMut;
+use bytes::{Bytes, BytesMut};
 use evfad_tensor::Matrix;
 use std::time::Instant;
 
@@ -157,19 +157,19 @@ impl Accumulator {
         }
     }
 
-    /// Folds one kept update. `quantized` carries the `EVQ8` payload the
-    /// fold just encoded and the scratch it encoded from: a stream folds the
-    /// payload itself (bitwise decode-then-ingest), a collector keeps the
-    /// decode.
+    /// Folds one kept update. `quantized` is its `EVQ8` payload, when it
+    /// has one: a stream folds the payload itself (bitwise
+    /// decode-then-ingest), a collector decodes it into the update's
+    /// weights once.
     fn ingest(
         &mut self,
         update: &mut LocalUpdate,
-        quantized: Option<(&[u8], &CodecScratch)>,
+        quantized: Option<&[u8]>,
     ) -> Result<(), FederatedError> {
         match &mut self.stream {
             Some(stream) => {
                 match quantized {
-                    Some((payload, _)) => {
+                    Some(payload) => {
                         stream.ingest_quantized(&update.client_id, update.sample_count, payload)?
                     }
                     None => stream.ingest(update)?,
@@ -177,8 +177,10 @@ impl Accumulator {
                 self.peak_state = self.peak_state.max(stream.state_bytes());
             }
             None => {
-                if let Some((_, scratch)) = quantized {
-                    scratch.decode_into(CompressionMode::Quant8, &mut update.weights);
+                if let Some(payload) = quantized {
+                    wire::quantized_view(payload)
+                        .map_err(|e| bad_payload(&update.client_id, e))?
+                        .weights_into(&mut update.weights);
                 }
                 self.kept.push(update.clone());
             }
@@ -270,7 +272,9 @@ pub(crate) struct Fold<'a> {
     /// `false` when the client already corrupted its own payload before
     /// encoding (the socket path): sign flip is not idempotent.
     apply_payload_faults: bool,
-    scratch: CodecScratch,
+    /// `EVFD` bytes of the round's model: an upload at full precision.
+    raw_len: usize,
+    quant: QuantizedUpdate,
     payload: BytesMut,
     pub(crate) acc: Accumulator,
     pub(crate) tally: Tally,
@@ -281,13 +285,15 @@ impl<'a> Fold<'a> {
         gate: &'a FaultGate,
         mode: CompressionMode,
         apply_payload_faults: bool,
+        raw_len: usize,
         acc: Accumulator,
     ) -> Self {
         Self {
             gate,
             mode,
             apply_payload_faults,
-            scratch: CodecScratch::default(),
+            raw_len,
+            quant: QuantizedUpdate::default(),
             payload: BytesMut::new(),
             acc,
             tally: Tally::default(),
@@ -296,19 +302,18 @@ impl<'a> Fold<'a> {
 
     /// Disposes of one update under its admitted fault, meters what crossed
     /// the channel, and folds the update if the server keeps it; returns
-    /// whether it did. `wire_len` is the length of a payload that already
-    /// crossed a real wire, whose weights are the server's decode of it —
-    /// re-quantizing them would move the grid. Otherwise the update is
-    /// encoded here under the round's compression, so metering and
-    /// aggregation see the same bytes. Frame and envelope overhead is not
-    /// metered on either path. `log` receives the fault event and, for a
-    /// kept update, its per-client stats.
+    /// whether it did. `received` is what already crossed a real wire for
+    /// the update. Otherwise the update is encoded here under the round's
+    /// compression, so metering and aggregation see the same bytes. Frame
+    /// and envelope overhead is not metered on either path. `log` receives
+    /// the fault event and, for a kept update, its per-client stats; a kept
+    /// update's id moves into it.
     pub(crate) fn ingest(
         &mut self,
         update: &mut LocalUpdate,
         fault: Option<FaultKind>,
-        wire_len: Option<usize>,
-        log: Option<&mut RoundStats>,
+        received: Option<&Received>,
+        mut log: Option<&mut RoundStats>,
     ) -> Result<bool, FederatedError> {
         let (disposition, outcome) = self.gate.dispose(fault, update, self.apply_payload_faults);
         let keep = matches!(disposition, Disposition::Keep { .. });
@@ -322,7 +327,7 @@ impl<'a> Fold<'a> {
             Some(FaultOutcome::Corrupted) => self.tally.corrupted += 1,
             _ => {}
         }
-        if let Some(log) = log {
+        if let Some(log) = log.as_deref_mut() {
             if let (Some(fault), Some(outcome)) = (fault, outcome) {
                 log.faults.push(FaultEvent {
                     round: log.round,
@@ -332,19 +337,19 @@ impl<'a> Fold<'a> {
                 });
             }
             if keep {
-                log.participants.push(update.client_id.clone());
                 log.client_losses.push(update.train_loss);
                 log.client_seconds.push(update.duration.as_secs_f64());
                 log.client_extra_seconds
                     .push(update.simulated_extra_seconds);
             }
         }
-        let encoded = wire_len.is_none() && self.mode == CompressionMode::Quant8;
-        let len = match wire_len {
-            Some(len) => len,
-            None if encoded => {
-                QuantizedUpdate::quantize_into(&update.weights, &mut self.scratch.quant);
-                wire::encode_quantized_into(&mut self.payload, &self.scratch.quant);
+        let quant8 = self.mode == CompressionMode::Quant8;
+        let len = match received {
+            Some(Received::Decoded(len)) => *len,
+            Some(Received::Quantized(payload)) => payload.len(),
+            None if quant8 => {
+                QuantizedUpdate::quantize_into(&update.weights, &mut self.quant);
+                wire::encode_quantized_into(&mut self.payload, &self.quant);
                 self.payload.len()
             }
             None => wire::encoded_size(&update.weights),
@@ -352,13 +357,20 @@ impl<'a> Fold<'a> {
         let attempts = disposition.attempts();
         self.tally.attempts += attempts;
         self.tally.bytes += len * attempts;
-        self.tally.raw_bytes += wire::encoded_size(&update.weights) * attempts;
+        self.tally.raw_bytes += self.raw_len * attempts;
         if !keep {
             self.tally.wasted += 1;
             return Ok(false);
         }
-        let quantized = encoded.then(|| (&self.payload[..], &self.scratch));
+        let quantized = match received {
+            Some(Received::Quantized(payload)) => Some(&payload[..]),
+            Some(Received::Decoded(_)) => None,
+            None => quant8.then_some(&self.payload[..]),
+        };
         self.acc.ingest(update, quantized)?;
+        if let Some(log) = log {
+            log.participants.push(std::mem::take(&mut update.client_id));
+        }
         self.tally.kept += 1;
         Ok(true)
     }
@@ -366,12 +378,18 @@ impl<'a> Fold<'a> {
 
 /// One trained update as delivered by a [`RoundPool`].
 pub(crate) struct PoolUpdate {
-    /// The update itself. On the socket path the weights are already the
-    /// server-side decode of the received payload.
+    /// The update itself.
     pub(crate) update: LocalUpdate,
-    /// Exact uplink payload bytes this update cost on a real wire
-    /// (`None` in-process, where the fold encodes it).
-    pub(crate) wire_len: Option<usize>,
+    /// What crossed a real wire for it (`None` in-process, where the fold
+    /// encodes it).
+    pub(crate) received: Option<Received>,
+}
+
+/// An uplink as received: an `EVFD` payload of this many bytes, decoded
+/// into the update's weights, or an `EVQ8` one the fold reads as is.
+pub(crate) enum Received {
+    Decoded(usize),
+    Quantized(Bytes),
 }
 
 /// Source of trained updates for [`run_rounds`] — the only part of the
@@ -383,11 +401,11 @@ pub(crate) trait RoundPool {
     /// Stable id of client `ci` — the admission key the fault plan hashes.
     fn client_id(&self, ci: usize) -> &str;
 
-    /// Delivers the new global model to every client. `encoded` is the
-    /// EVFD broadcast payload, counted once per client in the round's
-    /// downlink. Called at the top of rounds `1..`, never before round 0 —
-    /// clients start from the shared initialisation.
-    fn broadcast(&mut self, global: &[Matrix], encoded: &[u8]) -> Result<(), FederatedError>;
+    /// Delivers the new global model to every client; its `EVFD` size is
+    /// counted once per client in the round's downlink. Called at the top
+    /// of rounds `1..`, never before round 0 — clients start from the
+    /// shared initialisation.
+    fn broadcast(&mut self, global: &[Matrix]) -> Result<(), FederatedError>;
 
     /// Trains (or collects) the `admitted` clients' updates for one round
     /// and returns them **in `admitted` order**, wasted ones included: they
@@ -424,15 +442,13 @@ pub(crate) fn run_rounds<P: RoundPool>(
     let start = Instant::now();
     let gate = FaultGate::new(config.faults.clone());
     let scheduler = Scheduler::new(config.participation, config.sampling_seed);
-    let apply_payload_faults = !pool.faults_in_transit();
+    let in_fold = !pool.faults_in_transit();
     let mut rounds = Vec::with_capacity(config.rounds);
     let mut traffic = TrafficTotals::default();
-    // The broadcast is encoded once per round into this reused buffer and
-    // every client is metered by its length.
-    let mut broadcast = BytesMut::new();
 
     for round in 0..config.rounds {
         let round_start = Instant::now();
+        let model_len = wire::encoded_size(&global);
         let (mut receivers, mut downlink_bytes) = (0, 0);
         if round > 0 {
             // A non-finite aggregate would fail the next round's training
@@ -443,10 +459,9 @@ pub(crate) fn run_rounds<P: RoundPool>(
                     round - 1
                 )));
             }
-            wire::encode_weights_into(&mut broadcast, &global);
             receivers = pool.client_count();
-            downlink_bytes = broadcast.len() * receivers;
-            pool.broadcast(&global, &broadcast)?;
+            downlink_bytes = model_len * receivers;
+            pool.broadcast(&global)?;
         }
         let mut stats = RoundStats {
             round,
@@ -476,10 +491,15 @@ pub(crate) fn run_rounds<P: RoundPool>(
             .map(|(pooled, _)| pooled.update.sample_count as f64)
             .sum();
         let acc = Accumulator::new(config.aggregator, share.kept, samples);
-        let mut fold = Fold::new(&gate, config.compression, apply_payload_faults, acc);
+        let mut fold = Fold::new(&gate, config.compression, in_fold, model_len, acc);
         for (mut pooled, admitted) in updates.into_iter().zip(&share.members) {
-            let (update, wire_len) = (&mut pooled.update, pooled.wire_len);
-            fold.ingest(update, admitted.fault, wire_len, Some(&mut stats))?;
+            let received = pooled.received.as_ref();
+            fold.ingest(
+                &mut pooled.update,
+                admitted.fault,
+                received,
+                Some(&mut stats),
+            )?;
         }
         global = fold.acc.finish()?;
         traffic.add_round(&fold.tally, receivers, downlink_bytes);

@@ -68,7 +68,7 @@ pub mod wire;
 
 pub use aggregate::Aggregator;
 pub use client::{FedClient, LocalUpdate};
-pub use compression::{CodecScratch, CompressionMode};
+pub use compression::CompressionMode;
 pub use engine::TrafficTotals;
 pub use error::FederatedError;
 pub use faults::{

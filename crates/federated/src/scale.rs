@@ -429,7 +429,7 @@ impl ScaleEngine {
     ) -> (Fold<'a>, Result<(), FederatedError>) {
         let cfg = &self.config;
         let acc = Accumulator::new(Aggregator::FedAvg, share.kept, share.samples);
-        let mut fold = Fold::new(gate, cfg.compression, true, acc);
+        let mut fold = Fold::new(gate, cfg.compression, true, wire::encoded_size(global), acc);
         group.resize_with(LANES, || LocalUpdate {
             weights: global.to_vec(),
             ..LocalUpdate::default()
@@ -481,7 +481,8 @@ impl ScaleEngine {
             let sampled = scheduler.sample(round, cfg.clients);
             let n = sampled.len();
             let receivers = if round == 0 { 0 } else { n };
-            let downlink_bytes = wire::encoded_size(&global) * receivers;
+            let model_len = wire::encoded_size(&global);
+            let downlink_bytes = model_len * receivers;
             // Shards are contiguous and balanced.
             let route = |ci: usize, id: &mut String| {
                 let spec = self.spec(ci);
@@ -509,7 +510,7 @@ impl ScaleEngine {
                     faults[edge.index] = Some(edge.fault);
                 }
                 let acc = Accumulator::new(Aggregator::FedAvg, share.kept, share.samples);
-                let root = Fold::new(&edge_gate, CompressionMode::None, true, acc);
+                let root = Fold::new(&edge_gate, CompressionMode::None, true, model_len, acc);
                 hop = Some((faults, root));
             }
 
@@ -647,7 +648,8 @@ mod tests {
                 if cfg.compression == CompressionMode::Quant8 {
                     let payload =
                         wire::encode_quantized(&QuantizedUpdate::quantize(&update.weights));
-                    update.weights = wire::decode_quantized(&payload).expect("EVQ8").dequantize();
+                    let view = wire::quantized_view(&payload).expect("EVQ8");
+                    view.weights_into(&mut update.weights);
                 }
                 kept.push(update);
             }

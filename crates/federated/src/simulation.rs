@@ -427,7 +427,7 @@ impl RoundPool for InProcessPool<'_> {
         self.clients[ci].id()
     }
 
-    fn broadcast(&mut self, global: &[Matrix], _encoded: &[u8]) -> Result<(), FederatedError> {
+    fn broadcast(&mut self, global: &[Matrix]) -> Result<(), FederatedError> {
         for client in self.clients.iter_mut() {
             client.receive_global(global)?;
         }
@@ -480,7 +480,7 @@ impl RoundPool for InProcessPool<'_> {
         };
         let local = |update| PoolUpdate {
             update,
-            wire_len: None,
+            received: None,
         };
         Ok(updates?.into_iter().map(local).collect())
     }

@@ -8,11 +8,11 @@
 //!   beyond it is closed at accept with no reader. Readers read each
 //!   length-prefixed frame (see [`framing`](crate::framing)) into one
 //!   buffer of its declared size — one allocation, bounded by the
-//!   session's frame cap — decode it into a [`Message`], and feed a
-//!   single bounded [`mpsc::sync_channel`] event queue the server drains;
-//!   a connection whose event finds the queue full is dropped. Writes go
-//!   through a shared writer map so the server can send (and deliberately
-//!   *kill*) connections from the round loop.
+//!   session's frame cap — decode it into a [`Message`] whose blobs are
+//!   windows of that buffer, and feed a single bounded
+//!   [`mpsc::sync_channel`] event queue the server drains; a connection
+//!   whose event finds the queue full is dropped. A send writes through
+//!   the connection's own `Arc<TcpStream>` with the writer map unlocked.
 //! * [`SocketServer`] — binds, admits the expected clients
 //!   (`Hello`/`Welcome` handshake), then drives the **same**
 //!   `engine` round loop as the in-process simulation
@@ -52,7 +52,8 @@
 //! upload while its previous one still counts. The event queue holds two
 //! events per admitted connection, its message and its hang-up. Frame
 //! buffers and queued messages are therefore bounded by the roster and
-//! the model, never by what a peer declares or streams.
+//! the model, never by what a peer declares or streams. A queued message
+//! holds its frame (its blob is a window of it): one frame per event.
 //!
 //! # Determinism
 //!
@@ -70,8 +71,8 @@
 //! loop then reproduces the simulated attempt count on the wire.
 
 use crate::client::{FedClient, LocalUpdate};
-use crate::compression::{CodecScratch, CompressionMode, QuantizedUpdate};
-use crate::engine::{self, Admitted, PoolUpdate, RoundPool};
+use crate::compression::{CompressionMode, QuantizedUpdate};
+use crate::engine::{self, Admitted, PoolUpdate, Received, RoundPool};
 use crate::error::FederatedError;
 use crate::faults::{FaultKind, FaultPlan};
 use crate::framing::{write_frame, FrameDecoder};
@@ -80,12 +81,11 @@ use crate::wire::{self, Message};
 use bytes::{Bytes, BytesMut};
 use evfad_nn::{Sample, Sequential, TrainConfig};
 use evfad_tensor::Matrix;
-use parking_lot::Mutex;
 use std::collections::HashMap;
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::mpsc::{self, Receiver, RecvTimeoutError, SyncSender};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
@@ -93,6 +93,24 @@ fn transport_err(context: &str, detail: impl std::fmt::Display) -> FederatedErro
     FederatedError::Transport {
         message: format!("{context}: {detail}"),
     }
+}
+
+/// Locks `mutex`; a value behind these locks stays whole across a panic.
+fn lock<T>(mutex: &Mutex<T>) -> MutexGuard<'_, T> {
+    mutex.lock().unwrap_or_else(PoisonError::into_inner)
+}
+
+/// The write half of every live connection, by connection id.
+type Writers = Mutex<HashMap<u64, Arc<TcpStream>>>;
+
+/// Writes one frame on connection `conn`. The map's lock is held only to
+/// take the connection's handle, never during the write.
+fn write_to(writers: &Writers, conn: u64, frame: &[u8]) -> Result<(), FederatedError> {
+    let stream = lock(writers)
+        .get(&conn)
+        .cloned()
+        .ok_or_else(|| transport_err("send", format!("connection {conn} is gone")))?;
+    write_frame(&mut &*stream, frame).map_err(|e| transport_err("send", e))
 }
 
 /// What the event queue delivers to whoever drains the transport.
@@ -124,7 +142,7 @@ struct Limits {
 struct SocketTransport {
     local_addr: SocketAddr,
     events: Receiver<TransportEvent>,
-    writers: Arc<Mutex<HashMap<u64, TcpStream>>>,
+    writers: Arc<Writers>,
     stop: Arc<AtomicBool>,
     accept_handle: Option<JoinHandle<()>>,
     reader_handles: Arc<Mutex<Vec<JoinHandle<()>>>>,
@@ -150,7 +168,7 @@ impl SocketTransport {
             .local_addr()
             .map_err(|e| transport_err("local_addr", e))?;
         let (tx, events) = mpsc::sync_channel(limits.connections.saturating_mul(2));
-        let writers: Arc<Mutex<HashMap<u64, TcpStream>>> = Arc::new(Mutex::new(HashMap::new()));
+        let writers: Arc<Writers> = Arc::default();
         let stop = Arc::new(AtomicBool::new(false));
         let reader_handles: Arc<Mutex<Vec<JoinHandle<()>>>> = Arc::new(Mutex::new(Vec::new()));
 
@@ -177,13 +195,13 @@ impl SocketTransport {
                         continue;
                     };
                     {
-                        let mut live = writers.lock();
+                        let mut live = lock(&writers);
                         if live.len() >= limits.connections {
                             // Over the cap: both halves drop here, which
                             // closes the connection before any reader runs.
                             continue;
                         }
-                        live.insert(next_id, write_half);
+                        live.insert(next_id, Arc::new(write_half));
                     }
                     let id = next_id;
                     next_id += 1;
@@ -196,7 +214,7 @@ impl SocketTransport {
                     // Every upload attempt is a fresh connection: keep the
                     // handles of live readers only, or the list grows with
                     // rounds x clients x attempts for the server's lifetime.
-                    let mut handles = reader_handles.lock();
+                    let mut handles = lock(&reader_handles);
                     handles.retain(|h| !h.is_finished());
                     handles.push(handle);
                 }
@@ -220,31 +238,33 @@ impl SocketTransport {
         self.local_addr
     }
 
-    /// Sends one framed message on a connection.
-    ///
-    /// The envelope is encoded into the transport's pooled scratch buffer
-    /// and shipped with a vectored header+payload write — no per-send
-    /// framed buffer is ever assembled (warm sends allocate nothing).
+    /// Encodes `msg` once and [`write_all`](Self::write_all)s it to `conns`.
+    fn send_all(&mut self, conns: &[u64], msg: &Message) -> Result<(), FederatedError> {
+        wire::encode_message(&mut self.scratch, msg);
+        self.write_all(conns)
+    }
+
+    /// Writes the envelope in the scratch buffer to each of `conns`, in
+    /// order, as a vectored header+payload write: no framed buffer is
+    /// assembled, and warm sends allocate nothing.
     ///
     /// # Errors
     ///
-    /// [`FederatedError::Transport`] when the connection is gone or the
-    /// write fails.
-    fn send(&mut self, conn: u64, msg: &Message) -> Result<(), FederatedError> {
-        wire::encode_message(&mut self.scratch, msg);
-        let mut writers = self.writers.lock();
-        let stream = writers
-            .get_mut(&conn)
-            .ok_or_else(|| transport_err("send", format!("connection {conn} is gone")))?;
-        write_frame(stream, &self.scratch).map_err(|e| transport_err("send", e))
+    /// [`FederatedError::Transport`] at the first connection that is gone
+    /// or whose write fails.
+    fn write_all(&self, conns: &[u64]) -> Result<(), FederatedError> {
+        conns
+            .iter()
+            .try_for_each(|&conn| write_to(&self.writers, conn, &self.scratch))
     }
 
     /// Forcibly closes a connection **without** any farewell message —
     /// from the peer's side this is a connection lost mid-exchange. The
     /// connection leaves the live count at once; its reader thread
     /// observes the shutdown and emits [`TransportEvent::Disconnected`].
+    /// A write blocked on the connection fails.
     fn kill(&self, conn: u64) {
-        if let Some(stream) = self.writers.lock().remove(&conn) {
+        if let Some(stream) = lock(&self.writers).remove(&conn) {
             let _ = stream.shutdown(Shutdown::Both);
         }
     }
@@ -288,13 +308,13 @@ impl Drop for SocketTransport {
         // Unblock the accept loop with a throwaway connection.
         let _ = TcpStream::connect(self.local_addr);
         // Shut every live connection so reader threads hit EOF.
-        for (_, stream) in self.writers.lock().drain() {
+        for (_, stream) in lock(&self.writers).drain() {
             let _ = stream.shutdown(Shutdown::Both);
         }
         if let Some(handle) = self.accept_handle.take() {
             let _ = handle.join();
         }
-        for handle in self.reader_handles.lock().drain(..) {
+        for handle in lock(&self.reader_handles).drain(..) {
             let _ = handle.join();
         }
     }
@@ -312,18 +332,18 @@ fn run_reader(
     id: u64,
     frame_bytes: usize,
     tx: &SyncSender<TransportEvent>,
-    writers: &Mutex<HashMap<u64, TcpStream>>,
+    writers: &Writers,
 ) {
     let mut decoder = FrameDecoder::with_cap(frame_bytes);
     while let Ok(Some(frame)) = decoder.read_frame(&mut stream) {
-        let Ok(msg) = wire::decode_message(&frame) else {
+        let Ok(msg) = wire::decode_frame(&Bytes::from(frame)) else {
             break;
         };
         if tx.try_send(TransportEvent::Message(id, msg)).is_err() {
             break;
         }
     }
-    if let Some(s) = writers.lock().remove(&id) {
+    if let Some(s) = lock(writers).remove(&id) {
         let _ = s.shutdown(Shutdown::Both);
     }
     let _ = tx.try_send(TransportEvent::Disconnected(id));
@@ -362,62 +382,47 @@ impl MessageStream {
         else {
             return Ok(None);
         };
-        let msg = wire::decode_message(&frame).map_err(|e| transport_err("recv", e))?;
+        let msg = wire::decode_frame(&Bytes::from(frame)).map_err(|e| transport_err("recv", e))?;
         Ok(Some(msg))
     }
 }
 
-/// Encodes one uplink payload exactly as the in-process path meters it:
-/// the same encoder over the same (post-fault) weights — so the byte
-/// length on the wire equals the byte length the simulation's arithmetic
-/// predicts. The compressed representation is built in the caller's
-/// [`CodecScratch`], so a client that uploads every round re-fills the
-/// same buffers instead of materializing a fresh `QuantizedUpdate` per
-/// round.
-fn encode_uplink_payload(
+/// Refuses a malformed upload, or one of another architecture than
+/// `global`'s, as a transport error before the round takes it. A None
+/// payload is decoded once, for the dense fold, and dropped; a Quant8 one
+/// is kept, for the fold to read.
+fn check_upload(
     mode: CompressionMode,
-    weights: &[Matrix],
-    scratch: &mut CodecScratch,
-) -> Bytes {
+    payload: Bytes,
+    global: &[Matrix],
+) -> Result<(Vec<Matrix>, Received), FederatedError> {
+    let malformed = |e| transport_err("uplink payload", e);
     match mode {
-        CompressionMode::None => wire::encode_weights(weights),
+        CompressionMode::None => {
+            let weights = wire::decode_weights(&payload).map_err(malformed)?;
+            same_shapes(|| weights.iter().map(Matrix::shape), global)?;
+            Ok((weights, Received::Decoded(payload.len())))
+        }
         CompressionMode::Quant8 => {
-            QuantizedUpdate::quantize_into(weights, &mut scratch.quant);
-            wire::encode_quantized(&scratch.quant)
+            let view = wire::quantized_view(&payload).map_err(malformed)?;
+            same_shapes(|| view.tensors().map(|t| t.shape()), global)?;
+            Ok((Vec::new(), Received::Quantized(payload)))
         }
     }
 }
 
-/// Server-side decode of an uplink payload into weight matrices. The
-/// payload's bytes depend on the update alone; `global` is here only so a
-/// well-formed update of another architecture is refused like a malformed
-/// one instead of reaching the aggregator.
-fn decode_uplink_payload(
-    mode: CompressionMode,
-    payload: &[u8],
-    global: &[Matrix],
-) -> Result<Vec<Matrix>, FederatedError> {
-    let weights = match mode {
-        CompressionMode::None => wire::decode_weights(payload),
-        CompressionMode::Quant8 => wire::decode_quantized(payload).map(|q| q.dequantize()),
+/// Refuses an upload whose tensor `shapes` are not `global`'s.
+fn same_shapes<I>(shapes: impl Fn() -> I, global: &[Matrix]) -> Result<(), FederatedError>
+where
+    I: Iterator<Item = (usize, usize)>,
+{
+    let expected = || global.iter().map(Matrix::shape);
+    if shapes().eq(expected()) {
+        return Ok(());
     }
-    .map_err(|e| transport_err("uplink payload", e))?;
-    if !weights
-        .iter()
-        .map(Matrix::shape)
-        .eq(global.iter().map(Matrix::shape))
-    {
-        let shapes = |w: &[Matrix]| w.iter().map(Matrix::shape).collect::<Vec<_>>();
-        return Err(transport_err(
-            "uplink payload",
-            format!(
-                "has tensor shapes {:?}, the model expects {:?}",
-                shapes(&weights),
-                shapes(global)
-            ),
-        ));
-    }
-    Ok(weights)
+    let (got, want): (Vec<_>, Vec<_>) = (shapes().collect(), expected().collect());
+    let shapes = format!("has tensor shapes {got:?}, the model expects {want:?}");
+    Err(transport_err("uplink payload", shapes))
 }
 
 /// The longest `Abort` text a server sends; a client's frame cap leaves
@@ -591,7 +596,7 @@ impl SocketServer {
                 message: abort_text(err),
             };
             for &conn in &controls {
-                let _ = self.transport.send(conn, &abort);
+                let _ = self.transport.send_all(&[conn], &abort);
             }
         }
         outcome
@@ -659,9 +664,7 @@ impl SocketServer {
             backoff_base_seconds,
             init_global: wire::encode_weights(&self.template.weights()),
         };
-        for &conn in &controls {
-            self.transport.send(conn, &welcome)?;
-        }
+        self.transport.send_all(&controls, &welcome)?;
         Ok(controls)
     }
 }
@@ -699,15 +702,12 @@ impl RoundPool for SocketPool<'_> {
         &self.ids[ci]
     }
 
-    fn broadcast(&mut self, _global: &[Matrix], encoded: &[u8]) -> Result<(), FederatedError> {
-        let msg = Message::Broadcast {
-            round: (self.current_round + 1) as u32,
-            global: Bytes::copy_from_slice(encoded),
-        };
-        for i in 0..self.controls.len() {
-            self.transport.send(self.controls[i], &msg)?;
-        }
-        Ok(())
+    /// One envelope a round, the global's `EVFD` record written into it,
+    /// and the same bytes to every control connection.
+    fn broadcast(&mut self, global: &[Matrix]) -> Result<(), FederatedError> {
+        let round = Some((self.current_round + 1) as u32);
+        wire::encode_global(&mut self.transport.scratch, round, global);
+        self.transport.write_all(&self.controls)
     }
 
     fn faults_in_transit(&self) -> bool {
@@ -739,8 +739,8 @@ impl RoundPool for SocketPool<'_> {
                 arrivals: 0,
                 result: None,
             });
-            self.transport.send(
-                self.controls[a.index],
+            self.transport.send_all(
+                &[self.controls[a.index]],
                 &Message::TrainRequest {
                     round: round as u32,
                     fault: a.fault,
@@ -782,9 +782,9 @@ impl RoundPool for SocketPool<'_> {
                         self.transport.kill(conn);
                         continue;
                     }
-                    // Final arrival: decode and keep (the fold decides
+                    // Final arrival: check and keep (the fold decides
                     // Keep vs Waste; either way the payload is metered).
-                    let weights = decode_uplink_payload(self.compression, &payload, global)?;
+                    let (weights, received) = check_upload(self.compression, payload, global)?;
                     entry.result = Some(PoolUpdate {
                         update: LocalUpdate {
                             client_id,
@@ -794,10 +794,11 @@ impl RoundPool for SocketPool<'_> {
                             duration: Duration::ZERO,
                             simulated_extra_seconds: 0.0,
                         },
-                        wire_len: Some(payload.len()),
+                        received: Some(received),
                     });
                     if entry.ack_last {
-                        self.transport.send(conn, &Message::Ack { round: r })?;
+                        self.transport
+                            .send_all(&[conn], &Message::Ack { round: r })?;
                         self.transport.retire(conn);
                     } else {
                         // Retries exhausted by plan: the last attempt dies
@@ -834,13 +835,8 @@ impl RoundPool for SocketPool<'_> {
     }
 
     fn finish(&mut self, global: &[Matrix]) -> Result<(), FederatedError> {
-        let done = Message::Done {
-            global: wire::encode_weights(global),
-        };
-        for i in 0..self.controls.len() {
-            self.transport.send(self.controls[i], &done)?;
-        }
-        Ok(())
+        wire::encode_global(&mut self.transport.scratch, None, global);
+        self.transport.write_all(&self.controls)
     }
 }
 
@@ -935,9 +931,11 @@ impl SocketClient {
             .set_weights(&global)
             .map_err(|e| transport_err("welcome", e))?;
         let mut client = FedClient::new(client_id.clone(), model, samples);
-        // Reused across rounds: warm uploads re-fill these codec buffers
-        // instead of allocating a fresh compressed representation.
-        let mut codec_scratch = CodecScratch::default();
+        // Reused across rounds: warm uploads re-fill the codec's buffers
+        // instead of allocating a fresh compressed representation, and
+        // encode each `Update` envelope into the same buffer.
+        let mut quant = QuantizedUpdate::default();
+        let mut envelope = BytesMut::new();
 
         loop {
             match control.recv()? {
@@ -965,7 +963,15 @@ impl SocketClient {
                         }
                         _ => {}
                     }
-                    let payload = encode_uplink_payload(compression, &weights, &mut codec_scratch);
+                    // The encoder the in-process fold meters with, over the
+                    // same (post-fault) weights: the same length on the wire.
+                    let payload = match compression {
+                        CompressionMode::None => wire::encode_weights(&weights),
+                        CompressionMode::Quant8 => {
+                            QuantizedUpdate::quantize_into(&weights, &mut quant);
+                            wire::encode_quantized(&quant)
+                        }
+                    };
                     let msg = Message::Update {
                         round,
                         client_id: client_id.clone(),
@@ -973,7 +979,8 @@ impl SocketClient {
                         train_loss: update.train_loss,
                         payload,
                     };
-                    self.upload_with_retries(addr, frame_bytes, &msg, &retry)?;
+                    wire::encode_message(&mut envelope, &msg);
+                    self.upload_with_retries(addr, frame_bytes, &envelope, &retry)?;
                 }
                 Some(Message::Done { global: encoded }) => {
                     let final_global =
@@ -992,20 +999,21 @@ impl SocketClient {
         }
     }
 
-    /// Uploads over a fresh connection per attempt, retrying with
-    /// exponential backoff when the connection dies before the `Ack` —
-    /// up to `retry.retry_budget` retries, after which the client gives up
-    /// (the fault plan's retries-exhausted outcome; not a client error).
+    /// Uploads the encoded `Update` envelope over a fresh connection per
+    /// attempt, retrying with exponential backoff when the connection dies
+    /// before the `Ack` — up to `retry.retry_budget` retries, after which
+    /// the client gives up (the fault plan's retries-exhausted outcome; not
+    /// a client error). Every attempt writes the same bytes.
     fn upload_with_retries(
         &self,
         addr: SocketAddr,
         frame_bytes: usize,
-        msg: &Message,
+        envelope: &[u8],
         retry: &FaultPlan,
     ) -> Result<(), FederatedError> {
         let max_attempts = retry.retry_budget + 1;
         for attempt in 0..max_attempts {
-            if self.upload_once(addr, frame_bytes, msg).is_ok() {
+            if self.upload_once(addr, frame_bytes, envelope).is_ok() {
                 return Ok(());
             }
             if attempt + 1 < max_attempts {
@@ -1021,10 +1029,10 @@ impl SocketClient {
         &self,
         addr: SocketAddr,
         frame_bytes: usize,
-        msg: &Message,
+        envelope: &[u8],
     ) -> Result<(), FederatedError> {
         let mut conn = MessageStream::connect(addr, frame_bytes)?;
-        conn.send(msg)?;
+        write_frame(&mut conn.stream, envelope).map_err(|e| transport_err("send", e))?;
         match conn.recv()? {
             Some(Message::Ack { .. }) => Ok(()),
             other => Err(transport_err("upload", format!("no ack, got {other:?}"))),
@@ -1130,7 +1138,7 @@ mod tests {
             Err(e) if e.kind() == std::io::ErrorKind::ConnectionReset => {}
             other => panic!("a connection over the cap stayed open: {other:?}"),
         }
-        assert_eq!(transport.reader_handles.lock().len(), 2);
+        assert_eq!(lock(&transport.reader_handles).len(), 2);
         assert!(transport.recv(Duration::from_millis(100)).is_err());
         // A hang-up frees its slot for the next connection.
         drop(admitted.pop());
@@ -1242,7 +1250,7 @@ mod tests {
                 backoff_base_seconds,
                 init_global: wire::encode_weights(&evfad_nn::forecaster_model(4, 3).weights()),
             };
-            server.send(conn, &welcome).expect("send");
+            server.send_all(&[conn], &welcome).expect("send");
             // Hanging up after the Welcome turns a client that accepted it
             // into a `control` error instead of a wait.
             drop(server);
@@ -1283,7 +1291,7 @@ mod tests {
         }
         // A reader exits right after its `Disconnected`, and each accept
         // reaps the finished ones: only the last few can still be listed.
-        let live = transport.reader_handles.lock().len();
+        let live = lock(&transport.reader_handles).len();
         assert!(live < 16, "{live} reader handles after 64 hang-ups");
     }
 
@@ -1311,7 +1319,113 @@ mod tests {
             }
         }
         // Sends to a killed connection fail cleanly.
-        assert!(transport.send(conn, &Message::Ack { round: 0 }).is_err());
+        assert!(transport
+            .send_all(&[conn], &Message::Ack { round: 0 })
+            .is_err());
+    }
+
+    /// A peer that stops reading fills its socket's buffers, and a write
+    /// to it blocks in the kernel. That write holds the connection's
+    /// handle, not the writer map: a send to another peer and a kill of
+    /// the stalled one go through, and the kill fails the blocked write.
+    #[test]
+    fn a_peer_that_stops_reading_blocks_neither_another_send_nor_a_kill() {
+        let mut transport = capped(2);
+        let mut peers = Vec::new();
+        let mut conns = Vec::new();
+        for id in ["stalled", "reading"] {
+            let mut peer =
+                MessageStream::connect(transport.local_addr(), MAX_FRAME_BYTES).expect("connect");
+            peer.send(&Message::Hello {
+                client_id: id.into(),
+            })
+            .expect("send");
+            match transport.recv(Duration::from_secs(5)).expect("event") {
+                TransportEvent::Message(conn, Message::Hello { .. }) => conns.push(conn),
+                other => panic!("unexpected {other:?}"),
+            }
+            peers.push(peer);
+        }
+        let (stalled, reading) = (conns[0], conns[1]);
+        // Frames of 1 MiB through the transport's write path until one has
+        // not gone out for 200 ms: the stalled peer's buffers are full.
+        let writers = Arc::clone(&transport.writers);
+        let (wrote, frames) = mpsc::channel();
+        let writer = std::thread::spawn(move || {
+            let frame = vec![0u8; 1 << 20];
+            while write_to(&writers, stalled, &frame).is_ok() {
+                let _ = wrote.send(());
+            }
+        });
+        let mut written = 0;
+        while frames.recv_timeout(Duration::from_millis(200)).is_ok() {
+            written += 1;
+        }
+        assert!(written >= 1, "not one frame went out before the stall");
+        let (done, finished) = mpsc::channel();
+        let worker = std::thread::spawn(move || {
+            transport
+                .send_all(&[reading], &Message::Ack { round: 4 })
+                .expect("a send to the reading peer");
+            transport.kill(stalled);
+            let _ = done.send(());
+            transport
+        });
+        finished
+            .recv_timeout(Duration::from_secs(10))
+            .expect("the stalled peer held up a send to another peer or its own kill");
+        assert!(matches!(
+            peers[1].recv(),
+            Ok(Some(Message::Ack { round: 4 }))
+        ));
+        writer.join().expect("the kill failed the blocked write");
+        drop(worker.join().expect("worker"));
+    }
+
+    /// A round's broadcast is one envelope, and every control connection
+    /// gets its bytes.
+    #[test]
+    fn a_broadcast_is_one_envelope_written_to_every_control_connection() {
+        let mut transport = loopback();
+        let ids: Vec<String> = ["a", "b", "c"].map(String::from).to_vec();
+        let mut peers = Vec::new();
+        let mut controls = Vec::new();
+        for id in &ids {
+            let mut peer =
+                MessageStream::connect(transport.local_addr(), MAX_FRAME_BYTES).expect("connect");
+            peer.send(&Message::Hello {
+                client_id: id.clone(),
+            })
+            .expect("send");
+            match transport.recv(Duration::from_secs(5)).expect("event") {
+                TransportEvent::Message(conn, Message::Hello { .. }) => controls.push(conn),
+                other => panic!("unexpected {other:?}"),
+            }
+            peers.push(peer);
+        }
+        let global = evfad_nn::forecaster_model(4, 3).weights();
+        let mut pool = SocketPool {
+            transport: &mut transport,
+            ids: &ids,
+            controls,
+            compression: CompressionMode::None,
+            io_timeout: Duration::from_secs(5),
+            current_round: 0,
+        };
+        let before = wire::ENVELOPES.with(|n| n.get());
+        pool.broadcast(&global).expect("broadcast");
+        assert_eq!(wire::ENVELOPES.with(|n| n.get()) - before, 1);
+        for peer in &mut peers {
+            match peer.recv() {
+                Ok(Some(Message::Broadcast {
+                    round: 1,
+                    global: got,
+                })) => {
+                    assert_eq!(got, wire::encode_weights(&global));
+                }
+                other => panic!("unexpected {other:?}"),
+            }
+        }
     }
 
     #[test]

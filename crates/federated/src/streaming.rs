@@ -31,11 +31,10 @@ pub trait StreamingAggregator {
 
     /// Folds one `EVQ8`-encoded update straight out of its wire payload —
     /// the fused decode-into-fold fast path. **Bitwise identical** to
-    /// `decode_quantized(payload).dequantize()` followed by [`ingest`]
-    /// (NaN floods included): the payload view yields exactly the values
-    /// `dequantize` would materialise, and the fold performs the same
-    /// arithmetic in the same order — without allocating a `Vec<Matrix>`
-    /// per update.
+    /// decoding the payload's view into matrices and [`ingest`]ing them
+    /// (NaN floods included): the fold reads exactly the values that decode
+    /// writes and performs the same arithmetic in the same order — without
+    /// allocating a `Vec<Matrix>` per update.
     ///
     /// The payload is structurally validated **up front** (see
     /// [`wire::quantized_view`]); a corrupt payload errors before the
@@ -103,7 +102,7 @@ fn check_shapes(
 
 /// Maps a wire-validation failure on the fused path into the aggregation
 /// error domain, naming the offending client.
-fn bad_payload(client_id: &str, err: wire::WireError) -> FederatedError {
+pub(crate) fn bad_payload(client_id: &str, err: wire::WireError) -> FederatedError {
     FederatedError::Aggregation(format!("client {client_id}: malformed EVQ8 payload: {err}"))
 }
 
@@ -360,7 +359,9 @@ mod tests {
         for u in &ups {
             let blob = wire::encode_quantized(&QuantizedUpdate::quantize(&u.weights));
             let mut lossy = u.clone();
-            lossy.weights = wire::decode_quantized(&blob).unwrap().dequantize();
+            wire::quantized_view(&blob)
+                .unwrap()
+                .weights_into(&mut lossy.weights);
             materialized.ingest(&lossy).unwrap();
             fused
                 .ingest_quantized(&u.client_id, u.sample_count, &blob)

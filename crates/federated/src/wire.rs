@@ -23,14 +23,13 @@
 //! [`WireError`], never a panic.
 //!
 //! Each record has one parser. `EVQ8` is validated only by its walker,
-//! which backs both the zero-copy view the fused decode-into-fold consumes
-//! ([`quantized_view`]) and the materializing [`decode_quantized`], which
-//! copies a validated walk out into owned structs. Only the socket
-//! server's per-upload decode and the tests that use
-//! [`QuantizedUpdate::dequantize`] as the oracle for the fused fold
-//! materialize.
+//! behind the zero-copy [`quantized_view`], which the fused
+//! decode-into-fold reads; [`QuantizedPayloadView::weights_into`] is the
+//! one decode into matrices, held to [`QuantizedUpdate::dequantize`] by
+//! the tests. An envelope read from a frame ([`decode_frame`]) takes its
+//! blobs as windows of the frame: an upload reaches the fold uncopied.
 
-use crate::compression::{CompressionMode, QuantizedTensor, QuantizedUpdate};
+use crate::compression::{CompressionMode, QuantizedUpdate};
 use crate::error::FederatedError;
 use crate::faults::{Corruption, FaultKind};
 use bytes::BufMut;
@@ -213,15 +212,16 @@ impl<'a> Reader<'a> {
     }
 
     /// A `u32`-length-prefixed embedded record, bounded by
-    /// [`MAX_BLOB_BYTES`].
-    fn blob(&mut self) -> Result<Bytes, WireError> {
-        let len = self.u32()?;
-        if len > MAX_BLOB_BYTES {
-            return Err(WireError::OversizedFrame {
-                declared: len as usize,
-            });
+    /// [`MAX_BLOB_BYTES`], as a window of `frame`: the bytes this reader
+    /// was opened over.
+    fn blob(&mut self, frame: &Bytes) -> Result<Bytes, WireError> {
+        let len = self.u32()? as usize;
+        if len > MAX_BLOB_BYTES as usize {
+            return Err(WireError::OversizedFrame { declared: len });
         }
-        self.bytes(len as usize).map(Bytes::copy_from_slice)
+        self.bytes(len)?;
+        let end = frame.len() - self.buf.len();
+        Ok(frame.slice(end - len..end))
     }
 
     /// The `magic | version: u16` preamble every record opens with.
@@ -328,6 +328,11 @@ pub fn encode_weights(weights: &[Matrix]) -> Bytes {
 /// every client by the same byte length.
 pub fn encode_weights_into(buf: &mut BytesMut, weights: &[Matrix]) {
     buf.clear();
+    put_weights(buf, weights);
+}
+
+/// Appends the `EVFD` record of `weights` to `buf`.
+fn put_weights(buf: &mut BytesMut, weights: &[Matrix]) {
     buf.put_slice(&MAGIC);
     buf.put_u16_le(VERSION);
     buf.put_u32_le(weights.len() as u32);
@@ -391,7 +396,9 @@ pub(crate) fn quantized_max_size(lens: impl IntoIterator<Item = usize>) -> usize
 ///
 /// let q = QuantizedUpdate::quantize(&[Matrix::identity(4)]);
 /// let blob = wire::encode_quantized(&q);
-/// assert_eq!(wire::decode_quantized(&blob)?, q);
+/// let mut weights = Vec::new();
+/// wire::quantized_view(&blob)?.weights_into(&mut weights);
+/// assert_eq!(weights, q.dequantize());
 /// # Ok::<(), evfad_federated::wire::WireError>(())
 /// ```
 pub fn encode_quantized(update: &QuantizedUpdate) -> Bytes {
@@ -426,32 +433,6 @@ pub fn encode_quantized_into(buf: &mut BytesMut, update: &QuantizedUpdate) {
 /// Size in bytes [`encode_quantized`] will produce — O(1) per tensor.
 pub fn quantized_encoded_size(update: &QuantizedUpdate) -> usize {
     10 + update.byte_size()
-}
-
-/// Decodes a payload produced by [`encode_quantized`] into an owned
-/// update: one validating walk (the same one behind [`quantized_view`]),
-/// copied out tensor by tensor.
-///
-/// # Errors
-///
-/// Returns [`WireError`] on a malformed or truncated payload.
-pub fn decode_quantized(payload: &[u8]) -> Result<QuantizedUpdate, WireError> {
-    let mut walker = QuantWalker::open(payload)?;
-    let mut tensors = Vec::with_capacity(walker.remaining);
-    while let Some(t) = walker.next_tensor()? {
-        let (special_idx, special_val) = t.specials.iter().map(entry).unzip();
-        tensors.push(QuantizedTensor {
-            rows: t.rows,
-            cols: t.cols,
-            min: t.range.min,
-            step: t.range.step,
-            codes: t.codes.to_vec(),
-            special_idx,
-            special_val,
-        });
-    }
-    walker.reader.finish()?;
-    Ok(QuantizedUpdate { tensors })
 }
 
 /// Validates an `EVQ8` payload structurally and returns a zero-copy view
@@ -508,19 +489,45 @@ impl<'a> QuantizedPayloadView<'a> {
         self.start.remaining
     }
 
+    /// Decodes the tensors into `out`, overwriting a matrix of the right
+    /// shape in place and replacing any other: each value is its code on
+    /// its tensor's range, or the special record carrying its index —
+    /// what [`QuantizedUpdate::dequantize`] reconstructs.
+    pub fn weights_into(&self, out: &mut Vec<Matrix>) {
+        out.truncate(self.tensor_count());
+        for (i, t) in self.tensors().enumerate() {
+            let (rows, cols) = t.shape();
+            if i == out.len() {
+                out.push(Matrix::zeros(rows, cols));
+            } else if out[i].shape() != (rows, cols) {
+                out[i] = Matrix::zeros(rows, cols);
+            }
+            let data = out[i].as_mut_slice();
+            let range = t.range();
+            for (slot, &code) in data.iter_mut().zip(t.codes()) {
+                *slot = range.decode(code);
+            }
+            for (idx, value) in t.specials() {
+                data[idx] = value;
+            }
+        }
+    }
+
     /// Iterates over the tensors. Infallible: the payload was fully
     /// validated by [`quantized_view`].
-    pub fn tensors(&self) -> impl Iterator<Item = QuantizedTensorView<'a>> + '_ {
-        // Unreachable `Err`: `start` is a copy of the walker `quantized_view`
-        // already drove to `Ok(None)` over these same immutable bytes, and
-        // `next_tensor` reads nothing else, so this walk repeats that one
-        // step for step. `wire_proptests::hostile` backs it: the
-        // `quantized_view` row re-encodes only through this iterator, and
+    pub fn tensors(&self) -> impl ExactSizeIterator<Item = QuantizedTensorView<'a>> + '_ {
+        // Unreachable `Err` and `None`: `start` is a copy of the walker
+        // `quantized_view` already drove through its `remaining` tensors to
+        // `Ok(None)` over these same immutable bytes, and `next_tensor`
+        // reads nothing else, so this walk repeats that one step for step.
+        // `wire_proptests::hostile` backs it: the `quantized_view` row
+        // re-encodes only through this iterator, and
         // `views_and_decoders_agree_on_every_mutation` and
         // `every_field_forced_to_zero_one_or_max_is_ok_or_a_typed_error`
         // feed it every cut, flip and forced field without a panic.
         let mut walker = self.start;
-        std::iter::from_fn(move || walker.next_tensor().expect("pre-validated payload"))
+        let next = move |_: usize| walker.next_tensor().ok().flatten().expect("validated");
+        (0..self.start.remaining).map(next)
     }
 }
 
@@ -574,8 +581,7 @@ impl<'a> QuantizedTensorView<'a> {
 
 /// The one `EVQ8` parser: a cursor over the tensor records plus how many
 /// are left. [`quantized_view`] runs it once to validate and keeps a copy
-/// positioned at the first tensor; [`decode_quantized`] copies each tensor
-/// out as it goes.
+/// positioned at the first tensor.
 #[derive(Debug, Clone, Copy)]
 struct QuantWalker<'a> {
     reader: Reader<'a>,
@@ -791,6 +797,19 @@ pub enum Message {
     },
 }
 
+#[cfg(test)]
+thread_local!(pub(crate) static ENVELOPES: std::cell::Cell<usize> = Default::default());
+
+/// Clears `buf` and writes the envelope preamble and `tag`.
+fn open(buf: &mut BytesMut, tag: u8) {
+    #[cfg(test)]
+    ENVELOPES.with(|n| n.set(n.get() + 1)); // Envelopes this thread encoded.
+    buf.clear();
+    buf.put_slice(&MESSAGE_MAGIC);
+    buf.put_u16_le(VERSION);
+    buf.put_u8(tag);
+}
+
 fn put_blob(buf: &mut BytesMut, blob: &[u8]) {
     buf.put_u32_le(blob.len() as u32);
     buf.put_slice(blob);
@@ -820,12 +839,9 @@ fn put_short_str(buf: &mut BytesMut, s: &str) {
 /// Encodes one envelope message into `buf`, clearing it first but keeping
 /// its allocation. Layout: `"EVMS" | version: u16 | tag: u8 | body`.
 pub fn encode_message(buf: &mut BytesMut, msg: &Message) {
-    buf.clear();
-    buf.put_slice(&MESSAGE_MAGIC);
-    buf.put_u16_le(VERSION);
     match msg {
         Message::Hello { client_id } => {
-            buf.put_u8(TAG_HELLO);
+            open(buf, TAG_HELLO);
             put_short_str(buf, client_id);
         }
         Message::Welcome {
@@ -836,7 +852,7 @@ pub fn encode_message(buf: &mut BytesMut, msg: &Message) {
             backoff_base_seconds,
             init_global,
         } => {
-            buf.put_u8(TAG_WELCOME);
+            open(buf, TAG_WELCOME);
             buf.put_u32_le(*epochs_per_round);
             buf.put_u32_le(*batch_size);
             buf.put_u8(match compression {
@@ -848,12 +864,12 @@ pub fn encode_message(buf: &mut BytesMut, msg: &Message) {
             put_blob(buf, init_global);
         }
         Message::Broadcast { round, global } => {
-            buf.put_u8(TAG_BROADCAST);
+            open(buf, TAG_BROADCAST);
             buf.put_u32_le(*round);
             put_blob(buf, global);
         }
         Message::TrainRequest { round, fault } => {
-            buf.put_u8(TAG_TRAIN_REQUEST);
+            open(buf, TAG_TRAIN_REQUEST);
             buf.put_u32_le(*round);
             match fault {
                 None => buf.put_u8(0),
@@ -870,7 +886,7 @@ pub fn encode_message(buf: &mut BytesMut, msg: &Message) {
             train_loss,
             payload,
         } => {
-            buf.put_u8(TAG_UPDATE);
+            open(buf, TAG_UPDATE);
             buf.put_u32_le(*round);
             put_short_str(buf, client_id);
             buf.put_u64_le(*sample_count);
@@ -878,22 +894,34 @@ pub fn encode_message(buf: &mut BytesMut, msg: &Message) {
             put_blob(buf, payload);
         }
         Message::Ack { round } => {
-            buf.put_u8(TAG_ACK);
+            open(buf, TAG_ACK);
             buf.put_u32_le(*round);
         }
         Message::Done { global } => {
-            buf.put_u8(TAG_DONE);
+            open(buf, TAG_DONE);
             put_blob(buf, global);
         }
         Message::Abort { message } => {
-            buf.put_u8(TAG_ABORT);
+            open(buf, TAG_ABORT);
             put_blob(buf, message.as_bytes());
         }
     }
 }
 
-/// Decodes one envelope message (inverse of [`encode_message`]). Strict:
-/// the payload must contain exactly one message — a frame carries one
+/// Encodes the [`Message::Broadcast`] of `round`, or with no round the
+/// [`Message::Done`], carrying `global`: the bytes [`encode_message`]
+/// gives, with the `EVFD` record written in place.
+pub(crate) fn encode_global(buf: &mut BytesMut, round: Option<u32>, global: &[Matrix]) {
+    open(buf, round.map_or(TAG_DONE, |_| TAG_BROADCAST));
+    if let Some(round) = round {
+        buf.put_u32_le(round);
+    }
+    buf.put_u32_le(encoded_size(global) as u32);
+    put_weights(buf, global);
+}
+
+/// Decodes one envelope message (inverse of [`encode_message`]) from a
+/// copy of `payload`. Strict: one message exactly — a frame carries one
 /// envelope, so trailing bytes are a protocol error, not a next message.
 ///
 /// # Errors
@@ -902,7 +930,16 @@ pub fn encode_message(buf: &mut BytesMut, msg: &Message) {
 /// trailing-bytes payload. [`WireError::Truncated::needed`] names the
 /// additional bytes required, so a streamed caller can keep reading.
 pub fn decode_message(payload: &[u8]) -> Result<Message, WireError> {
-    let mut r = Reader::new(payload);
+    decode_frame(&Bytes::copy_from_slice(payload))
+}
+
+/// [`decode_message`] in place: every blob is a window of `frame`.
+///
+/// # Errors
+///
+/// As [`decode_message`].
+pub fn decode_frame(frame: &Bytes) -> Result<Message, WireError> {
+    let mut r = Reader::new(frame);
     r.header(MESSAGE_MAGIC, VERSION)?;
     let msg = match r.u8()? {
         TAG_HELLO => Message::Hello {
@@ -919,11 +956,11 @@ pub fn decode_message(payload: &[u8]) -> Result<Message, WireError> {
             },
             retry_budget: r.u32()?,
             backoff_base_seconds: r.f64()?,
-            init_global: r.blob()?,
+            init_global: r.blob(frame)?,
         },
         TAG_BROADCAST => Message::Broadcast {
             round: r.u32()?,
-            global: r.blob()?,
+            global: r.blob(frame)?,
         },
         TAG_TRAIN_REQUEST => Message::TrainRequest {
             round: r.u32()?,
@@ -938,12 +975,14 @@ pub fn decode_message(payload: &[u8]) -> Result<Message, WireError> {
             client_id: r.short_str()?,
             sample_count: r.u64()?,
             train_loss: r.f64()?,
-            payload: r.blob()?,
+            payload: r.blob(frame)?,
         },
         TAG_ACK => Message::Ack { round: r.u32()? },
-        TAG_DONE => Message::Done { global: r.blob()? },
+        TAG_DONE => Message::Done {
+            global: r.blob(frame)?,
+        },
         TAG_ABORT => Message::Abort {
-            message: String::from_utf8(r.blob()?.to_vec())
+            message: String::from_utf8(r.blob(frame)?.to_vec())
                 .map_err(|_| WireError::InvalidRecord("abort message is not UTF-8"))?,
         },
         tag => return Err(WireError::UnknownTag(tag)),
@@ -961,6 +1000,18 @@ mod tests {
             Matrix::from_fn(5, 7, |i, j| (i as f64) - 0.37 * j as f64),
             Matrix::from_vec(1, 4, vec![1.0, -2.5, f64::MIN_POSITIVE, 1e300]),
         ]
+    }
+
+    /// The view's decode of an `EVQ8` payload into fresh matrices.
+    fn view_weights(payload: &[u8]) -> Result<Vec<Matrix>, WireError> {
+        let mut out = Vec::new();
+        quantized_view(payload)?.weights_into(&mut out);
+        Ok(out)
+    }
+
+    /// Raw bits of `weights`: equality that holds for NaN too.
+    fn bits(weights: &[Matrix]) -> Bytes {
+        encode_weights(weights)
     }
 
     #[test]
@@ -1038,7 +1089,7 @@ mod tests {
         assert_needed_walk(&encode_weights(&sample_weights()), decode_weights);
         assert_needed_walk(&encode_weights(&[]), decode_weights);
         let q = QuantizedUpdate::quantize(&sample_weights());
-        assert_needed_walk(&encode_quantized(&q), decode_quantized);
+        assert_needed_walk(&encode_quantized(&q), view_weights);
     }
 
     #[test]
@@ -1124,10 +1175,8 @@ mod tests {
         let q = QuantizedUpdate::quantize(&sample_weights());
         let blob = encode_quantized(&q);
         assert_eq!(blob.len(), quantized_encoded_size(&q));
-        let back = decode_quantized(&blob).unwrap();
-        assert_eq!(back, q);
-        // Re-encode idempotence: decoding loses nothing.
-        assert_eq!(&encode_quantized(&back)[..], &blob[..]);
+        // The view decodes exactly what the update dequantizes to.
+        assert_eq!(bits(&view_weights(&blob).unwrap()), bits(&q.dequantize()));
     }
 
     /// The frame caps of the socket transport rest on these two bounds.
@@ -1190,9 +1239,8 @@ mod tests {
                 "000000000000f87f",
             )
         );
-        // And the round trip re-encodes to the identical bytes.
-        let back = decode_quantized(&blob).unwrap();
-        assert_eq!(&encode_quantized(&back)[..], &blob[..]);
+        // And the view decodes the fixture to the update's reconstruction.
+        assert_eq!(bits(&view_weights(&blob).unwrap()), bits(&q.dequantize()));
     }
 
     #[test]
@@ -1201,8 +1249,7 @@ mod tests {
         w[0].as_mut_slice()[3] = f64::NAN;
         w[0].as_mut_slice()[9] = f64::INFINITY;
         let q = QuantizedUpdate::quantize(&w);
-        let back = decode_quantized(&encode_quantized(&q)).unwrap();
-        let deq = back.dequantize();
+        let deq = view_weights(&encode_quantized(&q)).unwrap();
         assert!(deq[0].as_slice()[3].is_nan());
         assert_eq!(deq[0].as_slice()[9], f64::INFINITY);
     }
@@ -1213,7 +1260,7 @@ mod tests {
         let qblob = encode_quantized(&q);
         assert_eq!(decode_weights(&qblob), Err(WireError::BadMagic));
         let wblob = encode_weights(&sample_weights());
-        assert_eq!(decode_quantized(&wblob), Err(WireError::BadMagic));
+        assert_eq!(view_weights(&wblob), Err(WireError::BadMagic));
     }
 
     #[test]
@@ -1227,7 +1274,7 @@ mod tests {
         let idx_at = 10 + 8 + 16 + 4 + q.tensors[0].codes.len();
         blob[idx_at..idx_at + 4].copy_from_slice(&u32::MAX.to_le_bytes());
         assert!(matches!(
-            decode_quantized(&blob),
+            view_weights(&blob),
             Err(WireError::InvalidRecord(_))
         ));
     }
@@ -1238,7 +1285,7 @@ mod tests {
         let mut blob = encode_quantized(&q).to_vec();
         blob[4] = 77;
         assert!(matches!(
-            decode_quantized(&blob),
+            view_weights(&blob),
             Err(WireError::BadVersion(77))
         ));
     }
@@ -1297,6 +1344,39 @@ mod tests {
         for msg in sample_messages() {
             encode_message(&mut buf, &msg);
             assert_eq!(decode_message(&buf).unwrap(), msg, "{msg:?}");
+        }
+    }
+
+    #[test]
+    fn broadcast_and_done_encode_as_their_messages_do() {
+        let (w, mut direct, mut via) = (sample_weights(), BytesMut::new(), BytesMut::new());
+        let global = encode_weights(&w);
+        encode_global(&mut direct, Some(3), &w);
+        encode_message(&mut via, &Message::Broadcast { round: 3, global });
+        assert_eq!(direct, via);
+        encode_global(&mut direct, None, &w);
+        let global = encode_weights(&w);
+        encode_message(&mut via, &Message::Done { global });
+        assert_eq!(direct, via);
+    }
+
+    #[test]
+    fn a_frame_decode_takes_its_blobs_as_windows_of_the_frame() {
+        let mut buf = BytesMut::new();
+        for msg in sample_messages() {
+            encode_message(&mut buf, &msg);
+            let frame = Bytes::from(buf.to_vec());
+            let decoded = decode_frame(&frame).unwrap();
+            assert_eq!(decoded, msg);
+            let blob = match &decoded {
+                Message::Welcome { init_global: b, .. }
+                | Message::Broadcast { global: b, .. }
+                | Message::Update { payload: b, .. }
+                | Message::Done { global: b } => b,
+                _ => continue,
+            };
+            let at = frame.len() - blob.len();
+            assert_eq!(blob.as_ptr(), frame[at..].as_ptr(), "{msg:?}");
         }
     }
 
@@ -1388,6 +1468,22 @@ mod tests {
             }
         }
         assert_eq!(view.tensors().map(|t| t.special_count()).sum::<usize>(), 3);
+        // Decoding into matrices of the right shape overwrites them in
+        // place; a missing, surplus or misshapen one is fixed up.
+        let mut out = decoded.clone();
+        let kept = out[0].as_slice().as_ptr();
+        out[0].as_mut_slice().fill(7.0);
+        view.weights_into(&mut out);
+        assert_eq!(out[0].as_slice().as_ptr(), kept);
+        assert_eq!(bits(&out), bits(&decoded));
+        for mut out in [
+            vec![],
+            vec![Matrix::zeros(2, 2)],
+            [&decoded[..], &decoded].concat(),
+        ] {
+            view.weights_into(&mut out);
+            assert_eq!(bits(&out), bits(&decoded));
+        }
     }
 
     /// The `Welcome` body is the five schedule values in a fixed 21-byte

@@ -4,21 +4,25 @@
 //! can send it at its model's size, and its connections at two per roster
 //! client, so what hostile peers can make it hold is bounded by
 //! the roster and the model, not by what they declare or stream. An
-//! honest frame is read into one buffer of its declared length. This
+//! honest frame is read into one buffer of its declared length, and an
+//! upload stays that frame until the round's fold reads it: its payload
+//! is never copied out, and a Quant8 payload is folded from its bytes, so
+//! a round holds each client's payload, not 8 B per parameter. This
 //! binary installs a counting global allocator, so its tests take one
-//! lock and never overlap.
+//! lock and never overlap; peers driven from the test run on threads the
+//! counter leaves out.
 
 use evfad_federated::compression::QuantizedUpdate;
 use evfad_federated::framing::{write_frame, FrameDecoder, MAX_FRAME_BYTES};
 use evfad_federated::socket::SocketServerConfig;
 use evfad_federated::wire::{self, BytesMut, Message};
-use evfad_federated::{FederatedConfig, SocketServer};
+use evfad_federated::{CompressionMode, FederatedConfig, SocketServer};
 use evfad_nn::forecaster_model;
 use evfad_tensor::Matrix;
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 use std::io::Write;
-use std::net::{TcpListener, TcpStream};
+use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::Mutex;
 
@@ -33,8 +37,16 @@ static LAST: AtomicUsize = AtomicUsize::new(0);
 /// threads of their own).
 static ALL_THREADS: AtomicBool = AtomicBool::new(false);
 
+/// Sizes of the allocations of at least [`BUFFER_BYTES`] made since the
+/// counter was armed — the buffers — in order, up to the log's length.
+const BUFFER_BYTES: usize = 1 << 10;
+static BUFFERS: [AtomicUsize; 256] = [const { AtomicUsize::new(0) }; 256];
+static LOGGED: AtomicUsize = AtomicUsize::new(0);
+
 thread_local! {
     static ARMED: Cell<bool> = const { Cell::new(false) };
+    /// A test-driven peer: never counted, armed or not.
+    static PEER: Cell<bool> = const { Cell::new(false) };
 }
 
 /// One test at a time: both read the process-wide counters.
@@ -43,7 +55,7 @@ static SERIAL: Mutex<()> = Mutex::new(());
 struct Counting;
 
 fn armed() -> bool {
-    ALL_THREADS.load(Ordering::Relaxed) || ARMED.with(Cell::get)
+    (ALL_THREADS.load(Ordering::Relaxed) && !PEER.with(Cell::get)) || ARMED.with(Cell::get)
 }
 
 fn grow(bytes: usize) {
@@ -52,6 +64,11 @@ fn grow(bytes: usize) {
         LAST.store(bytes, Ordering::Relaxed);
         let live = LIVE.fetch_add(bytes, Ordering::Relaxed) + bytes;
         PEAK.fetch_max(live, Ordering::Relaxed);
+        if bytes >= BUFFER_BYTES {
+            if let Some(slot) = BUFFERS.get(LOGGED.fetch_add(1, Ordering::Relaxed)) {
+                slot.store(bytes, Ordering::Relaxed);
+            }
+        }
     }
 }
 
@@ -106,6 +123,17 @@ fn reset() {
     PEAK.store(0, Ordering::Relaxed);
     COUNT.store(0, Ordering::Relaxed);
     LAST.store(0, Ordering::Relaxed);
+    LOGGED.store(0, Ordering::Relaxed);
+}
+
+/// The buffers logged since the counter was armed.
+fn buffers() -> Vec<usize> {
+    let logged = LOGGED.load(Ordering::Relaxed);
+    assert!(logged <= BUFFERS.len(), "{logged} buffers overran the log");
+    BUFFERS[..logged]
+        .iter()
+        .map(|b| b.load(Ordering::Relaxed))
+        .collect()
 }
 
 /// The paper's LSTM(50) forecaster: an 87 kB `EVFD` record.
@@ -218,5 +246,167 @@ fn hostile_frames_cost_the_server_at_most_its_connection_and_frame_caps() {
     assert!(
         peak <= bound,
         "server heap peak {peak} B above 2 connections per client x the frame cap = {bound} B"
+    );
+}
+
+/// A one-round federation of `roster` over `compression`, the paper's
+/// model, FedAvg.
+fn one_round_server(roster: &[String], compression: CompressionMode) -> SocketServer {
+    let cfg = FederatedConfig {
+        rounds: 1,
+        epochs_per_round: 1,
+        compression,
+        ..FederatedConfig::default()
+    };
+    let cfg = SocketServerConfig::new(cfg, roster.to_vec());
+    SocketServer::bind("127.0.0.1:0", paper_model(), cfg).expect("bind")
+}
+
+/// The uplink payload client `seed` uploads under `compression`.
+fn payload(compression: CompressionMode, seed: u64) -> bytes::Bytes {
+    let weights = forecaster_model(50, seed).weights();
+    match compression {
+        CompressionMode::None => wire::encode_weights(&weights),
+        CompressionMode::Quant8 => wire::encode_quantized(&QuantizedUpdate::quantize(&weights)),
+    }
+}
+
+/// Blocks until the next message on `stream`.
+fn recv(stream: &mut TcpStream) -> Message {
+    let frame = FrameDecoder::new().read_frame(stream).expect("read");
+    wire::decode_message(&frame.expect("a frame")).expect("a message")
+}
+
+/// An honest client without a model, on a thread the counter leaves out:
+/// handshakes, uploads `envelope` when asked to train, and waits for the
+/// run's `Done`. `upload` runs on the peer's thread right before and after
+/// the upload, from the write of its frame to the arrival of `Done`.
+fn peer(
+    addr: SocketAddr,
+    id: String,
+    envelope: BytesMut,
+    upload: impl Fn(bool) + Send + 'static,
+) -> std::thread::JoinHandle<()> {
+    std::thread::spawn(move || {
+        PEER.with(|p| p.set(true));
+        let mut control = TcpStream::connect(addr).expect("connect");
+        let mut hello = BytesMut::new();
+        wire::encode_message(&mut hello, &Message::Hello { client_id: id });
+        write_frame(&mut control, &hello).expect("hello");
+        assert!(matches!(recv(&mut control), Message::Welcome { .. }));
+        assert!(matches!(recv(&mut control), Message::TrainRequest { .. }));
+        let mut conn = TcpStream::connect(addr).expect("connect");
+        upload(true);
+        write_frame(&mut conn, &envelope).expect("update");
+        assert!(matches!(recv(&mut conn), Message::Ack { round: 0 }));
+        drop(conn);
+        assert!(matches!(recv(&mut control), Message::Done { .. }));
+        upload(false);
+    })
+}
+
+/// The `Update` envelope of client `id`'s upload in round 0.
+fn upload_envelope(id: &str, compression: CompressionMode, seed: u64) -> BytesMut {
+    update(id, payload(compression, seed))
+}
+
+/// From the write of one LSTM(50) upload's frame to the end of the round,
+/// the server copies no payload out of its frame, and under Quant8 it
+/// builds neither an owned quantized update nor a matrix per tensor: the
+/// only tensor-sized buffers are the FedAvg accumulator's (and, under
+/// None, the one decode of the `EVFD` payload for the dense fold). The
+/// round's `Done` encodes the new global straight into the envelope.
+#[test]
+fn an_upload_reaches_the_fold_without_a_copy_of_its_payload() {
+    let _serial = SERIAL.lock().unwrap_or_else(|e| e.into_inner());
+    let weights = paper_model().weights();
+    // The LSTM's 51 x 200 kernel and 1 x 200 bias, the dense 50 x 10
+    // kernel: the tensors of at least a buffer's f64 bytes.
+    let tensor_bytes: Vec<usize> = weights
+        .iter()
+        .map(|m| m.len() * 8)
+        .filter(|&b| b >= BUFFER_BYTES)
+        .collect();
+    assert_eq!(tensor_bytes, [81_600, 1_600, 4_000]);
+    let roster = vec!["z102".to_string()];
+    for (compression, decodes, codes) in [
+        (CompressionMode::None, 1, 0),
+        (CompressionMode::Quant8, 0, 0),
+    ] {
+        let mut server = one_round_server(&roster, compression);
+        let envelope = upload_envelope("z102", compression, 7);
+        let payload_len = payload(compression, 7).len();
+        let arm = |on: bool| {
+            if on {
+                reset();
+            }
+            ALL_THREADS.store(on, Ordering::Relaxed);
+        };
+        let client = peer(server.local_addr(), "z102".into(), envelope, arm);
+        server.run().expect("one round");
+        client.join().expect("peer");
+        let (count, log) = (COUNT.load(Ordering::Relaxed), buffers());
+        let total: usize = log.iter().sum();
+        eprintln!(
+            "{compression}: {count} allocations, buffers {log:?} ({total} B), peak {} B",
+            PEAK.load(Ordering::Relaxed)
+        );
+        let sized = |bytes: usize| log.iter().filter(|&&b| b == bytes).count();
+        assert_eq!(
+            sized(payload_len),
+            0,
+            "{compression}: payload-sized buffers"
+        );
+        for &bytes in &tensor_bytes {
+            assert_eq!(
+                sized(bytes),
+                1 + decodes,
+                "{compression}: buffers of a {bytes}-byte tensor"
+            );
+        }
+        // The codes of the 51 x 200 kernel, as an owned update holds them.
+        assert_eq!(sized(51 * 200), codes, "{compression}: code buffers");
+    }
+}
+
+/// Peak server heap over a whole Quant8 run of one round with `clients`
+/// honest peers.
+fn quant8_round_peak(clients: usize) -> usize {
+    let roster: Vec<String> = (0..clients).map(|i| format!("z{i:03}")).collect();
+    let mut server = one_round_server(&roster, CompressionMode::Quant8);
+    let addr = server.local_addr();
+    let peers: Vec<_> = roster
+        .iter()
+        .enumerate()
+        .map(|(i, id)| {
+            let envelope = upload_envelope(id, CompressionMode::Quant8, i as u64);
+            peer(addr, id.clone(), envelope, |_| {})
+        })
+        .collect();
+    reset();
+    ALL_THREADS.store(true, Ordering::Relaxed);
+    let run = server.run();
+    ALL_THREADS.store(false, Ordering::Relaxed);
+    run.expect("one round");
+    for p in peers {
+        p.join().expect("peer");
+    }
+    PEAK.load(Ordering::Relaxed)
+}
+
+/// The heap a Quant8 round holds grows with its clients by about one
+/// upload frame each (11 136 B for LSTM(50)), not by a decoded model
+/// (87 426 B of f64s): going from 3 clients to 16 (32 connections) adds
+/// at most a frame and 4 KiB of connection bookkeeping per client.
+#[test]
+fn a_quant8_round_holds_its_payloads_not_their_decodes() {
+    let _serial = SERIAL.lock().unwrap_or_else(|e| e.into_inner());
+    let frame = upload_envelope("z000", CompressionMode::Quant8, 0).len();
+    let (small, large) = (quant8_round_peak(3), quant8_round_peak(16));
+    let per_client = large.saturating_sub(small) / 13;
+    eprintln!("peak heap: 3 clients {small} B, 16 clients {large} B, {per_client} B a client");
+    assert!(
+        per_client <= frame + 4096,
+        "each client beyond 3 added {per_client} B to the round's heap; its upload frame is {frame} B"
     );
 }

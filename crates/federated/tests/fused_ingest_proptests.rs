@@ -2,12 +2,14 @@
 //!
 //! `ingest_quantized` folds coefficients straight out of the encoded
 //! `EVQ8` payload into the streaming accumulator. The contract is
-//! **bitwise identity** with the materializing path — decode the payload,
-//! reconstruct the `Vec<Matrix>`, call `ingest` — for every payload the
-//! codec can produce: random values, tie-heavy values (exercising shared
-//! quantization codes), and NaN/±∞ floods (specials carried verbatim;
-//! results compared as raw bits because `NaN != NaN`). When one path
-//! rejects an input, the other must reject it with the same error.
+//! **bitwise identity** with the materializing path — decode the payload's
+//! view into a `Vec<Matrix>` (`weights_into`), call `ingest` — for every
+//! payload the codec can produce: random values, tie-heavy values
+//! (exercising shared quantization codes), and NaN/±∞ floods (specials
+//! carried verbatim; results compared as raw bits because `NaN != NaN`).
+//! That decode is itself held to `QuantizedUpdate::dequantize`, the
+//! reference. When one path rejects an input, the other must reject it
+//! with the same error.
 
 use evfad_federated::compression::QuantizedUpdate;
 use evfad_federated::streaming::{StreamingAggregator, StreamingFedAvg};
@@ -100,10 +102,13 @@ fn check_quantized(
     let mut reference = StreamingFedAvg::new(total, clients.len());
     for (i, (pool, sc)) in clients.iter().enumerate() {
         let weights = build_weights(shapes, pool);
-        let payload = wire::encode_quantized(&QuantizedUpdate::quantize(&weights));
-        let decoded = wire::decode_quantized(&payload)
+        let quantized = QuantizedUpdate::quantize(&weights);
+        let payload = wire::encode_quantized(&quantized);
+        let mut decoded = Vec::new();
+        wire::quantized_view(&payload)
             .expect("valid payload")
-            .dequantize();
+            .weights_into(&mut decoded);
+        prop_assert_eq!(bits(&decoded), bits(&quantized.dequantize()));
         fused
             .ingest_quantized(&format!("c{i}"), *sc, &payload)
             .expect("fused ingest");

@@ -4,20 +4,27 @@
 //! degenerate `rows x 0` and `0 x cols` tensors:
 //!
 //! 1. encode → decode is lossless (bitwise for EVFD, and for EVQ8 the
-//!    decoded *struct* re-encodes to the identical payload);
+//!    view decodes bitwise what `QuantizedUpdate::dequantize`, the
+//!    reference, reconstructs);
 //! 2. the O(1) `*_encoded_size` arithmetic equals the actual payload length
 //!    — this is what makes metering-by-arithmetic exact;
 //! 3. malformed inputs (every truncation point, corrupted magic) return a
-//!    [`WireError`], never panic.
+//!    [`WireError`], never panic;
+//! 4. an envelope decoded from a frame (`decode_frame`, blobs as windows of
+//!    the frame) is the envelope decoded from a slice, and fails the same
+//!    way at every cut.
 //!
 //! Hostile-input table (`mod hostile`): every decoder and zero-copy view
-//! against every fixture record of its format — prefixes, byte flips,
+//! (the envelope read from a slice and from a frame) against every fixture
+//! record of its format — prefixes, byte flips,
 //! forced field values, appended bytes, structural corruption, and
 //! declared counts the received bytes did not pay for, at the codec and
 //! through a loopback `SocketServer`.
 
+use bytes::Bytes;
 use evfad_federated::compression::QuantizedUpdate;
-use evfad_federated::wire;
+use evfad_federated::wire::{self, BytesMut, Message, WireError};
+use evfad_federated::{CompressionMode, Corruption, FaultKind};
 use evfad_tensor::Matrix;
 use proptest::prelude::*;
 
@@ -38,6 +45,61 @@ fn weights_strategy() -> impl Strategy<Value = Vec<Matrix>> {
             .map(|(rows, cols, vals)| Matrix::from_vec(rows, cols, vals[..rows * cols].to_vec()))
             .collect()
     })
+}
+
+/// The view's decode of an `EVQ8` payload into fresh matrices.
+fn view_weights(payload: &[u8]) -> Result<Vec<Matrix>, WireError> {
+    let mut out = Vec::new();
+    wire::quantized_view(payload)?.weights_into(&mut out);
+    Ok(out)
+}
+
+/// One message of every kind, its blobs carrying `weights`.
+fn every_message_kind(weights: &[Matrix]) -> Vec<Message> {
+    let evfd = wire::encode_weights(weights);
+    let evq8 = wire::encode_quantized(&QuantizedUpdate::quantize(weights));
+    vec![
+        Message::Hello {
+            client_id: "z105".into(),
+        },
+        Message::Welcome {
+            epochs_per_round: 3,
+            batch_size: 16,
+            compression: CompressionMode::Quant8,
+            retry_budget: 2,
+            backoff_base_seconds: 0.5,
+            init_global: evfd.clone(),
+        },
+        Message::Broadcast {
+            round: 7,
+            global: evfd.clone(),
+        },
+        Message::TrainRequest {
+            round: 1,
+            fault: Some(FaultKind::Corrupt {
+                corruption: Corruption::SignFlip,
+            }),
+        },
+        Message::Update {
+            round: 7,
+            client_id: "z108".into(),
+            sample_count: 40,
+            train_loss: 0.25,
+            payload: evq8,
+        },
+        Message::Update {
+            round: 7,
+            client_id: "z102".into(),
+            sample_count: 32,
+            train_loss: 0.5,
+            payload: evfd.clone(),
+        },
+        Message::Ack { round: 7 },
+        Message::Done { global: evfd },
+        Message::Abort {
+            message: "round 7 starved".into(),
+        },
+    ]
 }
 
 proptest! {
@@ -66,17 +128,19 @@ proptest! {
         prop_assert!(wire::decode_weights(&bad).is_err());
     }
 
-    /// EVQ8: the decoded struct re-encodes to the identical payload, the
-    /// size arithmetic is exact, and dequantization error stays within one
+    /// EVQ8: the view decodes bitwise what the update dequantizes to, the
+    /// size arithmetic is exact, and the decode stays within one
     /// quantization step of the original.
     #[test]
     fn evq8_round_trip_and_size(weights in weights_strategy()) {
         let q = QuantizedUpdate::quantize(&weights);
         let payload = wire::encode_quantized(&q);
         prop_assert_eq!(payload.len(), wire::quantized_encoded_size(&q));
-        let decoded = wire::decode_quantized(&payload).expect("round trip");
-        prop_assert_eq!(wire::encode_quantized(&decoded), payload.clone());
-        let restored = decoded.dequantize();
+        let restored = view_weights(&payload).expect("round trip");
+        prop_assert_eq!(
+            wire::encode_weights(&restored),
+            wire::encode_weights(&q.dequantize())
+        );
         // Values are drawn from (-1e6, 1e6), so the per-tensor range is at
         // most 2e6 and one 8-bit step is at most 2e6 / 255.
         let half_step = 2e6 / 255.0 / 2.0 + 1e-6;
@@ -94,11 +158,11 @@ proptest! {
         let q = QuantizedUpdate::quantize(&weights);
         let payload = wire::encode_quantized(&q).to_vec();
         for cut in 0..payload.len() {
-            prop_assert!(wire::decode_quantized(&payload[..cut]).is_err(), "cut {}", cut);
+            prop_assert!(view_weights(&payload[..cut]).is_err(), "cut {}", cut);
         }
         let mut bad = payload.clone();
         bad[2] ^= 0xFF;
-        prop_assert!(wire::decode_quantized(&bad).is_err());
+        prop_assert!(view_weights(&bad).is_err());
     }
 
     /// Cross-format confusion: feeding one format's payload to another
@@ -106,9 +170,27 @@ proptest! {
     #[test]
     fn magic_bytes_keep_formats_apart(weights in weights_strategy()) {
         let evfd = wire::encode_weights(&weights);
-        prop_assert!(wire::decode_quantized(&evfd).is_err());
+        prop_assert!(view_weights(&evfd).is_err());
         let q = wire::encode_quantized(&QuantizedUpdate::quantize(&weights));
         prop_assert!(wire::decode_weights(&q).is_err());
+    }
+
+    /// EVMS: a frame decoded in place, its blobs windows of the frame,
+    /// gives the message the slice decode gives, for every message kind;
+    /// and every cut of the frame fails with the slice decode's error.
+    #[test]
+    fn a_frame_decodes_as_its_slice_does(weights in weights_strategy()) {
+        let mut buf = BytesMut::new();
+        for msg in every_message_kind(&weights) {
+            wire::encode_message(&mut buf, &msg);
+            let frame = Bytes::from(buf.to_vec());
+            prop_assert_eq!(wire::decode_frame(&frame), Ok(msg));
+            for cut in 0..frame.len() {
+                let slice = wire::decode_message(&frame[..cut]);
+                prop_assert!(slice.is_err(), "cut {}", cut);
+                prop_assert_eq!(wire::decode_frame(&frame.slice(..cut)), slice, "cut {}", cut);
+            }
+        }
     }
 }
 
@@ -145,12 +227,6 @@ mod hostile {
             fixtures: evfd_fixtures,
         },
         Row {
-            name: "decode_quantized",
-            format: "EVQ8",
-            codec: |b| wire::decode_quantized(b).map(|q| wire::encode_quantized(&q).to_vec()),
-            fixtures: evq8_fixtures,
-        },
-        Row {
             name: "quantized_view",
             format: "EVQ8",
             codec: reencode_quantized_view,
@@ -161,6 +237,18 @@ mod hostile {
             format: "EVMS",
             codec: |b| {
                 wire::decode_message(b).map(|m| {
+                    let mut buf = BytesMut::new();
+                    wire::encode_message(&mut buf, &m);
+                    buf.to_vec()
+                })
+            },
+            fixtures: evms_fixtures,
+        },
+        Row {
+            name: "decode_frame",
+            format: "EVMS",
+            codec: |b| {
+                wire::decode_frame(&bytes::Bytes::copy_from_slice(b)).map(|m| {
                     let mut buf = BytesMut::new();
                     wire::encode_message(&mut buf, &m);
                     buf.to_vec()
@@ -480,22 +568,36 @@ mod hostile {
         }
     }
 
-    /// The materializing decoders and the zero-copy views share one
-    /// parser, so on any input — valid, flipped or cut — they agree on the
-    /// verdict, error included.
+    /// Whatever flipped or cut `EVQ8` record the view accepts, its decode
+    /// into matrices writes exactly the values the view's accessors
+    /// describe — every code on its tensor's range, every special at its
+    /// index — without a panic.
     #[test]
     fn views_and_decoders_agree_on_every_mutation() {
-        let codecs: Vec<Codec> = rows_of("EVQ8").map(|row| row.codec).collect();
-        let [decoder, view] = codecs[..] else {
-            panic!("EVQ8: expected a decoder row and a view row");
+        let check = |payload: &[u8]| {
+            let Ok(view) = wire::quantized_view(payload) else {
+                return;
+            };
+            let mut decoded = vec![Matrix::zeros(1, 1)];
+            view.weights_into(&mut decoded);
+            assert_eq!(decoded.len(), view.tensor_count());
+            for (t, m) in view.tensors().zip(&decoded) {
+                assert_eq!(t.shape(), m.shape());
+                let mut want: Vec<f64> = t.codes().iter().map(|&c| t.range().decode(c)).collect();
+                for (idx, value) in t.specials() {
+                    want[idx] = value;
+                }
+                let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+                assert_eq!(bits(m.as_slice()), bits(&want));
+            }
         };
         for blob in evq8_fixtures() {
             let mut mutated = blob.clone();
             for at in 0..blob.len() {
-                assert_eq!(decoder(&blob[..at]), view(&blob[..at]), "cut {at}");
+                check(&blob[..at]);
                 for mask in [0x01, 0x80, 0xFF] {
                     mutated[at] = blob[at] ^ mask;
-                    assert_eq!(decoder(&mutated), view(&mutated), "byte {at} ^ {mask:#x}");
+                    check(&mutated);
                 }
                 mutated[at] = blob[at];
             }

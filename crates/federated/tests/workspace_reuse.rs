@@ -5,15 +5,15 @@
 //! parameter tensors. After a warm-up round, later rounds on same-shaped
 //! batches must not allocate more matrices than the warm round did — the
 //! T- and batch-proportional buffers all live in the reused workspaces.
-//! The same holds for the uplink codec: once a `CodecScratch`, the payload
-//! buffer and the decode target have seen the model, a Quant8 encode →
-//! decode round allocates no matrix at all.
+//! The same holds for the uplink codec: once the quantized scratch, the
+//! payload buffer and the decode target have seen the model, a Quant8
+//! encode → decode round allocates no matrix at all.
 //!
 //! Reads the process-global counters from `evfad_tensor::alloc_stats()`, so
 //! this lives in its own integration-test binary.
 
 use evfad_federated::compression::QuantizedUpdate;
-use evfad_federated::{wire, CodecScratch, CompressionMode, FedClient};
+use evfad_federated::{wire, FedClient};
 use evfad_nn::{forecaster_model, Sample, TrainConfig};
 use evfad_tensor::{alloc_stats, Matrix};
 
@@ -66,14 +66,16 @@ fn later_rounds_allocate_no_more_than_the_first_warm_round() {
     // parallel `#[test]` would be counted here. The paper's LSTM(50)
     // through warm codec rounds.
     let weights = forecaster_model(50, 42).weights();
-    let mut scratch = CodecScratch::default();
+    let mut scratch = QuantizedUpdate::default();
     let mut payload = wire::BytesMut::new();
     let mut decoded = weights.clone();
     let mut codec_round = || {
-        QuantizedUpdate::quantize_into(&weights, &mut scratch.quant);
-        wire::encode_quantized_into(&mut payload, &scratch.quant);
-        assert_eq!(payload.len(), wire::quantized_encoded_size(&scratch.quant));
-        scratch.decode_into(CompressionMode::Quant8, &mut decoded);
+        QuantizedUpdate::quantize_into(&weights, &mut scratch);
+        wire::encode_quantized_into(&mut payload, &scratch);
+        assert_eq!(payload.len(), wire::quantized_encoded_size(&scratch));
+        wire::quantized_view(&payload)
+            .expect("a payload this round encoded")
+            .weights_into(&mut decoded);
     };
     codec_round();
     let before = alloc_stats();

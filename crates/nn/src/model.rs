@@ -559,39 +559,39 @@ impl Sequential {
     }
 
     /// Imports parameter tensors previously produced by
-    /// [`Sequential::weights`] on an identically-shaped model.
+    /// [`Sequential::weights`] on an identically-shaped model, copying
+    /// each into the parameter buffer it replaces: nothing is allocated.
     ///
     /// # Errors
     ///
     /// Returns [`NnError::WeightMismatch`] if the tensor count or any shape
     /// differs.
     pub fn set_weights(&mut self, weights: &[Matrix]) -> NnResult<()> {
-        let expected = self.weights().len();
-        if weights.len() != expected {
+        let expected = self.params_mut().count();
+        // Validate shapes first so we never apply a partial update.
+        if weights.len() != expected
+            || !self
+                .params_mut()
+                .map(|p| p.shape())
+                .eq(weights.iter().map(Matrix::shape))
+        {
             return Err(NnError::WeightMismatch {
                 expected,
                 got: weights.len(),
             });
         }
-        // Validate shapes first so we never apply a partial update.
-        {
-            let current = self.weights();
-            for (c, n) in current.iter().zip(weights.iter()) {
-                if c.shape() != n.shape() {
-                    return Err(NnError::WeightMismatch {
-                        expected,
-                        got: weights.len(),
-                    });
-                }
-            }
-        }
-        let mut it = weights.iter();
-        for layer in &mut self.layers {
-            for (param, _) in layer.params_and_grads_mut() {
-                *param = it.next().expect("count validated above").clone();
-            }
+        for (param, w) in self.params_mut().zip(weights) {
+            param.as_mut_slice().copy_from_slice(w.as_slice());
         }
         Ok(())
+    }
+
+    /// Every trainable parameter tensor, in [`Sequential::weights`] order.
+    fn params_mut(&mut self) -> impl Iterator<Item = &mut Matrix> {
+        self.layers
+            .iter_mut()
+            .flat_map(Layer::params_and_grads_mut)
+            .map(|(param, _)| param)
     }
 
     /// A replica for serving: the layers' parameters without their
