@@ -8,7 +8,7 @@ use evfad_nn::{
     TrainHistory,
 };
 use evfad_tensor::Matrix;
-use evfad_timeseries::windows::{self, WindowedSeries};
+use evfad_timeseries::windows::WindowedSeries;
 use serde::{Deserialize, Serialize};
 
 /// Configuration of [`AnomalyFilter`].
@@ -127,6 +127,8 @@ pub struct AnomalyFilter {
     /// Reusable flat reconstruction buffer: window `w`'s reconstruction at
     /// in-window position `o` lives at `recon[w * seq_len + o]`.
     recon: Vec<f64>,
+    /// Windows run through the autoencoder by every scoring pass so far.
+    windows_scored: u64,
 }
 
 impl AnomalyFilter {
@@ -138,6 +140,7 @@ impl AnomalyFilter {
             threshold: None,
             win_buf: Seq::default(),
             recon: Vec::new(),
+            windows_scored: 0,
         }
     }
 
@@ -149,6 +152,13 @@ impl AnomalyFilter {
     /// The fitted decision boundary, if any.
     pub fn threshold(&self) -> Option<f64> {
         self.threshold
+    }
+
+    /// Windows the autoencoder has scored since the filter was built: the
+    /// fit's calibration pass and every scoring call after it, one per
+    /// stride-1 window of each series.
+    pub fn windows_scored(&self) -> u64 {
+        self.windows_scored
     }
 
     /// Borrow of the fitted autoencoder, if any (e.g. for benchmarking or
@@ -194,9 +204,8 @@ impl AnomalyFilter {
                 needed: self.config.seq_len + 1,
             });
         }
-        let windows = windows::reconstruction(train, self.config.seq_len);
-        let samples: Vec<Sample> = windows
-            .iter()
+        let samples: Vec<Sample> = train
+            .windows(self.config.seq_len)
             .step_by(self.config.train_stride.max(1))
             .map(|w| Sample::autoencoding(Matrix::column_vector(w)))
             .collect();
@@ -293,9 +302,9 @@ impl AnomalyFilter {
     /// chunk of stride-1 windows is the contiguous slice
     /// `series[first + t..first + t + count]`
     /// ([`WindowedSeries::step`]), copied once into the reusable batch —
-    /// bitwise identical to the historical `reconstruction` →
-    /// per-window `Matrix` → `Seq::from_samples` marshalling, without the
-    /// triple materialisation. Scored [`SCORE_CHUNK`] windows at a time,
+    /// bitwise identical to staging one column-vector `Matrix` per
+    /// `series.windows(seq_len)` window through `Seq::from_samples`, without
+    /// materialising either. Scored [`SCORE_CHUNK`] windows at a time,
     /// which bounds the model's activation arena on a year-long series.
     fn recon_into(&mut self, series: &[f64], seq_len: usize) -> Result<usize, AnomalyError> {
         let ws = WindowedSeries::new(series, seq_len).ok_or(AnomalyError::SeriesTooShort {
@@ -319,6 +328,7 @@ impl AnomalyFilter {
             model.predict_seq_into(&self.win_buf, &mut self.recon, first * seq_len);
             first += count;
         }
+        self.windows_scored += n_wins as u64;
         Ok(n_wins)
     }
 

@@ -89,14 +89,14 @@ fn peak_of<T>(f: impl FnOnce() -> T) -> (T, usize) {
 }
 
 /// The fit's data shapes, as `AnomalyFilter::fit` and `Sequential::fit`
-/// cut them from the configuration: `(windows, samples, largest training
-/// batch, validation batch)`.
-fn batch_shapes(config: &FilterConfig, series_len: usize) -> (usize, usize, usize, usize) {
+/// cut them from the configuration: `(samples, largest training batch,
+/// validation batch)`.
+fn batch_shapes(config: &FilterConfig, series_len: usize) -> (usize, usize, usize) {
     let windows = series_len - config.seq_len + 1;
     let samples = windows.div_ceil(config.train_stride);
     let val = (samples as f64 * config.validation_split).round() as usize;
     let train = samples - val;
-    (windows, samples, train.min(config.batch_size), val)
+    (samples, train.min(config.batch_size), val)
 }
 
 /// A fit's measured peak, the bound its shapes give and the training
@@ -122,7 +122,7 @@ fn fit(points: usize, config: FilterConfig) -> Fit {
     let model = filter.model().expect("fitted");
 
     let t = config.seq_len;
-    let (windows, samples, b, bv) = batch_shapes(&config, series.len());
+    let (samples, b, bv) = batch_shapes(&config, series.len());
     let train = samples - bv;
     let training = model.arena_plan(t, b, 1);
     let validation = model.arena_plan(t, bv, 1);
@@ -139,11 +139,10 @@ fn fit(points: usize, config: FilterConfig) -> Fit {
     let batch = 2 * 8 * t * b;
     // Weights, gradients, Adam's two moments, the best-weights snapshot.
     let model_bytes = 5 * 8 * model.scalar_param_count();
-    // The windows, the samples (input and target each) and the fit's
-    // time-major stack of the training samples, with their headers.
-    let sample_bytes = 8 * t * (windows + 2 * samples + 2 * train)
-        + windows * size_of::<Vec<f64>>()
-        + samples * size_of::<Sample>();
+    // The samples (input and target each), cut straight from the series,
+    // and the fit's time-major stack of the training samples, with their
+    // headers. No all-windows copy of the series is live beside them.
+    let sample_bytes = 8 * t * (2 * samples + 2 * train) + samples * size_of::<Sample>();
     // The containers' own headers (the layer and tensor vectors, the plan's
     // table, the optimiser's moment vectors, the order permutation) and the
     // thread RNG the layers are built with.

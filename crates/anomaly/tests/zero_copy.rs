@@ -2,9 +2,9 @@
 //! path it replaced.
 //!
 //! `AnomalyFilter::score` now stages windows straight from a
-//! [`WindowedSeries`] view instead of materialising
-//! `windows::reconstruction` vectors, per-window `Matrix::column_vector`s,
-//! and a `Seq::from_samples` batch. These tests prove the staged batches —
+//! [`WindowedSeries`] view instead of materialising per-window
+//! `Matrix::column_vector`s of `series.windows(seq_len)` and a
+//! `Seq::from_samples` batch. These tests prove the staged batches —
 //! and the per-point scores computed from them — are bitwise identical to
 //! the old marshal for arbitrary series, so the golden fixture (and every
 //! score downstream) is unaffected.
@@ -12,7 +12,7 @@
 use evfad_anomaly::{AnomalyFilter, FilterConfig};
 use evfad_nn::{Seq, Sequential};
 use evfad_tensor::Matrix;
-use evfad_timeseries::windows::{self, WindowedSeries};
+use evfad_timeseries::windows::WindowedSeries;
 use proptest::prelude::*;
 use std::sync::OnceLock;
 
@@ -31,12 +31,11 @@ fn fitted_filter() -> &'static AnomalyFilter {
     })
 }
 
-/// `AnomalyFilter::score` as it was before the windowed view: materialised
-/// reconstruction windows, one column-vector matrix per window, every
+/// `AnomalyFilter::score` as it was before the windowed view: one
+/// column-vector matrix per stride-1 window, every
 /// window through one un-chunked forward, then the min-over-estimates sweep.
 fn allocating_score(model: &mut Sequential, series: &[f64], seq_len: usize) -> Vec<f64> {
-    let wins = windows::reconstruction(series, seq_len);
-    let inputs: Vec<Matrix> = wins.iter().map(|w| Matrix::column_vector(w)).collect();
+    let inputs: Vec<Matrix> = series.windows(seq_len).map(Matrix::column_vector).collect();
     let recon = model.forward(&Seq::from_samples(&inputs)).to_samples();
     let mut best = vec![f64::INFINITY; series.len()];
     for (start, r) in recon.iter().enumerate() {
@@ -103,7 +102,7 @@ fn scores_do_not_depend_on_arena_history() {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(32))]
 
-    /// A staged chunk equals `reconstruction` + `column_vector` +
+    /// A staged chunk equals `slice::windows` + `column_vector` +
     /// `from_samples` over the same window range, bitwise.
     #[test]
     fn windowed_series_chunk_matches_allocating_marshal(
@@ -116,11 +115,12 @@ proptest! {
         let first = first_raw % ws.len();
         let count = 1 + count_raw % (ws.len() - first);
 
-        let wins = windows::reconstruction(&series, seq_len);
-        prop_assert_eq!(wins.len(), ws.len());
-        let picked: Vec<Matrix> = wins[first..first + count]
-            .iter()
-            .map(|w| Matrix::column_vector(w))
+        prop_assert_eq!(series.windows(seq_len).len(), ws.len());
+        let picked: Vec<Matrix> = series
+            .windows(seq_len)
+            .skip(first)
+            .take(count)
+            .map(Matrix::column_vector)
             .collect();
         let reference = Seq::from_samples(&picked);
 
@@ -159,7 +159,7 @@ proptest! {
         chunk in 1usize..9,
     ) {
         let ws = WindowedSeries::new(&series, seq_len).expect("long enough");
-        let wins = windows::reconstruction(&series, seq_len);
+        let wins: Vec<&[f64]> = series.windows(seq_len).collect();
         let mut buf = Seq::default();
         let mut first = 0;
         while first < ws.len() {

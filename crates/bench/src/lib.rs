@@ -24,6 +24,9 @@ pub struct BenchOpts {
     pub json: Option<String>,
     /// Names of the sections to run (`--only a,b`); empty runs them all.
     pub only: Vec<String>,
+    /// Print the run's deterministic counts instead of its tables
+    /// (`--counts`, a flag without a value).
+    pub counts: bool,
 }
 
 impl Default for BenchOpts {
@@ -34,13 +37,14 @@ impl Default for BenchOpts {
             rows: 48,
             json: None,
             only: Vec::new(),
+            counts: false,
         }
     }
 }
 
 impl BenchOpts {
     /// Parses `--scale`, `--seed` and the flags named in `extra` (any of
-    /// `--rows`, `--json`, `--only`) from an argument iterator.
+    /// `--rows`, `--json`, `--only`, `--counts`) from an argument iterator.
     ///
     /// # Errors
     ///
@@ -64,6 +68,7 @@ impl BenchOpts {
                 "--only" if extra.contains(&"--only") => {
                     opts.only = value()?.split(',').map(str::to_string).collect();
                 }
+                "--counts" if extra.contains(&"--counts") => opts.counts = true,
                 _ => {
                     let known: Vec<&str> =
                         ["--scale", "--seed"].iter().chain(extra).copied().collect();
@@ -135,6 +140,10 @@ mod tests {
         assert_eq!(o.seed, 7);
         assert_eq!(o.rows, 10);
         assert_eq!(o.only, ["a", "b"]);
+        assert!(!o.counts);
+        let o = parse(&["--counts", "--seed", "7"], &["--counts"]).unwrap();
+        assert!(o.counts);
+        assert_eq!(o.seed, 7);
     }
 
     #[test]

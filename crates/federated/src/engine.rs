@@ -466,6 +466,7 @@ pub(crate) fn run_rounds<P: RoundPool>(
         let mut stats = RoundStats {
             round,
             downlink_bytes,
+            downlink_messages: receivers,
             ..RoundStats::default()
         };
         let sampled = scheduler.sample(round, pool.client_count());
@@ -504,6 +505,7 @@ pub(crate) fn run_rounds<P: RoundPool>(
         global = fold.acc.finish()?;
         traffic.add_round(&fold.tally, receivers, downlink_bytes);
         stats.uplink_bytes = fold.tally.bytes;
+        stats.uplink_messages = fold.tally.attempts;
         stats.compression_ratio = fold.tally.compression_ratio();
         stats.timeout_wait_seconds = fold.tally.timeout_wait_seconds;
         stats.duration = round_start.elapsed();

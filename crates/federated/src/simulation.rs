@@ -170,6 +170,14 @@ pub struct RoundStats {
     /// start from the shared initialisation). Deterministic.
     #[serde(default)]
     pub downlink_bytes: usize,
+    /// Client→server payloads this round: every upload that crossed the
+    /// channel, wasted ones and retries included. Deterministic.
+    #[serde(default)]
+    pub uplink_messages: usize,
+    /// Server→client payloads this round: one broadcast per registered
+    /// client, none in round 0. Deterministic.
+    #[serde(default)]
+    pub downlink_messages: usize,
     /// Uplink compression ratio this round: full-precision wire bytes the
     /// same payloads would have cost, divided by [`RoundStats::uplink_bytes`].
     /// Exactly 1.0 under [`CompressionMode::None`] (and when nothing was

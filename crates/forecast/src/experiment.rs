@@ -1,13 +1,15 @@
 //! The study runner: regenerates every table and figure of the paper.
 
+use crate::counts::{training_job, ArenaCounts, JobCounts, StudyCounts};
 use crate::error::ForecastError;
 use crate::pipeline::PreparedClient;
 use crate::scenario::{client_seeds, fan_out, Architecture, Detected, Gate, Injected, Scenario};
 use evfad_anomaly::{DetectionReport, FilterConfig};
 use evfad_attack::{DdosConfig, DdosInjector};
 use evfad_data::{ClientData, DatasetConfig, ShenzhenGenerator};
-use evfad_federated::{Aggregator, FederatedConfig, FederatedSimulation};
-use evfad_nn::{Activation, Adam, Dense, Lstm, Sequential, TrainConfig};
+use evfad_federated::{Aggregator, FederatedConfig, FederatedSimulation, RoundStats};
+use evfad_nn::{Activation, Adam, Dense, Lstm, Sequential, TrainConfig, TrainCounts};
+use evfad_tensor::{alloc_stats, AllocStats};
 use serde::{Deserialize, Serialize};
 use std::fmt::Write as _;
 use std::sync::OnceLock;
@@ -255,13 +257,31 @@ fn prepare_clients<'a>(
         .collect()
 }
 
+/// What one training job hands back to the study.
+struct Trained {
+    result: ScenarioResult,
+    /// Client 1's raw-unit test predictions (federated jobs).
+    client1: Vec<f64>,
+    /// Optimizer steps and samples over every model the job trained.
+    counts: TrainCounts,
+    /// The federation's round records (federated jobs).
+    rounds: Vec<RoundStats>,
+    /// Client 1's test indices and raw actuals (the clean job): Fig. 2's
+    /// time axis.
+    axis: Option<(Vec<usize>, Vec<f64>)>,
+    /// The forecaster's arena at its training batch (the centralized job,
+    /// from the model it trained).
+    arena: Option<ArenaCounts>,
+}
+
 /// Trains the federated architecture on one scenario and evaluates each
-/// client in raw units.
+/// client in raw units. Each client's training windows move into the
+/// federation; evaluation reads only the test windows.
 fn run_federated_scenario(
-    prepared: &[PreparedClient],
+    prepared: &mut [PreparedClient],
     scenario: Scenario,
     cfg: &StudyConfig,
-) -> Result<(ScenarioResult, Vec<Vec<f64>>), ForecastError> {
+) -> Result<Trained, ForecastError> {
     let template = build_forecaster(cfg.lstm_units, cfg.learning_rate, cfg.seed);
     let fed_cfg = FederatedConfig {
         rounds: cfg.rounds,
@@ -272,8 +292,8 @@ fn run_federated_scenario(
         ..FederatedConfig::default()
     };
     let mut sim = FederatedSimulation::new(template, fed_cfg);
-    for p in prepared {
-        sim.add_client(p.label.clone(), p.train.clone());
+    for p in prepared.iter_mut() {
+        sim.add_client(p.label.clone(), std::mem::take(&mut p.train));
     }
     let outcome = sim.run()?;
     let mut per_client = Vec::with_capacity(prepared.len());
@@ -297,6 +317,13 @@ fn run_federated_scenario(
         });
         predictions.push(eval.predicted);
     }
+    let counts = sim.clients().iter().fold(TrainCounts::default(), |acc, c| {
+        let trained = c.model().train_counts();
+        TrainCounts {
+            steps: acc.steps + trained.steps,
+            samples: acc.samples + trained.samples,
+        }
+    });
     // Report the time the federation would take on distributed hardware
     // (slowest client per round); on a single-core host the raw wall clock
     // serialises the clients and hides the parallelism the paper measures.
@@ -304,28 +331,33 @@ fn run_federated_scenario(
         .total_duration
         .as_secs_f64()
         .min(outcome.simulated_distributed_seconds());
-    Ok((
-        ScenarioResult {
+    Ok(Trained {
+        result: ScenarioResult {
             scenario,
             architecture: Architecture::Federated,
             per_client,
             train_seconds,
         },
-        predictions,
-    ))
+        client1: predictions.swap_remove(0),
+        counts,
+        rounds: outcome.rounds,
+        axis: None,
+        arena: None,
+    })
 }
 
 /// Trains the centralized architecture on the pooled (per-client-scaled)
-/// data of one scenario and evaluates each client.
+/// data of one scenario and evaluates each client. The clients' training
+/// windows move into the pool; evaluation reads only the test windows.
 fn run_centralized_scenario(
-    prepared: &[PreparedClient],
+    prepared: &mut [PreparedClient],
     scenario: Scenario,
     cfg: &StudyConfig,
-) -> Result<ScenarioResult, ForecastError> {
+) -> Result<Trained, ForecastError> {
     let mut model = build_forecaster(cfg.lstm_units, cfg.learning_rate, cfg.seed ^ 0xC3);
-    let mut pooled = Vec::new();
-    for p in prepared {
-        pooled.extend(p.train.iter().cloned());
+    let mut pooled = Vec::with_capacity(prepared.iter().map(|p| p.train.len()).sum());
+    for p in prepared.iter_mut() {
+        pooled.extend(std::mem::take(&mut p.train));
     }
     // Centralized step budget, derived from the paper's own timings: its
     // centralized run took 1.18x the federated wall clock (101.46 s vs
@@ -344,8 +376,9 @@ fn run_centralized_scenario(
     let start = Instant::now();
     model.fit(&pooled, &train_cfg)?;
     let train_seconds = start.elapsed().as_secs_f64();
+    drop(pooled);
     let mut per_client = Vec::with_capacity(prepared.len());
-    for p in prepared {
+    for p in prepared.iter() {
         let eval = p.evaluate_raw(&mut model)?;
         per_client.push(ClientMetrics {
             zone: p.label.clone(),
@@ -354,11 +387,23 @@ fn run_centralized_scenario(
             r2: eval.r2,
         });
     }
-    Ok(ScenarioResult {
-        scenario,
-        architecture: Architecture::Centralized,
-        per_client,
-        train_seconds,
+    Ok(Trained {
+        result: ScenarioResult {
+            scenario,
+            architecture: Architecture::Centralized,
+            per_client,
+            train_seconds,
+        },
+        client1: Vec::new(),
+        counts: model.train_counts(),
+        rounds: Vec::new(),
+        axis: None,
+        arena: Some(ArenaCounts::of(
+            "forecaster",
+            &model,
+            cfg.seq_len,
+            cfg.batch_size,
+        )),
     })
 }
 
@@ -383,6 +428,23 @@ pub fn run_study(cfg: &StudyConfig) -> Result<StudyReport, ForecastError> {
     )
 }
 
+/// [`run_study`], also returning what the run did, counted: the same run,
+/// with the [`StudyCounts`] its jobs collected and the `Matrix`
+/// allocations it made. The allocation row is process-wide, so it counts
+/// only this run when nothing else in the process builds matrices
+/// meanwhile.
+///
+/// # Errors
+///
+/// As [`run_study_on`].
+pub fn run_study_counted(cfg: &StudyConfig) -> Result<(StudyReport, StudyCounts), ForecastError> {
+    let before = alloc_stats();
+    let clients = ShenzhenGenerator::new(cfg.dataset.clone()).generate_all();
+    let (report, mut counts) = study(&clients, cfg)?;
+    counts.matrices = alloc_stats().since(&before);
+    Ok((report, counts))
+}
+
 /// Runs the complete four-scenario study on the given clients.
 ///
 /// The attacks are injected first, once per client. Then the study is one
@@ -391,11 +453,14 @@ pub fn run_study(cfg: &StudyConfig) -> Result<StudyReport, ForecastError> {
 /// order: one detector per client (fit, detect, mitigate — three jobs for
 /// the paper's zones), the clean and attacked federations, which need no
 /// detector, and the filtered federation and the centralized baseline,
-/// which need every one. Those last two wait for the detectors before they
-/// prepare their data and before their `train_seconds` clock starts. They
-/// are claimed after every detector, so what they wait on is running, and
-/// a detector lets them go however it ends — on an error, which is then
-/// the study's, or on a panic, which reaches the caller.
+/// which need every one. Each training prepares its own clients from its
+/// series when it starts, and moves their training windows into the model
+/// it fits, so no prepared set is live while the detectors fit. The last
+/// two wait for the detectors before they prepare their data and before
+/// their `train_seconds` clock starts. They are claimed after every
+/// detector, so what they wait on is running, and a detector lets them go
+/// however it ends — on an error, which is then the study's, or on a
+/// panic, which reaches the caller.
 ///
 /// The report does not depend on the schedule: every field but the
 /// wall-clock `train_seconds` is the same for every thread count.
@@ -409,6 +474,14 @@ pub fn run_study_on(
     clients: &[ClientData],
     cfg: &StudyConfig,
 ) -> Result<StudyReport, ForecastError> {
+    study(clients, cfg).map(|(report, _)| report)
+}
+
+/// The one study runner behind [`run_study_on`] and [`run_study_counted`].
+fn study(
+    clients: &[ClientData],
+    cfg: &StudyConfig,
+) -> Result<(StudyReport, StudyCounts), ForecastError> {
     let injector = DdosInjector::new(cfg.attack.clone());
     let (filters, injected): (Vec<FilterConfig>, Vec<Injected>) = clients
         .iter()
@@ -418,28 +491,27 @@ pub fn run_study_on(
             (filter, Injected::new(client, &injector, attack_seed))
         })
         .unzip();
-    let clean = prepare_clients(injected.iter().map(|c| (&c.label[..], &c.clean[..])), cfg);
-    let attacked = prepare_clients(
-        injected.iter().map(|c| (&c.label[..], &c.attacked[..])),
-        cfg,
-    );
 
     // Jobs `0..n` are the detectors, then one job per `TRAININGS` entry.
     let n = clients.len();
     let detectors = Gate::new(n);
     let detected: Vec<OnceLock<Detected>> = (0..n).map(|_| OnceLock::new()).collect();
-    let filtered = OnceLock::new();
-    let jobs = fan_out(n + TRAININGS.len(), |job| {
+    let jobs = fan_out(n + TRAININGS.len(), |job| -> Result<_, ForecastError> {
         if job < n {
             let _leave = detectors.leave_on_drop();
             let _ = detected[job].set(injected[job].detect(filters[job].clone())?);
             return Ok(None);
         }
         let (scenario, architecture) = TRAININGS[job - n];
-        let prepared = match scenario {
-            Scenario::Clean => &clean,
-            Scenario::Attacked => &attacked,
-            Scenario::Filtered => filtered.get_or_init(|| {
+        let mut prepared = match scenario {
+            Scenario::Clean => {
+                prepare_clients(injected.iter().map(|c| (&c.label[..], &c.clean[..])), cfg)?
+            }
+            Scenario::Attacked => prepare_clients(
+                injected.iter().map(|c| (&c.label[..], &c.attacked[..])),
+                cfg,
+            )?,
+            Scenario::Filtered => {
                 detectors.wait();
                 // A missing series means that detector failed, and its own
                 // job, earlier in the order, reports why.
@@ -448,28 +520,33 @@ pub fn run_study_on(
                     .zip(&detected)
                     .map(|(c, d)| Some((c.label.as_str(), &d.get()?.filtered[..])))
                     .collect();
-                series.map_or_else(
-                    || Err(ForecastError::Anomaly("a detector failed".into())),
-                    |series| prepare_clients(series, cfg),
-                )
-            }),
-        };
-        let prepared = prepared.as_ref().map_err(Clone::clone)?;
-        match architecture {
-            Architecture::Federated => run_federated_scenario(prepared, scenario, cfg).map(Some),
-            Architecture::Centralized => {
-                run_centralized_scenario(prepared, scenario, cfg).map(|r| Some((r, Vec::new())))
+                let series =
+                    series.ok_or_else(|| ForecastError::Anomaly("a detector failed".into()))?;
+                prepare_clients(series, cfg)?
             }
+        };
+        let mut trained = match architecture {
+            Architecture::Federated => run_federated_scenario(&mut prepared, scenario, cfg)?,
+            Architecture::Centralized => run_centralized_scenario(&mut prepared, scenario, cfg)?,
+        };
+        if scenario == Scenario::Clean {
+            let client1 = prepared.swap_remove(0);
+            trained.axis = Some((client1.test_indices, client1.test_actual_raw));
         }
+        Ok(Some(trained))
     });
     let trained = jobs.into_iter().collect::<Result<Vec<_>, _>>()?;
 
+    let detected: Vec<Detected> = detected
+        .into_iter()
+        .map(|d| d.into_inner().expect("every detector succeeded"))
+        .collect();
     let detection: Vec<ClientDetection> = injected
         .iter()
-        .zip(detected)
+        .zip(&detected)
         .map(|(c, d)| ClientDetection {
             zone: c.label.clone(),
-            report: d.into_inner().expect("every detector succeeded").detection,
+            report: d.detection,
         })
         .collect();
     let overall_detection = detection
@@ -478,33 +555,67 @@ pub fn run_study_on(
             acc.merged(d.report)
         });
 
-    // Fig. 2 tracks Client 1 (zone 102) through the federated runs.
-    let clean_client1 = clean?.swap_remove(0);
-    let mut fig2 = Fig2Data {
-        indices: clean_client1.test_indices,
-        actual: clean_client1.test_actual_raw,
-        ..Fig2Data::default()
+    let mut counts = StudyCounts {
+        jobs: injected
+            .iter()
+            .zip(&detected)
+            .map(|(c, d)| JobCounts {
+                job: format!("Detector {}", c.label),
+                trained: d.trained,
+            })
+            .collect(),
+        detectors: injected
+            .iter()
+            .zip(&detected)
+            .map(|(c, d)| (c.label.clone(), d.counts))
+            .collect(),
+        federations: Vec::new(),
+        matrices: AllocStats::default(),
+        arenas: Vec::new(),
     };
+    let autoencoder = detected.into_iter().next().map(|d| d.arena);
+
+    // Fig. 2 tracks Client 1 (zone 102) through the federated runs.
+    let mut fig2 = Fig2Data::default();
     let mut scenarios = Vec::with_capacity(TRAININGS.len());
-    for (result, mut predictions) in trained.into_iter().flatten() {
+    for trained in trained.into_iter().flatten() {
+        let Trained {
+            result,
+            client1,
+            counts: job_counts,
+            rounds,
+            axis,
+            arena,
+        } = trained;
+        if let Some((indices, actual)) = axis {
+            fig2.indices = indices;
+            fig2.actual = actual;
+        }
+        counts.arenas.extend(arena);
+        counts.jobs.push(JobCounts {
+            job: training_job(result.scenario, result.architecture),
+            trained: job_counts,
+        });
         if result.architecture == Architecture::Federated {
-            let client1 = predictions.swap_remove(0);
             match result.scenario {
                 Scenario::Clean => fig2.clean_pred = client1,
                 Scenario::Attacked => fig2.attacked_pred = client1,
                 Scenario::Filtered => fig2.filtered_pred = client1,
             }
+            counts.federations.push((result.scenario, rounds));
         }
         scenarios.push(result);
     }
+    counts.arenas.extend(autoencoder);
 
-    Ok(StudyReport {
+    let report = StudyReport {
         scenarios,
         detection,
         overall_detection,
         fig2,
         seed: cfg.seed,
-    })
+    };
+    Ok((report, counts))
 }
 
 impl StudyReport {

@@ -8,7 +8,8 @@
 //!   Filtered × Federated, Filtered × Centralized) including attack
 //!   injection and anomaly filtering;
 //! * [`experiment`] — the study runner producing [`StudyReport`], from
-//!   which every table (I–III) and figure (2–3) of the paper is printed.
+//!   which every table (I–III) and figure (2–3) of the paper is printed,
+//!   and, from the same run, the [`StudyCounts`] of what it did.
 //!
 //! # Examples
 //!
@@ -28,13 +29,16 @@
 #![warn(missing_docs)]
 
 pub mod baselines;
+mod counts;
 mod error;
 pub mod experiment;
 pub mod pipeline;
 pub mod scenario;
 
+pub use counts::StudyCounts;
 pub use error::ForecastError;
 pub use experiment::{
-    run_study, run_study_on, ClientMetrics, Scale, ScenarioResult, StudyConfig, StudyReport,
+    run_study, run_study_counted, run_study_on, ClientMetrics, Scale, ScenarioResult, StudyConfig,
+    StudyReport,
 };
 pub use scenario::{Architecture, Scenario};

@@ -3,7 +3,7 @@
 use crate::error::ForecastError;
 use evfad_nn::{Sample, Sequential};
 use evfad_tensor::Matrix;
-use evfad_timeseries::{metrics, split, windows, MinMaxScaler};
+use evfad_timeseries::{metrics, split, MinMaxScaler};
 use serde::{Deserialize, Serialize};
 
 /// A client's series prepared for supervised learning.
@@ -55,22 +55,25 @@ impl PreparedClient {
         let boundary = split::boundary(series.len(), train_fraction)?;
         let scaler = MinMaxScaler::fit(&series[..boundary])?;
         let scaled = scaler.transform(series);
-        let all_windows = windows::sliding(&scaled, seq_len);
         let mut train = Vec::new();
         let mut test = Vec::new();
         let mut test_actual_raw = Vec::new();
         let mut test_indices = Vec::new();
-        for w in &all_windows {
+        // Each window of `seq_len + 1` values is `seq_len` inputs and the
+        // value after them, at index `start + seq_len` of the series.
+        for (start, w) in scaled.windows(seq_len + 1).enumerate() {
+            let (input, target) = w.split_at(seq_len);
             let sample = Sample::new(
-                Matrix::column_vector(&w.input),
-                Matrix::from_vec(1, 1, vec![w.target]),
+                Matrix::column_vector(input),
+                Matrix::from_vec(1, 1, target.to_vec()),
             );
-            if w.target_index < boundary {
+            let target_index = start + seq_len;
+            if target_index < boundary {
                 train.push(sample);
             } else {
                 test.push(sample);
-                test_actual_raw.push(series[w.target_index]);
-                test_indices.push(w.target_index);
+                test_actual_raw.push(series[target_index]);
+                test_indices.push(target_index);
             }
         }
         if train.is_empty() || test.is_empty() {

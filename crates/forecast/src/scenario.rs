@@ -1,9 +1,11 @@
 //! The paper's experimental scenarios.
 
+use crate::counts::{ArenaCounts, DetectorCounts};
 use crate::error::ForecastError;
-use evfad_anomaly::{AnomalyFilter, DetectionReport, FilterConfig};
+use evfad_anomaly::{merge_segments, AnomalyFilter, DetectionReport, FilterConfig};
 use evfad_attack::{AttackOutcome, DdosConfig, DdosInjector};
 use evfad_data::ClientData;
+use evfad_nn::TrainCounts;
 use evfad_tensor::parallel;
 use evfad_timeseries::MinMaxScaler;
 use serde::{Deserialize, Serialize};
@@ -126,6 +128,11 @@ pub(crate) struct Detected {
     pub(crate) filtered: Vec<f64>,
     flags: Vec<bool>,
     pub(crate) detection: DetectionReport,
+    /// The autoencoder's optimizer steps and the windows they ran over.
+    pub(crate) trained: TrainCounts,
+    pub(crate) counts: DetectorCounts,
+    /// The autoencoder's arena at its training batch.
+    pub(crate) arena: ArenaCounts,
 }
 
 impl Injected {
@@ -166,10 +173,23 @@ impl Injected {
         let filtered = filter
             .filter_anomalies(&self.attacked, &detection.flags)
             .map_err(|e| ForecastError::Anomaly(e.to_string()))?;
+        let model = filter.model().expect("fitted above");
+        let config = filter.config();
+        let counts = DetectorCounts {
+            windows_scored: filter.windows_scored(),
+            flagged: detection.flags.iter().filter(|&&f| f).count(),
+            interpolated: merge_segments(&detection.flags, config.max_gap)
+                .iter()
+                .filter(|&&m| m)
+                .count(),
+        };
         Ok(Detected {
             filtered,
             detection: DetectionReport::from_flags(&self.truth, &detection.flags),
             flags: detection.flags,
+            trained: model.train_counts(),
+            counts,
+            arena: ArenaCounts::of("autoencoder", model, config.seq_len, config.batch_size),
         })
     }
 }

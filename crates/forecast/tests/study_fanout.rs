@@ -13,7 +13,9 @@ use evfad_anomaly::FilterConfig;
 use evfad_attack::DdosConfig;
 use evfad_data::{ClientData, DatasetConfig, ShenzhenGenerator, Zone};
 use evfad_forecast::scenario::build_all;
-use evfad_forecast::{run_study, run_study_on, ForecastError, Scale, StudyConfig};
+use evfad_forecast::{
+    run_study, run_study_counted, run_study_on, ForecastError, Scale, StudyConfig,
+};
 use evfad_tensor::parallel;
 
 /// The report with wall-clock removed, as JSON. With `parallel` each
@@ -30,6 +32,15 @@ fn study(parallel: bool) -> String {
         scenario.train_seconds = 0.0;
     }
     serde_json::to_string(&report).expect("a report serialises")
+}
+
+/// The run's counts table: steps, detector windows, round traffic, Matrix
+/// allocations and arena bytes, none of which may depend on the width.
+/// The allocation row counts the whole process, so it holds only while
+/// this test is the only one in its binary.
+fn counts() -> String {
+    let (_, counts) = run_study_counted(&StudyConfig::at_scale(Scale::Small, 42)).expect("study");
+    counts.table()
 }
 
 fn short(points: usize, zone: Zone) -> ClientData {
@@ -76,9 +87,10 @@ fn two_short_clients() -> String {
 #[test]
 fn every_width_gives_the_serial_study() {
     type Row = (&'static str, fn() -> String);
-    let rows: [Row; 5] = [
+    let rows: [Row; 6] = [
         ("run_study at Scale::Small", || study(false)),
         ("run_study at Scale::Small, parallel: true", || study(true)),
+        ("run_study_counted's table at Scale::Small", counts),
         (
             "run_study_on with a client too short for its detector",
             study_with_a_short_client,

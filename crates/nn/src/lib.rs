@@ -71,7 +71,8 @@ pub use layer::Layer;
 pub use layers::{Dense, Dropout, Lstm, RepeatVector};
 pub use loss::Loss;
 pub use model::{
-    autoencoder_model, forecaster_model, EpochStats, Sample, Sequential, TrainConfig, TrainHistory,
+    autoencoder_model, forecaster_model, EpochStats, Sample, Sequential, TrainConfig, TrainCounts,
+    TrainHistory,
 };
 pub use optimizer::Adam;
 pub use seq::{Seq, SeqRef};

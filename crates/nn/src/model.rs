@@ -114,6 +114,16 @@ impl TrainHistory {
     }
 }
 
+/// What a model's training steps have done since it was built: counted by
+/// [`Sequential::train_batch`], read by [`Sequential::train_counts`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+pub struct TrainCounts {
+    /// Optimizer steps taken.
+    pub steps: u64,
+    /// Training windows those steps ran over (each batch's rows).
+    pub samples: u64,
+}
+
 /// A Keras-style sequential stack of [`Layer`]s.
 ///
 /// The model owns its [`Adam`] optimiser (learning rate by default the
@@ -147,6 +157,8 @@ pub struct Sequential {
     plan: Plan,
     /// Row-index scratch for scattering batched outputs into flat buffers.
     scatter_idx: Vec<usize>,
+    /// Steps and samples trained on, for [`Sequential::train_counts`].
+    trained: TrainCounts,
 }
 
 /// Samples per staged batch of `predict` / `predict_into`: bounds the arena
@@ -174,6 +186,7 @@ impl Sequential {
             arena: Arena::default(),
             plan: Plan::default(),
             scatter_idx: Vec::new(),
+            trained: TrainCounts::default(),
         }
     }
 
@@ -217,6 +230,13 @@ impl Sequential {
     /// The model's master seed.
     pub fn seed(&self) -> u64 {
         self.seed
+    }
+
+    /// The optimizer steps this model has taken and the training windows
+    /// they ran over. A clone carries the counts of its source; a serving
+    /// replica starts from zero.
+    pub fn train_counts(&self) -> TrainCounts {
+        self.trained
     }
 
     /// Total number of scalar trainable parameters.
@@ -429,6 +449,8 @@ impl Sequential {
         let pairs = self.layers.iter_mut().flat_map(Layer::params_and_grads_mut);
         self.optimizer.step(pairs);
         self.zero_grads();
+        self.trained.steps += 1;
+        self.trained.samples += input.batch_size() as u64;
         loss_value
     }
 

@@ -47,38 +47,20 @@ pub fn sliding(series: &[f64], seq_len: usize) -> Vec<Window> {
         .collect()
 }
 
-/// Builds every sliding *reconstruction* window of length `seq_len`
-/// (no target — used to train the LSTM autoencoder on normal data).
-///
-/// The window starting at index `i` covers `series[i..i + seq_len]`.
-///
-/// # Panics
-///
-/// Panics if `seq_len == 0`.
-pub fn reconstruction(series: &[f64], seq_len: usize) -> Vec<Vec<f64>> {
-    assert!(seq_len > 0, "seq_len must be >= 1");
-    if series.len() < seq_len {
-        return Vec::new();
-    }
-    (0..=series.len() - seq_len)
-        .map(|start| series[start..start + seq_len].to_vec())
-        .collect()
-}
-
 /// A zero-copy time-major view of every stride-1 reconstruction window.
 ///
-/// Where [`reconstruction`] materialises one `Vec<f64>` per window (and
-/// downstream code re-marshals them into per-window matrices and then a
-/// time-major batch), this view exploits the structure of stride-1
-/// windows: timestep `t` of windows `first..first + count` is the
-/// *contiguous* source slice `series[first + t..first + t + count]`. Hot
+/// Where `slice::windows` walks the windows one at a time (and downstream
+/// code would marshal them into per-window matrices and then a time-major
+/// batch), this view exploits the structure of stride-1 windows: timestep
+/// `t` of windows `first..first + count` is the *contiguous* source slice
+/// `series[first + t..first + t + count]`. Hot
 /// paths therefore build each time-major step with a single
 /// `copy_from_slice` instead of `count * seq_len` scattered reads.
 ///
 /// The values are taken verbatim from the same series positions the
 /// allocating path reads, so any batch assembled from [`WindowedSeries::step`]
-/// slices is bitwise identical to `reconstruction` + per-window matrices +
-/// time-major batching (pinned by proptest in `evfad-anomaly`).
+/// slices is bitwise identical to `series.windows(seq_len)` + per-window
+/// matrices + time-major batching (pinned by proptest in `evfad-anomaly`).
 ///
 /// # Examples
 ///
@@ -101,7 +83,7 @@ impl<'a> WindowedSeries<'a> {
     /// Views `series` as its stride-1 windows of length `seq_len`.
     ///
     /// Returns `None` when the series is shorter than one window (the
-    /// case where [`reconstruction`] returns an empty vector).
+    /// case where `series.windows(seq_len)` yields nothing).
     ///
     /// # Panics
     ///
@@ -151,7 +133,10 @@ mod tests {
     fn count_matches_formula() {
         let series: Vec<f64> = (0..100).map(|i| i as f64).collect();
         assert_eq!(sliding(&series, 24).len(), 76);
-        assert_eq!(reconstruction(&series, 24).len(), 77);
+        assert_eq!(
+            WindowedSeries::new(&series, 24).expect("long enough").len(),
+            77
+        );
     }
 
     #[test]
@@ -168,13 +153,14 @@ mod tests {
     fn short_series_yield_nothing() {
         assert!(sliding(&[1.0, 2.0], 2).is_empty());
         assert!(sliding(&[1.0], 5).is_empty());
-        assert!(reconstruction(&[1.0], 5).is_empty());
     }
 
     #[test]
-    fn reconstruction_exact_length_gives_one_window() {
-        let w = reconstruction(&[1.0, 2.0, 3.0], 3);
-        assert_eq!(w, vec![vec![1.0, 2.0, 3.0]]);
+    fn windowed_series_exact_length_gives_one_window() {
+        let ws = WindowedSeries::new(&[1.0, 2.0, 3.0], 3).expect("one window");
+        assert_eq!(ws.len(), 1);
+        let window: Vec<f64> = (0..3).map(|t| ws.step(t, 0, 1)[0]).collect();
+        assert_eq!(window, [1.0, 2.0, 3.0]);
     }
 
     #[test]
@@ -192,15 +178,15 @@ mod tests {
     }
 
     #[test]
-    fn windowed_series_matches_reconstruction() {
+    fn windowed_series_matches_slice_windows() {
         let series: Vec<f64> = (0..40).map(|i| (i as f64 * 0.7).sin()).collect();
-        let wins = reconstruction(&series, 24);
+        let wins: Vec<&[f64]> = series.windows(24).collect();
         let ws = WindowedSeries::new(&series, 24).expect("long enough");
         assert_eq!(ws.len(), wins.len());
         assert_eq!(ws.seq_len(), 24);
         for (w, win) in wins.iter().enumerate() {
             let window: Vec<f64> = (0..24).map(|t| ws.step(t, w, 1)[0]).collect();
-            assert_eq!(&window, win);
+            assert_eq!(&window[..], *win);
         }
         // step(t, first, count)[i] is window (first + i)'s element t.
         #[allow(clippy::needless_range_loop)]
