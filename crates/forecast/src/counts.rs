@@ -32,6 +32,8 @@ pub(crate) struct DetectorCounts {
     /// Points the mitigation replaced: the flagged ones and the gaps
     /// merged between them.
     pub(crate) interpolated: usize,
+    /// Attacked points the mitigation left as the attack made them.
+    pub(crate) left: usize,
 }
 
 /// One model kind's arena at the batch it trains with, by layer and by
@@ -101,14 +103,14 @@ impl StudyCounts {
         let _ = writeln!(out, "COUNTS: per detector");
         let _ = writeln!(
             out,
-            "{:<10} {:>15} {:>9} {:>13}",
-            "Client", "Windows scored", "Flagged", "Interpolated"
+            "{:<10} {:>15} {:>9} {:>13} {:>6}",
+            "Client", "Windows scored", "Flagged", "Interpolated", "Left"
         );
         for (zone, d) in &self.detectors {
             let _ = writeln!(
                 out,
-                "{:<10} {:>15} {:>9} {:>13}",
-                zone, d.windows_scored, d.flagged, d.interpolated
+                "{:<10} {:>15} {:>9} {:>13} {:>6}",
+                zone, d.windows_scored, d.flagged, d.interpolated, d.left
             );
         }
         let _ = writeln!(out);

@@ -296,19 +296,20 @@ fn run_federated_scenario(
         sim.add_client(p.label.clone(), std::mem::take(&mut p.train));
     }
     let outcome = sim.run()?;
+    // One global model serves every client's read-out: evaluation does not
+    // train it, so each client sees the same weights.
+    let mut global = match cfg.read_out {
+        ReadOut::Local => None,
+        ReadOut::Global => Some(sim.model_with_weights(&outcome.global_weights)?),
+    };
     let mut per_client = Vec::with_capacity(prepared.len());
     let mut predictions = Vec::with_capacity(prepared.len());
     for (i, p) in prepared.iter().enumerate() {
-        let eval = match cfg.read_out {
-            ReadOut::Local => {
-                let model = sim.clients_mut()[i].model_mut();
-                p.evaluate_raw(model)?
-            }
-            ReadOut::Global => {
-                let mut model = sim.model_with_weights(&outcome.global_weights)?;
-                p.evaluate_raw(&mut model)?
-            }
+        let model = match &mut global {
+            Some(model) => model,
+            None => sim.clients_mut()[i].model_mut(),
         };
+        let eval = p.evaluate_raw(model)?;
         per_client.push(ClientMetrics {
             zone: p.label.clone(),
             mae: eval.mae,

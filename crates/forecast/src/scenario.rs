@@ -175,12 +175,16 @@ impl Injected {
             .map_err(|e| ForecastError::Anomaly(e.to_string()))?;
         let model = filter.model().expect("fitted above");
         let config = filter.config();
+        let replaced = merge_segments(&detection.flags, config.max_gap);
         let counts = DetectorCounts {
             windows_scored: filter.windows_scored(),
             flagged: detection.flags.iter().filter(|&&f| f).count(),
-            interpolated: merge_segments(&detection.flags, config.max_gap)
+            interpolated: replaced.iter().filter(|&&m| m).count(),
+            left: self
+                .truth
                 .iter()
-                .filter(|&&m| m)
+                .zip(&replaced)
+                .filter(|&(&t, &m)| t && !m)
                 .count(),
         };
         Ok(Detected {

@@ -101,7 +101,7 @@ fn every_width_gives_the_serial_study() {
     for (name, run) in rows {
         parallel::set_threads(1);
         let serial = run();
-        for width in [2, 3, 8] {
+        for width in [2, 3, 4, 8] {
             parallel::set_threads(width);
             let fanned_out = run();
             parallel::set_threads(0);

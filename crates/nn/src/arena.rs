@@ -11,12 +11,23 @@
 //!
 //! * a training step: `[outputs | caches | scratch | gradient | gradient]`
 //!   — every layer's output and cache in layer order, one scratch as long
-//!   as the widest layer's, and the two input-gradient buffers the backward
-//!   chain alternates between, the loss gradient in the first;
+//!   as the widest layer's (each training forward also works in it on what
+//!   its backward recomputes, so nothing in it outlives the layer's call),
+//!   and the two input-gradient buffers the backward chain alternates
+//!   between, the loss gradient in the first;
 //! * an eval pass: `[staged input | staged target | output | output | eval
 //!   slots]` — the batch `predict` or `evaluate` stages, two output buffers
 //!   the layers alternate between, one eval scratch as long as the widest
 //!   layer's.
+//!
+//! A layer whose training forward writes in place — a dropout — takes no
+//! output span: its output lies at its input's offset and the output
+//! region does not advance for it. That is safe when nothing reads the
+//! overwritten values: its own backward reads neither its input nor its
+//! output, and the layer that wrote the span must not read its output back
+//! (`Layer::backward_reads_output`; an LSTM recomputes its h, a dense
+//! layer reads its activations). The batch itself is the caller's, so a
+//! first layer never writes in place.
 //!
 //! Both start at offset 0. That is safe because no training cache outlives
 //! the call that wrote it: the backward pass is crate-private and runs
@@ -122,6 +133,9 @@ pub(crate) struct Span {
     pub slots: Slots,
     /// Offset of its output in a training step's output region.
     pub act: usize,
+    /// Whether its training forward writes over its input's span: `act`
+    /// is then its input's offset too.
+    pub in_place: bool,
     /// Offset of its cache in a training step's cache region.
     pub cache: usize,
 }
@@ -141,11 +155,21 @@ impl Plan {
     pub fn train(&mut self, layers: &[Layer], input: Shape) -> usize {
         let widest = self.walk(layers, input);
         let (mut acts, mut caches, mut scratch) = (0, 0, 0);
-        for span in &mut self.spans {
-            (span.act, span.cache) = (acts, caches);
-            acts += elems(span.output);
+        // Whether the span before the next layer may be written over: not
+        // the batch, nor an output its layer's backward reads.
+        let mut overwritable = false;
+        for (layer, span) in layers.iter().zip(&mut self.spans) {
+            span.in_place = overwritable && matches!(layer, Layer::Dropout(_));
+            if span.in_place {
+                span.act = acts - elems(span.input);
+            } else {
+                span.act = acts;
+                acts += elems(span.output);
+            }
+            span.cache = caches;
             caches += span.slots.cache;
             scratch = scratch.max(span.slots.scratch);
+            overwritable = !layer.backward_reads_output();
         }
         // Layer i > 0 writes its input gradient, layer i - 1's output
         // shape, and the loss gradient has the last output's: the widest
@@ -186,6 +210,7 @@ impl Plan {
                 slots: layer.slots(shape),
                 act: 0,
                 cache: 0,
+                in_place: false,
             });
             widest = widest.max(elems(output));
             shape = output;
@@ -213,7 +238,8 @@ pub struct ArenaPlan {
 /// One layer's row of an [`ArenaPlan`], in bytes.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct LayerBytes {
-    /// Its output: live from its training forward until its backward.
+    /// Its output: live from its training forward until its backward; 0
+    /// for a layer that writes over its input's span.
     pub output: usize,
     /// What its training forward keeps for its backward.
     pub training_cache: usize,
@@ -230,7 +256,11 @@ impl ArenaPlan {
             .spans
             .iter()
             .map(|span| LayerBytes {
-                output: 8 * elems(span.output),
+                output: if span.in_place {
+                    0
+                } else {
+                    8 * elems(span.output)
+                },
                 training_cache: 8 * span.slots.cache,
                 backward_scratch: 8 * span.slots.scratch,
                 eval: 8 * span.slots.eval,

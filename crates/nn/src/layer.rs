@@ -3,14 +3,14 @@
 //! Every layer kind declares its output shape and its slots — what its
 //! training forward keeps for its backward, what its backward works in,
 //! what its eval forward works in — and owns no buffer for them. It has one
-//! crate-private `forward_in(input, training, out, slots)` and one
+//! crate-private `forward_in(input, training, out, slots, scratch)` and one
 //! `backward(input, output, grad, dx, cache, scratch)`, each writing into
 //! spans of [`Sequential`](crate::Sequential)'s arena that the model's plan
 //! lays out from those declarations, so training and inference are the
 //! same code and neither allocates once the arena is warm; backward reads
-//! its forward's input and output back from the caller. The public
-//! `forward(input, training, out)` runs one layer on its own, in slots
-//! sized for the call.
+//! its forward's input back from the caller, and a dense layer its output
+//! too. The public `forward(input, training, out)` runs one layer on its
+//! own, in slots sized for the call.
 
 use crate::arena::Slots;
 use crate::layers::{Dense, Dropout, Lstm, RepeatVector};
@@ -74,21 +74,31 @@ impl Layer {
         }
     }
 
+    /// Whether the layer's backward reads its own output back — a dense
+    /// layer's activation derivative does. No later layer may then write
+    /// over that output.
+    pub(crate) fn backward_reads_output(&self) -> bool {
+        matches!(self, Layer::Dense(_))
+    }
+
     /// Forward pass into `out`, a buffer of the output shape, working in
     /// `slots`: its span of the training caches when `training`, else the
-    /// eval slots. A training forward leaves its BPTT state there; an eval
-    /// forward may overwrite what a training forward left, so a layer
-    /// forgets its training shape on an eval forward.
+    /// eval slots. A training forward leaves its BPTT state there and may
+    /// also work in `scratch`, the backward scratch, on what its backward
+    /// recomputes; an eval forward ignores `scratch`. An eval forward may
+    /// overwrite what a training forward left, so a layer forgets its
+    /// training shape on an eval forward.
     pub(crate) fn forward_in(
         &mut self,
         input: SeqRef<'_>,
         training: bool,
         out: &mut [f64],
         slots: &mut [f64],
+        scratch: &mut [f64],
     ) {
         match self {
             Layer::Dense(l) => l.forward_in(input, training, out),
-            Layer::Lstm(l) => l.forward_in(input, training, out, slots),
+            Layer::Lstm(l) => l.forward_in(input, training, out, slots, scratch),
             Layer::Dropout(l) => l.forward_in(input, training, out),
             Layer::RepeatVector(l) => l.forward_in(input, out),
         }
@@ -100,10 +110,11 @@ impl Layer {
     /// product — the first layer of a model has no consumer for it — and
     /// leaves the parameter gradients identical. `input` and `output` are
     /// the `input` and `out` of the layer's last training forward and
-    /// `cache` the slots it worked in, all unchanged; a recurrent or dense
-    /// layer panics if they are not of its shape. No layer reads a
-    /// `scratch` value before writing it, so one scratch serves every layer
-    /// in turn.
+    /// `cache` the slots it worked in; `input` and `cache` unchanged, and
+    /// `output` unchanged where [`Layer::backward_reads_output`] says it is
+    /// read. A recurrent or dense layer panics if what it reads is not of
+    /// its shape. No layer reads a `scratch` value before writing it, so
+    /// one scratch serves every layer in turn.
     pub(crate) fn backward(
         &mut self,
         input: SeqRef<'_>,
@@ -115,7 +126,7 @@ impl Layer {
     ) {
         match self {
             Layer::Dense(l) => l.backward(input, output, grad, dx, scratch),
-            Layer::Lstm(l) => l.backward(input, output, grad, dx, cache, scratch),
+            Layer::Lstm(l) => l.backward(input, grad, dx, cache, scratch),
             Layer::Dropout(l) => l.backward(grad, dx),
             Layer::RepeatVector(l) => l.backward(grad, dx),
         }

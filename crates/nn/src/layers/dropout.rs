@@ -5,6 +5,13 @@
 //! kept in the layer, not in its model's arena; forward and backward are
 //! one multiply pass each over caller-owned buffers, by the same two
 //! factors (`0` and `1 / (1 - rate)`).
+//!
+//! Its backward reads neither its input nor its output, so in a model's
+//! training step it multiplies its input's span in place and has no output
+//! span of its own (see `arena`): nothing reads the values it overwrites.
+//! The layer before it must not read its own output back either, so a
+//! dropout after a `Dense`, or first in the model, still writes a span of
+//! its own, by the same multiply over a copy.
 
 use crate::seq::{Seq, SeqRef};
 use rand::rngs::StdRng;
@@ -91,14 +98,21 @@ impl Dropout {
         self.forward_in(input.as_seq_ref(), training, out.as_mut_slice());
     }
 
-    /// Forward pass into `out`, a buffer of the input's shape.
+    /// Forward pass into `out`, a buffer of the input's shape: a copy of
+    /// the input, then [`Dropout::forward_in_place`] over it.
     pub(crate) fn forward_in(&mut self, input: SeqRef<'_>, training: bool, out: &mut [f64]) {
+        let out = &mut out[..input.element_count()];
+        out.copy_from_slice(input.as_slice());
+        self.forward_in_place(training, out);
+    }
+
+    /// Forward pass over `values` in place: the input before the call, the
+    /// output after it.
+    pub(crate) fn forward_in_place(&mut self, training: bool, values: &mut [f64]) {
         // Drop the mask of an earlier training pass first: a backward call
         // after an identity forward must also be the identity, not a replay
         // of a stale mask (or a shape panic).
         self.mask.clear();
-        let out = &mut out[..input.element_count()];
-        out.copy_from_slice(input.as_slice());
         if !training || self.eval_only || self.rate == 0.0 {
             return;
         }
@@ -107,8 +121,8 @@ impl Dropout {
         let rng = self
             .rng_state
             .get_or_insert_with(|| StdRng::seed_from_u64(self.seed));
-        self.mask.reserve(out.len());
-        for x in out {
+        self.mask.reserve(values.len());
+        for x in values {
             let keep = rng.gen::<f64>() >= rate;
             *x *= if keep { keep_scale } else { 0.0 };
             self.mask.push(keep);

@@ -11,25 +11,29 @@
 //! next step reads, overwritten once its `h @ W_h` product is done.
 //!
 //! A training forward keeps per step only what BPTT cannot recompute
-//! exactly: the gates and `c`. Backward reads the input and (under
-//! `return_sequences`) every h back from the caller, and recomputes
-//! `tanh(c_{t-1})` — and, without `return_sequences`, `h_{t-1} = o_{t-1} *
-//! tanh(c_{t-1})` — once per step with the forward's own kernel and
-//! expression, so the bits are the ones a kept copy would give. Its
-//! remaining state (`dh`, `dc`, `dpre`, the staged `W^T` and the `grad_W`
-//! temporaries) is live only while it runs, so it lives in the scratch the
-//! model lends each layer's backward in turn, not in the layer.
+//! exactly: the gates. The rest of its state — the cell state, rotating
+//! through two blocks as an eval forward's does, tanh(c) and the zero
+//! state — it works on in the backward scratch, which the next layer's
+//! forward overwrites. Backward reads the input back from the caller and
+//! never its output: it first replays all `T` cell updates from the kept
+//! gates, then recomputes `tanh(c_{t-1})` and `h_{t-1} = o_{t-1} *
+//! tanh(c_{t-1})` once per step, each with the forward's own kernel and
+//! expression, so the bits are the ones a kept copy would give. So a layer
+//! after it may write over its output (a training dropout does). The
+//! replayed `c`, like the rest of the backward's state (`dh`, `dc`,
+//! `dpre`, the staged `W^T` and the `grad_W` temporaries), is live only
+//! while it runs, so it lives in the scratch the model lends each layer in
+//! turn, not in the layer.
 //!
 //! The layer owns no buffer: it declares the blocks of each kind of slot
-//! (`forward_blocks`, `backward_blocks`), the model's plan sums them into
+//! (`state_blocks`, `backward_blocks`), the model's plan sums them into
 //! the arena's layout, and each pass carves the span it is handed by the
-//! same declaration. An eval forward runs the same loop but keeps only
-//! what the next step reads — two steps of cell state and tanh(c), the
-//! input projected a register tile of rows at a time — so its slots do
-//! not grow with `T`; kernel rows are independent, so its bits are the
-//! same. It may lie over a training step's cache: no cache outlives the
-//! call whose backward reads it. Every sum and
-//! product keeps the order of the original allocating implementation (see
+//! same declaration. An eval forward runs the same loop but projects the
+//! input a register tile of rows at a time instead of all `T` steps in one
+//! GEMM, so its slots do not grow with `T`; kernel rows are independent, so
+//! its bits are the same. It may lie over a training step's cache: no
+//! cache outlives the call whose backward reads it. Every sum and product
+//! keeps the order of the original allocating implementation (see
 //! DESIGN.md §6 for the summation-order argument); the gate nonlinearities
 //! are [`vmath`]'s slice kernels, the workspace's one definition of σ and
 //! tanh, applied band by band to the in-place gates.
@@ -168,32 +172,48 @@ impl Lstm {
         (out_steps, batch, self.hidden_dim)
     }
 
-    /// The blocks a forward of `batch` rows works in: pre-activations (then
-    /// gates in place) of `group` projected steps, cell states of `blocks`
-    /// steps, tanh(c) of step `t` in block `t % 2`, the zero state. A
-    /// training forward keeps all `T` of the first two for BPTT.
-    fn forward_blocks(&self, group: usize, blocks: usize, batch: usize) -> [usize; 4] {
+    /// The blocks a forward of `batch` rows works in beside its
+    /// pre-activations: the cell state of step `t` in block `t % 2`, its
+    /// tanh in block `t % 2`, the zero state.
+    fn state_blocks(&self, batch: usize) -> [usize; 3] {
         let bh = batch * self.hidden_dim;
-        [group * 4 * bh, blocks * bh, 2 * bh, bh]
+        [2 * bh, 2 * bh, bh]
     }
 
     /// The blocks of the backward scratch: one step's `dpre`, the `x^T` and
     /// `h^T @ dpre` staging, bias sums, the running `dh` and `dc`, `W_x^T`
-    /// and `W_h^T`, and the recomputed `h_{t-1}` when h is not the output.
-    fn backward_blocks(&self, batch: usize) -> [usize; 9] {
+    /// and `W_h^T`, the recomputed `h_{t-1}`, two steps of tanh(c), the
+    /// zero state and the `T` steps of cell state replayed from the gates.
+    fn backward_blocks(&self, steps: usize, batch: usize) -> [usize; 12] {
         let (i, h) = (self.input_dim, self.hidden_dim);
-        let h_prev = if self.return_sequences { 0 } else { batch * h };
         let (bh, g) = (batch * h, 4 * h);
-        [batch * g, i * g, h * g, g, bh, bh, g * i, g * h, h_prev]
+        [
+            batch * g,
+            i * g,
+            h * g,
+            g,
+            bh,
+            bh,
+            g * i,
+            g * h,
+            bh,
+            2 * bh,
+            bh,
+            steps * bh,
+        ]
     }
 
-    /// What the layer declares at an input of `(T, B, _)`.
+    /// What the layer declares at an input of `(T, B, _)`. A training
+    /// forward keeps only the gates of all `T` steps; it works on the rest
+    /// of its state in the backward scratch, whose `dh`, `dc`, `h_{t-1}`,
+    /// tanh(c) and zero-state blocks alone are as long.
     pub(crate) fn slots(&self, (steps, batch, _): Shape) -> Slots {
-        let group = eval_group(steps, batch);
+        let b4h = batch * 4 * self.hidden_dim;
+        let state: usize = self.state_blocks(batch).iter().sum();
         Slots {
-            cache: self.forward_blocks(steps, steps, batch).iter().sum(),
-            scratch: self.backward_blocks(batch).iter().sum(),
-            eval: self.forward_blocks(group, 2, batch).iter().sum(),
+            cache: steps * b4h,
+            scratch: self.backward_blocks(steps, batch).iter().sum(),
+            eval: eval_group(steps, batch) * b4h + state,
         }
     }
 
@@ -208,14 +228,27 @@ impl Lstm {
         let (t, b, h) = self.output_shape(input.shape());
         out.reshape(t, b, h);
         let slots = self.slots(input.shape());
-        let mut buf = vec![0.0; if training { slots.cache } else { slots.eval }];
-        self.forward_in(input.as_seq_ref(), training, out.as_mut_slice(), &mut buf);
+        let (len, work) = match training {
+            true => (slots.cache, slots.scratch),
+            false => (slots.eval, 0),
+        };
+        let mut buf = vec![0.0; len + work];
+        let (slots, scratch) = buf.split_at_mut(len);
+        self.forward_in(
+            input.as_seq_ref(),
+            training,
+            out.as_mut_slice(),
+            slots,
+            scratch,
+        );
     }
 
-    /// Forward pass into `out`, a buffer of the output shape, working in
-    /// `slots` — at least the layer's training cache when `training`, its
-    /// eval slots otherwise. A training forward leaves the BPTT state its
-    /// backward reads in `slots`.
+    /// Forward pass into `out`, a buffer of the output shape. A training
+    /// forward leaves every step's gates, the BPTT state its backward
+    /// reads, in `slots` (at least the layer's training cache) and works on
+    /// the rest — cell state, tanh(c), the zero state — in `scratch` (at
+    /// least its backward scratch), which its backward recomputes. An eval
+    /// forward works in `slots` alone, its eval slots.
     ///
     /// # Panics
     ///
@@ -226,6 +259,7 @@ impl Lstm {
         training: bool,
         out: &mut [f64],
         slots: &mut [f64],
+        scratch: &mut [f64],
     ) {
         assert_eq!(
             input.features(),
@@ -240,18 +274,18 @@ impl Lstm {
         let (bi, bh, b4h) = (batch * i_dim, batch * h_dim, batch * 4 * h_dim);
         // The input is projected `group` steps per GEMM into block
         // `t % group` of the pre-activations; the cell state of step `t`
-        // lives in block `t % blocks`, its tanh in block `t % 2`, its h in
-        // block `t % h_blocks` of `out`. A training forward keeps every
-        // step's gates and c for BPTT: one GEMM, `T` blocks. An eval forward
-        // keeps the step it writes and the one it reads, and projects just
-        // enough steps for a full register tile of rows.
-        let (group, blocks) = if training {
-            (steps, steps)
+        // and its tanh live in block `t % 2`, its h in block `t % h_blocks`
+        // of `out`. A training forward keeps every step's gates for BPTT:
+        // one GEMM, `T` blocks. An eval forward projects just enough steps
+        // for a full register tile of rows.
+        let (group, pre_all, state) = if training {
+            (steps, &mut slots[..steps * b4h], scratch)
         } else {
-            (eval_group(steps, batch), 2)
+            let group = eval_group(steps, batch);
+            let (pre, state) = slots.split_at_mut(group * b4h);
+            (group, pre, state)
         };
-        let [pre_all, c_all, tanh_all, zeros] =
-            carve(slots, self.forward_blocks(group, blocks, batch));
+        let [c_all, tanh_all, zeros] = carve(state, self.state_blocks(batch));
         zeros.fill(0.0);
 
         // Input projection: accumulating the x-columns first and the
@@ -288,26 +322,18 @@ impl Lstm {
             kernels::add_row_broadcast_into(MatMut::new(batch, 4 * h_dim, pre_t), self.b.view());
             // Gate nonlinearities as slice passes over each row's in-place
             // bands, then the cell update.
-            let (c_prev, c_t) = step_blocks(c_all, zeros, t, blocks);
+            let (c_prev, c_t) = step_blocks(c_all, zeros, t, 2);
             for r in 0..batch {
                 let gates = &mut pre_t[r * 4 * h_dim..(r + 1) * 4 * h_dim];
                 vmath::sigmoid_f64(&mut gates[..2 * h_dim]);
                 vmath::tanh_f64(&mut gates[2 * h_dim..3 * h_dim]);
                 vmath::sigmoid_f64(&mut gates[3 * h_dim..]);
                 let row = r * h_dim..(r + 1) * h_dim;
-                let it = c_t[row.clone()]
-                    .iter_mut()
-                    .zip(&c_prev[row])
-                    .zip(&gates[..h_dim])
-                    .zip(&gates[h_dim..2 * h_dim])
-                    .zip(&gates[2 * h_dim..3 * h_dim]);
-                for ((((ct, &cp), &i_v), &f_v), &g_v) in it {
-                    *ct = (f_v * cp) + (i_v * g_v);
-                }
+                cell_update(gates, &c_prev[row.clone()], &mut c_t[row]);
             }
-            // tanh(c) for the whole step, in the block backward finds it
-            // in; then h = o ∘ tanh(c), over h_{t-1} without
-            // `return_sequences` (its product above is done).
+            // tanh(c) for the whole step, then h = o ∘ tanh(c), over
+            // h_{t-1} without `return_sequences` (its product above is
+            // done).
             let tanh_t = &mut tanh_all[(t % 2) * bh..][..bh];
             tanh_of(c_t, tanh_t);
             let h_t = &mut h_buf[t % h_blocks * bh..][..bh];
@@ -320,10 +346,11 @@ impl Lstm {
 
     /// Backward pass through time.
     ///
-    /// `input` and `output` are the last training forward's, unchanged;
-    /// `grad` has the output's shape and `cache` holds what that forward
-    /// left in its slots. Accumulates kernel/bias gradients and, when `dx`
-    /// (a buffer of the input's shape) is given, writes the gradient with
+    /// `input` is the last training forward's, unchanged; `grad` has the
+    /// output's shape and `cache` holds what that forward left in its
+    /// slots. The output is not read: c and h are recomputed from the
+    /// cached gates. Accumulates kernel/bias gradients and, when `dx` (a
+    /// buffer of the input's shape) is given, writes the gradient with
     /// respect to the input sequence into it; `None` skips the
     /// `dpre @ W_x^T` product per step (the first layer of a model discards
     /// that gradient anyway). Everything the pass needs beyond its
@@ -332,33 +359,42 @@ impl Lstm {
     ///
     /// # Panics
     ///
-    /// Panics without a preceding training forward, or if `input`, `output`
-    /// or `grad` is not of that pass's shape.
+    /// Panics without a preceding training forward, or if `input` or
+    /// `grad` is not of that pass's shape.
     pub(crate) fn backward(
         &mut self,
         input: SeqRef<'_>,
-        output: SeqRef<'_>,
         grad: SeqRef<'_>,
         mut dx: Option<&mut [f64]>,
-        cache: &mut [f64],
+        cache: &[f64],
         scratch: &mut [f64],
     ) {
         let (steps, batch) = (self.cached_steps, self.cached_batch);
         assert!(steps > 0, "backward requires a training forward pass");
         let (i_dim, h_dim) = (self.input_dim, self.hidden_dim);
-        let seq = self.return_sequences;
-        let out_steps = if seq { steps } else { 1 };
+        let out_steps = if self.return_sequences { steps } else { 1 };
         input.expect_shape((steps, batch, i_dim), "LSTM input");
-        output.expect_shape((out_steps, batch, h_dim), "LSTM output");
-        assert_eq!(grad.len(), out_steps, "gradient length mismatch");
+        grad.expect_shape((out_steps, batch, h_dim), "LSTM gradient");
         let (bi, bh, b4h) = (batch * i_dim, batch * h_dim, batch * 4 * h_dim);
 
-        let [pre_all, c_all, tanh_all, zeros] =
-            carve(cache, self.forward_blocks(steps, steps, batch));
-        let [dpre, tw_x, tw_h, bsum, dh, dc, wxt, wht, h_prev_buf] =
-            carve(scratch, self.backward_blocks(batch));
+        let pre_all = &cache[..steps * b4h];
+        let [dpre, tw_x, tw_h, bsum, dh, dc, wxt, wht, h_prev, tanh_all, zeros, c_all] =
+            carve(scratch, self.backward_blocks(steps, batch));
         dh.fill(0.0);
         dc.fill(0.0);
+        zeros.fill(0.0);
+        // Replay the forward's cell updates, step t's c into block t, and
+        // the last step's tanh(c) into block `(T - 1) % 2`.
+        for t in 0..steps {
+            let (c_prev, c_t) = step_blocks(c_all, zeros, t, steps);
+            for r in 0..batch {
+                let gates = &pre_all[t * b4h + r * 4 * h_dim..][..4 * h_dim];
+                let row = r * h_dim..(r + 1) * h_dim;
+                cell_update(gates, &c_prev[row.clone()], &mut c_t[row]);
+            }
+        }
+        let last = steps - 1;
+        tanh_of(&c_all[last * bh..], &mut tanh_all[(last % 2) * bh..][..bh]);
 
         // Stage W_x^T / W_h^T once so the per-step `dpre @ W^T` products can
         // run through the streaming matmul kernel instead of the dot kernel
@@ -379,10 +415,10 @@ impl Lstm {
                 }
             }
             let pre_t = &pre_all[t * b4h..(t + 1) * b4h];
-            // tanh(c_t) is in block `t % 2`: the forward left step T-1's
-            // there, step t+1 recomputed the others. Step t-1's goes into
+            // tanh(c_t) is in block `t % 2`: step T-1's from the replay,
+            // step t+1 recomputed the others. Step t-1's goes into
             // the other block, from c_{t-1} by the forward's kernel, and
-            // with it h_{t-1} when the output holds the last step only.
+            // with it h_{t-1} by the forward's expression.
             let (lo, hi) = tanh_all.split_at_mut(bh);
             let (tanh_t, tanh_prev) = if t % 2 == 0 { (lo, hi) } else { (hi, lo) };
             let (c_prev, h_prev) = match t {
@@ -390,14 +426,9 @@ impl Lstm {
                 _ => {
                     let c_prev = &c_all[(t - 1) * bh..t * bh];
                     tanh_of(c_prev, tanh_prev);
-                    let h_prev = if seq {
-                        &output.as_slice()[(t - 1) * bh..t * bh]
-                    } else {
-                        let pre_prev = &pre_all[(t - 1) * b4h..t * b4h];
-                        hidden_state(batch, h_dim, pre_prev, tanh_prev, h_prev_buf);
-                        &h_prev_buf[..]
-                    };
-                    (c_prev, h_prev)
+                    let pre_prev = &pre_all[(t - 1) * b4h..t * b4h];
+                    hidden_state(batch, h_dim, pre_prev, tanh_prev, h_prev);
+                    (c_prev, &h_prev[..])
                 }
             };
             // Fused gate backward: identical expression trees to the
@@ -545,6 +576,23 @@ fn tanh_of(c: &[f64], tanh_c: &mut [f64]) {
     vmath::tanh_f64(tanh_c);
 }
 
+/// One row's cell update `c_t = f ∘ c_{t-1} + i ∘ g` from its activated
+/// gates (`4H`, gate order `[i | f | g | o]`): the one expression the
+/// forward runs and the backward replays.
+#[inline]
+fn cell_update(gates: &[f64], c_prev: &[f64], c_t: &mut [f64]) {
+    let h_dim = c_t.len();
+    let it = c_t
+        .iter_mut()
+        .zip(c_prev)
+        .zip(&gates[..h_dim])
+        .zip(&gates[h_dim..2 * h_dim])
+        .zip(&gates[2 * h_dim..3 * h_dim]);
+    for ((((ct, &cp), &i_v), &f_v), &g_v) in it {
+        *ct = (f_v * cp) + (i_v * g_v);
+    }
+}
+
 /// One step's `h = o ∘ tanh(c)` from its gates (`B x 4H`, `o` the last
 /// band of each row) and `tanh(c)` (`B x H`).
 fn hidden_state(batch: usize, h_dim: usize, gates: &[f64], tanh_c: &[f64], h: &mut [f64]) {
@@ -583,6 +631,7 @@ fn step_blocks<'a>(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::layer::Layer;
 
     fn forward(l: &mut Lstm, x: &Seq, training: bool) -> Seq {
         let mut y = Seq::default();
@@ -591,13 +640,15 @@ mod tests {
     }
 
     /// A training forward of `x` keeping its cache in a buffer of the
-    /// declared length: the output and the cache.
+    /// declared length and working in a scratch of its own: the output and
+    /// the cache.
     fn train_forward(l: &mut Lstm, x: &Seq) -> (Seq, Vec<f64>) {
-        let mut cache = vec![0.0; l.slots(x.shape()).cache];
+        let slots = l.slots(x.shape());
+        let (mut cache, mut scratch) = (vec![0.0; slots.cache], vec![0.0; slots.scratch]);
         let (t, b, h) = l.output_shape(x.shape());
         let mut y = Seq::default();
         y.reshape(t, b, h);
-        l.forward_in(x.into(), true, y.as_mut_slice(), &mut cache);
+        l.forward_in(x.into(), true, y.as_mut_slice(), &mut cache, &mut scratch);
         (y, cache)
     }
 
@@ -606,13 +657,13 @@ mod tests {
     fn backward_in(
         l: &mut Lstm,
         x: &Seq,
-        (y, cache): &mut (Seq, Vec<f64>),
+        (_, cache): &mut (Seq, Vec<f64>),
         grad: &Seq,
         scratch: &mut [f64],
     ) -> Seq {
         let mut dx = x.clone();
         let dx_buf = Some(dx.as_mut_slice());
-        l.backward(x.into(), (&*y).into(), grad.into(), dx_buf, cache, scratch);
+        l.backward(x.into(), grad.into(), dx_buf, cache, scratch);
         dx
     }
 
@@ -730,17 +781,10 @@ mod tests {
         let mut a = Lstm::new_seeded(1, 4, false, 6);
         let mut b = Lstm::new_seeded(1, 4, false, 6);
         let mut fwd = train_forward(&mut a, &x);
-        let (y, mut cache) = train_forward(&mut b, &x);
+        let (_, cache) = train_forward(&mut b, &x);
         let _ = backward(&mut a, &x, &mut fwd, &g);
         let mut scratch = vec![0.0; b.slots(x.shape()).scratch];
-        b.backward(
-            x.as_seq_ref(),
-            y.as_seq_ref(),
-            g.as_seq_ref(),
-            None,
-            &mut cache,
-            &mut scratch,
-        );
+        b.backward(x.as_seq_ref(), g.as_seq_ref(), None, &cache, &mut scratch);
         let ga: Vec<f64> = a.params_and_grads_mut()[0].1.as_slice().to_vec();
         let gb: Vec<f64> = b.params_and_grads_mut()[0].1.as_slice().to_vec();
         assert_eq!(ga, gb);
@@ -755,20 +799,19 @@ mod tests {
         ])
     }
 
-    /// The blocks a training forward of `T x B` rows keeps, in order:
-    /// gates and cell states for every step, two steps of tanh(c), the
-    /// zero state. No hidden state: h is the output, or recomputed.
-    fn training_blocks(l: &Lstm, x: &Seq) -> [usize; 4] {
-        let (t, b, h) = (x.len(), x.batch_size(), l.hidden_dim());
-        [t * b * 4 * h, t * b * h, 2 * b * h, b * h]
+    /// What a training forward of `T x B` rows keeps: the gates of every
+    /// step. No hidden state, no cell state and no tanh(c): backward
+    /// recomputes them.
+    fn training_cache(l: &Lstm, x: &Seq) -> usize {
+        x.len() * x.batch_size() * 4 * l.hidden_dim()
     }
 
     /// The blocks a backward works in, in order: one step's dpre, the x^T
-    /// / h^T staging, bias sums, dh and dc, W_x^T and W_h^T, and the
-    /// recomputed h_{t-1} when h is not the output.
-    fn scratch_blocks(l: &Lstm, x: &Seq) -> [usize; 9] {
-        let (b, i, h) = (x.batch_size(), l.input_dim(), l.hidden_dim());
-        let h_prev = if l.return_sequences() { 0 } else { b * h };
+    /// / h^T staging, bias sums, dh and dc, W_x^T and W_h^T, the
+    /// recomputed h_{t-1}, two steps of tanh(c), the zero state and every
+    /// step's cell state replayed from the gates.
+    fn scratch_blocks(l: &Lstm, x: &Seq) -> [usize; 12] {
+        let (t, b, i, h) = (x.len(), x.batch_size(), l.input_dim(), l.hidden_dim());
         [
             b * 4 * h,
             i * 4 * h,
@@ -778,7 +821,10 @@ mod tests {
             b * h,
             4 * h * i,
             4 * h * h,
-            h_prev,
+            b * h,
+            2 * b * h,
+            b * h,
+            t * b * h,
         ]
     }
 
@@ -786,16 +832,16 @@ mod tests {
         let x = three_by_three();
         let mut l = Lstm::new_seeded(3, 4, return_sequences, 8);
         let (t, b) = (x.len(), x.batch_size());
-        let blocks = training_blocks(&l, &x);
-        assert_eq!(l.forward_blocks(t, t, b), blocks);
-        assert!(!blocks.contains(&x.element_count()), "a copy of the input");
-        assert_eq!(l.backward_blocks(b), scratch_blocks(&l, &x));
+        assert_eq!(l.backward_blocks(t, b), scratch_blocks(&l, &x));
         let slots = l.slots(x.shape());
-        assert_eq!(slots.cache, blocks.iter().sum::<usize>());
+        assert_eq!(slots.cache, training_cache(&l, &x));
         assert_eq!(slots.scratch, scratch_blocks(&l, &x).iter().sum::<usize>());
-        // Backward reads input and output back from the caller and works
-        // in a scratch of exactly the declared length (carving a shorter
-        // one panics), poisoned: it writes every value before reading it.
+        // The forward's c, tanh(c) and zero state fit in that scratch.
+        assert!(l.state_blocks(b).iter().sum::<usize>() <= slots.scratch);
+        // Backward reads the input back from the caller and works in a
+        // scratch of exactly the declared length (carving a shorter one
+        // panics), poisoned: it writes every value before reading it, the
+        // forward's state included.
         let mut fwd = train_forward(&mut l, &x);
         assert_eq!(fwd.1.len(), slots.cache);
         let grad = fwd.0.clone();
@@ -813,6 +859,61 @@ mod tests {
     #[test]
     fn a_training_forward_without_return_sequences_keeps_no_input_or_output_copy() {
         assert_caches_only_its_own_state(false);
+    }
+
+    /// A training forward's parameter gradients and input gradient, as bit
+    /// patterns, with the layer's output span NaN-poisoned between its
+    /// forward and its backward when `poison`.
+    fn gradient_bits(return_sequences: bool, poison: bool) -> Vec<Vec<u64>> {
+        let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        let x = three_by_three();
+        let mut layer = Layer::from(Lstm::new_seeded(3, 4, return_sequences, 8));
+        let slots = layer.slots(x.shape());
+        let (mut cache, mut scratch) = (vec![0.0; slots.cache], vec![0.0; slots.scratch]);
+        let (t, b, h) = layer.output_shape(x.shape());
+        let mut y = Seq::default();
+        y.reshape(t, b, h);
+        layer.forward_in(
+            x.as_seq_ref(),
+            true,
+            y.as_mut_slice(),
+            &mut cache,
+            &mut scratch,
+        );
+        let grad = y.clone();
+        if poison {
+            y.as_mut_slice().fill(f64::NAN);
+        }
+        let mut dx = x.clone();
+        let dx_buf = Some(dx.as_mut_slice());
+        layer.backward(
+            x.as_seq_ref(),
+            y.as_seq_ref(),
+            grad.as_seq_ref(),
+            dx_buf,
+            &mut cache,
+            &mut scratch,
+        );
+        let mut out: Vec<Vec<u64>> = layer
+            .params_and_grads_mut()
+            .map(|(_, g)| bits(g.as_slice()))
+            .collect();
+        out.push(bits(dx.as_slice()));
+        out
+    }
+
+    /// Backward recomputes every h and c it reads from the cached gates, so
+    /// a layer after it may write over its output: NaN there between the
+    /// forward and the backward leaves every gradient bit as it was.
+    #[test]
+    fn backward_reads_nothing_from_the_output_span() {
+        for return_sequences in [true, false] {
+            assert_eq!(
+                gradient_bits(return_sequences, true),
+                gradient_bits(return_sequences, false),
+                "return_sequences = {return_sequences}"
+            );
+        }
     }
 
     #[test]

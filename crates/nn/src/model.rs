@@ -298,19 +298,19 @@ impl Sequential {
     /// One training step up to the optimiser: the training forward of
     /// `input`, the loss against `target` and the backward pass, which
     /// accumulates every layer's parameter gradients; returns the loss.
-    /// Layer `i`'s backward reads its input and output back from the
-    /// arena (`input` itself for layer 0) and its cache; input gradients
-    /// alternate between the two gradient buffers, the loss gradient in
-    /// the first, and the first layer skips its input-gradient product —
-    /// nothing consumes it. The backward runs straight after its forward,
-    /// so no training cache outlives this call.
+    /// Layer `i`'s backward reads its input back from the arena (`input`
+    /// itself for layer 0), a dense layer its output too, and its cache;
+    /// input gradients alternate between the two gradient buffers, the
+    /// loss gradient in the first, and the first layer skips its
+    /// input-gradient product — nothing consumes it. The backward runs
+    /// straight after its forward, so no training cache outlives this call.
     pub(crate) fn accumulate_gradients(&mut self, input: &Seq, target: &Seq, loss: Loss) -> f64 {
         let x = input.as_seq_ref();
         let len = self.plan.train(&self.layers, x.shape());
         let [acts, caches, scratch, mut upstream, mut dx] =
             carve(self.arena.lay_out(len), self.plan.regions);
         let spans = &self.plan.spans;
-        train_forward(&mut self.layers, spans, x, acts, caches);
+        train_forward(&mut self.layers, spans, x, acts, caches, scratch);
         let acts = &*acts;
         let loss_value = loss.gradient(last_output(spans, x, acts), target.as_seq_ref(), upstream);
         for (i, (layer, span)) in self.layers.iter_mut().zip(spans).enumerate().rev() {
@@ -655,27 +655,39 @@ impl Sequential {
 }
 
 /// The training forward of `x` through `layers`: layer `i` writes its output
-/// into its span of `acts` and keeps its BPTT state in its span of
-/// `caches`.
+/// into its span of `acts` — over its input, for a dropout the plan lays
+/// out in place — keeps its BPTT state in its span of `caches` and works on
+/// what its backward recomputes in the one `scratch`.
 fn train_forward(
     layers: &mut [Layer],
     spans: &[Span],
     x: SeqRef<'_>,
     acts: &mut [f64],
     caches: &mut [f64],
+    scratch: &mut [f64],
 ) {
     for (layer, span) in layers.iter_mut().zip(spans) {
-        let (done, rest) = acts.split_at_mut(span.act);
-        let out = &mut rest[..elems(span.output)];
-        let cache = &mut caches[span.cache..][..span.slots.cache];
-        layer.forward_in(layer_input(x, done, span), true, out, cache);
+        let out_len = elems(span.output);
+        match layer {
+            Layer::Dropout(d) if span.in_place => {
+                d.forward_in_place(true, &mut acts[span.act..][..out_len]);
+            }
+            _ => {
+                let (done, rest) = acts.split_at_mut(span.act);
+                let cache = &mut caches[span.cache..][..span.slots.cache];
+                let input = layer_input(x, done, span);
+                layer.forward_in(input, true, &mut rest[..out_len], cache, scratch);
+            }
+        }
     }
 }
 
 /// A layer's input in a training step: the output just before its span in
-/// `acts`, or the batch `x` itself for layer 0.
+/// `acts` (its own span for a layer that writes in place, which by its
+/// backward holds its output), or the batch `x` itself for layer 0.
 fn layer_input<'a>(x: SeqRef<'a>, acts: &'a [f64], span: &Span) -> SeqRef<'a> {
     match span.act {
+        at if span.in_place => SeqRef::new(span.input, &acts[at..][..elems(span.input)]),
         0 => x,
         at => SeqRef::new(span.input, &acts[at - elems(span.input)..at]),
     }
@@ -709,7 +721,7 @@ fn eval_layers<'a>(
             0 => x,
             _ => SeqRef::new(span.input, &src[..elems(span.input)]),
         };
-        layer.forward_in(input, false, &mut dst[..elems(span.output)], slots);
+        layer.forward_in(input, false, &mut dst[..elems(span.output)], slots, &mut []);
     }
     match spans.len() {
         0 => x,
@@ -902,6 +914,46 @@ mod tests {
         }
         assert!(twin.weights().iter().all(Matrix::is_finite));
         assert_eq!(twin.weights(), poisoned.weights());
+    }
+
+    /// A training dropout after an LSTM multiplies the LSTM's output in
+    /// place: the plan gives it the LSTM's offset and no output bytes of
+    /// its own, and the layer after it reads that same span — at batch 1
+    /// and at the paper's 32. The batch itself and a dense layer's output,
+    /// which its backward reads, are never written over.
+    #[test]
+    fn a_training_dropout_shares_its_inputs_span() {
+        let model = autoencoder_model(24, 7);
+        let mut plan = Plan::default();
+        for batch in [1, 32] {
+            plan.train(&model.layers, (24, batch, 1));
+            let spans = &plan.spans;
+            for i in [1, 3] {
+                assert!(matches!(model.layers[i], Layer::Dropout(_)));
+                let (lstm, dropout, next) = (&spans[i - 1], &spans[i], &spans[i + 1]);
+                assert!(dropout.in_place, "batch {batch}, layer {i}");
+                assert_eq!(dropout.act, lstm.act, "batch {batch}, layer {i}");
+                assert_eq!(next.act - elems(next.input), dropout.act);
+                assert_eq!(next.act, dropout.act + elems(dropout.output));
+            }
+            let own: usize = spans
+                .iter()
+                .filter(|s| !s.in_place)
+                .map(|s| elems(s.output))
+                .sum();
+            assert_eq!(plan.regions[0], own, "batch {batch}");
+            let bytes = model.arena_plan(24, batch, 1);
+            assert_eq!((bytes.layers[1].output, bytes.layers[3].output), (0, 0));
+        }
+        let model = Sequential::new(1)
+            .with(Dropout::new(0.2))
+            .with(Dense::new(1, 4, Activation::Relu))
+            .with(Dropout::new(0.2))
+            .with(Dropout::new(0.2))
+            .with(Dense::new(4, 1, Activation::Linear));
+        plan.train(&model.layers, (3, 2, 1));
+        let in_place: Vec<bool> = plan.spans.iter().map(|s| s.in_place).collect();
+        assert_eq!(in_place, [false, false, false, true, false]);
     }
 
     /// An eval pass lies over the training step before it: `evaluate` and
